@@ -324,13 +324,6 @@ def short_vectors(L: Lattice, bound) -> List[Tuple[Tuple[int, ...], Fraction]]:
     return la.short_vectors_gram(L.gram_rows, Fraction(bound))
 
 
-def _canonical_sign(v: Sequence[int]) -> Tuple[int, ...]:
-    for x in v:
-        if x:
-            return tuple(v) if x > 0 else tuple(-y for y in v)
-    return tuple(v)
-
-
 def udeg_max(L: Lattice) -> Tuple[LogValue, Tuple[int, ...]]:
     """Max degree of a metrized line sublattice: -log(shortest vector).
 
@@ -339,15 +332,17 @@ def udeg_max(L: Lattice) -> Tuple[LogValue, Tuple[int, ...]]:
     """
     if L.rank == 0:
         raise ValueError("udeg_max needs positive rank")
-    # search in a reduced basis so the starting radius is tight
-    Gred, U = la.gram_lll(L.gram_rows)
-    start = min(Gred[i][i] for i in range(L.rank))
-    vecs = la.short_vectors_gram(Gred, start)
+    return _udeg_max_reduced(*la.gram_lll(L.gram_rows))
+
+
+def _udeg_max_reduced(Gred: la.Matrix, U: List[List[int]]) -> Tuple[LogValue, Tuple[int, ...]]:
+    """udeg_max from the reduction (Gred, U) of the lattice's Gram matrix;
+    the shortest reduced basis vector gives a tight starting radius."""
+    start = min(Gred[i][i] for i in range(len(Gred)))
+    vecs = la.short_vectors_reduced(Gred, U, start)
     best = vecs[0][1]
-    witness = min(
-        _canonical_sign(la.mat_vec(U, v)) for v, norm in vecs if norm == best
-    )
-    return log_of(best, Fraction(-1, 2)), tuple(int(x) for x in witness)
+    witness = min(v for v, norm in vecs if norm == best)
+    return log_of(best, Fraction(-1, 2)), witness
 
 
 def _decomposable_kernel(w: Sequence[Fraction], r: int, k: int) -> Optional[la.Matrix]:
@@ -387,17 +382,19 @@ def _slope_of_det(detval: Fraction, k: int) -> LogValue:
     return log_of(detval, Fraction(-1, 2 * k))
 
 
-def _max_slope_candidates(L: Lattice) -> Tuple[LogValue, List[Tuple[SubLattice, Fraction]]]:
+def _max_slope_candidates(
+    L: Lattice, Gred: la.Matrix, U: List[List[int]]
+) -> Tuple[LogValue, List[Tuple[SubLattice, Fraction]]]:
     """Exact max slope plus every saturated sublattice attaining it.
 
     For each rank k the best determinant is the squared norm of the
     shortest decomposable vector of the k-th exterior power.  The search
-    runs in an LLL-reduced basis, where the best coordinate sublattice
-    gives a realized and therefore certified enumeration radius that is
-    also tight enough to keep the pass small.
+    runs in the LLL-reduced basis (Gred, U) = gram_lll(L.gram_rows), where
+    the best coordinate sublattice gives a realized and therefore
+    certified enumeration radius that is also tight enough to keep the
+    pass small.
     """
     r = L.rank
-    Gred, U = la.gram_lll(L.gram_rows)
     per_rank: List[Tuple[int, SubLattice, Fraction]] = []
     for k in range(1, r + 1):
         if k == r:
@@ -408,9 +405,8 @@ def _max_slope_candidates(L: Lattice) -> Tuple[LogValue, List[Tuple[SubLattice, 
         radius = min(la.det(la.submatrix(Gred, I, I)) for I in la.k_subsets(r, k))
         seen = set()
         if k == 1:
-            for v, _norm in la.short_vectors_gram(Gred, radius):
-                col = [int(x) for x in la.mat_vec(U, v)]
-                S = saturate(SubLattice.from_columns(L, [col]))
+            for v, _norm in la.short_vectors_reduced(Gred, U, radius):
+                S = saturate(SubLattice.from_columns(L, [v]))
                 if S.basis in seen:
                     continue
                 seen.add(S.basis)
@@ -454,9 +450,10 @@ def mu_max(L: Lattice, rank_limit: int = 6) -> Tuple[LogValue, SubLattice]:
     """
     if L.rank == 0:
         raise ValueError("mu_max needs positive rank")
+    # one reduction serves the candidate search and the Minkowski bracket
+    Gred, U = la.gram_lll(L.gram_rows)
+    udeg, _ = _udeg_max_reduced(Gred, U)
     if L.rank > rank_limit:
-        udeg, _ = udeg_max(L)
-        Gred, _U = la.gram_lll(L.gram_rows)
         coord_best = None
         for k in range(1, L.rank + 1):
             # contiguous windows of the reduced basis: realized sublattices
@@ -474,9 +471,8 @@ def mu_max(L: Lattice, rank_limit: int = 6) -> Tuple[LogValue, SubLattice]:
         raise ExactSearchUnavailable(
             f"exact search unavailable beyond rank {rank_limit}", lower, upper
         )
-    val, winners = _max_slope_candidates(L)
+    val, winners = _max_slope_candidates(L, Gred, U)
     witness = min(winners, key=lambda sd: (sd[0].rank, sd[0].basis))[0]
-    udeg, _ = udeg_max(L)
     half_log_rank = log_of(L.rank, Fraction(1, 2))
     assert compare(udeg, val) is not Order.GT
     assert compare(val, udeg + half_log_rank) is not Order.GT
@@ -505,7 +501,7 @@ def hn_filtration(L: Lattice, rank_limit: int = 6) -> HNResult:
         )
 
     def build(lat: Lattice) -> List[List[List[int]]]:
-        _val, winners = _max_slope_candidates(lat)
+        _val, winners = _max_slope_candidates(lat, *la.gram_lll(lat.gram_rows))
         stacked = []
         for S, _d in winners:
             stacked.extend(la.transpose(S.basis_rows))

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from typing import List, Optional, Sequence, Tuple
 
 Matrix = List[List[Fraction]]
@@ -47,10 +47,6 @@ def mat_vec(A: Sequence[Sequence], v: Sequence) -> Vector:
 
 def vec_dot(u: Sequence, v: Sequence) -> Fraction:
     return sum(a * b for a, b in zip(u, v))
-
-
-def mat_eq(A, B) -> bool:
-    return len(A) == len(B) and all(list(r) == list(s) for r, s in zip(A, B))
 
 
 def det(M: Sequence[Sequence]) -> Fraction:
@@ -220,12 +216,6 @@ def compound_matrix(M: Sequence[Sequence], k: int) -> Matrix:
     n = len(M)
     subsets = k_subsets(n, k)
     return [[det(submatrix(M, I, J)) for J in subsets] for I in subsets]
-
-
-def wedge_of_columns(B: Sequence[Sequence], k: int) -> Vector:
-    """Pluecker coordinates of the wedge of the k columns of B (r x k)."""
-    r = len(B)
-    return [det(submatrix(B, I, range(k))) for I in k_subsets(r, k)]
 
 
 def is_symmetric(M: Sequence[Sequence]) -> bool:
@@ -423,6 +413,9 @@ def gram_lll(G: Sequence[Sequence], delta: Fraction = Fraction(3, 4)) -> Tuple[M
     Returns (G', U) with G' = U^T G U, U unimodular, and G' LLL-reduced
     (size-reduced and satisfying the Lovasz condition with parameter
     delta).  Used to keep short-vector enumeration trees small.
+
+    The sweep runs on the Gram-Schmidt data alone, seeded from G; the
+    reduced Gram matrix is formed once at the end, in integer arithmetic.
     """
     n = len(G)
     if n == 0:
@@ -430,25 +423,10 @@ def gram_lll(G: Sequence[Sequence], delta: Fraction = Fraction(3, 4)) -> Tuple[M
     U = [[int(i == j) for j in range(n)] for i in range(n)]
     G0 = frac_rows(G)
 
-    # Gram-Schmidt data: Bv[i] = |b*_i|^2, mu[i][j] for j < i.  Only the
-    # GSO data is maintained during the sweep; the reduced Gram matrix is
-    # recomputed from U once at the end.
-    mu = [[Fraction(0)] * n for _ in range(n)]
-    Bv = [Fraction(0)] * n
-
-    def gram_entry(i, j):
-        ui = [row[i] for row in U]
-        uj = [row[j] for row in U]
-        return vec_dot(ui, mat_vec(G0, uj))
-
-    for i in range(n):
-        for j in range(i):
-            mu[i][j] = (
-                gram_entry(i, j) - sum(mu[i][t] * mu[j][t] * Bv[t] for t in range(j))
-            ) / Bv[j]
-        Bv[i] = gram_entry(i, i) - sum(mu[i][t] ** 2 * Bv[t] for t in range(i))
-        if Bv[i] <= 0:
-            raise SingularMatrixError("gram matrix is not positive definite")
+    # Gram-Schmidt data: Bv[i] = |b*_i|^2, mu[i][j] for j < i.  U starts as
+    # the identity, so the GSO is the LDL^T factorisation of G itself; ldl
+    # raises SingularMatrixError unless G is positive definite.
+    mu, Bv = ldl(G0)
 
     def col_op(i, j, q):  # basis op b_i -= q b_j
         for row in U:
@@ -487,22 +465,47 @@ def gram_lll(G: Sequence[Sequence], delta: Fraction = Fraction(3, 4)) -> Tuple[M
             for ll in range(kk - 2, -1, -1):
                 size_reduce(kk, ll)
             kk += 1
-    Gred = mat_mul(transpose(U), mat_mul(G0, U))
+
+    # U^T G U in integers: scale G to its common denominator, multiply
+    # exactly, and build one Fraction per entry of the upper triangle
+    # (G is symmetric, so U^T G U is too).
+    den = lcm(*(x.denominator for row in G0 for x in row))
+    Gint = [[x.numerator * (den // x.denominator) for x in row] for row in G0]
+    cols = transpose(U)
+    Gcols = [[sum(g * u for g, u in zip(grow, col)) for grow in Gint] for col in cols]
+    Gred: Matrix = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            Gred[i][j] = Gred[j][i] = Fraction(sum(a * b for a, b in zip(cols[i], Gcols[j])), den)
     return Gred, U
 
 
 def short_vectors_gram(G: Sequence[Sequence], bound: Fraction) -> List[Tuple[Tuple[int, ...], Fraction]]:
     """All nonzero v in Z^n with v^T G v <= bound, up to sign.
 
-    Exact Fincke-Pohst enumeration on an LLL-reduced copy; each returned
-    vector has its first nonzero coordinate positive.  Results sorted by
-    (norm, vector) for determinism.
+    Reduces G with gram_lll, then enumerates with short_vectors_reduced.
+    A caller that already holds the reduction of G should call
+    short_vectors_reduced directly.
     """
-    n = len(G)
+    Gred, U = gram_lll(G)
+    return short_vectors_reduced(Gred, U, bound)
+
+
+def short_vectors_reduced(
+    Gred: Sequence[Sequence], U: Sequence[Sequence[int]], bound: Fraction
+) -> List[Tuple[Tuple[int, ...], Fraction]]:
+    """All nonzero v in Z^n with v^T G v <= bound, up to sign, given the
+    reduction (Gred, U) = gram_lll(G), so that Gred = U^T G U.
+
+    Exact Fincke-Pohst enumeration of x with x^T Gred x <= bound, each x
+    mapped back to v = U x; the reduction only keeps the tree small.  Each
+    returned vector has its first nonzero coordinate positive.  Results
+    sorted by (norm, vector) for determinism.
+    """
+    n = len(Gred)
     bound = Fraction(bound)
     if n == 0 or bound < 0:
         return []
-    Gred, U = gram_lll(G)
     L, d = ldl(Gred)
     out = {}
     v = [0] * n

@@ -7,7 +7,7 @@ slow and simple on purpose.
 """
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 
 def cofactor_det(M):
@@ -23,6 +23,19 @@ def cofactor_det(M):
         total += sign * Fraction(M[0][j]) * cofactor_det(minor)
         sign = -sign
     return total
+
+
+def mat_eq(A, B):
+    return len(A) == len(B) and all(list(r) == list(s) for r, s in zip(A, B))
+
+
+def wedge_of_columns(B, k):
+    """Pluecker coordinates of the wedge of the k columns of B (r x k),
+    as cofactor-expanded k x k minors in lexicographic row order."""
+    return [
+        cofactor_det([[B[i][j] for j in range(k)] for i in rows])
+        for rows in combinations(range(len(B)), k)
+    ]
 
 
 def naive_inverse_entry(M, i, j):

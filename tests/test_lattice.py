@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 from slopelab import lattice as lat
 from slopelab import linalg as la
 from slopelab.exactnum import LogValue, Order, approximate, compare, log_of
+from slopelab.harness import random_lattice
 from oracles import (
     best_slope_witness_det,
     box_short_vectors,
@@ -213,6 +215,61 @@ def test_mu_max_rank_limit_bracket():
     true_val, _ = lat.mu_max(L)
     assert compare(info.best_found, true_val) is not Order.GT
     assert compare(true_val, info.upper_bound) is not Order.GT
+
+
+# Seeded tensor lattices A (x) B of ranks 4 and 6: (seed, factor ranks,
+# mu_max, its witness basis, udeg_max, its witness), with values as
+# prime -> coefficient maps.  Witness ranks 1, 2 and 3 all occur.
+TENSOR_FROZEN = [
+    (5, (2, 2), {3: "-1"}, ((1,), (1,), (1,), (1,)), {3: "-1"}, (1, 1, 1, 1)),
+    (7, (2, 2), {2: "-1"}, ((1,), (-1,), (0,), (0,)), {2: "-1"}, (1, -1, 0, 0)),
+    (8, (2, 2), {2: "-2", 3: "-1/2"}, ((1, 0), (0, 1), (0, 0), (0, 0)),
+     {2: "-1", 13: "-1/2"}, (0, 1, 0, 0)),
+    (9, (2, 3), {2: "-1/2", 3: "-1/2"}, ((1,), (0,), (1,), (-1,), (0,), (-1,)),
+     {2: "-1/2", 3: "-1/2"}, (1, 0, 1, -1, 0, -1)),
+    (24, (2, 3), {2: "-7/4"}, ((0, 0), (0, 0), (0, 0), (1, 0), (0, 0), (0, 1)),
+     {2: "-1", 3: "-1/2"}, (0, 0, 0, 0, 0, 1)),
+    (68, (2, 3), {2: "-4/3"},
+     ((0, 0, 0), (0, 0, 0), (0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)),
+     {2: "-3/2"}, (0, 0, 0, 0, 1, 0)),
+]
+
+
+def _log_value(terms):
+    return LogValue.from_map({p: Fraction(c) for p, c in terms.items()})
+
+
+def test_mu_max_tensor_frozen():
+    for seed, ranks, mu, basis, udeg, vec in TENSOR_FROZEN:
+        rng = random.Random(seed)
+        A = random_lattice(ranks[0], 3, rng)
+        B = random_lattice(ranks[1], 3, rng)
+        T = lat.tensor(A, B)
+        val, S = lat.mu_max(T)
+        assert val == _log_value(mu) and S.basis == basis
+        assert lat.udeg_max(T) == (_log_value(udeg), vec)
+
+
+def test_one_reduction_per_lattice(monkeypatch):
+    # mu_max reduces the lattice once and each compound of rank 2..r-1 once;
+    # udeg_max reduces the lattice once
+    real = la.gram_lll
+    sizes = []
+
+    def counting(G, *args, **kwargs):
+        sizes.append(len(G))
+        return real(G, *args, **kwargs)
+
+    monkeypatch.setattr(la, "gram_lll", counting)
+    rng = random.Random(431)
+    for r in range(1, 7):
+        L = lat.Lattice.from_rows(random_spd_matrix(rng, r, 2))
+        sizes.clear()
+        lat.mu_max(L)
+        assert sizes == [r] + [comb(r, k) for k in range(2, r)]  # 1 + max(0, r-2) calls
+        sizes.clear()
+        lat.udeg_max(L)
+        assert sizes == [r]
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,14 @@ import pytest
 
 from slopelab import linalg as la
 
-from oracles import box_short_vectors, cofactor_det, random_spd_matrix, random_unimodular
+from oracles import (
+    box_short_vectors,
+    cofactor_det,
+    mat_eq,
+    random_spd_matrix,
+    random_unimodular,
+    wedge_of_columns,
+)
 
 
 def rand_matrix(rng, m, n, bound=6):
@@ -33,7 +40,7 @@ def test_inverse_and_solve():
         M = rand_matrix(rng, n, n)
         if la.det(M) == 0:
             continue
-        assert la.mat_eq(la.mat_mul(M, la.inverse(M)), la.identity(n))
+        assert mat_eq(la.mat_mul(M, la.inverse(M)), la.identity(n))
         b = [Fraction(rng.randrange(-9, 10)) for _ in range(n)]
         x = la.solve_square(M, b)
         assert la.mat_vec(M, x) == b
@@ -110,9 +117,9 @@ def test_compound_multiplicative():
             B = rand_matrix(rng, 4, 4, 3)
             lhs = la.compound_matrix(la.mat_mul(A, B), k)
             rhs = la.mat_mul(la.compound_matrix(A, k), la.compound_matrix(B, k))
-            assert la.mat_eq(lhs, rhs)
+            assert mat_eq(lhs, rhs)
     G = rand_matrix(rng, 3, 3)
-    assert la.mat_eq(la.compound_matrix(G, 1), G)
+    assert mat_eq(la.compound_matrix(G, 1), G)
 
 
 def test_wedge_norm_identity():
@@ -123,7 +130,7 @@ def test_wedge_norm_identity():
         k = rng.randrange(1, r + 1)
         G = random_spd_matrix(rng, r, 4)
         B = [[Fraction(rng.randrange(-3, 4)) for _ in range(k)] for _ in range(r)]
-        w = la.wedge_of_columns(B, k)
+        w = wedge_of_columns(B, k)
         C = la.compound_matrix(G, k)
         lhs = la.vec_dot(w, la.mat_vec(C, w))
         BtGB = la.mat_mul(la.transpose(B), la.mat_mul(G, B))
@@ -172,7 +179,7 @@ def test_ldl():
         G = random_spd_matrix(rng, n)
         L, d = la.ldl(G)
         D = [[d[i] if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-        assert la.mat_eq(la.mat_mul(L, la.mat_mul(D, la.transpose(L))), G)
+        assert mat_eq(la.mat_mul(L, la.mat_mul(D, la.transpose(L))), G)
         assert all(x > 0 for x in d)
     with pytest.raises(la.SingularMatrixError):
         la.ldl([[Fraction(0)]])
@@ -184,26 +191,50 @@ def test_positive_definite_check():
     assert not la.is_positive_definite([[Fraction(1), Fraction(0)], [Fraction(1), Fraction(1)]])
 
 
+def _assert_lll_reduced(G, Gred, U):
+    n = len(G)
+    assert abs(la.det([[Fraction(x) for x in row] for row in U])) == 1
+    assert mat_eq(Gred, la.mat_mul(la.transpose(U), la.mat_mul(G, U)))
+    assert la.det(Gred) == la.det(G)
+    # verify the reduction conditions on the output
+    L, d = la.ldl(Gred)
+    for i in range(n):
+        for j in range(i):
+            assert abs(L[i][j]) <= Fraction(1, 2)
+    for kk in range(1, n):
+        lhs = d[kk]
+        rhs = (Fraction(3, 4) - L[kk][kk - 1] ** 2) * d[kk - 1]
+        assert lhs >= rhs
+
+
 def test_gram_lll_invariants():
     rng = random.Random(89)
     for _ in range(25):
         n = rng.randrange(1, 6)
         G = random_spd_matrix(rng, n)
-        Gred, U = la.gram_lll(G)
-        assert abs(la.det([[Fraction(x) for x in row] for row in U])) == 1
-        assert la.mat_eq(
-            Gred, la.mat_mul(la.transpose(U), la.mat_mul(G, U))
+        _assert_lll_reduced(G, *la.gram_lll(G))
+    # rational Gram matrices with denominators > 1
+    for _ in range(15):
+        n = rng.randrange(2, 6)
+        B = rand_matrix(rng, n, n, 5)
+        if la.det(B) == 0:
+            continue
+        G = la.mat_mul(la.transpose(B), B)
+        assert any(x.denominator > 1 for row in G for x in row)
+        _assert_lll_reduced(G, *la.gram_lll(G))
+    # compound Gram matrices of random rank-6 lattices, dimensions 6, 15, 20
+    for k in (1, 2, 3):
+        G = la.compound_matrix(random_spd_matrix(rng, 6, 3), k)
+        _assert_lll_reduced(G, *la.gram_lll(G))
+    # already-reduced input comes back unchanged with U = identity
+    for n in (1, 3, 5, 15):
+        G = random_spd_matrix(rng, n, 3) if n < 6 else la.compound_matrix(
+            random_spd_matrix(rng, 6, 3), 2
         )
-        assert la.det(Gred) == la.det(G)
-        # verify the reduction conditions on the output
-        L, d = la.ldl(Gred)
-        for i in range(n):
-            for j in range(i):
-                assert abs(L[i][j]) <= Fraction(1, 2)
-        for kk in range(1, n):
-            lhs = d[kk]
-            rhs = (Fraction(3, 4) - L[kk][kk - 1] ** 2) * d[kk - 1]
-            assert lhs >= rhs
+        Gred, _U = la.gram_lll(G)
+        again, U = la.gram_lll(Gred)
+        assert U == [[int(i == j) for j in range(n)] for i in range(n)]
+        assert again == Gred
 
 
 def test_short_vectors_against_box_oracle():
