@@ -12,7 +12,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
 from typing import Dict, Iterable, Mapping, Tuple
 
 Rational = Fraction
@@ -471,18 +470,3 @@ class AlgValue:
         prefix = "-" if self.sign < 0 else ""
         return f"{prefix}sqrt({rat_to_str(self.square)})"
 
-
-def isqrt_fraction_floor(q: Fraction) -> Fraction:
-    """Largest integer-scaled dyadic-free floor helper: floor(sqrt(q)) over Z.
-
-    Used for turning rational radius bounds into integer enumeration
-    ranges: returns the largest integer n with n*n <= q (q >= 0).
-    """
-    if q < 0:
-        raise ValueError("needs a nonnegative rational")
-    n = isqrt(q.numerator * q.denominator) // q.denominator
-    while (n + 1) * (n + 1) <= q:
-        n += 1
-    while n * n > q:
-        n -= 1
-    return Fraction(n)

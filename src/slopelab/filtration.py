@@ -4,7 +4,11 @@ A filtration is stored as its flag of distinct subspaces together with
 the strictly increasing jump values: V = V_0 > V_1 > ... > V_d = 0 with
 jumps l_0 < ... < l_{d-1}, where F_l V is the union of the V_i with
 l_i >= l.  Flags keep canonical reduced-echelon bases so that equality
-of filtrations is plain structural equality.
+of filtrations is plain structural equality.  The same canonical rows
+make membership tests elimination-free: the pivots are read off the
+rows, and a vector lies in a member iff reducing it by those rows
+leaves zero.  The scalar product needs only the ranks of the pairs of
+members, not a basis.
 """
 
 from __future__ import annotations
@@ -25,6 +29,29 @@ def _freeze(rows: la.Matrix) -> Rows:
     return tuple(tuple(Fraction(x) for x in row) for row in rows)
 
 
+def _pivots(rows: Rows) -> List[int]:
+    """Pivot columns of echelon rows: the first nonzero entry of each."""
+    return [next(c for c, x in enumerate(row) if x != 0) for row in rows]
+
+
+def _is_canonical(member) -> bool:
+    """Whether member is a tuple of tuples in reduced row echelon form:
+    no zero row, strictly increasing pivots, each pivot column a unit
+    vector.  These are exactly the rows that la.rref returns unchanged."""
+    if not isinstance(member, tuple) or not all(isinstance(r, tuple) for r in member):
+        return False
+    if any(all(x == 0 for x in row) for row in member):
+        return False
+    piv = _pivots(member)
+    if any(b <= a for a, b in zip(piv, piv[1:])):
+        return False
+    return all(
+        other[p] == int(t == k)
+        for k, p in enumerate(piv)
+        for t, other in enumerate(member)
+    )
+
+
 @dataclass(frozen=True)
 class Filtration:
     dim: int
@@ -40,23 +67,21 @@ class Filtration:
             raise ValueError("jumps must be strictly increasing")
         if len(self.flag) != len(self.jumps) - 1:
             raise ValueError("flag must list one member per jump after the first")
-        prev_rows: Optional[la.Matrix] = None
+        prev: Optional[Rows] = None
         prev_dim = self.dim
         for member in self.flag:
-            rows = [list(r) for r in member]
-            if any(len(r) != self.dim for r in rows):
+            if any(len(r) != self.dim for r in member):
                 raise ValueError("flag member of wrong ambient dimension")
-            canon, _piv = la.rref(rows)
-            if _freeze(canon) != member:
+            if not _is_canonical(member):
                 raise ValueError("flag members must be canonical echelon bases")
-            if not 0 < len(rows) < prev_dim:
+            if not 0 < len(member) < prev_dim:
                 raise ValueError("flag ranks must strictly decrease and stay proper")
-            if prev_rows is not None:
-                cr, cp = la.rref(prev_rows)
-                for row in rows:
-                    if not la.row_space_contains(cr, cp, row):
+            if prev is not None:
+                piv = _pivots(prev)
+                for row in member:
+                    if not la.row_space_contains(prev, piv, row):
                         raise ValueError("flag members must be nested")
-            prev_rows, prev_dim = rows, len(rows)
+            prev, prev_dim = member, len(member)
 
     @property
     def depth(self) -> int:
@@ -196,8 +221,8 @@ def lambda_of(F: Filtration, v: Sequence) -> "Fraction | float":
     if all(x == 0 for x in vec):
         return math.inf
     for i in range(F.depth - 1, 0, -1):
-        rows, piv = la.rref(F.member_rows(i))
-        if la.row_space_contains(rows, piv, vec):
+        rows = F.flag[i - 1]
+        if la.row_space_contains(rows, _pivots(rows), vec):
             return F.jumps[i]
     return F.jumps[0]
 
@@ -216,11 +241,11 @@ def dilate(F: Filtration, eps) -> Filtration:
 def _extend(base: la.Matrix, candidates: la.Matrix) -> la.Matrix:
     """Rows of candidates that greedily enlarge the span of base."""
     picked: la.Matrix = []
-    rk = la.rank(base) if base else 0
+    span, piv = la.rref(base) if base else ([], [])
     for cand in candidates:
-        trial = base + picked + [list(cand)]
-        if la.rank(trial) == rk + len(picked) + 1:
+        if not la.row_space_contains(span, piv, cand):
             picked.append(list(cand))
+            span, piv = la.rref(span + [picked[-1]])
     return picked
 
 
@@ -325,7 +350,8 @@ def is_compatible(F: Filtration, basis: CompatibleBasis) -> bool:
     if len(basis.vectors) != F.dim:
         return False
     for i in range(1, F.depth):
-        rows, piv = la.rref(F.member_rows(i))
+        rows = F.flag[i - 1]
+        piv = _pivots(rows)
         inside = sum(
             1 for v in basis.vectors if la.row_space_contains(rows, piv, list(v))
         )
@@ -336,11 +362,34 @@ def is_compatible(F: Filtration, basis: CompatibleBasis) -> bool:
 
 def scalar_product(F: Filtration, G: Filtration) -> Fraction:
     """(1/r) sum of lambda_F(e) lambda_G(e) over a common compatible
-    basis; independent of the basis choice."""
-    basis = common_compatible_basis(F, G)
+    basis, computed from ranks alone.
+
+    Such a basis has dim gr^F_i gr^G_j vectors in cell (i, j), each of
+    value lambda_i mu_j, so the sum is
+    (1/r) sum_ij lambda_i mu_j (d_ij - d_{i+1,j} - d_{i,j+1} + d_{i+1,j+1})
+    with d_ij = dim(V_i meet W_j).  That is min(dim V_i, dim W_j) when
+    either member is the whole space, 0 when either is zero, and
+    dim V_i + dim W_j - rank[V_i; W_j] otherwise: one rank per pair of
+    proper members.
+    """
+    if F.dim != G.dim:
+        raise ValueError("dimension mismatch")
+    d = {}
+    for i in range(F.depth + 1):
+        for j in range(G.depth + 1):
+            a, b = F.member_dim(i), G.member_dim(j)
+            if i == 0 or j == 0:
+                d[(i, j)] = min(a, b)
+            elif i == F.depth or j == G.depth:
+                d[(i, j)] = 0
+            else:
+                d[(i, j)] = a + b - la.rank(F.flag[i - 1] + G.flag[j - 1])
     total = Fraction(0)
-    for v in basis.vectors:
-        total += lambda_of(F, v) * lambda_of(G, v)
+    for i, lam in enumerate(F.jumps):
+        for j, mu in enumerate(G.jumps):
+            cell = d[(i, j)] - d[(i + 1, j)] - d[(i, j + 1)] + d[(i + 1, j + 1)]
+            if cell:
+                total += cell * lam * mu
     return total / F.dim
 
 

@@ -437,11 +437,12 @@ def _matricization(x: TensorPoint, axis: int) -> la.Matrix:
 
 def _extend_to_basis(rows: la.Matrix, r: int) -> CompatibleBasis:
     eye = [[Fraction(int(a == b)) for b in range(r)] for a in range(r)]
-    chosen = [list(row) for row in rows]
-    chosen = [row for row in la.rref(chosen)[0]]
+    span, piv = la.rref(rows)
+    chosen = list(span)
     for cand in eye:
-        if la.rank(chosen + [cand]) > len(chosen):
+        if not la.row_space_contains(span, piv, cand):
             chosen.append(cand)
+            span, piv = la.rref(span + [cand])
     return CompatibleBasis(tuple(tuple(v) for v in chosen))
 
 

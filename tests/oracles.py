@@ -2,12 +2,17 @@
 
 These deliberately avoid the library's own algorithms: determinants by
 cofactor expansion, short vectors by certified box enumeration, and
-Hilbert-Mumford values by direct evaluation over a jump grid.  They are
-slow and simple on purpose.
+Hilbert-Mumford values by direct evaluation over a jump grid, and the
+scalar product of filtrations as a sum over a common compatible basis
+(the library computes it from ranks alone).  They are slow and simple on
+purpose.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
+from math import isqrt
+
+from slopelab import filtration as fil
 
 
 def cofactor_det(M):
@@ -23,6 +28,18 @@ def cofactor_det(M):
         total += sign * Fraction(M[0][j]) * cofactor_det(minor)
         sign = -sign
     return total
+
+
+def isqrt_fraction_floor(q):
+    """The largest integer n with n*n <= q, for a rational q >= 0."""
+    if q < 0:
+        raise ValueError("needs a nonnegative rational")
+    n = isqrt(q.numerator * q.denominator) // q.denominator
+    while (n + 1) * (n + 1) <= q:
+        n += 1
+    while n * n > q:
+        n -= 1
+    return Fraction(n)
 
 
 def mat_eq(A, B):
@@ -366,3 +383,14 @@ def witness_exists_all_perms(point_map, shape, b, m, D_max):
             if composed_det_value(points, alphas, sig, shape) != 0:
                 return True
     return False
+
+
+def scalar_product_by_basis(F, G):
+    """(1/r) sum of lambda_F(e) lambda_G(e) over the vectors e of a common
+    compatible basis built cell by cell, with each value found by flag
+    membership: the pairing by its definition."""
+    basis = fil.common_compatible_basis(F, G)
+    total = sum(
+        (fil.lambda_of(F, v) * fil.lambda_of(G, v) for v in basis.vectors), Fraction(0)
+    )
+    return total / F.dim

@@ -21,13 +21,13 @@ from slopelab.exactnum import (
     decimal_str,
     factorize,
     is_prime,
-    isqrt_fraction_floor,
     log_interval,
     log_of,
     rat_from_str,
     rat_to_str,
     sign,
 )
+from oracles import isqrt_fraction_floor
 
 
 # --- factorization -------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 
 from slopelab import filtration as fil
 from slopelab import linalg as la
+from oracles import scalar_product_by_basis
 
 
 def rand_filtration(rng, dim, pool=(-2, -1, 0, 1, 2)):
@@ -38,6 +39,47 @@ def test_make_validation():
         fil.make(2, [[[1, 0]], [[1, 0]]], [0, 1, 2])  # ranks must decrease
     with pytest.raises(ValueError):
         fil.make(2, [[[1, 0, 0]]], [0, 1])  # ambient dimension mismatch
+
+
+def _t(*xs):
+    return tuple(Fraction(x) for x in xs)
+
+
+J2 = (Fraction(0), Fraction(1))
+J3 = (Fraction(0), Fraction(1), Fraction(2))
+
+# Direct Filtration(dim, jumps, flag) construction: the flag must already be
+# canonical echelon rows, stored as tuples.  Verdicts recorded with the
+# elimination-based check that the structural check replaced.
+CONSTRUCTOR_CASES = [
+    ("canonical", 3, J3, ((_t(1, 0, 0), _t(0, 1, 0)), (_t(1, 0, 0),)), True),
+    ("scaled_pivot", 2, J2, ((_t(2, 0),),), False),
+    ("unsorted_pivots", 3, J2, ((_t(0, 1, 0), _t(1, 0, 0)),), False),
+    ("entry_above_pivot", 3, J2, ((_t(1, 1, 0), _t(0, 1, 0)),), False),
+    ("zero_row", 3, J2, ((_t(1, 0, 0), _t(0, 0, 0)),), False),
+    ("only_zero_row", 2, J2, ((_t(0, 0),),), False),
+    ("member_as_lists", 2, J2, ([[Fraction(1), Fraction(0)]],), False),
+    ("rows_as_lists", 2, J2, (([Fraction(1), Fraction(0)],),), False),
+    ("int_entries", 3, J2, (((1, 0, 2), (0, 1, -1)),), True),
+    ("not_nested", 3, J3, ((_t(1, 0, 0), _t(0, 1, 0)), (_t(0, 0, 1),)), False),
+    ("wrong_dimension", 2, J2, ((_t(1, 0, 0),),), False),
+    ("empty_member", 2, J2, ((),), False),
+    ("rank_not_decreasing", 2, J3, ((_t(1, 0),), (_t(1, 0),)), False),
+]
+
+
+@pytest.mark.parametrize(
+    "dim,jumps,flag,accepted",
+    [case[1:] for case in CONSTRUCTOR_CASES],
+    ids=[case[0] for case in CONSTRUCTOR_CASES],
+)
+def test_constructor_verdicts(dim, jumps, flag, accepted):
+    if accepted:
+        F = fil.Filtration(dim, jumps, flag)
+        assert F == fil.make(dim, flag, jumps)
+    else:
+        with pytest.raises(ValueError):
+            fil.Filtration(dim, jumps, flag)
 
 
 def test_expectation_frozen():
@@ -173,6 +215,77 @@ def test_scalar_product_frozen():
     assert fil.scalar_product(ONE, ONE) == 1
     assert fil.norm_squared(FLAG_E1) == Fraction(1, 2)
     assert fil.norm(FLAG_E1).square == Fraction(1, 2)
+
+
+# (seed 520, pair k has rank 1 + k % 5): values recorded with the
+# basis-sum pairing before the scalar product was computed from ranks
+SCALAR_PRODUCT_FROZEN = [
+    Fraction(-2), Fraction(4, 3), Fraction(-4, 3), Fraction(-11, 8), Fraction(-6, 5),
+    Fraction(-3, 2), Fraction(-3), Fraction(-2), Fraction(-5, 6), Fraction(-1),
+]
+
+
+def test_scalar_product_frozen_pairs():
+    rng = random.Random(520)
+    got = []
+    for k in range(len(SCALAR_PRODUCT_FROZEN)):
+        n = 1 + k % 5
+        F = rand_filtration(rng, n)
+        G = rand_filtration(rng, n)
+        got.append(fil.scalar_product(F, G))
+    assert got == SCALAR_PRODUCT_FROZEN
+
+
+def _partner(rng, F):
+    """A second filtration on F's space: random, or one of the degenerate
+    cases (equal, dilated, sharing a flag member, trivial)."""
+    kind = rng.randrange(6)
+    if kind == 0:
+        return F
+    if kind == 1:
+        return fil.dilate(F, Fraction(rng.randrange(1, 5), rng.randrange(1, 4)))
+    if kind == 2 and F.depth > 1:
+        shared = F.flag[rng.randrange(F.depth - 1)]
+        flag = [shared] + ([shared[:1]] if len(shared) > 1 else [])
+        return fil.make(F.dim, flag, range(len(flag) + 1))
+    if kind == 3:
+        return fil.trivial(F.dim)
+    return rand_filtration(rng, F.dim)
+
+
+def test_scalar_product_matches_basis_oracle():
+    rng = random.Random(521)
+    for _ in range(320):
+        n = rng.randrange(1, 6)
+        F = rand_filtration(rng, n)
+        G = _partner(rng, F)
+        if rng.random() < 0.5:
+            F, G = G, F
+        assert fil.scalar_product(F, G) == scalar_product_by_basis(F, G)
+    assert fil.scalar_product(fil.trivial(3), fil.trivial(3)) == 0
+
+
+def test_membership_and_pairing_do_not_eliminate(monkeypatch):
+    rng = random.Random(522)
+    pairs = [(rand_filtration(rng, n), rand_filtration(rng, n)) for n in (1, 2, 3, 4, 5, 5)]
+    bases = [fil.common_compatible_basis(F, G) for F, G in pairs]
+    calls = []
+    rref = la.rref
+
+    def counting_rref(M):
+        calls.append(1)
+        return rref(M)
+
+    monkeypatch.setattr(la, "rref", counting_rref)
+    for (F, G), cb in zip(pairs, bases):
+        calls.clear()
+        for v in cb.vectors:
+            fil.lambda_of(F, v)
+        assert fil.is_compatible(F, cb) and fil.is_compatible(G, cb)
+        assert fil.Filtration(G.dim, G.jumps, G.flag) == G
+        assert not calls
+        fil.scalar_product(F, G)
+        assert len(calls) <= (F.depth - 1) * (G.depth - 1)
 
 
 def test_scalar_product_basis_independent():
