@@ -190,11 +190,13 @@ def _apply_axis(vec: List[Fraction], shape: Sequence[int], axis: int, M: la.Matr
     return out
 
 
-def _product_coordinates(x: TensorPoint, bases: Sequence[CompatibleBasis]) -> List[Fraction]:
+def _product_coordinates(
+    x: TensorPoint, bases: Sequence[Sequence[Sequence[Fraction]]]
+) -> List[Fraction]:
+    """Coordinates of v_x in the product of the given bases of the factors."""
     vec = x.dense()
-    for axis, basis in enumerate(bases):
-        cols = [list(v) for v in basis.vectors]
-        B = la.transpose(cols)  # columns are the basis vectors
+    for axis, vectors in enumerate(bases):
+        B = la.transpose(vectors)  # columns are the basis vectors
         vec = _apply_axis(vec, x.shape, axis, la.inverse(B))
     return vec
 
@@ -210,9 +212,19 @@ def tensor_lambda(x: TensorPoint, T: FiltrationTuple) -> Fraction:
     nonzero coordinates."""
     _check_shapes(x, T)
     adapted = [fil.adapted_basis(F) for F in T.components]
-    bases = [CompatibleBasis(tuple(v for v, _ in ad)) for ad in adapted]
+    return _lambda_in_bases(
+        x, [[v for v, _ in ad] for ad in adapted], [[w for _, w in ad] for ad in adapted]
+    )
+
+
+def _lambda_in_bases(
+    x: TensorPoint,
+    bases: Sequence[Sequence[Sequence[Fraction]]],
+    weights: Sequence[Sequence[Fraction]],
+) -> Fraction:
+    """tensor_lambda given, per factor, a compatible basis of the filtration
+    and the filtration value of each of its vectors."""
     coords = _product_coordinates(x, bases)
-    weights = [[w for _, w in ad] for ad in adapted]
     best: Optional[Fraction] = None
     for flat, c in enumerate(coords):
         if c == 0:
@@ -364,7 +376,7 @@ def minimize_fixed_basis(
     for basis, r in zip(bases, x.shape):
         if len(basis.vectors) != r:
             raise ValueError("basis size does not match shape")
-    coords = _product_coordinates(x, bases)
+    coords = _product_coordinates(x, [b.vectors for b in bases])
     support: List[Tuple[int, ...]] = []
     for flat, c in enumerate(coords):
         if c == 0:
@@ -446,11 +458,16 @@ def _extend_to_basis(rows: la.Matrix, r: int) -> CompatibleBasis:
     return CompatibleBasis(tuple(tuple(v) for v in chosen))
 
 
-def _random_basis(rng: random.Random, r: int) -> CompatibleBasis:
+def _random_rows(rng: random.Random, r: int) -> la.Matrix:
+    """Rows of a random invertible r x r matrix with entries in -2..2."""
     while True:
         M = [[Fraction(rng.randrange(-2, 3)) for _ in range(r)] for _ in range(r)]
         if la.det(M) != 0:
-            return CompatibleBasis(tuple(tuple(row) for row in M))
+            return M
+
+
+def _random_basis(rng: random.Random, r: int) -> CompatibleBasis:
+    return CompatibleBasis(tuple(tuple(row) for row in _random_rows(rng, r)))
 
 
 def _seed_bases(x: TensorPoint, rng_seed: int) -> List[Tuple[CompatibleBasis, ...]]:
@@ -524,22 +541,17 @@ def kempf_minimize(
             raise SearchNotConverged("minimizer expectation is not zero")
     rng = random.Random(rng_seed * 7919 + 13)
     for _ in range(challenges):
-        tup = FiltrationTuple(
-            tuple(
-                fil.from_weighted_basis(
-                    [list(v) for v in _random_basis(rng, r).vectors],
-                    [Fraction(rng.randrange(-3, 4)) for _ in range(r)],
-                )
-                for r in x.shape
-            )
-        )
-        lhs = sum((fil.expectation(G) for G in tup.components), Fraction(0))
-        lhs -= tensor_lambda(x, tup)
+        drawn = [
+            (_random_rows(rng, r), [Fraction(rng.randrange(-3, 4)) for _ in range(r)])
+            for r in x.shape
+        ]
+        comps = [fil.from_weighted_basis(rows, ws) for rows, ws in drawn]
+        lhs = sum((fil.expectation(G) for G in comps), Fraction(0))
+        # the drawn rows are a compatible basis of each challenge, with
+        # exactly the drawn weights as values
+        lhs -= _lambda_in_bases(x, [rows for rows, _ in drawn], [ws for _, ws in drawn])
         rhs = best.c_tilde * sum(
-            (
-                fil.scalar_product(F, G)
-                for F, G in zip(best.minimizer.components, tup.components)
-            ),
+            (fil.scalar_product(F, G) for F, G in zip(best.minimizer.components, comps)),
             Fraction(0),
         )
         if lhs < rhs:
@@ -632,8 +644,7 @@ def rr_reduce(x: TensorPoint, M: MinimizationResult, samples: int = 25, rng_seed
 
     # coordinates of v_x in the product of adapted bases, tagged by level
     adapted = [fil.adapted_basis(F) for F in comps]
-    bases = [CompatibleBasis(tuple(v for v, _ in ad)) for ad in adapted]
-    coords = _product_coordinates(x, bases)
+    coords = _product_coordinates(x, [[v for v, _ in ad] for ad in adapted])
     levels = [
         [F.jumps.index(w) for _, w in ad] for F, ad in zip(comps, adapted)
     ]
@@ -680,8 +691,7 @@ def rr_reduce(x: TensorPoint, M: MinimizationResult, samples: int = 25, rng_seed
         blocks = [
             [
                 fil.from_weighted_basis(
-                    [list(v) for v in _random_basis(rng, rk).vectors],
-                    [Fraction(rng.randrange(-2, 3)) for _ in range(rk)],
+                    _random_rows(rng, rk), [Fraction(rng.randrange(-2, 3)) for _ in range(rk)]
                 )
                 for rk in block_ranks[i]
             ]
@@ -768,7 +778,7 @@ def reduced_is_semistable(R: ReducedInstance, rng_seed: int = 0, rounds: int = 6
                 changes.get((i, g[i]), _identity_basis(R.block_ranks[i][g[i]]))
                 for i in range(n)
             ]
-            coords = _product_coordinates(point, bases)
+            coords = _product_coordinates(point, [b.vectors for b in bases])
             cmap: Dict[Tuple[int, ...], Fraction] = {}
             for flat, v in enumerate(coords):
                 if v == 0:

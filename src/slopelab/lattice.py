@@ -332,14 +332,22 @@ def udeg_max(L: Lattice) -> Tuple[LogValue, Tuple[int, ...]]:
     """
     if L.rank == 0:
         raise ValueError("udeg_max needs positive rank")
-    return _udeg_max_reduced(*la.gram_lll(L.gram_rows))
+    return _udeg_of_shortest(_shortest_reduced(*la.gram_lll(L.gram_rows)))
 
 
-def _udeg_max_reduced(Gred: la.Matrix, U: List[List[int]]) -> Tuple[LogValue, Tuple[int, ...]]:
-    """udeg_max from the reduction (Gred, U) of the lattice's Gram matrix;
-    the shortest reduced basis vector gives a tight starting radius."""
-    start = min(Gred[i][i] for i in range(len(Gred)))
-    vecs = la.short_vectors_reduced(Gred, U, start)
+def _shortest_reduced(
+    Gred: la.Matrix, U: List[List[int]]
+) -> List[Tuple[Tuple[int, ...], Fraction]]:
+    """Every lattice vector within the least diagonal entry of the reduced
+    Gram matrix Gred = U^T G U: a realized, tight radius that both udeg
+    and the rank-one candidates enumerate."""
+    return la.short_vectors_reduced(Gred, U, min(Gred[i][i] for i in range(len(Gred))))
+
+
+def _udeg_of_shortest(
+    vecs: List[Tuple[Tuple[int, ...], Fraction]]
+) -> Tuple[LogValue, Tuple[int, ...]]:
+    """udeg_max from the output of _shortest_reduced."""
     best = vecs[0][1]
     witness = min(v for v, norm in vecs if norm == best)
     return log_of(best, Fraction(-1, 2)), witness
@@ -383,7 +391,10 @@ def _slope_of_det(detval: Fraction, k: int) -> LogValue:
 
 
 def _max_slope_candidates(
-    L: Lattice, Gred: la.Matrix, U: List[List[int]]
+    L: Lattice,
+    Gred: la.Matrix,
+    U: List[List[int]],
+    shortest: List[Tuple[Tuple[int, ...], Fraction]],
 ) -> Tuple[LogValue, List[Tuple[SubLattice, Fraction]]]:
     """Exact max slope plus every saturated sublattice attaining it.
 
@@ -392,7 +403,8 @@ def _max_slope_candidates(
     runs in the LLL-reduced basis (Gred, U) = gram_lll(L.gram_rows), where
     the best coordinate sublattice gives a realized and therefore
     certified enumeration radius that is also tight enough to keep the
-    pass small.
+    pass small.  For rank one that pass is ``shortest`` =
+    _shortest_reduced(Gred, U).
     """
     r = L.rank
     per_rank: List[Tuple[int, SubLattice, Fraction]] = []
@@ -402,10 +414,9 @@ def _max_slope_candidates(
             full = SubLattice(L, tuple(tuple(row) for row in eye))
             per_rank.append((k, full.canonical(), la.det(Gred)))
             continue
-        radius = min(la.det(la.submatrix(Gred, I, I)) for I in la.k_subsets(r, k))
         seen = set()
         if k == 1:
-            for v, _norm in la.short_vectors_reduced(Gred, U, radius):
+            for v, _norm in shortest:
                 S = saturate(SubLattice.from_columns(L, [v]))
                 if S.basis in seen:
                     continue
@@ -413,6 +424,7 @@ def _max_slope_candidates(
                 per_rank.append((k, S, sub_det(S)))
             continue
         C = la.compound_matrix(Gred, k)
+        radius = min(C[t][t] for t in range(len(C)))
         for w, _norm in la.short_vectors_gram(C, radius):
             ker = _decomposable_kernel([Fraction(x) for x in w], r, k)
             if ker is None:
@@ -452,7 +464,8 @@ def mu_max(L: Lattice, rank_limit: int = 6) -> Tuple[LogValue, SubLattice]:
         raise ValueError("mu_max needs positive rank")
     # one reduction serves the candidate search and the Minkowski bracket
     Gred, U = la.gram_lll(L.gram_rows)
-    udeg, _ = _udeg_max_reduced(Gred, U)
+    shortest = _shortest_reduced(Gred, U)
+    udeg, _ = _udeg_of_shortest(shortest)
     if L.rank > rank_limit:
         coord_best = None
         for k in range(1, L.rank + 1):
@@ -471,7 +484,7 @@ def mu_max(L: Lattice, rank_limit: int = 6) -> Tuple[LogValue, SubLattice]:
         raise ExactSearchUnavailable(
             f"exact search unavailable beyond rank {rank_limit}", lower, upper
         )
-    val, winners = _max_slope_candidates(L, Gred, U)
+    val, winners = _max_slope_candidates(L, Gred, U, shortest)
     witness = min(winners, key=lambda sd: (sd[0].rank, sd[0].basis))[0]
     half_log_rank = log_of(L.rank, Fraction(1, 2))
     assert compare(udeg, val) is not Order.GT
@@ -501,7 +514,8 @@ def hn_filtration(L: Lattice, rank_limit: int = 6) -> HNResult:
         )
 
     def build(lat: Lattice) -> List[List[List[int]]]:
-        _val, winners = _max_slope_candidates(lat, *la.gram_lll(lat.gram_rows))
+        Gred, U = la.gram_lll(lat.gram_rows)
+        _val, winners = _max_slope_candidates(lat, Gred, U, _shortest_reduced(Gred, U))
         stacked = []
         for S, _d in winners:
             stacked.extend(la.transpose(S.basis_rows))

@@ -3,13 +3,18 @@
 Matrices are lists of row lists.  Everything here is elementary but
 exact: no floating point enters any routine, so callers can build
 certified comparisons on top of the results.
+
+Elimination runs on integer rows in one fraction-free Gauss-Jordan kernel
+(Bareiss 1968), _eliminate, whose symmetric form is ldl: a pivot p at (r, c)
+sets every other row to (p * row - row[c] * W[r]) // p_prev, exact since
+each entry is then a minor of the input.  Only final entries are Fractions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt, lcm, prod
 from typing import List, Optional, Sequence, Tuple
 
 Matrix = List[List[Fraction]]
@@ -49,61 +54,72 @@ def vec_dot(u: Sequence, v: Sequence) -> Fraction:
     return sum(a * b for a, b in zip(u, v))
 
 
+def _common_scaled(M: Sequence[Sequence]) -> Tuple[List[List[int]], int]:
+    """(den * M as integer rows, den) for den the lcm of all denominators."""
+    den = lcm(*(x.denominator for row in M for x in row))
+    return [[x.numerator * (den // x.denominator) for x in row] for row in M], den
+
+
+def _scaled_rows(M: Sequence[Sequence]) -> Tuple[List[List[int]], List[int]]:
+    """Each row times the lcm of its own denominators, and those scales."""
+    scales = [lcm(*(x.denominator for x in row)) for row in M]
+    return [[x.numerator * (s // x.denominator) for x in row] for row, s in zip(M, scales)], scales
+
+
+def _eliminate(W: List[List[int]], ncols: int) -> Tuple[int, List[int], int, int]:
+    """Eliminate the integer rows W in place, pivoting in the first ncols
+    columns.  Returns (rank, pivot columns, d, sign): every pivot entry ends
+    equal to the last pivot d, W[:rank] / d is the rref, and sign * d is the
+    determinant of a square W of full rank."""
+    d, sign, r, pivots = 1, 1, 0, []
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(W)) if W[i][c]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            W[r], W[piv] = W[piv], W[r]
+            sign = -sign
+        prow = W[r]
+        p = prow[c]
+        for i, row in enumerate(W):
+            a = row[c]
+            if not a:
+                W[i] = [p * x // d for x in row]
+            elif i != r:
+                W[i] = [(p * x - a * y) // d for x, y in zip(row, prow)]
+        d = p
+        pivots.append(c)
+        r += 1
+    return r, pivots, d, sign
+
+
+def _int_det(W: List[List[int]]) -> int:
+    r, _, d, sign = _eliminate(W, len(W))
+    return sign * d if r == len(W) else 0
+
+
 def det(M: Sequence[Sequence]) -> Fraction:
-    """Determinant by exact Gaussian elimination."""
-    n = len(M)
-    if n == 0:
-        return Fraction(1)
-    W = frac_rows(M)
-    result = Fraction(1)
-    for c in range(n):
-        pivot = next((r for r in range(c, n) if W[r][c] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            W[c], W[pivot] = W[pivot], W[c]
-            result = -result
-        result *= W[c][c]
-        inv = 1 / W[c][c]
-        for r in range(c + 1, n):
-            if W[r][c] != 0:
-                f = W[r][c] * inv
-                W[r] = [a - f * b for a, b in zip(W[r], W[c])]
-    return result
+    W, scales = _scaled_rows(M)
+    return Fraction(_int_det(W), prod(scales))
+
+
+def _solve(A: Sequence[Sequence], B: Sequence[Sequence], message: str) -> Matrix:
+    """A^-1 B by eliminating [A | B] in A's columns; scaling whole rows of
+    [A | B] leaves A^-1 B unchanged."""
+    n = len(A)
+    W, _ = _scaled_rows([list(a) + list(b) for a, b in zip(A, B)])
+    r, _, d, _ = _eliminate(W, n)
+    if r != n:
+        raise SingularMatrixError(message)
+    return [[Fraction(x, d) for x in row[n:]] for row in W]
 
 
 def inverse(M: Sequence[Sequence]) -> Matrix:
-    n = len(M)
-    W = [list(row) + ident for row, ident in zip(frac_rows(M), identity(n))]
-    for c in range(n):
-        pivot = next((r for r in range(c, n) if W[r][c] != 0), None)
-        if pivot is None:
-            raise SingularMatrixError("matrix is singular")
-        W[c], W[pivot] = W[pivot], W[c]
-        inv = 1 / W[c][c]
-        W[c] = [a * inv for a in W[c]]
-        for r in range(n):
-            if r != c and W[r][c] != 0:
-                f = W[r][c]
-                W[r] = [a - f * b for a, b in zip(W[r], W[c])]
-    return [row[n:] for row in W]
+    return _solve(M, identity(len(M)), "matrix is singular")
 
 
 def solve_square(A: Sequence[Sequence], b: Sequence) -> Vector:
-    n = len(A)
-    W = [list(row) + [Fraction(x)] for row, x in zip(frac_rows(A), b)]
-    for c in range(n):
-        pivot = next((r for r in range(c, n) if W[r][c] != 0), None)
-        if pivot is None:
-            raise SingularMatrixError("system is singular")
-        W[c], W[pivot] = W[pivot], W[c]
-        inv = 1 / W[c][c]
-        W[c] = [a * inv for a in W[c]]
-        for r in range(n):
-            if r != c and W[r][c] != 0:
-                f = W[r][c]
-                W[r] = [a - f * b_ for a, b_ in zip(W[r], W[c])]
-    return [W[r][n] for r in range(n)]
+    return [row[0] for row in _solve(A, [[x] for x in b], "system is singular")]
 
 
 def rref(M: Sequence[Sequence]) -> Tuple[Matrix, List[int]]:
@@ -112,39 +128,21 @@ def rref(M: Sequence[Sequence]) -> Tuple[Matrix, List[int]]:
     The result is the canonical representation of the row space, so two
     subspaces are equal iff their rref rows are equal.
     """
-    if not M:
-        return [], []
-    W = frac_rows(M)
-    rows, cols = len(W), len(W[0])
-    pivots: List[int] = []
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if W[i][c] != 0), None)
-        if pivot is None:
-            continue
-        W[r], W[pivot] = W[pivot], W[r]
-        inv = 1 / W[r][c]
-        W[r] = [a * inv for a in W[r]]
-        for i in range(rows):
-            if i != r and W[i][c] != 0:
-                f = W[i][c]
-                W[i] = [a - f * b for a, b in zip(W[i], W[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return W[:r], pivots
+    W, _ = _scaled_rows(M)
+    r, pivots, d, _ = _eliminate(W, len(W[0]) if W else 0)
+    return [[Fraction(x, d) for x in row] for row in W[:r]], pivots
 
 
 def rank(M: Sequence[Sequence]) -> int:
-    return len(rref(M)[0])
+    W, _ = _scaled_rows(M)
+    return _eliminate(W, len(W[0]))[0] if W else 0
 
 
 def kernel(M: Sequence[Sequence], ncols: Optional[int] = None) -> Matrix:
     """Canonical basis (rref rows) of {x : M x = 0} as row vectors."""
     if ncols is None:
         ncols = len(M[0]) if M else 0
-    R, pivots = rref(M) if M else ([], [])
+    R, pivots = rref(M)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for f in free:
@@ -212,10 +210,11 @@ def submatrix(M: Sequence[Sequence], rows: Sequence[int], cols: Sequence[int]) -
 
 
 def compound_matrix(M: Sequence[Sequence], k: int) -> Matrix:
-    """k-th compound: entries are the k x k minors on sorted index sets."""
-    n = len(M)
-    subsets = k_subsets(n, k)
-    return [[det(submatrix(M, I, J)) for J in subsets] for I in subsets]
+    """k-th compound: entries are the k x k minors on sorted index sets,
+    each taken on den * M and divided by den^k."""
+    A, den = _common_scaled(M)
+    subsets = k_subsets(len(M), k)
+    return [[Fraction(_int_det([[A[i][j] for j in J] for i in I]), den**k) for J in subsets] for I in subsets]
 
 
 def is_symmetric(M: Sequence[Sequence]) -> bool:
@@ -225,31 +224,34 @@ def is_symmetric(M: Sequence[Sequence]) -> bool:
     )
 
 
-def leading_principal_minors(M: Sequence[Sequence]) -> List[Fraction]:
-    return [det(submatrix(M, range(t), range(t))) for t in range(1, len(M) + 1)]
-
-
 def is_positive_definite(M: Sequence[Sequence]) -> bool:
-    return is_symmetric(M) and all(m > 0 for m in leading_principal_minors(M))
+    try:
+        return is_symmetric(M) and ldl(M) is not None
+    except SingularMatrixError:
+        return False
 
 
 def ldl(G: Sequence[Sequence]) -> Tuple[Matrix, Vector]:
     """G = L D L^T with L unit lower triangular, D positive diagonal.
 
-    Exact; raises SingularMatrixError when G is not positive definite.
-    """
-    n = len(G)
-    L = identity(n)
-    d: Vector = [Fraction(0)] * n
-    for j in range(n):
-        dj = Fraction(G[j][j]) - sum(L[j][k] * L[j][k] * d[k] for k in range(j))
-        if dj <= 0:
+    Exact; raises SingularMatrixError when G is not positive definite.  The
+    lower triangle A of den * G is eliminated without row exchange: pivot k
+    is its leading minor D_{k+1}, d_k = D_{k+1} / (D_k den), and L[i][k] is
+    A[i][k] at step k over D_{k+1}."""
+    A, den = _common_scaled([row[: i + 1] for i, row in enumerate(G)])
+    n = len(A)
+    D = [1]
+    for k in range(n):
+        p = A[k][k]
+        if p <= 0:
             raise SingularMatrixError("matrix is not positive definite")
-        d[j] = dj
-        for i in range(j + 1, n):
-            s = Fraction(G[i][j]) - sum(L[i][k] * L[j][k] * d[k] for k in range(j))
-            L[i][j] = s / dj
-    return L, d
+        col = [row[k] for row in A[k + 1 :]]
+        for row in A[k + 1 :]:
+            a = row[k]
+            row[k + 1 :] = [(p * x - a * y) // D[-1] for x, y in zip(row[k + 1 :], col)]
+        D.append(p)
+    L = [[Fraction(A[i][j], D[j + 1]) if j < i else Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    return L, [Fraction(D[k + 1], D[k] * den) for k in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -421,12 +423,11 @@ def gram_lll(G: Sequence[Sequence], delta: Fraction = Fraction(3, 4)) -> Tuple[M
     if n == 0:
         return [], []
     U = [[int(i == j) for j in range(n)] for i in range(n)]
-    G0 = frac_rows(G)
 
     # Gram-Schmidt data: Bv[i] = |b*_i|^2, mu[i][j] for j < i.  U starts as
     # the identity, so the GSO is the LDL^T factorisation of G itself; ldl
     # raises SingularMatrixError unless G is positive definite.
-    mu, Bv = ldl(G0)
+    mu, Bv = ldl(G)
 
     def col_op(i, j, q):  # basis op b_i -= q b_j
         for row in U:
@@ -469,8 +470,7 @@ def gram_lll(G: Sequence[Sequence], delta: Fraction = Fraction(3, 4)) -> Tuple[M
     # U^T G U in integers: scale G to its common denominator, multiply
     # exactly, and build one Fraction per entry of the upper triangle
     # (G is symmetric, so U^T G U is too).
-    den = lcm(*(x.denominator for row in G0 for x in row))
-    Gint = [[x.numerator * (den // x.denominator) for x in row] for row in G0]
+    Gint, den = _common_scaled(G)
     cols = transpose(U)
     Gcols = [[sum(g * u for g, u in zip(grow, col)) for grow in Gint] for col in cols]
     Gred: Matrix = [[Fraction(0)] * n for _ in range(n)]

@@ -1,8 +1,9 @@
 """Independent reference implementations used only by the test suite.
 
 These deliberately avoid the library's own algorithms: determinants by
-cofactor expansion, short vectors by certified box enumeration, and
-Hilbert-Mumford values by direct evaluation over a jump grid, and the
+cofactor expansion, Gauss-Jordan elimination over Fraction entries (the
+library eliminates fraction-free on integers), short vectors by certified
+box enumeration, and Hilbert-Mumford values by direct evaluation over a jump grid, and the
 scalar product of filtrations as a sum over a common compatible basis
 (the library computes it from ranks alone).  They are slow and simple on
 purpose.
@@ -13,6 +14,7 @@ from itertools import combinations, product
 from math import isqrt
 
 from slopelab import filtration as fil
+from slopelab.linalg import SingularMatrixError
 
 
 def cofactor_det(M):
@@ -28,6 +30,104 @@ def cofactor_det(M):
         total += sign * Fraction(M[0][j]) * cofactor_det(minor)
         sign = -sign
     return total
+
+
+def _frac_rows(M):
+    return [[Fraction(x) for x in row] for row in M]
+
+
+def fraction_det(M):
+    """Determinant by Gaussian elimination over Fraction entries."""
+    n = len(M)
+    if n == 0:
+        return Fraction(1)
+    W = _frac_rows(M)
+    result = Fraction(1)
+    for c in range(n):
+        pivot = next((r for r in range(c, n) if W[r][c] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != c:
+            W[c], W[pivot] = W[pivot], W[c]
+            result = -result
+        result *= W[c][c]
+        inv = 1 / W[c][c]
+        for r in range(c + 1, n):
+            if W[r][c] != 0:
+                f = W[r][c] * inv
+                W[r] = [a - f * b for a, b in zip(W[r], W[c])]
+    return result
+
+
+def _gauss_jordan_square(W, n, message):
+    """Reduce the first n columns of the Fraction rows W to the identity."""
+    for c in range(n):
+        pivot = next((r for r in range(c, n) if W[r][c] != 0), None)
+        if pivot is None:
+            raise SingularMatrixError(message)
+        W[c], W[pivot] = W[pivot], W[c]
+        inv = 1 / W[c][c]
+        W[c] = [a * inv for a in W[c]]
+        for r in range(n):
+            if r != c and W[r][c] != 0:
+                f = W[r][c]
+                W[r] = [a - f * b for a, b in zip(W[r], W[c])]
+    return W
+
+
+def fraction_inverse(M):
+    n = len(M)
+    W = [row + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(_frac_rows(M))]
+    return [row[n:] for row in _gauss_jordan_square(W, n, "matrix is singular")]
+
+
+def fraction_solve_square(A, b):
+    n = len(A)
+    W = [row + [Fraction(x)] for row, x in zip(_frac_rows(A), b)]
+    return [row[n] for row in _gauss_jordan_square(W, n, "system is singular")]
+
+
+def fraction_rref(M):
+    """Reduced row echelon form over Fraction entries, zero rows dropped."""
+    if not M:
+        return [], []
+    W = _frac_rows(M)
+    rows, cols = len(W), len(W[0])
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pivot = next((i for i in range(r, rows) if W[i][c] != 0), None)
+        if pivot is None:
+            continue
+        W[r], W[pivot] = W[pivot], W[r]
+        inv = 1 / W[r][c]
+        W[r] = [a * inv for a in W[r]]
+        for i in range(rows):
+            if i != r and W[i][c] != 0:
+                f = W[i][c]
+                W[i] = [a - f * b for a, b in zip(W[i], W[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return W[:r], pivots
+
+
+def fraction_ldl(G):
+    """G = L D L^T by the Cholesky-Crout recurrence over Fraction entries,
+    reading G[i][j] for i >= j only."""
+    n = len(G)
+    L = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    d = [Fraction(0)] * n
+    for j in range(n):
+        dj = Fraction(G[j][j]) - sum(L[j][k] * L[j][k] * d[k] for k in range(j))
+        if dj <= 0:
+            raise SingularMatrixError("matrix is not positive definite")
+        d[j] = dj
+        for i in range(j + 1, n):
+            s = Fraction(G[i][j]) - sum(L[i][k] * L[j][k] * d[k] for k in range(j))
+            L[i][j] = s / dj
+    return L, d
 
 
 def isqrt_fraction_floor(q):
@@ -168,22 +268,6 @@ def best_slope_witness_det(G):
     return best_k, best_d
 
 
-def gauss_solve(A, b):
-    """Solve a square rational system by plain elimination."""
-    n = len(A)
-    M = [[Fraction(A[i][j]) for j in range(n)] + [Fraction(b[i])] for i in range(n)]
-    for c in range(n):
-        pivot = next(i for i in range(c, n) if M[i][c] != 0)
-        M[c], M[pivot] = M[pivot], M[c]
-        inv = 1 / M[c][c]
-        M[c] = [x * inv for x in M[c]]
-        for i in range(n):
-            if i != c and M[i][c] != 0:
-                f = M[i][c]
-                M[i] = [x - f * y for x, y in zip(M[i], M[c])]
-    return [M[i][n] for i in range(n)]
-
-
 def _echelon(rows):
     W = [[Fraction(x) for x in row] for row in rows]
     out = []
@@ -268,7 +352,7 @@ def grid_min_lambda(shape, coords, grid=range(-3, 4)):
             inv_rows = []
             for k in range(shape[axis]):
                 unit = [Fraction(int(i == k)) for i in range(shape[axis])]
-                inv_rows.append(gauss_solve(Bcols, unit))
+                inv_rows.append(fraction_solve_square(Bcols, unit))
             inv = [[inv_rows[j][i] for j in range(shape[axis])] for i in range(shape[axis])]
             stride = 1
             for r in shape[axis + 1:]:

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -93,6 +94,22 @@ def test_tensor_lambda_basis_choice_irrelevant():
         k = rng.randrange(2, 6)
         scaled = FiltrationTuple(tuple(fil.dilate(Fl, F(k)) for Fl in tup.components))
         assert gs.tensor_lambda(x, scaled) == k * want
+
+
+def test_lambda_in_drawn_basis_matches_tensor_lambda():
+    # the Kempf challenge scores lambda in the basis it draws; that basis is
+    # compatible with the challenge filtration, so the value is the same
+    rng = random.Random(17)
+    for shape in ((2, 2), (2, 3), (3, 3), (2, 2, 2)):
+        cells = list(itertools.product(*[range(r) for r in shape]))
+        for _ in range(15):
+            x = gs.TensorPoint.from_map(
+                shape, {c: F(rng.choice((-3, -2, -1, 1, 2, 3))) for c in rng.sample(cells, rng.randrange(1, len(cells) + 1))}
+            )
+            drawn = [(gs._random_rows(rng, r), [F(rng.randrange(-3, 4)) for _ in range(r)]) for r in shape]
+            tup = FiltrationTuple(tuple(fil.from_weighted_basis(rows, ws) for rows, ws in drawn))
+            got = gs._lambda_in_bases(x, [rows for rows, _ in drawn], [ws for _, ws in drawn])
+            assert got == gs.tensor_lambda(x, tup)
 
 
 def test_big_lambda_frozen():

@@ -251,22 +251,30 @@ def test_mu_max_tensor_frozen():
 
 
 def test_one_reduction_per_lattice(monkeypatch):
-    # mu_max reduces the lattice once and each compound of rank 2..r-1 once;
+    # mu_max reduces and enumerates the lattice once (udeg and the rank-one
+    # candidates share one radius) and each compound of rank 2..r-1 once;
     # udeg_max reduces the lattice once
-    real = la.gram_lll
-    sizes = []
+    real, real_short = la.gram_lll, la.short_vectors_reduced
+    sizes, enumerated = [], []
 
     def counting(G, *args, **kwargs):
         sizes.append(len(G))
         return real(G, *args, **kwargs)
 
+    def counting_short(Gred, *args, **kwargs):
+        enumerated.append(len(Gred))
+        return real_short(Gred, *args, **kwargs)
+
     monkeypatch.setattr(la, "gram_lll", counting)
+    monkeypatch.setattr(la, "short_vectors_reduced", counting_short)
     rng = random.Random(431)
     for r in range(1, 7):
         L = lat.Lattice.from_rows(random_spd_matrix(rng, r, 2))
         sizes.clear()
+        enumerated.clear()
         lat.mu_max(L)
         assert sizes == [r] + [comb(r, k) for k in range(2, r)]  # 1 + max(0, r-2) calls
+        assert enumerated == sizes  # the lattice, then each compound, once
         sizes.clear()
         lat.udeg_max(L)
         assert sizes == [r]

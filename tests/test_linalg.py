@@ -10,6 +10,11 @@ from slopelab import linalg as la
 from oracles import (
     box_short_vectors,
     cofactor_det,
+    fraction_det,
+    fraction_inverse,
+    fraction_ldl,
+    fraction_rref,
+    fraction_solve_square,
     mat_eq,
     random_spd_matrix,
     random_unimodular,
@@ -22,6 +27,119 @@ def rand_matrix(rng, m, n, bound=6):
         [Fraction(rng.randrange(-bound, bound + 1), rng.randrange(1, 4)) for _ in range(n)]
         for _ in range(m)
     ]
+
+
+DENOMINATORS = (2, 3, 4, 6, 7, 9)
+
+
+def mixed_matrix(rng, m, n):
+    """int and Fraction entries with mixed denominators; about half of the
+    matrices get a zero row, a zero column or a row that is a combination
+    of two others."""
+    M = [
+        [
+            rng.choice((0, rng.randrange(-9, 10), Fraction(rng.randrange(-9, 10), rng.choice(DENOMINATORS))))
+            for _ in range(n)
+        ]
+        for _ in range(m)
+    ]
+    style = rng.randrange(6)
+    if style == 0:
+        M[rng.randrange(m)] = [0] * n
+    elif style == 1:
+        c = rng.randrange(n)
+        for row in M:
+            row[c] = Fraction(0) if rng.random() < 0.5 else 0
+    elif style == 2 and m >= 3:
+        i, j, t = rng.sample(range(m), 3)
+        a, b = Fraction(rng.randrange(-3, 4), rng.randrange(1, 4)), rng.randrange(-3, 4)
+        M[t] = [a * x + b * y for x, y in zip(M[i], M[j])]
+    return M
+
+
+def outcome(fn, *args):
+    """The value of fn(*args), or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except la.SingularMatrixError as exc:
+        return ("raised", type(exc), str(exc))
+
+
+def test_elimination_matches_fraction_oracles():
+    # the fraction-free kernel against Gauss-Jordan over Fraction entries:
+    # square sizes 1-7, wide and tall shapes, singular and rank-deficient
+    rng = random.Random(401)
+    shapes = [(n, n) for n in range(1, 8)] + [(2, 5), (3, 7), (1, 4), (4, 6), (5, 2), (7, 3), (4, 1), (6, 4)]
+    checked = singular = 0
+    for _ in range(40):
+        for m, n in shapes:
+            M = mixed_matrix(rng, m, n)
+            R, piv = fraction_rref(M)
+            got = la.rref(M)
+            assert got == (R, piv)
+            assert all(type(x) is Fraction for row in got[0] for x in row)
+            assert la.rank(M) == len(R)
+            checked += 1
+            if m != n:
+                continue
+            assert la.det(M) == fraction_det(M)
+            assert type(la.det(M)) is Fraction
+            b = [rng.choice((rng.randrange(-5, 6), Fraction(rng.randrange(-5, 6), 4))) for _ in range(n)]
+            inv, sol = outcome(la.inverse, M), outcome(la.solve_square, M, b)
+            assert inv == outcome(fraction_inverse, M)
+            assert sol == outcome(fraction_solve_square, M, b)
+            singular += la.det(M) == 0
+    assert checked >= 500 and singular >= 50
+    assert la.det([]) == 1 and la.rank([]) == 0 and la.inverse([]) == []
+
+
+def test_ldl_matches_fraction_oracle():
+    rng = random.Random(409)
+    for _ in range(60):
+        n = rng.randrange(1, 8)
+        B = mixed_matrix(rng, n, n)
+        if la.det(B) == 0:
+            continue
+        G = la.mat_mul(la.transpose(B), B)
+        # ldl reads the lower triangle only, so the upper one may be anything
+        if rng.random() < 0.5:
+            for i in range(n):
+                for j in range(i + 1, n):
+                    G[i][j] = Fraction(rng.randrange(-50, 50), 7)
+        assert la.ldl(G) == fraction_ldl(G)
+    # a factorisation that breaks down at index j: positive pivots before
+    # it, a pivot <= 0 at j; ldl accepts the leading j x j block only
+    for n in range(1, 7):
+        for j in range(n):
+            L = [
+                [Fraction(rng.randrange(-4, 5), rng.randrange(1, 4)) if c < r else Fraction(int(r == c)) for c in range(n)]
+                for r in range(n)
+            ]
+            d = [Fraction(rng.randrange(1, 9), rng.randrange(1, 4)) for _ in range(n)]
+            d[j] = Fraction(-rng.randrange(0, 3))
+            G = la.mat_mul(L, [[d[r] * L[c][r] for c in range(n)] for r in range(n)])
+            with pytest.raises(la.SingularMatrixError):
+                fraction_ldl(G)
+            with pytest.raises(la.SingularMatrixError):
+                la.ldl(G)
+            lead = [row[:j] for row in G[:j]]
+            assert la.ldl(lead) == fraction_ldl(lead)
+            assert not la.is_positive_definite(G)
+
+
+def test_compound_matrix_against_cofactor_minors():
+    rng = random.Random(419)
+    for _ in range(12):
+        n = rng.randrange(1, 6)
+        M = mixed_matrix(rng, n, n)
+        S = [[M[max(i, j)][min(i, j)] for j in range(n)] for i in range(n)]
+        for A in (M, S):
+            for k in range(1, n + 1):
+                subsets = la.k_subsets(n, k)
+                want = [[cofactor_det([[A[i][j] for j in J] for i in I]) for J in subsets] for I in subsets]
+                got = la.compound_matrix(A, k)
+                assert got == want
+                assert all(type(x) is Fraction for row in got for x in row)
 
 
 def test_det_against_cofactor_oracle():
@@ -189,6 +307,24 @@ def test_positive_definite_check():
     assert la.is_positive_definite([[Fraction(2), Fraction(1)], [Fraction(1), Fraction(1)]])
     assert not la.is_positive_definite([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(1)]])
     assert not la.is_positive_definite([[Fraction(1), Fraction(0)], [Fraction(1), Fraction(1)]])
+    assert not la.is_positive_definite([[0, 1], [1, 0]])
+    # non-symmetric with positive leading minors
+    assert not la.is_positive_definite([[2, 1], [0, 2]])
+    # positive semidefinite: B^T B with a singular B
+    assert not la.is_positive_definite([[1, 1], [1, 1]])
+    half, quarter = Fraction(1, 2), Fraction(1, 4)
+    assert not la.is_positive_definite([[quarter, half, 0], [half, 1, 0], [0, 0, 3]])
+    # Sylvester's criterion over Fraction determinants on random symmetric input
+    rng = random.Random(421)
+    verdicts = set()
+    for _ in range(60):
+        n = rng.randrange(1, 6)
+        M = mixed_matrix(rng, n, n)
+        S = [[M[max(i, j)][min(i, j)] + (2 * n if i == j else 0) for j in range(n)] for i in range(n)]
+        want = all(fraction_det([row[:t] for row in S[:t]]) > 0 for t in range(1, n + 1))
+        assert la.is_positive_definite(S) == want
+        verdicts.add(want)
+    assert verdicts == {True, False}
 
 
 def _assert_lll_reduced(G, Gred, U):
