@@ -9,8 +9,10 @@ takes a negative value over filtration tuples.  Restricted to tuples
 compatible with fixed bases, the numerator is a maximum of finitely many
 linear forms indexed by the support of v_x, so the minimum over the unit
 sphere is minus the distance from the origin to the convex hull of the
-form gradients.  That distance is computed exactly over Q by an active
-subset search, which keeps every verdict certifiable.
+form gradients.  That distance is computed exactly over Q by Wolfe's
+minimum-norm-point algorithm on an integer Gram matrix, which returns
+only through the optimality certificate <p, q> >= <q, q> for every
+gradient p, so every verdict stays certifiable.
 """
 
 from __future__ import annotations
@@ -29,7 +31,8 @@ from .filtration import CompatibleBasis, Filtration, FiltrationTuple
 
 
 class SearchNotConverged(RuntimeError):
-    """A certification assert failed or an iteration cap was reached."""
+    """A certification check failed or the basis adaptation hit its round
+    cap: the search stops instead of returning an uncertified answer."""
 
 
 @dataclass(frozen=True)
@@ -293,43 +296,68 @@ def mu_invariant(
 
 def _min_norm_point(points: List[Tuple[Fraction, ...]], ip_weights: List[Fraction]) -> List[Fraction]:
     """Minimum-norm point of conv(points) under the diagonal inner
-    product <u,v> = sum w_k u_k v_k, by exact active-subset search.
+    product <u,v> = sum w_k u_k v_k, by Wolfe's algorithm in exact
+    arithmetic (P. Wolfe, Math. Programming 11, 1976).
 
-    Caratheodory guarantees some affinely independent subset carries the
-    optimum with nonnegative coefficients and a nonsingular bordered
-    Gram system; subsets are scanned in deterministic order and the
-    first verified optimum is returned.
+    Points and weights are scaled by the lcm of their denominators, so
+    the Gram matrix is computed once over integers; that multiplies every
+    inner product by one positive constant, which moves neither the
+    convex coefficients of the optimum nor the certificate.  The current
+    point x = sum lam_s p_s is carried on a corral S of affinely
+    independent points.  A major cycle returns x when <p_t, x> >= <x, x>
+    for every t, the optimality certificate and the only way out;
+    otherwise it adds the point of least <p_t, x> to S.  Minor cycles
+    move x towards the affine minimizer of S, stop at the boundary of
+    the simplex and drop the points whose weight reaches zero.  In exact
+    arithmetic every major cycle lowers the norm strictly, so no corral
+    repeats and the loop ends without an iteration cap.
     """
     uniq = sorted(set(points))
-    if len(uniq) > 14:
-        raise SearchNotConverged("support too large for exact subset search")
+    scale = math.lcm(*(a.denominator for u in uniq for a in u))
+    ints = [[int(a * scale) for a in u] for u in uniq]
+    wscale = math.lcm(*(w.denominator for w in ip_weights))
+    ws = [int(w * wscale) for w in ip_weights]
+    gram = [[sum(w * a * b for w, a, b in zip(ws, u, v)) for v in ints] for u in ints]
+    n = len(uniq)
 
-    def ip(u, v):
-        return sum(w * a * b for w, a, b in zip(ip_weights, u, v))
+    corral = [min(range(n), key=lambda s: gram[s][s])]
+    lam = [Fraction(1)]
+    while True:
+        # den * <p_t, x> and den^2 * <x, x>, with den the common denominator of lam
+        den = math.lcm(*(l.denominator for l in lam))
+        nums = [l.numerator * (den // l.denominator) for l in lam]
+        xp = [sum(c * row[s] for c, s in zip(nums, corral)) for row in gram]
+        xx = sum(c * xp[s] for c, s in zip(nums, corral))
+        j = min(range(n), key=xp.__getitem__)
+        if xp[j] * den >= xx:
+            return [
+                sum((l * uniq[s][k] for l, s in zip(lam, corral)), Fraction(0))
+                for k in range(len(uniq[0]))
+            ]
+        corral.append(j)
+        lam.append(Fraction(0))
+        while True:
+            alpha = _affine_minimizer(gram, corral)
+            if all(a > 0 for a in alpha):
+                lam = alpha
+                break
+            theta = min(l / (l - a) for l, a in zip(lam, alpha) if a <= 0)
+            lam = [l + theta * (a - l) for l, a in zip(lam, alpha)]
+            corral = [s for s, l in zip(corral, lam) if l != 0]
+            lam = [l for l in lam if l != 0]
 
-    gram = [[ip(u, v) for v in uniq] for u in uniq]
-    for size in range(1, len(uniq) + 1):
-        for subset in itertools.combinations(range(len(uniq)), size):
-            rows = []
-            for s in subset:
-                rows.append([gram[s][t] for t in subset] + [Fraction(1)])
-            rows.append([Fraction(1)] * size + [Fraction(0)])
-            rhs = [Fraction(0)] * size + [Fraction(1)]
-            try:
-                sol = la.solve_square(rows, rhs)
-            except la.SingularMatrixError:
-                continue
-            alphas = sol[:size]
-            if any(a < 0 for a in alphas):
-                continue
-            q = [Fraction(0)] * len(uniq[0])
-            for a, s in zip(alphas, subset):
-                for k in range(len(q)):
-                    q[k] += a * uniq[s][k]
-            qq = ip(q, q)
-            if all(ip(uniq[t], q) >= qq for t in range(len(uniq))):
-                return q
-    raise SearchNotConverged("no verified minimum-norm point")
+
+def _affine_minimizer(gram: List[List[int]], corral: List[int]) -> List[Fraction]:
+    """Affine coefficients of the minimum-norm point of the affine hull of
+    the corral, from the bordered system [[G_S, 1], [1^T, 0]]."""
+    size = len(corral)
+    rows = [[gram[s][t] for t in corral] + [1] for s in corral]
+    rows.append([1] * size + [0])
+    try:
+        sol = la.solve_square(rows, [0] * size + [1])
+    except la.SingularMatrixError as exc:
+        raise SearchNotConverged("affinely dependent corral in the min-norm search") from exc
+    return sol[:size]
 
 
 def _weighted_ip_weights(shape: Sequence[int]) -> List[Fraction]:
@@ -417,7 +445,8 @@ def minimize_fixed_basis(
     c_tilde = (expect - tensor_lambda(x, tup)) / norm_sq
     c = AlgValue(-1, pnorm_sq)
     # consistency: c = c_tilde * sqrt(norm_sq)
-    assert c_tilde < 0 and c_tilde * c_tilde * norm_sq == pnorm_sq
+    if not (c_tilde < 0 and c_tilde * c_tilde * norm_sq == pnorm_sq):
+        raise SearchNotConverged("minimizer value disagrees with the min-norm point")
     return MinimizationResult(tup, c, c_tilde, tuple(bases), tuple(support))
 
 

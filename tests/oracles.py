@@ -3,9 +3,10 @@
 These deliberately avoid the library's own algorithms: determinants by
 cofactor expansion, Gauss-Jordan elimination over Fraction entries (the
 library eliminates fraction-free on integers), short vectors by certified
-box enumeration, and Hilbert-Mumford values by direct evaluation over a jump grid, and the
+box enumeration, and Hilbert-Mumford values by direct evaluation over a jump grid, the
 scalar product of filtrations as a sum over a common compatible basis
-(the library computes it from ranks alone).  They are slow and simple on
+(the library computes it from ranks alone), and the minimum-norm point of
+a convex hull by scanning subsets (the library runs Wolfe's algorithm).  They are slow and simple on
 purpose.
 """
 
@@ -14,7 +15,7 @@ from itertools import combinations, product
 from math import isqrt
 
 from slopelab import filtration as fil
-from slopelab.linalg import SingularMatrixError
+from slopelab.linalg import SingularMatrixError, solve_square
 
 
 def cofactor_det(M):
@@ -478,3 +479,39 @@ def scalar_product_by_basis(F, G):
         (fil.lambda_of(F, v) * fil.lambda_of(G, v) for v in basis.vectors), Fraction(0)
     )
     return total / F.dim
+
+
+def subset_scan_min_norm_point(points, ip_weights):
+    """Minimum-norm point of conv(points) under <u,v> = sum w_k u_k v_k by
+    scanning subsets in order of size, Gauss-Jordan over Fraction on each.
+
+    Caratheodory guarantees some affinely independent subset carries the
+    optimum with nonnegative coefficients and a nonsingular bordered Gram
+    system; the first subset whose point passes <u,q> >= <q,q> for every
+    input u is returned.  Exponential, so capped at 14 distinct points.
+    """
+    uniq = sorted(set(points))
+    if len(uniq) > 14:
+        raise ValueError("support too large for exact subset search")
+
+    def ip(u, v):
+        return sum(w * a * b for w, a, b in zip(ip_weights, u, v))
+
+    gram = [[ip(u, v) for v in uniq] for u in uniq]
+    for size in range(1, len(uniq) + 1):
+        for subset in combinations(range(len(uniq)), size):
+            rows = [[gram[s][t] for t in subset] + [Fraction(1)] for s in subset]
+            rows.append([Fraction(1)] * size + [Fraction(0)])
+            rhs = [Fraction(0)] * size + [Fraction(1)]
+            try:
+                alphas = solve_square(rows, rhs)[:size]
+            except SingularMatrixError:
+                continue
+            if any(a < 0 for a in alphas):
+                continue
+            q = [sum((a * uniq[s][k] for a, s in zip(alphas, subset)), Fraction(0))
+                 for k in range(len(uniq[0]))]
+            qq = ip(q, q)
+            if all(ip(u, q) >= qq for u in uniq):
+                return q
+    raise AssertionError("no verified minimum-norm point")

@@ -164,6 +164,17 @@ class TestGitVerbs:
         assert code == 0
         assert doc["semistable"] is True
 
+    def test_check_fifteen_cell_point(self, tmp_path, capsys):
+        # fifteen support cells of a (4,4) point: more gradients than a
+        # subset scan of the hull can afford.  As a 4x4 matrix the point
+        # has rank 2, so it is unstable (det = 0).
+        cells = {(i, j): 1 for i in range(4) for j in range(4) if (i, j) != (3, 3)}
+        path = point_file(tmp_path, "big44.json", (4, 4), cells)
+        code, doc = run_json(capsys, ["git", "check", "--in", path])
+        assert code == 0
+        assert doc["semistable"] is False
+        assert doc["witness"]["c"]["sign"] == "-1"
+
     def test_lambda_and_mu(self, tmp_path, capsys):
         F = fil.from_weighted_basis([[1, 0], [0, 1]], [Fraction(1), Fraction(-1)])
         tpath = write(tmp_path / "tuple.json", [F.to_json(), F.to_json()])

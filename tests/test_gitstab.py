@@ -1,6 +1,10 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -8,7 +12,7 @@ from slopelab import filtration as fil
 from slopelab import gitstab as gs
 from slopelab.exactnum import AlgValue
 from slopelab.filtration import CompatibleBasis, FiltrationTuple
-from oracles import grid_min_lambda
+from oracles import fraction_det, grid_min_lambda, subset_scan_min_norm_point
 
 F = Fraction
 
@@ -229,12 +233,148 @@ def test_minimize_fixed_basis_is_minimal():
             assert res.c <= val
 
 
-def test_min_norm_support_cap():
-    big = {(i, j): 1 for i in range(4) for j in range(4)}
-    del big[(3, 3)]
-    x = point((4, 4), big)
+def test_min_norm_fifteen_gradients_is_minimal():
+    # fifteen cells of a (4,4) point: fifteen distinct gradients, one more
+    # than a subset scan can afford
+    x = point((4, 4), {(i, j): 1 for i in range(4) for j in range(4) if (i, j) != (3, 3)})
+    res = gs.minimize_fixed_basis(x, [gs._identity_basis(4), gs._identity_basis(4)])
+    assert len(res.support) == 15
+    rng = random.Random(43)
+    for _ in range(40):
+        ws = [[rng.randrange(-3, 4) for _ in range(r)] for r in x.shape]
+        comps = tuple(
+            weighted([[int(a == b) for b in range(r)] for a in range(r)], w)
+            for r, w in zip(x.shape, ws)
+        )
+        assert res.c <= gs.big_lambda(x, FiltrationTuple(comps))
+
+
+def _support_gradients(shape, cells):
+    """The gradients minimize_fixed_basis builds for a support in
+    coordinate bases: entries 1 - r_i [j = s_i]."""
+    return [
+        tuple(F(1 - r * (j == s[i])) for i, r in enumerate(shape) for j in range(r))
+        for s in cells
+    ]
+
+
+def _gradient_sets(rng):
+    """Seeded (points, inner product weights) pairs for the min-norm
+    cross-check, 80 of each kind."""
+    out = []
+    for _ in range(80):  # random integer points, either inner product
+        d, n = rng.randrange(2, 9), rng.randrange(1, 13)
+        # half of the boxes off centre, where the optimum has a small support
+        off = rng.randrange(2)
+        shift = [off * rng.randrange(-3, 4) for _ in range(d)]
+        pts = [tuple(F(rng.randrange(-3, 4) + c) for c in shift) for _ in range(n)]
+        out.append((pts, rng.choice([[F(1)] * d, [F(1, rng.randrange(1, 5)) for _ in range(d)]])))
+    for _ in range(80):  # duplicates and affinely dependent points
+        d, n = rng.randrange(2, 9), rng.randrange(2, 7)
+        pts = [tuple(F(rng.randrange(-3, 4)) for _ in range(d)) for _ in range(n)]
+        for _ in range(rng.randrange(1, 5)):
+            a, b, c = (rng.choice(pts) for _ in range(3))
+            kind = rng.randrange(3)
+            if kind == 0:
+                pts.append(a)
+            elif kind == 1:  # the midpoint of a and b, inside the hull
+                pts.append(tuple((u + v) / 2 for u, v in zip(a, b)))
+            else:  # an affine combination outside the segment
+                pts.append(tuple(u + v - w for u, v, w in zip(a, b, c)))
+        rng.shuffle(pts)
+        out.append((pts, [F(1, rng.randrange(1, 5)) for _ in range(d)]))
+    for _ in range(80):  # hulls that contain the origin
+        d, n = rng.randrange(2, 9), rng.randrange(1, 7)
+        pts = [tuple(F(rng.randrange(-3, 4)) for _ in range(d)) for _ in range(n)]
+        if rng.randrange(2):
+            pts += [tuple(-u for u in p) for p in pts]
+        else:
+            pts.append(tuple(-sum(col) for col in zip(*pts)))
+        rng.shuffle(pts)
+        out.append((pts, rng.choice([[F(1)] * d, [F(1, rng.randrange(1, 5)) for _ in range(d)]])))
+    shapes = ((2, 2), (2, 3), (3, 3), (2, 2, 2))
+    for _ in range(80):  # minimize_fixed_basis gradients on the benchmark shapes
+        shape = rng.choice(shapes)
+        cells = list(itertools.product(*[range(r) for r in shape]))
+        grads = _support_gradients(shape, rng.sample(cells, rng.randrange(1, len(cells) + 1)))
+        out.append((grads, gs._weighted_ip_weights(shape)))
+    return out
+
+
+def test_min_norm_matches_subset_scan_oracle():
+    sets = _gradient_sets(random.Random(2024))
+    assert len(sets) >= 300
+    zero = 0
+    for pts, ws in sets:
+        want = subset_scan_min_norm_point(pts, ws)
+        assert gs._min_norm_point(pts, ws) == want
+        zero += all(q == 0 for q in want)
+    assert zero >= 80  # the origin is the answer for every hull built around it
+
+
+def test_min_norm_corral_failure_is_search_not_converged(monkeypatch):
+    def singular(rows, rhs):
+        raise gs.la.SingularMatrixError("system is singular")
+
+    monkeypatch.setattr(gs.la, "solve_square", singular)
     with pytest.raises(gs.SearchNotConverged):
-        gs.minimize_fixed_basis(x, [gs._identity_basis(4), gs._identity_basis(4)])
+        gs.minimize_fixed_basis(point((2, 2), {(0, 0): 1, (1, 0): 1}), [gs._identity_basis(2)] * 2)
+
+
+FAULT_UNDER_O = """
+import sys
+from fractions import Fraction
+from slopelab import gitstab as gs
+assert sys.flags.optimize  # run under python -O: library asserts are stripped
+exact = gs._min_norm_point
+gs._min_norm_point = lambda points, weights: [2 * q for q in exact(points, weights)]
+x = gs.TensorPoint.from_map((2,), {(0,): Fraction(1)})
+try:
+    gs.minimize_fixed_basis(x, [gs._identity_basis(2)])
+except gs.SearchNotConverged as exc:
+    print("SearchNotConverged:", exc)
+"""
+
+
+def test_min_norm_consistency_check_survives_python_O():
+    src = str(Path(gs.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", FAULT_UNDER_O], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("SearchNotConverged:")
+
+
+def test_dense_campaign_has_no_inconclusive_point():
+    # at half and at full support: in the echelon and random bases of the
+    # Kempf search these points have more than 14 support cells, beyond
+    # any subset scan
+    rng = random.Random(4242)
+    inconclusive, unstable, decided = [], 0, 0
+    for shape in ((2, 2, 2, 2), (4, 4), (3, 3, 2)):
+        cells = list(itertools.product(*[range(r) for r in shape]))
+        for size in (len(cells) // 2, len(cells)):
+            for _ in range(4):
+                x = gs.TensorPoint.from_map(
+                    shape, {c: F(rng.choice((-3, -2, -1, 1, 2, 3))) for c in rng.sample(cells, size)}
+                )
+                try:
+                    verdict = gs.is_semistable(x)
+                    if shape == (4, 4):
+                        # a square matrix is SL x SL semistable iff det != 0
+                        M = [[x.coord_map.get((i, j), 0) for j in range(4)] for i in range(4)]
+                        assert verdict.semistable == (fraction_det(M) != 0)
+                    if not verdict.semistable:
+                        R = gs.rr_reduce(x, verdict.witness)
+                        gs.reduced_is_semistable(R)
+                        unstable += 1
+                except gs.SearchNotConverged as exc:
+                    inconclusive.append((x.to_json(), str(exc)))
+                    continue
+                decided += 1
+    assert inconclusive == []
+    assert decided == 24 and unstable >= 1
 
 
 # ---------------------------------------------------------------------------
