@@ -8,7 +8,8 @@ of filtrations is plain structural equality.  The same canonical rows
 make membership tests elimination-free: the pivots are read off the
 rows, and a vector lies in a member iff reducing it by those rows
 leaves zero.  The scalar product needs only the ranks of the pairs of
-members, not a basis.
+members, not a basis, so a filtration given by a basis and one weight per
+vector is paired without being built (scalar_product_with_basis).
 """
 
 from __future__ import annotations
@@ -362,35 +363,58 @@ def is_compatible(F: Filtration, basis: CompatibleBasis) -> bool:
 
 def scalar_product(F: Filtration, G: Filtration) -> Fraction:
     """(1/r) sum of lambda_F(e) lambda_G(e) over a common compatible
-    basis, computed from ranks alone.
+    basis, computed from ranks alone (see _pairing_from_ranks)."""
+    if F.dim != G.dim:
+        raise ValueError("dimension mismatch")
+    return _pairing_from_ranks(F, G.jumps, G.flag)
 
-    Such a basis has dim gr^F_i gr^G_j vectors in cell (i, j), each of
-    value lambda_i mu_j, so the sum is
+
+def scalar_product_with_basis(F: Filtration, vectors, weights) -> Fraction:
+    """scalar_product(F, from_weighted_basis(vectors, weights)) without
+    building the second filtration: its member at each jump mu is spanned
+    by the vectors of weight >= mu, and a rank needs no echelon form.  The
+    vectors must form a basis of the space of F."""
+    if len(vectors) != F.dim or len(weights) != F.dim:
+        raise ValueError("need a basis of the space with one weight per vector")
+    jumps = sorted(set(weights))
+    members = [[v for v, w in zip(vectors, weights) if w >= mu] for mu in jumps[1:]]
+    return _pairing_from_ranks(F, jumps, members)
+
+
+def _pairing_from_ranks(F: Filtration, mus: Sequence, members: Sequence) -> Fraction:
+    """Scalar product of F with the filtration G of the same space whose
+    jumps are mus and whose proper members W_1 > ... > W_{e-1} are spanned
+    by the independent rows of members.
+
+    A common compatible basis has dim gr^F_i gr^G_j vectors in cell
+    (i, j), each of value lambda_i mu_j, so the sum is
     (1/r) sum_ij lambda_i mu_j (d_ij - d_{i+1,j} - d_{i,j+1} + d_{i+1,j+1})
     with d_ij = dim(V_i meet W_j).  That is min(dim V_i, dim W_j) when
     either member is the whole space, 0 when either is zero, and
     dim V_i + dim W_j - rank[V_i; W_j] otherwise: one rank per pair of
     proper members.
     """
-    if F.dim != G.dim:
-        raise ValueError("dimension mismatch")
+    n, e = F.dim, len(mus)
+    w_dim = [n] + [len(m) for m in members] + [0]
     d = {}
     for i in range(F.depth + 1):
-        for j in range(G.depth + 1):
-            a, b = F.member_dim(i), G.member_dim(j)
+        for j in range(e + 1):
+            a, b = F.member_dim(i), w_dim[j]
             if i == 0 or j == 0:
                 d[(i, j)] = min(a, b)
-            elif i == F.depth or j == G.depth:
+            elif i == F.depth or j == e:
                 d[(i, j)] = 0
             else:
-                d[(i, j)] = a + b - la.rank(F.flag[i - 1] + G.flag[j - 1])
+                d[(i, j)] = a + b - la.rank([*F.flag[i - 1], *members[j - 1]])
     total = Fraction(0)
     for i, lam in enumerate(F.jumps):
-        for j, mu in enumerate(G.jumps):
-            cell = d[(i, j)] - d[(i + 1, j)] - d[(i, j + 1)] + d[(i + 1, j + 1)]
-            if cell:
-                total += cell * lam * mu
-    return total / F.dim
+        row = sum(
+            (d[(i, j)] - d[(i + 1, j)] - d[(i, j + 1)] + d[(i + 1, j + 1)]) * mu
+            for j, mu in enumerate(mus)
+        )
+        if row:
+            total += lam * row
+    return total / n
 
 
 def norm_squared(F: Filtration) -> Fraction:

@@ -13,6 +13,19 @@ form gradients.  That distance is computed exactly over Q by Wolfe's
 minimum-norm-point algorithm on an integer Gram matrix, which returns
 only through the optimality certificate <p, q> >= <q, q> for every
 gradient p, so every verdict stays certifiable.
+
+A filtration given by a basis of its factor and one weight per vector
+(a weighted basis) is evaluated in that basis.  The coordinate change to
+it is one integer elimination of [B^T | I], which yields d (B^T)^-1 with
+d a nonzero integer; v_x, scaled to integers, is changed axis by axis
+over the integers.  lambda of a tensor filtration needs only the support
+of those coordinates, so it is never divided; the reduction divides once.
+The Kempf challenges and the sampled block filtrations of the reduction
+are drawn as weighted bases and scored where they were drawn: the one
+elimination that tests a draw for invertibility also gives its
+coordinate change, E[G] is the mean weight, and <F, G> is the rank
+formula of filtration.scalar_product_with_basis on the drawn rows.
+Every certificate check raises SearchNotConverged, so python -O keeps it.
 """
 
 from __future__ import annotations
@@ -22,7 +35,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import filtration as fil
 from . import linalg as la
@@ -73,18 +86,6 @@ class TensorPoint:
     @property
     def n_components(self) -> int:
         return len(self.shape)
-
-    def dense(self) -> List[Fraction]:
-        total = 1
-        for r in self.shape:
-            total *= r
-        out = [Fraction(0)] * total
-        for idx, val in self.coords:
-            flat = 0
-            for j, r in zip(idx, self.shape):
-                flat = flat * r + j
-            out[flat] = val
-        return out
 
     def to_json(self) -> dict:
         return {
@@ -176,14 +177,36 @@ class ReducedInstance:
 # evaluation of the functional
 
 
-def _apply_axis(vec: List[Fraction], shape: Sequence[int], axis: int, M: la.Matrix) -> List[Fraction]:
-    stride = 1
-    for r in shape[axis + 1 :]:
-        stride *= r
+class _WeightedBasis(NamedTuple):
+    """A basis of one factor, the filtration value of each of its vectors,
+    and the coordinate change to it scaled to integers:
+    inv = d (rows^T)^-1, so inv v is d times the coordinates of v."""
+
+    rows: Sequence[Sequence]
+    weights: Sequence
+    d: int
+    inv: List[List[int]]
+
+
+def _inverse_transpose(rows: Sequence[Sequence]) -> Optional[Tuple[int, List[List[int]]]]:
+    """(d, d (rows^T)^-1) over the integers, or None when the rows are
+    dependent: one elimination of [rows^T | I]."""
+    n = len(rows)
+    return la.solve_scaled(la.transpose(rows), [[int(i == k) for k in range(n)] for i in range(n)])
+
+
+def _adapted(F: Filtration) -> _WeightedBasis:
+    ad = fil.adapted_basis(F)
+    rows = [v for v, _ in ad]  # a basis, so the inverse exists
+    return _WeightedBasis(rows, [w for _, w in ad], *_inverse_transpose(rows))
+
+
+def _apply_axis(vec: List[int], shape: Sequence[int], axis: int, M: List[List[int]]) -> List[int]:
+    stride = math.prod(shape[axis + 1 :])
     r = shape[axis]
-    out = [Fraction(0)] * len(vec)
+    out = [0] * len(vec)
     for flat, v in enumerate(vec):
-        if v == 0:
+        if not v:
             continue
         j = (flat // stride) % r
         base = flat - j * stride
@@ -193,15 +216,48 @@ def _apply_axis(vec: List[Fraction], shape: Sequence[int], axis: int, M: la.Matr
     return out
 
 
-def _product_coordinates(
-    x: TensorPoint, bases: Sequence[Sequence[Sequence[Fraction]]]
-) -> List[Fraction]:
-    """Coordinates of v_x in the product of the given bases of the factors."""
-    vec = x.dense()
-    for axis, vectors in enumerate(bases):
-        B = la.transpose(vectors)  # columns are the basis vectors
-        vec = _apply_axis(vec, x.shape, axis, la.inverse(B))
-    return vec
+def _scaled_coordinates(
+    x: TensorPoint, changes: Sequence[Tuple[int, List[List[int]]]]
+) -> Tuple[List[int], int]:
+    """(s c, s) with c the coordinates of v_x in the product of the bases
+    whose integer inverses (d, d (rows^T)^-1) are given, flat in row-major
+    order, and s a nonzero integer: v_x is scaled to integers and
+    each axis changed by its integer inverse.  A caller that needs only
+    the support of c never divides."""
+    den = math.lcm(*(v.denominator for _, v in x.coords))
+    vec = [0] * math.prod(x.shape)
+    for idx, val in x.coords:
+        flat = 0
+        for j, r in zip(idx, x.shape):
+            flat = flat * r + j
+        vec[flat] = val.numerator * (den // val.denominator)
+    for axis, (d, inv) in enumerate(changes):
+        vec = _apply_axis(vec, x.shape, axis, inv)
+        den *= d
+    return vec, den
+
+
+def _cells(shape: Sequence[int]):
+    """Multi-indices in flat order."""
+    return itertools.product(*(range(r) for r in shape))
+
+
+def _min_weight(shape: Sequence[int], coords: Sequence[int], weights: Sequence[Sequence]):
+    """Least weight sum over the support of coords."""
+    sums = [
+        sum(w[j] for w, j in zip(weights, idx)) for c, idx in zip(coords, _cells(shape)) if c
+    ]
+    if not sums:
+        raise ValueError("a nonzero point has a nonzero coordinate in every basis")
+    return min(sums)
+
+
+def _lambda_weighted(x: TensorPoint, bases: Sequence[_WeightedBasis]):
+    """Value at v_x of the tensor product of the filtrations the weighted
+    bases define.  It depends only on which coordinates are nonzero, so the
+    integer coordinate change is never divided."""
+    coords, _ = _scaled_coordinates(x, [(B.d, B.inv) for B in bases])
+    return _min_weight(x.shape, coords, [B.weights for B in bases])
 
 
 def _check_shapes(x: TensorPoint, T: FiltrationTuple) -> None:
@@ -214,33 +270,7 @@ def tensor_lambda(x: TensorPoint, T: FiltrationTuple) -> Fraction:
     in a product compatible basis, take the minimal weight sum over the
     nonzero coordinates."""
     _check_shapes(x, T)
-    adapted = [fil.adapted_basis(F) for F in T.components]
-    return _lambda_in_bases(
-        x, [[v for v, _ in ad] for ad in adapted], [[w for _, w in ad] for ad in adapted]
-    )
-
-
-def _lambda_in_bases(
-    x: TensorPoint,
-    bases: Sequence[Sequence[Sequence[Fraction]]],
-    weights: Sequence[Sequence[Fraction]],
-) -> Fraction:
-    """tensor_lambda given, per factor, a compatible basis of the filtration
-    and the filtration value of each of its vectors."""
-    coords = _product_coordinates(x, bases)
-    best: Optional[Fraction] = None
-    for flat, c in enumerate(coords):
-        if c == 0:
-            continue
-        total = Fraction(0)
-        rest = flat
-        for i in range(len(x.shape) - 1, -1, -1):
-            rest, j = divmod(rest, x.shape[i])
-            total += weights[i][j]
-        if best is None or total < best:
-            best = total
-    assert best is not None
-    return best
+    return _lambda_weighted(x, [_adapted(F) for F in T.components])
 
 
 def big_lambda(x: TensorPoint, T: FiltrationTuple) -> AlgValue:
@@ -404,19 +434,11 @@ def minimize_fixed_basis(
     for basis, r in zip(bases, x.shape):
         if len(basis.vectors) != r:
             raise ValueError("basis size does not match shape")
-    coords = _product_coordinates(x, [b.vectors for b in bases])
-    support: List[Tuple[int, ...]] = []
-    for flat, c in enumerate(coords):
-        if c == 0:
-            continue
-        idx = []
-        rest = flat
-        for r in reversed(x.shape):
-            rest, j = divmod(rest, r)
-            idx.append(j)
-        support.append(tuple(reversed(idx)))
-    support.sort()
-    assert support, "a nonzero point has nonzero coordinates"
+    # CompatibleBasis rows are independent, so every inverse exists
+    coords, _ = _scaled_coordinates(x, [_inverse_transpose(b.vectors) for b in bases])
+    support = [idx for c, idx in zip(coords, _cells(x.shape)) if c]
+    if not support:
+        raise ValueError("a nonzero point has a nonzero coordinate in every basis")
 
     grads = []
     for s in support:
@@ -487,16 +509,25 @@ def _extend_to_basis(rows: la.Matrix, r: int) -> CompatibleBasis:
     return CompatibleBasis(tuple(tuple(v) for v in chosen))
 
 
-def _random_rows(rng: random.Random, r: int) -> la.Matrix:
-    """Rows of a random invertible r x r matrix with entries in -2..2."""
+def _draw(rng: random.Random, r: int) -> Tuple[List[List[int]], int, List[List[int]]]:
+    """Rows of a random invertible r x r matrix with entries in -2..2 and
+    their integer inverse (d, d (rows^T)^-1): one elimination per attempt,
+    which is also the invertibility test."""
     while True:
-        M = [[Fraction(rng.randrange(-2, 3)) for _ in range(r)] for _ in range(r)]
-        if la.det(M) != 0:
-            return M
+        rows = [[rng.randrange(-2, 3) for _ in range(r)] for _ in range(r)]
+        inv = _inverse_transpose(rows)
+        if inv is not None:
+            return (rows, *inv)
+
+
+def _draw_weighted(rng: random.Random, r: int, w: int) -> _WeightedBasis:
+    """A random invertible basis, then one weight in -w..w per vector."""
+    rows, d, inv = _draw(rng, r)
+    return _WeightedBasis(rows, [rng.randrange(-w, w + 1) for _ in range(r)], d, inv)
 
 
 def _random_basis(rng: random.Random, r: int) -> CompatibleBasis:
-    return CompatibleBasis(tuple(tuple(row) for row in _random_rows(rng, r)))
+    return CompatibleBasis(tuple(tuple(Fraction(a) for a in row) for row in _draw(rng, r)[0]))
 
 
 def _seed_bases(x: TensorPoint, rng_seed: int) -> List[Tuple[CompatibleBasis, ...]]:
@@ -524,6 +555,23 @@ def _better(a: AlgValue, b: Optional[AlgValue]) -> bool:
     return b is None or a < b
 
 
+def _challenge_sides(
+    x: TensorPoint, comps: Sequence[Filtration], c_tilde: Fraction, drawn: Sequence[_WeightedBasis]
+) -> Tuple[Fraction, Fraction]:
+    """Both sides of the estimation inequality E[G] - lambda_G(v_x) >=
+    c_tilde <F, G> at the challenge G whose factors are the drawn weighted
+    bases, scored in those bases: E[G_i] is the mean drawn weight,
+    lambda_G(v_x) the least weight sum over the support of v_x in the
+    drawn bases, and <F_i, G_i> the rank formula against the drawn rows."""
+    lhs = sum((Fraction(sum(B.weights), len(B.weights)) for B in drawn), Fraction(0))
+    lhs -= _lambda_weighted(x, drawn)
+    rhs = c_tilde * sum(
+        (fil.scalar_product_with_basis(F, B.rows, B.weights) for F, B in zip(comps, drawn)),
+        Fraction(0),
+    )
+    return lhs, rhs
+
+
 def kempf_minimize(
     x: TensorPoint,
     rng_seed: int = 0,
@@ -541,7 +589,12 @@ def kempf_minimize(
     negative result is certified before returning: the minimizer must
     have expectation zero in every component and must satisfy the
     estimation inequality against random challenge tuples; any failure
-    raises SearchNotConverged rather than returning a wrong answer.
+    raises SearchNotConverged rather than returning a wrong answer.  A
+    challenge is a random invertible integer basis per factor with a
+    weight in -3..3 per vector.  It is scored in the basis it was drawn
+    in (see _challenge_sides): the one elimination that tests the draw
+    for invertibility also gives the integer coordinate change, and no
+    challenge filtration is built.
     """
     best: Optional[MinimizationResult] = None
     for bases in _seed_bases(x, rng_seed):
@@ -565,24 +618,14 @@ def kempf_minimize(
     if best is None:
         return None
 
-    for F in best.minimizer.components:
+    comps = best.minimizer.components
+    for F in comps:
         if fil.expectation(F) != 0:
             raise SearchNotConverged("minimizer expectation is not zero")
     rng = random.Random(rng_seed * 7919 + 13)
     for _ in range(challenges):
-        drawn = [
-            (_random_rows(rng, r), [Fraction(rng.randrange(-3, 4)) for _ in range(r)])
-            for r in x.shape
-        ]
-        comps = [fil.from_weighted_basis(rows, ws) for rows, ws in drawn]
-        lhs = sum((fil.expectation(G) for G in comps), Fraction(0))
-        # the drawn rows are a compatible basis of each challenge, with
-        # exactly the drawn weights as values
-        lhs -= _lambda_in_bases(x, [rows for rows, _ in drawn], [ws for _, ws in drawn])
-        rhs = best.c_tilde * sum(
-            (fil.scalar_product(F, G) for F, G in zip(best.minimizer.components, comps)),
-            Fraction(0),
-        )
+        drawn = [_draw_weighted(rng, r, 3) for r in x.shape]
+        lhs, rhs = _challenge_sides(x, comps, best.c_tilde, drawn)
         if lhs < rhs:
             raise SearchNotConverged("estimation inequality failed for a challenge")
     return best
@@ -602,29 +645,6 @@ def is_semistable(x: TensorPoint, rng_seed: int = 0, challenges: int = 100) -> V
     return Verdict(False, result, "destabilizing filtration tuple found")
 
 
-def minimizers_proportional(a: MinimizationResult, b: MinimizationResult) -> bool:
-    """Whether two destabilizing tuples agree up to dilation: compare
-    coordinates in a common compatible basis componentwise."""
-    if len(a.minimizer.components) != len(b.minimizer.components):
-        return False
-    ratio: Optional[Tuple[Fraction, Fraction]] = None
-    for F, G in zip(a.minimizer.components, b.minimizer.components):
-        if F.dim != G.dim:
-            return False
-        basis = fil.common_compatible_basis(F, G)
-        xs = fil.coordinates(F, basis)
-        ys = fil.coordinates(G, basis)
-        for p, q in zip(xs, ys):
-            if p == 0 and q == 0:
-                continue
-            if ratio is None:
-                ratio = (p, q)
-                continue
-            if p * ratio[1] != q * ratio[0]:
-                return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # reduction to the graded subquotient instance
 
@@ -633,9 +653,14 @@ def rr_reduce(x: TensorPoint, M: MinimizationResult, samples: int = 25, rng_seed
     """Project an unstable point onto the graded pieces of its minimizer.
 
     Builds the level-beta layer of the tensor filtration, the minimal
-    integer N making all a = -N c l / r integral, and b = N/r + a; the
-    subquotient semistability inequality is sampled with random block
-    filtrations and asserted exactly.
+    integer N making all a = -N c l / r integral, and b = N/r + a.  The
+    coordinates of v_x in the adapted bases of the minimizer come from one
+    integer coordinate change and are divided once, for the projection.
+    The subquotient semistability inequality reduced_mu >= 0 is then
+    sampled at random block filtrations, each drawn as a weighted basis
+    (an invertible integer basis with a weight in -2..2 per vector) and
+    scored in that basis, as the Kempf challenges are.  Every check raises
+    SearchNotConverged when it fails.
     """
     if not M.is_destabilizing:
         raise ValueError("reduction needs a destabilizing result (c < 0)")
@@ -645,8 +670,12 @@ def rr_reduce(x: TensorPoint, M: MinimizationResult, samples: int = 25, rng_seed
             raise ValueError("reduction needs integer jumps")
     _check_shapes(x, M.minimizer)
     n = len(comps)
-    beta_q = tensor_lambda(x, M.minimizer)
-    assert beta_q.denominator == 1
+    # coordinates of v_x in the product of adapted bases, tagged by level
+    adapted = [_adapted(F) for F in comps]
+    coords, scale = _scaled_coordinates(x, [(B.d, B.inv) for B in adapted])
+    beta_q = _min_weight(x.shape, coords, [B.weights for B in adapted])
+    if beta_q.denominator != 1:
+        raise SearchNotConverged("the minimizer value at v_x is not an integer")
     beta = int(beta_q)
     c_tilde = M.c_tilde
 
@@ -668,44 +697,37 @@ def rr_reduce(x: TensorPoint, M: MinimizationResult, samples: int = 25, rng_seed
         tuple(N // F.dim + aj for aj in arow) for F, arow in zip(comps, a)
     )
     for i in range(n):
-        assert sum(aj * rj for aj, rj in zip(a[i], block_ranks[i])) == 0
-        assert all(bj >= 0 for bj in b[i])
+        if sum(aj * rj for aj, rj in zip(a[i], block_ranks[i])) != 0:
+            raise SearchNotConverged("sum of a_j r_j is not zero")
+        if any(bj < 0 for bj in b[i]):
+            raise SearchNotConverged("negative b_j")
 
-    # coordinates of v_x in the product of adapted bases, tagged by level
-    adapted = [fil.adapted_basis(F) for F in comps]
-    coords = _product_coordinates(x, [[v for v, _ in ad] for ad in adapted])
-    levels = [
-        [F.jumps.index(w) for _, w in ad] for F, ad in zip(comps, adapted)
-    ]
+    levels = [[F.jumps.index(w) for w in B.weights] for F, B in zip(comps, adapted)]
     positions: List[List[int]] = []
-    for i, ad in enumerate(adapted):
+    for lv in levels:
         seen: Dict[int, int] = {}
         pos = []
-        for _, w in ad:
-            j = comps[i].jumps.index(w)
+        for j in lv:
             pos.append(seen.get(j, 0))
             seen[j] = seen.get(j, 0) + 1
         positions.append(pos)
 
-    grouped: Dict[Tuple[int, ...], Dict[Tuple[int, ...], Fraction]] = {}
-    for flat, cval in enumerate(coords):
-        if cval == 0:
-            continue
-        idx = []
-        rest = flat
-        for r in reversed(x.shape):
-            rest, j = divmod(rest, r)
-            idx.append(j)
-        idx.reverse()
-        lam_sum = sum(comps[i].jumps[levels[i][idx[i]]] for i in range(n))
-        if lam_sum != beta:
+    grouped: Dict[Tuple[int, ...], Dict[Tuple[int, ...], int]] = {}
+    for cval, idx in zip(coords, _cells(x.shape)):
+        if not cval:
             continue
         g = tuple(levels[i][idx[i]] for i in range(n))
+        if sum(comps[i].jumps[g[i]] for i in range(n)) != beta:
+            continue
         t = tuple(positions[i][idx[i]] for i in range(n))
-        grouped.setdefault(g, {})[t] = grouped.get(g, {}).get(t, Fraction(0)) + cval
-    grouped = {g: {t: v for t, v in m.items() if v != 0} for g, m in grouped.items()}
+        cell = grouped.setdefault(g, {})
+        cell[t] = cell.get(t, 0) + cval
+    grouped = {
+        g: {t: Fraction(v, scale) for t, v in m.items() if v} for g, m in grouped.items()
+    }
     grouped = {g: m for g, m in grouped.items() if m}
-    assert grouped, "the level-beta projection of a minimal layer is nonzero"
+    if not grouped:
+        raise SearchNotConverged("the level-beta projection of the minimal layer is zero")
     groups = tuple(sorted(grouped))
     reduced = tuple(
         TensorPoint.from_map([block_ranks[i][g[i]] for i in range(n)], grouped[g])
@@ -717,16 +739,9 @@ def rr_reduce(x: TensorPoint, M: MinimizationResult, samples: int = 25, rng_seed
 
     rng = random.Random(rng_seed)
     for _ in range(samples):
-        blocks = [
-            [
-                fil.from_weighted_basis(
-                    _random_rows(rng, rk), [Fraction(rng.randrange(-2, 3)) for _ in range(rk)]
-                )
-                for rk in block_ranks[i]
-            ]
-            for i in range(n)
-        ]
-        assert reduced_mu(out, blocks) >= 0
+        blocks = [[_draw_weighted(rng, rk, 2) for rk in block_ranks[i]] for i in range(n)]
+        if _reduced_mu_weighted(out, blocks) < 0:
+            raise SearchNotConverged("the reduced point failed a sampled block filtration")
     return out
 
 
@@ -734,22 +749,29 @@ def reduced_mu(R: ReducedInstance, blocks: Sequence[Sequence[Filtration]]) -> Fr
     """Weight sum b_j r_j E[G^(i,j)] - N * lambda of the reduced point at
     the block filtration tuple; nonnegative for all choices iff the
     reduced point is semistable for the graded group."""
-    total = Fraction(0)
     for i, per in enumerate(blocks):
         if len(per) != len(R.block_ranks[i]):
             raise ValueError("one block filtration per graded piece required")
         for j, G in enumerate(per):
             if G.dim != R.block_ranks[i][j]:
                 raise ValueError("block dimension mismatch")
-            total += Fraction(R.b[i][j] * R.block_ranks[i][j]) * fil.expectation(G)
-    lam: Optional[Fraction] = None
-    for g, point in zip(R.groups, R.reduced):
-        tup = FiltrationTuple(tuple(blocks[i][g[i]] for i in range(len(g))))
-        val = tensor_lambda(point, tup)
-        if lam is None or val < lam:
-            lam = val
-    assert lam is not None
-    return total - Fraction(R.N) * lam
+    return _reduced_mu_weighted(R, [[_adapted(G) for G in per] for per in blocks])
+
+
+def _reduced_mu_weighted(R: ReducedInstance, blocks: Sequence[Sequence[_WeightedBasis]]) -> Fraction:
+    """reduced_mu at the block filtrations given as weighted bases, scored
+    in those bases: b_j r_j E[G^(i,j)] is b_j times the weight sum."""
+    if not R.groups:
+        raise ValueError("a reduced instance has at least one graded point")
+    total = sum(
+        (R.b[i][j] * sum(B.weights) for i, per in enumerate(blocks) for j, B in enumerate(per)),
+        Fraction(0),
+    )
+    lam = min(
+        _lambda_weighted(point, [blocks[i][gi] for i, gi in enumerate(g)])
+        for g, point in zip(R.groups, R.reduced)
+    )
+    return total - R.N * lam
 
 
 def reduced_is_semistable(R: ReducedInstance, rng_seed: int = 0, rounds: int = 6) -> Verdict:
@@ -798,26 +820,18 @@ def reduced_is_semistable(R: ReducedInstance, rng_seed: int = 0, rounds: int = 6
     for _ in range(rounds):
         transformed = []
         changes = {
-            (i, j): _random_basis(rng, R.block_ranks[i][j])
+            (i, j): _draw(rng, R.block_ranks[i][j])[1:]
             for (i, j) in dims
             if R.block_ranks[i][j] > 1
         }
         for g, point in zip(R.groups, R.reduced):
-            bases = [
-                changes.get((i, g[i]), _identity_basis(R.block_ranks[i][g[i]]))
-                for i in range(n)
-            ]
-            coords = _product_coordinates(point, [b.vectors for b in bases])
-            cmap: Dict[Tuple[int, ...], Fraction] = {}
-            for flat, v in enumerate(coords):
-                if v == 0:
-                    continue
-                idx = []
-                rest = flat
-                for r in reversed(point.shape):
-                    rest, t = divmod(rest, r)
-                    idx.append(t)
-                cmap[tuple(reversed(idx))] = v
+            # rank-one blocks keep their basis; decide reads only the
+            # support, so the point is kept as the integer multiple
+            # _scaled_coordinates returns
+            coords, _ = _scaled_coordinates(
+                point, [changes.get((i, gi), (1, [[1]])) for i, gi in enumerate(g)]
+            )
+            cmap = {idx: Fraction(v) for v, idx in zip(coords, _cells(point.shape)) if v}
             transformed.append(TensorPoint.from_map(point.shape, cmap))
         if not decide(transformed):
             return Verdict(False, None, "negative weight found in a random block basis")

@@ -103,15 +103,25 @@ def det(M: Sequence[Sequence]) -> Fraction:
     return Fraction(_int_det(W), prod(scales))
 
 
-def _solve(A: Sequence[Sequence], B: Sequence[Sequence], message: str) -> Matrix:
-    """A^-1 B by eliminating [A | B] in A's columns; scaling whole rows of
-    [A | B] leaves A^-1 B unchanged."""
+def solve_scaled(A: Sequence[Sequence], B: Sequence[Sequence]) -> Optional[Tuple[int, List[List[int]]]]:
+    """(d, d A^-1 B) over the integers, d a nonzero integer, from one
+    elimination of [A | B] in A's columns; None when A is singular.
+    Scaling whole rows of [A | B] to integers leaves A^-1 B unchanged, and
+    the kernel ends with d I in A's columns."""
     n = len(A)
     W, _ = _scaled_rows([list(a) + list(b) for a, b in zip(A, B)])
     r, _, d, _ = _eliminate(W, n)
     if r != n:
+        return None
+    return d, [row[n:] for row in W]
+
+
+def _solve(A: Sequence[Sequence], B: Sequence[Sequence], message: str) -> Matrix:
+    scaled = solve_scaled(A, B)
+    if scaled is None:
         raise SingularMatrixError(message)
-    return [[Fraction(x, d) for x in row[n:]] for row in W]
+    d, W = scaled
+    return [[Fraction(x, d) for x in row] for row in W]
 
 
 def inverse(M: Sequence[Sequence]) -> Matrix:

@@ -6,8 +6,10 @@ library eliminates fraction-free on integers), short vectors by certified
 box enumeration, and Hilbert-Mumford values by direct evaluation over a jump grid, the
 scalar product of filtrations as a sum over a common compatible basis
 (the library computes it from ranks alone), and the minimum-norm point of
-a convex hull by scanning subsets (the library runs Wolfe's algorithm).  They are slow and simple on
-purpose.
+a convex hull by scanning subsets (the library runs Wolfe's algorithm),
+and the value of a tensor filtration at a point by a Fraction change of
+coordinates (the library changes coordinates over the integers).  They are
+slow and simple on purpose.
 """
 
 from fractions import Fraction
@@ -515,3 +517,60 @@ def subset_scan_min_norm_point(points, ip_weights):
             if all(ip(u, q) >= qq for u in uniq):
                 return q
     raise AssertionError("no verified minimum-norm point")
+
+
+def minimizers_proportional(a, b):
+    """Whether two destabilizing tuples agree up to dilation: compare
+    coordinates in a common compatible basis componentwise."""
+    if len(a.minimizer.components) != len(b.minimizer.components):
+        return False
+    ratio = None
+    for F, G in zip(a.minimizer.components, b.minimizer.components):
+        if F.dim != G.dim:
+            return False
+        basis = fil.common_compatible_basis(F, G)
+        xs = fil.coordinates(F, basis)
+        ys = fil.coordinates(G, basis)
+        for p, q in zip(xs, ys):
+            if p == 0 and q == 0:
+                continue
+            if ratio is None:
+                ratio = (p, q)
+                continue
+            if p * ratio[1] != q * ratio[0]:
+                return False
+    return True
+
+
+def fraction_random_rows(rng, r):
+    """Rows of a random invertible r x r matrix with entries in -2..2, drawn
+    row by row and redrawn while its Fraction determinant is zero: the draw sequence of the Kempf challenges, with the number of
+    attempts it took."""
+    attempts = 0
+    while True:
+        attempts += 1
+        M = [[Fraction(rng.randrange(-2, 3)) for _ in range(r)] for _ in range(r)]
+        if fraction_det(M) != 0:
+            return M, attempts
+
+
+def fraction_lambda_in_bases(shape, coords, bases, weights):
+    """Value at the tensor point {index: value} of the tensor product of the
+    filtrations given by a basis and one weight per vector of each factor:
+    coordinates by a Fraction inverse of each basis, applied axis by axis to
+    the dense point, then the least weight sum over the nonzero ones."""
+    cells = list(product(*(range(r) for r in shape)))
+    vec = {idx: Fraction(coords.get(idx, 0)) for idx in cells}
+    for axis, basis in enumerate(bases):
+        inv = fraction_inverse([list(col) for col in zip(*basis)])
+        out = {idx: Fraction(0) for idx in cells}
+        for idx, v in vec.items():
+            if v:
+                for jp in range(shape[axis]):
+                    target = idx[:axis] + (jp,) + idx[axis + 1:]
+                    out[target] += inv[jp][idx[axis]] * v
+        vec = out
+    return min(
+        sum((Fraction(w[j]) for w, j in zip(weights, idx)), Fraction(0))
+        for idx, v in vec.items() if v
+    )

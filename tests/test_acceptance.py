@@ -12,7 +12,7 @@ import random
 import time
 from fractions import Fraction as F
 
-from oracles import grid_min_lambda, random_unimodular
+from oracles import grid_min_lambda, minimizers_proportional, random_unimodular
 
 from slopelab import filtration as fil
 from slopelab import gitstab as gs
@@ -208,7 +208,7 @@ def test_criterion_5_kempf_minimizer():
         other = gs.kempf_minimize(x, rng_seed=99, challenges=10)
         assert other is not None
         assert other.c == res.c
-        assert gs.minimizers_proportional(res, other)
+        assert minimizers_proportional(res, other)
         for comp in res.minimizer.components:
             assert fil.expectation(comp) == 0
         # estimation inequality against fresh challenge tuples,

@@ -1,8 +1,10 @@
+import ast
 import itertools
 import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,7 +14,16 @@ from slopelab import filtration as fil
 from slopelab import gitstab as gs
 from slopelab.exactnum import AlgValue
 from slopelab.filtration import CompatibleBasis, FiltrationTuple
-from oracles import fraction_det, grid_min_lambda, subset_scan_min_norm_point
+from oracles import (
+    fraction_det,
+    fraction_inverse,
+    fraction_lambda_in_bases,
+    fraction_random_rows,
+    grid_min_lambda,
+    minimizers_proportional,
+    scalar_product_by_basis,
+    subset_scan_min_norm_point,
+)
 
 F = Fraction
 
@@ -110,10 +121,9 @@ def test_lambda_in_drawn_basis_matches_tensor_lambda():
             x = gs.TensorPoint.from_map(
                 shape, {c: F(rng.choice((-3, -2, -1, 1, 2, 3))) for c in rng.sample(cells, rng.randrange(1, len(cells) + 1))}
             )
-            drawn = [(gs._random_rows(rng, r), [F(rng.randrange(-3, 4)) for _ in range(r)]) for r in shape]
-            tup = FiltrationTuple(tuple(fil.from_weighted_basis(rows, ws) for rows, ws in drawn))
-            got = gs._lambda_in_bases(x, [rows for rows, _ in drawn], [ws for _, ws in drawn])
-            assert got == gs.tensor_lambda(x, tup)
+            drawn = [gs._draw_weighted(rng, r, 3) for r in shape]
+            tup = FiltrationTuple(tuple(fil.from_weighted_basis(B.rows, B.weights) for B in drawn))
+            assert gs._lambda_weighted(x, drawn) == gs.tensor_lambda(x, tup)
 
 
 def test_big_lambda_frozen():
@@ -427,7 +437,7 @@ def test_kempf_two_seeds_proportional():
             continue
         b = gs.kempf_minimize(x, rng_seed=99, challenges=10)
         assert b is not None and a.c == b.c
-        assert gs.minimizers_proportional(a, b)
+        assert minimizers_proportional(a, b)
         found += 1
 
 
@@ -470,6 +480,154 @@ def test_mu_negative_iff_unstable_on_small_shapes():
             assert gs.mu_invariant(x, res.minimizer, m) < 0
         else:
             assert res is None
+
+
+# ---------------------------------------------------------------------------
+# challenges scored in the basis they were drawn in
+
+CHALLENGE_SHAPES = ((2, 2), (2, 3), (3, 3), (2, 2, 2), (4, 4), (2, 2, 2, 2), (3, 3, 2))
+
+
+def test_draws_follow_the_challenge_rng_order():
+    # the rows, the rejected singular draws and the weights come from the
+    # same rng calls as the Fraction draw with a determinant test
+    rejected = {1: 0, 2: 0, 3: 0, 4: 0}
+    for seed in range(120):
+        r = 1 + seed % 4
+        new, old = random.Random(seed), random.Random(seed)
+        rows, d, inv = gs._draw(new, r)
+        want, attempts = fraction_random_rows(old, r)
+        assert rows == want
+        assert new.getstate() == old.getstate()
+        assert inv == [[d * a for a in row] for row in fraction_inverse([list(col) for col in zip(*rows)])]
+        rejected[r] += attempts - 1
+    assert rejected[2] >= 5
+    # a whole challenge stream: per factor the rows, then the weights
+    for shape in CHALLENGE_SHAPES:
+        new, old = random.Random(str(shape)), random.Random(str(shape))
+        for _ in range(20):
+            for r in shape:
+                B = gs._draw_weighted(new, r, 3)
+                rows, _ = fraction_random_rows(old, r)
+                ws = [F(old.randrange(-3, 4)) for _ in range(r)]
+                assert (B.rows, B.weights) == (rows, ws)
+        assert new.getstate() == old.getstate()
+
+
+def _random_filtration(rng, r):
+    """from_weighted_basis on a random basis with weights drawn with
+    repeats, or the trivial filtration."""
+    if rng.randrange(6) == 0:
+        return fil.trivial(r)
+    rows, _ = fraction_random_rows(rng, r)
+    return fil.from_weighted_basis(rows, [rng.choice((-2, -1, 0, 0, 1, 1, 3)) for _ in range(r)])
+
+
+def test_challenge_scores_equal_parent_composition():
+    # E[G], <F, G>, lambda and both sides of the inequality, scored in the
+    # drawn bases, against from_weighted_basis, expectation, scalar_product,
+    # the pairing over a common compatible basis and a Fraction change of
+    # coordinates
+    rng = random.Random(6006)
+    values = (-3, -2, -1, 1, 2, 3, F(1, 2), F(-2, 3), F(5, 4))
+    count, fractional, repeated_f, repeated_g = 0, 0, 0, 0
+    for shape in CHALLENGE_SHAPES:
+        cells = list(itertools.product(*[range(r) for r in shape]))
+        for _ in range(45):
+            coords = {c: F(rng.choice(values)) for c in rng.sample(cells, rng.randrange(1, len(cells) + 1))}
+            x = gs.TensorPoint.from_map(shape, coords)
+            comps = [_random_filtration(rng, r) for r in shape]
+            c_tilde = -F(rng.randrange(1, 7), rng.randrange(1, 5))
+            drawn = [gs._draw_weighted(rng, r, 3) for r in shape]
+            G = [fil.from_weighted_basis(B.rows, B.weights) for B in drawn]
+
+            expect = sum((fil.expectation(Gi) for Gi in G), F(0))
+            pairing = sum((scalar_product_by_basis(Fi, Gi) for Fi, Gi in zip(comps, G)), F(0))
+            lam = fraction_lambda_in_bases(shape, coords, [B.rows for B in drawn], [B.weights for B in drawn])
+            assert lam == gs.tensor_lambda(x, FiltrationTuple(tuple(G)))
+
+            for B, Gi in zip(drawn, G):
+                assert F(sum(B.weights), len(B.weights)) == fil.expectation(Gi)
+            for Fi, B, Gi in zip(comps, drawn, G):
+                got = fil.scalar_product_with_basis(Fi, B.rows, B.weights)
+                assert got == fil.scalar_product(Fi, Gi) == scalar_product_by_basis(Fi, Gi)
+            assert gs._lambda_weighted(x, drawn) == lam
+            assert gs._challenge_sides(x, comps, c_tilde, drawn) == (expect - lam, c_tilde * pairing)
+
+            count += 1
+            fractional += any(v.denominator != 1 for v in coords.values())
+            repeated_f += any(Fi.depth < Fi.dim for Fi in comps)
+            repeated_g += any(len(set(B.weights)) < len(B.weights) for B in drawn)
+    assert count >= 300
+    assert min(fractional, repeated_f, repeated_g) >= 100
+
+
+def test_challenge_loop_eliminates_once_per_draw(monkeypatch):
+    # the challenge loop is what kempf_minimize adds over challenges=0; it
+    # builds no filtration and inverts nothing, and apart from the ranks of
+    # the scalar product it eliminates once per draw attempt
+    x = point((2, 3), {(0, 0): 1, (1, 2): 2, (0, 1): -1})
+    calls = Counter()
+    in_rank = [0]
+    elim, rank = gs.la._eliminate, gs.la.rank
+
+    def counting_elim(W, ncols):
+        calls["_eliminate"] += not in_rank[0]
+        return elim(W, ncols)
+
+    def counting_rank(M):
+        calls["rank"] += 1
+        in_rank[0] += 1
+        try:
+            return rank(M)
+        finally:
+            in_rank[0] -= 1
+
+    def counting(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    monkeypatch.setattr(gs.la, "_eliminate", counting_elim)
+    monkeypatch.setattr(gs.la, "rank", counting_rank)
+    for module, name in ((gs.la, "inverse"), (gs.la, "rref"), (gs.la, "det"), (fil, "make")):
+        counting(module, name)
+
+    challenges, seed = 40, 3
+    counts = []
+    for n in (0, challenges):
+        calls.clear()
+        best = gs.kempf_minimize(x, rng_seed=seed, challenges=n)
+        counts.append(Counter(calls))
+    loop = Counter({k: counts[1][k] - counts[0][k] for k in counts[1]})
+
+    rng = random.Random(seed * 7919 + 13)
+    attempts = 0
+    for _ in range(challenges):
+        for r in x.shape:
+            attempts += fraction_random_rows(rng, r)[1]
+            [rng.randrange(-3, 4) for _ in range(r)]
+    assert attempts > challenges * len(x.shape)  # some draws were singular
+    assert {k: loop[k] for k in ("inverse", "rref", "det", "make")} == dict.fromkeys(("inverse", "rref", "det", "make"), 0)
+    assert loop["_eliminate"] == attempts
+    per_challenge = sum((Fi.depth - 1) * (r - 1) for Fi, r in zip(best.minimizer.components, x.shape))
+    assert 0 < loop["rank"] <= challenges * per_challenge
+
+
+def test_shifted_challenge_lambda_is_caught(monkeypatch):
+    exact = gs._lambda_weighted
+
+    def shifted(x, bases):
+        value = exact(x, bases)
+        return value + 10**6 if sys._getframe(1).f_code.co_name == "_challenge_sides" else value
+
+    monkeypatch.setattr(gs, "_lambda_weighted", shifted)
+    with pytest.raises(gs.SearchNotConverged, match="estimation inequality"):
+        gs.kempf_minimize(E11_POINT)
 
 
 # ---------------------------------------------------------------------------
@@ -535,3 +693,33 @@ def test_reduced_mu_rejects_bad_blocks():
         gs.reduced_mu(R, [[fil.trivial(1)], [fil.trivial(1)]])
     with pytest.raises(ValueError):
         gs.reduced_mu(R, [[fil.trivial(2), fil.trivial(1)], [fil.trivial(1), fil.trivial(1)]])
+
+
+SAMPLE_FAULT_UNDER_O = """
+import sys
+from fractions import Fraction
+from slopelab import gitstab as gs
+assert sys.flags.optimize  # run under python -O: library asserts are stripped
+gs._reduced_mu_weighted = lambda R, blocks: Fraction(-1)
+x = gs.TensorPoint.from_map((2, 2), {(0, 0): Fraction(1)})
+try:
+    gs.rr_reduce(x, gs.kempf_minimize(x))
+except gs.SearchNotConverged as exc:
+    print("SearchNotConverged:", exc)
+"""
+
+
+def test_sampled_reduced_mu_check_survives_python_O():
+    src = str(Path(gs.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", SAMPLE_FAULT_UNDER_O], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("SearchNotConverged: the reduced point failed a sampled block filtration")
+
+
+def test_gitstab_has_no_assert():
+    # python -O strips assert statements; every check here must be an error
+    tree = ast.parse(Path(gs.__file__).read_text())
+    assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)] == []

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from slopelab import gitstab as gs
 from slopelab import linalg as la
 from slopelab.exactnum import LogValue, log_of
 from slopelab.harness import (
@@ -258,6 +259,15 @@ class TestReductionChain:
             r["branch"] for o in rep.outcomes for r in o.detail["subbundles"]
         }
         assert branches == {"semistable", "reduced"}
+
+    def test_failed_sample_is_inconclusive(self, monkeypatch):
+        # a reduced point that fails a sampled block filtration stops
+        # rr_reduce; the campaign reports it and carries on
+        monkeypatch.setattr(gs, "_reduced_mu_weighted", lambda R, blocks: Fraction(-1))
+        rep = check_reduction_chain(TrialConfig(seed=11, ranks=(2, 2), entry_bound=1, trials=3))
+        reasons = [o.detail["reason"] for o in rep.outcomes if o.verdict == "inconclusive"]
+        assert reasons
+        assert set(reasons) == {"the reduced point failed a sampled block filtration"}
 
     def test_rank_one_factors(self):
         rep = check_reduction_chain(TrialConfig(seed=2, ranks=(1, 1), entry_bound=1, trials=2))
