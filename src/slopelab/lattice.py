@@ -10,7 +10,6 @@ structurally instead of numerically.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -32,6 +31,12 @@ from .exactnum import (
 
 class NotSaturatedError(ValueError):
     pass
+
+
+class CertificateError(RuntimeError):
+    """Raised when an exact certificate fails its own check: a result that
+    the mathematics rules out, so a bug or a corrupted input, never a
+    search limit."""
 
 
 class ExactSearchUnavailable(RuntimeError):
@@ -262,7 +267,8 @@ def saturate(S: SubLattice) -> SubLattice:
     """Saturation: ambient intersect the Q-span, with canonical HNF basis."""
     Uinv, d = la.int_diagonalize(S.basis_rows)
     k = S.rank
-    assert len(d) == k
+    if len(d) != k:
+        raise CertificateError("sublattice basis columns are not independent")
     cols = [[Uinv[i][j] for i in range(S.ambient.rank)] for j in range(k)]
     return SubLattice.from_columns(S.ambient, cols).canonical()
 
@@ -336,12 +342,13 @@ def udeg_max(L: Lattice) -> Tuple[LogValue, Tuple[int, ...]]:
 
 
 def _shortest_reduced(
-    Gred: la.Matrix, U: List[List[int]]
+    Gred: la.Matrix, U: List[List[int]], gso: la.GSO
 ) -> List[Tuple[Tuple[int, ...], Fraction]]:
     """Every lattice vector within the least diagonal entry of the reduced
-    Gram matrix Gred = U^T G U: a realized, tight radius that both udeg
-    and the rank-one candidates enumerate."""
-    return la.short_vectors_reduced(Gred, U, min(Gred[i][i] for i in range(len(Gred))))
+    Gram matrix Gred = U^T G U of (Gred, U, gso) = gram_lll(G): a
+    realized, tight radius that both udeg and the rank-one candidates
+    enumerate."""
+    return la.short_vectors_reduced(U, gso, min(Gred[i][i] for i in range(len(Gred))))
 
 
 def _udeg_of_shortest(
@@ -375,15 +382,14 @@ def _decomposable_kernel(w: Sequence[Fraction], r: int, k: int) -> Optional[la.M
     return ker
 
 
-def _saturated_from_rational_rows(L: Lattice, rows: la.Matrix) -> SubLattice:
-    ints = []
-    for row in rows:
-        den = 1
-        for x in row:
-            den = den * x.denominator // math.gcd(den, x.denominator)
-        ints.append(la.primitive_vector([int(x * den) for x in row]))
-    S = SubLattice.from_columns(L, ints)
-    return saturate(S)
+def _primitive_rows(rows: Sequence[Sequence]) -> List[List[int]]:
+    """Each rational row scaled to the primitive integer vector of its
+    direction, the first nonzero entry positive."""
+    return [la.primitive_vector(row) for row in la._scaled_rows(rows)[0]]
+
+
+def _saturated_from_rational_rows(L: Lattice, rows: Sequence[Sequence]) -> SubLattice:
+    return saturate(SubLattice.from_columns(L, _primitive_rows(rows)))
 
 
 def _slope_of_det(detval: Fraction, k: int) -> LogValue:
@@ -400,11 +406,11 @@ def _max_slope_candidates(
 
     For each rank k the best determinant is the squared norm of the
     shortest decomposable vector of the k-th exterior power.  The search
-    runs in the LLL-reduced basis (Gred, U) = gram_lll(L.gram_rows), where
-    the best coordinate sublattice gives a realized and therefore
+    runs in the LLL-reduced basis Gred = U^T G U of gram_lll(L.gram_rows),
+    where the best coordinate sublattice gives a realized and therefore
     certified enumeration radius that is also tight enough to keep the
     pass small.  For rank one that pass is ``shortest`` =
-    _shortest_reduced(Gred, U).
+    _shortest_reduced(Gred, U, gso).
     """
     r = L.rank
     per_rank: List[Tuple[int, SubLattice, Fraction]] = []
@@ -429,7 +435,9 @@ def _max_slope_candidates(
             ker = _decomposable_kernel([Fraction(x) for x in w], r, k)
             if ker is None:
                 continue
-            back = la.mat_mul([[Fraction(x) for x in row] for row in ker], la.transpose(U))
+            # each kernel row times a positive integer keeps the direction
+            # of its image under U, so the back-map multiplies integers
+            back = la.mat_mul(_primitive_rows(ker), la.transpose(U))
             S = _saturated_from_rational_rows(L, back)
             if S.basis in seen:
                 continue
@@ -440,7 +448,8 @@ def _max_slope_candidates(
         val = _slope_of_det(d, k)
         if best_val is None or compare(val, best_val) is Order.GT:
             best_val = val
-    assert best_val is not None
+    if best_val is None:
+        raise CertificateError("no candidate sublattice")
     winners = [
         (S, d) for k, S, d in per_rank if _slope_of_det(d, k) == best_val
     ]
@@ -448,9 +457,11 @@ def _max_slope_candidates(
 
 
 def sub_det(S: SubLattice) -> Fraction:
+    """det(B^T G B) for the basis B of S, multiplied out on the integer
+    rows of den * G and divided by den^rank once."""
     B = S.basis_rows
-    G = S.ambient.gram_rows
-    return la.det(la.mat_mul(la.transpose(B), la.mat_mul(G, B)))
+    Gint, den = la._common_scaled(S.ambient.gram)
+    return la.det(la.mat_mul(la.transpose(B), la.mat_mul(Gint, B))) / den**S.rank
 
 
 def mu_max(L: Lattice, rank_limit: int = 6) -> Tuple[LogValue, SubLattice]:
@@ -463,8 +474,8 @@ def mu_max(L: Lattice, rank_limit: int = 6) -> Tuple[LogValue, SubLattice]:
     if L.rank == 0:
         raise ValueError("mu_max needs positive rank")
     # one reduction serves the candidate search and the Minkowski bracket
-    Gred, U = la.gram_lll(L.gram_rows)
-    shortest = _shortest_reduced(Gred, U)
+    Gred, U, gso = la.gram_lll(L.gram_rows)
+    shortest = _shortest_reduced(Gred, U, gso)
     udeg, _ = _udeg_of_shortest(shortest)
     if L.rank > rank_limit:
         coord_best = None
@@ -487,8 +498,8 @@ def mu_max(L: Lattice, rank_limit: int = 6) -> Tuple[LogValue, SubLattice]:
     val, winners = _max_slope_candidates(L, Gred, U, shortest)
     witness = min(winners, key=lambda sd: (sd[0].rank, sd[0].basis))[0]
     half_log_rank = log_of(L.rank, Fraction(1, 2))
-    assert compare(udeg, val) is not Order.GT
-    assert compare(val, udeg + half_log_rank) is not Order.GT
+    if compare(udeg, val) is Order.GT or compare(val, udeg + half_log_rank) is Order.GT:
+        raise CertificateError("mu_max outside its Minkowski bracket [udeg_max, udeg_max + log(rank)/2]")
     return val, witness
 
 
@@ -514,8 +525,8 @@ def hn_filtration(L: Lattice, rank_limit: int = 6) -> HNResult:
         )
 
     def build(lat: Lattice) -> List[List[List[int]]]:
-        Gred, U = la.gram_lll(lat.gram_rows)
-        _val, winners = _max_slope_candidates(lat, Gred, U, _shortest_reduced(Gred, U))
+        Gred, U, gso = la.gram_lll(lat.gram_rows)
+        _val, winners = _max_slope_candidates(lat, Gred, U, _shortest_reduced(Gred, U, gso))
         stacked = []
         for S, _d in winners:
             stacked.extend(la.transpose(S.basis_rows))
@@ -549,7 +560,8 @@ def hn_filtration(L: Lattice, rank_limit: int = 6) -> HNResult:
         slopes.append(step)
         prev_deg, prev_rank = deg, S.rank
     for a, b in zip(slopes, slopes[1:]):
-        assert compare(a, b) is Order.GT, "HN slopes must strictly decrease"
+        if compare(a, b) is not Order.GT:
+            raise CertificateError("HN slopes must strictly decrease")
     return HNResult(chain, tuple(slopes))
 
 
@@ -628,5 +640,6 @@ def morphism_height(phi: Morphism, tolerance_bits: int = 40) -> HeightBracket:
         finite + grid.scaled(j_lo), finite + grid.scaled(j_hi), finite
     )
     width_iv = approximate(out.width, tolerance_bits + 1)
-    assert width_iv.hi <= Fraction(1, 1 << tolerance_bits)
+    if width_iv.hi > Fraction(1, 1 << tolerance_bits):
+        raise CertificateError("height bracket wider than 2^-tolerance_bits")
     return out

@@ -5,9 +5,15 @@ exact: no floating point enters any routine, so callers can build
 certified comparisons on top of the results.
 
 Elimination runs on integer rows in one fraction-free Gauss-Jordan kernel
-(Bareiss 1968), _eliminate, whose symmetric form is ldl: a pivot p at (r, c)
-sets every other row to (p * row - row[c] * W[r]) // p_prev, exact since
-each entry is then a minor of the input.  Only final entries are Fractions.
+(Bareiss 1968), _eliminate, whose symmetric form is _ldl_scaled: a pivot p
+at (r, c) sets every other row to (p * row - row[c] * W[r]) // p_prev, exact
+since each entry is then a minor of the input.  Only final entries are
+Fractions.
+
+Lattice reduction stays on the integers as well: gram_lll is the integral
+LLL on den * G, seeded from _ldl_scaled, and hands its final Gram-Schmidt
+data (lam, D, den) to short_vectors_reduced, whose Fincke-Pohst enumeration
+uses integer centers and isqrt ranges and builds one Fraction per node.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, isqrt, lcm, prod
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 Matrix = List[List[Fraction]]
 Vector = List[Fraction]
@@ -55,14 +61,18 @@ def vec_dot(u: Sequence, v: Sequence) -> Fraction:
 
 
 def _common_scaled(M: Sequence[Sequence]) -> Tuple[List[List[int]], int]:
-    """(den * M as integer rows, den) for den the lcm of all denominators."""
-    den = lcm(*(x.denominator for row in M for x in row))
+    """(den * M as integer rows, den) for den the lcm of all denominators.
+
+    The lcm arguments go in as a list: a generator would build its argument
+    tuple by resizing, and each resized tuple then joins the interpreter's
+    free list of its final size, which keeps up to 2000 of them."""
+    den = lcm(*[x.denominator for row in M for x in row])
     return [[x.numerator * (den // x.denominator) for x in row] for row in M], den
 
 
 def _scaled_rows(M: Sequence[Sequence]) -> Tuple[List[List[int]], List[int]]:
     """Each row times the lcm of its own denominators, and those scales."""
-    scales = [lcm(*(x.denominator for x in row)) for row in M]
+    scales = [lcm(*[x.denominator for x in row]) for row in M]
     return [[x.numerator * (s // x.denominator) for x in row] for row, s in zip(M, scales)], scales
 
 
@@ -221,10 +231,20 @@ def submatrix(M: Sequence[Sequence], rows: Sequence[int], cols: Sequence[int]) -
 
 def compound_matrix(M: Sequence[Sequence], k: int) -> Matrix:
     """k-th compound: entries are the k x k minors on sorted index sets,
-    each taken on den * M and divided by den^k."""
+    each taken on den * M and divided by den^k.  The compound of a
+    symmetric M is symmetric, so then each minor is taken once per
+    unordered pair of index sets."""
     A, den = _common_scaled(M)
     subsets = k_subsets(len(M), k)
-    return [[Fraction(_int_det([[A[i][j] for j in J] for i in I]), den**k) for J in subsets] for I in subsets]
+    sym = is_symmetric(A)
+    C: Matrix = [[Fraction(0)] * len(subsets) for _ in subsets]
+    for a, I in enumerate(subsets):
+        rows = [A[i] for i in I]
+        for b in range(a if sym else 0, len(subsets)):
+            C[a][b] = Fraction(_int_det([[row[j] for j in subsets[b]] for row in rows]), den**k)
+            if sym:
+                C[b][a] = C[a][b]
+    return C
 
 
 def is_symmetric(M: Sequence[Sequence]) -> bool:
@@ -241,17 +261,17 @@ def is_positive_definite(M: Sequence[Sequence]) -> bool:
         return False
 
 
-def ldl(G: Sequence[Sequence]) -> Tuple[Matrix, Vector]:
-    """G = L D L^T with L unit lower triangular, D positive diagonal.
+def _ldl_scaled(G: Sequence[Sequence]) -> Tuple[List[List[int]], List[int], int]:
+    """The symmetric Bareiss loop of ldl and gram_lll, over the integers.
 
-    Exact; raises SingularMatrixError when G is not positive definite.  The
-    lower triangle A of den * G is eliminated without row exchange: pivot k
-    is its leading minor D_{k+1}, d_k = D_{k+1} / (D_k den), and L[i][k] is
-    A[i][k] at step k over D_{k+1}."""
+    The lower triangle A of den * G, den the lcm of its denominators, is
+    eliminated without row exchange: pivot k is the leading minor D[k+1] of
+    den * G.  Returns (A, D, den) with D[0] = 1 and A[i][j] = D[j+1] L[i][j]
+    for j <= i, where G = L diag(d) L^T.  Raises SingularMatrixError unless
+    every pivot is positive."""
     A, den = _common_scaled([row[: i + 1] for i, row in enumerate(G)])
-    n = len(A)
     D = [1]
-    for k in range(n):
+    for k in range(len(A)):
         p = A[k][k]
         if p <= 0:
             raise SingularMatrixError("matrix is not positive definite")
@@ -260,6 +280,16 @@ def ldl(G: Sequence[Sequence]) -> Tuple[Matrix, Vector]:
             a = row[k]
             row[k + 1 :] = [(p * x - a * y) // D[-1] for x, y in zip(row[k + 1 :], col)]
         D.append(p)
+    return A, D, den
+
+
+def ldl(G: Sequence[Sequence]) -> Tuple[Matrix, Vector]:
+    """G = L D L^T with L unit lower triangular, D positive diagonal.
+
+    Exact; raises SingularMatrixError when G is not positive definite.
+    From _ldl_scaled: d_k = D_{k+1} / (D_k den) and L[i][k] = A[i][k] / D_{k+1}."""
+    A, D, den = _ldl_scaled(G)
+    n = len(A)
     L = [[Fraction(A[i][j], D[j + 1]) if j < i else Fraction(int(i == j)) for j in range(n)] for i in range(n)]
     return L, [Fraction(D[k + 1], D[k] * den) for k in range(n)]
 
@@ -419,75 +449,84 @@ def int_diagonalize(B: Sequence[Sequence[int]]) -> Tuple[List[List[int]], List[i
 # lattice reduction on Gram matrices
 
 
-def gram_lll(G: Sequence[Sequence], delta: Fraction = Fraction(3, 4)) -> Tuple[Matrix, List[List[int]]]:
-    """Exact LLL working purely on the Gram matrix.
+class GSO(NamedTuple):
+    """Gram-Schmidt data of a basis with Gram matrix G, over the integers.
 
-    Returns (G', U) with G' = U^T G U, U unimodular, and G' LLL-reduced
-    (size-reduced and satisfying the Lovasz condition with parameter
-    delta).  Used to keep short-vector enumeration trees small.
+    D[k] is the k-th leading principal minor of den * G (D[0] = 1) and
+    lam[i][j] = D[j+1] mu_ij for j < i, so |b*_i|^2 = D[i+1] / (D[i] den)."""
 
-    The sweep runs on the Gram-Schmidt data alone, seeded from G; the
-    reduced Gram matrix is formed once at the end, in integer arithmetic.
+    lam: List[List[int]]
+    D: List[int]
+    den: int
+
+
+def gram_lll(G: Sequence[Sequence]) -> Tuple[Matrix, List[List[int]], GSO]:
+    """Exact integral LLL working purely on the Gram matrix.
+
+    Returns (Gred, U, gso) with Gred = U^T G U, U unimodular, Gred
+    LLL-reduced (size-reduced and satisfying the Lovasz condition with
+    parameter 3/4), and gso the Gram-Schmidt data of Gred, which
+    short_vectors_reduced enumerates on.  Raises SingularMatrixError unless
+    G is positive definite.
+
+    The sweep is Cohen's integral LLL (A Course in Computational Algebraic
+    Number Theory, Alg. 2.6.7) on den * G, seeded from _ldl_scaled (U starts
+    as the identity, so the GSO is that of G itself).  It size-reduces when
+    2 |lam_kl| > D_{l+1} and swaps when 4 (D_{k+1} D_{k-1} + lam^2) < 3 D_k^2,
+    the decisions of the rational sweep with mu = lam / D.  The reduced
+    Gram matrix is formed once at the end, in integer arithmetic.
     """
     n = len(G)
     if n == 0:
-        return [], []
+        return [], [], GSO([], [1], 1)
+    A, D, den = _ldl_scaled(G)
+    lam = [row[:i] for i, row in enumerate(A)]
     U = [[int(i == j) for j in range(n)] for i in range(n)]
 
-    # Gram-Schmidt data: Bv[i] = |b*_i|^2, mu[i][j] for j < i.  U starts as
-    # the identity, so the GSO is the LDL^T factorisation of G itself; ldl
-    # raises SingularMatrixError unless G is positive definite.
-    mu, Bv = ldl(G)
+    def size_reduce(k, l):  # b_k -= q b_l for q = floor(mu_kl + 1/2)
+        d = D[l + 1]
+        lk = lam[k]
+        if 2 * abs(lk[l]) > d:
+            q = (2 * lk[l] + d) // (2 * d)
+            for row in U:
+                row[k] -= q * row[l]
+            for t, x in enumerate(lam[l]):
+                lk[t] -= q * x
+            lk[l] -= q * d
 
-    def col_op(i, j, q):  # basis op b_i -= q b_j
-        for row in U:
-            row[i] -= q * row[j]
-
-    def col_swap(i, j):
-        for row in U:
-            row[i], row[j] = row[j], row[i]
-
-    def size_reduce(kk, ll):
-        if abs(mu[kk][ll]) > Fraction(1, 2):
-            q = (mu[kk][ll] + Fraction(1, 2)).__floor__()
-            col_op(kk, ll, q)
-            for t in range(ll):
-                mu[kk][t] -= q * mu[ll][t]
-            mu[kk][ll] -= q
-    kk = 1
-    while kk < n:
-        size_reduce(kk, kk - 1)
-        if Bv[kk] < (delta - mu[kk][kk - 1] ** 2) * Bv[kk - 1]:
-            col_swap(kk, kk - 1)
-            # standard GSO update after swapping b_k, b_{k-1}
-            mu_bar = mu[kk][kk - 1]
-            B_bar = Bv[kk] + mu_bar**2 * Bv[kk - 1]
-            mu[kk][kk - 1] = mu_bar * Bv[kk - 1] / B_bar
-            Bv[kk] = Bv[kk - 1] * Bv[kk] / B_bar
-            Bv[kk - 1] = B_bar
-            for j in range(kk - 1):
-                mu[kk - 1][j], mu[kk][j] = mu[kk][j], mu[kk - 1][j]
-            for i in range(kk + 1, n):
-                t = mu[i][kk]
-                mu[i][kk] = mu[i][kk - 1] - mu_bar * t
-                mu[i][kk - 1] = t + mu[kk][kk - 1] * mu[i][kk]
-            kk = max(kk - 1, 1)
+    k = 1
+    while k < n:
+        size_reduce(k, k - 1)
+        lk = lam[k][k - 1]
+        if 4 * (D[k + 1] * D[k - 1] + lk * lk) < 3 * D[k] * D[k]:
+            # swap b_k and b_{k-1}: of the GSO only D_k and the entries of
+            # lam in rows and columns k-1, k change
+            for row in U:
+                row[k], row[k - 1] = row[k - 1], row[k]
+            lam[k - 1], lam[k] = lam[k][: k - 1], lam[k - 1] + [lk]
+            B = (D[k - 1] * D[k + 1] + lk * lk) // D[k]
+            for row in lam[k + 1 :]:
+                t = row[k]
+                row[k] = (D[k + 1] * row[k - 1] - lk * t) // D[k]
+                row[k - 1] = (B * t + lk * row[k]) // D[k + 1]
+            D[k] = B
+            k = max(k - 1, 1)
         else:
-            for ll in range(kk - 2, -1, -1):
-                size_reduce(kk, ll)
-            kk += 1
+            for l in range(k - 2, -1, -1):
+                size_reduce(k, l)
+            k += 1
 
     # U^T G U in integers: scale G to its common denominator, multiply
     # exactly, and build one Fraction per entry of the upper triangle
     # (G is symmetric, so U^T G U is too).
-    Gint, den = _common_scaled(G)
+    Gint, gden = _common_scaled(G)
     cols = transpose(U)
     Gcols = [[sum(g * u for g, u in zip(grow, col)) for grow in Gint] for col in cols]
     Gred: Matrix = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            Gred[i][j] = Gred[j][i] = Fraction(sum(a * b for a, b in zip(cols[i], Gcols[j])), den)
-    return Gred, U
+            Gred[i][j] = Gred[j][i] = Fraction(sum(a * b for a, b in zip(cols[i], Gcols[j])), gden)
+    return Gred, U, GSO(lam, D, den)
 
 
 def short_vectors_gram(G: Sequence[Sequence], bound: Fraction) -> List[Tuple[Tuple[int, ...], Fraction]]:
@@ -497,68 +536,58 @@ def short_vectors_gram(G: Sequence[Sequence], bound: Fraction) -> List[Tuple[Tup
     A caller that already holds the reduction of G should call
     short_vectors_reduced directly.
     """
-    Gred, U = gram_lll(G)
-    return short_vectors_reduced(Gred, U, bound)
+    _Gred, U, gso = gram_lll(G)
+    return short_vectors_reduced(U, gso, bound)
 
 
 def short_vectors_reduced(
-    Gred: Sequence[Sequence], U: Sequence[Sequence[int]], bound: Fraction
+    U: Sequence[Sequence[int]], gso: GSO, bound: Fraction
 ) -> List[Tuple[Tuple[int, ...], Fraction]]:
     """All nonzero v in Z^n with v^T G v <= bound, up to sign, given the
-    reduction (Gred, U) = gram_lll(G), so that Gred = U^T G U.
+    reduction (Gred, U, gso) = gram_lll(G), so that Gred = U^T G U.
 
-    Exact Fincke-Pohst enumeration of x with x^T Gred x <= bound, each x
-    mapped back to v = U x; the reduction only keeps the tree small.  Each
-    returned vector has its first nonzero coordinate positive.  Results
-    sorted by (norm, vector) for determinism.
+    Fincke-Pohst enumeration (Math. Comp. 44, 1985) of x with
+    x^T Gred x <= bound on the integer GSO alone: with the integer center
+    c_i = sum_{j>i} lam_ji x_j and y_i = D_{i+1} x_i + c_i,
+    x^T Gred x = sum_i y_i^2 / m_i for m_i = D_i D_{i+1} den.  So the range
+    of x_i under a remaining radius R is |y_i| <= isqrt(floor(R m_i)), and
+    each node builds one Fraction, its new remaining radius.  Of x and -x
+    only the one whose last nonzero coordinate is positive is visited.
+    Each x is mapped back to v = U x; the reduction only keeps the tree
+    small.  Each returned vector has its first nonzero coordinate positive.
+    Results sorted by (norm, vector) for determinism.
     """
-    n = len(Gred)
+    n = len(U)
     bound = Fraction(bound)
     if n == 0 or bound < 0:
         return []
-    L, d = ldl(Gred)
-    out = {}
+    lam, D, den = gso
+    lam_cols = [[lam[j][i] for j in range(i + 1, n)] for i in range(n)]
+    scales = [D[i] * D[i + 1] * den for i in range(n)]
+    out = []
     v = [0] * n
 
-    def centers(i):
-        return sum(L[j][i] * v[j] for j in range(i + 1, n))
-
-    def int_range(c: Fraction, cap: Fraction):
-        # integers z with (z + c)^2 <= cap
-        if cap < 0:
-            return range(0)
-        num = cap.numerator * cap.denominator
-        s = Fraction(isqrt(num) + 1, cap.denominator)
-        lo_f = -c - s
-        hi_f = -c + s
-        lo = -((-lo_f.numerator) // lo_f.denominator)  # ceil
-        hi = hi_f.numerator // hi_f.denominator  # floor
-        while lo <= hi and (lo + c) ** 2 > cap:
-            lo += 1
-        while hi >= lo and (hi + c) ** 2 > cap:
-            hi -= 1
-        return range(lo, hi + 1)
-
-    def rec(i, remaining):
+    def rec(i, remaining, zero_above):
         if i < 0:
-            if any(v):
-                w = mat_vec(U, v)
-                w_int = tuple(int(x) for x in w)
-                for x in w_int:
-                    if x != 0:
-                        if x < 0:
-                            w_int = tuple(-y for y in w_int)
-                        break
-                norm = bound - remaining
-                prev = out.get(w_int)
-                if prev is None:
-                    out[w_int] = norm
+            if not zero_above:
+                w = tuple([sum(u * x for u, x in zip(row, v)) for row in U])
+                if next(x for x in w if x) < 0:
+                    w = tuple([-x for x in w])
+                out.append((w, bound - remaining))
             return
-        c = centers(i)
-        for z in int_range(c, remaining / d[i]):
+        c = sum(a * x for a, x in zip(lam_cols[i], v[i + 1 :]))
+        m, d = scales[i], D[i + 1]
+        p, q = remaining.numerator, remaining.denominator
+        s = isqrt(p * m // q)
+        # with every coordinate above zero, c = 0 and the range is symmetric
+        for z in range(0 if zero_above else -((s + c) // d), (s - c) // d + 1):
             v[i] = z
-            rec(i - 1, remaining - d[i] * (z + c) ** 2)
+            y = d * z + c
+            rec(i - 1, Fraction(p * m - y * y * q, q * m), zero_above and z == 0)
         v[i] = 0
 
-    rec(n - 1, bound)
-    return sorted(out.items(), key=lambda kv: (kv[1], kv[0]))
+    rec(n - 1, bound, True)
+    # rec refers to itself through its closure cell; emptying the cell frees
+    # the enumeration state now instead of at the next full gc collection
+    rec = None
+    return sorted(out, key=lambda kv: (kv[1], kv[0]))

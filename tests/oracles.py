@@ -2,8 +2,10 @@
 
 These deliberately avoid the library's own algorithms: determinants by
 cofactor expansion, Gauss-Jordan elimination over Fraction entries (the
-library eliminates fraction-free on integers), short vectors by certified
-box enumeration, and Hilbert-Mumford values by direct evaluation over a jump grid, the
+library eliminates fraction-free on integers), LLL reduction and
+Fincke-Pohst enumeration over Fraction Gram-Schmidt data (the library runs
+both on an integer GSO), short vectors by certified box enumeration, and
+Hilbert-Mumford values by direct evaluation over a jump grid, the
 scalar product of filtrations as a sum over a common compatible basis
 (the library computes it from ranks alone), and the minimum-norm point of
 a convex hull by scanning subsets (the library runs Wolfe's algorithm),
@@ -131,6 +133,100 @@ def fraction_ldl(G):
             s = Fraction(G[i][j]) - sum(L[i][k] * L[j][k] * d[k] for k in range(j))
             L[i][j] = s / dj
     return L, d
+
+
+def fraction_gram_lll(G):
+    """LLL with parameter 3/4 on the Gram matrix over Fraction entries:
+    (U^T G U, U).  The Gram-Schmidt data start from fraction_ldl(G) and
+    every size reduction and swap updates mu and |b*|^2 as rationals."""
+    n = len(G)
+    U = [[int(i == j) for j in range(n)] for i in range(n)]
+    if n == 0:
+        return [], U
+    mu, Bv = fraction_ldl(G)
+
+    def size_reduce(kk, ll):
+        if abs(mu[kk][ll]) > Fraction(1, 2):
+            q = (mu[kk][ll] + Fraction(1, 2)).__floor__()
+            for row in U:
+                row[kk] -= q * row[ll]
+            for t in range(ll):
+                mu[kk][t] -= q * mu[ll][t]
+            mu[kk][ll] -= q
+
+    kk = 1
+    while kk < n:
+        size_reduce(kk, kk - 1)
+        if Bv[kk] < (Fraction(3, 4) - mu[kk][kk - 1] ** 2) * Bv[kk - 1]:
+            for row in U:
+                row[kk], row[kk - 1] = row[kk - 1], row[kk]
+            mu_bar = mu[kk][kk - 1]
+            B_bar = Bv[kk] + mu_bar**2 * Bv[kk - 1]
+            mu[kk][kk - 1] = mu_bar * Bv[kk - 1] / B_bar
+            Bv[kk] = Bv[kk - 1] * Bv[kk] / B_bar
+            Bv[kk - 1] = B_bar
+            for j in range(kk - 1):
+                mu[kk - 1][j], mu[kk][j] = mu[kk][j], mu[kk - 1][j]
+            for i in range(kk + 1, n):
+                t = mu[i][kk]
+                mu[i][kk] = mu[i][kk - 1] - mu_bar * t
+                mu[i][kk - 1] = t + mu[kk][kk - 1] * mu[i][kk]
+            kk = max(kk - 1, 1)
+        else:
+            for ll in range(kk - 2, -1, -1):
+                size_reduce(kk, ll)
+            kk += 1
+    Gred = [
+        [sum(U[a][i] * Fraction(G[a][b]) * U[b][j] for a in range(n) for b in range(n)) for j in range(n)]
+        for i in range(n)
+    ]
+    return Gred, U
+
+
+def fraction_short_vectors_reduced(Gred, U, bound):
+    """Fincke-Pohst over Fraction entries: every nonzero U x, up to sign,
+    with x^T Gred x <= bound, from fraction_ldl(Gred), with rational
+    centers and ranges; sorted by (norm, vector)."""
+    n = len(Gred)
+    bound = Fraction(bound)
+    if n == 0 or bound < 0:
+        return []
+    L, d = fraction_ldl(Gred)
+    out = {}
+    v = [0] * n
+
+    def int_range(c, cap):
+        # integers z with (z + c)^2 <= cap
+        if cap < 0:
+            return range(0)
+        s = Fraction(isqrt(cap.numerator * cap.denominator) + 1, cap.denominator)
+        lo = (-c - s).__ceil__()
+        hi = (-c + s).__floor__()
+        while lo <= hi and (lo + c) ** 2 > cap:
+            lo += 1
+        while hi >= lo and (hi + c) ** 2 > cap:
+            hi -= 1
+        return range(lo, hi + 1)
+
+    def rec(i, remaining):
+        if i < 0:
+            if any(v):
+                w = tuple(sum(u * x for u, x in zip(row, v)) for row in U)
+                for x in w:
+                    if x != 0:
+                        if x < 0:
+                            w = tuple(-y for y in w)
+                        break
+                out.setdefault(w, bound - remaining)
+            return
+        c = sum(L[j][i] * v[j] for j in range(i + 1, n))
+        for z in int_range(c, remaining / d[i]):
+            v[i] = z
+            rec(i - 1, remaining - d[i] * (z + c) ** 2)
+        v[i] = 0
+
+    rec(n - 1, bound)
+    return sorted(out.items(), key=lambda kv: (kv[1], kv[0]))
 
 
 def isqrt_fraction_floor(q):

@@ -1,6 +1,11 @@
+import ast
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -253,31 +258,71 @@ def test_mu_max_tensor_frozen():
 def test_one_reduction_per_lattice(monkeypatch):
     # mu_max reduces and enumerates the lattice once (udeg and the rank-one
     # candidates share one radius) and each compound of rank 2..r-1 once;
-    # udeg_max reduces the lattice once
+    # udeg_max reduces the lattice once.  The enumeration runs on the GSO
+    # that gram_lll hands over, with no ldl of its own, and each minor of a
+    # symmetric compound is taken once per unordered pair of index sets.
     real, real_short = la.gram_lll, la.short_vectors_reduced
-    sizes, enumerated = [], []
+    real_compound, real_int_det = la.compound_matrix, la._int_det
+    real_ldl, real_ldl_scaled = la.ldl, la._ldl_scaled
+    sizes, enumerated, minors = [], [], []
+    inside = {"short": False, "compound": False}
+    ldl_in_short = []
 
     def counting(G, *args, **kwargs):
         sizes.append(len(G))
         return real(G, *args, **kwargs)
 
-    def counting_short(Gred, *args, **kwargs):
-        enumerated.append(len(Gred))
-        return real_short(Gred, *args, **kwargs)
+    def counting_short(basis, *args, **kwargs):
+        enumerated.append(len(basis))
+        inside["short"] = True
+        try:
+            return real_short(basis, *args, **kwargs)
+        finally:
+            inside["short"] = False
+
+    def counting_compound(M, k):
+        minors.append(0)
+        inside["compound"] = True
+        try:
+            C = real_compound(M, k)
+        finally:
+            inside["compound"] = False
+        minors[-1] = (len(C), minors[-1])
+        return C
+
+    def counting_int_det(W):
+        if inside["compound"]:
+            minors[-1] += 1
+        return real_int_det(W)
+
+    def watch(fn):
+        def watched(*args, **kwargs):
+            if inside["short"]:
+                ldl_in_short.append(fn.__name__)
+            return fn(*args, **kwargs)
+
+        return watched
 
     monkeypatch.setattr(la, "gram_lll", counting)
     monkeypatch.setattr(la, "short_vectors_reduced", counting_short)
+    monkeypatch.setattr(la, "compound_matrix", counting_compound)
+    monkeypatch.setattr(la, "_int_det", counting_int_det)
+    monkeypatch.setattr(la, "ldl", watch(real_ldl))
+    monkeypatch.setattr(la, "_ldl_scaled", watch(real_ldl_scaled))
     rng = random.Random(431)
     for r in range(1, 7):
         L = lat.Lattice.from_rows(random_spd_matrix(rng, r, 2))
         sizes.clear()
         enumerated.clear()
+        minors.clear()
         lat.mu_max(L)
         assert sizes == [r] + [comb(r, k) for k in range(2, r)]  # 1 + max(0, r-2) calls
         assert enumerated == sizes  # the lattice, then each compound, once
+        assert minors == [(n, n * (n + 1) // 2) for n in sizes[1:]]
         sizes.clear()
         lat.udeg_max(L)
         assert sizes == [r]
+    assert ldl_in_short == []
 
 
 # ---------------------------------------------------------------------------
@@ -452,3 +497,43 @@ def test_sublattice_and_morphism_json_roundtrip():
     assert lat.SubLattice.from_json(S.to_json()) == S
     phi = lat.Morphism.from_rows(L, lat.unit_lattice(2), [[1, 0], [Fraction(1, 2), 1]])
     assert lat.Morphism.from_json(phi.to_json()) == phi
+
+
+# ---------------------------------------------------------------------------
+# certificates are checks, not asserts
+
+
+def test_lattice_has_no_assert():
+    # python -O strips assert statements; every check here must be an error
+    tree = ast.parse(Path(lat.__file__).read_text())
+    assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)] == []
+
+
+BRACKET_FAULT_UNDER_O = """
+import sys
+from slopelab import lattice as lat
+from slopelab.exactnum import log_of
+assert sys.flags.optimize  # run under python -O: library asserts are stripped
+exact = lat._max_slope_candidates
+
+def shifted(*args):
+    val, winners = exact(*args)
+    return val + log_of(2), winners
+
+lat._max_slope_candidates = shifted
+try:
+    lat.mu_max(lat.unit_lattice(2))
+except lat.CertificateError as exc:
+    print("CertificateError:", exc)
+"""
+
+
+def test_minkowski_bracket_check_survives_python_O():
+    # mu_max(Z^2) = 0 moved up by log 2 leaves [0, log(2)/2]
+    src = str(Path(lat.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", BRACKET_FAULT_UNDER_O], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("CertificateError: mu_max outside its Minkowski bracket")

@@ -11,9 +11,11 @@ from oracles import (
     box_short_vectors,
     cofactor_det,
     fraction_det,
+    fraction_gram_lll,
     fraction_inverse,
     fraction_ldl,
     fraction_rref,
+    fraction_short_vectors_reduced,
     fraction_solve_square,
     mat_eq,
     random_spd_matrix,
@@ -327,7 +329,7 @@ def test_positive_definite_check():
     assert verdicts == {True, False}
 
 
-def _assert_lll_reduced(G, Gred, U):
+def _assert_lll_reduced(G, Gred, U, _gso):
     n = len(G)
     assert abs(la.det([[Fraction(x) for x in row] for row in U])) == 1
     assert mat_eq(Gred, la.mat_mul(la.transpose(U), la.mat_mul(G, U)))
@@ -367,8 +369,8 @@ def test_gram_lll_invariants():
         G = random_spd_matrix(rng, n, 3) if n < 6 else la.compound_matrix(
             random_spd_matrix(rng, 6, 3), 2
         )
-        Gred, _U = la.gram_lll(G)
-        again, U = la.gram_lll(Gred)
+        Gred, _U, _gso = la.gram_lll(G)
+        again, U, _gso = la.gram_lll(Gred)
         assert U == [[int(i == j) for j in range(n)] for i in range(n)]
         assert again == Gred
 
@@ -398,3 +400,54 @@ def test_primitive_vector():
     assert la.primitive_vector([-2, 4, -6]) == [1, -2, 3]
     assert la.primitive_vector([0, 0]) == [0, 0]
     assert la.primitive_vector([0, -5]) == [0, 1]
+
+
+def _lll_cases(rng):
+    """Seeded Gram matrices for the oracle cross-checks: integer, rational
+    with denominators > 1, compounds of dimension 6, 15 and 20, and
+    already-reduced input."""
+    cases = [random_spd_matrix(rng, n) for n in (1, 2, 3, 4, 5, 6) for _ in range(3)]
+    while len(cases) < 30:
+        n = rng.randrange(2, 7)
+        B = rand_matrix(rng, n, n, 5)
+        if la.det(B) != 0:
+            cases.append(la.mat_mul(la.transpose(B), B))
+    assert sum(any(x.denominator > 1 for row in G for x in row) for G in cases) >= 10
+    for k in (1, 2, 3):
+        cases.append(la.compound_matrix(random_spd_matrix(rng, 6, 3), k))
+    cases += [la.gram_lll(G)[0] for G in cases[-4:]]
+    return cases
+
+
+def test_integral_lll_matches_fraction_oracle():
+    # U, Gred and the Gram-Schmidt data of the integral LLL equal those of
+    # the rational sweep; the enumeration on (U, gso) equals the Fraction
+    # Fincke-Pohst on Gred for bound 0, a realized norm (the tight radius
+    # of mu_max), a bound with a denominator and a negative bound
+    rng = random.Random(433)
+    sizes, swapped, found = set(), 0, 0
+    for G in _lll_cases(rng):
+        n = len(G)
+        Gred, U, gso = la.gram_lll(G)
+        want_Gred, want_U = fraction_gram_lll(G)
+        assert U == want_U and Gred == want_Gred
+        L, d = fraction_ldl(Gred)
+        assert [[Fraction(gso.lam[i][j], gso.D[j + 1]) for j in range(i)] for i in range(n)] == [
+            L[i][:i] for i in range(n)
+        ]
+        assert [Fraction(gso.D[i + 1], gso.D[i] * gso.den) for i in range(n)] == d
+        assert len(gso.D) == n + 1 and gso.D[0] == 1
+        sizes.add(n)
+        swapped += U != [[int(i == j) for j in range(n)] for i in range(n)]
+        tight = min(Gred[i][i] for i in range(n))
+        bounds = [Fraction(0), tight, tight + Fraction(1, 3), Fraction(-1, 2)]
+        if n <= 6:
+            bounds.append(Fraction(rng.randrange(1, 60), rng.choice(DENOMINATORS)))
+        for bound in bounds:
+            got = la.short_vectors_reduced(U, gso, bound)
+            assert got == fraction_short_vectors_reduced(Gred, U, bound)
+            assert all(type(norm) is Fraction for _v, norm in got)
+            found += len(got)
+    assert {1, 6, 15, 20} <= sizes and swapped >= 20 and found >= 200
+    assert la.gram_lll([]) == ([], [], la.GSO([], [1], 1))
+    assert la.short_vectors_reduced([], la.GSO([], [1], 1), 5) == []
