@@ -17,7 +17,7 @@ from typing import List, Optional, Sequence
 from . import filtration as fil
 from . import gitstab as git
 from . import invariants as inv
-from .exactnum import LogValue, approximate, rat_from_str, rat_to_str
+from .exactnum import LogValue, decimal_str, rat_from_str, rat_to_str
 from .harness import (
     TrialConfig,
     TrialReport,
@@ -57,12 +57,7 @@ class CliError(Exception):
 
 
 def _log_json(v: LogValue) -> dict:
-    box = approximate(v, 30)
-    return {
-        "exact": str(v),
-        "terms": v.to_json(),
-        "decimal": "%.9f" % float((box.lo + box.hi) / 2),
-    }
+    return {"exact": str(v), "terms": v.to_json(), "decimal": decimal_str(v)}
 
 
 def _read_json(path: str):

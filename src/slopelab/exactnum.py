@@ -173,7 +173,8 @@ def log_interval(q: Fraction, bits: int) -> Interval:
     elif m >= 2:
         e += 1
         m /= 2
-    assert 1 <= m < 2
+    if not 1 <= m < 2:
+        raise ArithmeticError(f"argument reduction left {m} outside [1, 2)")
     sub = bits + 2 + max(1, abs(e)).bit_length()
     z = (m - 1) / (m + 1)  # in [0, 1/3]
     body = _atanh_interval(z, sub + 1).scaled(Fraction(2))
@@ -359,16 +360,16 @@ def sign(a: LogValue) -> Order:
 
 
 def decimal_str(a: LogValue, bits: int = 30, digits: int = 9) -> str:
-    """Decimal rendering of the midpoint of a width <= 2**-bits enclosure."""
+    """Decimal rendering of the midpoint of a width <= 2**-bits enclosure.
+
+    The exact midpoint is rounded half to even to ``digits`` places, and a
+    negative midpoint keeps its minus sign even when it rounds to zero.
+    These are the rules of fixed-point float formatting, so whenever the
+    midpoint is exactly a float the text is the same, without the float.
+    """
     mid = approximate(a, bits).midpoint
-    scaled = mid * 10**digits
-    n = scaled.numerator
-    d = scaled.denominator
-    q, r = divmod(abs(n), d)
-    if 2 * r >= d:
-        q += 1
-    sign_str = "-" if n < 0 and q > 0 else ""
-    whole, frac = divmod(q, 10**digits)
+    whole, frac = divmod(round(abs(mid) * 10**digits), 10**digits)
+    sign_str = "-" if mid < 0 else ""
     return f"{sign_str}{whole}.{str(frac).zfill(digits)}"
 
 
@@ -453,9 +454,6 @@ class AlgValue:
     @property
     def is_negative(self) -> bool:
         return self.sign < 0
-
-    def approx_float(self) -> float:
-        return self.sign * float(self.square) ** 0.5
 
     def to_json(self) -> Dict[str, str]:
         return {"sign": str(self.sign), "square": rat_to_str(self.square)}

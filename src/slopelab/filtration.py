@@ -15,7 +15,6 @@ vector is paired without being built (scalar_product_with_basis).
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
@@ -259,7 +258,8 @@ def adapted_basis(F: Filtration) -> List[Tuple[Tuple[Fraction, ...], Fraction]]:
         for row in _extend(acc, F.member_rows(i)):
             out.append((tuple(row), F.jumps[i]))
             acc.append(row)
-    assert len(acc) == F.dim
+    if len(acc) != F.dim:
+        raise RuntimeError(f"adapted basis has {len(acc)} vectors in dimension {F.dim}")
     return out
 
 
@@ -296,69 +296,7 @@ def tensor(parts: Sequence[Filtration]) -> Filtration:
 
 
 # ---------------------------------------------------------------------------
-# compatible bases for pairs, scalar product
-
-
-def common_compatible_basis(
-    F: Filtration, G: Filtration, rng: Optional[random.Random] = None
-) -> CompatibleBasis:
-    """Basis compatible with both flags at once.
-
-    Works cell by cell on the intersections T_ij = V_i meet W_j: by
-    modularity T_{i+1,j} + T_{i,j+1} sits inside T_ij with codimension
-    equal to the cell count, and any complement basis works, so choices
-    stay local.  Deterministic by default; an rng mixes each cell's
-    candidate rows (the result is still verified compatible).
-    """
-    if F.dim != G.dim:
-        raise ValueError("dimension mismatch")
-    n = F.dim
-    inter = {}
-    for i in range(F.depth + 1):
-        for j in range(G.depth + 1):
-            inter[(i, j)] = la.intersect_row_spaces(F.member_rows(i), G.member_rows(j))
-    chosen: List[List[Fraction]] = []
-    cells = sorted(
-        ((i, j) for i in range(F.depth) for j in range(G.depth)),
-        key=lambda ij: (-(ij[0] + ij[1]), -ij[0]),
-    )
-    for i, j in cells:
-        target = inter[(i, j)]
-        below = la.sum_row_spaces(inter[(i + 1, j)], inter[(i, j + 1)])
-        count = len(target) - len(below)
-        if count == 0:
-            continue
-        cands = [list(r) for r in target]
-        if rng is not None:
-            mixed = None
-            while mixed is None:
-                M = [
-                    [Fraction(rng.randrange(-2, 3)) for _ in range(len(cands))]
-                    for _ in range(len(cands))
-                ]
-                if la.det(M) != 0:
-                    mixed = la.mat_mul(M, cands)
-            cands = mixed
-        picked = _extend(below, cands)
-        assert len(picked) == count
-        chosen.extend(picked)
-    basis = CompatibleBasis(_freeze(chosen))
-    assert is_compatible(F, basis) and is_compatible(G, basis)
-    return basis
-
-
-def is_compatible(F: Filtration, basis: CompatibleBasis) -> bool:
-    if len(basis.vectors) != F.dim:
-        return False
-    for i in range(1, F.depth):
-        rows = F.flag[i - 1]
-        piv = _pivots(rows)
-        inside = sum(
-            1 for v in basis.vectors if la.row_space_contains(rows, piv, list(v))
-        )
-        if inside != F.member_dim(i):
-            return False
-    return True
+# scalar product
 
 
 def scalar_product(F: Filtration, G: Filtration) -> Fraction:
@@ -426,62 +364,3 @@ def norm_squared(F: Filtration) -> Fraction:
 
 def norm(F: Filtration) -> AlgValue:
     return AlgValue.sqrt_of(norm_squared(F))
-
-
-# ---------------------------------------------------------------------------
-# coordinates along a compatible basis
-
-
-def coordinates(F: Filtration, basis: CompatibleBasis) -> Tuple[Fraction, ...]:
-    if not is_compatible(F, basis):
-        raise ValueError("basis is not compatible with the filtration")
-    return tuple(lambda_of(F, v) for v in basis.vectors)
-
-
-def from_coordinates(basis: CompatibleBasis, values) -> Filtration:
-    return from_weighted_basis([list(v) for v in basis.vectors], values)
-
-
-# ---------------------------------------------------------------------------
-# assembly from subquotient filtrations
-
-
-def assemble_from_subquotients(F: Filtration, blocks: Sequence[Filtration]) -> Filtration:
-    """Filtration on the whole space induced by filtrations on the
-    successive subquotients V_j / V_{j+1} of F.
-
-    Block j must be expressed in the coordinates of the adapted basis
-    vectors of F at level j (see adapted_basis; vectors at jump value
-    F.jumps[j] project to a basis of the subquotient).  The expectation
-    and the pairing against F then satisfy exact weighted-average
-    identities, asserted here.
-    """
-    if len(blocks) != F.depth:
-        raise ValueError("need exactly one block per flag step")
-    mults = F.multiplicities()
-    by_level: List[List[Tuple[Fraction, ...]]] = [[] for _ in range(F.depth)]
-    for vec, w in adapted_basis(F):
-        by_level[F.jumps.index(w)].append(vec)
-    vecs, ws = [], []
-    for j, block in enumerate(blocks):
-        if block.dim != mults[j]:
-            raise ValueError("block dimension must match the subquotient rank")
-        level = by_level[j]
-        for u, w in adapted_basis(block):
-            lifted = [Fraction(0)] * F.dim
-            for t, coef in enumerate(u):
-                for c in range(F.dim):
-                    lifted[c] += coef * level[t][c]
-            vecs.append(lifted)
-            ws.append(w)
-    G = from_weighted_basis(vecs, ws)
-    expect = sum(
-        expectation(block) * m for block, m in zip(blocks, mults)
-    ) / F.dim
-    assert expectation(G) == expect
-    pair = sum(
-        lam * expectation(block) * m
-        for lam, block, m in zip(F.jumps, blocks, mults)
-    ) / F.dim
-    assert scalar_product(F, G) == pair
-    return G

@@ -43,6 +43,10 @@ from .exactnum import AlgValue, rat_from_str, rat_to_str
 from .filtration import CompatibleBasis, Filtration, FiltrationTuple
 
 
+ADAPT_ROUNDS = 40  # cap on re-adapting the bases to the minimizing flags
+BLOCK_ROUNDS = 6  # random block bases tried by reduced_is_semistable
+
+
 class SearchNotConverged(RuntimeError):
     """A certification check failed or the basis adaptation hit its round
     cap: the search stops instead of returning an uncertified answer."""
@@ -576,7 +580,6 @@ def kempf_minimize(
     x: TensorPoint,
     rng_seed: int = 0,
     challenges: int = 100,
-    max_rounds: int = 40,
 ) -> Optional[MinimizationResult]:
     """Search for the global minimizer of the functional.
 
@@ -604,7 +607,7 @@ def kempf_minimize(
     rounds = 0
     while best is not None:
         rounds += 1
-        if rounds > max_rounds:
+        if rounds > ADAPT_ROUNDS:
             raise SearchNotConverged("basis adaptation failed to stabilize")
         adapted = tuple(
             CompatibleBasis(tuple(v for v, _ in fil.adapted_basis(F)))
@@ -631,7 +634,7 @@ def kempf_minimize(
     return best
 
 
-def is_semistable(x: TensorPoint, rng_seed: int = 0, challenges: int = 100) -> Verdict:
+def is_semistable(x: TensorPoint, rng_seed: int = 0) -> Verdict:
     """Hilbert-Mumford decision for the tensor point.
 
     Unstable verdicts carry a certified negative minimizer.  Semistable
@@ -639,7 +642,7 @@ def is_semistable(x: TensorPoint, rng_seed: int = 0, challenges: int = 100) -> V
     which is exhaustive on shapes small enough for the brute-force cross
     check used in the test suite.
     """
-    result = kempf_minimize(x, rng_seed=rng_seed, challenges=challenges)
+    result = kempf_minimize(x, rng_seed=rng_seed)
     if result is None:
         return Verdict(True, None, "no destabilizer found (search over basis family)")
     return Verdict(False, result, "destabilizing filtration tuple found")
@@ -774,7 +777,7 @@ def _reduced_mu_weighted(R: ReducedInstance, blocks: Sequence[Sequence[_Weighted
     return total - R.N * lam
 
 
-def reduced_is_semistable(R: ReducedInstance, rng_seed: int = 0, rounds: int = 6) -> Verdict:
+def reduced_is_semistable(R: ReducedInstance, rng_seed: int = 0) -> Verdict:
     """Decision for the reduced point under the graded group.
 
     In coordinates adapted to the blocks the weight of a one-parameter
@@ -817,7 +820,7 @@ def reduced_is_semistable(R: ReducedInstance, rng_seed: int = 0, rounds: int = 6
     if all(all(rk == 1 for rk in per) for per in R.block_ranks):
         return Verdict(True, None, "complete: all blocks have rank one")
     rng = random.Random(rng_seed)
-    for _ in range(rounds):
+    for _ in range(BLOCK_ROUNDS):
         transformed = []
         changes = {
             (i, j): _draw(rng, R.block_ranks[i][j])[1:]

@@ -1,9 +1,15 @@
 """Randomized verification campaigns for slope identities and bounds.
 
 Each check draws reproducible random instances from a seeded generator,
-asserts the exact inequalities it names, and collects the results in a
-machine-readable report.  A failing trial carries its full inputs, so
-any counterexample replays in isolation from (check, seed, index).
+decides the exact inequalities it names, and collects the results in a
+machine-readable report.  Trials run one after another in index order,
+each from its own generator, so a report depends only on the check and
+its config, and any trial replays in isolation from (check, seed, index).
+A failing trial carries its full inputs.  A trial that stops on a search
+limit (SearchNotConverged) is reported inconclusive, and one whose exact
+certificate breaks (CertificateError) is reported as a fail; both keep
+the error text as the reason.  Decimal columns are exactnum.decimal_str
+renderings of the exact values.
 """
 
 from __future__ import annotations
@@ -12,18 +18,18 @@ import csv
 import io
 import itertools
 import math
-import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import linalg as la
-from .exactnum import LogValue, approximate, log_of
+from .exactnum import LogValue, approximate, decimal_str, log_of
 from .filtration import Filtration
 from .gitstab import SearchNotConverged, TensorPoint, is_semistable, reduced_is_semistable, rr_reduce
 from .lattice import (
+    EXACT_RANK_LIMIT,
+    CertificateError,
     Lattice,
     Morphism,
     SubLattice,
@@ -40,8 +46,6 @@ from .lattice import (
     tensor,
     udeg_max,
 )
-
-EXACT_RANK_LIMIT = 6
 
 
 @dataclass(frozen=True)
@@ -152,39 +156,20 @@ class TrialReport:
         return buf.getvalue()
 
 
-def _decimal(v: LogValue, bits: int = 30) -> str:
-    box = approximate(v, bits)
-    return "%.9f" % float((box.lo + box.hi) / 2)
-
-
 def _outcome(i, verdict, lhs, rhs, inputs, detail) -> TrialOutcome:
-    return TrialOutcome(i, verdict, str(lhs), str(rhs), _decimal(lhs), _decimal(rhs), inputs, detail)
+    return TrialOutcome(i, verdict, str(lhs), str(rhs), decimal_str(lhs), decimal_str(rhs), inputs, detail)
 
 
-def thread_cap() -> int:
-    raw = os.environ.get("SLOPE_LAB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _run_trials(trials: int, fn: Callable[[int], TrialOutcome]) -> Tuple[TrialOutcome, ...]:
-    cap = thread_cap()
-    if cap > 1:
-        with ThreadPoolExecutor(max_workers=cap) as pool:
-            return tuple(pool.map(fn, range(trials)))
-    return tuple(fn(i) for i in range(trials))
-
-
-def _guarded(fn: Callable[[int], TrialOutcome]) -> Callable[[int], TrialOutcome]:
-    def run(i: int) -> TrialOutcome:
+def _run_trials(trials: int, trial: Callable[[int], TrialOutcome]) -> Tuple[TrialOutcome, ...]:
+    outcomes = []
+    for i in range(trials):
         try:
-            return fn(i)
+            outcomes.append(trial(i))
         except SearchNotConverged as exc:
-            return TrialOutcome(i, "inconclusive", "", "", "", "", {}, {"reason": str(exc)})
-
-    return run
+            outcomes.append(TrialOutcome(i, "inconclusive", "", "", "", "", {}, {"reason": str(exc)}))
+        except CertificateError as exc:
+            outcomes.append(TrialOutcome(i, "fail", "", "", "", "", {}, {"reason": str(exc)}))
+    return tuple(outcomes)
 
 
 def _trial_rng(config: TrialConfig, index: int) -> random.Random:
@@ -249,13 +234,13 @@ def check_main_theorem(config: TrialConfig) -> TrialReport:
         }
         detail = {
             "lower": str(data["lower"]),
-            "lower_decimal": _decimal(data["lower"]),
+            "lower_decimal": decimal_str(data["lower"]),
             "line_twisted": str(twisted),
             "line_shifted": str(shifted),
         }
         return _outcome(i, "pass" if ok else "fail", data["lhs"], data["rhs"], inputs, detail)
 
-    outcomes = _run_trials(config.trials, _guarded(trial))
+    outcomes = _run_trials(config.trials, trial)
     return TrialReport("main_theorem", config.to_json(), outcomes)
 
 
@@ -276,12 +261,12 @@ def check_bost_kunnemann(config: TrialConfig) -> TrialReport:
         L = random_lattice(rank, config.entry_bound, rng)
         data = bk_bracket(L)
         ok = data["udeg"] <= data["mu_max"] <= data["upper"]
-        detail = {"udeg": str(data["udeg"]), "udeg_decimal": _decimal(data["udeg"])}
+        detail = {"udeg": str(data["udeg"]), "udeg_decimal": decimal_str(data["udeg"])}
         return _outcome(
             i, "pass" if ok else "fail", data["mu_max"], data["upper"], L.to_json(), detail
         )
 
-    outcomes = _run_trials(config.trials, _guarded(trial))
+    outcomes = _run_trials(config.trials, trial)
     return TrialReport("bost_kunnemann", config.to_json(), outcomes)
 
 
@@ -458,7 +443,7 @@ def check_bogomolov_campaign(config: TrialConfig) -> TrialReport:
         }
         return TrialOutcome(i, verdict, lhs, "0", lhs_dec, "0.000000000", L.to_json(), detail)
 
-    outcomes = _run_trials(config.trials, _guarded(trial))
+    outcomes = _run_trials(config.trials, trial)
     return TrialReport("bogomolov_campaign", config.to_json(), outcomes)
 
 
@@ -511,7 +496,7 @@ def check_slope_inequalities(config: TrialConfig) -> TrialReport:
                 return _outcome(i, "inconclusive", lhs, rhs, {"phi": _phi_json(phi)}, detail)
         return _outcome(i, "pass" if ok else "fail", lhs, rhs, {"phi": _phi_json(phi)}, detail)
 
-    outcomes = _run_trials(config.trials, _guarded(trial))
+    outcomes = _run_trials(config.trials, trial)
     return TrialReport("slope_inequalities", config.to_json(), outcomes)
 
 
@@ -688,5 +673,5 @@ def check_reduction_chain(config: TrialConfig) -> TrialReport:
             detail["note"] = "no candidate lines within the coverage radius"
         return _outcome(i, "pass" if ok else "fail", lhs, rhs, inputs, detail)
 
-    outcomes = _run_trials(config.trials, _guarded(trial))
+    outcomes = _run_trials(config.trials, trial)
     return TrialReport("reduction_chain", config.to_json(), outcomes)

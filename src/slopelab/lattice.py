@@ -29,6 +29,11 @@ from .exactnum import (
 )
 
 
+# Largest rank for which mu_max and hn_filtration search exactly; the
+# campaigns in harness read their limits from here.
+EXACT_RANK_LIMIT = 6
+
+
 class NotSaturatedError(ValueError):
     pass
 
@@ -464,7 +469,7 @@ def sub_det(S: SubLattice) -> Fraction:
     return la.det(la.mat_mul(la.transpose(B), la.mat_mul(Gint, B))) / den**S.rank
 
 
-def mu_max(L: Lattice, rank_limit: int = 6) -> Tuple[LogValue, SubLattice]:
+def mu_max(L: Lattice, rank_limit: int = EXACT_RANK_LIMIT) -> Tuple[LogValue, SubLattice]:
     """Exact maximal slope over saturated sublattices, with witness.
 
     Ties are broken toward the smallest rank, then the lexicographically
@@ -503,12 +508,12 @@ def mu_max(L: Lattice, rank_limit: int = 6) -> Tuple[LogValue, SubLattice]:
     return val, witness
 
 
-def mu_min(L: Lattice, rank_limit: int = 6) -> LogValue:
+def mu_min(L: Lattice, rank_limit: int = EXACT_RANK_LIMIT) -> LogValue:
     """Minimal successive quotient slope (the last HN slope)."""
     return hn_filtration(L, rank_limit).slopes[-1]
 
 
-def hn_filtration(L: Lattice, rank_limit: int = 6) -> HNResult:
+def hn_filtration(L: Lattice, rank_limit: int = EXACT_RANK_LIMIT) -> HNResult:
     """Canonical slope filtration.
 
     The first step is the saturation of the sum of all maximal-slope

@@ -184,33 +184,6 @@ def row_space_contains(R: Matrix, pivots: List[int], v: Sequence) -> bool:
     return all(x == 0 for x in w)
 
 
-def sum_row_spaces(A: Sequence[Sequence], B: Sequence[Sequence]) -> Matrix:
-    return rref(list(A) + list(B))[0]
-
-
-def intersect_row_spaces(A: Sequence[Sequence], B: Sequence[Sequence]) -> Matrix:
-    """Canonical basis of rowspace(A) /\\ rowspace(B).
-
-    A vector in the intersection is y·A = z·B; the pairs (y, z) form the
-    kernel of [A^T | -B^T].
-    """
-    A = rref(A)[0]
-    B = rref(B)[0]
-    if not A or not B:
-        return []
-    ncols = len(A[0])
-    stacked = [
-        [A[i][c] for i in range(len(A))] + [-B[j][c] for j in range(len(B))]
-        for c in range(ncols)
-    ]
-    combos = kernel(stacked, len(A) + len(B))
-    vecs = []
-    for combo in combos:
-        y = combo[: len(A)]
-        vecs.append([vec_dot(y, [A[i][c] for i in range(len(A))]) for c in range(ncols)])
-    return rref(vecs)[0] if vecs else []
-
-
 def kron(A: Sequence[Sequence], B: Sequence[Sequence]) -> Matrix:
     if not A or not B:
         return []

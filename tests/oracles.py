@@ -12,6 +12,13 @@ a convex hull by scanning subsets (the library runs Wolfe's algorithm),
 and the value of a tensor filtration at a point by a Fraction change of
 coordinates (the library changes coordinates over the integers).  They are
 slow and simple on purpose.
+
+The compatible-basis calculus of filtrations (row-space sums and
+intersections, common compatible bases, coordinates along them, assembly
+from subquotient filtrations) lives here too: the library pairs filtrations
+from ranks and never builds a common basis, so only the tests use it.  So
+does the decimal rendering through a float that the library's exact
+renderer must reproduce.
 """
 
 from fractions import Fraction
@@ -19,6 +26,7 @@ from itertools import combinations, product
 from math import isqrt
 
 from slopelab import filtration as fil
+from slopelab import linalg as la
 from slopelab.linalg import SingularMatrixError, solve_square
 
 
@@ -568,11 +576,148 @@ def witness_exists_all_perms(point_map, shape, b, m, D_max):
     return False
 
 
+def sum_row_spaces(A, B):
+    return la.rref(list(A) + list(B))[0]
+
+
+def intersect_row_spaces(A, B):
+    """Canonical basis of rowspace(A) /\\ rowspace(B).
+
+    A vector in the intersection is y·A = z·B; the pairs (y, z) form the
+    kernel of [A^T | -B^T].
+    """
+    A = la.rref(A)[0]
+    B = la.rref(B)[0]
+    if not A or not B:
+        return []
+    ncols = len(A[0])
+    stacked = [
+        [A[i][c] for i in range(len(A))] + [-B[j][c] for j in range(len(B))]
+        for c in range(ncols)
+    ]
+    combos = la.kernel(stacked, len(A) + len(B))
+    vecs = []
+    for combo in combos:
+        y = combo[: len(A)]
+        vecs.append([la.vec_dot(y, [A[i][c] for i in range(len(A))]) for c in range(ncols)])
+    return la.rref(vecs)[0] if vecs else []
+
+
+def common_compatible_basis(F, G, rng=None):
+    """Basis compatible with both flags at once.
+
+    Works cell by cell on the intersections T_ij = V_i meet W_j: by
+    modularity T_{i+1,j} + T_{i,j+1} sits inside T_ij with codimension
+    equal to the cell count, and any complement basis works, so choices
+    stay local.  Deterministic by default; an rng mixes each cell's
+    candidate rows (the result is still verified compatible).
+    """
+    if F.dim != G.dim:
+        raise ValueError("dimension mismatch")
+    inter = {}
+    for i in range(F.depth + 1):
+        for j in range(G.depth + 1):
+            inter[(i, j)] = intersect_row_spaces(F.member_rows(i), G.member_rows(j))
+    chosen = []
+    cells = sorted(
+        ((i, j) for i in range(F.depth) for j in range(G.depth)),
+        key=lambda ij: (-(ij[0] + ij[1]), -ij[0]),
+    )
+    for i, j in cells:
+        target = inter[(i, j)]
+        below = sum_row_spaces(inter[(i + 1, j)], inter[(i, j + 1)])
+        count = len(target) - len(below)
+        if count == 0:
+            continue
+        cands = [list(r) for r in target]
+        if rng is not None:
+            mixed = None
+            while mixed is None:
+                M = [
+                    [Fraction(rng.randrange(-2, 3)) for _ in range(len(cands))]
+                    for _ in range(len(cands))
+                ]
+                if la.det(M) != 0:
+                    mixed = la.mat_mul(M, cands)
+            cands = mixed
+        picked = fil._extend(below, cands)
+        assert len(picked) == count
+        chosen.extend(picked)
+    basis = fil.CompatibleBasis(fil._freeze(chosen))
+    assert is_compatible(F, basis) and is_compatible(G, basis)
+    return basis
+
+
+def is_compatible(F, basis):
+    if len(basis.vectors) != F.dim:
+        return False
+    for i in range(1, F.depth):
+        rows = F.flag[i - 1]
+        piv = fil._pivots(rows)
+        inside = sum(
+            1 for v in basis.vectors if la.row_space_contains(rows, piv, list(v))
+        )
+        if inside != F.member_dim(i):
+            return False
+    return True
+
+
+def coordinates(F, basis):
+    if not is_compatible(F, basis):
+        raise ValueError("basis is not compatible with the filtration")
+    return tuple(fil.lambda_of(F, v) for v in basis.vectors)
+
+
+def from_coordinates(basis, values):
+    return fil.from_weighted_basis([list(v) for v in basis.vectors], values)
+
+
+def assemble_from_subquotients(F, blocks):
+    """Filtration on the whole space induced by filtrations on the
+    successive subquotients V_j / V_{j+1} of F.
+
+    Block j must be expressed in the coordinates of the adapted basis
+    vectors of F at level j (see fil.adapted_basis; vectors at jump value
+    F.jumps[j] project to a basis of the subquotient).  The expectation
+    and the pairing against F then satisfy exact weighted-average
+    identities, asserted here.
+    """
+    if len(blocks) != F.depth:
+        raise ValueError("need exactly one block per flag step")
+    mults = F.multiplicities()
+    by_level = [[] for _ in range(F.depth)]
+    for vec, w in fil.adapted_basis(F):
+        by_level[F.jumps.index(w)].append(vec)
+    vecs, ws = [], []
+    for j, block in enumerate(blocks):
+        if block.dim != mults[j]:
+            raise ValueError("block dimension must match the subquotient rank")
+        level = by_level[j]
+        for u, w in fil.adapted_basis(block):
+            lifted = [Fraction(0)] * F.dim
+            for t, coef in enumerate(u):
+                for c in range(F.dim):
+                    lifted[c] += coef * level[t][c]
+            vecs.append(lifted)
+            ws.append(w)
+    G = fil.from_weighted_basis(vecs, ws)
+    expect = sum(
+        fil.expectation(block) * m for block, m in zip(blocks, mults)
+    ) / F.dim
+    assert fil.expectation(G) == expect
+    pair = sum(
+        lam * fil.expectation(block) * m
+        for lam, block, m in zip(F.jumps, blocks, mults)
+    ) / F.dim
+    assert fil.scalar_product(F, G) == pair
+    return G
+
+
 def scalar_product_by_basis(F, G):
     """(1/r) sum of lambda_F(e) lambda_G(e) over the vectors e of a common
     compatible basis built cell by cell, with each value found by flag
     membership: the pairing by its definition."""
-    basis = fil.common_compatible_basis(F, G)
+    basis = common_compatible_basis(F, G)
     total = sum(
         (fil.lambda_of(F, v) * fil.lambda_of(G, v) for v in basis.vectors), Fraction(0)
     )
@@ -624,9 +769,9 @@ def minimizers_proportional(a, b):
     for F, G in zip(a.minimizer.components, b.minimizer.components):
         if F.dim != G.dim:
             return False
-        basis = fil.common_compatible_basis(F, G)
-        xs = fil.coordinates(F, basis)
-        ys = fil.coordinates(G, basis)
+        basis = common_compatible_basis(F, G)
+        xs = coordinates(F, basis)
+        ys = coordinates(G, basis)
         for p, q in zip(xs, ys):
             if p == 0 and q == 0:
                 continue
@@ -670,3 +815,11 @@ def fraction_lambda_in_bases(shape, coords, bases, weights):
         sum((Fraction(w[j]) for w, j in zip(weights, idx)), Fraction(0))
         for idx, v in vec.items() if v
     )
+
+
+
+def float_decimal(box):
+    """Decimal rendering of a LogValue from its enclosure, as the campaigns
+    and the command line once made it: the midpoint converted to a float
+    and formatted to nine places."""
+    return "%.9f" % float((box.lo + box.hi) / 2)

