@@ -1,3 +1,4 @@
+import ast
 import itertools
 import os
 import random
@@ -716,3 +717,9 @@ def test_sampled_reduced_mu_check_survives_python_O():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("SearchNotConverged: the reduced point failed a sampled block filtration")
+
+
+def test_gitstab_has_no_assert():
+    # python -O strips assert statements; every check here must be an error
+    tree = ast.parse(Path(gs.__file__).read_text())
+    assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)] == []

@@ -1,3 +1,4 @@
+import ast
 import os
 import random
 import subprocess
@@ -500,6 +501,12 @@ def test_sublattice_and_morphism_json_roundtrip():
 
 # ---------------------------------------------------------------------------
 # certificates are checks, not asserts
+
+
+def test_lattice_has_no_assert():
+    # python -O strips assert statements; every check here must be an error
+    tree = ast.parse(Path(lat.__file__).read_text())
+    assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)] == []
 
 
 BRACKET_FAULT_UNDER_O = """
