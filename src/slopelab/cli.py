@@ -28,7 +28,7 @@ from .harness import (
     check_slope_inequalities,
 )
 from .lattice import (
-    HNResult,
+    ExactSearchUnavailable,
     Lattice,
     degree,
     direct_sum,
@@ -150,7 +150,10 @@ def _lat(args) -> int:
     elif verb == "ext":
         _emit(exterior_power(L, args.power).to_json(), args.out)
     elif verb == "hn":
-        hn = hn_filtration(L)
+        try:
+            hn = hn_filtration(L)
+        except ExactSearchUnavailable as exc:
+            raise CliError(2, str(exc))
         _emit(
             {
                 "semistable": hn.is_semistable,
@@ -160,7 +163,12 @@ def _lat(args) -> int:
             args.out,
         )
     elif verb == "mumax":
-        value, witness = mu_max(L)
+        try:
+            value, witness = mu_max(L)
+        except ExactSearchUnavailable as exc:
+            lo, hi = exc.best_found, exc.upper_bound
+            raise CliError(2, "%s; certified bracket: %s <= mu_max <= %s (%s to %s)"
+                           % (exc, lo, hi, decimal_str(lo), decimal_str(hi)))
         _emit({"mu_max": _log_json(value), "witness": witness.basis_rows}, args.out)
     else:
         value, vec = udeg_max(L)

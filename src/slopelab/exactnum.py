@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, Mapping, Tuple
 
-Rational = Fraction
-
 
 def rat_from_str(text: str) -> Fraction:
     """Parse "p/q" or "p" into a Fraction (raises ValueError on junk)."""
@@ -90,9 +88,6 @@ class Interval:
     @property
     def midpoint(self) -> Fraction:
         return (self.lo + self.hi) / 2
-
-    def contains(self, x: Fraction) -> bool:
-        return self.lo <= x <= self.hi
 
     def __add__(self, other: "Interval") -> "Interval":
         return Interval(self.lo + other.lo, self.hi + other.hi)
@@ -242,12 +237,6 @@ class LogValue:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coefficient(self, p: int) -> Fraction:
-        for q, c in self.terms:
-            if q == p:
-                return c
-        return Fraction(0)
-
     def __add__(self, other: "LogValue") -> "LogValue":
         acc = dict(self.terms)
         for p, c in other.terms:
@@ -353,10 +342,6 @@ def compare(a: LogValue, b: LogValue) -> Order:
         bits *= 2
         if bits > 1 << 20:  # nonzero values separate long before this
             raise RuntimeError(f"comparison failed to separate {a} vs {b}")
-
-
-def sign(a: LogValue) -> Order:
-    return compare(a, LogValue.zero())
 
 
 def decimal_str(a: LogValue, bits: int = 30, digits: int = 9) -> str:

@@ -87,10 +87,6 @@ class TensorPoint:
     def coord_map(self) -> Dict[Tuple[int, ...], Fraction]:
         return dict(self.coords)
 
-    @property
-    def n_components(self) -> int:
-        return len(self.shape)
-
     def to_json(self) -> dict:
         return {
             "shape": list(self.shape),

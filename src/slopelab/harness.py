@@ -30,6 +30,7 @@ from .gitstab import SearchNotConverged, TensorPoint, is_semistable, reduced_is_
 from .lattice import (
     EXACT_RANK_LIMIT,
     CertificateError,
+    HNResult,
     Lattice,
     Morphism,
     SubLattice,
@@ -42,7 +43,7 @@ from .lattice import (
     saturate,
     short_vectors,
     slope,
-    sub_bundle,
+    sub_degree,
     tensor,
     udeg_max,
 )
@@ -193,8 +194,9 @@ def random_lattice(rank: int, entry_bound: int, rng: random.Random) -> Lattice:
 # tensor slope bounds
 
 
-def tensor_slope_data(factors: Sequence[Lattice]) -> Dict[str, LogValue]:
-    """Maximal slope of the tensor product with its two-sided bounds."""
+def tensor_slope_data(factors: Sequence[Lattice]) -> Dict[str, object]:
+    """Maximal slope of the tensor product with its two-sided bounds, and
+    under "factors" the maximal slope of each factor."""
     T = factors[0]
     for L in factors[1:]:
         T = tensor(T, L)
@@ -207,7 +209,7 @@ def tensor_slope_data(factors: Sequence[Lattice]) -> Dict[str, LogValue]:
     for L, m in zip(factors, per):
         lower = lower + m
         rhs = rhs + m + log_of(Fraction(L.rank))
-    return {"lhs": lhs, "rhs": rhs, "lower": lower}
+    return {"lhs": lhs, "rhs": rhs, "lower": lower, "factors": per}
 
 
 def check_main_theorem(config: TrialConfig) -> TrialReport:
@@ -226,7 +228,7 @@ def check_main_theorem(config: TrialConfig) -> TrialReport:
         line = random_lattice(1, config.entry_bound, rng)
         data = tensor_slope_data(factors)
         twisted = mu_max(tensor(factors[0], line))[0]
-        shifted = mu_max(factors[0])[0] + degree(line)
+        shifted = data["factors"][0] + degree(line)
         ok = data["lhs"] <= data["rhs"] and data["lower"] <= data["lhs"] and twisted == shifted
         inputs = {
             "factors": [L.to_json() for L in factors],
@@ -309,7 +311,7 @@ def flag_line_degree(L: Lattice, members: Sequence[SubLattice], a: Sequence[int]
     for j in range(1, d):
         S = members[j - 1]
         gap = Fraction((a[j] - a[j - 1]) * S.rank)
-        total = total + (slope(sub_bundle(S)) - mu).scaled(gap)
+        total = total + (sub_degree(S) / S.rank - mu).scaled(gap)
     return total
 
 
@@ -355,8 +357,12 @@ def check_bogomolov(L: Lattice, flag_budget: int = 10, seed: int = 0) -> TrialRe
     """
     if L.rank > EXACT_RANK_LIMIT:
         raise ValueError("rank exceeds the exact search limit")
+    return _bogomolov(L, hn_filtration(L), flag_budget, seed)
+
+
+def _bogomolov(L: Lattice, hn: HNResult, flag_budget: int, seed: int) -> TrialReport:
+    """check_bogomolov on the HN filtration hn of L."""
     rng = random.Random("bogomolov:%d" % seed)
-    hn = hn_filtration(L)
     params = {"seed": seed, "flag_budget": flag_budget, "rank": L.rank}
     outcomes: List[TrialOutcome] = []
     zero = LogValue.zero()
@@ -432,12 +438,13 @@ def check_bogomolov_campaign(config: TrialConfig) -> TrialReport:
         rng = _trial_rng(config, i)
         rank = rng.choice(config.ranks)
         L = random_lattice(rank, config.entry_bound, rng)
-        rep = check_bogomolov(L, flag_budget=8, seed=rng.getrandbits(32))
+        hn = hn_filtration(L)
+        rep = _bogomolov(L, hn, 8, rng.getrandbits(32))
         verdict = "pass" if rep.ok else "fail"
         lhs = rep.outcomes[0].lhs if rep.outcomes else "0"
         lhs_dec = rep.outcomes[0].lhs_decimal if rep.outcomes else "0.000000000"
         detail = {
-            "semistable": hn_filtration(L).is_semistable,
+            "semistable": hn.is_semistable,
             "evaluations": len(rep.outcomes),
             "counts": rep.counts,
         }

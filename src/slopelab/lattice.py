@@ -134,8 +134,8 @@ class SubLattice:
         return SubLattice(ambient, tuple(tuple(int(x) for x in row) for row in rows))
 
     def canonical(self) -> "SubLattice":
-        H = la.hnf_columns(self.basis_rows)
-        return SubLattice(self.ambient, tuple(tuple(row) for row in H))
+        H = la.hnf_rows(la.transpose(self.basis_rows))[0]
+        return SubLattice(self.ambient, tuple(zip(*H)))
 
     def to_json(self) -> dict:
         payload = self.ambient.to_json()
@@ -185,10 +185,6 @@ class Morphism:
     @property
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.matrix for x in row)
-
-    @property
-    def is_injective(self) -> bool:
-        return la.rank(self.matrix_rows) == self.source.rank
 
     def to_json(self) -> dict:
         return {
@@ -269,61 +265,56 @@ def exterior_power(L: Lattice, k: int) -> Lattice:
 
 
 def saturate(S: SubLattice) -> SubLattice:
-    """Saturation: ambient intersect the Q-span, with canonical HNF basis."""
-    Uinv, d = la.int_diagonalize(S.basis_rows)
+    """Saturation: ambient intersect the Q-span, with canonical HNF basis.
+
+    With B = Uinv [H; 0] from la.hnf_rows, the first k columns of Uinv
+    span it."""
+    H, Uinv = la.hnf_rows(S.basis_rows)
     k = S.rank
-    if len(d) != k:
+    if len(H) != k:
         raise CertificateError("sublattice basis columns are not independent")
-    cols = [[Uinv[i][j] for i in range(S.ambient.rank)] for j in range(k)]
-    return SubLattice.from_columns(S.ambient, cols).canonical()
+    return SubLattice(S.ambient, tuple(tuple(row[:k]) for row in Uinv)).canonical()
+
+
+def _saturated_transform(S: SubLattice) -> Optional[List[List[int]]]:
+    """Uinv of la.hnf_rows(B) for the basis B of S when S is saturated,
+    i.e. when H is the identity, so that B is the first k columns of the
+    unimodular Uinv; None otherwise."""
+    H, Uinv = la.hnf_rows(S.basis_rows)
+    k = S.rank
+    return Uinv if H == [[int(i == j) for j in range(k)] for i in range(k)] else None
 
 
 def is_saturated(S: SubLattice) -> bool:
-    _, d = la.int_diagonalize(S.basis_rows)
-    return all(x == 1 for x in d)
-
-
-def sub_bundle(S: SubLattice) -> Lattice:
-    B = S.basis_rows
-    G = S.ambient.gram_rows
-    return Lattice.from_rows(la.mat_mul(la.transpose(B), la.mat_mul(G, B)))
+    return _saturated_transform(S) is not None
 
 
 def basis_completion(S: SubLattice) -> List[List[int]]:
     """Integer columns C with [basis | C] unimodular; needs S saturated."""
-    Uinv, d = la.int_diagonalize(S.basis_rows)
-    if not all(x == 1 for x in d):
+    Uinv = _saturated_transform(S)
+    if Uinv is None:
         raise NotSaturatedError("only saturated sublattices admit a completion")
-    r, k = S.ambient.rank, S.rank
-    return [[Uinv[i][j] for j in range(k, r)] for i in range(r)]
+    return [row[S.rank :] for row in Uinv]
 
 
 def quotient_bundle(S: SubLattice) -> Lattice:
     """Quotient metric on ambient/S (orthogonal projection away from S).
 
-    In a basis [B | C] of the ambient lattice the Gram splits into
-    blocks [[A, X], [X^T, D]]; the quotient Gram is the Schur complement
-    D - X^T A^-1 X, which makes degrees exactly additive in short exact
-    sequences.
+    The transform Uinv = [B | C] of la.hnf_rows is a basis of the ambient
+    lattice that extends the basis B of S.  In it the Gram matrix splits
+    into blocks [[A, X], [X^T, D]], and the quotient Gram is the Schur
+    complement D - X^T A^-1 X, the inverse of the trailing block of the
+    inverse Gram.  It makes degrees exactly additive in short exact
+    sequences.  Raises NotSaturatedError unless S is saturated.
     """
-    if not is_saturated(S):
+    Uinv = _saturated_transform(S)
+    if Uinv is None:
         raise NotSaturatedError("quotient by a non-saturated sublattice")
-    r, k = S.ambient.rank, S.rank
-    if k == r:
+    k = S.rank
+    if k == S.ambient.rank:
         return Lattice(0, ())
-    C = basis_completion(S)
-    full = [
-        [Fraction(S.basis[i][j]) for j in range(k)] + [Fraction(C[i][j]) for j in range(r - k)]
-        for i in range(r)
-    ]
-    Gf = la.mat_mul(la.transpose(full), la.mat_mul(S.ambient.gram_rows, full))
-    A = [row[:k] for row in Gf[:k]]
-    X = [row[k:] for row in Gf[:k]]
-    D = [row[k:] for row in Gf[k:]]
-    Ainv = la.inverse(A)
-    schur = la.mat_mul(la.transpose(X), la.mat_mul(Ainv, X))
-    quot = [[D[i][j] - schur[i][j] for j in range(r - k)] for i in range(r - k)]
-    return Lattice.from_rows(quot)
+    inv = la.inverse(la.mat_mul(la.transpose(Uinv), la.mat_mul(S.ambient.gram_rows, Uinv)))
+    return Lattice.from_rows(la.inverse([row[k:] for row in inv[k:]]))
 
 
 # ---------------------------------------------------------------------------
@@ -469,6 +460,11 @@ def sub_det(S: SubLattice) -> Fraction:
     return la.det(la.mat_mul(la.transpose(B), la.mat_mul(Gint, B))) / den**S.rank
 
 
+def sub_degree(S: SubLattice) -> LogValue:
+    """Degree of S with the metric induced from its ambient lattice."""
+    return log_of(sub_det(S), Fraction(-1, 2))
+
+
 def mu_max(L: Lattice, rank_limit: int = EXACT_RANK_LIMIT) -> Tuple[LogValue, SubLattice]:
     """Exact maximal slope over saturated sublattices, with witness.
 
@@ -560,7 +556,7 @@ def hn_filtration(L: Lattice, rank_limit: int = EXACT_RANK_LIMIT) -> HNResult:
     prev_deg = LogValue.zero()
     prev_rank = 0
     for S in chain:
-        deg = degree(sub_bundle(S))
+        deg = sub_degree(S)
         step = (deg - prev_deg) / (S.rank - prev_rank)
         slopes.append(step)
         prev_deg, prev_rank = deg, S.rank

@@ -302,15 +302,30 @@ def primitive_vector(v: Sequence[int]) -> List[int]:
     return w
 
 
-def hnf_rows(A: Sequence[Sequence[int]]) -> List[List[int]]:
-    """Canonical row-style Hermite form: echelon, positive pivots,
-    entries above each pivot reduced into [0, pivot).  Zero rows dropped."""
+def hnf_rows(A: Sequence[Sequence[int]]) -> Tuple[List[List[int]], List[List[int]]]:
+    """Canonical row-style Hermite form with the inverse of its transform.
+
+    Returns (H, Uinv): H is echelon with positive pivots and the entries
+    above each pivot reduced into [0, pivot), zero rows dropped, and Uinv
+    is unimodular with A = Uinv [H; 0].  Each row operation on A is mirrored
+    by the inverse column operation on Uinv (H. Cohen, A Course in
+    Computational Algebraic Number Theory, 2.4).  For A of full column rank
+    k the first k columns of Uinv are a basis of the saturation of the
+    column span of A, and the remaining ones complete it to a basis of
+    Z^rows; the span is saturated iff H is the identity."""
     W = [row[:] for row in int_rows(A)]
+    rows = len(W)
+    Uinv = [[int(i == j) for j in range(rows)] for i in range(rows)]
     if not W:
-        return []
-    rows, cols = len(W), len(W[0])
+        return [], Uinv
+
+    def row_sub(r, t, q):  # W: row_r -= q row_t ; Uinv: col_t += q col_r
+        W[r] = [a - q * b for a, b in zip(W[r], W[t])]
+        for row in Uinv:
+            row[t] += q * row[r]
+
     t = 0
-    for c in range(cols):
+    for c in range(len(W[0])):
         # gcd-eliminate below position t in column c
         while True:
             nz = [r for r in range(t, rows) if W[r][c] != 0]
@@ -318,13 +333,16 @@ def hnf_rows(A: Sequence[Sequence[int]]) -> List[List[int]]:
                 break
             r0 = min(nz, key=lambda r: abs(W[r][c]))
             W[t], W[r0] = W[r0], W[t]
+            for row in Uinv:
+                row[t], row[r0] = row[r0], row[t]
             if W[t][c] < 0:
                 W[t] = [-x for x in W[t]]
+                for row in Uinv:
+                    row[t] = -row[t]
             done = True
             for r in range(t + 1, rows):
                 if W[r][c] != 0:
-                    q = W[r][c] // W[t][c]
-                    W[r] = [a - q * b for a, b in zip(W[r], W[t])]
+                    row_sub(r, t, W[r][c] // W[t][c])
                     if W[r][c] != 0:
                         done = False
             if done:
@@ -333,89 +351,11 @@ def hnf_rows(A: Sequence[Sequence[int]]) -> List[List[int]]:
             for r in range(t):
                 q = W[r][c] // W[t][c]
                 if q:
-                    W[r] = [a - q * b for a, b in zip(W[r], W[t])]
+                    row_sub(r, t, q)
             t += 1
             if t == rows:
                 break
-    return [row for row in W[:t] if any(row)]
-
-
-def hnf_columns(B: Sequence[Sequence[int]]) -> List[List[int]]:
-    return transpose(hnf_rows(transpose(int_rows(B)))) if B else []
-
-
-def int_diagonalize(B: Sequence[Sequence[int]]) -> Tuple[List[List[int]], List[int]]:
-    """Diagonalize an integer matrix by unimodular ops on both sides.
-
-    Returns (Uinv, d) with B * V = Uinv * D for some unimodular V, where
-    D is diagonal with entries d (nonzero entries first).  Columns of
-    Uinv are a Z-basis of Z^r adapted to the column span of B: the first
-    ``#nonzero(d)`` columns span the saturation of the span, and the
-    remaining ones complete it to a basis of the ambient lattice.
-    """
-    W = [row[:] for row in int_rows(B)]
-    r = len(W)
-    k = len(W[0]) if W else 0
-    Uinv = [[int(i == j) for j in range(r)] for i in range(r)]
-
-    def row_swap(i, j):
-        W[i], W[j] = W[j], W[i]
-        for row in Uinv:
-            row[i], row[j] = row[j], row[i]
-
-    def row_sub(i, j, q):  # W: row_i -= q*row_j ; Uinv: col_j += q*col_i
-        W[i] = [a - q * b for a, b in zip(W[i], W[j])]
-        for row in Uinv:
-            row[j] += q * row[i]
-
-    def row_neg(i):
-        W[i] = [-x for x in W[i]]
-        for row in Uinv:
-            row[i] = -row[i]
-
-    def col_swap(i, j):
-        for row in W:
-            row[i], row[j] = row[j], row[i]
-
-    def col_sub(i, j, q):  # col_i -= q*col_j
-        for row in W:
-            row[i] -= q * row[j]
-
-    t = 0
-    while t < min(r, k):
-        # locate a nonzero pivot in the remaining block
-        pos = None
-        for i in range(t, r):
-            for j in range(t, k):
-                if W[i][j] != 0:
-                    if pos is None or abs(W[i][j]) < abs(W[pos[0]][pos[1]]):
-                        pos = (i, j)
-        if pos is None:
-            break
-        if pos[0] != t:
-            row_swap(t, pos[0])
-        if pos[1] != t:
-            col_swap(t, pos[1])
-        if W[t][t] < 0:
-            row_neg(t)
-        dirty = False
-        for i in range(t + 1, r):
-            if W[i][t] != 0:
-                q = W[i][t] // W[t][t]
-                row_sub(i, t, q)
-                if W[i][t] != 0:
-                    dirty = True
-        for j in range(t + 1, k):
-            if W[t][j] != 0:
-                q = W[t][j] // W[t][t]
-                col_sub(j, t, q)
-                if W[t][j] != 0:
-                    dirty = True
-        if dirty:
-            continue
-        t += 1
-    d = [W[i][i] if i < k else 0 for i in range(min(r, k))]
-    return Uinv, [x for x in d if x != 0]
+    return W[:t], Uinv
 
 
 # ---------------------------------------------------------------------------

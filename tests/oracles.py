@@ -19,6 +19,12 @@ from subquotient filtrations) lives here too: the library pairs filtrations
 from ranks and never builds a common basis, so only the tests use it.  So
 does the decimal rendering through a float that the library's exact
 renderer must reproduce.
+
+Sublattices have references of their own: saturation and the saturation
+test by diagonalizing the basis with row and column pivoting (the library
+reads both off one Hermite form with its transform), and the induced
+metric of a sublattice as a Lattice whose Gram matrix is multiplied out in
+Fractions (the library takes its determinant on integers).
 """
 
 from fractions import Fraction
@@ -27,6 +33,7 @@ from math import isqrt
 
 from slopelab import filtration as fil
 from slopelab import linalg as la
+from slopelab.lattice import Lattice, SubLattice
 from slopelab.linalg import SingularMatrixError, solve_square
 
 
@@ -329,6 +336,100 @@ def random_unimodular(rng, n, steps=12):
         for r in range(n):
             U[r][0], U[r][1] = U[r][1], U[r][0]
     return U
+
+
+def int_diagonalize(B):
+    """Diagonalize an integer matrix by unimodular ops on both sides.
+
+    Returns (Uinv, d) with B * V = Uinv * D for some unimodular V, where
+    D is diagonal with entries d (nonzero entries first).  Columns of
+    Uinv are a Z-basis of Z^r adapted to the column span of B: the first
+    ``#nonzero(d)`` columns span the saturation of the span, and the
+    remaining ones complete it to a basis of the ambient lattice.
+    """
+    W = [row[:] for row in la.int_rows(B)]
+    r = len(W)
+    k = len(W[0]) if W else 0
+    Uinv = [[int(i == j) for j in range(r)] for i in range(r)]
+
+    def row_swap(i, j):
+        W[i], W[j] = W[j], W[i]
+        for row in Uinv:
+            row[i], row[j] = row[j], row[i]
+
+    def row_sub(i, j, q):  # W: row_i -= q*row_j ; Uinv: col_j += q*col_i
+        W[i] = [a - q * b for a, b in zip(W[i], W[j])]
+        for row in Uinv:
+            row[j] += q * row[i]
+
+    def row_neg(i):
+        W[i] = [-x for x in W[i]]
+        for row in Uinv:
+            row[i] = -row[i]
+
+    def col_swap(i, j):
+        for row in W:
+            row[i], row[j] = row[j], row[i]
+
+    def col_sub(i, j, q):  # col_i -= q*col_j
+        for row in W:
+            row[i] -= q * row[j]
+
+    t = 0
+    while t < min(r, k):
+        # locate a nonzero pivot in the remaining block
+        pos = None
+        for i in range(t, r):
+            for j in range(t, k):
+                if W[i][j] != 0:
+                    if pos is None or abs(W[i][j]) < abs(W[pos[0]][pos[1]]):
+                        pos = (i, j)
+        if pos is None:
+            break
+        if pos[0] != t:
+            row_swap(t, pos[0])
+        if pos[1] != t:
+            col_swap(t, pos[1])
+        if W[t][t] < 0:
+            row_neg(t)
+        dirty = False
+        for i in range(t + 1, r):
+            if W[i][t] != 0:
+                q = W[i][t] // W[t][t]
+                row_sub(i, t, q)
+                if W[i][t] != 0:
+                    dirty = True
+        for j in range(t + 1, k):
+            if W[t][j] != 0:
+                q = W[t][j] // W[t][t]
+                col_sub(j, t, q)
+                if W[t][j] != 0:
+                    dirty = True
+        if dirty:
+            continue
+        t += 1
+    d = [W[i][i] if i < k else 0 for i in range(min(r, k))]
+    return Uinv, [x for x in d if x != 0]
+
+
+def diagonal_saturate(S):
+    """Saturation of S from the first columns of int_diagonalize's Uinv,
+    with canonical HNF basis."""
+    Uinv, d = int_diagonalize(S.basis_rows)
+    cols = [[Uinv[i][j] for i in range(S.ambient.rank)] for j in range(len(d))]
+    return SubLattice.from_columns(S.ambient, cols).canonical()
+
+
+def diagonal_is_saturated(S):
+    return all(x == 1 for x in int_diagonalize(S.basis_rows)[1])
+
+
+def sub_bundle(S):
+    """S with the metric induced from its ambient lattice: the Gram matrix
+    B^T G B of its basis B, multiplied out in Fractions."""
+    B = S.basis_rows
+    G = S.ambient.gram_rows
+    return Lattice.from_rows(la.mat_mul(la.transpose(B), la.mat_mul(G, B)))
 
 
 def wedge_square_gram(G):

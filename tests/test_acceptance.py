@@ -12,7 +12,7 @@ import random
 import time
 from fractions import Fraction as F
 
-from oracles import grid_min_lambda, minimizers_proportional, random_unimodular
+from oracles import grid_min_lambda, minimizers_proportional, random_unimodular, sub_bundle
 
 from slopelab import filtration as fil
 from slopelab import gitstab as gs
@@ -31,7 +31,6 @@ from slopelab.lattice import (
     is_saturated,
     quotient_bundle,
     saturate,
-    sub_bundle,
     tensor,
 )
 

@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,13 @@ from slopelab import filtration as fil
 from slopelab import harness
 from slopelab.gitstab import TensorPoint
 from slopelab.harness import TrialOutcome, TrialReport
-from slopelab.lattice import CertificateError, Lattice
+from slopelab.lattice import (
+    EXACT_RANK_LIMIT,
+    CertificateError,
+    ExactSearchUnavailable,
+    Lattice,
+    mu_max,
+)
 
 
 def write(path, payload):
@@ -86,6 +93,22 @@ class TestLatVerbs:
         code, doc = run_json(capsys, ["lat", "mumax", "--in", path])
         assert doc["mu_max"]["exact"] == "0"
         assert doc["witness"] == [[1], [0]]
+
+    def test_hn_and_mumax_beyond_the_rank_limit(self, tmp_path, capsys):
+        L = harness.random_lattice(EXACT_RANK_LIMIT + 1, 2, random.Random(1))
+        path = write(tmp_path / "big.json", L.to_json())
+        for verb in ("hn", "mumax"):
+            code = cli.run(["lat", verb, "--in", path])
+            captured = capsys.readouterr()
+            assert code == 2
+            assert captured.out == ""
+            assert "beyond rank %d" % EXACT_RANK_LIMIT in captured.err
+            assert "Traceback" not in captured.err
+        # mumax names the certified bracket of the error
+        with pytest.raises(ExactSearchUnavailable) as info:
+            mu_max(L)
+        bracket = "%s <= mu_max <= %s" % (info.value.best_found, info.value.upper_bound)
+        assert bracket in captured.err
 
     def test_ext_power(self, tmp_path, capsys):
         path = lattice_file(tmp_path, "d14.json", [[1, 0], [0, 4]])

@@ -26,7 +26,6 @@ from slopelab.exactnum import (
     log_of,
     rat_from_str,
     rat_to_str,
-    sign,
 )
 from slopelab.harness import TrialConfig, check_main_theorem
 from oracles import float_decimal, isqrt_fraction_floor
@@ -135,7 +134,7 @@ def test_compare_frozen():
     assert compare(log_of(2).scaled(3), log_of(3).scaled(2)) is Order.LT
     assert compare(log_of(3).scaled(2), log_of(2).scaled(3)) is Order.GT
     assert compare(log_of(6), log_of(2) + log_of(3)) is Order.EQ
-    assert sign(log_of(Fraction(1, 2))) is Order.LT
+    assert compare(log_of(Fraction(1, 2)), LogValue.zero()) is Order.LT
 
 
 def test_compare_matches_rational_order():

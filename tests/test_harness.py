@@ -210,6 +210,45 @@ class TestBogomolov:
         assert check_bogomolov_campaign(cfg).ok
 
 
+class TestOneComputationPerTrial:
+    @staticmethod
+    def counting(monkeypatch, name):
+        calls = []
+        real = getattr(harness, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(harness, name, wrapper)
+        return calls
+
+    def test_bogomolov_campaign_filters_each_lattice_once(self, monkeypatch):
+        cfg = TrialConfig(seed=10009, ranks=(2, 3), trials=20)
+        calls = self.counting(monkeypatch, "hn_filtration")
+        rep = check_bogomolov_campaign(cfg)
+        assert len(calls) == 20
+        # each trial reports what the public check reports on its lattice,
+        # with the flag seed replayed from the trial's generator
+        for o in rep.outcomes:
+            L = Lattice.from_json(o.inputs)
+            rng = harness._trial_rng(cfg, o.index)
+            rng.choice(cfg.ranks)
+            random_lattice(L.rank, cfg.entry_bound, rng)
+            single = check_bogomolov(L, flag_budget=8, seed=rng.getrandbits(32))
+            assert o.detail["counts"] == single.counts
+            assert o.detail["semistable"] == hn_filtration(L).is_semistable
+            assert o.lhs == (single.outcomes[0].lhs if single.outcomes else "0")
+
+    def test_main_theorem_takes_each_factor_mu_max_once(self, monkeypatch):
+        cfg = TrialConfig(seed=7, ranks=(2, 3), trials=3)
+        calls = self.counting(monkeypatch, "mu_max")
+        rep = check_main_theorem(cfg)
+        assert rep.ok
+        # the tensor product, the two factors and the line twist
+        assert len(calls) == 4 * cfg.trials
+
+
 class TestSlopeInequalities:
     def test_frozen_diagonal_morphism(self):
         phi = Morphism.from_rows(ID2, ID2, [[1, 0], [0, 2]])

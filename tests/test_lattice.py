@@ -8,6 +8,7 @@ from math import comb
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from slopelab import lattice as lat
 from slopelab import linalg as la
@@ -16,8 +17,11 @@ from slopelab.harness import random_lattice
 from oracles import (
     best_slope_witness_det,
     box_short_vectors,
+    diagonal_is_saturated,
+    diagonal_saturate,
     random_spd_matrix,
     random_unimodular,
+    sub_bundle,
 )
 
 
@@ -147,8 +151,66 @@ def test_short_exact_sequence_degree_additivity():
         if la.rank(la.frac_rows(cols)) < k:
             continue
         S = lat.saturate(lat.SubLattice.from_columns(L, cols))
-        total = lat.degree(lat.sub_bundle(S)) + lat.degree(lat.quotient_bundle(S))
+        total = lat.degree(sub_bundle(S)) + lat.degree(lat.quotient_bundle(S))
         assert total == lat.degree(L)
+
+
+def test_hermite_sublattices_match_diagonalization_oracle():
+    """saturate, is_saturated, basis_completion and sub_degree on 300
+    seeded bases against the two-sided diagonalization and the Fraction
+    sub_bundle.  Every fourth basis gets a column scaled by 2 or 3, and
+    both saturated and non-saturated inputs occur at every ambient rank."""
+    rng = random.Random(10)
+    seen = set()
+    checked = 0
+    while checked < 300:
+        r = 1 + checked % 6
+        k = rng.randint(1, r)
+        cols = [[rng.randint(-6, 6) for _ in range(r)] for _ in range(k)]
+        if checked % 4 == 0:
+            cols[-1] = [rng.choice((2, 3)) * x for x in cols[-1]]
+        if la.rank(cols) < k:
+            continue
+        checked += 1
+        L = lat.Lattice.from_rows(random_spd_matrix(rng, r, 3))
+        S = lat.SubLattice.from_columns(L, cols)
+        sat = lat.saturate(S)
+        assert sat == diagonal_saturate(S)
+        saturated = lat.is_saturated(S)
+        assert saturated == diagonal_is_saturated(S)
+        assert lat.is_saturated(sat)
+        seen.add((r, saturated))
+        C = lat.basis_completion(sat)
+        full = [list(sat.basis[i]) + list(C[i]) for i in range(r)]
+        assert abs(la.det(full)) == 1
+        if not saturated:
+            with pytest.raises(lat.NotSaturatedError):
+                lat.basis_completion(S)
+        for T in (S, sat):
+            assert lat.sub_degree(T) == lat.degree(sub_bundle(T))
+    assert seen == {(r, b) for r in range(1, 7) for b in (True, False)}
+
+
+@st.composite
+def saturated_sublattices(draw):
+    r = draw(st.integers(1, 5))
+    entries = st.integers(-4, 4)
+    B = draw(st.lists(st.lists(entries, min_size=r, max_size=r), min_size=r, max_size=r))
+    assume(la.det(B) != 0)
+    L = lat.Lattice.from_rows(la.mat_mul(la.transpose(B), B))
+    k = draw(st.integers(1, r))
+    cols = draw(st.lists(st.lists(entries, min_size=r, max_size=r), min_size=k, max_size=k))
+    assume(la.rank(cols) == k)
+    return L, lat.saturate(lat.SubLattice.from_columns(L, cols))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(saturated_sublattices())
+def test_degree_is_additive_in_short_exact_sequences(case):
+    """deg L = deg S + deg L/S for a saturated S, with deg S from sub_det
+    and L/S under the quotient metric."""
+    L, S = case
+    assert lat.degree(L) == lat.sub_degree(S) + lat.degree(lat.quotient_bundle(S))
 
 
 def test_short_vectors_frozen():
@@ -202,7 +264,7 @@ def test_mu_max_matches_exhaustive_oracle():
         assert val == expect
         # the witness realizes the value and is saturated
         assert lat.is_saturated(S)
-        assert lat.slope(lat.sub_bundle(S)) == val
+        assert lat.slope(sub_bundle(S)) == val
 
 
 def test_mu_max_witness_ties_prefer_small_rank():

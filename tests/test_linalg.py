@@ -264,34 +264,39 @@ def test_hnf_rows_canonical():
     for _ in range(50):
         m, n = rng.randrange(1, 5), rng.randrange(1, 5)
         A = [[rng.randrange(-9, 10) for _ in range(n)] for _ in range(m)]
-        H = la.hnf_rows(A)
+        H = la.hnf_rows(A)[0]
         # same row lattice: mutual integer membership via rational rref
         assert la.rref(A)[0] == la.rref(H)[0] if H else la.rank(A) == 0
-        assert la.hnf_rows(H) == H
+        assert la.hnf_rows(H)[0] == H
         U = random_unimodular(rng, m)
         UA = la.mat_mul(U, A)
-        assert la.hnf_rows(la.int_rows(UA)) == H
+        assert la.hnf_rows(la.int_rows(UA))[0] == H
 
 
 def test_hnf_pivot_normalization():
-    H = la.hnf_rows([[2, 4], [0, 3]])
+    H = la.hnf_rows([[2, 4], [0, 3]])[0]
     # pivots positive, entry above pivot reduced into [0, pivot)
     assert H == [[2, 1], [0, 3]]
 
 
-def test_int_diagonalize_properties():
+def test_hnf_rows_transform():
+    """A = Uinv [H; 0] with Uinv unimodular, for every shape: tall, wide,
+    square, rank deficient and zero matrices.  H is the canonical form
+    that test_hnf_rows_canonical checks."""
     rng = random.Random(79)
-    for _ in range(50):
-        r = rng.randrange(1, 5)
-        k = rng.randrange(1, r + 1)
-        B = [[rng.randrange(-6, 7) for _ in range(k)] for _ in range(r)]
-        Uinv, d = la.int_diagonalize(B)
+    shapes = [(r, k) for r in range(1, 7) for k in range(1, 7)]
+    for t in range(180):
+        r, k = shapes[t % len(shapes)]
+        A = [[rng.randrange(-6, 7) for _ in range(k)] for _ in range(r)]
+        if t % 9 == 0:
+            A[-1] = [2 * x for x in A[0]]  # rank deficient when r > 1
+        if t % 36 == 35:
+            A = [[0] * k for _ in range(r)]
+        H, Uinv = la.hnf_rows(A)
+        assert H == la.hnf_rows(A)[0] == la.hnf_rows(H)[0]
+        assert len(H) == la.rank(A)
         assert abs(la.det(Uinv)) == 1
-        assert all(x > 0 for x in d)
-        assert len(d) == la.rank(B)
-        # Q-column span of B equals span of the first len(d) columns of Uinv
-        first = [[Fraction(Uinv[i][j]) for j in range(len(d))] for i in range(r)]
-        assert la.rref(la.transpose(B))[0] == la.rref(la.transpose(first))[0]
+        assert la.mat_mul(Uinv, H + [[0] * k for _ in range(r - len(H))]) == A
 
 
 def test_ldl():
