@@ -464,7 +464,8 @@ def minimize_fixed_basis(
     tup = FiltrationTuple(tuple(comps))
     norm_sq = sum((fil.norm_squared(F) for F in tup.components), Fraction(0))
     expect = sum((fil.expectation(F) for F in tup.components), Fraction(0))
-    c_tilde = (expect - tensor_lambda(x, tup)) / norm_sq
+    # the bases are compatible with tup, so lambda is read off the support
+    c_tilde = (expect - _min_weight(x.shape, coords, parts)) / norm_sq
     c = AlgValue(-1, pnorm_sq)
     # consistency: c = c_tilde * sqrt(norm_sq)
     if not (c_tilde < 0 and c_tilde * c_tilde * norm_sq == pnorm_sq):

@@ -528,17 +528,9 @@ def _unflatten_index(flat: int, ranks: Sequence[int]) -> Tuple[int, ...]:
 
 
 def _primitive_candidates(T: Lattice, radius: Fraction) -> List[Tuple[int, ...]]:
-    seen = {}
-    for vec, _ in short_vectors(T, radius):
-        prim = tuple(la.primitive_vector(list(vec)))
-        for x in prim:
-            if x:
-                if x < 0:
-                    prim = tuple(-y for y in prim)
-                break
-        if prim not in seen and T.norm_of(prim) <= radius:
-            seen[prim] = True
-    return list(seen)
+    """The primitive vectors among the short vectors of T within radius,
+    in enumeration order."""
+    return [v for v, _ in short_vectors(T, radius) if math.gcd(*v) == 1]
 
 
 def _filtration_members(L: Lattice, F: Filtration) -> List[SubLattice]:

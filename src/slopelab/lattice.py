@@ -34,10 +34,6 @@ from .exactnum import (
 EXACT_RANK_LIMIT = 6
 
 
-class NotSaturatedError(ValueError):
-    pass
-
-
 class CertificateError(RuntimeError):
     """Raised when an exact certificate fails its own check: a result that
     the mathematics rules out, so a bug or a corrupted input, never a
@@ -261,7 +257,7 @@ def exterior_power(L: Lattice, k: int) -> Lattice:
 
 
 # ---------------------------------------------------------------------------
-# sublattices: saturation, metrized sub and quotient bundles
+# sublattices: saturation
 
 
 def saturate(S: SubLattice) -> SubLattice:
@@ -276,45 +272,11 @@ def saturate(S: SubLattice) -> SubLattice:
     return SubLattice(S.ambient, tuple(tuple(row[:k]) for row in Uinv)).canonical()
 
 
-def _saturated_transform(S: SubLattice) -> Optional[List[List[int]]]:
-    """Uinv of la.hnf_rows(B) for the basis B of S when S is saturated,
-    i.e. when H is the identity, so that B is the first k columns of the
-    unimodular Uinv; None otherwise."""
-    H, Uinv = la.hnf_rows(S.basis_rows)
-    k = S.rank
-    return Uinv if H == [[int(i == j) for j in range(k)] for i in range(k)] else None
-
-
 def is_saturated(S: SubLattice) -> bool:
-    return _saturated_transform(S) is not None
-
-
-def basis_completion(S: SubLattice) -> List[List[int]]:
-    """Integer columns C with [basis | C] unimodular; needs S saturated."""
-    Uinv = _saturated_transform(S)
-    if Uinv is None:
-        raise NotSaturatedError("only saturated sublattices admit a completion")
-    return [row[S.rank :] for row in Uinv]
-
-
-def quotient_bundle(S: SubLattice) -> Lattice:
-    """Quotient metric on ambient/S (orthogonal projection away from S).
-
-    The transform Uinv = [B | C] of la.hnf_rows is a basis of the ambient
-    lattice that extends the basis B of S.  In it the Gram matrix splits
-    into blocks [[A, X], [X^T, D]], and the quotient Gram is the Schur
-    complement D - X^T A^-1 X, the inverse of the trailing block of the
-    inverse Gram.  It makes degrees exactly additive in short exact
-    sequences.  Raises NotSaturatedError unless S is saturated.
-    """
-    Uinv = _saturated_transform(S)
-    if Uinv is None:
-        raise NotSaturatedError("quotient by a non-saturated sublattice")
+    """The basis B of S is saturated iff H is the identity in
+    B = Uinv [H; 0] from la.hnf_rows."""
     k = S.rank
-    if k == S.ambient.rank:
-        return Lattice(0, ())
-    inv = la.inverse(la.mat_mul(la.transpose(Uinv), la.mat_mul(S.ambient.gram_rows, Uinv)))
-    return Lattice.from_rows(la.inverse([row[k:] for row in inv[k:]]))
+    return la.hnf_rows(S.basis_rows)[0] == [[int(i == j) for j in range(k)] for i in range(k)]
 
 
 # ---------------------------------------------------------------------------
@@ -392,64 +354,54 @@ def _slope_of_det(detval: Fraction, k: int) -> LogValue:
     return log_of(detval, Fraction(-1, 2 * k))
 
 
-def _max_slope_candidates(
+def _steeper(k: int, d: Fraction, j: int, e: Fraction) -> bool:
+    """True when a rank-k determinant d gives a larger slope than a rank-j
+    determinant e: -log(d)/2k > -log(e)/2j iff d^j < e^k."""
+    return d**j < e**k
+
+
+def _rank_candidates(
     L: Lattice,
     Gred: la.Matrix,
     U: List[List[int]],
     shortest: List[Tuple[Tuple[int, ...], Fraction]],
-) -> Tuple[LogValue, List[Tuple[SubLattice, Fraction]]]:
-    """Exact max slope plus every saturated sublattice attaining it.
+) -> List[Tuple[int, SubLattice, Fraction]]:
+    """(k, S, det S) for saturated sublattices S of every rank k that
+    include all those of least determinant at that rank.
 
-    For each rank k the best determinant is the squared norm of the
-    shortest decomposable vector of the k-th exterior power.  The search
-    runs in the LLL-reduced basis Gred = U^T G U of gram_lll(L.gram_rows),
-    where the best coordinate sublattice gives a realized and therefore
+    The least determinant at rank k is the squared norm of the shortest
+    decomposable vector of the k-th exterior power.  The search runs in
+    the LLL-reduced basis Gred = U^T G U of gram_lll(L.gram_rows), where
+    the best coordinate sublattice gives a realized and therefore
     certified enumeration radius that is also tight enough to keep the
-    pass small.  For rank one that pass is ``shortest`` =
-    _shortest_reduced(Gred, U, gso).
+    pass small; every saturated S of rank k within it is listed once.  For
+    rank one that pass is ``shortest`` = _shortest_reduced(Gred, U, gso).
     """
     r = L.rank
-    per_rank: List[Tuple[int, SubLattice, Fraction]] = []
-    for k in range(1, r + 1):
-        if k == r:
-            eye = [[int(i == j) for j in range(r)] for i in range(r)]
-            full = SubLattice(L, tuple(tuple(row) for row in eye))
-            per_rank.append((k, full.canonical(), la.det(Gred)))
-            continue
-        seen = set()
+    found: List[Tuple[int, SubLattice, Fraction]] = []
+    for k in range(1, r):
         if k == 1:
-            for v, _norm in shortest:
-                S = saturate(SubLattice.from_columns(L, [v]))
-                if S.basis in seen:
+            subs = [saturate(SubLattice.from_columns(L, [v])) for v, _norm in shortest]
+        else:
+            subs = []
+            C = la.compound_matrix(Gred, k)
+            radius = min(C[t][t] for t in range(len(C)))
+            for w, _norm in la.short_vectors_gram(C, radius):
+                ker = _decomposable_kernel([Fraction(x) for x in w], r, k)
+                if ker is None:
                     continue
+                # each kernel row times a positive integer keeps the direction
+                # of its image under U, so the back-map multiplies integers
+                back = la.mat_mul(_primitive_rows(ker), la.transpose(U))
+                subs.append(_saturated_from_rational_rows(L, back))
+        seen = set()
+        for S in subs:
+            if S.basis not in seen:
                 seen.add(S.basis)
-                per_rank.append((k, S, sub_det(S)))
-            continue
-        C = la.compound_matrix(Gred, k)
-        radius = min(C[t][t] for t in range(len(C)))
-        for w, _norm in la.short_vectors_gram(C, radius):
-            ker = _decomposable_kernel([Fraction(x) for x in w], r, k)
-            if ker is None:
-                continue
-            # each kernel row times a positive integer keeps the direction
-            # of its image under U, so the back-map multiplies integers
-            back = la.mat_mul(_primitive_rows(ker), la.transpose(U))
-            S = _saturated_from_rational_rows(L, back)
-            if S.basis in seen:
-                continue
-            seen.add(S.basis)
-            per_rank.append((k, S, sub_det(S)))
-    best_val: Optional[LogValue] = None
-    for k, S, d in per_rank:
-        val = _slope_of_det(d, k)
-        if best_val is None or compare(val, best_val) is Order.GT:
-            best_val = val
-    if best_val is None:
-        raise CertificateError("no candidate sublattice")
-    winners = [
-        (S, d) for k, S, d in per_rank if _slope_of_det(d, k) == best_val
-    ]
-    return best_val, winners
+                found.append((k, S, sub_det(S)))
+    eye = [[int(i == j) for j in range(r)] for i in range(r)]
+    found.append((r, SubLattice(L, tuple(tuple(row) for row in eye)).canonical(), la.det(Gred)))
+    return found
 
 
 def sub_det(S: SubLattice) -> Fraction:
@@ -479,7 +431,7 @@ def mu_max(L: Lattice, rank_limit: int = EXACT_RANK_LIMIT) -> Tuple[LogValue, Su
     shortest = _shortest_reduced(Gred, U, gso)
     udeg, _ = _udeg_of_shortest(shortest)
     if L.rank > rank_limit:
-        coord_best = None
+        best = None
         for k in range(1, L.rank + 1):
             # contiguous windows of the reduced basis: realized sublattices
             dmin = min(
@@ -488,16 +440,21 @@ def mu_max(L: Lattice, rank_limit: int = EXACT_RANK_LIMIT) -> Tuple[LogValue, Su
                     tuple(range(s, s + k)) for s in range(L.rank - k + 1)
                 )
             )
-            val = _slope_of_det(dmin, k)
-            if coord_best is None or compare(val, coord_best) is Order.GT:
-                coord_best = val
-        lower = max(udeg, coord_best)
+            if best is None or _steeper(k, dmin, *best):
+                best = (k, dmin)
+        lower = max(udeg, _slope_of_det(best[1], best[0]))
         upper = udeg + log_of(L.rank, Fraction(1, 2))
         raise ExactSearchUnavailable(
             f"exact search unavailable beyond rank {rank_limit}", lower, upper
         )
-    val, winners = _max_slope_candidates(L, Gred, U, shortest)
-    witness = min(winners, key=lambda sd: (sd[0].rank, sd[0].basis))[0]
+    candidates = _rank_candidates(L, Gred, U, shortest)
+    k, _S, d = candidates[0]
+    for j, _S, e in candidates:
+        if _steeper(j, e, k, d):
+            k, d = j, e
+    tied = (S for j, S, e in candidates if e**k == d**j)
+    witness = min(tied, key=lambda S: (S.rank, S.basis))
+    val = _slope_of_det(d, k)
     half_log_rank = log_of(L.rank, Fraction(1, 2))
     if compare(udeg, val) is Order.GT or compare(val, udeg + half_log_rank) is Order.GT:
         raise CertificateError("mu_max outside its Minkowski bracket [udeg_max, udeg_max + log(rank)/2]")
@@ -510,11 +467,14 @@ def mu_min(L: Lattice, rank_limit: int = EXACT_RANK_LIMIT) -> LogValue:
 
 
 def hn_filtration(L: Lattice, rank_limit: int = EXACT_RANK_LIMIT) -> HNResult:
-    """Canonical slope filtration.
+    """Canonical slope filtration from one candidate pass.
 
-    The first step is the saturation of the sum of all maximal-slope
-    sublattices; the rest is obtained recursively on the quotient metric
-    and lifted back along a completion of the step's basis.
+    The HN polygon is the upper convex hull of the points (rk S, deg S)
+    over saturated sublattices S, so of (k, -1/2 log d_k) with d_k the
+    least determinant at rank k and d_0 = 1.  At each vertex exactly one
+    sublattice attains d_k, and those sublattices form the chain (U.
+    Stuhler, Arch. Math. 27, 1976; D. Grayson, Comment. Math. Helv. 59,
+    1984).
     """
     if L.rank == 0:
         raise ValueError("hn filtration needs positive rank")
@@ -524,46 +484,33 @@ def hn_filtration(L: Lattice, rank_limit: int = EXACT_RANK_LIMIT) -> HNResult:
             None,
             None,
         )
-
-    def build(lat: Lattice) -> List[List[List[int]]]:
-        Gred, U, gso = la.gram_lll(lat.gram_rows)
-        _val, winners = _max_slope_candidates(lat, Gred, U, _shortest_reduced(Gred, U, gso))
-        stacked = []
-        for S, _d in winners:
-            stacked.extend(la.transpose(S.basis_rows))
-        des = _saturated_from_rational_rows(
-            lat, la.rref([[Fraction(x) for x in row] for row in stacked])[0]
-        )
-        if des.rank == lat.rank:
-            return [[[int(i == j) for j in range(lat.rank)] for i in range(lat.rank)]]
-        C = basis_completion(des)
-        quot = quotient_bundle(des)
-        tail = build(quot)
-        chain = [des.basis_rows]
-        for member in tail:
-            lifted_cols = la.transpose(des.basis_rows)
-            for col in la.transpose(member):
-                lifted_cols.append(la.mat_vec(C, col))
-            chain.append(la.transpose([[int(x) for x in col] for col in lifted_cols]))
-        return chain
-
-    bases = build(L)
-    chain = tuple(
-        SubLattice(L, tuple(tuple(int(x) for x in row) for row in B)).canonical()
-        for B in bases
-    )
+    Gred, U, gso = la.gram_lll(L.gram_rows)
+    candidates = _rank_candidates(L, Gred, U, _shortest_reduced(Gred, U, gso))
+    d = [Fraction(1)] + [
+        min(e for j, _S, e in candidates if j == k) for k in range(1, L.rank + 1)
+    ]
+    # upper hull: j stays a vertex only if it lies strictly above the
+    # segment from i to l, i.e. (d_j/d_i)^(l-i) < (d_l/d_i)^(j-i)
+    hull = [0]
+    for l in range(1, L.rank + 1):
+        while len(hull) > 1:
+            i, j = hull[-2], hull[-1]
+            if _steeper(j - i, d[j] / d[i], l - i, d[l] / d[i]):
+                break
+            hull.pop()
+        hull.append(l)
+    chain = []
     slopes = []
-    prev_deg = LogValue.zero()
-    prev_rank = 0
-    for S in chain:
-        deg = sub_degree(S)
-        step = (deg - prev_deg) / (S.rank - prev_rank)
-        slopes.append(step)
-        prev_deg, prev_rank = deg, S.rank
+    for i, l in zip(hull, hull[1:]):
+        attained = [S for j, S, e in candidates if j == l and e == d[l]]
+        if len(attained) != 1:
+            raise CertificateError("an HN vertex must be attained by exactly one sublattice")
+        chain.append(attained[0])
+        slopes.append(_slope_of_det(d[l] / d[i], l - i))
     for a, b in zip(slopes, slopes[1:]):
         if compare(a, b) is not Order.GT:
             raise CertificateError("HN slopes must strictly decrease")
-    return HNResult(chain, tuple(slopes))
+    return HNResult(tuple(chain), tuple(slopes))
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,11 @@ Sublattices have references of their own: saturation and the saturation
 test by diagonalizing the basis with row and column pivoting (the library
 reads both off one Hermite form with its transform), and the induced
 metric of a sublattice as a Lattice whose Gram matrix is multiplied out in
-Fractions (the library takes its determinant on integers).
+Fractions (the library takes its determinant on integers).  The quotient
+metric by a saturated sublattice, the basis completion it is taken along,
+and the Harder-Narasimhan filtration by recursion on such quotients live
+here as well: the library reads the filtration off the upper hull of the
+least determinant at each rank, so it never forms a quotient.
 """
 
 from fractions import Fraction
@@ -32,7 +36,9 @@ from itertools import combinations, product
 from math import isqrt
 
 from slopelab import filtration as fil
+from slopelab import lattice as lat
 from slopelab import linalg as la
+from slopelab.exactnum import LogValue, Order, compare
 from slopelab.lattice import Lattice, SubLattice
 from slopelab.linalg import SingularMatrixError, solve_square
 
@@ -430,6 +436,89 @@ def sub_bundle(S):
     B = S.basis_rows
     G = S.ambient.gram_rows
     return Lattice.from_rows(la.mat_mul(la.transpose(B), la.mat_mul(G, B)))
+
+
+class NotSaturatedError(ValueError):
+    pass
+
+
+def _saturated_transform(S):
+    """Uinv of la.hnf_rows(B) for the basis B of S when S is saturated,
+    i.e. when H is the identity, so that B is the first k columns of the
+    unimodular Uinv; None otherwise."""
+    H, Uinv = la.hnf_rows(S.basis_rows)
+    k = S.rank
+    return Uinv if H == [[int(i == j) for j in range(k)] for i in range(k)] else None
+
+
+def basis_completion(S):
+    """Integer columns C with [basis | C] unimodular; needs S saturated."""
+    Uinv = _saturated_transform(S)
+    if Uinv is None:
+        raise NotSaturatedError("only saturated sublattices admit a completion")
+    return [row[S.rank :] for row in Uinv]
+
+
+def quotient_bundle(S):
+    """Quotient metric on ambient/S (orthogonal projection away from S).
+
+    In the basis Uinv = [B | C] of the ambient lattice the Gram matrix
+    splits into blocks [[A, X], [X^T, D]], and the quotient Gram is the
+    Schur complement D - X^T A^-1 X, the inverse of the trailing block of
+    the inverse Gram."""
+    Uinv = _saturated_transform(S)
+    if Uinv is None:
+        raise NotSaturatedError("quotient by a non-saturated sublattice")
+    k = S.rank
+    if k == S.ambient.rank:
+        return Lattice(0, ())
+    inv = la.inverse(la.mat_mul(la.transpose(Uinv), la.mat_mul(S.ambient.gram_rows, Uinv)))
+    return Lattice.from_rows(la.inverse([row[k:] for row in inv[k:]]))
+
+
+def recursive_hn_filtration(L):
+    """HN filtration by recursion on quotients: the first step saturates the
+    sum of all sublattices of maximal slope (compared as LogValues), the
+    rest is the filtration of the quotient metric, lifted back along a
+    completion of the step's basis."""
+
+    def build(Q):
+        Gred, U, gso = la.gram_lll(Q.gram_rows)
+        candidates = lat._rank_candidates(Q, Gred, U, lat._shortest_reduced(Gred, U, gso))
+        slopes = [lat._slope_of_det(d, k) for k, _S, d in candidates]
+        best = slopes[0]
+        for val in slopes:
+            if compare(val, best) is Order.GT:
+                best = val
+        stacked = []
+        for (_k, S, _d), val in zip(candidates, slopes):
+            if val == best:
+                stacked.extend(la.transpose(S.basis_rows))
+        des = lat._saturated_from_rational_rows(
+            Q, la.rref([[Fraction(x) for x in row] for row in stacked])[0]
+        )
+        if des.rank == Q.rank:
+            return [[[int(i == j) for j in range(Q.rank)] for i in range(Q.rank)]]
+        C = basis_completion(des)
+        chain = [des.basis_rows]
+        for member in build(quotient_bundle(des)):
+            lifted_cols = la.transpose(des.basis_rows)
+            for col in la.transpose(member):
+                lifted_cols.append(la.mat_vec(C, col))
+            chain.append(la.transpose([[int(x) for x in col] for col in lifted_cols]))
+        return chain
+
+    chain = tuple(
+        SubLattice(L, tuple(tuple(int(x) for x in row) for row in B)).canonical()
+        for B in build(L)
+    )
+    slopes = []
+    prev_deg, prev_rank = LogValue.zero(), 0
+    for S in chain:
+        deg = lat.sub_degree(S)
+        slopes.append((deg - prev_deg) / (S.rank - prev_rank))
+        prev_deg, prev_rank = deg, S.rank
+    return lat.HNResult(chain, tuple(slopes))
 
 
 def wedge_square_gram(G):

@@ -12,7 +12,13 @@ import random
 import time
 from fractions import Fraction as F
 
-from oracles import grid_min_lambda, minimizers_proportional, random_unimodular, sub_bundle
+from oracles import (
+    grid_min_lambda,
+    minimizers_proportional,
+    quotient_bundle,
+    random_unimodular,
+    sub_bundle,
+)
 
 from slopelab import filtration as fil
 from slopelab import gitstab as gs
@@ -29,7 +35,6 @@ from slopelab.lattice import (
     exterior_power,
     hn_filtration,
     is_saturated,
-    quotient_bundle,
     saturate,
     tensor,
 )

@@ -15,12 +15,16 @@ from slopelab import linalg as la
 from slopelab.exactnum import LogValue, Order, approximate, compare, log_of
 from slopelab.harness import random_lattice
 from oracles import (
+    NotSaturatedError,
+    basis_completion,
     best_slope_witness_det,
     box_short_vectors,
     diagonal_is_saturated,
     diagonal_saturate,
+    quotient_bundle,
     random_spd_matrix,
     random_unimodular,
+    recursive_hn_filtration,
     sub_bundle,
 )
 
@@ -123,11 +127,11 @@ def test_basis_completion_unimodular():
         if la.rank(la.frac_rows(cols)) < k:
             continue
         S = lat.saturate(lat.SubLattice.from_columns(L, cols))
-        C = lat.basis_completion(S)
+        C = basis_completion(S)
         full = [list(S.basis[i]) + list(C[i]) for i in range(n)]
         assert abs(la.det(la.frac_rows(full))) == 1
-    with pytest.raises(lat.NotSaturatedError):
-        lat.basis_completion(
+    with pytest.raises(NotSaturatedError):
+        basis_completion(
             lat.SubLattice.from_columns(lat.unit_lattice(2), [[2, 0]])
         )
 
@@ -135,10 +139,10 @@ def test_basis_completion_unimodular():
 def test_quotient_frozen_schur():
     U = lat.unit_lattice(2)
     S = lat.SubLattice.from_columns(U, [[1, 1]])
-    Q = lat.quotient_bundle(S)
+    Q = quotient_bundle(S)
     assert Q.rank == 1 and Q.gram[0][0] == Fraction(1, 2)
-    with pytest.raises(lat.NotSaturatedError):
-        lat.quotient_bundle(lat.SubLattice.from_columns(U, [[2, 0]]))
+    with pytest.raises(NotSaturatedError):
+        quotient_bundle(lat.SubLattice.from_columns(U, [[2, 0]]))
 
 
 def test_short_exact_sequence_degree_additivity():
@@ -151,7 +155,7 @@ def test_short_exact_sequence_degree_additivity():
         if la.rank(la.frac_rows(cols)) < k:
             continue
         S = lat.saturate(lat.SubLattice.from_columns(L, cols))
-        total = lat.degree(sub_bundle(S)) + lat.degree(lat.quotient_bundle(S))
+        total = lat.degree(sub_bundle(S)) + lat.degree(quotient_bundle(S))
         assert total == lat.degree(L)
 
 
@@ -180,12 +184,12 @@ def test_hermite_sublattices_match_diagonalization_oracle():
         assert saturated == diagonal_is_saturated(S)
         assert lat.is_saturated(sat)
         seen.add((r, saturated))
-        C = lat.basis_completion(sat)
+        C = basis_completion(sat)
         full = [list(sat.basis[i]) + list(C[i]) for i in range(r)]
         assert abs(la.det(full)) == 1
         if not saturated:
-            with pytest.raises(lat.NotSaturatedError):
-                lat.basis_completion(S)
+            with pytest.raises(NotSaturatedError):
+                basis_completion(S)
         for T in (S, sat):
             assert lat.sub_degree(T) == lat.degree(sub_bundle(T))
     assert seen == {(r, b) for r in range(1, 7) for b in (True, False)}
@@ -210,7 +214,7 @@ def test_degree_is_additive_in_short_exact_sequences(case):
     """deg L = deg S + deg L/S for a saturated S, with deg S from sub_det
     and L/S under the quotient metric."""
     L, S = case
-    assert lat.degree(L) == lat.sub_degree(S) + lat.degree(lat.quotient_bundle(S))
+    assert lat.degree(L) == lat.sub_degree(S) + lat.degree(quotient_bundle(S))
 
 
 def test_short_vectors_frozen():
@@ -434,8 +438,93 @@ def test_hn_structure_random():
             total = total + mu.scaled(Fraction(S.rank - prev))
             prev = S.rank
         assert total == lat.degree(L)
-        # each step's sub-bundle slope is weakly above the whole's
-        assert compare(lat.mu_min(L), lat.slope(L)) is not Order.GT or True
+        # mu_min(L) <= slope(L) <= mu_max(L)
+        assert compare(lat.mu_min(L), lat.slope(L)) is not Order.GT
+        assert compare(lat.slope(L), lat.mu_max(L)[0]) is not Order.GT
+
+
+def _conjugate(G, U):
+    """Gram matrix U^T G U: the same lattice in the basis of U's columns."""
+    return la.mat_mul(la.transpose(U), la.mat_mul(la.frac_rows(G), U))
+
+
+def test_hn_matches_recursive_oracle():
+    """The upper-hull HN against the recursion on quotient metrics, on 300
+    seeded lattices of rank 1-6.  Every other one is a unimodular conjugate
+    of a diagonal with at least three distinct entries when the rank allows
+    it, so that long chains are well represented."""
+    rng = random.Random(11)
+    long_chains = 0
+    for i in range(300):
+        r = 1 + i % 6
+        if i % 2:
+            G = random_spd_matrix(rng, r, 3)
+        else:
+            values = rng.sample((1, 2, 3, 5, 7), min(r, 3))
+            values += [rng.choice(values) for _ in range(r - len(values))]
+            diag = [[values[a] if a == b else 0 for b in range(r)] for a in range(r)]
+            G = _conjugate(diag, random_unimodular(rng, r, steps=6))
+        L = lat.Lattice.from_rows(G)
+        hn = lat.hn_filtration(L)
+        ref = recursive_hn_filtration(L)
+        assert hn.chain == ref.chain
+        assert hn.slopes == ref.slopes
+        long_chains += len(hn.chain) >= 3
+    assert long_chains >= 100
+
+
+def test_hn_is_one_candidate_pass(monkeypatch):
+    # one reduction of the lattice and one of each compound of rank 2..r-1,
+    # as in mu_max, and no quotient metric (no inverse) at all
+    real_lll, real_inverse = la.gram_lll, la.inverse
+    calls = {"gram_lll": 0, "inverse": 0}
+
+    def counting_lll(*args, **kwargs):
+        calls["gram_lll"] += 1
+        return real_lll(*args, **kwargs)
+
+    def counting_inverse(*args, **kwargs):
+        calls["inverse"] += 1
+        return real_inverse(*args, **kwargs)
+
+    monkeypatch.setattr(la, "gram_lll", counting_lll)
+    monkeypatch.setattr(la, "inverse", counting_inverse)
+    rng = random.Random(432)
+    for r in range(1, 7):
+        diag = [[(1, 4, 16)[a % 3] if a == b else 0 for b in range(r)] for a in range(r)]
+        L = lat.Lattice.from_rows(_conjugate(diag, random_unimodular(rng, r, steps=6)))
+        calls.update(gram_lll=0, inverse=0)
+        hn = lat.hn_filtration(L)
+        assert len(hn.chain) == min(r, 3)
+        assert calls == {"gram_lll": 1 + max(0, r - 2), "inverse": 0}
+
+
+@st.composite
+def lattices_and_unimodulars(draw):
+    r = draw(st.integers(1, 4))
+    entries = st.integers(-3, 3)
+    B = draw(st.lists(st.lists(entries, min_size=r, max_size=r), min_size=r, max_size=r))
+    assume(la.det(B) != 0)
+    U = random_unimodular(random.Random(draw(st.integers(0, 10**6))), r, steps=6)
+    return la.mat_mul(la.transpose(B), B), U
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(lattices_and_unimodulars())
+def test_hn_is_unique_under_change_of_basis(case):
+    """The HN filtration is canonical: in the basis of the columns of U
+    (Gram U^T G U) it is U^-1 applied to the filtration of G."""
+    G, U = case
+    hn = lat.hn_filtration(lat.Lattice.from_rows(G))
+    moved = lat.Lattice.from_rows(_conjugate(G, U))
+    Uinv = [[int(x) for x in row] for row in la.inverse(la.frac_rows(U))]
+    expect = tuple(
+        lat.SubLattice(moved, tuple(map(tuple, la.mat_mul(Uinv, S.basis_rows)))).canonical()
+        for S in hn.chain
+    )
+    hn_moved = lat.hn_filtration(moved)
+    assert hn_moved.chain == expect
+    assert hn_moved.slopes == hn.slopes
 
 
 # ---------------------------------------------------------------------------
@@ -576,13 +665,12 @@ import sys
 from slopelab import lattice as lat
 from slopelab.exactnum import log_of
 assert sys.flags.optimize  # run under python -O: library asserts are stripped
-exact = lat._max_slope_candidates
+exact = lat._slope_of_det
 
 def shifted(*args):
-    val, winners = exact(*args)
-    return val + log_of(2), winners
+    return exact(*args) + log_of(2)
 
-lat._max_slope_candidates = shifted
+lat._slope_of_det = shifted
 try:
     lat.mu_max(lat.unit_lattice(2))
 except lat.CertificateError as exc:
@@ -599,3 +687,31 @@ def test_minkowski_bracket_check_survives_python_O():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("CertificateError: mu_max outside its Minkowski bracket")
+
+
+DUPLICATE_VERTEX_UNDER_O = """
+import sys
+from slopelab import lattice as lat
+assert sys.flags.optimize  # run under python -O: library asserts are stripped
+exact = lat._rank_candidates
+
+def doubled(*args):
+    found = exact(*args)
+    return found + found[-1:]  # the whole lattice, a vertex, listed twice
+
+lat._rank_candidates = doubled
+try:
+    lat.hn_filtration(lat.Lattice.from_rows([[1, 0], [0, 4]]))
+except lat.CertificateError as exc:
+    print("CertificateError:", exc)
+"""
+
+
+def test_hn_vertex_uniqueness_check_survives_python_O():
+    src = str(Path(lat.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", DUPLICATE_VERTEX_UNDER_O], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("CertificateError: an HN vertex must be attained by exactly one sublattice")
