@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Dict, Iterable, Mapping, Tuple
 
 
@@ -118,27 +119,38 @@ def _round_outward(iv: Interval, bits: int) -> Interval:
 def _atanh_interval(z: Fraction, bits: int) -> Interval:
     """Enclosure of atanh(z) for 0 <= z <= 1/2, width <= 2**-bits.
 
-    Alternating-free positive series sum z^(2k+1)/(2k+1); the tail after
-    K terms is bounded by z^(2K+1) / ((2K+1)(1-z^2)).
+    Positive series sum z^(2k+1)/(2k+1); the tail after K terms is
+    bounded by z^(2K+1) / ((2K+1)(1-z^2)).  With z = a/b that bound is
+    <= 2**-bits iff a^(2K+1) b^2 2^bits <= (2K+1)(b^2-a^2) b^(2K+1), an
+    integer test, and the K terms are summed as one integer over the
+    common denominator lcm(1, 3, ..., 2K-1) * b^(2K-1), so each endpoint
+    is reduced once.
     """
     if not (0 <= z <= Fraction(1, 2)):
         raise ValueError("atanh series restricted to [0, 1/2]")
-    if z == 0:
-        return Interval(Fraction(0), Fraction(0))
-    target = Fraction(1, 1 << bits)
-    one_minus = 1 - z * z
-    total = Fraction(0)
-    power = z  # z^(2k+1)
-    k = 0
-    while True:
-        tail = power / ((2 * k + 1) * one_minus)
-        if tail <= target:
-            return Interval(total, total + tail)
-        total += power / (2 * k + 1)
-        power *= z * z
-        k += 1
+    a, b = z.numerator, z.denominator
+    a2, b2 = a * a, b * b
+    gap = b2 - a2
+    pa, pb = a, b  # a^(2K+1), b^(2K+1)
+    powers = []
+    while (pa * b2) << bits > (2 * len(powers) + 1) * gap * pb:
+        powers.append(pa)
+        pa *= a2
+        pb *= b2
+    K = len(powers)
+    den = lcm(*range(1, 2 * K, 2))
+    num = 0  # sum_k den/(2k+1) * a^(2k+1) * b^(2(K-1-k))
+    for k, p in enumerate(powers):
+        num = num * b2 + den // (2 * k + 1) * p
+    odd = 2 * K + 1
+    return Interval(
+        Fraction(num * b2, den * pb),
+        Fraction(b2 * (num * odd * gap + den * pa), den * odd * gap * pb),
+    )
 
 
+# Logs of integers only: prime logs recur across comparisons and
+# renderings, while the rational arguments of height brackets never do.
 _LOG_CACHE: Dict[Tuple[Fraction, int], Interval] = {}
 
 
@@ -153,9 +165,11 @@ def log_interval(q: Fraction, bits: int) -> Interval:
     if q <= 0:
         raise ValueError("log_interval needs a positive argument")
     key = (q, bits)
-    hit = _LOG_CACHE.get(key)
-    if hit is not None:
-        return hit
+    whole = q.denominator == 1
+    if whole:
+        hit = _LOG_CACHE.get(key)
+        if hit is not None:
+            return hit
     if q == 1:
         return Interval(Fraction(0), Fraction(0))
     if q < 1:
@@ -177,7 +191,7 @@ def log_interval(q: Fraction, bits: int) -> Interval:
         log2 = _atanh_interval(Fraction(1, 3), sub + 1).scaled(Fraction(2))
         body = body + log2.scaled(Fraction(e))
     out = _round_outward(body, bits + 1)
-    if len(_LOG_CACHE) < 4096:
+    if whole and len(_LOG_CACHE) < 4096:
         _LOG_CACHE[key] = out
     return out
 

@@ -34,6 +34,7 @@ from .lattice import (
     Lattice,
     Morphism,
     SubLattice,
+    _mu_max_udeg,
     degree,
     hn_filtration,
     is_saturated,
@@ -45,7 +46,6 @@ from .lattice import (
     slope,
     sub_degree,
     tensor,
-    udeg_max,
 )
 
 
@@ -248,8 +248,7 @@ def check_main_theorem(config: TrialConfig) -> TrialReport:
 
 def bk_bracket(L: Lattice) -> Dict[str, LogValue]:
     """Minkowski-type bracket: udeg <= mu_max <= udeg + half log rank."""
-    u, _ = udeg_max(L)
-    m, _ = mu_max(L)
+    m, _, u = _mu_max_udeg(L, EXACT_RANK_LIMIT)
     return {"udeg": u, "mu_max": m, "upper": u + log_of(Fraction(L.rank), Fraction(1, 2))}
 
 
@@ -285,12 +284,13 @@ def flag_line_degree(L: Lattice, members: Sequence[SubLattice], a: Sequence[int]
     either with every entry divisible by rank(E) or with zero
     rank-weighted sum over the flag quotients.
     """
-    d = len(members) + 1
-    a = [int(x) for x in a]
-    if len(a) != d:
-        raise ValueError("need one weight per flag quotient")
-    if any(y <= x for x, y in zip(a, a[1:])):
-        raise ValueError("weights must be strictly increasing")
+    return _flag_degree(L, members, _flag_gaps(L, members), a)
+
+
+def _flag_gaps(L: Lattice, members: Sequence[SubLattice]) -> List[LogValue]:
+    """slope(E_j) - slope(E) for each member of a checked flag: strictly
+    decreasing ranks, saturated members of L, each inside the one
+    before."""
     dims = [L.rank] + [S.rank for S in members] + [0]
     if any(t >= s for s, t in zip(dims, dims[1:])):
         raise ValueError("flag members must strictly decrease in rank")
@@ -303,15 +303,29 @@ def flag_line_degree(L: Lattice, members: Sequence[SubLattice], a: Sequence[int]
         stacked = la.transpose(big.basis_rows) + la.transpose(small.basis_rows)
         if la.rank(stacked) != big.rank:
             raise ValueError("flag members must be nested")
+    mu = slope(L)
+    return [sub_degree(S) / S.rank - mu for S in members]
+
+
+def _flag_degree(
+    L: Lattice, members: Sequence[SubLattice], gaps: Sequence[LogValue], a: Sequence[int]
+) -> LogValue:
+    """flag_line_degree of a flag with gaps = _flag_gaps(L, members),
+    after checking the weights a."""
+    d = len(members) + 1
+    a = [int(x) for x in a]
+    if len(a) != d:
+        raise ValueError("need one weight per flag quotient")
+    if any(y <= x for x, y in zip(a, a[1:])):
+        raise ValueError("weights must be strictly increasing")
+    dims = [L.rank] + [S.rank for S in members] + [0]
     quot = [dims[j] - dims[j + 1] for j in range(d)]
     if any(x % L.rank for x in a) and sum(r * x for r, x in zip(quot, a)) != 0:
         raise ValueError("weights must be rank multiples or have zero weighted sum")
-    mu = slope(L)
     total = LogValue.zero()
     for j in range(1, d):
         S = members[j - 1]
-        gap = Fraction((a[j] - a[j - 1]) * S.rank)
-        total = total + (sub_degree(S) / S.rank - mu).scaled(gap)
+        total = total + gaps[j - 1].scaled(Fraction((a[j] - a[j - 1]) * S.rank))
     return total
 
 
@@ -366,6 +380,7 @@ def _bogomolov(L: Lattice, hn: HNResult, flag_budget: int, seed: int) -> TrialRe
     params = {"seed": seed, "flag_budget": flag_budget, "rank": L.rank}
     outcomes: List[TrialOutcome] = []
     zero = LogValue.zero()
+    inputs = L.to_json()
 
     if not hn.is_semistable:
         members = [hn.chain[0]]
@@ -378,7 +393,7 @@ def _bogomolov(L: Lattice, hn: HNResult, flag_budget: int, seed: int) -> TrialRe
                 verdict,
                 value,
                 zero,
-                L.to_json(),
+                inputs,
                 {
                     "flag": [S.basis_rows for S in members],
                     "a": list(a),
@@ -400,12 +415,15 @@ def _bogomolov(L: Lattice, hn: HNResult, flag_budget: int, seed: int) -> TrialRe
             flags.append(extra)
 
     for flag in flags:
+        if len(outcomes) >= 3 * flag_budget:
+            break
+        gaps = _flag_gaps(L, flag)
         quot_dims = [L.rank] + [S.rank for S in flag] + [0]
         quot = [quot_dims[j] - quot_dims[j + 1] for j in range(len(flag) + 1)]
         for a in _weight_vectors(quot, L.rank, flag_budget):
             if len(outcomes) >= 3 * flag_budget:
                 break
-            value = flag_line_degree(L, flag, a)
+            value = _flag_degree(L, flag, gaps, a)
             if hn.is_semistable:
                 verdict = "pass" if value <= zero else "fail"
                 expect = "lhs <= rhs"
@@ -418,7 +436,7 @@ def _bogomolov(L: Lattice, hn: HNResult, flag_budget: int, seed: int) -> TrialRe
                     verdict,
                     value,
                     zero,
-                    L.to_json(),
+                    inputs,
                     {
                         "flag": [S.basis_rows for S in flag],
                         "a": list(a),

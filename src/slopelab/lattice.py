@@ -424,6 +424,13 @@ def mu_max(L: Lattice, rank_limit: int = EXACT_RANK_LIMIT) -> Tuple[LogValue, Su
     smallest canonical basis.  Ranks above ``rank_limit`` raise
     ExactSearchUnavailable carrying a certified bracket instead.
     """
+    val, witness, _udeg = _mu_max_udeg(L, rank_limit)
+    return val, witness
+
+
+def _mu_max_udeg(L: Lattice, rank_limit: int) -> Tuple[LogValue, SubLattice, LogValue]:
+    """(mu_max, witness, udeg_max) of L from the one reduction and
+    enumeration that mu_max runs."""
     if L.rank == 0:
         raise ValueError("mu_max needs positive rank")
     # one reduction serves the candidate search and the Minkowski bracket
@@ -458,7 +465,7 @@ def mu_max(L: Lattice, rank_limit: int = EXACT_RANK_LIMIT) -> Tuple[LogValue, Su
     half_log_rank = log_of(L.rank, Fraction(1, 2))
     if compare(udeg, val) is Order.GT or compare(val, udeg + half_log_rank) is Order.GT:
         raise CertificateError("mu_max outside its Minkowski bracket [udeg_max, udeg_max + log(rank)/2]")
-    return val, witness
+    return val, witness, udeg
 
 
 def mu_min(L: Lattice, rank_limit: int = EXACT_RANK_LIMIT) -> LogValue:
@@ -530,9 +537,14 @@ def morphism_height(phi: Morphism, tolerance_bits: int = 40) -> HeightBracket:
 
     The finite part is sum_p log max_ij |a_ij|_p, computed from entry
     valuations.  The archimedean part is half the log of the largest
-    generalized eigenvalue of (A^T G_F A, G_E), bracketed by exact
-    positive-definiteness bisection; the bracket width is below
-    2^-tolerance_bits.
+    generalized eigenvalue lambda of (M, G_E), M = A^T G_F A, bracketed
+    by bisection from [tr(G_E^-1 M) / k, tr(G_E^-1 M)] until hi - lo <=
+    lo * 2^-(tolerance_bits + 2); the final bracket width is below
+    2^-tolerance_bits.  The bisection runs on integers: G_E = GEi / den
+    and M = Mi / den over one common denominator, lo = L / q and hi = H / q
+    over one q that doubles at each step, and lambda < n / q iff the
+    integer matrix n * GEi - q * Mi is positive definite: by Sylvester's
+    criterion, iff la._ldl_scaled finds all its leading minors positive.
     """
     if phi.is_zero:
         raise ValueError("the zero morphism has no finite height")
@@ -558,19 +570,22 @@ def morphism_height(phi: Morphism, tolerance_bits: int = 40) -> HeightBracket:
     M = la.mat_mul(la.transpose(A), la.mat_mul(GF, A))
     k = phi.source.rank
     tr = sum(la.mat_mul(la.inverse(GE), M)[i][i] for i in range(k))
-    lo, hi = tr / k, tr
-    eps = Fraction(1, 1 << (tolerance_bits + 2))
-
-    def above(t: Fraction) -> bool:  # True when lambda_max < t
-        test = [[t * GE[i][j] - M[i][j] for j in range(k)] for i in range(k)]
-        return la.is_positive_definite(test)
-
-    while hi - lo > lo * eps:
-        mid = (lo + hi) / 2
-        if above(mid):
-            hi = mid
+    scaled, _den = la._common_scaled(GE + M)
+    lower = [(g[: i + 1], m[: i + 1]) for i, (g, m) in enumerate(zip(scaled[:k], scaled[k:]))]
+    # lo = tr / k and hi = tr over q = k * den(tr)
+    L, q = tr.numerator, k * tr.denominator
+    H = k * L
+    shift = tolerance_bits + 2
+    while (H - L) << shift > L:
+        L, H, q = 2 * L, 2 * H, 2 * q
+        mid = (L + H) // 2
+        try:  # lambda < mid / q iff mid * GEi - q * Mi is positive definite
+            la._ldl_scaled([[mid * x - q * y for x, y in zip(g, m)] for g, m in lower])
+        except la.SingularMatrixError:
+            L = mid
         else:
-            lo = mid
+            H = mid
+    lo, hi = Fraction(L, q), Fraction(H, q)
 
     # place 1/2*log(lo..hi) between grid points (j / 2^m) * log 2
     m = tolerance_bits + 3

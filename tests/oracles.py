@@ -29,6 +29,10 @@ metric by a saturated sublattice, the basis completion it is taken along,
 and the Harder-Narasimhan filtration by recursion on such quotients live
 here as well: the library reads the filtration off the upper hull of the
 least determinant at each rank, so it never forms a quotient.
+
+Morphism heights are bisected over Fractions with a Fraction LDL at each
+midpoint, and atanh is summed term by term in Fractions; the library runs
+both on integers over one common denominator.
 """
 
 from fractions import Fraction
@@ -38,7 +42,7 @@ from math import isqrt
 from slopelab import filtration as fil
 from slopelab import lattice as lat
 from slopelab import linalg as la
-from slopelab.exactnum import LogValue, Order, compare
+from slopelab.exactnum import Interval, LogValue, Order, compare, factorize, log_interval, log_of
 from slopelab.lattice import Lattice, SubLattice
 from slopelab.linalg import SingularMatrixError, solve_square
 
@@ -1013,3 +1017,82 @@ def float_decimal(box):
     and the command line once made it: the midpoint converted to a float
     and formatted to nine places."""
     return "%.9f" % float((box.lo + box.hi) / 2)
+
+
+def fraction_atanh_interval(z, bits):
+    """atanh(z) enclosure for 0 <= z <= 1/2 by the series summed term by
+    term in Fractions, each term and the tail bound reduced on its own."""
+    if not (0 <= z <= Fraction(1, 2)):
+        raise ValueError("atanh series restricted to [0, 1/2]")
+    if z == 0:
+        return Interval(Fraction(0), Fraction(0))
+    target = Fraction(1, 1 << bits)
+    one_minus = 1 - z * z
+    total = Fraction(0)
+    power = z  # z^(2k+1)
+    k = 0
+    while True:
+        tail = power / ((2 * k + 1) * one_minus)
+        if tail <= target:
+            return Interval(total, total + tail)
+        total += power / (2 * k + 1)
+        power *= z * z
+        k += 1
+
+
+def fraction_morphism_height(phi, tolerance_bits=40):
+    """morphism_height with the operator norm bisected over Fractions: lo
+    and hi are Fractions, and each midpoint t is tested by a Fraction LDL
+    of t * G_E - A^T G_F A."""
+    if phi.is_zero:
+        raise ValueError("the zero morphism has no finite height")
+    finite_map = {}
+    entries = [x for row in phi.matrix for x in row if x != 0]
+    valuations = []
+    for x in entries:
+        vp = {}
+        for p, e in factorize(abs(x.numerator)):
+            vp[p] = e
+        for p, e in factorize(x.denominator):
+            vp[p] = vp.get(p, 0) - e
+        valuations.append(vp)
+    for p in sorted({p for vp in valuations for p in vp}):
+        low = min(vp.get(p, 0) for vp in valuations)
+        if low:
+            finite_map[p] = Fraction(-low)
+    finite = LogValue.from_map(finite_map)
+
+    A = phi.matrix_rows
+    GE = phi.source.gram_rows
+    GF = phi.target.gram_rows
+    M = la.mat_mul(la.transpose(A), la.mat_mul(GF, A))
+    k = phi.source.rank
+    inv = fraction_inverse(GE)
+    tr = sum(la.mat_mul(inv, M)[i][i] for i in range(k))
+    lo, hi = tr / k, tr
+    eps = Fraction(1, 1 << (tolerance_bits + 2))
+
+    def above(t):  # True when lambda_max < t
+        try:
+            fraction_ldl([[t * GE[i][j] - M[i][j] for j in range(k)] for i in range(k)])
+        except SingularMatrixError:
+            return False
+        return True
+
+    while hi - lo > lo * eps:
+        mid = (lo + hi) / 2
+        if above(mid):
+            hi = mid
+        else:
+            lo = mid
+
+    m = tolerance_bits + 3
+    mag = sum(q.numerator.bit_length() + q.denominator.bit_length() for q in (lo, hi))
+    prec = m + 8 + mag.bit_length()
+    log2 = log_interval(Fraction(2), prec)
+    ylo = lat._interval_div(log_interval(lo, prec).scaled(Fraction(1 << (m - 1))), log2)
+    yhi = lat._interval_div(log_interval(hi, prec).scaled(Fraction(1 << (m - 1))), log2)
+    j_lo = ylo.lo.numerator // ylo.lo.denominator
+    j_hi = -((-yhi.hi.numerator) // yhi.hi.denominator)
+    grid = log_of(2, Fraction(1, 1 << m))
+    return lat.HeightBracket(finite + grid.scaled(j_lo), finite + grid.scaled(j_hi), finite)

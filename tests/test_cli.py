@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -314,6 +315,21 @@ class TestVerifyVerbs:
         assert cli.run(argv) == 0
         second = capsys.readouterr().out
         assert first == second
+
+    @pytest.mark.parametrize(
+        "verb, fmt, sha256",
+        [
+            ("slopes", "--json", "a2fed442c42c695d9ac783cad3833f05b4e405e3d86b43d41a14ef97d943325a"),
+            ("slopes", "--csv", "c8c8fdf62b96007e8eb662e128ab8e9cbb8aa71a0a7fba8732d27f3fe253fe98"),
+            ("bogomolov", "--json", "4a127556dead943a68d62a8b6bd3962ac0128b1aa33aa616b20d2e0754e53820"),
+            ("bogomolov", "--csv", "ef30a312ad2a9bf268b18434bcfe7889f4b500c2462a3c79fc6a29585ab3ed59"),
+        ],
+    )
+    def test_report_bytes_pinned(self, capsys, verb, fmt, sha256):
+        # heights, logs and flag degrees feed these reports; the digests
+        # pin every byte of them across changes to those computations
+        assert cli.run(["verify", verb, "--ranks", "2,3", "--trials", "6", "--seed", "3", fmt]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha256
 
     def test_csv_output(self, capsys):
         code = cli.run(

@@ -10,6 +10,7 @@ from fractions import Fraction
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from slopelab import exactnum, harness
 from slopelab.exactnum import (
@@ -28,7 +29,8 @@ from slopelab.exactnum import (
     rat_to_str,
 )
 from slopelab.harness import TrialConfig, check_main_theorem
-from oracles import float_decimal, isqrt_fraction_floor
+from slopelab.lattice import Lattice, Morphism, morphism_height
+from oracles import float_decimal, fraction_atanh_interval, isqrt_fraction_floor
 
 
 # --- factorization -------------------------------------------------------
@@ -206,6 +208,55 @@ def test_log_interval_any_rational():
     import math
 
     assert abs(float(iv.midpoint) - math.log(float(big))) < 1e-12
+
+
+def test_atanh_matches_fraction_oracle():
+    # the one-denominator series gives the same two rationals as the
+    # Fraction series summed term by term
+    rng = random.Random(3000)
+    zs = [Fraction(0), Fraction(1, 3), Fraction(1, 2)]
+    while len(zs) < 3000:
+        b = rng.randrange(1, 1 << rng.choice((4, 12, 40, 70)))
+        zs.append(Fraction(rng.randrange(0, b // 2 + 1), b))
+    for z in zs:
+        for bits in (8, 33, 67, 140):
+            assert exactnum._atanh_interval(z, bits) == fraction_atanh_interval(z, bits), (z, bits)
+
+
+def test_log_cache_keeps_only_integer_arguments(monkeypatch):
+    # heights take logs of one-shot rationals; caching them would crowd
+    # out the prime logs that comparisons and renderings ask for again
+    monkeypatch.setattr(exactnum, "_LOG_CACHE", {})
+    rng = random.Random(50)
+    done = 0
+    while done < 50:
+        n = rng.randint(1, 3)
+        E = Lattice.from_rows([[Fraction(int(i == j) * rng.randint(1, 5), rng.randint(1, 3)) for j in range(n)] for i in range(n)])
+        rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        if any(x for row in rows for x in row):
+            morphism_height(Morphism.from_rows(E, E, rows))
+            done += 1
+    assert exactnum._LOG_CACHE
+    assert all(q.denominator == 1 for q, _bits in exactnum._LOG_CACHE)
+
+
+log_values = st.builds(
+    LogValue.from_map,
+    st.dictionaries(
+        st.sampled_from((2, 3, 5, 7, 11)),
+        st.fractions(min_value=-6, max_value=6, max_denominator=12),
+        max_size=4,
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(log_values, log_values, st.booleans())
+def test_compare_is_antisymmetric(a, b, same):
+    if same:
+        b = a
+    assert compare(a, b) == -compare(b, a)
+    assert (compare(a, b) is Order.EQ) == (a == b)
 
 
 def test_interval_arith():

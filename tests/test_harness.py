@@ -249,6 +249,43 @@ class TestOneComputationPerTrial:
         assert len(calls) == 4 * cfg.trials
 
 
+    def test_bk_bracket_reduces_each_lattice_once(self, monkeypatch):
+        rng = random.Random(10009)
+        lattices = [random_lattice(rng.choice([2, 3]), 3, rng) for _ in range(20)]
+        calls = []
+        real = la.gram_lll
+
+        def counting(*args):
+            calls.append(len(args[0]))
+            return real(*args)
+
+        monkeypatch.setattr(la, "gram_lll", counting)
+        brackets = [bk_bracket(L) for L in lattices]
+        with_bracket = len(calls)
+        del calls[:]
+        assert [b["mu_max"] for b in brackets] == [mu_max(L)[0] for L in lattices]
+        assert with_bracket == len(calls)
+
+    def test_bogomolov_checks_each_flag_once(self, monkeypatch):
+        checks = self.counting(monkeypatch, "is_saturated")
+        rng = random.Random(10009)
+        repeated = 0
+        for i in range(20):
+            L = random_lattice(rng.choice([2, 3]), 3, rng)
+            del checks[:]
+            rep = check_bogomolov(L, flag_budget=8, seed=i)
+            witness = [o for o in rep.outcomes if o.detail["expect"] == "lhs > rhs"]
+            flags = []
+            for o in rep.outcomes:
+                if o not in witness and o.detail["flag"] not in flags:
+                    flags.append(o.detail["flag"])
+            members = sum(len(o.detail["flag"]) for o in witness) + sum(len(f) for f in flags)
+            assert len(checks) == members
+            repeated += len(rep.outcomes) > len(witness) + len(flags)
+        # flags evaluated at several weight vectors, once checked each
+        assert repeated >= 10
+
+
 class TestSlopeInequalities:
     def test_frozen_diagonal_morphism(self):
         phi = Morphism.from_rows(ID2, ID2, [[1, 0], [0, 2]])

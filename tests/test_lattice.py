@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from slopelab import lattice as lat
 from slopelab import linalg as la
-from slopelab.exactnum import LogValue, Order, approximate, compare, log_of
+from slopelab.exactnum import Interval, LogValue, Order, approximate, compare, log_of
 from slopelab.harness import random_lattice
 from oracles import (
     NotSaturatedError,
@@ -21,6 +21,7 @@ from oracles import (
     box_short_vectors,
     diagonal_is_saturated,
     diagonal_saturate,
+    fraction_morphism_height,
     quotient_bundle,
     random_spd_matrix,
     random_unimodular,
@@ -620,6 +621,59 @@ def test_morphism_scaling_brackets_overlap():
     # the product formula makes both brackets enclose the same number
     assert compare(h1.lower, h2.upper) is not Order.GT
     assert compare(h2.lower, h1.upper) is not Order.GT
+
+
+def _rational_lattice(rng, rank):
+    """B^T B for a nonsingular B with entries p/q, so a Gram matrix with
+    denominators."""
+    while True:
+        B = [[Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(rank)] for _ in range(rank)]
+        if la.det(B) != 0:
+            return lat.Lattice.from_rows(la.mat_mul(la.transpose(B), B))
+
+
+def _seeded_morphisms(count, seed):
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        E = _rational_lattice(rng, rng.randint(1, 6))
+        F = _rational_lattice(rng, rng.randint(1, 4))
+        rows = [[Fraction(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(E.rank)] for _ in range(F.rank)]
+        if any(x for row in rows for x in row):
+            out.append(lat.Morphism.from_rows(E, F, rows))
+    return out
+
+
+def test_morphism_height_matches_fraction_oracle():
+    # the integer Sylvester bisection ends on the same lo and hi as the
+    # Fraction one, so every bracket is the same LogValue triple
+    for t, phi in enumerate(_seeded_morphisms(402, 4242)):
+        bits = (10, 40, 64)[t % 3]
+        assert lat.morphism_height(phi, bits) == fraction_morphism_height(phi, bits), (t, bits)
+
+
+def test_morphism_height_runs_no_positive_definite_test(monkeypatch):
+    morphisms = _seeded_morphisms(20, 4243)  # Lattice validation tests definiteness
+    calls = []
+    real = la.is_positive_definite
+
+    def counting(M):
+        calls.append(len(M))
+        return real(M)
+
+    monkeypatch.setattr(la, "is_positive_definite", counting)
+    for phi in morphisms:
+        lat.morphism_height(phi, 40)
+    assert calls == []
+
+
+def test_morphism_height_width_check_raises(monkeypatch):
+    # an enclosure of the width that is wider than the tolerance is a
+    # broken certificate
+    monkeypatch.setattr(lat, "approximate", lambda value, bits: Interval(Fraction(0), Fraction(1)))
+    U = lat.unit_lattice(2)
+    with pytest.raises(lat.CertificateError, match="height bracket wider"):
+        lat.morphism_height(lat.Morphism.from_rows(U, U, [[1, 1], [0, 1]]))
 
 
 def test_zero_morphism_rejected():
