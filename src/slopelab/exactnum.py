@@ -244,10 +244,6 @@ class LogValue:
         return LogValue(items)
 
     @property
-    def as_dict(self) -> Dict[int, Fraction]:
-        return dict(self.terms)
-
-    @property
     def is_zero(self) -> bool:
         return not self.terms
 

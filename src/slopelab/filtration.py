@@ -107,10 +107,6 @@ class Filtration:
             self.member_dim(i) - self.member_dim(i + 1) for i in range(self.depth)
         )
 
-    @property
-    def is_trivial(self) -> bool:
-        return self.depth == 1 and self.jumps[0] == 0
-
     def to_json(self) -> dict:
         return {
             "dim": self.dim,

@@ -83,10 +83,6 @@ class TensorPoint:
         )
         return TensorPoint(tuple(int(r) for r in shape), items)
 
-    @property
-    def coord_map(self) -> Dict[Tuple[int, ...], Fraction]:
-        return dict(self.coords)
-
     def to_json(self) -> dict:
         return {
             "shape": list(self.shape),
@@ -271,20 +267,6 @@ def tensor_lambda(x: TensorPoint, T: FiltrationTuple) -> Fraction:
     nonzero coordinates."""
     _check_shapes(x, T)
     return _lambda_weighted(x, [_adapted(F) for F in T.components])
-
-
-def big_lambda(x: TensorPoint, T: FiltrationTuple) -> AlgValue:
-    """The destabilization functional; zero on all-trivial tuples and
-    invariant under simultaneous dilation."""
-    _check_shapes(x, T)
-    denom_sq = sum((fil.norm_squared(F) for F in T.components), Fraction(0))
-    if denom_sq == 0:
-        return AlgValue.zero()
-    num = sum((fil.expectation(F) for F in T.components), Fraction(0))
-    num -= tensor_lambda(x, T)
-    if num == 0:
-        return AlgValue.zero()
-    return AlgValue(1 if num > 0 else -1, num * num / denom_sq)
 
 
 def mu_invariant(

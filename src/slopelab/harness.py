@@ -371,36 +371,41 @@ def check_bogomolov(L: Lattice, flag_budget: int = 10, seed: int = 0) -> TrialRe
     """
     if L.rank > EXACT_RANK_LIMIT:
         raise ValueError("rank exceeds the exact search limit")
-    return _bogomolov(L, hn_filtration(L), flag_budget, seed)
-
-
-def _bogomolov(L: Lattice, hn: HNResult, flag_budget: int, seed: int) -> TrialReport:
-    """check_bogomolov on the HN filtration hn of L."""
-    rng = random.Random("bogomolov:%d" % seed)
     params = {"seed": seed, "flag_budget": flag_budget, "rank": L.rank}
-    outcomes: List[TrialOutcome] = []
     zero = LogValue.zero()
     inputs = L.to_json()
+    outcomes = tuple(
+        _outcome(
+            i,
+            verdict,
+            value,
+            zero,
+            inputs,
+            {"flag": [S.basis_rows for S in flag], "a": list(a), "expect": expect},
+        )
+        for i, (verdict, value, flag, a, expect) in enumerate(
+            _bogomolov(L, hn_filtration(L), flag_budget, seed)
+        )
+    )
+    return TrialReport("bogomolov", params, outcomes)
+
+
+# (verdict, value, flag, weights, expectation) of one flag degree
+_Evaluation = Tuple[str, LogValue, List[SubLattice], Tuple[int, ...], str]
+
+
+def _bogomolov(L: Lattice, hn: HNResult, flag_budget: int, seed: int) -> List[_Evaluation]:
+    """The evaluations of check_bogomolov on the HN filtration hn of L,
+    unrendered."""
+    rng = random.Random("bogomolov:%d" % seed)
+    evaluations: List[_Evaluation] = []
+    zero = LogValue.zero()
 
     if not hn.is_semistable:
         members = [hn.chain[0]]
         a = (0, L.rank)
         value = flag_line_degree(L, members, a)
-        verdict = "pass" if value > zero else "fail"
-        outcomes.append(
-            _outcome(
-                0,
-                verdict,
-                value,
-                zero,
-                inputs,
-                {
-                    "flag": [S.basis_rows for S in members],
-                    "a": list(a),
-                    "expect": "lhs > rhs",
-                },
-            )
-        )
+        evaluations.append(("pass" if value > zero else "fail", value, members, a, "lhs > rhs"))
 
     flags: List[List[SubLattice]] = []
     if len(hn.chain) > 1:
@@ -415,40 +420,25 @@ def _bogomolov(L: Lattice, hn: HNResult, flag_budget: int, seed: int) -> TrialRe
             flags.append(extra)
 
     for flag in flags:
-        if len(outcomes) >= 3 * flag_budget:
+        if len(evaluations) >= 3 * flag_budget:
             break
         gaps = _flag_gaps(L, flag)
         quot_dims = [L.rank] + [S.rank for S in flag] + [0]
         quot = [quot_dims[j] - quot_dims[j + 1] for j in range(len(flag) + 1)]
         for a in _weight_vectors(quot, L.rank, flag_budget):
-            if len(outcomes) >= 3 * flag_budget:
+            if len(evaluations) >= 3 * flag_budget:
                 break
             value = _flag_degree(L, flag, gaps, a)
             if hn.is_semistable:
-                verdict = "pass" if value <= zero else "fail"
-                expect = "lhs <= rhs"
+                evaluations.append(("pass" if value <= zero else "fail", value, flag, a, "lhs <= rhs"))
             else:
-                verdict = "pass"
-                expect = "none"
-            outcomes.append(
-                _outcome(
-                    len(outcomes),
-                    verdict,
-                    value,
-                    zero,
-                    inputs,
-                    {
-                        "flag": [S.basis_rows for S in flag],
-                        "a": list(a),
-                        "expect": expect,
-                    },
-                )
-            )
-    return TrialReport("bogomolov", params, tuple(outcomes))
+                evaluations.append(("pass", value, flag, a, "none"))
+    return evaluations
 
 
 def check_bogomolov_campaign(config: TrialConfig) -> TrialReport:
-    """One Bogomolov sign test per random lattice."""
+    """One Bogomolov sign test per random lattice; only the first
+    evaluation's value is rendered."""
     if max(config.ranks) > EXACT_RANK_LIMIT:
         raise ValueError("rank exceeds the exact search limit")
 
@@ -457,14 +447,20 @@ def check_bogomolov_campaign(config: TrialConfig) -> TrialReport:
         rank = rng.choice(config.ranks)
         L = random_lattice(rank, config.entry_bound, rng)
         hn = hn_filtration(L)
-        rep = _bogomolov(L, hn, 8, rng.getrandbits(32))
-        verdict = "pass" if rep.ok else "fail"
-        lhs = rep.outcomes[0].lhs if rep.outcomes else "0"
-        lhs_dec = rep.outcomes[0].lhs_decimal if rep.outcomes else "0.000000000"
+        evaluations = _bogomolov(L, hn, 8, rng.getrandbits(32))
+        counts = {"pass": 0, "fail": 0, "inconclusive": 0}
+        for evaluation in evaluations:
+            counts[evaluation[0]] += 1
+        verdict = "pass" if counts["fail"] == 0 else "fail"
+        if evaluations:
+            first = evaluations[0][1]
+            lhs, lhs_dec = str(first), decimal_str(first)
+        else:
+            lhs, lhs_dec = "0", "0.000000000"
         detail = {
             "semistable": hn.is_semistable,
-            "evaluations": len(rep.outcomes),
-            "counts": rep.counts,
+            "evaluations": len(evaluations),
+            "counts": counts,
         }
         return TrialOutcome(i, verdict, lhs, "0", lhs_dec, "0.000000000", L.to_json(), detail)
 

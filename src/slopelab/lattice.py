@@ -93,10 +93,6 @@ class Lattice:
         return lat
 
 
-def unit_lattice(rank: int) -> Lattice:
-    return Lattice.from_rows(la.identity(rank))
-
-
 @dataclass(frozen=True)
 class SubLattice:
     """Sublattice of ambient Z^r spanned by the integer columns of basis."""
@@ -318,36 +314,34 @@ def _udeg_of_shortest(
     return log_of(best, Fraction(-1, 2)), witness
 
 
-def _decomposable_kernel(w: Sequence[Fraction], r: int, k: int) -> Optional[la.Matrix]:
-    """Support of a decomposable k-vector, or None.
+def _decomposable_kernel(w: Sequence[int], r: int, k: int) -> Optional[List[List[int]]]:
+    """Support of a decomposable integer k-vector w, or None.
 
     w is decomposable iff the kernel of x -> x /\\ w has dimension k; the
-    kernel is then exactly the k-plane whose wedge is w.
+    kernel is then exactly the k-plane whose wedge is w.  The wedge rows
+    are integers, so one elimination gives d * rref, and the kernel vector
+    of free column f is read off it: d at f and -W[i][f] at pivot i.
+    Returned as primitive integer rows.
     """
-    subsets = la.k_subsets(r, k)
-    index = {I: t for t, I in enumerate(subsets)}
-    bigs = la.k_subsets(r, k + 1)
-    rows = []
-    for I in bigs:
-        row = [Fraction(0)] * r
+    index = {I: t for t, I in enumerate(la.k_subsets(r, k))}
+    W = []
+    for I in la.k_subsets(r, k + 1):
+        row = [0] * r
         for pos, j in enumerate(I):
-            rest = I[:pos] + I[pos + 1 :]
-            row[j] = (-1) ** pos * w[index[rest]]
-        rows.append(row)
-    ker = la.kernel(rows, r)
-    if len(ker) != k:
+            x = w[index[I[:pos] + I[pos + 1 :]]]
+            row[j] = -x if pos % 2 else x
+        W.append(row)
+    rank, pivots, d, _sign = la._eliminate(W, r)
+    if r - rank != k:
         return None
+    ker = []
+    for f in [c for c in range(r) if c not in pivots]:
+        v = [0] * r
+        v[f] = d
+        for i, p in enumerate(pivots):
+            v[p] = -W[i][f]
+        ker.append(la.primitive_vector(v))
     return ker
-
-
-def _primitive_rows(rows: Sequence[Sequence]) -> List[List[int]]:
-    """Each rational row scaled to the primitive integer vector of its
-    direction, the first nonzero entry positive."""
-    return [la.primitive_vector(row) for row in la._scaled_rows(rows)[0]]
-
-
-def _saturated_from_rational_rows(L: Lattice, rows: Sequence[Sequence]) -> SubLattice:
-    return saturate(SubLattice.from_columns(L, _primitive_rows(rows)))
 
 
 def _slope_of_det(detval: Fraction, k: int) -> LogValue:
@@ -387,13 +381,13 @@ def _rank_candidates(
             C = la.compound_matrix(Gred, k)
             radius = min(C[t][t] for t in range(len(C)))
             for w, _norm in la.short_vectors_gram(C, radius):
-                ker = _decomposable_kernel([Fraction(x) for x in w], r, k)
+                ker = _decomposable_kernel(w, r, k)
                 if ker is None:
                     continue
-                # each kernel row times a positive integer keeps the direction
-                # of its image under U, so the back-map multiplies integers
-                back = la.mat_mul(_primitive_rows(ker), la.transpose(U))
-                subs.append(_saturated_from_rational_rows(L, back))
+                # the saturation depends only on the span of the kernel
+                # rows mapped back under U, all integers
+                back = la.mat_mul(ker, la.transpose(U))
+                subs.append(saturate(SubLattice.from_columns(L, back)))
         seen = set()
         for S in subs:
             if S.basis not in seen:

@@ -10,10 +10,13 @@ at (r, c) sets every other row to (p * row - row[c] * W[r]) // p_prev, exact
 since each entry is then a minor of the input.  Only final entries are
 Fractions.
 
-Lattice reduction stays on the integers as well: gram_lll is the integral
-LLL on den * G, seeded from _ldl_scaled, and hands its final Gram-Schmidt
-data (lam, D, den) to short_vectors_reduced, whose Fincke-Pohst enumeration
-uses integer centers and isqrt ranges and builds one Fraction per node.
+Lattice reduction stays on the integers as well: _lll_sweep is the
+integral LLL on den * G, seeded from _ldl_scaled, and hands its final
+Gram-Schmidt data (lam, D, den) to short_vectors_reduced, whose
+Fincke-Pohst enumeration uses integer centers and isqrt ranges and builds
+one Fraction per node.  gram_lll adds the reduced Gram matrix, which only
+callers that read it pay for.  Compound matrices are built from integer
+minors by Laplace expansion, one level at a time.
 """
 
 from __future__ import annotations
@@ -158,22 +161,6 @@ def rank(M: Sequence[Sequence]) -> int:
     return _eliminate(W, len(W[0]))[0] if W else 0
 
 
-def kernel(M: Sequence[Sequence], ncols: Optional[int] = None) -> Matrix:
-    """Canonical basis (rref rows) of {x : M x = 0} as row vectors."""
-    if ncols is None:
-        ncols = len(M[0]) if M else 0
-    R, pivots = rref(M)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for i, p in enumerate(pivots):
-            v[p] = -R[i][f]
-        basis.append(v)
-    return rref(basis)[0] if basis else []
-
-
 def row_space_contains(R: Matrix, pivots: List[int], v: Sequence) -> bool:
     """Membership of v in the row space given its rref representation."""
     w = [Fraction(x) for x in v]
@@ -204,19 +191,49 @@ def submatrix(M: Sequence[Sequence], rows: Sequence[int], cols: Sequence[int]) -
 
 def compound_matrix(M: Sequence[Sequence], k: int) -> Matrix:
     """k-th compound: entries are the k x k minors on sorted index sets,
-    each taken on den * M and divided by den^k.  The compound of a
-    symmetric M is symmetric, so then each minor is taken once per
+    taken on den * M and divided by den^k.
+
+    The minors are built level by level on integers: a level-m minor is
+    the Laplace expansion along the first row of its row set, with the
+    level-(m-1) minors as cofactors.  The compound of a symmetric M is
+    symmetric at every level, so then each minor is taken once per
     unordered pair of index sets."""
     A, den = _common_scaled(M)
-    subsets = k_subsets(len(M), k)
+    n = len(A)
+    if k > n:
+        return []
     sym = is_symmetric(A)
-    C: Matrix = [[Fraction(0)] * len(subsets) for _ in subsets]
-    for a, I in enumerate(subsets):
-        rows = [A[i] for i in I]
-        for b in range(a if sym else 0, len(subsets)):
-            C[a][b] = Fraction(_int_det([[row[j] for j in subsets[b]] for row in rows]), den**k)
-            if sym:
-                C[b][a] = C[a][b]
+    # level 1 is den * M itself; level 0 is the empty minor, 1
+    subsets = k_subsets(n, min(k, 1))
+    T = A if k else [[1]]
+    for m in range(2, k + 1):
+        prev = {S: t for t, S in enumerate(subsets)}
+        subsets = k_subsets(n, m)
+        # per column set J, (J[t], index of J without J[t]) at even and odd t
+        drop = [[(J[t], prev[J[:t] + J[t + 1 :]]) for t in range(m)] for J in subsets]
+        even = [d[0::2] for d in drop]
+        odd = [d[1::2] for d in drop]
+        N = len(subsets)
+        level = [[0] * N for _ in range(N)]
+        for a, I in enumerate(subsets):
+            row, cof = A[I[0]], T[prev[I[1:]]]
+            out = level[a]
+            for b in range(a if sym else 0, N):
+                x = 0
+                for j, c in even[b]:
+                    x += row[j] * cof[c]
+                for j, c in odd[b]:
+                    x -= row[j] * cof[c]
+                out[b] = x
+                if sym:
+                    level[b][a] = x
+        T = level
+    scale = den**k
+    C: Matrix = []
+    for a, row in enumerate(T):
+        # on symmetric input the lower triangle shares the upper's Fractions
+        head = [C[b][a] for b in range(a)] if sym else [Fraction(x, scale) for x in row[:a]]
+        C.append(head + [Fraction(x, scale) for x in row[a:]])
     return C
 
 
@@ -380,18 +397,36 @@ def gram_lll(G: Sequence[Sequence]) -> Tuple[Matrix, List[List[int]], GSO]:
     LLL-reduced (size-reduced and satisfying the Lovasz condition with
     parameter 3/4), and gso the Gram-Schmidt data of Gred, which
     short_vectors_reduced enumerates on.  Raises SingularMatrixError unless
-    G is positive definite.
+    G is positive definite.  (U, gso) come from _lll_sweep; the reduced Gram
+    matrix is formed once at the end, in integer arithmetic.
+    """
+    U, gso = _lll_sweep(G)
+    n = len(U)
+    # U^T G U in integers: scale G to its common denominator, multiply
+    # exactly, and build one Fraction per entry of the upper triangle
+    # (G is symmetric, so U^T G U is too).
+    Gint, gden = _common_scaled(G)
+    cols = transpose(U)
+    Gcols = [[sum(g * u for g, u in zip(grow, col)) for grow in Gint] for col in cols]
+    Gred: Matrix = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            Gred[i][j] = Gred[j][i] = Fraction(sum(a * b for a, b in zip(cols[i], Gcols[j])), gden)
+    return Gred, U, gso
+
+
+def _lll_sweep(G: Sequence[Sequence]) -> Tuple[List[List[int]], GSO]:
+    """The reduction of gram_lll without the reduced Gram matrix: (U, gso).
 
     The sweep is Cohen's integral LLL (A Course in Computational Algebraic
     Number Theory, Alg. 2.6.7) on den * G, seeded from _ldl_scaled (U starts
     as the identity, so the GSO is that of G itself).  It size-reduces when
     2 |lam_kl| > D_{l+1} and swaps when 4 (D_{k+1} D_{k-1} + lam^2) < 3 D_k^2,
-    the decisions of the rational sweep with mu = lam / D.  The reduced
-    Gram matrix is formed once at the end, in integer arithmetic.
+    the decisions of the rational sweep with mu = lam / D.
     """
     n = len(G)
     if n == 0:
-        return [], [], GSO([], [1], 1)
+        return [], GSO([], [1], 1)
     A, D, den = _ldl_scaled(G)
     lam = [row[:i] for i, row in enumerate(A)]
     U = [[int(i == j) for j in range(n)] for i in range(n)]
@@ -428,36 +463,25 @@ def gram_lll(G: Sequence[Sequence]) -> Tuple[Matrix, List[List[int]], GSO]:
             for l in range(k - 2, -1, -1):
                 size_reduce(k, l)
             k += 1
-
-    # U^T G U in integers: scale G to its common denominator, multiply
-    # exactly, and build one Fraction per entry of the upper triangle
-    # (G is symmetric, so U^T G U is too).
-    Gint, gden = _common_scaled(G)
-    cols = transpose(U)
-    Gcols = [[sum(g * u for g, u in zip(grow, col)) for grow in Gint] for col in cols]
-    Gred: Matrix = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            Gred[i][j] = Gred[j][i] = Fraction(sum(a * b for a, b in zip(cols[i], Gcols[j])), gden)
-    return Gred, U, GSO(lam, D, den)
+    return U, GSO(lam, D, den)
 
 
 def short_vectors_gram(G: Sequence[Sequence], bound: Fraction) -> List[Tuple[Tuple[int, ...], Fraction]]:
     """All nonzero v in Z^n with v^T G v <= bound, up to sign.
 
-    Reduces G with gram_lll, then enumerates with short_vectors_reduced.
-    A caller that already holds the reduction of G should call
-    short_vectors_reduced directly.
+    Reduces G with _lll_sweep, which forms no reduced Gram matrix, then
+    enumerates with short_vectors_reduced.  A caller that already holds
+    the reduction of G should call short_vectors_reduced directly.
     """
-    _Gred, U, gso = gram_lll(G)
-    return short_vectors_reduced(U, gso, bound)
+    return short_vectors_reduced(*_lll_sweep(G), bound)
 
 
 def short_vectors_reduced(
     U: Sequence[Sequence[int]], gso: GSO, bound: Fraction
 ) -> List[Tuple[Tuple[int, ...], Fraction]]:
     """All nonzero v in Z^n with v^T G v <= bound, up to sign, given the
-    reduction (Gred, U, gso) = gram_lll(G), so that Gred = U^T G U.
+    reduction (U, gso) = _lll_sweep(G) of G, so that Gred = U^T G U is the
+    reduced Gram matrix that gram_lll(G) returns with them.
 
     Fincke-Pohst enumeration (Math. Comp. 44, 1985) of x with
     x^T Gred x <= bound on the integer GSO alone: with the integer center

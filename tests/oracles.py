@@ -40,11 +40,57 @@ from itertools import combinations, product
 from math import isqrt
 
 from slopelab import filtration as fil
+from slopelab import gitstab as gs
 from slopelab import lattice as lat
 from slopelab import linalg as la
-from slopelab.exactnum import Interval, LogValue, Order, compare, factorize, log_interval, log_of
+from slopelab.exactnum import AlgValue, Interval, LogValue, Order, compare, factorize, log_interval, log_of
 from slopelab.lattice import Lattice, SubLattice
 from slopelab.linalg import SingularMatrixError, solve_square
+
+
+def kernel(M, ncols=None):
+    """Canonical basis (rref rows) of {x : M x = 0} as row vectors."""
+    if ncols is None:
+        ncols = len(M[0]) if M else 0
+    R, pivots = la.rref(M)
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = []
+    for f in free:
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for i, p in enumerate(pivots):
+            v[p] = -R[i][f]
+        basis.append(v)
+    return la.rref(basis)[0] if basis else []
+
+
+def unit_lattice(rank):
+    return Lattice.from_rows(la.identity(rank))
+
+
+def coord_map(x):
+    """The nonzero coordinates of a tensor point as a dict."""
+    return dict(x.coords)
+
+
+def is_trivial(F):
+    """A filtration with one member, of weight zero."""
+    return F.depth == 1 and F.jumps[0] == 0
+
+
+def big_lambda(x, T):
+    """The destabilization functional (sum E[F_i] - lambda(v_x))^2 / sum
+    |F_i|^2 with the sign of its base; zero on all-trivial tuples and
+    invariant under simultaneous dilation."""
+    gs._check_shapes(x, T)
+    denom_sq = sum((fil.norm_squared(F) for F in T.components), Fraction(0))
+    if denom_sq == 0:
+        return AlgValue.zero()
+    num = sum((fil.expectation(F) for F in T.components), Fraction(0))
+    num -= gs.tensor_lambda(x, T)
+    if num == 0:
+        return AlgValue.zero()
+    return AlgValue(1 if num > 0 else -1, num * num / denom_sq)
 
 
 def cofactor_det(M):
@@ -60,6 +106,23 @@ def cofactor_det(M):
         total += sign * Fraction(M[0][j]) * cofactor_det(minor)
         sign = -sign
     return total
+
+
+def bareiss_compound_matrix(M, k):
+    """k-th compound with each minor a separate Bareiss determinant on
+    den * M (one per unordered pair of index sets on symmetric input),
+    divided by den^k."""
+    A, den = la._common_scaled(M)
+    subsets = la.k_subsets(len(M), k)
+    sym = la.is_symmetric(A)
+    C = [[Fraction(0)] * len(subsets) for _ in subsets]
+    for a, I in enumerate(subsets):
+        rows = [A[i] for i in I]
+        for b in range(a if sym else 0, len(subsets)):
+            C[a][b] = Fraction(la._int_det([[row[j] for j in subsets[b]] for row in rows]), den**k)
+            if sym:
+                C[b][a] = C[a][b]
+    return C
 
 
 def _frac_rows(M):
@@ -480,6 +543,13 @@ def quotient_bundle(S):
     return Lattice.from_rows(la.inverse([row[k:] for row in inv[k:]]))
 
 
+def saturated_from_rational_rows(L, rows):
+    """The saturation of the span of rational rows, each first scaled to
+    the primitive integer vector of its direction."""
+    prim = [la.primitive_vector(row) for row in la._scaled_rows(rows)[0]]
+    return lat.saturate(SubLattice.from_columns(L, prim))
+
+
 def recursive_hn_filtration(L):
     """HN filtration by recursion on quotients: the first step saturates the
     sum of all sublattices of maximal slope (compared as LogValues), the
@@ -498,7 +568,7 @@ def recursive_hn_filtration(L):
         for (_k, S, _d), val in zip(candidates, slopes):
             if val == best:
                 stacked.extend(la.transpose(S.basis_rows))
-        des = lat._saturated_from_rational_rows(
+        des = saturated_from_rational_rows(
             Q, la.rref([[Fraction(x) for x in row] for row in stacked])[0]
         )
         if des.rank == Q.rank:
@@ -789,7 +859,7 @@ def intersect_row_spaces(A, B):
         [A[i][c] for i in range(len(A))] + [-B[j][c] for j in range(len(B))]
         for c in range(ncols)
     ]
-    combos = la.kernel(stacked, len(A) + len(B))
+    combos = kernel(stacked, len(A) + len(B))
     vecs = []
     for combo in combos:
         y = combo[: len(A)]

@@ -13,6 +13,7 @@ import time
 from fractions import Fraction as F
 
 from oracles import (
+    coord_map,
     grid_min_lambda,
     minimizers_proportional,
     quotient_bundle,
@@ -204,7 +205,7 @@ def test_criterion_5_kempf_minimizer():
     unstable = 0
     challenge_rng = random.Random(99055)
     for x, res in kempf_instances():
-        sign, _ = grid_min_lambda(x.shape, x.coord_map)
+        sign, _ = grid_min_lambda(x.shape, coord_map(x))
         assert (res is None) == (sign == 0)
         if res is None:
             continue

@@ -12,6 +12,7 @@ from oracles import (
     coordinates,
     from_coordinates,
     is_compatible,
+    is_trivial,
     scalar_product_by_basis,
 )
 
@@ -334,7 +335,7 @@ def test_norm_zero_iff_trivial():
     rng = random.Random(506)
     for _ in range(20):
         F = rand_filtration(rng, rng.randrange(1, 5))
-        assert (fil.norm_squared(F) == 0) == F.is_trivial
+        assert (fil.norm_squared(F) == 0) == is_trivial(F)
 
 
 # ---------------------------------------------------------------------------

@@ -15,11 +15,14 @@ from slopelab import gitstab as gs
 from slopelab.exactnum import AlgValue
 from slopelab.filtration import CompatibleBasis, FiltrationTuple
 from oracles import (
+    big_lambda,
+    coord_map,
     fraction_det,
     fraction_inverse,
     fraction_lambda_in_bases,
     fraction_random_rows,
     grid_min_lambda,
+    is_trivial,
     minimizers_proportional,
     scalar_product_by_basis,
     subset_scan_min_norm_point,
@@ -128,9 +131,9 @@ def test_lambda_in_drawn_basis_matches_tensor_lambda():
 
 def test_big_lambda_frozen():
     tup = FiltrationTuple((PM_FILT,))
-    assert gs.big_lambda(E1_POINT, tup) == AlgValue(-1, F(1))
+    assert big_lambda(E1_POINT, tup) == AlgValue(-1, F(1))
     triv = FiltrationTuple((fil.trivial(2),))
-    assert gs.big_lambda(E1_POINT, triv) == AlgValue.zero()
+    assert big_lambda(E1_POINT, triv) == AlgValue.zero()
 
 
 def test_big_lambda_dilation_invariant():
@@ -147,10 +150,10 @@ def test_big_lambda_dilation_invariant():
                 except ValueError:
                     continue
         tup = FiltrationTuple(tuple(comps))
-        base = gs.big_lambda(x, tup)
+        base = big_lambda(x, tup)
         for eps in (F(7), F(2, 3)):
             scaled = FiltrationTuple(tuple(fil.dilate(c, eps) for c in tup.components))
-            assert gs.big_lambda(x, scaled) == base
+            assert big_lambda(x, scaled) == base
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +222,7 @@ def test_minimize_fixed_basis_semistable_cases():
     ident_bases = [gs._identity_basis(2), gs._identity_basis(2)]
     res = gs.minimize_fixed_basis(IDENT_POINT, ident_bases)
     assert res.c == AlgValue.zero() and not res.is_destabilizing
-    assert all(c.is_trivial for c in res.minimizer.components)
+    assert all(is_trivial(c) for c in res.minimizer.components)
     x = point((2,), {(0,): 1, (1,): 1})
     res2 = gs.minimize_fixed_basis(x, [gs._identity_basis(2)])
     assert res2.c == AlgValue.zero()
@@ -239,7 +242,7 @@ def test_minimize_fixed_basis_is_minimal():
                 weighted([[int(a == b) for b in range(r)] for a in range(r)], w)
                 for r, w in zip(x.shape, ws)
             )
-            val = gs.big_lambda(x, FiltrationTuple(comps))
+            val = big_lambda(x, FiltrationTuple(comps))
             assert res.c <= val
 
 
@@ -256,7 +259,7 @@ def test_min_norm_fifteen_gradients_is_minimal():
             weighted([[int(a == b) for b in range(r)] for a in range(r)], w)
             for r, w in zip(x.shape, ws)
         )
-        assert res.c <= gs.big_lambda(x, FiltrationTuple(comps))
+        assert res.c <= big_lambda(x, FiltrationTuple(comps))
 
 
 def _support_gradients(shape, cells):
@@ -373,7 +376,7 @@ def test_dense_campaign_has_no_inconclusive_point():
                     verdict = gs.is_semistable(x)
                     if shape == (4, 4):
                         # a square matrix is SL x SL semistable iff det != 0
-                        M = [[x.coord_map.get((i, j), 0) for j in range(4)] for i in range(4)]
+                        M = [[coord_map(x).get((i, j), 0) for j in range(4)] for i in range(4)]
                         assert verdict.semistable == (fraction_det(M) != 0)
                     if not verdict.semistable:
                         R = gs.rr_reduce(x, verdict.witness)
@@ -418,7 +421,7 @@ def test_kempf_agrees_with_grid_oracle():
     rng = random.Random(6101)
     for _ in range(12):
         x = rand_point(rng)
-        oracle = alg_from_pair(grid_min_lambda(x.shape, x.coord_map))
+        oracle = alg_from_pair(grid_min_lambda(x.shape, coord_map(x)))
         res = gs.kempf_minimize(x, challenges=25)
         if res is None:
             assert oracle == AlgValue.zero()
@@ -472,7 +475,7 @@ def test_mu_negative_iff_unstable_on_small_shapes():
     rng = random.Random(999)
     for _ in range(10):
         x = rand_point(rng)
-        oracle = grid_min_lambda(x.shape, x.coord_map)
+        oracle = grid_min_lambda(x.shape, coord_map(x))
         res = gs.kempf_minimize(x, challenges=10)
         if oracle[0] < 0:
             assert res is not None

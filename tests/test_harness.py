@@ -7,7 +7,7 @@ import pytest
 from slopelab import gitstab as gs
 from slopelab import harness
 from slopelab import linalg as la
-from slopelab.exactnum import LogValue, log_of
+from slopelab.exactnum import LogValue, decimal_str, log_of
 from slopelab.harness import (
     TrialConfig,
     TrialReport,
@@ -33,10 +33,9 @@ from slopelab.lattice import (
     mu_max,
     mu_min,
     slope,
-    unit_lattice,
 )
 
-from oracles import cofactor_det
+from oracles import cofactor_det, unit_lattice
 
 ID2 = unit_lattice(2)
 ID3 = unit_lattice(3)
@@ -284,6 +283,17 @@ class TestOneComputationPerTrial:
             repeated += len(rep.outcomes) > len(witness) + len(flags)
         # flags evaluated at several weight vectors, once checked each
         assert repeated >= 10
+
+    def test_bogomolov_campaign_renders_only_the_reported_lhs(self, monkeypatch):
+        # each trial renders at most one decimal, its lhs; the counts still
+        # cover every evaluation
+        cfg = TrialConfig(seed=10009, ranks=(2, 3), trials=12)
+        rendered = self.counting(monkeypatch, "decimal_str")
+        rep = check_bogomolov_campaign(cfg)
+        evaluated = [o for o in rep.outcomes if o.detail["evaluations"]]
+        assert len(rendered) == len(evaluated) <= cfg.trials
+        assert [o.lhs_decimal for o in evaluated] == [decimal_str(v) for v in rendered]
+        assert sum(o.detail["evaluations"] for o in evaluated) > 3 * len(evaluated)
 
 
 class TestSlopeInequalities:

@@ -14,7 +14,7 @@ from slopelab.invariants import (
     semistable_degree_bound,
 )
 
-from oracles import composed_det_value, witness_exists_all_perms
+from oracles import composed_det_value, coord_map, witness_exists_all_perms
 
 
 def point(shape, entries):
@@ -128,13 +128,13 @@ class TestWitnessSearch:
                 coords[idx] = Fraction(rng.choice([-2, -1, 1, 2]))
             x = TensorPoint.from_map((2, 2), coords)
             w = invariant_witness_search(x, (1, 1), 2, 1)
-            exists = witness_exists_all_perms(x.coord_map, (2, 2), (1, 1), 2, 1)
+            exists = witness_exists_all_perms(coord_map(x), (2, 2), (1, 1), 2, 1)
             assert (w is not None) == exists
             if w is None:
                 none_some = True
             else:
                 found_some = True
-                copies = [x.coord_map] * len(w.alphas)
+                copies = [coord_map(x)] * len(w.alphas)
                 redone = composed_det_value(copies, w.alphas, w.sigma, (2, 2))
                 assert redone == w.value != 0
         assert found_some and none_some

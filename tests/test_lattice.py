@@ -27,6 +27,7 @@ from oracles import (
     random_unimodular,
     recursive_hn_filtration,
     sub_bundle,
+    unit_lattice,
 )
 
 
@@ -44,7 +45,7 @@ def test_degree_frozen_values():
     assert lat.degree(frozen([[9, 0], [0, 36]])) == LogValue.from_map(
         {2: Fraction(-1), 3: Fraction(-2)}
     )
-    assert lat.degree(lat.unit_lattice(3)).is_zero
+    assert lat.degree(unit_lattice(3)).is_zero
     assert lat.degree(lat.Lattice(0, ())).is_zero
 
 
@@ -108,7 +109,7 @@ def test_degree_invariant_under_unimodular_change():
 
 
 def test_saturate_frozen():
-    U = lat.unit_lattice(2)
+    U = unit_lattice(2)
     S = lat.SubLattice.from_columns(U, [[2, 4]])
     assert lat.saturate(S).basis == ((1,), (2,))
     S2 = lat.SubLattice.from_columns(U, [[2, 0], [0, 2]])
@@ -133,12 +134,12 @@ def test_basis_completion_unimodular():
         assert abs(la.det(la.frac_rows(full))) == 1
     with pytest.raises(NotSaturatedError):
         basis_completion(
-            lat.SubLattice.from_columns(lat.unit_lattice(2), [[2, 0]])
+            lat.SubLattice.from_columns(unit_lattice(2), [[2, 0]])
         )
 
 
 def test_quotient_frozen_schur():
-    U = lat.unit_lattice(2)
+    U = unit_lattice(2)
     S = lat.SubLattice.from_columns(U, [[1, 1]])
     Q = quotient_bundle(S)
     assert Q.rank == 1 and Q.gram[0][0] == Fraction(1, 2)
@@ -273,7 +274,7 @@ def test_mu_max_matches_exhaustive_oracle():
 
 
 def test_mu_max_witness_ties_prefer_small_rank():
-    val, S = lat.mu_max(lat.unit_lattice(3))
+    val, S = lat.mu_max(unit_lattice(3))
     assert val.is_zero and S.rank == 1
 
 
@@ -322,74 +323,92 @@ def test_mu_max_tensor_frozen():
         assert lat.udeg_max(T) == (_log_value(udeg), vec)
 
 
+# Seeded tensor lattices beyond the exact rank limit: (seed, factor ranks,
+# mu_max(T, rank_limit=9), its witness basis), factors drawn in order from
+# random.Random(seed) with entry bound 3.  Recorded with the per-minor
+# Bareiss compounds and the Fraction decomposability kernel.
+RANK_FRONTIER_FROZEN = [
+    (1, (2, 2, 2), {2: "-3/2", 3: "-1", 5: "-1/2"}, ((0,), (1,), (0,), (0,), (0,), (-1,), (0,), (0,))),
+    (2, (2, 2, 2), {2: "-1", 5: "-1/2"}, ((0,), (0,), (0,), (0,), (1,), (0,), (0,), (0,))),
+    (3, (2, 2, 2), {2: "-1/2"}, ((0,), (1,), (0,), (0,), (0,), (1,), (0,), (0,))),
+    (1, (3, 3), {3: "-1"}, ((0,), (0,), (3,), (0,), (0,), (-1,), (0,), (0,), (2,))),
+    (3, (3, 3), {2: "-1/2", 5: "-1/2"}, ((0,), (1,), (0,), (0,), (-1,), (0,), (0,), (2,), (0,))),
+]
+
+
+def test_mu_max_rank_frontier_frozen():
+    for seed, ranks, mu, basis in RANK_FRONTIER_FROZEN:
+        rng = random.Random(seed)
+        T = random_lattice(ranks[0], 3, rng)
+        for r in ranks[1:]:
+            T = lat.tensor(T, random_lattice(r, 3, rng))
+        val, S = lat.mu_max(T, rank_limit=9)
+        assert val == _log_value(mu) and S.basis == basis
+
+
 def test_one_reduction_per_lattice(monkeypatch):
     # mu_max reduces and enumerates the lattice once (udeg and the rank-one
     # candidates share one radius) and each compound of rank 2..r-1 once;
-    # udeg_max reduces the lattice once.  The enumeration runs on the GSO
-    # that gram_lll hands over, with no ldl of its own, and each minor of a
-    # symmetric compound is taken once per unordered pair of index sets.
-    real, real_short = la.gram_lll, la.short_vectors_reduced
-    real_compound, real_int_det = la.compound_matrix, la._int_det
+    # udeg_max reduces the lattice once.  Only the lattice's reduction
+    # forms a reduced Gram matrix (gram_lll); a compound runs the sweep
+    # alone.  The enumeration runs on the GSO that the sweep hands over,
+    # with no ldl of its own, and compound minors come from Laplace
+    # expansion, with no elimination.
+    real_lll, real_sweep, real_short = la.gram_lll, la._lll_sweep, la.short_vectors_reduced
+    real_compound, real_eliminate = la.compound_matrix, la._eliminate
     real_ldl, real_ldl_scaled = la.ldl, la._ldl_scaled
-    sizes, enumerated, minors = [], [], []
+    reduced, swept, enumerated = [], [], []
     inside = {"short": False, "compound": False}
-    ldl_in_short = []
+    ldl_in_short, eliminations_in_compound = [], []
 
-    def counting(G, *args, **kwargs):
-        sizes.append(len(G))
-        return real(G, *args, **kwargs)
+    def counting_lll(G):
+        reduced.append(len(G))
+        return real_lll(G)
 
-    def counting_short(basis, *args, **kwargs):
-        enumerated.append(len(basis))
-        inside["short"] = True
-        try:
-            return real_short(basis, *args, **kwargs)
-        finally:
-            inside["short"] = False
+    def counting_sweep(G):
+        swept.append(len(G))
+        return real_sweep(G)
 
-    def counting_compound(M, k):
-        minors.append(0)
-        inside["compound"] = True
-        try:
-            C = real_compound(M, k)
-        finally:
-            inside["compound"] = False
-        minors[-1] = (len(C), minors[-1])
-        return C
+    def flagging(fn, name, log):
+        def flagged(*args, **kwargs):
+            log.append(len(args[0]))
+            inside[name] = True
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                inside[name] = False
 
-    def counting_int_det(W):
-        if inside["compound"]:
-            minors[-1] += 1
-        return real_int_det(W)
+        return flagged
 
-    def watch(fn):
+    def watch(fn, name, log):
         def watched(*args, **kwargs):
-            if inside["short"]:
-                ldl_in_short.append(fn.__name__)
+            if inside[name]:
+                log.append(fn.__name__)
             return fn(*args, **kwargs)
 
         return watched
 
-    monkeypatch.setattr(la, "gram_lll", counting)
-    monkeypatch.setattr(la, "short_vectors_reduced", counting_short)
-    monkeypatch.setattr(la, "compound_matrix", counting_compound)
-    monkeypatch.setattr(la, "_int_det", counting_int_det)
-    monkeypatch.setattr(la, "ldl", watch(real_ldl))
-    monkeypatch.setattr(la, "_ldl_scaled", watch(real_ldl_scaled))
+    monkeypatch.setattr(la, "gram_lll", counting_lll)
+    monkeypatch.setattr(la, "_lll_sweep", counting_sweep)
+    monkeypatch.setattr(la, "short_vectors_reduced", flagging(real_short, "short", enumerated))
+    monkeypatch.setattr(la, "compound_matrix", flagging(real_compound, "compound", []))
+    monkeypatch.setattr(la, "_eliminate", watch(real_eliminate, "compound", eliminations_in_compound))
+    monkeypatch.setattr(la, "ldl", watch(real_ldl, "short", ldl_in_short))
+    monkeypatch.setattr(la, "_ldl_scaled", watch(real_ldl_scaled, "short", ldl_in_short))
     rng = random.Random(431)
     for r in range(1, 7):
         L = lat.Lattice.from_rows(random_spd_matrix(rng, r, 2))
-        sizes.clear()
-        enumerated.clear()
-        minors.clear()
+        for log in (reduced, swept, enumerated):
+            log.clear()
         lat.mu_max(L)
-        assert sizes == [r] + [comb(r, k) for k in range(2, r)]  # 1 + max(0, r-2) calls
-        assert enumerated == sizes  # the lattice, then each compound, once
-        assert minors == [(n, n * (n + 1) // 2) for n in sizes[1:]]
-        sizes.clear()
+        assert reduced == [r]  # one reduced Gram matrix, the lattice's
+        assert swept == [r] + [comb(r, k) for k in range(2, r)]  # 1 + max(0, r-2) sweeps
+        assert enumerated == swept  # the lattice, then each compound, once
+        reduced.clear()
         lat.udeg_max(L)
-        assert sizes == [r]
+        assert reduced == [r]
     assert ldl_in_short == []
+    assert eliminations_in_compound == []
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +433,7 @@ def test_hn_frozen_diag114():
 
 
 def test_hn_semistable_single_step():
-    hn = lat.hn_filtration(lat.unit_lattice(3))
+    hn = lat.hn_filtration(unit_lattice(3))
     assert hn.is_semistable and hn.chain[0].rank == 3
     assert hn.slopes[0].is_zero
 
@@ -477,27 +496,27 @@ def test_hn_matches_recursive_oracle():
 def test_hn_is_one_candidate_pass(monkeypatch):
     # one reduction of the lattice and one of each compound of rank 2..r-1,
     # as in mu_max, and no quotient metric (no inverse) at all
-    real_lll, real_inverse = la.gram_lll, la.inverse
-    calls = {"gram_lll": 0, "inverse": 0}
+    real_sweep, real_inverse = la._lll_sweep, la.inverse
+    calls = {"sweep": 0, "inverse": 0}
 
-    def counting_lll(*args, **kwargs):
-        calls["gram_lll"] += 1
-        return real_lll(*args, **kwargs)
+    def counting_sweep(*args, **kwargs):
+        calls["sweep"] += 1
+        return real_sweep(*args, **kwargs)
 
     def counting_inverse(*args, **kwargs):
         calls["inverse"] += 1
         return real_inverse(*args, **kwargs)
 
-    monkeypatch.setattr(la, "gram_lll", counting_lll)
+    monkeypatch.setattr(la, "_lll_sweep", counting_sweep)
     monkeypatch.setattr(la, "inverse", counting_inverse)
     rng = random.Random(432)
     for r in range(1, 7):
         diag = [[(1, 4, 16)[a % 3] if a == b else 0 for b in range(r)] for a in range(r)]
         L = lat.Lattice.from_rows(_conjugate(diag, random_unimodular(rng, r, steps=6)))
-        calls.update(gram_lll=0, inverse=0)
+        calls.update(sweep=0, inverse=0)
         hn = lat.hn_filtration(L)
         assert len(hn.chain) == min(r, 3)
-        assert calls == {"gram_lll": 1 + max(0, r - 2), "inverse": 0}
+        assert calls == {"sweep": 1 + max(0, r - 2), "inverse": 0}
 
 
 @st.composite
@@ -528,18 +547,34 @@ def test_hn_is_unique_under_change_of_basis(case):
     assert hn_moved.slopes == hn.slopes
 
 
+@st.composite
+def integral_lattices(draw):
+    r = draw(st.integers(1, 5))
+    entries = st.integers(-3, 3)
+    B = draw(st.lists(st.lists(entries, min_size=r, max_size=r), min_size=r, max_size=r))
+    assume(la.det(B) != 0)
+    return lat.Lattice.from_rows(la.mat_mul(la.transpose(B), B))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(integral_lattices())
+def test_mu_min_is_dual_to_mu_max(L):
+    """mu_min(E) = -mu_max(E^v): the dual has the inverse Gram matrix."""
+    assert lat.mu_min(L) == -lat.mu_max(lat.dual(L))[0]
+
+
 # ---------------------------------------------------------------------------
 # morphism heights
 
 
 def test_morphism_height_identity_exact_zero():
-    Z = lat.unit_lattice(1)
+    Z = unit_lattice(1)
     hb = lat.morphism_height(lat.Morphism.from_rows(Z, Z, [[1]]))
     assert hb.lower.is_zero and hb.upper.is_zero and hb.finite.is_zero
 
 
 def test_morphism_height_product_formula_scalars():
-    Z = lat.unit_lattice(1)
+    Z = unit_lattice(1)
     # multiplication by 2 and by 1/3 are isometries onto their images in
     # the adelic sense: total height zero
     for c in (Fraction(2), Fraction(1, 3)):
@@ -553,11 +588,11 @@ def test_morphism_height_product_formula_scalars():
 
 
 def test_morphism_height_finite_part_frozen():
-    U = lat.unit_lattice(2)
+    U = unit_lattice(2)
     hb = lat.morphism_height(lat.Morphism.from_rows(U, U, [[2, 4], [6, 8]]))
     assert hb.finite == log_of(2, Fraction(-1))
-    V = lat.unit_lattice(1)
-    W = lat.unit_lattice(2)
+    V = unit_lattice(1)
+    W = unit_lattice(2)
     hb = lat.morphism_height(
         lat.Morphism.from_rows(W, V, [[Fraction(1, 6), Fraction(1, 4)]])
     )
@@ -565,7 +600,7 @@ def test_morphism_height_finite_part_frozen():
 
 
 def test_morphism_height_arch_bracket():
-    U = lat.unit_lattice(2)
+    U = unit_lattice(2)
     hb = lat.morphism_height(lat.Morphism.from_rows(U, U, [[1, 1], [0, 1]]), 50)
     # largest singular value squared is (3 + sqrt 5) / 2
     truth = 0.4812118250596034
@@ -591,7 +626,7 @@ def test_morphism_height_bracket_width_contract():
 
 def test_morphism_height_subadditive_composition():
     rng = random.Random(421)
-    U = lat.unit_lattice(2)
+    U = unit_lattice(2)
     done = 0
     while done < 15:
         A = [[rng.randrange(-3, 4) for _ in range(2)] for _ in range(2)]
@@ -671,13 +706,13 @@ def test_morphism_height_width_check_raises(monkeypatch):
     # an enclosure of the width that is wider than the tolerance is a
     # broken certificate
     monkeypatch.setattr(lat, "approximate", lambda value, bits: Interval(Fraction(0), Fraction(1)))
-    U = lat.unit_lattice(2)
+    U = unit_lattice(2)
     with pytest.raises(lat.CertificateError, match="height bracket wider"):
         lat.morphism_height(lat.Morphism.from_rows(U, U, [[1, 1], [0, 1]]))
 
 
 def test_zero_morphism_rejected():
-    U = lat.unit_lattice(2)
+    U = unit_lattice(2)
     with pytest.raises(ValueError):
         lat.morphism_height(lat.Morphism.from_rows(U, U, [[0, 0], [0, 0]]))
 
@@ -700,7 +735,7 @@ def test_sublattice_and_morphism_json_roundtrip():
     L = frozen([[2, 1], [1, 1]])
     S = lat.SubLattice.from_columns(L, [[1, 1]])
     assert lat.SubLattice.from_json(S.to_json()) == S
-    phi = lat.Morphism.from_rows(L, lat.unit_lattice(2), [[1, 0], [Fraction(1, 2), 1]])
+    phi = lat.Morphism.from_rows(L, unit_lattice(2), [[1, 0], [Fraction(1, 2), 1]])
     assert lat.Morphism.from_json(phi.to_json()) == phi
 
 
@@ -726,7 +761,7 @@ def shifted(*args):
 
 lat._slope_of_det = shifted
 try:
-    lat.mu_max(lat.unit_lattice(2))
+    lat.mu_max(lat.Lattice.from_rows([[1, 0], [0, 1]]))
 except lat.CertificateError as exc:
     print("CertificateError:", exc)
 """

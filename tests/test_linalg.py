@@ -1,6 +1,7 @@
 """Exact linear algebra helpers against independent oracles."""
 
 from fractions import Fraction
+from math import comb
 import random
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from slopelab import linalg as la
 
 from oracles import (
+    bareiss_compound_matrix,
     box_short_vectors,
     cofactor_det,
     fraction_det,
@@ -18,6 +20,7 @@ from oracles import (
     fraction_short_vectors_reduced,
     fraction_solve_square,
     intersect_row_spaces,
+    kernel,
     mat_eq,
     random_spd_matrix,
     random_unimodular,
@@ -132,17 +135,38 @@ def test_ldl_matches_fraction_oracle():
 
 
 def test_compound_matrix_against_cofactor_minors():
+    # every k from 0 to n + 1, on non-symmetric and symmetric input with
+    # int and Fraction entries: cofactor expansion up to n = 5, the
+    # per-minor Bareiss reference up to n = 8
     rng = random.Random(419)
-    for _ in range(12):
-        n = rng.randrange(1, 6)
+    for t in range(24):
+        n = 1 + t % 8
         M = mixed_matrix(rng, n, n)
         S = [[M[max(i, j)][min(i, j)] for j in range(n)] for i in range(n)]
         for A in (M, S):
-            for k in range(1, n + 1):
-                subsets = la.k_subsets(n, k)
-                want = [[cofactor_det([[A[i][j] for j in J] for i in I]) for J in subsets] for I in subsets]
+            for k in range(n + 2):
                 got = la.compound_matrix(A, k)
-                assert got == want
+                assert got == bareiss_compound_matrix(A, k)
+                assert len(got) == comb(n, k)
+                assert all(type(x) is Fraction for row in got for x in row)
+                if n <= 5:
+                    subsets = la.k_subsets(n, k)
+                    assert got == [[cofactor_det([[A[i][j] for j in J] for i in I]) for J in subsets] for I in subsets]
+    assert la.compound_matrix([], 0) == [[Fraction(1)]]
+
+
+def test_compound_of_reduced_gram_matrices():
+    # the compounds mu_max enumerates: reduced Gram matrices of rank 2..8,
+    # integer and rational, every k
+    rng = random.Random(421)
+    for n in range(2, 9):
+        for scale in (1, 6):
+            G = [[Fraction(x, scale) for x in row] for row in random_spd_matrix(rng, n, 3)]
+            Gred = la.gram_lll(G)[0]
+            for k in range(n + 1):
+                got = la.compound_matrix(Gred, k)
+                assert got == bareiss_compound_matrix(Gred, k)
+                assert la.is_symmetric(got)
                 assert all(type(x) is Fraction for row in got for x in row)
 
 
@@ -194,7 +218,7 @@ def test_kernel_and_rank():
     for _ in range(40):
         m, n = rng.randrange(1, 5), rng.randrange(1, 6)
         M = rand_matrix(rng, m, n)
-        K = la.kernel(M, n)
+        K = kernel(M, n)
         assert len(K) == n - la.rank(M)
         for v in K:
             assert all(x == 0 for x in la.mat_vec(M, v))
