@@ -256,6 +256,8 @@ def _git(args) -> int:
             result = git.kempf_minimize(x, rng_seed=args.seed)
             payload = {"semistable": result is None}
             if result is not None:
+                # the Levi witness of the reduction certifies the minimizer
+                git.rr_reduce(x, result)
                 payload["minimizer"] = result.to_json()
             _emit(payload, args.out)
         elif verb == "check":

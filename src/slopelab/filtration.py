@@ -8,8 +8,7 @@ of filtrations is plain structural equality.  The same canonical rows
 make membership tests elimination-free: the pivots are read off the
 rows, and a vector lies in a member iff reducing it by those rows
 leaves zero.  The scalar product needs only the ranks of the pairs of
-members, not a basis, so a filtration given by a basis and one weight per
-vector is paired without being built (scalar_product_with_basis).
+members, not a common compatible basis.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from . import linalg as la
-from .exactnum import AlgValue, rat_from_str, rat_to_str
+from .exactnum import rat_from_str, rat_to_str
 
 Rows = Tuple[Tuple[Fraction, ...], ...]
 
@@ -231,7 +230,7 @@ def dilate(F: Filtration, eps) -> Filtration:
 
 
 # ---------------------------------------------------------------------------
-# adapted bases, sums, tensors
+# adapted bases, tensors
 
 
 def _extend(base: la.Matrix, candidates: la.Matrix) -> la.Matrix:
@@ -257,22 +256,6 @@ def adapted_basis(F: Filtration) -> List[Tuple[Tuple[Fraction, ...], Fraction]]:
     if len(acc) != F.dim:
         raise RuntimeError(f"adapted basis has {len(acc)} vectors in dimension {F.dim}")
     return out
-
-
-def direct_sum(parts: Sequence[Filtration]) -> Filtration:
-    if not parts:
-        raise ValueError("direct sum of an empty list")
-    total = sum(F.dim for F in parts)
-    vecs, ws = [], []
-    offset = 0
-    for F in parts:
-        for v, w in adapted_basis(F):
-            vecs.append(
-                [Fraction(0)] * offset + list(v) + [Fraction(0)] * (total - offset - F.dim)
-            )
-            ws.append(w)
-        offset += F.dim
-    return from_weighted_basis(vecs, ws)
 
 
 def tensor(parts: Sequence[Filtration]) -> Filtration:
@@ -301,18 +284,6 @@ def scalar_product(F: Filtration, G: Filtration) -> Fraction:
     if F.dim != G.dim:
         raise ValueError("dimension mismatch")
     return _pairing_from_ranks(F, G.jumps, G.flag)
-
-
-def scalar_product_with_basis(F: Filtration, vectors, weights) -> Fraction:
-    """scalar_product(F, from_weighted_basis(vectors, weights)) without
-    building the second filtration: its member at each jump mu is spanned
-    by the vectors of weight >= mu, and a rank needs no echelon form.  The
-    vectors must form a basis of the space of F."""
-    if len(vectors) != F.dim or len(weights) != F.dim:
-        raise ValueError("need a basis of the space with one weight per vector")
-    jumps = sorted(set(weights))
-    members = [[v for v, w in zip(vectors, weights) if w >= mu] for mu in jumps[1:]]
-    return _pairing_from_ranks(F, jumps, members)
 
 
 def _pairing_from_ranks(F: Filtration, mus: Sequence, members: Sequence) -> Fraction:
@@ -357,6 +328,3 @@ def norm_squared(F: Filtration) -> Fraction:
     )
     return total / F.dim
 
-
-def norm(F: Filtration) -> AlgValue:
-    return AlgValue.sqrt_of(norm_squared(F))

@@ -20,12 +20,25 @@ it is one integer elimination of [B^T | I], which yields d (B^T)^-1 with
 d a nonzero integer; v_x, scaled to integers, is changed axis by axis
 over the integers.  lambda of a tensor filtration needs only the support
 of those coordinates, so it is never divided; the reduction divides once.
-The Kempf challenges and the sampled block filtrations of the reduction
-are drawn as weighted bases and scored where they were drawn: the one
-elimination that tests a draw for invertibility also gives its
-coordinate change, E[G] is the mean weight, and <F, G> is the rank
-formula of filtration.scalar_product_with_basis on the drawn rows.
-Every certificate check raises SearchNotConverged, so python -O keeps it.
+
+That the minimizer found is the global (Kempf) one is certified by the
+Kirwan-Ness criterion (F. Kirwan, Cohomology of Quotients in Symplectic
+and Algebraic Geometry, 1984; L. Ness, A stratification of the null cone
+via the moment map, Amer. J. Math. 106, 1984): a one-parameter subgroup
+lambda of an unstable point x is optimal if and only if the limit point
+of x under lambda is semistable for the Levi subgroup centralizing
+lambda, with the linearization shifted by the character dual to lambda.
+Both directions are used: by "if", a witness found for the limit point
+proves the minimizer optimal; by "only if", a true minimizer always has
+one, so a search that finds none within its limits is inconclusive, not
+a refutation.  Here the limit point is the projection of v_x onto the
+graded pieces of the minimizer, the Levi subgroup is the product of the
+GL of the blocks, and the shifted linearization is O(N) twisted by
+det^{b_j} on block j, which are the data rr_reduce computes.  rr_reduce
+certifies the limit point by one nonvanishing determinant contraction
+(invariants.invariant_witness_search) and attaches it to the reduced
+instance.  Every certificate check raises SearchNotConverged, so
+python -O keeps it.
 """
 
 from __future__ import annotations
@@ -38,18 +51,20 @@ from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import filtration as fil
+from . import invariants as inv
 from . import linalg as la
 from .exactnum import AlgValue, rat_from_str, rat_to_str
 from .filtration import CompatibleBasis, Filtration, FiltrationTuple
 
 
 ADAPT_ROUNDS = 40  # cap on re-adapting the bases to the minimizing flags
-BLOCK_ROUNDS = 6  # random block bases tried by reduced_is_semistable
+LEVI_BUDGET = 2_000_000  # contraction steps the Levi witness search may take
 
 
 class SearchNotConverged(RuntimeError):
-    """A certification check failed or the basis adaptation hit its round
-    cap: the search stops instead of returning an uncertified answer."""
+    """A certification check failed, or the basis adaptation or the Levi
+    witness search hit its limit: the search stops instead of returning
+    an uncertified answer."""
 
 
 @dataclass(frozen=True)
@@ -143,7 +158,8 @@ class Verdict:
 @dataclass(frozen=True)
 class ReducedInstance:
     """Subquotient datum: the point induced on the minimizer's graded
-    pieces together with the integer linearization data."""
+    pieces together with the integer linearization data, and the Levi
+    witness that certifies the reduced point semistable."""
 
     beta: int
     minimizer: FiltrationTuple
@@ -154,6 +170,7 @@ class ReducedInstance:
     b: Tuple[Tuple[int, ...], ...]
     groups: Tuple[Tuple[int, ...], ...]
     reduced: Tuple[TensorPoint, ...]
+    witness: inv.WitnessInvariant
 
     def to_json(self) -> dict:
         return {
@@ -166,6 +183,7 @@ class ReducedInstance:
             "b": [list(row) for row in self.b],
             "groups": [[j + 1 for j in g] for g in self.groups],
             "reduced": [p.to_json() for p in self.reduced],
+            "witness": self.witness.to_json(),
         }
 
 
@@ -373,10 +391,7 @@ def _affine_minimizer(gram: List[List[int]], corral: List[int]) -> List[Fraction
 
 
 def _weighted_ip_weights(shape: Sequence[int]) -> List[Fraction]:
-    out: List[Fraction] = []
-    for r in shape:
-        out.extend([Fraction(1, r)] * r)
-    return out
+    return [Fraction(1, r) for r in shape for _ in range(r)]
 
 
 def _split_by_shape(flat: Sequence[Fraction], shape: Sequence[int]) -> List[List[Fraction]]:
@@ -389,14 +404,10 @@ def _split_by_shape(flat: Sequence[Fraction], shape: Sequence[int]) -> List[List
 
 
 def _coprime_integer_direction(flat: Sequence[Fraction]) -> List[int]:
-    den = 1
-    for q in flat:
-        den = den * q.denominator // math.gcd(den, q.denominator)
+    den = math.lcm(*(q.denominator for q in flat))
     ints = [int(q * den) for q in flat]
-    g = 0
-    for v in ints:
-        g = math.gcd(g, abs(v))
-    return [v // g for v in ints] if g else [0 for _ in ints]
+    g = math.gcd(*ints)
+    return [v // g for v in ints] if g else ints
 
 
 def minimize_fixed_basis(
@@ -481,36 +492,13 @@ def _matricization(x: TensorPoint, axis: int) -> la.Matrix:
     return M
 
 
-def _extend_to_basis(rows: la.Matrix, r: int) -> CompatibleBasis:
-    eye = [[Fraction(int(a == b)) for b in range(r)] for a in range(r)]
-    span, piv = la.rref(rows)
-    chosen = list(span)
-    for cand in eye:
-        if not la.row_space_contains(span, piv, cand):
-            chosen.append(cand)
-            span, piv = la.rref(span + [cand])
-    return CompatibleBasis(tuple(tuple(v) for v in chosen))
-
-
-def _draw(rng: random.Random, r: int) -> Tuple[List[List[int]], int, List[List[int]]]:
-    """Rows of a random invertible r x r matrix with entries in -2..2 and
-    their integer inverse (d, d (rows^T)^-1): one elimination per attempt,
-    which is also the invertibility test."""
+def _random_basis(rng: random.Random, r: int) -> CompatibleBasis:
+    """Rows of a random invertible r x r matrix with entries in -2..2,
+    redrawn while they are dependent."""
     while True:
         rows = [[rng.randrange(-2, 3) for _ in range(r)] for _ in range(r)]
-        inv = _inverse_transpose(rows)
-        if inv is not None:
-            return (rows, *inv)
-
-
-def _draw_weighted(rng: random.Random, r: int, w: int) -> _WeightedBasis:
-    """A random invertible basis, then one weight in -w..w per vector."""
-    rows, d, inv = _draw(rng, r)
-    return _WeightedBasis(rows, [rng.randrange(-w, w + 1) for _ in range(r)], d, inv)
-
-
-def _random_basis(rng: random.Random, r: int) -> CompatibleBasis:
-    return CompatibleBasis(tuple(tuple(Fraction(a) for a in row) for row in _draw(rng, r)[0]))
+        if la.rank(rows) == r:
+            return CompatibleBasis(tuple(tuple(Fraction(a) for a in row) for row in rows))
 
 
 def _seed_bases(x: TensorPoint, rng_seed: int) -> List[Tuple[CompatibleBasis, ...]]:
@@ -520,7 +508,7 @@ def _seed_bases(x: TensorPoint, rng_seed: int) -> List[Tuple[CompatibleBasis, ..
         # slices of v_x along this axis span the column space of the
         # matricization; echelonize that as the leading flag directions
         rows = la.rref(la.transpose(_matricization(x, axis)))[0]
-        ech = _extend_to_basis(rows, r)
+        ech = CompatibleBasis(tuple(map(tuple, rows + fil._extend(rows, la.identity(r)))))
         if ech not in options:
             options.append(ech)
         rev = CompatibleBasis(tuple(reversed(ech.vectors)))
@@ -538,28 +526,7 @@ def _better(a: AlgValue, b: Optional[AlgValue]) -> bool:
     return b is None or a < b
 
 
-def _challenge_sides(
-    x: TensorPoint, comps: Sequence[Filtration], c_tilde: Fraction, drawn: Sequence[_WeightedBasis]
-) -> Tuple[Fraction, Fraction]:
-    """Both sides of the estimation inequality E[G] - lambda_G(v_x) >=
-    c_tilde <F, G> at the challenge G whose factors are the drawn weighted
-    bases, scored in those bases: E[G_i] is the mean drawn weight,
-    lambda_G(v_x) the least weight sum over the support of v_x in the
-    drawn bases, and <F_i, G_i> the rank formula against the drawn rows."""
-    lhs = sum((Fraction(sum(B.weights), len(B.weights)) for B in drawn), Fraction(0))
-    lhs -= _lambda_weighted(x, drawn)
-    rhs = c_tilde * sum(
-        (fil.scalar_product_with_basis(F, B.rows, B.weights) for F, B in zip(comps, drawn)),
-        Fraction(0),
-    )
-    return lhs, rhs
-
-
-def kempf_minimize(
-    x: TensorPoint,
-    rng_seed: int = 0,
-    challenges: int = 100,
-) -> Optional[MinimizationResult]:
+def kempf_minimize(x: TensorPoint, rng_seed: int = 0) -> Optional[MinimizationResult]:
     """Search for the global minimizer of the functional.
 
     Seeds: coordinate bases, bases extending echelon forms of each
@@ -568,15 +535,12 @@ def kempf_minimize(
     the current minimizing flags until the value stops decreasing.
 
     Returns None when no destabilizer is found by the basis family.  A
-    negative result is certified before returning: the minimizer must
-    have expectation zero in every component and must satisfy the
-    estimation inequality against random challenge tuples; any failure
-    raises SearchNotConverged rather than returning a wrong answer.  A
-    challenge is a random invertible integer basis per factor with a
-    weight in -3..3 per vector.  It is scored in the basis it was drawn
-    in (see _challenge_sides): the one elimination that tests the draw
-    for invertibility also gives the integer coordinate change, and no
-    challenge filtration is built.
+    negative result is an exact destabilizing tuple whose minimizer must
+    have expectation zero in every component (SearchNotConverged
+    otherwise).  That it is the global minimizer is not decided here: by
+    the Kirwan-Ness criterion in the module docstring it is exactly the
+    semistability of the limit point for the Levi subgroup, which
+    rr_reduce certifies with a Levi witness.
     """
     best: Optional[MinimizationResult] = None
     for bases in _seed_bases(x, rng_seed):
@@ -600,16 +564,9 @@ def kempf_minimize(
     if best is None:
         return None
 
-    comps = best.minimizer.components
-    for F in comps:
+    for F in best.minimizer.components:
         if fil.expectation(F) != 0:
             raise SearchNotConverged("minimizer expectation is not zero")
-    rng = random.Random(rng_seed * 7919 + 13)
-    for _ in range(challenges):
-        drawn = [_draw_weighted(rng, r, 3) for r in x.shape]
-        lhs, rhs = _challenge_sides(x, comps, best.c_tilde, drawn)
-        if lhs < rhs:
-            raise SearchNotConverged("estimation inequality failed for a challenge")
     return best
 
 
@@ -631,18 +588,25 @@ def is_semistable(x: TensorPoint, rng_seed: int = 0) -> Verdict:
 # reduction to the graded subquotient instance
 
 
-def rr_reduce(x: TensorPoint, M: MinimizationResult, samples: int = 25, rng_seed: int = 5) -> ReducedInstance:
-    """Project an unstable point onto the graded pieces of its minimizer.
+def rr_reduce(x: TensorPoint, M: MinimizationResult) -> ReducedInstance:
+    """Project an unstable point onto the graded pieces of its minimizer
+    and certify the minimizer optimal.
 
     Builds the level-beta layer of the tensor filtration, the minimal
     integer N making all a = -N c l / r integral, and b = N/r + a.  The
     coordinates of v_x in the adapted bases of the minimizer come from one
     integer coordinate change and are divided once, for the projection.
-    The subquotient semistability inequality reduced_mu >= 0 is then
-    sampled at random block filtrations, each drawn as a weighted basis
-    (an invertible integer basis with a weight in -2..2 per vector) and
-    scored in that basis, as the Kempf challenges are.  Every check raises
-    SearchNotConverged when it fails.
+    The projection is the limit point of the Kirwan-Ness criterion (see
+    the module docstring), so M is the Kempf minimizer exactly when it is
+    semistable for the Levi subgroup, the product of the GL of the blocks,
+    under O(N) twisted by det^{b_j} on block j.  That is certified by one
+    nonvanishing determinant contraction, the Levi witness, found by
+    invariants.invariant_witness_search with one letter per block.  With
+    g = gcd(N, b) it searches the multiples k (N, b) / g for k = 1..2g, so
+    every contraction of degree N or 2N in v_x is in scope, and takes at
+    most LEVI_BUDGET contraction steps.  Every check raises
+    SearchNotConverged when it fails, and a witness search that ends
+    without a witness names the limit it hit.
     """
     if not M.is_destabilizing:
         raise ValueError("reduction needs a destabilizing result (c < 0)")
@@ -664,13 +628,9 @@ def rr_reduce(x: TensorPoint, M: MinimizationResult, samples: int = 25, rng_seed
     block_jumps = tuple(F.jumps for F in comps)
     block_ranks = tuple(F.multiplicities() for F in comps)
 
-    N = 1
-    for F in comps:
-        N = N * F.dim // math.gcd(N, F.dim)
-    for i, F in enumerate(comps):
-        for lam in F.jumps:
-            q = c_tilde * lam / F.dim
-            N = N * q.denominator // math.gcd(N, q.denominator)
+    N = math.lcm(
+        *(F.dim for F in comps), *((c_tilde * lam / F.dim).denominator for F in comps for lam in F.jumps)
+    )
     a = tuple(
         tuple(int(-N * c_tilde * lam / F.dim) for lam in F.jumps)
         for F in comps
@@ -715,106 +675,61 @@ def rr_reduce(x: TensorPoint, M: MinimizationResult, samples: int = 25, rng_seed
         TensorPoint.from_map([block_ranks[i][g[i]] for i in range(n)], grouped[g])
         for g in groups
     )
-    out = ReducedInstance(
-        beta, M.minimizer, block_jumps, block_ranks, N, a, b, groups, reduced
+
+    # blocks flattened in factor order are the letters; the point of group
+    # g feeds one slot to each block (i, g_i)
+    offsets = list(itertools.accumulate((len(row) for row in block_ranks), initial=0))
+    letters = {}
+    for g, point in zip(groups, reduced):
+        alpha = [0] * offsets[-1]
+        for i, gi in enumerate(g):
+            alpha[offsets[i] + gi] = 1
+        letters[tuple(alpha)] = point
+    # semistability does not change under a positive multiple of the
+    # linearization, so the search starts at the primitive multiple
+    twists = [bj for row in b for bj in row]
+    g = math.gcd(N, *twists)
+    witness = inv.invariant_witness_search(
+        letters,
+        [t // g for t in twists],
+        N // g,
+        2 * g,
+        budget=LEVI_BUDGET,
+        ranks=[rk for row in block_ranks for rk in row],
+    )
+    if witness is None:
+        raise SearchNotConverged("no Levi witness up to degree %d" % (2 * N))
+    if witness == inv.BUDGET_EXCEEDED:
+        raise SearchNotConverged(
+            "the Levi witness search exceeded its budget of %d steps" % LEVI_BUDGET
+        )
+    return ReducedInstance(
+        beta, M.minimizer, block_jumps, block_ranks, N, a, b, groups, reduced, witness
     )
 
-    rng = random.Random(rng_seed)
-    for _ in range(samples):
-        blocks = [[_draw_weighted(rng, rk, 2) for rk in block_ranks[i]] for i in range(n)]
-        if _reduced_mu_weighted(out, blocks) < 0:
-            raise SearchNotConverged("the reduced point failed a sampled block filtration")
-    return out
 
-
-def reduced_mu(R: ReducedInstance, blocks: Sequence[Sequence[Filtration]]) -> Fraction:
-    """Weight sum b_j r_j E[G^(i,j)] - N * lambda of the reduced point at
-    the block filtration tuple; nonnegative for all choices iff the
-    reduced point is semistable for the graded group."""
-    for i, per in enumerate(blocks):
-        if len(per) != len(R.block_ranks[i]):
-            raise ValueError("one block filtration per graded piece required")
-        for j, G in enumerate(per):
-            if G.dim != R.block_ranks[i][j]:
-                raise ValueError("block dimension mismatch")
-    return _reduced_mu_weighted(R, [[_adapted(G) for G in per] for per in blocks])
-
-
-def _reduced_mu_weighted(R: ReducedInstance, blocks: Sequence[Sequence[_WeightedBasis]]) -> Fraction:
-    """reduced_mu at the block filtrations given as weighted bases, scored
-    in those bases: b_j r_j E[G^(i,j)] is b_j times the weight sum."""
-    if not R.groups:
-        raise ValueError("a reduced instance has at least one graded point")
-    total = sum(
-        (R.b[i][j] * sum(B.weights) for i, per in enumerate(blocks) for j, B in enumerate(per)),
-        Fraction(0),
-    )
-    lam = min(
-        _lambda_weighted(point, [blocks[i][gi] for i, gi in enumerate(g)])
-        for g, point in zip(R.groups, R.reduced)
-    )
-    return total - R.N * lam
-
-
-def reduced_is_semistable(R: ReducedInstance, rng_seed: int = 0) -> Verdict:
+def reduced_is_semistable(R: ReducedInstance) -> Verdict:
     """Decision for the reduced point under the graded group.
 
-    In coordinates adapted to the blocks the weight of a one-parameter
-    subgroup is a maximum of linear forms with gradients
-    b_j - N [block coordinate hit by the support element], so the fixed
-    basis decision is again a minimum-norm-point test, here in the
-    standard inner product.  Blocks of rank one admit no basis freedom,
-    which makes the coordinate test complete; otherwise random block
-    bases are also tried.
+    Semistable rests on R.witness, the nonvanishing Levi semi-invariant
+    that rr_reduce found.  Unstable rests on the coordinate test, checked
+    first: in coordinates adapted to the blocks the weight of a
+    one-parameter subgroup is a maximum of linear forms with gradients
+    b_j - N [block coordinate hit by the support element], so a nonzero
+    minimum-norm point of those gradients, in the standard inner product,
+    is a destabilizer.
     """
-    n = len(R.block_ranks)
-    dims: List[Tuple[int, int]] = []  # (i, j) in flat order
-    for i, per in enumerate(R.block_ranks):
-        for j, _ in enumerate(per):
-            dims.append((i, j))
-    offsets = {}
-    at = 0
-    for (i, j) in dims:
-        offsets[(i, j)] = at
-        at += R.block_ranks[i][j]
-    D = at
-
-    def decide(points_per_group: Sequence[TensorPoint]) -> bool:
-        grads = []
-        for g, point in zip(R.groups, points_per_group):
-            for idx, _val in point.coords:
-                vec = [Fraction(0)] * D
-                for (i, j) in dims:
-                    base = offsets[(i, j)]
-                    for t in range(R.block_ranks[i][j]):
-                        vec[base + t] = Fraction(R.b[i][j])
-                for i in range(n):
-                    vec[offsets[(i, g[i])] + idx[i]] -= R.N
-                grads.append(tuple(vec))
-        p = _min_norm_point(grads, [Fraction(1)] * D)
-        return all(q == 0 for q in p)
-
-    if not decide(R.reduced):
+    flat = [(i, j, rk) for i, per in enumerate(R.block_ranks) for j, rk in enumerate(per)]
+    offsets = {(i, j): sum(rk for _, _, rk in flat[:k]) for k, (i, j, _) in enumerate(flat)}
+    twist = [Fraction(R.b[i][j]) for i, j, rk in flat for _ in range(rk)]
+    grads = []
+    for g, point in zip(R.groups, R.reduced):
+        for idx, _val in point.coords:
+            vec = list(twist)
+            for i, gi in enumerate(g):
+                vec[offsets[(i, gi)] + idx[i]] -= R.N
+            grads.append(tuple(vec))
+    if any(q != 0 for q in _min_norm_point(grads, [Fraction(1)] * len(twist))):
         return Verdict(False, None, "negative weight in block coordinates")
-    if all(all(rk == 1 for rk in per) for per in R.block_ranks):
-        return Verdict(True, None, "complete: all blocks have rank one")
-    rng = random.Random(rng_seed)
-    for _ in range(BLOCK_ROUNDS):
-        transformed = []
-        changes = {
-            (i, j): _draw(rng, R.block_ranks[i][j])[1:]
-            for (i, j) in dims
-            if R.block_ranks[i][j] > 1
-        }
-        for g, point in zip(R.groups, R.reduced):
-            # rank-one blocks keep their basis; decide reads only the
-            # support, so the point is kept as the integer multiple
-            # _scaled_coordinates returns
-            coords, _ = _scaled_coordinates(
-                point, [changes.get((i, gi), (1, [[1]])) for i, gi in enumerate(g)]
-            )
-            cmap = {idx: Fraction(v) for v, idx in zip(coords, _cells(point.shape)) if v}
-            transformed.append(TensorPoint.from_map(point.shape, cmap))
-        if not decide(transformed):
-            return Verdict(False, None, "negative weight found in a random block basis")
-    return Verdict(True, None, "no destabilizer found (search over block bases)")
+    # the witness is a product of len(alphas) copies of the reduced point
+    return Verdict(True, None, "Levi witness of degree %d" % len(R.witness.alphas))

@@ -514,19 +514,11 @@ def check_slope_inequalities(config: TrialConfig) -> TrialReport:
             box = approximate(h.width, 16)
             if box.hi > Fraction(1, 1 << config.tolerance_bits):
                 detail["reason"] = "height bracket wider than tolerance"
-                return _outcome(i, "inconclusive", lhs, rhs, {"phi": _phi_json(phi)}, detail)
-        return _outcome(i, "pass" if ok else "fail", lhs, rhs, {"phi": _phi_json(phi)}, detail)
+                return _outcome(i, "inconclusive", lhs, rhs, {"phi": phi.to_json()}, detail)
+        return _outcome(i, "pass" if ok else "fail", lhs, rhs, {"phi": phi.to_json()}, detail)
 
     outcomes = _run_trials(config.trials, trial)
     return TrialReport("slope_inequalities", config.to_json(), outcomes)
-
-
-def _phi_json(phi: Morphism) -> dict:
-    return {
-        "source": phi.source.to_json(),
-        "target": phi.target.to_json(),
-        "matrix": [[str(x) for x in row] for row in phi.matrix],
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -548,17 +540,10 @@ def _primitive_candidates(T: Lattice, radius: Fraction) -> List[Tuple[int, ...]]
 
 
 def _filtration_members(L: Lattice, F: Filtration) -> List[SubLattice]:
-    members = []
-    for j in range(1, F.depth):
-        generators = []
-        for row in F.member_rows(j):
-            mult = 1
-            for x in row:
-                d = Fraction(x).denominator
-                mult = mult * d // math.gcd(mult, d)
-            generators.append([int(x * mult) for x in row])
-        members.append(saturate(SubLattice.from_columns(L, generators)))
-    return members
+    return [
+        saturate(SubLattice.from_columns(L, la._scaled_rows(F.member_rows(j))[0]))
+        for j in range(1, F.depth)
+    ]
 
 
 def reduction_chain_instance(
@@ -617,7 +602,7 @@ def reduction_chain_instance(
             "middle": middle,
             "middle_holds": deg <= middle,
             "middle_below_bound": middle <= rhs,
-            "reduced_semistable": reduced_is_semistable(R, rng_seed=rng_seed).semistable,
+            "reduced_semistable": reduced_is_semistable(R).semistable,
         }
     )
     return record

@@ -5,6 +5,10 @@ product of determinant contractions, precomposed with a permutation of
 tensor slots, does not vanish on it.  At desk scale that map can be
 evaluated directly on coordinates, so semistability certificates are
 concrete nonzero rationals rather than abstract invariant polynomials.
+
+gitstab certifies its Kempf minimizers with a witness from this module,
+so the point class is read from gitstab at call time, not imported by
+name: either module may be imported first.
 """
 
 from __future__ import annotations
@@ -15,10 +19,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
+from . import gitstab
 from .exactnum import LogValue, log_of, rat_to_str
-from .gitstab import TensorPoint
 
 BUDGET_EXCEEDED = "budget"
+DEAD_STATES = 100_000  # memory cap on the dead states one search remembers
 
 
 @dataclass(frozen=True)
@@ -59,7 +64,7 @@ class WitnessInvariant:
         }
 
 
-def det_tensor(d: int) -> Tuple[TensorPoint, LogValue]:
+def det_tensor(d: int) -> Tuple[gitstab.TensorPoint, LogValue]:
     """The determinant element of (H^dual)^(x)d for an orthonormal basis,
     together with its Hermitian norm.
 
@@ -76,86 +81,161 @@ def det_tensor(d: int) -> Tuple[TensorPoint, LogValue]:
         )
         coords[perm] = Fraction(-1 if inversions % 2 else 1)
     norm = log_of(Fraction(math.factorial(d)), Fraction(1, 2))
-    return TensorPoint.from_map((d,) * d, coords), norm
+    return gitstab.TensorPoint.from_map((d,) * d, coords), norm
 
 
 # ---------------------------------------------------------------------------
 # witness search
 
 
-def _block_partitions(slots: Tuple[int, ...], size: int) -> Iterator[Tuple[int, ...]]:
-    """Flattened partitions of the slots into unordered blocks of the
-    given size, each block sorted and blocks ordered by first element.
+class _OutOfBudget(Exception):
+    pass
 
-    Each partition is a canonical coset representative: reordering
-    within a block or permuting whole blocks changes the evaluation at
-    most by sign, so scanning representatives decides nonvanishing.
-    """
-    if not slots:
-        yield ()
+
+def _families(
+    letters: Sequence[Tuple[int, ...]], count: int, targets: Sequence[int]
+) -> Iterator[Tuple[Tuple[int, ...], ...]]:
+    """Multisets of count letters whose exponent vectors sum to targets,
+    as sorted tuples in the order of itertools.combinations_with_replacement:
+    the first letter's multiplicity runs down from its largest feasible
+    value.  Only feasible families are built."""
+    if not letters:
+        if count == 0 and not any(targets):
+            yield ()
         return
-    first = slots[0]
-    rest = slots[1:]
-    for others in itertools.combinations(rest, size - 1):
-        block = (first,) + others
-        remaining = tuple(s for s in rest if s not in others)
-        for tail in _block_partitions(remaining, size):
-            yield block + tail
+    first, rest = letters[0], letters[1:]
+    top = min([count] + [t // a for a, t in zip(first, targets) if a])
+    for k in range(top, -1, -1):
+        left = [t - k * a for a, t in zip(first, targets)]
+        for tail in _families(rest, count - k, left):
+            yield (first,) * k + tail
 
 
-def _sign_of_block(indices: Sequence[int]) -> int:
-    r = len(indices)
-    if sorted(indices) != list(range(r)):
-        return 0
-    sign = 1
-    seen = list(indices)
-    for a in range(r):
-        for b in range(a + 1, r):
-            if seen[a] > seen[b]:
-                sign = -sign
-    return sign
-
-
-def _evaluate(
+def _nonzero_partition(
     supports: Sequence[Sequence[Tuple[Tuple[int, ...], Fraction]]],
-    slot_of: Sequence[Sequence[Tuple[int, int]]],
-    sigma: Sequence[Sequence[int]],
+    factors: Sequence[Sequence[int]],
+    targets: Sequence[int],
     ranks: Sequence[int],
-) -> Fraction:
-    """Evaluate the composed map on the chosen copies.
+    allowance: int,
+) -> Tuple[Optional[Tuple[Tuple[Tuple[int, ...], ...], Fraction]], int]:
+    """The first slot partition on which the composed map of the copies
+    does not vanish, with its value, and the steps spent.
 
-    supports[j] lists the (index, coefficient) pairs of copy j; the
-    copy's index tuple feeds the slots listed in slot_of[j] as pairs
-    (factor, slot).  After permuting each factor's slots with sigma,
-    consecutive blocks of rank size contract against the sign tensor.
+    supports[j] lists the (index, coefficient) pairs of copy j, and
+    factors[j] the factor of each entry of its index; the entries of
+    factor i fill its targets[i] slots in copy order.  A partition splits
+    them into blocks of ranks[i] slots, each contracted against the sign
+    tensor.  Reordering within a block or permuting whole blocks changes
+    the value at most by sign, so only canonical partitions are scanned:
+    they are built in slot order while the copies are contracted, each
+    slot joining an open block of its factor or opening a new one.  Each
+    block then fills position by position, so an entry makes an
+    inversion with each larger entry already in its block, and a
+    repeated entry kills the term.  The partial sums are kept per tuple
+    of the sets of entries in the blocks (bit masks), on integers scaled
+    per copy.  A branch whose sums all vanish is dropped with all its
+    completions, and so is a state already found dead; the first branch
+    that reaches the last copy is nonzero.  steps counts (state, support
+    element) transitions; more than allowance raises _OutOfBudget.
+    (None, steps) means no partition gives a nonzero value.
     """
-    total = Fraction(0)
     n = len(ranks)
-    for assignment in itertools.product(*supports):
-        coeff = Fraction(1)
-        filled: List[List[int]] = [[0] * len(sigma[i]) for i in range(n)]
-        for j, (idx, val) in enumerate(assignment):
-            coeff *= val
-            for (factor, slot), entry in zip(slot_of[j], idx):
-                filled[factor][slot] = entry
-        term = coeff
-        for i in range(n):
-            perm = sigma[i]
-            r = ranks[i]
-            reordered = [filled[i][perm[t]] for t in range(len(perm))]
-            for k in range(0, len(reordered), r):
-                s = _sign_of_block(reordered[k : k + r])
-                term *= s
-                if s == 0:
-                    break
-            if term == 0:
-                break
-        total += term
-    return total
+    members: List[List[int]] = []  # block id -> its slots
+    block_factor: List[int] = []
+    filled_slots = [0] * n
+    spent = 0
+    moves = []
+    den = 1
+    for support in supports:
+        scale = math.lcm(*(v.denominator for _, v in support))
+        den *= scale
+        moves.append([(v.numerator * (scale // v.denominator), idx) for idx, v in support])
+    nblocks = sum(t // r for t, r in zip(targets, ranks))
+
+    def open_blocks() -> List[int]:
+        return [blk for blk, slots in enumerate(members) if len(slots) < ranks[block_factor[blk]]]
+
+    def place(fs: Sequence[int], k: int, chosen: List[int]) -> Iterator[List[int]]:
+        # every way to put the remaining slots of this copy into blocks
+        if k == len(fs):
+            yield chosen
+            return
+        i = fs[k]
+        options = [blk for blk in open_blocks() if block_factor[blk] == i]
+        if block_factor.count(i) < targets[i] // ranks[i]:
+            options.append(len(members))
+        for blk in options:
+            if blk == len(members):
+                members.append([])
+                block_factor.append(i)
+            members[blk].append(filled_slots[i])
+            filled_slots[i] += 1
+            chosen.append(blk)
+            yield from place(fs, k + 1, chosen)
+            chosen.pop()
+            filled_slots[i] -= 1
+            members[blk].pop()
+            if not members[blk]:
+                members.pop()
+                block_factor.pop()
+
+    # the search runs on an explicit stack, one frame per copy placed, so
+    # its depth is not bound by the interpreter's recursion limit: the
+    # placements of copy j, the partial sums before it and the state they
+    # lead from (None at the root)
+    dead = set()  # states with no nonzero completion
+    stack = [(place(factors[0], 0, []), {(0,) * nblocks: 1}, None)]
+    while stack:
+        j = len(stack) - 1
+        placements, layer, state = stack[-1]
+        blocks = next(placements, None)
+        if blocks is None:
+            stack.pop()
+            if state is not None and len(dead) < DEAD_STATES:
+                dead.add(state)
+            continue
+        nxt: Dict[Tuple[int, ...], int] = {}
+        for masks, weight in layer.items():
+            for coeff, idx in moves[j]:
+                spent += 1
+                if spent > allowance:
+                    raise _OutOfBudget
+                filled = list(masks)
+                term = weight * coeff
+                for blk, e in zip(blocks, idx):
+                    bit = 1 << e
+                    if filled[blk] & bit:
+                        break
+                    if bin(filled[blk] >> (e + 1)).count("1") & 1:
+                        term = -term
+                    filled[blk] |= bit
+                else:
+                    key = tuple(filled)
+                    nxt[key] = nxt.get(key, 0) + term
+        nxt = {key: w for key, w in nxt.items() if w}
+        if not nxt:
+            continue
+        if j + 1 == len(moves):
+            sigma = tuple(
+                tuple(slot for blk, slots in enumerate(members) if block_factor[blk] == i for slot in slots)
+                for i in range(n)
+            )
+            return (sigma, Fraction(sum(nxt.values()), den)), spent
+        # the future depends only on the open blocks, up to relabeling
+        # those of one factor, and on the partial sums up to a factor
+        opens = sorted((block_factor[blk], sorted(m[blk] for m in nxt), blk) for blk in open_blocks())
+        g = math.gcd(*nxt.values())
+        sums = sorted((tuple(m[blk] for _, _, blk in opens), w // g) for m, w in nxt.items())
+        if sums[0][1] < 0:
+            sums = [(m, -w) for m, w in sums]
+        state = (j, tuple(f for f, _, _ in opens), tuple(sums))
+        if state not in dead:
+            stack.append((place(factors[j + 1], 0, []), nxt, state))
+    return None, spent
 
 
 def invariant_witness_search(
-    x: Union[TensorPoint, Dict[Tuple[int, ...], TensorPoint]],
+    x: Union[gitstab.TensorPoint, Dict[Tuple[int, ...], gitstab.TensorPoint]],
     b: Sequence[int],
     m: int,
     D_max: int,
@@ -169,13 +249,14 @@ def invariant_witness_search(
     component point for a direct sum over an alphabet of exponents.  For
     D = 1..D_max the search enumerates copy families (alpha_j) with slot
     counts D*b_i*r_i per factor, then canonical slot partitions, and
-    returns the first nonzero evaluation.  Exhaustion returns None;
-    exceeding the evaluation budget returns BUDGET_EXCEEDED instead,
-    since a truncated scan is inconclusive.
+    returns the first nonzero evaluation.  Exhaustion returns None.  The
+    budget counts the steps of the contractions (see _nonzero_partition);
+    the scan that would exceed it returns BUDGET_EXCEEDED instead, since
+    a truncated scan is inconclusive.
     """
     if m < 1 or D_max < 1:
         raise ValueError("m and D_max must be positive")
-    if isinstance(x, TensorPoint):
+    if isinstance(x, gitstab.TensorPoint):
         components = {(1,) * len(x.shape): x}
     else:
         components = dict(x)
@@ -214,41 +295,22 @@ def invariant_witness_search(
         targets = [D * b[i] * ranks[i] for i in range(n)]
         if any(t < 0 or t % ranks[i] for i, t in enumerate(targets)):
             continue
-        for family in itertools.combinations_with_replacement(alphabet, m * D):
-            if any(
-                sum(alpha[i] for alpha in family) != targets[i] for i in range(n)
-            ):
-                continue
-            # slot layout: copy j feeds its indices into per-factor slots
-            counters = [0] * n
-            slot_of: List[List[Tuple[int, int]]] = []
-            for alpha in family:
-                pairs = []
-                for i in range(n):
-                    for _ in range(alpha[i]):
-                        pairs.append((i, counters[i]))
-                        counters[i] += 1
-                slot_of.append(pairs)
+        for family in _families(alphabet, m * D, targets):
+            # letters with the fewest support entries first: they branch
+            # least, and the blocks they fill constrain the others early
+            family = tuple(sorted(family, key=lambda alpha: len(components[alpha].coords)))
             supports = [list(components[alpha].coords) for alpha in family]
-            terms = 1
-            for sup in supports:
-                terms *= len(sup)
-            partitions = [
-                list(_block_partitions(tuple(range(targets[i])), ranks[i]))
-                for i in range(n)
-            ]
-            combos = 1
-            for p in partitions:
-                combos *= len(p)
-            if spent + combos * terms > budget:
+            factors = [[i for i in range(n) for _ in range(alpha[i])] for alpha in family]
+            try:
+                found, steps = _nonzero_partition(
+                    supports, factors, targets, ranks, budget - spent
+                )
+            except _OutOfBudget:
                 return BUDGET_EXCEEDED
-            spent += combos * terms
-            for sigma in itertools.product(*partitions):
-                value = _evaluate(supports, slot_of, sigma, ranks)
-                if value != 0:
-                    return WitnessInvariant(
-                        D, tuple(family), tuple(sigma), value
-                    )
+            spent += steps
+            if found is not None:
+                sigma, value = found
+                return WitnessInvariant(D, tuple(family), sigma, value)
     return None
 
 

@@ -33,8 +33,17 @@ least determinant at each rank, so it never forms a quotient.
 Morphism heights are bisected over Fractions with a Fraction LDL at each
 midpoint, and atanh is summed term by term in Fractions; the library runs
 both on integers over one common denominator.
+
+The sampled optimality checks of the Kempf minimizer run here as oracles:
+the estimation inequality at random challenge tuples, the subquotient
+inequality reduced_mu >= 0 at random block filtrations, and the
+coordinate test in random block bases.  None of them is a certificate;
+the library certifies the minimizer by one Levi witness instead, and the
+tests check that these samplers never fail where it found one.
 """
 
+import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, product
 from math import isqrt
@@ -1080,6 +1089,208 @@ def fraction_lambda_in_bases(shape, coords, bases, weights):
         for idx, v in vec.items() if v
     )
 
+
+
+# ---------------------------------------------------------------------------
+# sampled Kempf optimality checks, replaced in the library by the Levi witness
+
+
+def draw(rng, r):
+    """Rows of a random invertible r x r matrix with entries in -2..2 and
+    their integer inverse (d, d (rows^T)^-1): one elimination per attempt,
+    which is also the invertibility test."""
+    while True:
+        rows = [[rng.randrange(-2, 3) for _ in range(r)] for _ in range(r)]
+        inv = gs._inverse_transpose(rows)
+        if inv is not None:
+            return (rows, *inv)
+
+
+def draw_weighted(rng, r, w):
+    """A random invertible basis, then one weight in -w..w per vector."""
+    rows, d, inv = draw(rng, r)
+    return gs._WeightedBasis(rows, [rng.randrange(-w, w + 1) for _ in range(r)], d, inv)
+
+
+def scalar_product_with_basis(F, vectors, weights):
+    """fil.scalar_product(F, from_weighted_basis(vectors, weights)) without
+    building the second filtration: its member at each jump mu is spanned
+    by the vectors of weight >= mu, and a rank needs no echelon form."""
+    if len(vectors) != F.dim or len(weights) != F.dim:
+        raise ValueError("need a basis of the space with one weight per vector")
+    jumps = sorted(set(weights))
+    members = [[v for v, w in zip(vectors, weights) if w >= mu] for mu in jumps[1:]]
+    return fil._pairing_from_ranks(F, jumps, members)
+
+
+def challenge_sides(x, comps, c_tilde, drawn):
+    """Both sides of the estimation inequality E[G] - lambda_G(v_x) >=
+    c_tilde <F, G> at the challenge G whose factors are the drawn weighted
+    bases, scored in those bases."""
+    lhs = sum((Fraction(sum(B.weights), len(B.weights)) for B in drawn), Fraction(0))
+    lhs -= gs._lambda_weighted(x, drawn)
+    rhs = c_tilde * sum(
+        (scalar_product_with_basis(F, B.rows, B.weights) for F, B in zip(comps, drawn)),
+        Fraction(0),
+    )
+    return lhs, rhs
+
+
+def kempf_challenges(x, M, rng_seed=0, challenges=100):
+    """The estimation inequality at random challenge tuples, a random
+    invertible basis per factor with a weight in -3..3 per vector, drawn
+    as kempf_minimize(x, rng_seed) once drew them; raises
+    SearchNotConverged at the first failure."""
+    rng = random.Random(rng_seed * 7919 + 13)
+    for _ in range(challenges):
+        drawn = [draw_weighted(rng, r, 3) for r in x.shape]
+        lhs, rhs = challenge_sides(x, M.minimizer.components, M.c_tilde, drawn)
+        if lhs < rhs:
+            raise gs.SearchNotConverged("estimation inequality failed for a challenge")
+
+
+def reduced_mu_weighted(R, blocks):
+    """reduced_mu at the block filtrations given as weighted bases, scored
+    in those bases: b_j r_j E[G^(i,j)] is b_j times the weight sum."""
+    total = sum(
+        (R.b[i][j] * sum(B.weights) for i, per in enumerate(blocks) for j, B in enumerate(per)),
+        Fraction(0),
+    )
+    lam = min(
+        gs._lambda_weighted(point, [blocks[i][gi] for i, gi in enumerate(g)])
+        for g, point in zip(R.groups, R.reduced)
+    )
+    return total - R.N * lam
+
+
+def reduced_mu(R, blocks):
+    """Weight sum b_j r_j E[G^(i,j)] - N * lambda of the reduced point at
+    the block filtration tuple; nonnegative for all choices iff the
+    reduced point is semistable for the graded group."""
+    for i, per in enumerate(blocks):
+        if len(per) != len(R.block_ranks[i]):
+            raise ValueError("one block filtration per graded piece required")
+        for j, G in enumerate(per):
+            if G.dim != R.block_ranks[i][j]:
+                raise ValueError("block dimension mismatch")
+    return reduced_mu_weighted(R, [[gs._adapted(G) for G in per] for per in blocks])
+
+
+def sampled_reduced_mu(R, samples=25, rng_seed=5):
+    """reduced_mu >= 0 at random block filtrations (an invertible integer
+    basis with a weight in -2..2 per vector), drawn as rr_reduce once drew
+    them; raises SearchNotConverged at the first failure."""
+    rng = random.Random(rng_seed)
+    for _ in range(samples):
+        blocks = [[draw_weighted(rng, rk, 2) for rk in ranks] for ranks in R.block_ranks]
+        if reduced_mu_weighted(R, blocks) < 0:
+            raise gs.SearchNotConverged("the reduced point failed a sampled block filtration")
+
+
+def block_rounds_semistable(R, rng_seed=0, rounds=6):
+    """The coordinate test of reduced_is_semistable repeated in random
+    bases of the blocks of rank above one; False when some round finds a
+    negative weight."""
+    rng = random.Random(rng_seed)
+    for _ in range(rounds):
+        changes = {
+            (i, j): draw(rng, rk)[1:]
+            for i, per in enumerate(R.block_ranks)
+            for j, rk in enumerate(per)
+            if rk > 1
+        }
+        transformed = []
+        for g, point in zip(R.groups, R.reduced):
+            coords, _ = gs._scaled_coordinates(
+                point, [changes.get((i, gi), (1, [[1]])) for i, gi in enumerate(g)]
+            )
+            cmap = {idx: Fraction(v) for v, idx in zip(coords, gs._cells(point.shape)) if v}
+            transformed.append(gs.TensorPoint.from_map(point.shape, cmap))
+        if not gs.reduced_is_semistable(replace(R, reduced=tuple(transformed))).semistable:
+            return False
+    return True
+
+
+def levi_letters(R):
+    """The reduced point as the Levi witness search reads it: exponent
+    vector over the blocks, flattened in factor order -> coordinate map."""
+    sizes = [len(per) for per in R.block_ranks]
+    out = {}
+    for g, point in zip(R.groups, R.reduced):
+        alpha = [0] * sum(sizes)
+        for i, gi in enumerate(g):
+            alpha[sum(sizes[:i]) + gi] = 1
+        out[tuple(alpha)] = dict(point.coords)
+    return out
+
+
+def levi_witness_value(R):
+    """R.witness re-evaluated by composed_det_value on the copies its
+    alphas name, one connected component at a time.
+
+    Copies are linked when a block holds slots of both.  The blocks of one
+    component hold only its own copies, so the sum over assignments splits
+    into a product over components: each is evaluated on its own copies
+    with their slots renumbered in order, which keeps the full expansion
+    small for a product of many low-degree contractions."""
+    W = R.witness
+    letters = levi_letters(R)
+    ranks = [rk for per in R.block_ranks for rk in per]
+    owner = []  # per factor: slot -> copy
+    for i in range(len(ranks)):
+        owner.append([j for j, alpha in enumerate(W.alphas) for _ in range(alpha[i])])
+    parent = list(range(len(W.alphas)))
+
+    def root(j):
+        while parent[j] != j:
+            j = parent[j]
+        return j
+
+    blocks = []  # (factor, slots) in sigma order
+    for i, perm in enumerate(W.sigma):
+        for k in range(0, len(perm), ranks[i]):
+            block = perm[k : k + ranks[i]]
+            blocks.append((i, block))
+            for slot in block[1:]:
+                parent[root(owner[i][slot])] = root(owner[i][block[0]])
+    value = Fraction(1)
+    for top in sorted({root(j) for j in range(len(W.alphas))}):
+        copies = [j for j in range(len(W.alphas)) if root(j) == top]
+        renumber = [
+            {slot: t for t, slot in enumerate(s for s, j in enumerate(owner[i]) if j in copies)}
+            for i in range(len(ranks))
+        ]
+        sigma = [
+            [renumber[i][slot] for f, block in blocks if f == i and owner[i][block[0]] in copies for slot in block]
+            for i in range(len(ranks))
+        ]
+        alphas = [W.alphas[j] for j in copies]
+        value *= composed_det_value([letters[a] for a in alphas], alphas, sigma, ranks)
+    return value
+
+
+# ---------------------------------------------------------------------------
+# filtration operations with no caller in the library
+
+
+def direct_sum(parts):
+    if not parts:
+        raise ValueError("direct sum of an empty list")
+    total = sum(F.dim for F in parts)
+    vecs, ws = [], []
+    offset = 0
+    for F in parts:
+        for v, w in fil.adapted_basis(F):
+            vecs.append(
+                [Fraction(0)] * offset + list(v) + [Fraction(0)] * (total - offset - F.dim)
+            )
+            ws.append(w)
+        offset += F.dim
+    return fil.from_weighted_basis(vecs, ws)
+
+
+def norm(F):
+    return AlgValue.sqrt_of(fil.norm_squared(F))
 
 
 def float_decimal(box):

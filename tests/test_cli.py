@@ -8,6 +8,7 @@ import pytest
 from slopelab import cli
 from slopelab import filtration as fil
 from slopelab import harness
+from slopelab import invariants as inv
 from slopelab.gitstab import TensorPoint
 from slopelab.harness import TrialOutcome, TrialReport
 from slopelab.lattice import (
@@ -233,6 +234,19 @@ class TestGitVerbs:
         assert code == 0
         assert doc["N"] >= 1
         assert "groups" in doc
+        assert doc["witness"]["D"] >= 1 and doc["witness"]["value"] != "0"
+
+    @pytest.mark.parametrize("verb", ["minimize", "reduce"])
+    @pytest.mark.parametrize("found", [None, inv.BUDGET_EXCEEDED], ids=["none", "budget"])
+    def test_faulted_witness_search_is_usage_error(self, tmp_path, capsys, monkeypatch, verb, found):
+        # without a Levi witness the minimizer is not certified: neither
+        # verb prints it, and the message names the limit that was hit
+        monkeypatch.setattr(inv, "invariant_witness_search", lambda *args, **kwargs: found)
+        path = point_file(tmp_path, "pure.json", (2, 2), {(0, 0): 1})
+        assert cli.run(["git", verb, "--in", path]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "Levi witness" in err
 
     def test_reduce_semistable_is_usage_error(self, tmp_path, capsys):
         path = point_file(tmp_path, "ident.json", (2, 2), {(0, 0): 1, (1, 1): 1})

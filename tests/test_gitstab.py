@@ -16,17 +16,27 @@ from slopelab.exactnum import AlgValue
 from slopelab.filtration import CompatibleBasis, FiltrationTuple
 from oracles import (
     big_lambda,
+    block_rounds_semistable,
+    challenge_sides,
     coord_map,
+    draw,
+    draw_weighted,
     fraction_det,
     fraction_inverse,
     fraction_lambda_in_bases,
     fraction_random_rows,
     grid_min_lambda,
     is_trivial,
+    kempf_challenges,
+    levi_witness_value,
     minimizers_proportional,
+    reduced_mu,
+    sampled_reduced_mu,
     scalar_product_by_basis,
+    scalar_product_with_basis,
     subset_scan_min_norm_point,
 )
+from slopelab import invariants as inv
 
 F = Fraction
 
@@ -124,7 +134,7 @@ def test_lambda_in_drawn_basis_matches_tensor_lambda():
             x = gs.TensorPoint.from_map(
                 shape, {c: F(rng.choice((-3, -2, -1, 1, 2, 3))) for c in rng.sample(cells, rng.randrange(1, len(cells) + 1))}
             )
-            drawn = [gs._draw_weighted(rng, r, 3) for r in shape]
+            drawn = [draw_weighted(rng, r, 3) for r in shape]
             tup = FiltrationTuple(tuple(fil.from_weighted_basis(B.rows, B.weights) for B in drawn))
             assert gs._lambda_weighted(x, drawn) == gs.tensor_lambda(x, tup)
 
@@ -422,7 +432,7 @@ def test_kempf_agrees_with_grid_oracle():
     for _ in range(12):
         x = rand_point(rng)
         oracle = alg_from_pair(grid_min_lambda(x.shape, coord_map(x)))
-        res = gs.kempf_minimize(x, challenges=25)
+        res = gs.kempf_minimize(x)
         if res is None:
             assert oracle == AlgValue.zero()
         else:
@@ -435,10 +445,10 @@ def test_kempf_two_seeds_proportional():
     found = 0
     while found < 8:
         x = rand_point(rng)
-        a = gs.kempf_minimize(x, rng_seed=0, challenges=10)
+        a = gs.kempf_minimize(x, rng_seed=0)
         if a is None:
             continue
-        b = gs.kempf_minimize(x, rng_seed=99, challenges=10)
+        b = gs.kempf_minimize(x, rng_seed=99)
         assert b is not None and a.c == b.c
         assert minimizers_proportional(a, b)
         found += 1
@@ -476,7 +486,7 @@ def test_mu_negative_iff_unstable_on_small_shapes():
     for _ in range(10):
         x = rand_point(rng)
         oracle = grid_min_lambda(x.shape, coord_map(x))
-        res = gs.kempf_minimize(x, challenges=10)
+        res = gs.kempf_minimize(x)
         if oracle[0] < 0:
             assert res is not None
             m = 2 if len(x.shape) == 1 else 2 * max(x.shape)
@@ -498,11 +508,11 @@ def test_draws_follow_the_challenge_rng_order():
     for seed in range(120):
         r = 1 + seed % 4
         new, old = random.Random(seed), random.Random(seed)
-        rows, d, inv = gs._draw(new, r)
+        rows, d, scaled_inverse = draw(new, r)
         want, attempts = fraction_random_rows(old, r)
         assert rows == want
         assert new.getstate() == old.getstate()
-        assert inv == [[d * a for a in row] for row in fraction_inverse([list(col) for col in zip(*rows)])]
+        assert scaled_inverse == [[d * a for a in row] for row in fraction_inverse([list(col) for col in zip(*rows)])]
         rejected[r] += attempts - 1
     assert rejected[2] >= 5
     # a whole challenge stream: per factor the rows, then the weights
@@ -510,7 +520,7 @@ def test_draws_follow_the_challenge_rng_order():
         new, old = random.Random(str(shape)), random.Random(str(shape))
         for _ in range(20):
             for r in shape:
-                B = gs._draw_weighted(new, r, 3)
+                B = draw_weighted(new, r, 3)
                 rows, _ = fraction_random_rows(old, r)
                 ws = [F(old.randrange(-3, 4)) for _ in range(r)]
                 assert (B.rows, B.weights) == (rows, ws)
@@ -541,7 +551,7 @@ def test_challenge_scores_equal_parent_composition():
             x = gs.TensorPoint.from_map(shape, coords)
             comps = [_random_filtration(rng, r) for r in shape]
             c_tilde = -F(rng.randrange(1, 7), rng.randrange(1, 5))
-            drawn = [gs._draw_weighted(rng, r, 3) for r in shape]
+            drawn = [draw_weighted(rng, r, 3) for r in shape]
             G = [fil.from_weighted_basis(B.rows, B.weights) for B in drawn]
 
             expect = sum((fil.expectation(Gi) for Gi in G), F(0))
@@ -552,10 +562,10 @@ def test_challenge_scores_equal_parent_composition():
             for B, Gi in zip(drawn, G):
                 assert F(sum(B.weights), len(B.weights)) == fil.expectation(Gi)
             for Fi, B, Gi in zip(comps, drawn, G):
-                got = fil.scalar_product_with_basis(Fi, B.rows, B.weights)
+                got = scalar_product_with_basis(Fi, B.rows, B.weights)
                 assert got == fil.scalar_product(Fi, Gi) == scalar_product_by_basis(Fi, Gi)
             assert gs._lambda_weighted(x, drawn) == lam
-            assert gs._challenge_sides(x, comps, c_tilde, drawn) == (expect - lam, c_tilde * pairing)
+            assert challenge_sides(x, comps, c_tilde, drawn) == (expect - lam, c_tilde * pairing)
 
             count += 1
             fractional += any(v.denominator != 1 for v in coords.values())
@@ -566,9 +576,9 @@ def test_challenge_scores_equal_parent_composition():
 
 
 def test_challenge_loop_eliminates_once_per_draw(monkeypatch):
-    # the challenge loop is what kempf_minimize adds over challenges=0; it
-    # builds no filtration and inverts nothing, and apart from the ranks of
-    # the scalar product it eliminates once per draw attempt
+    # the challenge loop, now an oracle of the minimizer, builds no
+    # filtration and inverts nothing, and apart from the ranks of the
+    # scalar product it eliminates once per draw attempt
     x = point((2, 3), {(0, 0): 1, (1, 2): 2, (0, 1): -1})
     calls = Counter()
     in_rank = [0]
@@ -601,12 +611,10 @@ def test_challenge_loop_eliminates_once_per_draw(monkeypatch):
         counting(module, name)
 
     challenges, seed = 40, 3
-    counts = []
-    for n in (0, challenges):
-        calls.clear()
-        best = gs.kempf_minimize(x, rng_seed=seed, challenges=n)
-        counts.append(Counter(calls))
-    loop = Counter({k: counts[1][k] - counts[0][k] for k in counts[1]})
+    best = gs.kempf_minimize(x, rng_seed=seed)
+    calls.clear()
+    kempf_challenges(x, best, seed, challenges)
+    loop = Counter(calls)
 
     rng = random.Random(seed * 7919 + 13)
     attempts = 0
@@ -626,11 +634,12 @@ def test_shifted_challenge_lambda_is_caught(monkeypatch):
 
     def shifted(x, bases):
         value = exact(x, bases)
-        return value + 10**6 if sys._getframe(1).f_code.co_name == "_challenge_sides" else value
+        return value + 10**6 if sys._getframe(1).f_code.co_name == "challenge_sides" else value
 
+    best = gs.kempf_minimize(E11_POINT)
     monkeypatch.setattr(gs, "_lambda_weighted", shifted)
     with pytest.raises(gs.SearchNotConverged, match="estimation inequality"):
-        gs.kempf_minimize(E11_POINT)
+        kempf_challenges(E11_POINT, best)
 
 
 # ---------------------------------------------------------------------------
@@ -648,8 +657,11 @@ def test_rr_frozen_pure_tensor():
     assert [p.to_json() for p in R.reduced] == [
         {"shape": [1, 1], "coords": {"1,1": "1"}}
     ]
+    # (N, b) = 2 (1, (0, 1), (0, 1)): one copy of the reduced point, one
+    # slot in each rank-one block of weight 1
+    assert R.to_json()["witness"] == {"D": 1, "alphas": [[0, 1, 0, 1]], "sigma": [[], [0], [], [0]], "value": "1"}
     verdict = gs.reduced_is_semistable(R)
-    assert verdict.semistable and verdict.note.startswith("complete")
+    assert verdict.semistable and verdict.note == "Levi witness of degree 1"
 
 
 def test_rr_frozen_single_factor():
@@ -674,10 +686,10 @@ def test_rr_invariants_on_random_unstable_points():
     found = 0
     while found < 8:
         x = rand_point(rng)
-        res = gs.kempf_minimize(x, challenges=10)
+        res = gs.kempf_minimize(x)
         if res is None:
             continue
-        R = gs.rr_reduce(x, res, samples=10)
+        R = gs.rr_reduce(x, res)
         for i, F_i in enumerate(res.minimizer.components):
             assert sum(
                 a * r for a, r in zip(R.a[i], R.block_ranks[i])
@@ -685,6 +697,7 @@ def test_rr_invariants_on_random_unstable_points():
             assert all(b >= 0 for b in R.b[i])
             assert R.N % F_i.dim == 0
         assert R.groups  # the reduced point is nonzero
+        assert levi_witness_value(R) == R.witness.value != 0
         assert gs.reduced_is_semistable(R).semistable
         found += 1
 
@@ -693,33 +706,144 @@ def test_reduced_mu_rejects_bad_blocks():
     res = gs.kempf_minimize(E11_POINT)
     R = gs.rr_reduce(E11_POINT, res)
     with pytest.raises(ValueError):
-        gs.reduced_mu(R, [[fil.trivial(1)], [fil.trivial(1)]])
+        reduced_mu(R, [[fil.trivial(1)], [fil.trivial(1)]])
     with pytest.raises(ValueError):
-        gs.reduced_mu(R, [[fil.trivial(2), fil.trivial(1)], [fil.trivial(1), fil.trivial(1)]])
+        reduced_mu(R, [[fil.trivial(2), fil.trivial(1)], [fil.trivial(1), fil.trivial(1)]])
 
 
-SAMPLE_FAULT_UNDER_O = """
+# the two ways a Levi witness search ends without a witness, and the limit
+# each must name (N = 2 for the pure tensor, so the degree limit is 2N = 4)
+WITNESS_FAULTS = (
+    (None, "no Levi witness up to degree 4"),
+    (inv.BUDGET_EXCEEDED, "the Levi witness search exceeded its budget of 2000000 steps"),
+)
+
+
+@pytest.mark.parametrize("found, message", WITNESS_FAULTS, ids=["none", "budget"])
+def test_faulted_witness_search_names_the_limit(monkeypatch, found, message):
+    res = gs.kempf_minimize(E11_POINT)
+    monkeypatch.setattr(inv, "invariant_witness_search", lambda *args, **kwargs: found)
+    with pytest.raises(gs.SearchNotConverged) as err:
+        gs.rr_reduce(E11_POINT, res)
+    assert str(err.value) == message
+
+
+WITNESS_FAULT_UNDER_O = """
 import sys
 from fractions import Fraction
 from slopelab import gitstab as gs
+from slopelab import invariants as inv
 assert sys.flags.optimize  # run under python -O: library asserts are stripped
-gs._reduced_mu_weighted = lambda R, blocks: Fraction(-1)
 x = gs.TensorPoint.from_map((2, 2), {(0, 0): Fraction(1)})
-try:
-    gs.rr_reduce(x, gs.kempf_minimize(x))
-except gs.SearchNotConverged as exc:
-    print("SearchNotConverged:", exc)
+M = gs.kempf_minimize(x)
+for found in (None, inv.BUDGET_EXCEEDED):
+    inv.invariant_witness_search = lambda *args, **kwargs: found
+    try:
+        gs.rr_reduce(x, M)
+    except gs.SearchNotConverged as exc:
+        print("SearchNotConverged:", exc)
 """
 
 
-def test_sampled_reduced_mu_check_survives_python_O():
+def test_faulted_witness_search_survives_python_O():
     src = str(Path(gs.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run(
-        [sys.executable, "-O", "-c", SAMPLE_FAULT_UNDER_O], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, "-O", "-c", WITNESS_FAULT_UNDER_O], env=env, capture_output=True, text=True, timeout=60
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.startswith("SearchNotConverged: the reduced point failed a sampled block filtration")
+    assert done.stdout.splitlines() == ["SearchNotConverged: " + message for _, message in WITNESS_FAULTS]
+
+
+def _seeded_points(rng, shape, sizes, count):
+    cells = list(itertools.product(*[range(r) for r in shape]))
+    for size in sizes:
+        for _ in range(count):
+            coords = {c: F(rng.choice((-3, -2, -1, 1, 2, 3))) for c in rng.sample(cells, size)}
+            yield gs.TensorPoint.from_map(shape, coords)
+
+
+def _reduce_with_stand_in(monkeypatch, x, res):
+    """rr_reduce with the witness search replaced by a stand-in witness,
+    to inspect a reduced point that has no Levi witness."""
+    stand_in = inv.WitnessInvariant(1, ((1,),), ((0,),), F(1))
+    with monkeypatch.context() as patch:
+        patch.setattr(inv, "invariant_witness_search", lambda *args, **kwargs: stand_in)
+        return gs.rr_reduce(x, res)
+
+
+def _levi_outcome(monkeypatch, x):
+    """None for a semistable point.  Otherwise "witness" when rr_reduce
+    carries a Levi witness that an independent evaluation finds nonzero,
+    and the retired samplers of the minimizer and of the reduced point do
+    not fail on it; or "refused" when rr_reduce stops without a witness
+    and the block rounds show the reduced point unstable, so that the
+    minimizer is not optimal and no witness exists."""
+    res = gs.kempf_minimize(x)
+    if res is None:
+        return None
+    try:
+        R = gs.rr_reduce(x, res)
+    except gs.SearchNotConverged:
+        R = _reduce_with_stand_in(monkeypatch, x, res)
+        assert not block_rounds_semistable(R, rounds=50)
+        return "refused"
+    assert R.witness.D >= 1
+    assert levi_witness_value(R) == R.witness.value != 0
+    kempf_challenges(x, res)
+    sampled_reduced_mu(R)
+    assert block_rounds_semistable(R)
+    assert gs.reduced_is_semistable(R).semistable
+    return "witness"
+
+
+def test_levi_witness_on_seeded_kempf_shapes(monkeypatch):
+    # the shapes of the kempf_reduce benchmark, one cell to dense: every
+    # unstable point gets a witness
+    rng = random.Random(14014)
+    outcomes = Counter()
+    for shape in ((2, 2), (2, 3), (3, 3), (2, 2, 2)):
+        total = 1
+        for r in shape:
+            total *= r
+        outcomes.update(_levi_outcome(monkeypatch, x) for x in _seeded_points(rng, shape, range(1, total + 1), 4))
+    assert outcomes["witness"] >= 40 and outcomes["refused"] == 0
+
+
+def test_levi_witness_on_seeded_dense_shapes(monkeypatch):
+    # the shapes of the dense campaign at every support size.  On sparse
+    # (3, 3, 2) points the Kempf search can end at a destabilizer that is
+    # not optimal, and rr_reduce must refuse it.  Every witness here takes
+    # fewer than 200 000 steps, and the same search order finds it under
+    # the full budget; the lower budget only ends the refusals sooner
+    monkeypatch.setattr(gs, "LEVI_BUDGET", 200_000)
+    rng = random.Random(14015)
+    outcomes = Counter()
+    for shape in ((2, 2, 2, 2), (4, 4), (3, 3, 2)):
+        total = 1
+        for r in shape:
+            total *= r
+        outcomes.update(_levi_outcome(monkeypatch, x) for x in _seeded_points(rng, shape, range(1, total + 1), 2))
+    assert outcomes["witness"] >= 30 and outcomes["refused"] <= 2
+
+
+# a sparse (3, 3, 2) point whose Kempf search ends at a destabilizer that is
+# not optimal: the reduced point is unstable in a random block basis
+NOT_OPTIMAL = {(0, 1, 1): -3, (1, 0, 1): 3, (2, 0, 1): 1, (2, 1, 0): -3, (2, 2, 0): 3}
+
+
+def test_non_optimal_minimizer_gets_no_witness(monkeypatch):
+    x = point((3, 3, 2), NOT_OPTIMAL)
+    res = gs.kempf_minimize(x)
+    assert res.c == AlgValue(-1, F(1, 16))
+    kempf_challenges(x, res)  # the challenges pass it
+    R = _reduce_with_stand_in(monkeypatch, x, res)
+    sampled_reduced_mu(R)  # and so do the block samples
+    assert not block_rounds_semistable(R)
+    # no Levi witness exists, and the search stops on its budget
+    monkeypatch.setattr(gs, "LEVI_BUDGET", 20_000)
+    with pytest.raises(gs.SearchNotConverged, match="budget of 20000 steps"):
+        gs.rr_reduce(x, res)
 
 
 def test_gitstab_has_no_assert():

@@ -1,11 +1,12 @@
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
-from slopelab import gitstab as gs
 from slopelab import harness
+from slopelab import invariants as inv
 from slopelab import linalg as la
 from slopelab.exactnum import LogValue, decimal_str, log_of
 from slopelab.harness import (
@@ -348,14 +349,20 @@ class TestReductionChain:
         }
         assert branches == {"semistable", "reduced"}
 
-    def test_failed_sample_is_inconclusive(self, monkeypatch):
-        # a reduced point that fails a sampled block filtration stops
-        # rr_reduce; the campaign reports it and carries on
-        monkeypatch.setattr(gs, "_reduced_mu_weighted", lambda R, blocks: Fraction(-1))
+    @pytest.mark.parametrize(
+        "found, reason",
+        [(None, r"no Levi witness up to degree \d+"), (inv.BUDGET_EXCEEDED, "the Levi witness search exceeded its budget")],
+        ids=["none", "budget"],
+    )
+    def test_faulted_witness_search_is_inconclusive(self, monkeypatch, found, reason):
+        # a reduced point without a Levi witness stops rr_reduce; the
+        # campaign reports the limit that was hit and carries on
+        monkeypatch.setattr(inv, "invariant_witness_search", lambda *args, **kwargs: found)
         rep = check_reduction_chain(TrialConfig(seed=11, ranks=(2, 2), entry_bound=1, trials=3))
         reasons = [o.detail["reason"] for o in rep.outcomes if o.verdict == "inconclusive"]
         assert reasons
-        assert set(reasons) == {"the reduced point failed a sampled block filtration"}
+        assert all(re.match(reason, r) for r in reasons)
+        assert rep.counts["fail"] == 0
 
     def test_rank_one_factors(self):
         rep = check_reduction_chain(TrialConfig(seed=2, ranks=(1, 1), entry_bound=1, trials=2))

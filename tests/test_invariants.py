@@ -82,6 +82,13 @@ class TestWitnessSearch:
         w = invariant_witness_search(SWAP, (1, 1), 2, 1)
         assert w.value == -2
 
+    def test_many_copies_run_on_an_explicit_stack(self):
+        # 1500 copies are deeper than the interpreter's recursion limit
+        v = point((1,), {(0,): 2})
+        w = invariant_witness_search(v, (1500,), 1500, 1)
+        assert w.D == 1 and len(w.alphas) == 1500
+        assert w.value == 2**1500
+
     def test_budget_sentinel_distinct_from_none(self):
         out = invariant_witness_search(IDENT, (1, 1), 2, 1, budget=2)
         assert out == BUDGET_EXCEEDED
