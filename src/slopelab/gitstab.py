@@ -14,6 +14,16 @@ minimum-norm-point algorithm on an integer Gram matrix, which returns
 only through the optimality certificate <p, q> >= <q, q> for every
 gradient p, so every verdict stays certifiable.
 
+The gradients depend on the shape and the support of v_x alone, and so
+do the min-norm point, the weights of the minimizing tuple and its norm,
+expectation and lambda: in a filtration built from a weighted basis, the
+multiplicity of a weight is the number of basis vectors that carry it.
+That minimum, with its consistency check c = c_tilde |T|, is computed
+once per (shape, support) in a process and stored only after the check
+passes; the Kempf search reads the support of each seed and builds the
+filtration tuple of the winning seed alone.  The values are the exact
+ones a fresh solve would give, because a fresh solve has no other input.
+
 A filtration given by a basis of its factor and one weight per vector
 (a weighted basis) is evaluated in that basis.  The coordinate change to
 it is one integer elimination of [B^T | I], which yields d (B^T)^-1 with
@@ -202,7 +212,10 @@ class _WeightedBasis(NamedTuple):
     inv: List[List[int]]
 
 
-def _inverse_transpose(rows: Sequence[Sequence]) -> Optional[Tuple[int, List[List[int]]]]:
+_Change = Tuple[int, List[List[int]]]  # (d, d (rows^T)^-1) of a basis
+
+
+def _inverse_transpose(rows: Sequence[Sequence]) -> Optional[_Change]:
     """(d, d (rows^T)^-1) over the integers, or None when the rows are
     dependent: one elimination of [rows^T | I]."""
     n = len(rows)
@@ -230,9 +243,7 @@ def _apply_axis(vec: List[int], shape: Sequence[int], axis: int, M: List[List[in
     return out
 
 
-def _scaled_coordinates(
-    x: TensorPoint, changes: Sequence[Tuple[int, List[List[int]]]]
-) -> Tuple[List[int], int]:
+def _scaled_coordinates(x: TensorPoint, changes: Sequence[_Change]) -> Tuple[List[int], int]:
     """(s c, s) with c the coordinates of v_x in the product of the bases
     whose integer inverses (d, d (rows^T)^-1) are given, flat in row-major
     order, and s a nonzero integer: v_x is scaled to integers and
@@ -394,13 +405,9 @@ def _weighted_ip_weights(shape: Sequence[int]) -> List[Fraction]:
     return [Fraction(1, r) for r in shape for _ in range(r)]
 
 
-def _split_by_shape(flat: Sequence[Fraction], shape: Sequence[int]) -> List[List[Fraction]]:
-    parts = []
-    at = 0
-    for r in shape:
-        parts.append(list(flat[at : at + r]))
-        at += r
-    return parts
+def _split_by_shape(flat: Sequence[int], shape: Sequence[int]) -> Tuple[Tuple[int, ...], ...]:
+    at = list(itertools.accumulate(shape, initial=0))
+    return tuple(tuple(flat[a:b]) for a, b in zip(at, at[1:]))
 
 
 def _coprime_integer_direction(flat: Sequence[Fraction]) -> List[int]:
@@ -410,17 +417,119 @@ def _coprime_integer_direction(flat: Sequence[Fraction]) -> List[int]:
     return [v // g for v in ints] if g else ints
 
 
-def minimize_fixed_basis(
-    x: TensorPoint, bases: Sequence[CompatibleBasis]
-) -> MinimizationResult:
-    """Exact minimum of the functional over tuples compatible with the
-    given bases.
+class _SupportMinimum(NamedTuple):
+    """Minimum of the functional over the tuples compatible with any bases
+    in which v_x has a given support: the value -sqrt(pnorm_sq), attained
+    by the tuple that gives basis vector j of factor i the integer weight
+    parts[i][j] (None when pnorm_sq is 0, where no destabilizer exists),
+    and c_tilde, that value divided by the norm of the tuple."""
+
+    pnorm_sq: Fraction
+    parts: Optional[Tuple[Tuple[int, ...], ...]]
+    c_tilde: Fraction
+
+
+_Support = Tuple[Tuple[int, ...], ...]
+# one checked minimum per (shape, support), capped like exactnum._LOG_CACHE
+_SUPPORT_CACHE: Dict[Tuple[Tuple[int, ...], _Support], _SupportMinimum] = {}
+_SUPPORT_CACHE_CAP = 4096
+
+
+def _weighted_basis_values(
+    shape: Sequence[int], support: _Support, parts: Sequence[Sequence]
+) -> Tuple[Fraction, Fraction, Fraction]:
+    """(sum |T_i|^2, sum E[T_i], lambda_T(v_x)) for the tuple T that gives
+    basis vector j of factor i the weight parts[i][j], in bases where v_x
+    has the given support.  In a filtration built from a weighted basis
+    each weight has as its multiplicity the number of basis vectors that
+    carry it, so the norm and the expectation are means over the basis;
+    lambda is the least weight sum over the support."""
+    norm_sq = sum((Fraction(sum(w * w for w in ws), r) for ws, r in zip(parts, shape)), Fraction(0))
+    expect = sum((Fraction(sum(ws), r) for ws, r in zip(parts, shape)), Fraction(0))
+    least = min(sum(ws[j] for ws, j in zip(parts, s)) for s in support)
+    return norm_sq, expect, Fraction(least)
+
+
+def _support_minimum(shape: Tuple[int, ...], support: _Support) -> _SupportMinimum:
+    """The minimum over tuples compatible with bases in which v_x has this
+    support, computed once per (shape, support) in a process.
 
     Each support tuple s contributes the linear form
     sum_i mean(y_i) - sum_i y_i[s_i]; its gradient in the weighted inner
     product has entries 1 - r_i [j = s_i].  The sphere minimum is minus
     the norm of the minimum-norm point p of the gradient hull, attained
     at y = -p; p = 0 means no destabilizer exists in this basis family.
+    None of this involves the point or the bases, and neither do the
+    norm, the expectation and lambda of the minimizing tuple
+    (_weighted_basis_values), so the consistency check c = c_tilde |T|
+    runs here, before the entry is stored, and a failed check stores
+    nothing.
+    """
+    key = (shape, support)
+    hit = _SUPPORT_CACHE.get(key)
+    if hit is not None:
+        return hit
+    grads = [
+        tuple(Fraction(1 - r * (j == s[i])) for i, r in enumerate(shape) for j in range(r))
+        for s in support
+    ]
+    weights = _weighted_ip_weights(shape)
+    p = _min_norm_point(grads, weights)
+    pnorm_sq = sum(w * a * a for w, a in zip(weights, p))
+    if pnorm_sq == 0:
+        out = _SupportMinimum(pnorm_sq, None, Fraction(0))
+    else:
+        direction = _coprime_integer_direction([-q for q in p])
+        parts = _split_by_shape(direction, shape)
+        norm_sq, expect, least = _weighted_basis_values(shape, support, parts)
+        c_tilde = (expect - least) / norm_sq
+        # consistency: c = c_tilde * sqrt(norm_sq)
+        if not (c_tilde < 0 and c_tilde * c_tilde * norm_sq == pnorm_sq):
+            raise SearchNotConverged("minimizer value disagrees with the min-norm point")
+        out = _SupportMinimum(pnorm_sq, parts, c_tilde)
+    if len(_SUPPORT_CACHE) < _SUPPORT_CACHE_CAP:
+        _SUPPORT_CACHE[key] = out
+    return out
+
+
+def _support(x: TensorPoint, changes: Sequence[_Change]) -> _Support:
+    """Cells, in flat order, where the coordinates of v_x in the product of
+    the bases whose integer inverses are given are nonzero."""
+    coords, _ = _scaled_coordinates(x, changes)
+    support = tuple(idx for c, idx in zip(coords, _cells(x.shape)) if c)
+    if not support:
+        raise ValueError("a nonzero point has a nonzero coordinate in every basis")
+    return support
+
+
+def _build(
+    shape: Sequence[int], bases: Sequence[CompatibleBasis], support: _Support, m: _SupportMinimum
+) -> MinimizationResult:
+    """The minimizing tuple of a checked support minimum, in the given bases."""
+    if m.parts is None:
+        trivial = FiltrationTuple(tuple(fil.trivial(r) for r in shape))
+        return MinimizationResult(trivial, AlgValue.zero(), Fraction(0), tuple(bases), support)
+    comps = tuple(
+        fil.from_weighted_basis([list(v) for v in basis.vectors], ws)
+        for basis, ws in zip(bases, m.parts)
+    )
+    return MinimizationResult(
+        FiltrationTuple(comps), AlgValue(-1, m.pnorm_sq), m.c_tilde, tuple(bases), support
+    )
+
+
+def minimize_fixed_basis(
+    x: TensorPoint, bases: Sequence[CompatibleBasis]
+) -> MinimizationResult:
+    """Exact minimum of the functional over tuples compatible with the
+    given bases.
+
+    The support of v_x in the bases is the only thing the minimum depends
+    on: its value, its weights and its consistency check come from
+    _support_minimum, once per (shape, support), and only the filtration
+    tuple is built here, from those weights on these bases.  That is the
+    same tuple and the same numbers as solving afresh, since the
+    min-norm problem has no other input.
     """
     if len(bases) != len(x.shape):
         raise ValueError("one basis per tensor factor required")
@@ -428,46 +537,19 @@ def minimize_fixed_basis(
         if len(basis.vectors) != r:
             raise ValueError("basis size does not match shape")
     # CompatibleBasis rows are independent, so every inverse exists
-    coords, _ = _scaled_coordinates(x, [_inverse_transpose(b.vectors) for b in bases])
-    support = [idx for c, idx in zip(coords, _cells(x.shape)) if c]
-    if not support:
-        raise ValueError("a nonzero point has a nonzero coordinate in every basis")
-
-    grads = []
-    for s in support:
-        g: List[Fraction] = []
-        for i, r in enumerate(x.shape):
-            g.extend(Fraction(1 - r * (j == s[i])) for j in range(r))
-        grads.append(tuple(g))
-    weights = _weighted_ip_weights(x.shape)
-    p = _min_norm_point(grads, weights)
-    pnorm_sq = sum(w * a * a for w, a in zip(weights, p))
-
-    if pnorm_sq == 0:
-        trivial = FiltrationTuple(tuple(fil.trivial(r) for r in x.shape))
-        return MinimizationResult(
-            trivial, AlgValue.zero(), Fraction(0), tuple(bases), tuple(support)
-        )
-
-    direction = _coprime_integer_direction([-q for q in p])
-    parts = _split_by_shape([Fraction(v) for v in direction], x.shape)
-    comps = []
-    for basis, ws in zip(bases, parts):
-        comps.append(fil.from_weighted_basis([list(v) for v in basis.vectors], ws))
-    tup = FiltrationTuple(tuple(comps))
-    norm_sq = sum((fil.norm_squared(F) for F in tup.components), Fraction(0))
-    expect = sum((fil.expectation(F) for F in tup.components), Fraction(0))
-    # the bases are compatible with tup, so lambda is read off the support
-    c_tilde = (expect - _min_weight(x.shape, coords, parts)) / norm_sq
-    c = AlgValue(-1, pnorm_sq)
-    # consistency: c = c_tilde * sqrt(norm_sq)
-    if not (c_tilde < 0 and c_tilde * c_tilde * norm_sq == pnorm_sq):
-        raise SearchNotConverged("minimizer value disagrees with the min-norm point")
-    return MinimizationResult(tup, c, c_tilde, tuple(bases), tuple(support))
+    support = _support(x, [_inverse_transpose(b.vectors) for b in bases])
+    return _build(x.shape, bases, support, _support_minimum(x.shape, support))
 
 
 # ---------------------------------------------------------------------------
 # global minimization over basis families
+
+
+_Seed = Tuple[Tuple[CompatibleBasis, _Change], ...]
+# the random seed bases with their inverses, per (shape, rng_seed); a run
+# uses few seeds, and an entry holds 3 n bases, so the cap is small
+_RANDOM_SEEDS: Dict[Tuple[Tuple[int, ...], int], List[_Seed]] = {}
+_RANDOM_SEEDS_CAP = 64
 
 
 def _identity_basis(r: int) -> CompatibleBasis:
@@ -501,29 +583,40 @@ def _random_basis(rng: random.Random, r: int) -> CompatibleBasis:
             return CompatibleBasis(tuple(tuple(Fraction(a) for a in row) for row in rows))
 
 
-def _seed_bases(x: TensorPoint, rng_seed: int) -> List[Tuple[CompatibleBasis, ...]]:
-    per_axis: List[List[CompatibleBasis]] = []
+def _with_inverse(basis: CompatibleBasis) -> Tuple[CompatibleBasis, _Change]:
+    # CompatibleBasis rows are independent, so the inverse exists
+    return basis, _inverse_transpose(basis.vectors)
+
+
+def _random_seeds(shape: Tuple[int, ...], rng_seed: int) -> List[_Seed]:
+    """Three random seed tuples from random.Random(rng_seed).  They depend
+    on the shape and the seed alone, so they are drawn and inverted once
+    per (shape, rng_seed) in a process."""
+    key = (shape, rng_seed)
+    hit = _RANDOM_SEEDS.get(key)
+    if hit is None:
+        rng = random.Random(rng_seed)
+        hit = [tuple(_with_inverse(_random_basis(rng, r)) for r in shape) for _ in range(3)]
+        if len(_RANDOM_SEEDS) < _RANDOM_SEEDS_CAP:
+            _RANDOM_SEEDS[key] = hit
+    return hit
+
+
+def _seed_bases(x: TensorPoint, rng_seed: int) -> List[_Seed]:
+    """Seed tuples of bases, each basis paired with its integer inverse,
+    so a basis shared by several product seeds is inverted once."""
+    per_axis = []
     for axis, r in enumerate(x.shape):
         options = [_identity_basis(r)]
         # slices of v_x along this axis span the column space of the
         # matricization; echelonize that as the leading flag directions
         rows = la.rref(la.transpose(_matricization(x, axis)))[0]
         ech = CompatibleBasis(tuple(map(tuple, rows + fil._extend(rows, la.identity(r)))))
-        if ech not in options:
-            options.append(ech)
-        rev = CompatibleBasis(tuple(reversed(ech.vectors)))
-        if rev not in options:
-            options.append(rev)
-        per_axis.append(options)
-    seeds = [tuple(choice) for choice in itertools.product(*per_axis)]
-    rng = random.Random(rng_seed)
-    for _ in range(3):
-        seeds.append(tuple(_random_basis(rng, r) for r in x.shape))
-    return seeds
-
-
-def _better(a: AlgValue, b: Optional[AlgValue]) -> bool:
-    return b is None or a < b
+        for basis in (ech, CompatibleBasis(tuple(reversed(ech.vectors)))):
+            if basis not in options:
+                options.append(basis)
+        per_axis.append([_with_inverse(b) for b in options])
+    return list(itertools.product(*per_axis)) + _random_seeds(x.shape, rng_seed)
 
 
 def kempf_minimize(x: TensorPoint, rng_seed: int = 0) -> Optional[MinimizationResult]:
@@ -534,6 +627,13 @@ def kempf_minimize(x: TensorPoint, rng_seed: int = 0) -> Optional[MinimizationRe
     bases.  From any negative result the search re-adapts the bases to
     the current minimizing flags until the value stops decreasing.
 
+    A seed costs one coordinate change to read off the support of v_x;
+    its minimum comes from _support_minimum, solved and checked once per
+    (shape, support), and only the winning seed's filtration tuple is
+    built.  The seeds, their order and the tie rule (a later seed must be
+    strictly lower) are those of a search that builds every seed, so the
+    same seed wins with the same exact value.
+
     Returns None when no destabilizer is found by the basis family.  A
     negative result is an exact destabilizing tuple whose minimizer must
     have expectation zero in every component (SearchNotConverged
@@ -542,27 +642,28 @@ def kempf_minimize(x: TensorPoint, rng_seed: int = 0) -> Optional[MinimizationRe
     semistability of the limit point for the Levi subgroup, which
     rr_reduce certifies with a Levi witness.
     """
-    best: Optional[MinimizationResult] = None
-    for bases in _seed_bases(x, rng_seed):
-        res = minimize_fixed_basis(x, bases)
-        if res.is_destabilizing and (best is None or _better(res.c, best.c)):
-            best = res
+    winner = None
+    best_sq = Fraction(0)  # the value is -sqrt(pnorm_sq): larger is lower
+    for seed in _seed_bases(x, rng_seed):
+        support = _support(x, [change for _, change in seed])
+        m = _support_minimum(x.shape, support)
+        if m.pnorm_sq > best_sq:
+            winner, best_sq = (seed, support, m), m.pnorm_sq
+    if winner is None:
+        return None
+    seed, support, m = winner
+    best = _build(x.shape, [basis for basis, _ in seed], support, m)
     rounds = 0
-    while best is not None:
+    while True:
         rounds += 1
         if rounds > ADAPT_ROUNDS:
             raise SearchNotConverged("basis adaptation failed to stabilize")
-        adapted = tuple(
-            CompatibleBasis(tuple(v for v, _ in fil.adapted_basis(F)))
-            for F in best.minimizer.components
-        )
-        res = minimize_fixed_basis(x, adapted)
-        if res.is_destabilizing and _better(res.c, best.c):
-            best = res
-            continue
-        break
-    if best is None:
-        return None
+        adapted = [_adapted(F) for F in best.minimizer.components]
+        support = _support(x, [(B.d, B.inv) for B in adapted])
+        m = _support_minimum(x.shape, support)
+        if m.pnorm_sq <= best.c.square:
+            break
+        best = _build(x.shape, [CompatibleBasis(tuple(B.rows)) for B in adapted], support, m)
 
     for F in best.minimizer.components:
         if fil.expectation(F) != 0:

@@ -1,5 +1,6 @@
 import ast
 import itertools
+import json
 import os
 import random
 import subprocess
@@ -339,6 +340,8 @@ def test_min_norm_corral_failure_is_search_not_converged(monkeypatch):
     def singular(rows, rhs):
         raise gs.la.SingularMatrixError("system is singular")
 
+    # an empty support cache, so that Wolfe runs and meets the fault
+    monkeypatch.setattr(gs, "_SUPPORT_CACHE", {})
     monkeypatch.setattr(gs.la, "solve_square", singular)
     with pytest.raises(gs.SearchNotConverged):
         gs.minimize_fixed_basis(point((2, 2), {(0, 0): 1, (1, 0): 1}), [gs._identity_basis(2)] * 2)
@@ -367,6 +370,145 @@ def test_min_norm_consistency_check_survives_python_O():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("SearchNotConverged:")
+
+
+# ---------------------------------------------------------------------------
+# one checked min-norm point per (shape, support)
+
+# the (shape, support size) kinds of the kempf_reduce benchmark
+KEMPF_KINDS = (
+    ((2, 2), 1), ((2, 2), 3),
+    ((2, 3), 1), ((2, 3), 3), ((2, 3), 6),
+    ((3, 3), 1), ((3, 3), 3), ((3, 3), 9),
+    ((2, 2, 2), 1), ((2, 2, 2), 2), ((2, 2, 2), 3), ((2, 2, 2), 8),
+)
+
+
+def _empty_caches(patch):
+    patch.setattr(gs, "_SUPPORT_CACHE", {})
+    patch.setattr(gs, "_RANDOM_SEEDS", {})
+
+
+def test_kempf_search_solves_each_support_once(monkeypatch):
+    _empty_caches(monkeypatch)
+    exact, lookup = gs._min_norm_point, gs._support_minimum
+    solved, looked_up = Counter(), Counter()
+
+    def counting_solve(points, weights):
+        solved[(tuple(weights), tuple(points))] += 1
+        return exact(points, weights)
+
+    def counting_lookup(shape, support):
+        looked_up[(shape, support)] += 1
+        return lookup(shape, support)
+
+    monkeypatch.setattr(gs, "_min_norm_point", counting_solve)
+    monkeypatch.setattr(gs, "_support_minimum", counting_lookup)
+    rng = random.Random(15001)
+    for _ in range(10):
+        for shape, size in KEMPF_KINDS:
+            for x in _seeded_points(rng, shape, [size], 1):
+                gs.kempf_minimize(x)
+    # one Wolfe solve per distinct (shape, support), though most are met
+    # again by other seeds and other points
+    assert set(solved.values()) == {1}
+    assert len(solved) == len(looked_up) == len(gs._SUPPORT_CACHE)
+    assert sum(looked_up.values()) > 3 * len(looked_up)
+
+
+# every shape of the benchmark and of the dense campaign, with its support sizes
+CACHE_SHAPES = (
+    ((2, 2), (1, 2, 3, 4)),
+    ((2, 3), (1, 2, 3, 4, 6)),
+    ((3, 3), (1, 3, 5, 9)),
+    ((2, 2, 2), (1, 2, 3, 5, 8)),
+    ((2, 2, 2, 2), (1, 2, 4, 8)),
+    ((4, 4), (1, 3, 6, 16)),
+    ((3, 3, 2), (1, 3, 6, 18)),
+)
+
+
+def _reports(x):
+    """is_semistable(x) and, for an unstable point, rr_reduce, as JSON (or
+    the message of the check that stopped them)."""
+    out = []
+    try:
+        verdict = gs.is_semistable(x)
+        out.append(json.dumps(verdict.to_json(), sort_keys=True))
+        if not verdict.semistable:
+            out.append(json.dumps(gs.rr_reduce(x, verdict.witness).to_json(), sort_keys=True))
+    except gs.SearchNotConverged as exc:
+        out.append("SearchNotConverged: %s" % exc)
+    return out
+
+
+def test_reports_equal_with_cold_and_warm_cache(monkeypatch):
+    # refused minimizers stop sooner on a lower witness budget; both runs
+    # use the same one
+    monkeypatch.setattr(gs, "LEVI_BUDGET", 20_000)
+    rng = random.Random(15002)
+    points = [
+        x for shape, sizes in CACHE_SHAPES for x in _seeded_points(rng, shape, sizes, 8 if len(sizes) == 5 else 10)
+    ]
+    assert len(points) >= 200
+    _empty_caches(monkeypatch)
+    for x in points:
+        gs.kempf_minimize(x)
+    warm = [_reports(x) for x in points]
+    cold = []
+    for x in points:
+        _empty_caches(monkeypatch)
+        cold.append(_reports(x))
+    assert cold == warm
+    assert sum(len(r) == 2 for r in warm) >= 60  # unstable points, reduced
+
+
+def test_support_values_equal_the_built_filtrations():
+    rng = random.Random(15003)
+    checked = 0
+    for shape, sizes in CACHE_SHAPES:
+        for x in _seeded_points(rng, shape, sizes, 3):
+            bases = [gs._random_basis(rng, r) for r in shape]
+            support = gs._support(x, [gs._inverse_transpose(b.vectors) for b in bases])
+            m = gs._support_minimum(shape, support)
+            weights = [[rng.randrange(-4, 5) for _ in range(r)] for r in shape]
+            for parts in ([m.parts] if m.parts else []) + [weights]:
+                tup = FiltrationTuple(
+                    tuple(weighted([list(v) for v in b.vectors], ws) for b, ws in zip(bases, parts))
+                )
+                norm_sq, expect, least = gs._weighted_basis_values(shape, support, parts)
+                assert norm_sq == sum((fil.norm_squared(G) for G in tup.components), F(0))
+                assert expect == sum((fil.expectation(G) for G in tup.components), F(0))
+                assert least == gs.tensor_lambda(x, tup)
+                checked += 1
+    assert checked >= 80
+
+
+def test_faulted_min_norm_point_stores_nothing(monkeypatch):
+    _empty_caches(monkeypatch)
+    exact = gs._min_norm_point
+    monkeypatch.setattr(gs, "_min_norm_point", lambda points, weights: [2 * q for q in exact(points, weights)])
+    x = point((2, 2), {(0, 0): 1})
+    with pytest.raises(gs.SearchNotConverged, match="disagrees with the min-norm point"):
+        gs.minimize_fixed_basis(x, [gs._identity_basis(2)] * 2)
+    with pytest.raises(gs.SearchNotConverged, match="disagrees with the min-norm point"):
+        gs.kempf_minimize(x)
+    assert gs._SUPPORT_CACHE == {}
+
+
+def test_caches_stop_at_their_cap(monkeypatch):
+    _empty_caches(monkeypatch)
+    monkeypatch.setattr(gs, "_SUPPORT_CACHE_CAP", 5)
+    monkeypatch.setattr(gs, "_RANDOM_SEEDS_CAP", 5)
+    rng = random.Random(15004)
+    for x in _seeded_points(rng, (2, 3), (2, 3, 4), 4):
+        for rng_seed in range(8):
+            fresh = gs.kempf_minimize(x, rng_seed=rng_seed)
+            # a full cache still answers, with the same result
+            assert len(gs._SUPPORT_CACHE) <= 5 and len(gs._RANDOM_SEEDS) <= 5
+            again = gs.kempf_minimize(x, rng_seed=rng_seed)
+            assert (fresh and fresh.to_json()) == (again and again.to_json())
+    assert len(gs._SUPPORT_CACHE) == len(gs._RANDOM_SEEDS) == 5
 
 
 def test_dense_campaign_has_no_inconclusive_point():
