@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg as la
@@ -359,43 +360,42 @@ def _rank_candidates(
     Gred: la.Matrix,
     U: List[List[int]],
     shortest: List[Tuple[Tuple[int, ...], Fraction]],
-) -> List[Tuple[int, SubLattice, Fraction]]:
-    """(k, S, det S) for saturated sublattices S of every rank k that
-    include all those of least determinant at that rank.
+) -> List[Tuple[int, Fraction, List[List[int]]]]:
+    """(k, det S, columns) for saturated sublattices S of every rank k that
+    include all those of least determinant at that rank; _saturated builds
+    S from the k integer columns that span it.
 
     The least determinant at rank k is the squared norm of the shortest
     decomposable vector of the k-th exterior power.  The search runs in
     the LLL-reduced basis Gred = U^T G U of gram_lll(L.gram_rows), where
     the best coordinate sublattice gives a realized and therefore
     certified enumeration radius that is also tight enough to keep the
-    pass small; every saturated S of rank k within it is listed once.  For
-    rank one that pass is ``shortest`` = _shortest_reduced(Gred, U, gso).
+    pass small.  For rank one that pass is ``shortest`` =
+    _shortest_reduced(Gred, U, gso).  The norm of w is det(B^T Gred B) for
+    any B whose k x k minors are w (Cauchy-Binet), and a saturated S has a
+    primitive Plucker vector: so a primitive decomposable w has norm det S,
+    and a non-primitive w = g u is skipped, as u lies within the radius
+    too.  Each S is listed once, as its sign-normalised Plucker vector.
     """
     r = L.rank
-    found: List[Tuple[int, SubLattice, Fraction]] = []
-    for k in range(1, r):
-        if k == 1:
-            subs = [saturate(SubLattice.from_columns(L, [v])) for v, _norm in shortest]
-        else:
-            subs = []
-            C = la.compound_matrix(Gred, k)
-            radius = min(C[t][t] for t in range(len(C)))
-            for w, _norm in la.short_vectors_gram(C, radius):
-                ker = _decomposable_kernel(w, r, k)
-                if ker is None:
-                    continue
-                # the saturation depends only on the span of the kernel
-                # rows mapped back under U, all integers
-                back = la.mat_mul(ker, la.transpose(U))
-                subs.append(saturate(SubLattice.from_columns(L, back)))
-        seen = set()
-        for S in subs:
-            if S.basis not in seen:
-                seen.add(S.basis)
-                found.append((k, S, sub_det(S)))
-    eye = [[int(i == j) for j in range(r)] for i in range(r)]
-    found.append((r, SubLattice(L, tuple(tuple(row) for row in eye)).canonical(), la.det(Gred)))
+    found = [(1, norm, [list(v)]) for v, norm in shortest if r > 1 and gcd(*v) == 1]
+    for k in range(2, r):
+        C = la.compound_matrix(Gred, k)
+        radius = min(C[t][t] for t in range(len(C)))
+        for w, norm in la.short_vectors_gram(C, radius):
+            ker = _decomposable_kernel(w, r, k) if gcd(*w) == 1 else None
+            if ker is not None:  # kernel rows mapped back under U: integer columns of S
+                found.append((k, norm, la.mat_mul(ker, la.transpose(U))))
+    found.append((r, la.det(Gred), [[int(i == j) for j in range(r)] for i in range(r)]))
     return found
+
+
+def _saturated(L: Lattice, candidate: Tuple[int, Fraction, List[List[int]]]) -> SubLattice:
+    """The saturated sublattice of a _rank_candidates entry, checked against its determinant."""
+    S = saturate(SubLattice.from_columns(L, candidate[2]))
+    if sub_det(S) != candidate[1]:
+        raise CertificateError("a candidate's determinant must equal sub_det of its saturation")
+    return S
 
 
 def sub_det(S: SubLattice) -> Fraction:
@@ -449,12 +449,12 @@ def _mu_max_udeg(L: Lattice, rank_limit: int) -> Tuple[LogValue, SubLattice, Log
             f"exact search unavailable beyond rank {rank_limit}", lower, upper
         )
     candidates = _rank_candidates(L, Gred, U, shortest)
-    k, _S, d = candidates[0]
-    for j, _S, e in candidates:
+    k, d, _cols = candidates[0]
+    for j, e, _cols in candidates:
         if _steeper(j, e, k, d):
             k, d = j, e
-    tied = (S for j, S, e in candidates if e**k == d**j)
-    witness = min(tied, key=lambda S: (S.rank, S.basis))
+    tied = (_saturated(L, c) for c in candidates if c[:2] == (k, d))
+    witness = min(tied, key=lambda S: S.basis)
     val = _slope_of_det(d, k)
     half_log_rank = log_of(L.rank, Fraction(1, 2))
     if compare(udeg, val) is Order.GT or compare(val, udeg + half_log_rank) is Order.GT:
@@ -488,7 +488,7 @@ def hn_filtration(L: Lattice, rank_limit: int = EXACT_RANK_LIMIT) -> HNResult:
     Gred, U, gso = la.gram_lll(L.gram_rows)
     candidates = _rank_candidates(L, Gred, U, _shortest_reduced(Gred, U, gso))
     d = [Fraction(1)] + [
-        min(e for j, _S, e in candidates if j == k) for k in range(1, L.rank + 1)
+        min(e for j, e, _cols in candidates if j == k) for k in range(1, L.rank + 1)
     ]
     # upper hull: j stays a vertex only if it lies strictly above the
     # segment from i to l, i.e. (d_j/d_i)^(l-i) < (d_l/d_i)^(j-i)
@@ -503,10 +503,10 @@ def hn_filtration(L: Lattice, rank_limit: int = EXACT_RANK_LIMIT) -> HNResult:
     chain = []
     slopes = []
     for i, l in zip(hull, hull[1:]):
-        attained = [S for j, S, e in candidates if j == l and e == d[l]]
+        attained = [c for c in candidates if c[:2] == (l, d[l])]
         if len(attained) != 1:
             raise CertificateError("an HN vertex must be attained by exactly one sublattice")
-        chain.append(attained[0])
+        chain.append(_saturated(L, attained[0]))
         slopes.append(_slope_of_det(d[l] / d[i], l - i))
     for a, b in zip(slopes, slopes[1:]):
         if compare(a, b) is not Order.GT:

@@ -568,15 +568,15 @@ def recursive_hn_filtration(L):
     def build(Q):
         Gred, U, gso = la.gram_lll(Q.gram_rows)
         candidates = lat._rank_candidates(Q, Gred, U, lat._shortest_reduced(Gred, U, gso))
-        slopes = [lat._slope_of_det(d, k) for k, _S, d in candidates]
+        slopes = [lat._slope_of_det(d, k) for k, d, _cols in candidates]
         best = slopes[0]
         for val in slopes:
             if compare(val, best) is Order.GT:
                 best = val
         stacked = []
-        for (_k, S, _d), val in zip(candidates, slopes):
+        for c, val in zip(candidates, slopes):
             if val == best:
-                stacked.extend(la.transpose(S.basis_rows))
+                stacked.extend(la.transpose(lat._saturated(Q, c).basis_rows))
         des = saturated_from_rational_rows(
             Q, la.rref([[Fraction(x) for x in row] for row in stacked])[0]
         )

@@ -25,6 +25,7 @@ from slopelab.harness import (
     tensor_slope_data,
 )
 from slopelab.lattice import (
+    EXACT_RANK_LIMIT,
     CertificateError,
     Lattice,
     Morphism,
@@ -140,7 +141,7 @@ class TestBostKunnemann:
 
     def test_rank_limit(self):
         with pytest.raises(ValueError):
-            check_bost_kunnemann(TrialConfig(seed=0, ranks=(7,), trials=1))
+            check_bost_kunnemann(TrialConfig(seed=0, ranks=(EXACT_RANK_LIMIT + 1,), trials=1))
 
 
 class TestFlagLineDegree:

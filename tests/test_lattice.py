@@ -4,7 +4,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 from pathlib import Path
 
 import pytest
@@ -519,6 +519,105 @@ def test_hn_is_one_candidate_pass(monkeypatch):
         assert calls == {"sweep": 1 + max(0, r - 2), "inverse": 0}
 
 
+def _candidates(L):
+    Gred, U, gso = la.gram_lll(L.gram_rows)
+    return lat._rank_candidates(L, Gred, U, lat._shortest_reduced(Gred, U, gso))
+
+
+def test_candidate_pass_builds_only_winners(monkeypatch):
+    """mu_max saturates only the tied candidates of its witness's rank and
+    determinant, and hn_filtration one candidate per vertex; every other
+    candidate is kept as the determinant its enumeration norm gave it."""
+    rng = random.Random(434)
+    cases = []
+    for rb in (2, 2, 3, 2, 3, 2, 3, 3):
+        T = lat.tensor(random_lattice(2, 3, rng), random_lattice(rb, 3, rng))
+        _val, W = lat.mu_max(T)
+        cands = _candidates(T)
+        tied = sum(1 for k, d, _cols in cands if k == W.rank and d == lat.sub_det(W))
+        cases.append((T, tied, len(lat.hn_filtration(T).chain), len(cands)))
+    real_saturate, real_post_init = lat.saturate, lat.SubLattice.__post_init__
+    counts = {"saturate": 0, "sublattice": 0}
+
+    def counting_saturate(S):
+        counts["saturate"] += 1
+        return real_saturate(S)
+
+    def counting_post_init(self):
+        counts["sublattice"] += 1
+        real_post_init(self)
+
+    monkeypatch.setattr(lat, "saturate", counting_saturate)
+    monkeypatch.setattr(lat.SubLattice, "__post_init__", counting_post_init)
+    for T, tied, vertices, _n in cases:
+        for run, expect in ((lat.mu_max, tied), (lat.hn_filtration, vertices)):
+            counts.update(saturate=0, sublattice=0)
+            run(T)
+            # from the columns, the saturation and its canonical basis
+            assert counts["saturate"] == expect >= 1
+            assert counts["sublattice"] <= 3 * expect
+    # each pass leaves candidates unbuilt
+    assert all(n > tied for _T, tied, _v, n in cases)
+    assert sum(v for *_rest, v, _n in cases) < sum(n for *_rest, n in cases)
+
+
+def _check_candidate_determinants(L):
+    """Each candidate's determinant is sub_det of the saturation of its
+    columns, at its rank, and no saturation is listed twice."""
+    cands = _candidates(L)
+    built = [lat.saturate(lat.SubLattice.from_columns(L, cols)) for _k, _d, cols in cands]
+    for (k, d, _cols), S in zip(cands, built):
+        assert S.rank == k and lat.sub_det(S) == d
+    assert len({S.basis for S in built}) == len(built)
+    ranks = [k for k, _d, _cols in cands]
+    assert ranks == sorted(ranks) and set(ranks) == set(range(1, L.rank + 1))
+
+
+def test_candidate_determinants_are_sub_dets():
+    rng = random.Random(435)
+    for i in range(60):
+        _check_candidate_determinants(lat.Lattice.from_rows(random_spd_matrix(rng, 1 + i % 6, 3)))
+
+
+# Z^3 in the unimodular basis (2,1,1), (2,1,0), (1,0,2), left unreduced:
+# every coordinate line and plane has determinant at least 5, so within
+# the enumeration radii (5 at ranks one and two) lie twice a unit vector
+# and twice a unit plane of Z^3, at norm 4.
+SKEWED_Z3 = [[6, 5, 4], [5, 5, 2], [4, 2, 5]]
+
+
+def _plucker(S):
+    """Sign-normalised k x k minors of the basis of S, in k_subsets order."""
+    B = S.basis_rows
+    minors = [la.det(la.submatrix(B, I, range(S.rank))) for I in la.k_subsets(len(B), S.rank)]
+    sign = 1 if next(x for x in minors if x) > 0 else -1
+    return tuple(int(sign * x) for x in minors)
+
+
+def test_non_primitive_enumerated_vectors_are_skipped():
+    """Run in the lattice's own basis (U = 1), the candidate pass meets
+    non-primitive vectors g u at ranks one and two.  Each is skipped, and
+    its primitive part u is the candidate, with determinant |g u|^2 / g^2."""
+    L = lat.Lattice.from_rows(SKEWED_Z3)
+    G = L.gram_rows
+    C = la.compound_matrix(G, 2)
+    # every vector of rank one, and every 2-vector in dimension 3, is decomposable
+    enumerated = {1: la.short_vectors_gram(G, 5), 2: la.short_vectors_gram(C, min(C[t][t] for t in range(3)))}
+    eye = [[int(i == j) for j in range(3)] for i in range(3)]
+    cands = lat._rank_candidates(L, G, eye, enumerated[1])
+    assert cands[-1][0] == 3
+    dets = {(c[0], _plucker(lat._saturated(L, c))): c[1] for c in cands[:-1]}
+    assert len(dets) == len(cands) - 1
+    for k, vecs in enumerated.items():
+        assert sum(1 for c in cands if c[0] == k) == sum(1 for w, _n in vecs if gcd(*w) == 1)
+    skipped = [(k, w, n) for k, vecs in enumerated.items() for w, n in vecs if gcd(*w) > 1]
+    assert sorted(k for k, _w, _n in skipped) == [1, 1, 1, 2, 2, 2]
+    for k, w, n in skipped:
+        g = gcd(*w)
+        assert (k, w) not in dets
+        assert dets[(k, tuple(x // g for x in w))] == n / g**2
+
+
 @st.composite
 def lattices_and_unimodulars(draw):
     r = draw(st.integers(1, 4))
@@ -554,6 +653,12 @@ def integral_lattices(draw):
     B = draw(st.lists(st.lists(entries, min_size=r, max_size=r), min_size=r, max_size=r))
     assume(la.det(B) != 0)
     return lat.Lattice.from_rows(la.mat_mul(la.transpose(B), B))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(integral_lattices())
+def test_candidate_determinants_are_sub_dets_property(L):
+    _check_candidate_determinants(L)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -804,3 +909,34 @@ def test_hn_vertex_uniqueness_check_survives_python_O():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("CertificateError: an HN vertex must be attained by exactly one sublattice")
+
+
+DET_FAULT_UNDER_O = """
+import sys
+from slopelab import lattice as lat
+assert sys.flags.optimize  # run under python -O: library asserts are stripped
+exact = lat._rank_candidates
+
+def doubled(*args):
+    return [(k, 2 * d, cols) for k, d, cols in exact(*args)]
+
+lat._rank_candidates = doubled
+for run in (lat.mu_max, lat.hn_filtration):
+    try:
+        run(lat.Lattice.from_rows([[1, 0], [0, 4]]))
+    except lat.CertificateError as exc:
+        print("CertificateError:", exc)
+"""
+
+
+def test_candidate_determinant_check_survives_python_O():
+    # every determinant doubled: the witness (1, 0) and the HN vertices
+    # have sub_det 1 and 4, not 2 and 8
+    src = str(Path(lat.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", DET_FAULT_UNDER_O], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    message = "CertificateError: a candidate's determinant must equal sub_det of its saturation"
+    assert done.stdout.splitlines() == [message, message]
