@@ -13,7 +13,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Dict, Iterable, Mapping, Tuple
+from typing import Dict, Mapping, Sequence, Tuple
 
 
 def rat_from_str(text: str) -> Fraction:
@@ -61,10 +61,19 @@ def factorize(n: int) -> list[tuple[int, int]]:
     return out
 
 
+# numbers is_prime has factored and found prime, capped like _LOG_CACHE:
+# LogValue validation asks about the same few primes over and over
+_PRIMES: set = set()
+
+
 def is_prime(n: int) -> bool:
-    if n < 2:
+    if n in _PRIMES:
+        return True
+    if n < 2 or factorize(n) != [(n, 1)]:
         return False
-    return factorize(n) == [(n, 1)]
+    if len(_PRIMES) < 4096:
+        _PRIMES.add(n)
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -102,18 +111,15 @@ class Interval:
         return Interval(-self.hi, -self.lo)
 
 
-def _dyadic_floor(x: Fraction, bits: int) -> Fraction:
-    scale = 1 << bits
-    return Fraction(x.numerator * scale // x.denominator, scale)
+def _outward(iv: Interval, bits: int) -> Tuple[int, int]:
+    """floor(iv.lo * 2**bits) and ceil(iv.hi * 2**bits)."""
+    lo, hi = iv.lo, iv.hi
+    return (lo.numerator << bits) // lo.denominator, -((-hi.numerator << bits) // hi.denominator)
 
 
-def _dyadic_ceil(x: Fraction, bits: int) -> Fraction:
-    scale = 1 << bits
-    return Fraction(-((-x.numerator) * scale // x.denominator), scale)
-
-
-def _round_outward(iv: Interval, bits: int) -> Interval:
-    return Interval(_dyadic_floor(iv.lo, bits), _dyadic_ceil(iv.hi, bits))
+def _dyadic(ends: Tuple[int, int], bits: int) -> Interval:
+    """The interval whose endpoints are ends over 2**bits."""
+    return Interval(Fraction(ends[0], 1 << bits), Fraction(ends[1], 1 << bits))
 
 
 def _atanh_interval(z: Fraction, bits: int) -> Interval:
@@ -151,7 +157,16 @@ def _atanh_interval(z: Fraction, bits: int) -> Interval:
 
 # Logs of integers only: prime logs recur across comparisons and
 # renderings, while the rational arguments of height brackets never do.
-_LOG_CACHE: Dict[Tuple[Fraction, int], Interval] = {}
+# (n, bits) -> the endpoint numerators of log n over 2**(bits+1).
+_LOG_CACHE: Dict[Tuple[int, int], Tuple[int, int]] = {}
+
+
+def _on_grid(iv: Interval, bits: int) -> Tuple[int, int]:
+    """The endpoints of iv as integer numerators over 2**bits."""
+    lo, hi = iv.lo * (1 << bits), iv.hi * (1 << bits)
+    if lo.denominator != 1 or hi.denominator != 1:
+        raise ArithmeticError(f"log enclosure [{iv.lo}, {iv.hi}] is off its 2^-{bits} grid")
+    return lo.numerator, hi.numerator
 
 
 def log_interval(q: Fraction, bits: int) -> Interval:
@@ -164,12 +179,10 @@ def log_interval(q: Fraction, bits: int) -> Interval:
     q = Fraction(q)
     if q <= 0:
         raise ValueError("log_interval needs a positive argument")
-    key = (q, bits)
     whole = q.denominator == 1
-    if whole:
-        hit = _LOG_CACHE.get(key)
-        if hit is not None:
-            return hit
+    hit = _LOG_CACHE.get((q.numerator, bits)) if whole else None
+    if hit is not None:
+        return _dyadic(hit, bits + 1)
     if q == 1:
         return Interval(Fraction(0), Fraction(0))
     if q < 1:
@@ -190,10 +203,10 @@ def log_interval(q: Fraction, bits: int) -> Interval:
     if e:
         log2 = _atanh_interval(Fraction(1, 3), sub + 1).scaled(Fraction(2))
         body = body + log2.scaled(Fraction(e))
-    out = _round_outward(body, bits + 1)
+    ends = _outward(body, bits + 1)
     if whole and len(_LOG_CACHE) < 4096:
-        _LOG_CACHE[key] = out
-    return out
+        _LOG_CACHE[q.numerator, bits] = ends
+    return _dyadic(ends, bits + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -247,17 +260,34 @@ class LogValue:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def _merged(self, b: Sequence[Tuple[int, Fraction]]) -> "LogValue":
+        """self plus the sorted terms b, by one merge."""
+        a, out, i, j = self.terms, [], 0, 0
+        while i < len(a) and j < len(b):
+            (p, c), (q, d) = a[i], b[j]
+            if p < q:
+                out.append(a[i])
+            elif q < p:
+                out.append(b[j])
+            elif s := c + d:
+                out.append((p, s))
+            i, j = i + (p <= q), j + (q <= p)
+        return LogValue((*out, *a[i:], *b[j:]))
+
     def __add__(self, other: "LogValue") -> "LogValue":
-        acc = dict(self.terms)
-        for p, c in other.terms:
-            acc[p] = acc.get(p, Fraction(0)) + c
-        return LogValue.from_map(acc)
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
+        return self._merged(other.terms)
 
     def __neg__(self) -> "LogValue":
         return LogValue(tuple((p, -c) for p, c in self.terms))
 
     def __sub__(self, other: "LogValue") -> "LogValue":
-        return self + (-other)
+        if not other.terms:
+            return self
+        return self._merged([(q, -d) for q, d in other.terms])
 
     def scaled(self, c) -> "LogValue":
         c = Fraction(c)
@@ -310,27 +340,38 @@ def log_of(q: Fraction, scale=Fraction(1)) -> LogValue:
     scale = Fraction(scale)
     if q <= 0:
         raise ValueError("log_of needs a positive rational")
-    acc: Dict[int, Fraction] = {}
-    for p, e in factorize(q.numerator):
-        acc[p] = acc.get(p, Fraction(0)) + e * scale
-    for p, e in factorize(q.denominator):
-        acc[p] = acc.get(p, Fraction(0)) - e * scale
-    return LogValue.from_map(acc)
+    if not scale:
+        return LogValue.zero()
+    # numerator and denominator are coprime: no prime occurs in both
+    terms = [(p, e * scale) for p, e in factorize(q.numerator)]
+    terms += [(p, -e * scale) for p, e in factorize(q.denominator)]
+    return LogValue(tuple(sorted(terms)))
 
 
 def approximate(a: LogValue, bits: int) -> Interval:
-    """Dyadic enclosure of the real value of ``a`` with width <= 2**-bits."""
+    """Dyadic enclosure of the real value of ``a`` with width <= 2**-bits.
+
+    The enclosure of log p for the term c log p is a pair of integers over
+    2**(sub+1).  The terms are summed exactly over the common denominator
+    den * 2**top, den the lcm of the denominators of the c, and the sum is
+    rounded outward once, by integer floor division.
+    """
     if bits < 1:
         raise ValueError("bits must be >= 1")
     if a.is_zero:
         return Interval(Fraction(0), Fraction(0))
-    nterms = len(a.terms)
-    slack = bits + 2 + max(1, nterms).bit_length()
-    total = Interval(Fraction(0), Fraction(0))
+    slack = bits + 2 + len(a.terms).bit_length()
+    den = lcm(*[c.denominator for _p, c in a.terms])
+    top = slack + 1 + max(0, *[_ceil_log2_abs(c) for _p, c in a.terms])
+    lo = hi = 0
     for p, c in a.terms:
         sub = slack + max(0, _ceil_log2_abs(c))
-        total = total + log_interval(Fraction(p), sub).scaled(c)
-    return _round_outward(total, bits + 1)
+        grid = _LOG_CACHE.get((p, sub)) or _on_grid(log_interval(p, sub), sub + 1)
+        w = c.numerator * (den // c.denominator) << (top - sub - 1)
+        l, h = grid if w > 0 else grid[::-1]
+        lo, hi = lo + w * l, hi + w * h
+    shift = den << (top - bits - 1)
+    return _dyadic((lo // shift, -(-hi // shift)), bits + 1)
 
 
 def compare(a: LogValue, b: LogValue) -> Order:

@@ -631,7 +631,7 @@ def check_reduction_chain(config: TrialConfig) -> TrialReport:
                     factors.append(L)
                     break
             else:
-                raise RuntimeError("failed to sample a semistable factor")
+                raise SearchNotConverged(f"no semistable rank-{r} factor in 400 draws")
         T = factors[0]
         for L in factors[1:]:
             T = tensor(T, L)

@@ -558,14 +558,20 @@ def morphism_height(phi: Morphism, tolerance_bits: int = 40) -> HeightBracket:
             finite_map[p] = Fraction(-low)
     finite = LogValue.from_map(finite_map)
 
-    A = phi.matrix_rows
-    GE = phi.source.gram_rows
-    GF = phi.target.gram_rows
-    M = la.mat_mul(la.transpose(A), la.mat_mul(GF, A))
+    # A = Ai / a, G_F = GFi / f and G_E = GEi / e, so M = Ai^T GFi Ai / n
+    # with n = a^2 f; GEi and Mi are G_E and M times den = lcm(e, n)
+    Ai, a = la._common_scaled(phi.matrix_rows)
+    GFi, f = la._common_scaled(phi.target.gram_rows)
+    GEi, e = la._common_scaled(phi.source.gram_rows)
+    Mi = la.mat_mul(la.transpose(Ai), la.mat_mul(GFi, Ai))
+    n = a * a * f
+    c = gcd(e, n)
+    GEi = [[x * (n // c) for x in row] for row in GEi]
+    Mi = [[x * (e // c) for x in row] for row in Mi]
     k = phi.source.rank
-    tr = sum(la.mat_mul(la.inverse(GE), M)[i][i] for i in range(k))
-    scaled, _den = la._common_scaled(GE + M)
-    lower = [(g[: i + 1], m[: i + 1]) for i, (g, m) in enumerate(zip(scaled[:k], scaled[k:]))]
+    d, W = la.solve_scaled(GEi, Mi)  # W = d * G_E^-1 M
+    tr = Fraction(sum(W[i][i] for i in range(k)), d)
+    lower = [(g[: i + 1], m[: i + 1]) for i, (g, m) in enumerate(zip(GEi, Mi))]
     # lo = tr / k and hi = tr over q = k * den(tr)
     L, q = tr.numerator, k * tr.denominator
     H = k * L

@@ -32,7 +32,11 @@ least determinant at each rank, so it never forms a quotient.
 
 Morphism heights are bisected over Fractions with a Fraction LDL at each
 midpoint, and atanh is summed term by term in Fractions; the library runs
-both on integers over one common denominator.
+both on integers over one common denominator.  Log enclosures are built
+without the library's cache and summed as Fraction intervals (the library
+sums integer endpoints over one common denominator), and LogValues are
+added and built through a dict of coefficients (the library merges sorted
+terms).
 
 The sampled optimality checks of the Kempf minimizer run here as oracles:
 the estimation inequality at random challenge tuples, the subquotient
@@ -42,6 +46,7 @@ the library certifies the minimizer by one Levi witness instead, and the
 tests check that these samplers never fail where it found one.
 """
 
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -1377,3 +1382,69 @@ def fraction_morphism_height(phi, tolerance_bits=40):
     j_hi = -((-yhi.hi.numerator) // yhi.hi.denominator)
     grid = log_of(2, Fraction(1, 1 << m))
     return lat.HeightBracket(finite + grid.scaled(j_lo), finite + grid.scaled(j_hi), finite)
+
+
+def _fraction_round_outward(iv, bits):
+    scale = 1 << bits
+    return Interval(
+        Fraction(math.floor(iv.lo * scale), scale), Fraction(math.ceil(iv.hi * scale), scale)
+    )
+
+
+def fraction_log_interval(q, bits):
+    """log_interval with no cache: log q = e log 2 + 2 atanh((m-1)/(m+1))
+    for q = 2^e m, m in [1, 2), the two atanh enclosures from
+    fraction_atanh_interval at sub + 1 bits, rounded outward to
+    2^-(bits+1)."""
+    q = Fraction(q)
+    if q == 1:
+        return Interval(Fraction(0), Fraction(0))
+    if q < 1:
+        return -fraction_log_interval(1 / q, bits)
+    e = q.numerator.bit_length() - q.denominator.bit_length()
+    m = q / Fraction(2) ** e
+    if m < 1:
+        e, m = e - 1, m * 2
+    elif m >= 2:
+        e, m = e + 1, m / 2
+    sub = bits + 2 + max(1, abs(e)).bit_length()
+    body = fraction_atanh_interval((m - 1) / (m + 1), sub + 1).scaled(Fraction(2))
+    if e:
+        body = body + fraction_atanh_interval(Fraction(1, 3), sub + 1).scaled(Fraction(2 * e))
+    return _fraction_round_outward(body, bits + 1)
+
+
+def fraction_approximate(a, bits):
+    """approximate as a sum of Fraction intervals c * [log p], each log p
+    enclosed at the same sub bits as the library, rounded outward once."""
+    if a.is_zero:
+        return Interval(Fraction(0), Fraction(0))
+    slack = bits + 2 + max(1, len(a.terms)).bit_length()
+    total = Interval(Fraction(0), Fraction(0))
+    for p, c in a.terms:
+        log2_c = abs(c.numerator).bit_length() - c.denominator.bit_length() + 1
+        total = total + fraction_log_interval(p, slack + max(0, log2_c)).scaled(c)
+    return _fraction_round_outward(total, bits + 1)
+
+
+def dict_add(a, b):
+    """a + b through a dict of coefficients and LogValue.from_map."""
+    acc = dict(a.terms)
+    for p, c in b.terms:
+        acc[p] = acc.get(p, Fraction(0)) + c
+    return LogValue.from_map(acc)
+
+
+def dict_sub(a, b):
+    return dict_add(a, -b)
+
+
+def dict_log_of(q, scale=Fraction(1)):
+    """scale * log(q) through a dict of coefficients and LogValue.from_map."""
+    q, scale = Fraction(q), Fraction(scale)
+    acc = {}
+    for p, e in factorize(q.numerator):
+        acc[p] = acc.get(p, Fraction(0)) + e * scale
+    for p, e in factorize(q.denominator):
+        acc[p] = acc.get(p, Fraction(0)) - e * scale
+    return LogValue.from_map(acc)

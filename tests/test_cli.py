@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -384,6 +385,20 @@ class TestVerifyVerbs:
         saved = json.loads((tmp_path / "counterexample-main.json").read_text())
         assert [o["index"] for o in saved["failures"]] == [0, 1]
         assert saved["failures"][0]["detail"]["reason"].startswith("injected")
+
+    def test_unsampled_factor_is_inconclusive(self, capsys, monkeypatch):
+        # no draw is semistable: each trial stops at the draw limit, a
+        # reported inconclusive that names it, not a traceback
+        monkeypatch.setattr(harness, "hn_filtration", lambda L: SimpleNamespace(is_semistable=False))
+        code = cli.run(["verify", "reduction", "--ranks", "2,2", "--trials", "2", "--seed", "7"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert "Traceback" not in captured.err
+        doc = json.loads(captured.out)
+        assert doc["counts"] == {"fail": 0, "inconclusive": 2, "pass": 0}
+        for outcome in doc["outcomes"]:
+            assert outcome["verdict"] == "inconclusive"
+            assert outcome["detail"]["reason"] == "no semistable rank-2 factor in 400 draws"
 
     def test_bad_ranks_flag(self, capsys):
         assert cli.run(["verify", "main", "--ranks", "2,x"]) == 2

@@ -7,7 +7,11 @@ from its classical decimal expansion.
 """
 
 from fractions import Fraction
+import os
+from pathlib import Path
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,9 +32,24 @@ from slopelab.exactnum import (
     rat_from_str,
     rat_to_str,
 )
-from slopelab.harness import TrialConfig, check_main_theorem
+from slopelab.harness import (
+    TrialConfig,
+    check_bogomolov_campaign,
+    check_main_theorem,
+    check_reduction_chain,
+    check_slope_inequalities,
+)
 from slopelab.lattice import Lattice, Morphism, morphism_height
-from oracles import float_decimal, fraction_atanh_interval, isqrt_fraction_floor
+from oracles import (
+    dict_add,
+    dict_log_of,
+    dict_sub,
+    float_decimal,
+    fraction_approximate,
+    fraction_atanh_interval,
+    fraction_log_interval,
+    isqrt_fraction_floor,
+)
 
 
 # --- factorization -------------------------------------------------------
@@ -257,6 +276,135 @@ def test_compare_is_antisymmetric(a, b, same):
         b = a
     assert compare(a, b) == -compare(b, a)
     assert (compare(a, b) is Order.EQ) == (a == b)
+
+
+# --- integer enclosure sums and merged terms, against Fraction oracles ---
+
+PRIMES_TO_97 = [p for p in range(2, 98) if all(p % d for d in range(2, p))]
+
+wide_log_values = st.builds(
+    LogValue.from_map,
+    st.dictionaries(
+        st.sampled_from(PRIMES_TO_97),
+        st.builds(Fraction, st.integers(-(10**6), 10**6), st.integers(1, 60)),
+        max_size=6,
+    ),
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(wide_log_values, st.integers(1, 200))
+def test_approximate_matches_fraction_oracle(a, bits):
+    assert approximate(a, bits) == fraction_approximate(a, bits)
+
+
+def test_approximate_matches_fraction_oracle_on_campaign_values(monkeypatch):
+    # every enclosure seeded campaigns ask for, the rendered decimals and
+    # the refinements of every comparison included
+    asked = []
+    exact = exactnum.approximate
+
+    def recording(a, bits):
+        asked.append((a, bits))
+        return exact(a, bits)
+
+    monkeypatch.setattr(exactnum, "approximate", recording)
+    monkeypatch.setattr(harness, "approximate", recording)
+    for check in (check_main_theorem, check_slope_inequalities, check_bogomolov_campaign):
+        check(TrialConfig(seed=41, ranks=(2, 3), entry_bound=3, trials=3))
+    check_reduction_chain(TrialConfig(seed=41, ranks=(2, 2), entry_bound=2, trials=1))
+    monkeypatch.undo()
+    assert len(asked) > 100
+    assert {bits for _a, bits in asked} >= {16, 30}
+    for a, bits in asked:
+        assert approximate(a, bits) == fraction_approximate(a, bits), (str(a), bits)
+
+
+def test_log_cache_holds_the_oracle_enclosures():
+    rng = random.Random(97)
+    for _ in range(200):
+        v = log_of(Fraction(rng.randrange(1, 10**4), rng.randrange(1, 10**4)), Fraction(rng.randrange(1, 99), 7))
+        approximate(v, rng.randrange(1, 120))
+    assert exactnum._LOG_CACHE
+    for (n, bits), (lo, hi) in exactnum._LOG_CACHE.items():
+        cached = Interval(Fraction(lo, 2 << bits), Fraction(hi, 2 << bits))
+        assert cached == fraction_log_interval(n, bits), (n, bits)
+        assert log_interval(n, bits) == cached
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(wide_log_values, wide_log_values)
+def test_logvalue_add_sub_match_dict_oracle(a, b):
+    assert a + b == dict_add(a, b)
+    assert a - b == dict_sub(a, b)
+    assert a - a == LogValue.zero()
+    zero = LogValue.zero()
+    assert a + zero is a and a - zero is a
+    if a.terms:
+        assert zero + a is a
+    assert zero - a == -a
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.fractions(min_value=Fraction(1, 10**6), max_value=10**6, max_denominator=10**6),
+    st.fractions(min_value=-50, max_value=50, max_denominator=60),
+)
+def test_log_of_matches_dict_oracle(q, scale):
+    assert log_of(q, scale) == dict_log_of(q, scale)
+
+
+def test_prime_memo_keeps_validation():
+    for n in range(2, 200):
+        log_of(Fraction(n))
+    assert {2, 3, 7, 13} <= exactnum._PRIMES
+    with pytest.raises(ValueError):
+        LogValue(((4, Fraction(1)),))
+    with pytest.raises(ValueError):
+        LogValue(((91, Fraction(1)),))  # 7 * 13, both memoized
+    assert 4 not in exactnum._PRIMES and 91 not in exactnum._PRIMES
+
+
+def test_prime_memo_holds_no_composite_and_stops_at_its_cap(monkeypatch):
+    monkeypatch.setattr(exactnum, "_PRIMES", set())
+    found = [n for n in range(-3, 40_000) if is_prime(n)]
+    assert len(found) == 4203  # pi(40000)
+    assert len(exactnum._PRIMES) == 4096
+    assert all(factorize(p) == [(p, 1)] for p in exactnum._PRIMES)
+    # a full memo still answers
+    assert is_prime(found[-1]) and not is_prime(3 * found[-1])
+    assert len(exactnum._PRIMES) == 4096
+
+
+OFF_GRID_UNDER_O = """
+import sys
+from fractions import Fraction
+from slopelab import exactnum
+assert sys.flags.optimize  # run under python -O: library asserts are stripped
+exact = exactnum.log_interval
+
+def off_grid(q, bits):
+    iv = exact(q, bits)
+    return exactnum.Interval(iv.lo - Fraction(1, 4 << bits), iv.hi)
+
+exactnum.log_interval = off_grid
+try:
+    exactnum.approximate(exactnum.log_of(3), 30)
+except ArithmeticError as exc:
+    print("ArithmeticError:", exc)
+"""
+
+
+def test_off_grid_enclosure_check_survives_python_O():
+    # half a grid step below the enclosure of log 3 is no integer over 2^(sub+1)
+    src = str(Path(exactnum.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", OFF_GRID_UNDER_O], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("ArithmeticError: log enclosure")
+    assert "off its 2^-" in done.stdout
 
 
 def test_interval_arith():
