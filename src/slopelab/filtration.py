@@ -8,7 +8,9 @@ of filtrations is plain structural equality.  The same canonical rows
 make membership tests elimination-free: the pivots are read off the
 rows, and a vector lies in a member iff reducing it by those rows
 leaves zero.  The scalar product needs only the ranks of the pairs of
-members, not a common compatible basis.
+members, not a common compatible basis.  Adapted bases extend a span
+greedily on one integer echelon, reduced fraction-free, with no rref per
+candidate.
 """
 
 from __future__ import annotations
@@ -233,14 +235,41 @@ def dilate(F: Filtration, eps) -> Filtration:
 # adapted bases, tensors
 
 
+def _reduce_int(echelon: List[Tuple[int, List[int]]], row: Sequence) -> List[int]:
+    """Row scaled to integers and reduced fraction-free by the echelon
+    rows, each a (pivot, integer row) that vanishes at the pivots of the
+    rows before it; zero exactly when the row lies in their span."""
+    s = math.lcm(*[x.denominator for x in row])
+    w = [x.numerator * (s // x.denominator) for x in row]
+    for p, e in echelon:
+        a = w[p]
+        if a:
+            b = e[p]
+            w = [b * u - a * v for u, v in zip(w, e)]
+            g = math.gcd(*w)
+            if g > 1:
+                w = [u // g for u in w]
+    return w
+
+
 def _extend(base: la.Matrix, candidates: la.Matrix) -> la.Matrix:
-    """Rows of candidates that greedily enlarge the span of base."""
+    """Rows of candidates that greedily enlarge the span of base.
+
+    The span is kept as one integer echelon: every row of base, then every
+    picked candidate, is reduced by the rows before it and kept, with the
+    first nonzero entry as its pivot, when something is left.  A candidate
+    is picked exactly when it leaves a nonzero remainder, and is returned
+    as given."""
+    echelon: List[Tuple[int, List[int]]] = []
     picked: la.Matrix = []
-    span, piv = la.rref(base) if base else ([], [])
-    for cand in candidates:
-        if not la.row_space_contains(span, piv, cand):
-            picked.append(list(cand))
-            span, piv = la.rref(span + [picked[-1]])
+    for k, row in enumerate([*base, *candidates]):
+        w = _reduce_int(echelon, row)
+        p = next((c for c, u in enumerate(w) if u), None)
+        if p is None:
+            continue
+        echelon.append((p, w))
+        if k >= len(base):
+            picked.append(list(row))
     return picked
 
 

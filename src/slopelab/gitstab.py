@@ -53,6 +53,7 @@ python -O keeps it.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -138,6 +139,14 @@ class MinimizationResult:
     @property
     def is_destabilizing(self) -> bool:
         return self.c.is_negative
+
+    @functools.cached_property
+    def adapted(self) -> Tuple[_WeightedBasis, ...]:
+        """The adapted weighted basis of each minimizer component, built
+        once per result: the last adaptation round of kempf_minimize and
+        rr_reduce read the same bases.  Not a field, so equality, hashing
+        and to_json do not see it."""
+        return tuple(_adapted(F) for F in self.minimizer.components)
 
     def to_json(self) -> dict:
         return {
@@ -550,12 +559,23 @@ _Seed = Tuple[Tuple[CompatibleBasis, _Change], ...]
 # uses few seeds, and an entry holds 3 n bases, so the cap is small
 _RANDOM_SEEDS: Dict[Tuple[Tuple[int, ...], int], List[_Seed]] = {}
 _RANDOM_SEEDS_CAP = 64
+# the identity seed basis of each rank with its inverse; ranks are few
+_IDENTITY_SEEDS: Dict[int, Tuple[CompatibleBasis, _Change]] = {}
 
 
 def _identity_basis(r: int) -> CompatibleBasis:
     return CompatibleBasis(
         tuple(tuple(Fraction(int(a == b)) for b in range(r)) for a in range(r))
     )
+
+
+def _identity_seed(r: int) -> Tuple[CompatibleBasis, _Change]:
+    """The identity basis of rank r with its inverse, built once per rank
+    in a process."""
+    hit = _IDENTITY_SEEDS.get(r)
+    if hit is None:
+        hit = _IDENTITY_SEEDS[r] = _with_inverse(_identity_basis(r))
+    return hit
 
 
 def _matricization(x: TensorPoint, axis: int) -> la.Matrix:
@@ -604,18 +624,28 @@ def _random_seeds(shape: Tuple[int, ...], rng_seed: int) -> List[_Seed]:
 
 def _seed_bases(x: TensorPoint, rng_seed: int) -> List[_Seed]:
     """Seed tuples of bases, each basis paired with its integer inverse,
-    so a basis shared by several product seeds is inverted once."""
+    so a basis shared by several product seeds is inverted once.
+
+    Per axis: the identity, built once per rank (_identity_seed); the
+    echelon basis of the slices, completed by the greedy extension; and
+    its reversal P B, whose inverse needs no elimination:
+    ((P B)^T)^-1 = P (B^T)^-1 for the reversal permutation P, so it is the
+    echelon inverse with its rows reversed."""
     per_axis = []
     for axis, r in enumerate(x.shape):
-        options = [_identity_basis(r)]
+        ident = _identity_seed(r)
+        options = [ident]
         # slices of v_x along this axis span the column space of the
         # matricization; echelonize that as the leading flag directions
         rows = la.rref(la.transpose(_matricization(x, axis)))[0]
-        ech = CompatibleBasis(tuple(map(tuple, rows + fil._extend(rows, la.identity(r)))))
-        for basis in (ech, CompatibleBasis(tuple(reversed(ech.vectors)))):
-            if basis not in options:
-                options.append(basis)
-        per_axis.append([_with_inverse(b) for b in options])
+        ech, (d, inv) = _with_inverse(
+            CompatibleBasis(tuple(map(tuple, rows + fil._extend(rows, ident[0].vectors))))
+        )
+        rev = CompatibleBasis(tuple(reversed(ech.vectors)))
+        for basis, change in ((ech, (d, inv)), (rev, (d, inv[::-1]))):
+            if basis not in [b for b, _ in options]:
+                options.append((basis, change))
+        per_axis.append(options)
     return list(itertools.product(*per_axis)) + _random_seeds(x.shape, rng_seed)
 
 
@@ -630,9 +660,12 @@ def kempf_minimize(x: TensorPoint, rng_seed: int = 0) -> Optional[MinimizationRe
     A seed costs one coordinate change to read off the support of v_x;
     its minimum comes from _support_minimum, solved and checked once per
     (shape, support), and only the winning seed's filtration tuple is
-    built.  The seeds, their order and the tie rule (a later seed must be
-    strictly lower) are those of a search that builds every seed, so the
-    same seed wins with the same exact value.
+    built.  Each adaptation round reads the adapted bases of the current
+    result (MinimizationResult.adapted), so those of the returned
+    minimizer are built once and rr_reduce reads them again.  The seeds,
+    their order and the tie rule (a later seed must be strictly lower) are
+    those of a search that builds every seed, so the same seed wins with
+    the same exact value.
 
     Returns None when no destabilizer is found by the basis family.  A
     negative result is an exact destabilizing tuple whose minimizer must
@@ -658,7 +691,7 @@ def kempf_minimize(x: TensorPoint, rng_seed: int = 0) -> Optional[MinimizationRe
         rounds += 1
         if rounds > ADAPT_ROUNDS:
             raise SearchNotConverged("basis adaptation failed to stabilize")
-        adapted = [_adapted(F) for F in best.minimizer.components]
+        adapted = best.adapted
         support = _support(x, [(B.d, B.inv) for B in adapted])
         m = _support_minimum(x.shape, support)
         if m.pnorm_sq <= best.c.square:
@@ -675,9 +708,10 @@ def is_semistable(x: TensorPoint, rng_seed: int = 0) -> Verdict:
     """Hilbert-Mumford decision for the tensor point.
 
     Unstable verdicts carry a certified negative minimizer.  Semistable
-    verdicts mean the configured basis family found no destabilizer,
-    which is exhaustive on shapes small enough for the brute-force cross
-    check used in the test suite.
+    verdicts mean only that the configured basis family found no
+    destabilizer; they are not certified yet.  On three-factor shapes the
+    family can miss: 7 of 400 seeded (2,2,2) points were measured
+    semistable with a vanishing hyperdeterminant (ROADMAP.md, open item 1).
     """
     result = kempf_minimize(x, rng_seed=rng_seed)
     if result is None:
@@ -695,8 +729,9 @@ def rr_reduce(x: TensorPoint, M: MinimizationResult) -> ReducedInstance:
 
     Builds the level-beta layer of the tensor filtration, the minimal
     integer N making all a = -N c l / r integral, and b = N/r + a.  The
-    coordinates of v_x in the adapted bases of the minimizer come from one
-    integer coordinate change and are divided once, for the projection.
+    coordinates of v_x in the adapted bases of the minimizer (M.adapted,
+    built once per result) come from one integer coordinate change and are
+    divided once, for the projection.
     The projection is the limit point of the Kirwan-Ness criterion (see
     the module docstring), so M is the Kempf minimizer exactly when it is
     semistable for the Levi subgroup, the product of the GL of the blocks,
@@ -718,7 +753,7 @@ def rr_reduce(x: TensorPoint, M: MinimizationResult) -> ReducedInstance:
     _check_shapes(x, M.minimizer)
     n = len(comps)
     # coordinates of v_x in the product of adapted bases, tagged by level
-    adapted = [_adapted(F) for F in comps]
+    adapted = M.adapted
     coords, scale = _scaled_coordinates(x, [(B.d, B.inv) for B in adapted])
     beta_q = _min_weight(x.shape, coords, [B.weights for B in adapted])
     if beta_q.denominator != 1:

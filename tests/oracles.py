@@ -10,7 +10,10 @@ scalar product of filtrations as a sum over a common compatible basis
 (the library computes it from ranks alone), and the minimum-norm point of
 a convex hull by scanning subsets (the library runs Wolfe's algorithm),
 and the value of a tensor filtration at a point by a Fraction change of
-coordinates (the library changes coordinates over the integers).  They are
+coordinates (the library changes coordinates over the integers).  Greedy
+extension of a span takes one Fraction rref per pick, and the Kempf seed
+bases are built and inverted afresh for every point (the library reduces
+on one integer echelon and builds point-independent seeds once).  They are
 slow and simple on purpose.
 
 The compatible-basis calculus of filtrations (row-space sums and
@@ -1094,6 +1097,49 @@ def fraction_lambda_in_bases(shape, coords, bases, weights):
         for idx, v in vec.items() if v
     )
 
+
+def fraction_extend(base, candidates):
+    """Rows of candidates that greedily enlarge the span of base, with one
+    Fraction rref of the span per pick and one Fraction membership test per
+    candidate (the library reduces on one integer echelon)."""
+    picked = []
+    span, piv = la.rref(base) if base else ([], [])
+    for cand in candidates:
+        if not la.row_space_contains(span, piv, cand):
+            picked.append(list(cand))
+            span, piv = la.rref(span + [picked[-1]])
+    return picked
+
+
+def fraction_adapted_basis(F):
+    """fil.adapted_basis with fraction_extend: members deepest first, each
+    vector paired with its filtration value."""
+    acc = []
+    out = []
+    for i in range(F.depth - 1, -1, -1):
+        for row in fraction_extend(acc, F.member_rows(i)):
+            out.append((tuple(row), F.jumps[i]))
+            acc.append(row)
+    assert len(acc) == F.dim
+    return out
+
+
+def fresh_seed_bases(x, rng_seed):
+    """The seed tuples of gitstab.kempf_minimize with every basis built and
+    inverted afresh: the identity of each axis, the echelon basis of the
+    slices completed by fraction_extend, and its reversal, each inverted by
+    its own elimination (the library builds the identity once per rank and
+    reverses the rows of the echelon inverse)."""
+    per_axis = []
+    for axis, r in enumerate(x.shape):
+        options = [gs._identity_basis(r)]
+        rows = la.rref(la.transpose(gs._matricization(x, axis)))[0]
+        ech = fil.CompatibleBasis(tuple(map(tuple, rows + fraction_extend(rows, la.identity(r)))))
+        for basis in (ech, fil.CompatibleBasis(tuple(reversed(ech.vectors)))):
+            if basis not in options:
+                options.append(basis)
+        per_axis.append([(b, gs._inverse_transpose(b.vectors)) for b in options])
+    return list(product(*per_axis)) + gs._random_seeds(x.shape, rng_seed)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from slopelab import filtration as fil
 from slopelab import linalg as la
@@ -11,6 +12,8 @@ from oracles import (
     common_compatible_basis,
     coordinates,
     direct_sum,
+    fraction_adapted_basis,
+    fraction_extend,
     from_coordinates,
     is_compatible,
     is_trivial,
@@ -181,6 +184,52 @@ def test_adapted_basis_checks_its_length(monkeypatch):
     monkeypatch.setattr(fil, "_extend", lambda base, candidates: [])
     with pytest.raises(RuntimeError, match="adapted basis has 0 vectors in dimension 2"):
         fil.adapted_basis(FLAG_E1)
+
+
+@st.composite
+def extension_cases(draw):
+    """(base, candidates) in dimension 1-5 with entries n/d.  Rows are
+    fresh, repeats of an earlier row, zero, or sums of two earlier rows, so
+    the base may be empty or dependent and candidates may repeat or depend
+    on the base and on each other."""
+    n = draw(st.integers(1, 5))
+    entry = st.builds(Fraction, st.integers(-3, 3), st.sampled_from((1, 1, 2, 3, 5)))
+    fresh = st.lists(entry, min_size=n, max_size=n)
+    rows = []
+    for _ in range(draw(st.integers(0, 2 * n + 2))):
+        kind = draw(st.sampled_from(("fresh", "fresh", "repeat", "zero", "sum")))
+        if kind == "fresh" or not rows:
+            rows.append(draw(fresh))
+        elif kind == "repeat":
+            rows.append(list(draw(st.sampled_from(rows))))
+        elif kind == "zero":
+            rows.append([Fraction(0)] * n)
+        else:
+            u, v = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            rows.append([a + b for a, b in zip(u, v)])
+    k = draw(st.integers(0, len(rows)))
+    return rows[:k], rows[k:]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(extension_cases())
+def test_extend_matches_fraction_oracle(case):
+    """The integer greedy extension picks the rows the Fraction rref
+    oracle picks, in its order, as the same Fraction lists."""
+    base, candidates = case
+    got = fil._extend(base, candidates)
+    want = fraction_extend(base, candidates)
+    assert got == want
+    assert all(type(a) is Fraction for row in got for a in row)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(1, 5), st.integers(0, 2**32))
+def test_adapted_basis_matches_fraction_oracle(dim, seed):
+    """Adapted bases of seeded flags, vectors and values, equal those built
+    with the Fraction greedy extension."""
+    F = rand_filtration(random.Random(seed), dim)
+    assert fil.adapted_basis(F) == fraction_adapted_basis(F)
 
 
 def test_dilation_tensor_identity():

@@ -26,6 +26,7 @@ from oracles import (
     fraction_inverse,
     fraction_lambda_in_bases,
     fraction_random_rows,
+    fresh_seed_bases,
     grid_min_lambda,
     is_trivial,
     kempf_challenges,
@@ -387,6 +388,7 @@ KEMPF_KINDS = (
 def _empty_caches(patch):
     patch.setattr(gs, "_SUPPORT_CACHE", {})
     patch.setattr(gs, "_RANDOM_SEEDS", {})
+    patch.setattr(gs, "_IDENTITY_SEEDS", {})
 
 
 def test_kempf_search_solves_each_support_once(monkeypatch):
@@ -509,6 +511,70 @@ def test_caches_stop_at_their_cap(monkeypatch):
             again = gs.kempf_minimize(x, rng_seed=rng_seed)
             assert (fresh and fresh.to_json()) == (again and again.to_json())
     assert len(gs._SUPPORT_CACHE) == len(gs._RANDOM_SEEDS) == 5
+
+
+def test_seed_bases_match_parent_oracle(monkeypatch):
+    """The seed tuples, basis for basis and in order, equal those built and
+    inverted afresh for every point, and every (d, W) paired with a basis
+    B is an integer inverse: W B^T = d I exactly.  That is checked by
+    multiplication, since the inverse of a reversal is the reversed
+    echelon inverse, whose d may differ in sign from a fresh elimination."""
+    _empty_caches(monkeypatch)
+    rng = random.Random(18001)
+    points = [x for shape, size in KEMPF_KINDS for x in _seeded_points(rng, shape, [size], 3)]
+    for shape in ((2, 2, 2, 2), (4, 4), (3, 3, 2)):
+        total = 1
+        for r in shape:
+            total *= r
+        points += _seeded_points(rng, shape, (1, 3, total // 2, total), 2)
+    checked = 0
+    for k, x in enumerate(points):
+        got = gs._seed_bases(x, k % 3)
+        want = fresh_seed_bases(x, k % 3)
+        assert [[b for b, _ in seed] for seed in got] == [[b for b, _ in seed] for seed in want]
+        for seed in got:
+            for basis, (d, W) in seed:
+                r = len(basis.vectors)
+                assert d != 0
+                assert [
+                    [sum(w * b for w, b in zip(row, vec)) for vec in basis.vectors] for row in W
+                ] == [[d * (i == j) for j in range(r)] for i in range(r)]
+                checked += 1
+    assert len(points) == 60 and checked > 1000
+
+
+def test_rr_reduce_reuses_the_minimizer_adapted_bases(monkeypatch):
+    """kempf_minimize builds one adapted basis per component in each
+    adaptation round, and rr_reduce reads the bases of its result instead
+    of building them again.  A round ends in a build (of the winning seed,
+    then of each improvement), so the builds count the rounds."""
+    calls = Counter()
+    adapted_basis, build = fil.adapted_basis, gs._build
+
+    def counting_adapted_basis(F):
+        calls["adapted_basis"] += 1
+        return adapted_basis(F)
+
+    def counting_build(*args):
+        calls["build"] += 1
+        return build(*args)
+
+    monkeypatch.setattr(fil, "adapted_basis", counting_adapted_basis)
+    monkeypatch.setattr(gs, "_build", counting_build)
+    rng = random.Random(18002)
+    reduced = 0
+    for shape, size in KEMPF_KINDS:
+        for x in _seeded_points(rng, shape, [size], 3):
+            calls.clear()
+            res = gs.kempf_minimize(x)
+            if res is None:
+                continue
+            assert calls["adapted_basis"] == len(shape) * calls["build"] >= len(shape)
+            calls.clear()
+            gs.rr_reduce(x, res)
+            assert calls["adapted_basis"] == 0
+            reduced += 1
+    assert reduced >= 20
 
 
 def test_dense_campaign_has_no_inconclusive_point():
