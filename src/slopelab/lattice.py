@@ -376,24 +376,47 @@ def _rank_candidates(
     primitive Plucker vector: so a primitive decomposable w has norm det S,
     and a non-primitive w = g u is skipped, as u lies within the radius
     too.  Each S is listed once, as its sign-normalised Plucker vector.
+
+    The exterior powers come from one compound tower of Gred, each level
+    T_k = den^k Lambda^k(Gred) on integers.  T_k is enumerated as it is,
+    with radius min diag T_k: a positive scaling changes neither the LLL
+    decisions nor the enumerated set, so each norm is divided by den^k once.
+    The top level T_r is den^r det Gred, the determinant at rank r.
     """
     r = L.rank
     found = [(1, norm, [list(v)]) for v, norm in shortest if r > 1 and gcd(*v) == 1]
-    for k in range(2, r):
-        C = la.compound_matrix(Gred, k)
-        radius = min(C[t][t] for t in range(len(C)))
-        for w, norm in la.short_vectors_gram(C, radius):
-            ker = _decomposable_kernel(w, r, k) if gcd(*w) == 1 else None
-            if ker is not None:  # kernel rows mapped back under U: integer columns of S
-                found.append((k, norm, la.mat_mul(ker, la.transpose(U))))
-    found.append((r, la.det(Gred), [[int(i == j) for j in range(r)] for i in range(r)]))
+    for k, T, scale in la._compound_tower(Gred, r):
+        if k == r:  # the top level is the one minor den^r det Gred
+            found.append((r, Fraction(T[0][0], scale), [[int(i == j) for j in range(r)] for i in range(r)]))
+        elif k > 1:
+            radius = min(T[t][t] for t in range(len(T)))
+            for w, norm in la.short_vectors_gram(T, radius):
+                ker = _decomposable_kernel(w, r, k) if gcd(*w) == 1 else None
+                if ker is not None:  # kernel rows mapped back under U: integer columns of S
+                    found.append((k, norm / scale, la.mat_mul(ker, la.transpose(U))))
     return found
 
 
 def _saturated(L: Lattice, candidate: Tuple[int, Fraction, List[List[int]]]) -> SubLattice:
-    """The saturated sublattice of a _rank_candidates entry, checked against its determinant."""
-    S = saturate(SubLattice.from_columns(L, candidate[2]))
-    if sub_det(S) != candidate[1]:
+    """The saturated sublattice of a _rank_candidates entry, checked against its determinant.
+
+    Ranks one and r need no Hermite form: the saturation of a line is its
+    primitive vector, whose norm is taken on the integers of den * G, and
+    that of a full-rank sublattice is Z^r, of determinant det G."""
+    k, d, columns = candidate
+    r = L.rank
+    if k == r:
+        S = SubLattice(L, tuple(tuple(int(i == j) for j in range(r)) for i in range(r)))
+        exact = la.det(L.gram_rows)
+    elif k == 1:
+        v = la.primitive_vector(columns[0])
+        S = SubLattice(L, tuple((x,) for x in v))
+        Gint, den = la._common_scaled(L.gram)
+        exact = Fraction(la.vec_dot(v, la.mat_vec(Gint, v)), den)
+    else:
+        S = saturate(SubLattice.from_columns(L, columns))
+        exact = sub_det(S)
+    if exact != d:
         raise CertificateError("a candidate's determinant must equal sub_det of its saturation")
     return S
 

@@ -15,8 +15,11 @@ integral LLL on den * G, seeded from _ldl_scaled, and hands its final
 Gram-Schmidt data (lam, D, den) to short_vectors_reduced, whose
 Fincke-Pohst enumeration uses integer centers and isqrt ranges and builds
 one Fraction per node.  gram_lll adds the reduced Gram matrix, which only
-callers that read it pay for.  Compound matrices are built from integer
-minors by Laplace expansion, one level at a time.
+callers that read it pay for.  Compound matrices are the levels of one
+integer tower, _compound_tower, each built from the one before by Laplace
+expansion; short_vectors_gram takes a level as it is, since a positive
+scaling changes neither the LLL decisions nor the enumerated set.
+Positive definiteness is Sylvester's criterion on _ldl_scaled.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, isqrt, lcm, prod
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 Matrix = List[List[Fraction]]
 Vector = List[Fraction]
@@ -189,24 +192,25 @@ def submatrix(M: Sequence[Sequence], rows: Sequence[int], cols: Sequence[int]) -
     return [[Fraction(M[i][j]) for j in cols] for i in rows]
 
 
-def compound_matrix(M: Sequence[Sequence], k: int) -> Matrix:
-    """k-th compound: entries are the k x k minors on sorted index sets,
-    taken on den * M and divided by den^k.
+def _compound_tower(M: Sequence[Sequence], top: int) -> Iterator[Tuple[int, List[List[int]], int]]:
+    """(k, T_k, den^k) for k = 1, ..., min(top, n): T_k = den^k Lambda^k(M)
+    as integer rows, the k x k minors of den * M on sorted index sets, with
+    den the lcm of the denominators of M.
 
-    The minors are built level by level on integers: a level-m minor is
+    Each level is built from the one before on integers: a level-k minor is
     the Laplace expansion along the first row of its row set, with the
-    level-(m-1) minors as cofactors.  The compound of a symmetric M is
+    level-(k-1) minors as cofactors.  The compound of a symmetric M is
     symmetric at every level, so then each minor is taken once per
     unordered pair of index sets."""
+    if top < 1 or not M:
+        return
     A, den = _common_scaled(M)
     n = len(A)
-    if k > n:
-        return []
     sym = is_symmetric(A)
-    # level 1 is den * M itself; level 0 is the empty minor, 1
-    subsets = k_subsets(n, min(k, 1))
-    T = A if k else [[1]]
-    for m in range(2, k + 1):
+    subsets = k_subsets(n, 1)
+    T = A
+    yield 1, T, den
+    for m in range(2, min(top, n) + 1):
         prev = {S: t for t, S in enumerate(subsets)}
         subsets = k_subsets(n, m)
         # per column set J, (J[t], index of J without J[t]) at even and odd t
@@ -228,7 +232,18 @@ def compound_matrix(M: Sequence[Sequence], k: int) -> Matrix:
                 if sym:
                     level[b][a] = x
         T = level
-    scale = den**k
+        yield m, T, den**m
+
+
+def compound_matrix(M: Sequence[Sequence], k: int) -> Matrix:
+    """k-th compound: entries are the k x k minors on sorted index sets,
+    the last level of _compound_tower(M, k) divided by den^k."""
+    if k > len(M):
+        return []
+    T, scale = [[1]], 1  # level 0 is the empty minor, 1
+    for _k, T, scale in _compound_tower(M, k):
+        pass
+    sym = is_symmetric(M)
     C: Matrix = []
     for a, row in enumerate(T):
         # on symmetric input the lower triangle shares the upper's Fractions
@@ -245,20 +260,26 @@ def is_symmetric(M: Sequence[Sequence]) -> bool:
 
 
 def is_positive_definite(M: Sequence[Sequence]) -> bool:
+    """Sylvester's criterion: M is symmetric and _ldl_scaled finds every
+    leading minor positive."""
+    if not is_symmetric(M):
+        return False
     try:
-        return is_symmetric(M) and ldl(M) is not None
+        _ldl_scaled(M)
     except SingularMatrixError:
         return False
+    return True
 
 
 def _ldl_scaled(G: Sequence[Sequence]) -> Tuple[List[List[int]], List[int], int]:
-    """The symmetric Bareiss loop of ldl and gram_lll, over the integers.
+    """The symmetric Bareiss loop of the positive definiteness test and of
+    gram_lll, over the integers.
 
     The lower triangle A of den * G, den the lcm of its denominators, is
     eliminated without row exchange: pivot k is the leading minor D[k+1] of
     den * G.  Returns (A, D, den) with D[0] = 1 and A[i][j] = D[j+1] L[i][j]
-    for j <= i, where G = L diag(d) L^T.  Raises SingularMatrixError unless
-    every pivot is positive."""
+    for j <= i, where G = L diag(d) L^T, d_k = D[k+1] / (D[k] den).  Raises
+    SingularMatrixError unless every pivot is positive."""
     A, den = _common_scaled([row[: i + 1] for i, row in enumerate(G)])
     D = [1]
     for k in range(len(A)):
@@ -271,17 +292,6 @@ def _ldl_scaled(G: Sequence[Sequence]) -> Tuple[List[List[int]], List[int], int]
             row[k + 1 :] = [(p * x - a * y) // D[-1] for x, y in zip(row[k + 1 :], col)]
         D.append(p)
     return A, D, den
-
-
-def ldl(G: Sequence[Sequence]) -> Tuple[Matrix, Vector]:
-    """G = L D L^T with L unit lower triangular, D positive diagonal.
-
-    Exact; raises SingularMatrixError when G is not positive definite.
-    From _ldl_scaled: d_k = D_{k+1} / (D_k den) and L[i][k] = A[i][k] / D_{k+1}."""
-    A, D, den = _ldl_scaled(G)
-    n = len(A)
-    L = [[Fraction(A[i][j], D[j + 1]) if j < i else Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    return L, [Fraction(D[k + 1], D[k] * den) for k in range(n)]
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,12 @@ These deliberately avoid the library's own algorithms: determinants by
 cofactor expansion, Gauss-Jordan elimination over Fraction entries (the
 library eliminates fraction-free on integers), LLL reduction and
 Fincke-Pohst enumeration over Fraction Gram-Schmidt data (the library runs
-both on an integer GSO), short vectors by certified box enumeration, and
-Hilbert-Mumford values by direct evaluation over a jump grid, the
-scalar product of filtrations as a sum over a common compatible basis
+both on an integer GSO), the Fraction LDL factors of a Gram matrix (the
+library keeps only the integer loop), the candidate pass of mu_max over
+Fraction compounds built one exterior power at a time (the library walks
+one integer compound tower per lattice), short vectors by certified box
+enumeration, and Hilbert-Mumford values by direct evaluation over a jump
+grid, the scalar product of filtrations as a sum over a common compatible basis
 (the library computes it from ranks alone), and the minimum-norm point of
 a convex hull by scanning subsets (the library runs Wolfe's algorithm),
 and the value of a tensor filtration at a point by a Fraction change of
@@ -238,6 +241,17 @@ def fraction_ldl(G):
             s = Fraction(G[i][j]) - sum(L[i][k] * L[j][k] * d[k] for k in range(j))
             L[i][j] = s / dj
     return L, d
+
+
+def ldl(G):
+    """G = L D L^T with L unit lower triangular, D positive diagonal, read
+    off la._ldl_scaled: d_k = D_{k+1} / (D_k den) and L[i][k] = A[i][k] /
+    D_{k+1}.  Exact; raises SingularMatrixError when G is not positive
+    definite.  The library keeps only the integer loop."""
+    A, D, den = la._ldl_scaled(G)
+    n = len(A)
+    L = [[Fraction(A[i][j], D[j + 1]) if j < i else Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    return L, [Fraction(D[k + 1], D[k] * den) for k in range(n)]
 
 
 def fraction_gram_lll(G):
@@ -565,6 +579,24 @@ def saturated_from_rational_rows(L, rows):
     the primitive integer vector of its direction."""
     prim = [la.primitive_vector(row) for row in la._scaled_rows(rows)[0]]
     return lat.saturate(SubLattice.from_columns(L, prim))
+
+
+def fraction_rank_candidates(L, Gred, U, shortest):
+    """lat._rank_candidates with each exterior power built on its own by
+    la.compound_matrix, as Fractions, and enumerated with its norms as they
+    come (the library enumerates one integer compound tower of Gred and
+    divides each norm by den^k)."""
+    r = L.rank
+    found = [(1, norm, [list(v)]) for v, norm in shortest if r > 1 and math.gcd(*v) == 1]
+    for k in range(2, r):
+        C = la.compound_matrix(Gred, k)
+        radius = min(C[t][t] for t in range(len(C)))
+        for w, norm in la.short_vectors_gram(C, radius):
+            ker = lat._decomposable_kernel(w, r, k) if math.gcd(*w) == 1 else None
+            if ker is not None:
+                found.append((k, norm, la.mat_mul(ker, la.transpose(U))))
+    found.append((r, la.det(Gred), [[int(i == j) for j in range(r)] for i in range(r)]))
+    return found
 
 
 def recursive_hn_filtration(L):

@@ -21,6 +21,7 @@ from oracles import (
     box_short_vectors,
     diagonal_is_saturated,
     diagonal_saturate,
+    fraction_rank_candidates,
     fraction_morphism_height,
     quotient_bundle,
     random_spd_matrix,
@@ -352,14 +353,16 @@ def test_one_reduction_per_lattice(monkeypatch):
     # udeg_max reduces the lattice once.  Only the lattice's reduction
     # forms a reduced Gram matrix (gram_lll); a compound runs the sweep
     # alone.  The enumeration runs on the GSO that the sweep hands over,
-    # with no ldl of its own, and compound minors come from Laplace
-    # expansion, with no elimination.
+    # with no elimination of its own.  The compounds are the levels of one
+    # integer tower per lattice, each built once by Laplace expansion, with
+    # no elimination, and compound_matrix is never called; the top level
+    # is the determinant at rank r.
     real_lll, real_sweep, real_short = la.gram_lll, la._lll_sweep, la.short_vectors_reduced
-    real_compound, real_eliminate = la.compound_matrix, la._eliminate
-    real_ldl, real_ldl_scaled = la.ldl, la._ldl_scaled
-    reduced, swept, enumerated = [], [], []
-    inside = {"short": False, "compound": False}
-    ldl_in_short, eliminations_in_compound = [], []
+    real_tower, real_eliminate, real_ldl_scaled = la._compound_tower, la._eliminate, la._ldl_scaled
+    real_compound = la.compound_matrix
+    reduced, swept, enumerated, towers, compounds = [], [], [], [], []
+    inside = {"short": False, "tower": False}
+    ldl_in_short, eliminations_in_tower = [], []
 
     def counting_lll(G):
         reduced.append(len(G))
@@ -388,27 +391,49 @@ def test_one_reduction_per_lattice(monkeypatch):
 
         return watched
 
+    def counting_tower(M, top):
+        # the tower is a generator: its levels are built inside next()
+        towers.append([])
+        levels = real_tower(M, top)
+        while True:
+            inside["tower"] = True
+            try:
+                level = next(levels, None)
+            finally:
+                inside["tower"] = False
+            if level is None:
+                return
+            towers[-1].append(level[0])
+            yield level
+
+    def counting_compound(M, k):
+        compounds.append(k)
+        return real_compound(M, k)
+
     monkeypatch.setattr(la, "gram_lll", counting_lll)
     monkeypatch.setattr(la, "_lll_sweep", counting_sweep)
     monkeypatch.setattr(la, "short_vectors_reduced", flagging(real_short, "short", enumerated))
-    monkeypatch.setattr(la, "compound_matrix", flagging(real_compound, "compound", []))
-    monkeypatch.setattr(la, "_eliminate", watch(real_eliminate, "compound", eliminations_in_compound))
-    monkeypatch.setattr(la, "ldl", watch(real_ldl, "short", ldl_in_short))
+    monkeypatch.setattr(la, "_compound_tower", counting_tower)
+    monkeypatch.setattr(la, "_eliminate", watch(real_eliminate, "tower", eliminations_in_tower))
     monkeypatch.setattr(la, "_ldl_scaled", watch(real_ldl_scaled, "short", ldl_in_short))
+    monkeypatch.setattr(la, "compound_matrix", counting_compound)
     rng = random.Random(431)
     for r in range(1, 7):
         L = lat.Lattice.from_rows(random_spd_matrix(rng, r, 2))
-        for log in (reduced, swept, enumerated):
+        for log in (reduced, swept, enumerated, towers):
             log.clear()
         lat.mu_max(L)
         assert reduced == [r]  # one reduced Gram matrix, the lattice's
         assert swept == [r] + [comb(r, k) for k in range(2, r)]  # 1 + max(0, r-2) sweeps
         assert enumerated == swept  # the lattice, then each compound, once
+        # one tower, each level once: 2..r-1 enumerated, r the determinant
+        assert towers == [list(range(1, r + 1))]
         reduced.clear()
         lat.udeg_max(L)
         assert reduced == [r]
     assert ldl_in_short == []
-    assert eliminations_in_compound == []
+    assert eliminations_in_tower == []
+    assert compounds == []
 
 
 # ---------------------------------------------------------------------------
@@ -525,9 +550,11 @@ def _candidates(L):
 
 
 def test_candidate_pass_builds_only_winners(monkeypatch):
-    """mu_max saturates only the tied candidates of its witness's rank and
+    """mu_max builds only the tied candidates of its witness's rank and
     determinant, and hn_filtration one candidate per vertex; every other
-    candidate is kept as the determinant its enumeration norm gave it."""
+    candidate is kept as the determinant its enumeration norm gave it.  A
+    build of rank one or full rank is closed-form; only ranks strictly
+    between run saturate."""
     rng = random.Random(434)
     cases = []
     for rb in (2, 2, 3, 2, 3, 2, 3, 3):
@@ -536,8 +563,13 @@ def test_candidate_pass_builds_only_winners(monkeypatch):
         cands = _candidates(T)
         tied = sum(1 for k, d, _cols in cands if k == W.rank and d == lat.sub_det(W))
         cases.append((T, tied, len(lat.hn_filtration(T).chain), len(cands)))
-    real_saturate, real_post_init = lat.saturate, lat.SubLattice.__post_init__
-    counts = {"saturate": 0, "sublattice": 0}
+    real_saturated, real_saturate = lat._saturated, lat.saturate
+    real_post_init = lat.SubLattice.__post_init__
+    built, counts = [], {"saturate": 0, "sublattice": 0}
+
+    def counting_saturated(L, candidate):
+        built.append(candidate[0])
+        return real_saturated(L, candidate)
 
     def counting_saturate(S):
         counts["saturate"] += 1
@@ -547,16 +579,24 @@ def test_candidate_pass_builds_only_winners(monkeypatch):
         counts["sublattice"] += 1
         real_post_init(self)
 
+    monkeypatch.setattr(lat, "_saturated", counting_saturated)
     monkeypatch.setattr(lat, "saturate", counting_saturate)
     monkeypatch.setattr(lat.SubLattice, "__post_init__", counting_post_init)
+    middle_ranks = 0
     for T, tied, vertices, _n in cases:
         for run, expect in ((lat.mu_max, tied), (lat.hn_filtration, vertices)):
+            built.clear()
             counts.update(saturate=0, sublattice=0)
             run(T)
-            # from the columns, the saturation and its canonical basis
-            assert counts["saturate"] == expect >= 1
-            assert counts["sublattice"] <= 3 * expect
-    # each pass leaves candidates unbuilt
+            assert len(built) == expect >= 1
+            middle = sum(1 for k in built if 1 < k < T.rank)
+            assert counts["saturate"] == middle
+            # a closed form builds its one SubLattice; saturate builds two
+            # more: from the columns, the saturation and its canonical basis
+            assert counts["sublattice"] <= len(built) + 2 * middle
+            middle_ranks += middle
+    # the saturate branch is reached, and each pass leaves candidates unbuilt
+    assert middle_ranks >= 1
     assert all(n > tied for _T, tied, _v, n in cases)
     assert sum(v for *_rest, v, _n in cases) < sum(n for *_rest, n in cases)
 
@@ -616,6 +656,64 @@ def test_non_primitive_enumerated_vectors_are_skipped():
         g = gcd(*w)
         assert (k, w) not in dets
         assert dets[(k, tuple(x // g for x in w))] == n / g**2
+
+
+def _seeded_candidate_lattices():
+    """Seeded lattices of rank 1-7, integer and rational (duals), and
+    tensors of ranks (2,2) and (2,3)."""
+    rng = random.Random(438)
+    out = []
+    for i in range(42):
+        L = lat.Lattice.from_rows(random_spd_matrix(rng, 1 + i % 7, 3))
+        out.append(lat.dual(L) if i % 3 == 0 else L)
+    for rb in (2, 3, 2, 3, 2, 3):
+        out.append(lat.tensor(random_lattice(2, 3, rng), random_lattice(rb, 3, rng)))
+    return out
+
+
+def test_candidate_pass_matches_fraction_compound_oracle():
+    """The candidates from one integer compound tower, enumerated as
+    integers, equal those from Fraction compounds built one at a time:
+    the same (k, det, columns) in the same order."""
+    for L in _seeded_candidate_lattices():
+        Gred, U, gso = la.gram_lll(L.gram_rows)
+        shortest = lat._shortest_reduced(Gred, U, gso)
+        assert lat._rank_candidates(L, Gred, U, shortest) == fraction_rank_candidates(L, Gred, U, shortest)
+    # unreduced, where non-primitive vectors are enumerated and skipped
+    L = lat.Lattice.from_rows(SKEWED_Z3)
+    G = L.gram_rows
+    eye = [[int(i == j) for j in range(3)] for i in range(3)]
+    shortest = la.short_vectors_gram(G, 5)
+    assert lat._rank_candidates(L, G, eye, shortest) == fraction_rank_candidates(L, G, eye, shortest)
+
+
+def test_closed_form_witnesses_equal_saturations():
+    """At ranks one and r, _saturated builds the saturation without a
+    Hermite form; it equals saturate of the candidate's columns, and its
+    sub_det is the candidate's determinant."""
+    extremes = 0
+    for L in _seeded_candidate_lattices() + [lat.Lattice.from_rows(SKEWED_Z3)]:
+        for c in _candidates(L):
+            if c[0] in (1, L.rank):
+                S = lat._saturated(L, c)
+                assert S == lat.saturate(lat.SubLattice.from_columns(L, c[2]))
+                assert lat.sub_det(S) == c[1]
+                extremes += 1
+    assert extremes >= 100
+
+
+def test_closed_form_witness_faults_raise():
+    """A non-primitive rank-one column and a determinant off by one each
+    fail the certificate of their closed form."""
+    L = lat.Lattice.from_rows([[1, 0], [0, 4]])
+    with pytest.raises(lat.CertificateError):
+        lat._saturated(L, (1, Fraction(4), [[2, 0]]))  # the saturation (1, 0) has norm 1
+    assert lat._saturated(L, (1, Fraction(1), [[-1, 0]])).basis == ((1,), (0,))
+    for M in (L, lat.Lattice.from_rows(SKEWED_Z3)):
+        for k, d, cols in _candidates(M):
+            lat._saturated(M, (k, d, cols))
+            with pytest.raises(lat.CertificateError):
+                lat._saturated(M, (k, d + 1, cols))
 
 
 @st.composite

@@ -1,7 +1,7 @@
 """Exact linear algebra helpers against independent oracles."""
 
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 import random
 
 import pytest
@@ -21,6 +21,7 @@ from oracles import (
     fraction_solve_square,
     intersect_row_spaces,
     kernel,
+    ldl,
     mat_eq,
     random_spd_matrix,
     random_unimodular,
@@ -113,7 +114,7 @@ def test_ldl_matches_fraction_oracle():
             for i in range(n):
                 for j in range(i + 1, n):
                     G[i][j] = Fraction(rng.randrange(-50, 50), 7)
-        assert la.ldl(G) == fraction_ldl(G)
+        assert ldl(G) == fraction_ldl(G)
     # a factorisation that breaks down at index j: positive pivots before
     # it, a pivot <= 0 at j; ldl accepts the leading j x j block only
     for n in range(1, 7):
@@ -128,9 +129,9 @@ def test_ldl_matches_fraction_oracle():
             with pytest.raises(la.SingularMatrixError):
                 fraction_ldl(G)
             with pytest.raises(la.SingularMatrixError):
-                la.ldl(G)
+                ldl(G)
             lead = [row[:j] for row in G[:j]]
-            assert la.ldl(lead) == fraction_ldl(lead)
+            assert ldl(lead) == fraction_ldl(lead)
             assert not la.is_positive_definite(G)
 
 
@@ -168,6 +169,48 @@ def test_compound_of_reduced_gram_matrices():
                 assert got == bareiss_compound_matrix(Gred, k)
                 assert la.is_symmetric(got)
                 assert all(type(x) is Fraction for row in got for x in row)
+
+
+def test_compound_tower_levels_against_bareiss():
+    # every level k = 1..n of one tower is den^k times the per-minor
+    # Bareiss compound, as integers, with den the lcm of the denominators;
+    # on non-symmetric and symmetric input with int and Fraction entries
+    rng = random.Random(433)
+    for t in range(24):
+        n = 1 + t % 8
+        M = mixed_matrix(rng, n, n)
+        S = [[M[max(i, j)][min(i, j)] for j in range(n)] for i in range(n)]
+        for A in (M, S):
+            den = lcm(*[Fraction(x).denominator for row in A for x in row])
+            levels = list(la._compound_tower(A, n + 1))
+            assert [k for k, _T, _s in levels] == list(range(1, n + 1))
+            for k, T, scale in levels:
+                assert scale == den**k
+                assert all(type(x) is int for row in T for x in row)
+                assert T == [[int(x * scale) for x in row] for row in bareiss_compound_matrix(A, k)]
+            assert [k for k, _T, _s in la._compound_tower(A, n - 1)] == list(range(1, n))
+    assert list(la._compound_tower([], 3)) == []
+    assert list(la._compound_tower([[Fraction(1, 2)]], 0)) == []
+
+
+def test_integer_compound_enumeration_matches_fraction_compound():
+    # the hand-off of mu_max: level k of the tower of a reduced Gram matrix,
+    # enumerated within min diag T_k, gives the vectors of the Fraction
+    # compound within its own least diagonal entry, with each norm den^k
+    # times as large
+    rng = random.Random(437)
+    for n in range(2, 7):
+        for scale in (1, 6):
+            G = [[Fraction(x, scale) for x in row] for row in random_spd_matrix(rng, n, 3)]
+            Gred = la.gram_lll(G)[0]
+            for k, T, den_k in la._compound_tower(Gred, n - 1):
+                if k < 2:
+                    continue
+                C = la.compound_matrix(Gred, k)
+                got = la.short_vectors_gram(T, min(T[t][t] for t in range(len(T))))
+                want = la.short_vectors_gram(C, min(C[t][t] for t in range(len(C))))
+                assert [(w, norm / den_k) for w, norm in got] == want
+                assert la._lll_sweep(T)[0] == la._lll_sweep(C)[0]
 
 
 def test_det_against_cofactor_oracle():
@@ -328,12 +371,12 @@ def test_ldl():
     for _ in range(30):
         n = rng.randrange(1, 6)
         G = random_spd_matrix(rng, n)
-        L, d = la.ldl(G)
+        L, d = ldl(G)
         D = [[d[i] if i == j else Fraction(0) for j in range(n)] for i in range(n)]
         assert mat_eq(la.mat_mul(L, la.mat_mul(D, la.transpose(L))), G)
         assert all(x > 0 for x in d)
     with pytest.raises(la.SingularMatrixError):
-        la.ldl([[Fraction(0)]])
+        ldl([[Fraction(0)]])
 
 
 def test_positive_definite_check():
@@ -366,7 +409,7 @@ def _assert_lll_reduced(G, Gred, U, _gso):
     assert mat_eq(Gred, la.mat_mul(la.transpose(U), la.mat_mul(G, U)))
     assert la.det(Gred) == la.det(G)
     # verify the reduction conditions on the output
-    L, d = la.ldl(Gred)
+    L, d = ldl(Gred)
     for i in range(n):
         for j in range(i):
             assert abs(L[i][j]) <= Fraction(1, 2)
