@@ -320,17 +320,18 @@ def _decomposable_kernel(w: Sequence[int], r: int, k: int) -> Optional[List[List
 
     w is decomposable iff the kernel of x -> x /\\ w has dimension k; the
     kernel is then exactly the k-plane whose wedge is w.  The wedge rows
-    are integers, so one elimination gives d * rref, and the kernel vector
-    of free column f is read off it: d at f and -W[i][f] at pivot i.
-    Returned as primitive integer rows.
+    are integers, one per (k+1)-subset, with their index pattern read from
+    the (r, k+1) subset table; one elimination gives d * rref, and the
+    kernel vector of free column f is read off it: d at f and -W[i][f] at
+    pivot i.  Returned as primitive integer rows.
     """
-    index = {I: t for t, I in enumerate(la.k_subsets(r, k))}
     W = []
-    for I in la.k_subsets(r, k + 1):
+    for even, odd in la._subset_table(r, k + 1).wedge:
         row = [0] * r
-        for pos, j in enumerate(I):
-            x = w[index[I[:pos] + I[pos + 1 :]]]
-            row[j] = -x if pos % 2 else x
+        for j, t in even:
+            row[j] = w[t]
+        for j, t in odd:
+            row[j] = -w[t]
         W.append(row)
     rank, pivots, d, _sign = la._eliminate(W, r)
     if r - rank != k:
@@ -359,6 +360,7 @@ def _rank_candidates(
     L: Lattice,
     Gred: la.Matrix,
     U: List[List[int]],
+    gso: la.GSO,
     shortest: List[Tuple[Tuple[int, ...], Fraction]],
 ) -> List[Tuple[int, Fraction, List[List[int]]]]:
     """(k, det S, columns) for saturated sublattices S of every rank k that
@@ -367,33 +369,39 @@ def _rank_candidates(
 
     The least determinant at rank k is the squared norm of the shortest
     decomposable vector of the k-th exterior power.  The search runs in
-    the LLL-reduced basis Gred = U^T G U of gram_lll(L.gram_rows), where
-    the best coordinate sublattice gives a realized and therefore
-    certified enumeration radius that is also tight enough to keep the
-    pass small.  For rank one that pass is ``shortest`` =
-    _shortest_reduced(Gred, U, gso).  The norm of w is det(B^T Gred B) for
-    any B whose k x k minors are w (Cauchy-Binet), and a saturated S has a
-    primitive Plucker vector: so a primitive decomposable w has norm det S,
-    and a non-primitive w = g u is skipped, as u lies within the radius
-    too.  Each S is listed once, as its sign-normalised Plucker vector.
+    the LLL-reduced basis Gred = U^T G U of (Gred, U, gso) =
+    gram_lll(L.gram_rows), where the best coordinate sublattice gives a
+    realized and therefore certified enumeration radius that is also tight
+    enough to keep the pass small.  For rank one that pass is ``shortest``
+    = _shortest_reduced(Gred, U, gso).  The norm of w is det(B^T Gred B)
+    for any B whose k x k minors are w (Cauchy-Binet), and a saturated S
+    has a primitive Plucker vector: so a primitive decomposable w has norm
+    det S, and a non-primitive w = g u is skipped, as u lies within the
+    radius too.  Each S is listed once, as its sign-normalised Plucker
+    vector.
 
-    The exterior powers come from one compound tower of Gred, each level
-    T_k = den^k Lambda^k(Gred) on integers.  T_k is enumerated as it is,
-    with radius min diag T_k: a positive scaling changes neither the LLL
-    decisions nor the enumerated set, so each norm is divided by den^k once.
-    The top level T_r is den^r det Gred, the determinant at rank r.
+    The exterior power of rank k is T_k = den^k Lambda^k(Gred) on integers,
+    with den = gso.den.  Its LLL sweep starts from the GSO that
+    la._compound_gso reads off gso, with no elimination, and it is
+    enumerated within min diag T_k, the least k x k principal minor of
+    den Gred: a positive scaling changes neither the LLL decisions nor the
+    enumerated set, so each norm is divided by den^k once.  The determinant
+    at rank r is det Gred = D[r] / den^r.
     """
     r = L.rank
+    den = gso.den
     found = [(1, norm, [list(v)]) for v, norm in shortest if r > 1 and gcd(*v) == 1]
-    for k, T, scale in la._compound_tower(Gred, r):
-        if k == r:  # the top level is the one minor den^r det Gred
-            found.append((r, Fraction(T[0][0], scale), [[int(i == j) for j in range(r)] for i in range(r)]))
-        elif k > 1:
-            radius = min(T[t][t] for t in range(len(T)))
-            for w, norm in la.short_vectors_gram(T, radius):
+    if r > 2:
+        radii = la._least_principal_minors(
+            [[x.numerator * (den // x.denominator) for x in row] for row in Gred], r - 1
+        )
+        for k, level in la._compound_gso(gso, r - 1):
+            scale = den**k
+            for w, norm in la.short_vectors_reduced(*la._lll_sweep_from(level), radii[k]):
                 ker = _decomposable_kernel(w, r, k) if gcd(*w) == 1 else None
                 if ker is not None:  # kernel rows mapped back under U: integer columns of S
                     found.append((k, norm / scale, la.mat_mul(ker, la.transpose(U))))
+    found.append((r, Fraction(gso.D[r], den**r), [[int(i == j) for j in range(r)] for i in range(r)]))
     return found
 
 
@@ -471,7 +479,7 @@ def _mu_max_udeg(L: Lattice, rank_limit: int) -> Tuple[LogValue, SubLattice, Log
         raise ExactSearchUnavailable(
             f"exact search unavailable beyond rank {rank_limit}", lower, upper
         )
-    candidates = _rank_candidates(L, Gred, U, shortest)
+    candidates = _rank_candidates(L, Gred, U, gso, shortest)
     k, d, _cols = candidates[0]
     for j, e, _cols in candidates:
         if _steeper(j, e, k, d):
@@ -509,7 +517,7 @@ def hn_filtration(L: Lattice, rank_limit: int = EXACT_RANK_LIMIT) -> HNResult:
             None,
         )
     Gred, U, gso = la.gram_lll(L.gram_rows)
-    candidates = _rank_candidates(L, Gred, U, _shortest_reduced(Gred, U, gso))
+    candidates = _rank_candidates(L, Gred, U, gso, _shortest_reduced(Gred, U, gso))
     d = [Fraction(1)] + [
         min(e for j, e, _cols in candidates if j == k) for k in range(1, L.rank + 1)
     ]

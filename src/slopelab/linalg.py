@@ -10,15 +10,20 @@ at (r, c) sets every other row to (p * row - row[c] * W[r]) // p_prev, exact
 since each entry is then a minor of the input.  Only final entries are
 Fractions.
 
-Lattice reduction stays on the integers as well: _lll_sweep is the
-integral LLL on den * G, seeded from _ldl_scaled, and hands its final
-Gram-Schmidt data (lam, D, den) to short_vectors_reduced, whose
-Fincke-Pohst enumeration uses integer centers and isqrt ranges and builds
-one Fraction per node.  gram_lll adds the reduced Gram matrix, which only
-callers that read it pay for.  Compound matrices are the levels of one
-integer tower, _compound_tower, each built from the one before by Laplace
-expansion; short_vectors_gram takes a level as it is, since a positive
-scaling changes neither the LLL decisions nor the enumerated set.
+Lattice reduction stays on the integers as well: _lll_sweep_from is the
+integral LLL on the Gram-Schmidt data (lam, D, den) of a basis, and
+_lll_sweep seeds it from _ldl_scaled of den * G.  It hands its final GSO to
+short_vectors_reduced, whose Fincke-Pohst enumeration uses integer centers
+and isqrt ranges and builds one Fraction per node.  gram_lll adds the
+reduced Gram matrix, which only callers that read it pay for.
+
+No exterior power is eliminated: _compound_gso reads the GSO of each
+den^k Lambda^k(G) off the GSO of G, through the Laplace minors of its
+integer LDL factor, and the sweep starts from it; a positive scaling
+changes neither the LLL decisions nor the enumerated set.  The index
+tables of those minors and of the wedge rows depend only on (n, k) and
+are built once per process on first use (_subset_table).  compound_matrix
+is the last level of one integer Laplace tower, _compound_tower.
 Positive definiteness is Sylvester's criterion on _ldl_scaled.
 """
 
@@ -27,7 +32,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, isqrt, lcm, prod
-from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 Matrix = List[List[Fraction]]
 Vector = List[Fraction]
@@ -192,6 +197,56 @@ def submatrix(M: Sequence[Sequence], rows: Sequence[int], cols: Sequence[int]) -
     return [[Fraction(M[i][j]) for j in cols] for i in rows]
 
 
+class _SubsetTable(NamedTuple):
+    """Index tables of the k-subsets of range(n) in lex order (k >= 1).
+
+    wedge[b] lists (J[t], index of J without J[t] among the (k-1)-subsets)
+    for the subset J at index b, split into even and odd t: the Laplace
+    terms of a minor on the column set J along one row, and the nonzero
+    entries of the wedge row of J.  laplace[a] = (I[0], index of I[1:],
+    entries) for the subset I at index a, with one entry (b, even, odd) per
+    J at index b <= a that I dominates (J[t] <= I[t] for every t): exactly
+    the minors on rows I and columns J that a lower-triangular matrix can
+    have nonzero.  even and odd are the terms of wedge[b] whose row entry
+    F[I[0]][J[t]] and cofactor, on rows I[1:], lie in that pattern."""
+
+    wedge: List[Tuple[List[Tuple[int, int]], List[Tuple[int, int]]]]
+    laplace: List[Tuple[int, int, List[Tuple[int, List[Tuple[int, int]], List[Tuple[int, int]]]]]]
+
+
+# (n, k) -> _SubsetTable, each built on first use and kept for the process
+_SUBSET_TABLES: Dict[Tuple[int, int], _SubsetTable] = {}
+
+
+def _dominates(I: Sequence[int], J: Sequence[int]) -> bool:
+    return all(j <= i for i, j in zip(I, J))
+
+
+def _subset_table(n: int, k: int) -> _SubsetTable:
+    """The tables of (n, k), built on first use and then looked up."""
+    hit = _SUBSET_TABLES.get((n, k))
+    if hit is not None:
+        return hit
+    subsets = k_subsets(n, k)
+    below = k_subsets(n, k - 1)
+    prev = {S: t for t, S in enumerate(below)}
+    drops = [[(J[t], prev[J[:t] + J[t + 1 :]]) for t in range(k)] for J in subsets]
+    wedge = [(d[0::2], d[1::2]) for d in drops]
+
+    def kept(I, terms):  # the terms on rows I in the pattern; wedge's own list when all are
+        out = [term for term in terms if term[0] <= I[0] and _dominates(I[1:], below[term[1]])]
+        return terms if len(out) == len(terms) else out
+
+    laplace = []
+    for a, I in enumerate(subsets):
+        entries = [
+            (b, kept(I, wedge[b][0]), kept(I, wedge[b][1])) for b in range(a + 1) if _dominates(I, subsets[b])
+        ]
+        laplace.append((I[0], prev[I[1:]], entries))
+    hit = _SUBSET_TABLES[(n, k)] = _SubsetTable(wedge, laplace)
+    return hit
+
+
 def _compound_tower(M: Sequence[Sequence], top: int) -> Iterator[Tuple[int, List[List[int]], int]]:
     """(k, T_k, den^k) for k = 1, ..., min(top, n): T_k = den^k Lambda^k(M)
     as integer rows, the k x k minors of den * M on sorted index sets, with
@@ -207,32 +262,102 @@ def _compound_tower(M: Sequence[Sequence], top: int) -> Iterator[Tuple[int, List
     A, den = _common_scaled(M)
     n = len(A)
     sym = is_symmetric(A)
-    subsets = k_subsets(n, 1)
     T = A
     yield 1, T, den
     for m in range(2, min(top, n) + 1):
-        prev = {S: t for t, S in enumerate(subsets)}
-        subsets = k_subsets(n, m)
-        # per column set J, (J[t], index of J without J[t]) at even and odd t
-        drop = [[(J[t], prev[J[:t] + J[t + 1 :]]) for t in range(m)] for J in subsets]
-        even = [d[0::2] for d in drop]
-        odd = [d[1::2] for d in drop]
-        N = len(subsets)
+        table = _subset_table(n, m)
+        wedge = table.wedge
+        N = len(wedge)
         level = [[0] * N for _ in range(N)]
-        for a, I in enumerate(subsets):
-            row, cof = A[I[0]], T[prev[I[1:]]]
+        for a, (i0, below, _entries) in enumerate(table.laplace):
+            row, cof = A[i0], T[below]
             out = level[a]
             for b in range(a if sym else 0, N):
+                even, odd = wedge[b]
                 x = 0
-                for j, c in even[b]:
+                for j, c in even:
                     x += row[j] * cof[c]
-                for j, c in odd[b]:
+                for j, c in odd:
                     x -= row[j] * cof[c]
                 out[b] = x
                 if sym:
                     level[b][a] = x
         T = level
         yield m, T, den**m
+
+
+def _compound_gso(gso: GSO, top: int) -> Iterator[Tuple[int, GSO]]:
+    """(k, GSO of T_k) for k = 2, ..., min(top, n), read off the GSO of a
+    Gram matrix G, with T_k = den^k Lambda^k(G) as in _compound_tower: the
+    (lam, D) that _ldl_scaled(T_k) returns, with den 1.
+
+    Write den G = mu diag(d) mu^T, mu unit lower-triangular.  By
+    Cauchy-Binet Lambda^k(den G) = Lambda^k(mu) Lambda^k(d) Lambda^k(mu)^T,
+    and Lambda^k(mu) is unit lower-triangular on lex-ordered k-subsets
+    (Horn and Johnson, Matrix Analysis, 0.8.1), so by the uniqueness of LDL
+    this is the LDL of T_k.  In integers, with F the lower-triangular
+    matrix that has lam below the diagonal and D[i+1] on it, so that
+    mu = F diag(1 / D[j+1]):
+
+        D_k[t+1] = D_k[t] prod_{i in I_t} D[i+1] / prod_{i in I_t} D[i],
+        lam_k[a][b] = D_k[b+1] Lambda^k(F)[a][b] / prod_{j in I_b} D[j+1],
+
+    both divisions exact, as D_k and lam_k are minors of T_k.  The minors
+    of F are taken level by level by Laplace expansion along the first row
+    of each row set, on the lower pattern of _subset_table alone.  Each
+    level's lists are new, so a sweep may reduce them in place."""
+    lam, D, _den = gso
+    n = len(lam)
+    M = [row + [D[i + 1]] for i, row in enumerate(lam)]  # level 1 is F itself
+    F = M
+    P, Q = D[1:], D[:-1]  # prod over I of D[i+1] and of D[i], at level 1
+    for k in range(2, min(top, n) + 1):
+        laplace = _subset_table(n, k).laplace
+        level = []
+        for i0, below, entries in laplace:
+            row, cof = F[i0], M[below]
+            out = [0] * (len(level) + 1)
+            for b, even, odd in entries:
+                x = 0
+                for j, c in even:
+                    x += row[j] * cof[c]
+                for j, c in odd:
+                    x -= row[j] * cof[c]
+                out[b] = x
+            level.append(out)
+        M = level
+        P = [D[i0 + 1] * P[below] for i0, below, _e in laplace]
+        Q = [D[i0] * Q[below] for i0, below, _e in laplace]
+        Dk = [1]
+        for p, q in zip(P, Q):
+            Dk.append(Dk[-1] * p // q)
+        lam_k = [[Dk[b + 1] * x // P[b] for b, x in enumerate(out[:a])] for a, out in enumerate(M)]
+        yield k, GSO(lam_k, Dk, 1)
+
+
+def _least_principal_minors(A: Sequence[Sequence[int]], top: int) -> List[Optional[int]]:
+    """least[k] = the least k x k principal minor of the integer symmetric
+    positive definite A, for k = 1, ..., min(top, n); least[0] is None.
+
+    The minors come from one walk over index sets in lex order.  At a node
+    P, S[a][b] = det A[P + a, P + b] over the indices a, b after P, and
+    Sylvester's identity S'[a][b] det A[P] = S[j][j] S[a][b] - S[a][j] S[j][b]
+    gives S' at the child P + j, an exact division; det A[P + j] = S[j][j]."""
+    least: List[Optional[int]] = [None] * (min(top, len(A)) + 1)
+
+    def walk(S, d, size):
+        for t, row in enumerate(S):
+            p = row[t]
+            if least[size] is None or p < least[size]:
+                least[size] = p
+            if size < len(least) - 1 and t + 1 < len(S):
+                child = [[(p * x - s[t] * y) // d for x, y in zip(s[t + 1 :], row[t + 1 :])] for s in S[t + 1 :]]
+                walk(child, p, size + 1)
+
+    if len(least) > 1:
+        walk([list(row) for row in A], 1, 1)
+    walk = None  # free the closure cell now, as in short_vectors_reduced
+    return least
 
 
 def compound_matrix(M: Sequence[Sequence], k: int) -> Matrix:
@@ -425,20 +550,28 @@ def gram_lll(G: Sequence[Sequence]) -> Tuple[Matrix, List[List[int]], GSO]:
     return Gred, U, gso
 
 
-def _lll_sweep(G: Sequence[Sequence]) -> Tuple[List[List[int]], GSO]:
-    """The reduction of gram_lll without the reduced Gram matrix: (U, gso).
-
-    The sweep is Cohen's integral LLL (A Course in Computational Algebraic
-    Number Theory, Alg. 2.6.7) on den * G, seeded from _ldl_scaled (U starts
-    as the identity, so the GSO is that of G itself).  It size-reduces when
-    2 |lam_kl| > D_{l+1} and swaps when 4 (D_{k+1} D_{k-1} + lam^2) < 3 D_k^2,
-    the decisions of the rational sweep with mu = lam / D.
-    """
-    n = len(G)
-    if n == 0:
-        return [], GSO([], [1], 1)
+def _gso(G: Sequence[Sequence]) -> GSO:
+    """The Gram-Schmidt data of G itself, from _ldl_scaled."""
     A, D, den = _ldl_scaled(G)
-    lam = [row[:i] for i, row in enumerate(A)]
+    return GSO([row[:i] for i, row in enumerate(A)], D, den)
+
+
+def _lll_sweep(G: Sequence[Sequence]) -> Tuple[List[List[int]], GSO]:
+    """The reduction of gram_lll without the reduced Gram matrix: (U, gso),
+    the sweep of _lll_sweep_from seeded with the GSO of G."""
+    return _lll_sweep_from(_gso(G))
+
+
+def _lll_sweep_from(gso: GSO) -> Tuple[List[List[int]], GSO]:
+    """Cohen's integral LLL (A Course in Computational Algebraic Number
+    Theory, Alg. 2.6.7) from the Gram-Schmidt data gso of a basis: (U, the
+    GSO of the reduced basis), U starting as the identity.  It size-reduces
+    when 2 |lam_kl| > D_{l+1} and swaps when
+    4 (D_{k+1} D_{k-1} + lam^2) < 3 D_k^2, the decisions of the rational
+    sweep with mu = lam / D.  The lists of gso are reduced in place.
+    """
+    lam, D, den = gso
+    n = len(lam)
     U = [[int(i == j) for j in range(n)] for i in range(n)]
 
     def size_reduce(k, l):  # b_k -= q b_l for q = floor(mu_kl + 1/2)

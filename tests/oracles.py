@@ -607,7 +607,7 @@ def recursive_hn_filtration(L):
 
     def build(Q):
         Gred, U, gso = la.gram_lll(Q.gram_rows)
-        candidates = lat._rank_candidates(Q, Gred, U, lat._shortest_reduced(Gred, U, gso))
+        candidates = lat._rank_candidates(Q, Gred, U, gso, lat._shortest_reduced(Gred, U, gso))
         slopes = [lat._slope_of_det(d, k) for k, d, _cols in candidates]
         best = slopes[0]
         for val in slopes:

@@ -36,6 +36,12 @@ def frozen(rows):
     return lat.Lattice.from_rows(rows)
 
 
+def _empty_tables(patch):
+    # the (n, k) subset tables live for the whole process; a test that
+    # empties them first cannot pass only on tables another test built
+    patch.setattr(la, "_SUBSET_TABLES", {})
+
+
 # ---------------------------------------------------------------------------
 # degrees of fixed instances (hand-checked determinants)
 
@@ -260,7 +266,8 @@ def test_mu_max_frozen():
     assert val == log_of(2, Fraction(-1)) and S.basis == ((1,), (0,))
 
 
-def test_mu_max_matches_exhaustive_oracle():
+def test_mu_max_matches_exhaustive_oracle(monkeypatch):
+    _empty_tables(monkeypatch)
     rng = random.Random(418)
     for _ in range(30):
         n = rng.randrange(1, 4)
@@ -313,7 +320,8 @@ def _log_value(terms):
     return LogValue.from_map({p: Fraction(c) for p, c in terms.items()})
 
 
-def test_mu_max_tensor_frozen():
+def test_mu_max_tensor_frozen(monkeypatch):
+    _empty_tables(monkeypatch)
     for seed, ranks, mu, basis, udeg, vec in TENSOR_FROZEN:
         rng = random.Random(seed)
         A = random_lattice(ranks[0], 3, rng)
@@ -325,115 +333,139 @@ def test_mu_max_tensor_frozen():
 
 
 # Seeded tensor lattices beyond the exact rank limit: (seed, factor ranks,
-# mu_max(T, rank_limit=9), its witness basis), factors drawn in order from
-# random.Random(seed) with entry bound 3.  Recorded with the per-minor
-# Bareiss compounds and the Fraction decomposability kernel.
+# mu_max(T, rank_limit=T.rank), its witness basis), factors drawn in order
+# from random.Random(seed) with entry bound 3.  The first five were
+# recorded with the per-minor Bareiss compounds and the Fraction
+# decomposability kernel, the last three with each compound eliminated
+# (_ldl_scaled) before its LLL sweep.
 RANK_FRONTIER_FROZEN = [
     (1, (2, 2, 2), {2: "-3/2", 3: "-1", 5: "-1/2"}, ((0,), (1,), (0,), (0,), (0,), (-1,), (0,), (0,))),
     (2, (2, 2, 2), {2: "-1", 5: "-1/2"}, ((0,), (0,), (0,), (0,), (1,), (0,), (0,), (0,))),
     (3, (2, 2, 2), {2: "-1/2"}, ((0,), (1,), (0,), (0,), (0,), (1,), (0,), (0,))),
     (1, (3, 3), {3: "-1"}, ((0,), (0,), (3,), (0,), (0,), (-1,), (0,), (0,), (2,))),
     (3, (3, 3), {2: "-1/2", 5: "-1/2"}, ((0,), (1,), (0,), (0,), (-1,), (0,), (0,), (2,), (0,))),
+    (2, (3, 3), {2: "-1/2", 3: "-1/4", 7: "-3/4"},
+     ((0, 0), (0, 0), (0, 0), (0, 0), (0, 0), (0, 0), (1, 0), (0, 1), (-1, 0))),
+    (4, (3, 3), {2: "-1", 5: "-1/2"}, ((0,), (0,), (0,), (1,), (-1,), (1,), (-1,), (1,), (-1,))),
+    (1, (2, 5), {2: "-1", 3: "-1"}, ((1,), (2,), (1,), (-1,), (-1,), (-1,), (-2,), (-1,), (1,), (1,))),
 ]
 
 
-def test_mu_max_rank_frontier_frozen():
+def test_mu_max_rank_frontier_frozen(monkeypatch):
+    _empty_tables(monkeypatch)
     for seed, ranks, mu, basis in RANK_FRONTIER_FROZEN:
         rng = random.Random(seed)
         T = random_lattice(ranks[0], 3, rng)
         for r in ranks[1:]:
             T = lat.tensor(T, random_lattice(r, 3, rng))
-        val, S = lat.mu_max(T, rank_limit=9)
+        val, S = lat.mu_max(T, rank_limit=T.rank)
         assert val == _log_value(mu) and S.basis == basis
+
+
+def _structure_watch(monkeypatch):
+    """Patch the reduction, compound and enumeration steps of the candidate
+    pass with recorders: the size of each gram_lll, sweep, enumeration and
+    _ldl_scaled, the levels of each _compound_gso walk, the top of each
+    principal-minor walk, the name of every elimination run inside a
+    compound GSO level, a sweep, an enumeration or a principal-minor walk,
+    and every call of the Laplace tower or compound_matrix."""
+    log = {name: [] for name in ("lll", "sweep", "short", "ldl", "gso", "minors", "eliminated_inside", "tower")}
+    depth = [0]
+    real = {name: getattr(la, name) for name in (
+        "gram_lll", "_lll_sweep_from", "short_vectors_reduced", "_ldl_scaled", "_eliminate",
+        "_compound_gso", "_least_principal_minors", "_compound_tower", "compound_matrix",
+    )}
+
+    def recording(name, key, size, watched=False):
+        fn = real[name]
+
+        def recorded(*args, **kwargs):
+            log[key].append(size(*args))
+            depth[0] += watched
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                depth[0] -= watched
+
+        return recorded
+
+    def eliminating(name, key=None):
+        fn = real[name]
+
+        def watched(*args, **kwargs):
+            if key:
+                log[key].append(len(args[0]))
+            if depth[0]:
+                log["eliminated_inside"].append(name)
+            return fn(*args, **kwargs)
+
+        return watched
+
+    def compound_gso(gso, top):
+        # a generator: its levels are built inside next()
+        log["gso"].append([])
+        levels = real["_compound_gso"](gso, top)
+        while True:
+            depth[0] += 1
+            try:
+                level = next(levels, None)
+            finally:
+                depth[0] -= 1
+            if level is None:
+                return
+            log["gso"][-1].append(level[0])
+            yield level
+
+    def never(name):
+        def called(*args, **kwargs):
+            log["tower"].append(name)
+            return real[name](*args, **kwargs)
+
+        return called
+
+    monkeypatch.setattr(la, "gram_lll", recording("gram_lll", "lll", len))
+    monkeypatch.setattr(la, "_lll_sweep_from", recording("_lll_sweep_from", "sweep", lambda g: len(g.lam), True))
+    monkeypatch.setattr(la, "short_vectors_reduced", recording("short_vectors_reduced", "short", lambda U, g, b: len(U), True))
+    monkeypatch.setattr(la, "_least_principal_minors", recording("_least_principal_minors", "minors", lambda A, top: top, True))
+    monkeypatch.setattr(la, "_ldl_scaled", eliminating("_ldl_scaled", "ldl"))
+    monkeypatch.setattr(la, "_eliminate", eliminating("_eliminate"))
+    monkeypatch.setattr(la, "_compound_gso", compound_gso)
+    monkeypatch.setattr(la, "_compound_tower", never("_compound_tower"))
+    monkeypatch.setattr(la, "compound_matrix", never("compound_matrix"))
+    return log
 
 
 def test_one_reduction_per_lattice(monkeypatch):
     # mu_max reduces and enumerates the lattice once (udeg and the rank-one
     # candidates share one radius) and each compound of rank 2..r-1 once;
     # udeg_max reduces the lattice once.  Only the lattice's reduction
-    # forms a reduced Gram matrix (gram_lll); a compound runs the sweep
-    # alone.  The enumeration runs on the GSO that the sweep hands over,
-    # with no elimination of its own.  The compounds are the levels of one
-    # integer tower per lattice, each built once by Laplace expansion, with
-    # no elimination, and compound_matrix is never called; the top level
-    # is the determinant at rank r.
-    real_lll, real_sweep, real_short = la.gram_lll, la._lll_sweep, la.short_vectors_reduced
-    real_tower, real_eliminate, real_ldl_scaled = la._compound_tower, la._eliminate, la._ldl_scaled
-    real_compound = la.compound_matrix
-    reduced, swept, enumerated, towers, compounds = [], [], [], [], []
-    inside = {"short": False, "tower": False}
-    ldl_in_short, eliminations_in_tower = [], []
-
-    def counting_lll(G):
-        reduced.append(len(G))
-        return real_lll(G)
-
-    def counting_sweep(G):
-        swept.append(len(G))
-        return real_sweep(G)
-
-    def flagging(fn, name, log):
-        def flagged(*args, **kwargs):
-            log.append(len(args[0]))
-            inside[name] = True
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                inside[name] = False
-
-        return flagged
-
-    def watch(fn, name, log):
-        def watched(*args, **kwargs):
-            if inside[name]:
-                log.append(fn.__name__)
-            return fn(*args, **kwargs)
-
-        return watched
-
-    def counting_tower(M, top):
-        # the tower is a generator: its levels are built inside next()
-        towers.append([])
-        levels = real_tower(M, top)
-        while True:
-            inside["tower"] = True
-            try:
-                level = next(levels, None)
-            finally:
-                inside["tower"] = False
-            if level is None:
-                return
-            towers[-1].append(level[0])
-            yield level
-
-    def counting_compound(M, k):
-        compounds.append(k)
-        return real_compound(M, k)
-
-    monkeypatch.setattr(la, "gram_lll", counting_lll)
-    monkeypatch.setattr(la, "_lll_sweep", counting_sweep)
-    monkeypatch.setattr(la, "short_vectors_reduced", flagging(real_short, "short", enumerated))
-    monkeypatch.setattr(la, "_compound_tower", counting_tower)
-    monkeypatch.setattr(la, "_eliminate", watch(real_eliminate, "tower", eliminations_in_tower))
-    monkeypatch.setattr(la, "_ldl_scaled", watch(real_ldl_scaled, "short", ldl_in_short))
-    monkeypatch.setattr(la, "compound_matrix", counting_compound)
+    # forms a reduced Gram matrix (gram_lll) and eliminates (_ldl_scaled,
+    # the seed of its sweep).  One _compound_gso per lattice reads the GSO
+    # of every compound off the lattice's, each level once, and each
+    # compound is swept from it and enumerated once; no elimination runs
+    # on a compound, and neither the Laplace tower nor compound_matrix runs
+    # at all.  The radii are one walk over principal minors, and the
+    # determinant at rank r is read off the lattice's GSO.
+    _empty_tables(monkeypatch)
+    log = _structure_watch(monkeypatch)
     rng = random.Random(431)
     for r in range(1, 7):
         L = lat.Lattice.from_rows(random_spd_matrix(rng, r, 2))
-        for log in (reduced, swept, enumerated, towers):
-            log.clear()
+        for entries in log.values():
+            entries.clear()
         lat.mu_max(L)
-        assert reduced == [r]  # one reduced Gram matrix, the lattice's
-        assert swept == [r] + [comb(r, k) for k in range(2, r)]  # 1 + max(0, r-2) sweeps
-        assert enumerated == swept  # the lattice, then each compound, once
-        # one tower, each level once: 2..r-1 enumerated, r the determinant
-        assert towers == [list(range(1, r + 1))]
-        reduced.clear()
+        middle = list(range(2, r))
+        assert log["lll"] == [r]  # one reduced Gram matrix, the lattice's
+        assert log["ldl"] == [r]  # and one elimination, its GSO seed
+        assert log["gso"] == ([middle] if middle else [])
+        assert log["minors"] == ([r - 1] if middle else [])
+        assert log["sweep"] == [r] + [comb(r, k) for k in middle]
+        assert log["short"] == log["sweep"]  # the lattice, then each compound, once
+        assert log["eliminated_inside"] == []
+        assert log["tower"] == []
+        log["lll"].clear()
         lat.udeg_max(L)
-        assert reduced == [r]
-    assert ldl_in_short == []
-    assert eliminations_in_tower == []
-    assert compounds == []
+        assert log["lll"] == [r]
 
 
 # ---------------------------------------------------------------------------
@@ -519,34 +551,31 @@ def test_hn_matches_recursive_oracle():
 
 
 def test_hn_is_one_candidate_pass(monkeypatch):
-    # one reduction of the lattice and one of each compound of rank 2..r-1,
-    # as in mu_max, and no quotient metric (no inverse) at all
-    real_sweep, real_inverse = la._lll_sweep, la.inverse
-    calls = {"sweep": 0, "inverse": 0}
-
-    def counting_sweep(*args, **kwargs):
-        calls["sweep"] += 1
-        return real_sweep(*args, **kwargs)
-
-    def counting_inverse(*args, **kwargs):
-        calls["inverse"] += 1
-        return real_inverse(*args, **kwargs)
-
-    monkeypatch.setattr(la, "_lll_sweep", counting_sweep)
-    monkeypatch.setattr(la, "inverse", counting_inverse)
+    # the one reduction, compound walk and candidate pass of mu_max, and no
+    # quotient metric (no inverse) at all
+    _empty_tables(monkeypatch)
+    log = _structure_watch(monkeypatch)
+    real_inverse = la.inverse
+    inverses = []
+    monkeypatch.setattr(la, "inverse", lambda M: (inverses.append(len(M)), real_inverse(M))[1])
     rng = random.Random(432)
     for r in range(1, 7):
         diag = [[(1, 4, 16)[a % 3] if a == b else 0 for b in range(r)] for a in range(r)]
         L = lat.Lattice.from_rows(_conjugate(diag, random_unimodular(rng, r, steps=6)))
-        calls.update(sweep=0, inverse=0)
+        for entries in log.values():
+            entries.clear()
         hn = lat.hn_filtration(L)
+        middle = list(range(2, r))
         assert len(hn.chain) == min(r, 3)
-        assert calls == {"sweep": 1 + max(0, r - 2), "inverse": 0}
+        assert log["lll"] == log["ldl"] == [r]
+        assert log["gso"] == ([middle] if middle else [])
+        assert log["sweep"] == log["short"] == [r] + [comb(r, k) for k in middle]
+        assert log["eliminated_inside"] == log["tower"] == inverses == []
 
 
 def _candidates(L):
     Gred, U, gso = la.gram_lll(L.gram_rows)
-    return lat._rank_candidates(L, Gred, U, lat._shortest_reduced(Gred, U, gso))
+    return lat._rank_candidates(L, Gred, U, gso, lat._shortest_reduced(Gred, U, gso))
 
 
 def test_candidate_pass_builds_only_winners(monkeypatch):
@@ -644,7 +673,7 @@ def test_non_primitive_enumerated_vectors_are_skipped():
     # every vector of rank one, and every 2-vector in dimension 3, is decomposable
     enumerated = {1: la.short_vectors_gram(G, 5), 2: la.short_vectors_gram(C, min(C[t][t] for t in range(3)))}
     eye = [[int(i == j) for j in range(3)] for i in range(3)]
-    cands = lat._rank_candidates(L, G, eye, enumerated[1])
+    cands = lat._rank_candidates(L, G, eye, la._gso(G), enumerated[1])
     assert cands[-1][0] == 3
     dets = {(c[0], _plucker(lat._saturated(L, c))): c[1] for c in cands[:-1]}
     assert len(dets) == len(cands) - 1
@@ -671,20 +700,78 @@ def _seeded_candidate_lattices():
     return out
 
 
-def test_candidate_pass_matches_fraction_compound_oracle():
-    """The candidates from one integer compound tower, enumerated as
-    integers, equal those from Fraction compounds built one at a time:
-    the same (k, det, columns) in the same order."""
+def test_candidate_pass_matches_fraction_compound_oracle(monkeypatch):
+    """The candidates from compounds swept from the lattice's own GSO and
+    enumerated as integers equal those from Fraction compounds built one at
+    a time: the same (k, det, columns) in the same order."""
+    _empty_tables(monkeypatch)
     for L in _seeded_candidate_lattices():
         Gred, U, gso = la.gram_lll(L.gram_rows)
         shortest = lat._shortest_reduced(Gred, U, gso)
-        assert lat._rank_candidates(L, Gred, U, shortest) == fraction_rank_candidates(L, Gred, U, shortest)
+        assert lat._rank_candidates(L, Gred, U, gso, shortest) == fraction_rank_candidates(L, Gred, U, shortest)
     # unreduced, where non-primitive vectors are enumerated and skipped
     L = lat.Lattice.from_rows(SKEWED_Z3)
     G = L.gram_rows
     eye = [[int(i == j) for j in range(3)] for i in range(3)]
     shortest = la.short_vectors_gram(G, 5)
-    assert lat._rank_candidates(L, G, eye, shortest) == fraction_rank_candidates(L, G, eye, shortest)
+    assert lat._rank_candidates(L, G, eye, la._gso(G), shortest) == fraction_rank_candidates(L, G, eye, shortest)
+
+
+def test_compound_gso_matches_ldl_of_compound(monkeypatch):
+    """Each level of _compound_gso is the (lam, D) that _ldl_scaled returns
+    for the level T_k = den^k Lambda^k(Gred) of the Laplace tower, and the
+    sweep from it returns the U and GSO of _lll_sweep(T_k); on reduced Gram
+    matrices of rank 1-9 (integer, rational, duals and tensors) and on the
+    unreduced SKEWED_Z3.  The GSO handed in is left as it was."""
+    _empty_tables(monkeypatch)
+    rng = random.Random(439)
+    grams = [SKEWED_Z3]
+    for r in [*range(1, 7), *range(1, 10)]:
+        # integer, dual and rational Gram matrices; one each above rank 6
+        G = random_lattice(r, 3 if r <= 6 else 1, rng).gram_rows
+        variants = [
+            G,
+            lat.dual(lat.Lattice.from_rows(G)).gram_rows,
+            [[Fraction(x, 6) for x in row] for row in G],
+        ]
+        for V in variants if r <= 6 else variants[r % 3 : r % 3 + 1]:
+            grams.append(la.gram_lll(V)[0])
+    for ra, rb in ((2, 2), (2, 3), (2, 4)):
+        T = lat.tensor(random_lattice(ra, 2, rng), random_lattice(rb, 2, rng))
+        grams.append(la.gram_lll(T.gram_rows)[0])
+    levels = 0
+    for G in grams:
+        n = len(G)
+        gso = la._gso(G)
+        before = (list(map(list, gso.lam)), list(gso.D), gso.den)
+        tower = {k: T for k, T, _scale in la._compound_tower(G, n)}
+        got = list(la._compound_gso(gso, n + 1))
+        assert [k for k, _g in got] == list(range(2, n + 1))
+        assert (gso.lam, gso.D, gso.den) == before
+        for k, level in got:
+            A, D, den = la._ldl_scaled(tower[k])
+            assert den == level.den == 1
+            assert level.D == D
+            assert level.lam == [row[:i] for i, row in enumerate(A)]
+            assert la._lll_sweep_from(level) == la._lll_sweep(tower[k])
+            levels += 1
+        assert [k for k, _g in la._compound_gso(la._gso(G), n - 1)] == list(range(2, n))
+    assert levels >= 125
+
+
+def test_least_principal_minors_are_compound_diagonals(monkeypatch):
+    """The radii of the candidate pass: the least k x k principal minor of
+    den Gred is the least diagonal entry of T_k, at every k."""
+    _empty_tables(monkeypatch)
+    rng = random.Random(440)
+    for t in range(40):
+        n = 1 + t % 8
+        G = la.gram_lll([[x / (1 + t % 3) for x in row] for row in random_lattice(n, 3, rng).gram_rows])[0]
+        A, den = la._common_scaled(G)
+        least = la._least_principal_minors(A, n)
+        assert least == [None] + [min(T[i][i] for i in range(len(T))) for _k, T, _s in la._compound_tower(G, n)]
+        assert la._least_principal_minors(A, n - 1) == least[:n]
+    assert la._least_principal_minors([], 3) == [None]
 
 
 def test_closed_form_witnesses_equal_saturations():

@@ -2,7 +2,11 @@
 
 from fractions import Fraction
 from math import comb, lcm
+import os
+from pathlib import Path
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -28,6 +32,12 @@ from oracles import (
     sum_row_spaces,
     wedge_of_columns,
 )
+
+
+def _empty_tables(patch):
+    # the (n, k) subset tables live for the whole process; a test that
+    # empties them first cannot pass only on tables another test built
+    patch.setattr(la, "_SUBSET_TABLES", {})
 
 
 def rand_matrix(rng, m, n, bound=6):
@@ -135,10 +145,11 @@ def test_ldl_matches_fraction_oracle():
             assert not la.is_positive_definite(G)
 
 
-def test_compound_matrix_against_cofactor_minors():
+def test_compound_matrix_against_cofactor_minors(monkeypatch):
     # every k from 0 to n + 1, on non-symmetric and symmetric input with
     # int and Fraction entries: cofactor expansion up to n = 5, the
     # per-minor Bareiss reference up to n = 8
+    _empty_tables(monkeypatch)
     rng = random.Random(419)
     for t in range(24):
         n = 1 + t % 8
@@ -156,9 +167,10 @@ def test_compound_matrix_against_cofactor_minors():
     assert la.compound_matrix([], 0) == [[Fraction(1)]]
 
 
-def test_compound_of_reduced_gram_matrices():
+def test_compound_of_reduced_gram_matrices(monkeypatch):
     # the compounds mu_max enumerates: reduced Gram matrices of rank 2..8,
     # integer and rational, every k
+    _empty_tables(monkeypatch)
     rng = random.Random(421)
     for n in range(2, 9):
         for scale in (1, 6):
@@ -171,10 +183,11 @@ def test_compound_of_reduced_gram_matrices():
                 assert all(type(x) is Fraction for row in got for x in row)
 
 
-def test_compound_tower_levels_against_bareiss():
+def test_compound_tower_levels_against_bareiss(monkeypatch):
     # every level k = 1..n of one tower is den^k times the per-minor
     # Bareiss compound, as integers, with den the lcm of the denominators;
     # on non-symmetric and symmetric input with int and Fraction entries
+    _empty_tables(monkeypatch)
     rng = random.Random(433)
     for t in range(24):
         n = 1 + t % 8
@@ -193,11 +206,12 @@ def test_compound_tower_levels_against_bareiss():
     assert list(la._compound_tower([[Fraction(1, 2)]], 0)) == []
 
 
-def test_integer_compound_enumeration_matches_fraction_compound():
+def test_integer_compound_enumeration_matches_fraction_compound(monkeypatch):
     # the hand-off of mu_max: level k of the tower of a reduced Gram matrix,
     # enumerated within min diag T_k, gives the vectors of the Fraction
     # compound within its own least diagonal entry, with each norm den^k
     # times as large
+    _empty_tables(monkeypatch)
     rng = random.Random(437)
     for n in range(2, 7):
         for scale in (1, 6):
@@ -295,6 +309,43 @@ def test_kron_action():
         Ax, By = la.mat_vec(A, x), la.mat_vec(B, y)
         rhs = [a * b for a in Ax for b in By]
         assert lhs == rhs
+
+
+def test_subset_tables_built_once_on_first_use(monkeypatch):
+    # importing the package builds no table
+    src = str(Path(la.__file__).resolve().parents[1])
+    probe = "import slopelab.cli, slopelab.harness; from slopelab import linalg; print(len(linalg._SUBSET_TABLES))"
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "0"
+    _empty_tables(monkeypatch)
+    rng = random.Random(441)
+    for n in range(1, 7):
+        for k in range(1, n + 1):
+            table = la._subset_table(n, k)
+            assert la._subset_table(n, k) is table  # built once, then looked up
+            subsets = la.k_subsets(n, k)
+            below = la.k_subsets(n, k - 1)
+            for J, (even, odd) in zip(subsets, table.wedge):
+                drops = [(J[t], below.index(J[:t] + J[t + 1 :])) for t in range(k)]
+                assert even == drops[0::2] and odd == drops[1::2]
+            # the Laplace pattern holds every nonzero minor of a
+            # lower-triangular F, and its terms give those minors
+            F = [[rng.choice((-3, -2, -1, 1, 2, 3)) if j <= i else 0 for j in range(n)] for i in range(n)]
+            C = bareiss_compound_matrix(F, k)
+            prev = bareiss_compound_matrix(F, k - 1)
+            for a, (i0, at, entries) in enumerate(table.laplace):
+                I = subsets[a]
+                assert (i0, at) == (I[0], below.index(I[1:]))
+                pattern = [b for b, _even, _odd in entries]
+                assert pattern == [b for b, J in enumerate(subsets) if all(j <= i for i, j in zip(I, J))]
+                assert set(pattern) >= {b for b in range(len(subsets)) if C[a][b]}
+                for b, even, odd in entries:
+                    x = sum(F[i0][j] * prev[at][c] for j, c in even) - sum(F[i0][j] * prev[at][c] for j, c in odd)
+                    assert x == C[a][b]
+    assert sorted(la._SUBSET_TABLES) == [(n, k) for n in range(1, 7) for k in range(1, n + 1)]
 
 
 def test_compound_multiplicative():
