@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import linalg as la
 from .exactnum import (
@@ -356,24 +356,60 @@ def _steeper(k: int, d: Fraction, j: int, e: Fraction) -> bool:
     return d**j < e**k
 
 
+def _iroot(x: int, j: int) -> int:
+    """The integer j-th root of x >= 0: the largest y with y^j <= x, by
+    Newton's iteration from above."""
+    if x < 2 or j == 1:
+        return x
+    y = 1 << -(-x.bit_length() // j)
+    while True:
+        z = ((j - 1) * y + x // y ** (j - 1)) // j
+        if z >= y:
+            return y
+        y = z
+
+
+def _steepest_radius(k: int, least: Dict[int, int]) -> int:
+    """The radius of mu_max at rank k: a rank-k norm N is at least as
+    steep as the rank-j norm X iff N^j <= X^k, so every sublattice that can
+    still win or tie lies within the integer j-th root of X^k, for the
+    steepest realized (j, X) so far."""
+    return min(_iroot(X**k, j) for j, X in least.items())
+
+
+def _hull_radius(k: int, least: Dict[int, int]) -> int:
+    """The radius of hn_filtration at rank k: the HN polygon is concave and
+    lies above every realized point (Stuhler; Grayson), so a rank-k vertex
+    lies on or above each chord from (i, X) to (l, Y), i < k < l, of the
+    points found so far and the origin: N^(l-i) <= X^(l-k) Y^(k-i)."""
+    points = [(0, 1), *least.items()]
+    return min(
+        _iroot(X ** (l - k) * Y ** (k - i), l - i) for i, X in points if i < k for l, Y in points if l > k
+    )
+
+
 def _rank_candidates(
     L: Lattice,
     Gred: la.Matrix,
     U: List[List[int]],
     gso: la.GSO,
     shortest: List[Tuple[Tuple[int, ...], Fraction]],
+    radius: Callable[[int, Dict[int, int]], int],
 ) -> List[Tuple[int, Fraction, List[List[int]]]]:
-    """(k, det S, columns) for saturated sublattices S of every rank k that
-    include all those of least determinant at that rank; _saturated builds
-    S from the k integer columns that span it.
+    """(k, det S, columns) for saturated sublattices S of rank k, in order
+    of rank; _saturated builds S from the k integer columns that span it.
+    Rank one lists the primitive vectors of ``shortest`` and rank r the
+    lattice itself; a rank k strictly between lists every S within the
+    radius of the rule radius(k, least), where
+    least maps each rank found so far to its least scaled norm
+    den^j det S: with _steepest_radius every S that can win or tie mu_max,
+    with _hull_radius every S that can be an HN vertex.
 
     The least determinant at rank k is the squared norm of the shortest
     decomposable vector of the k-th exterior power.  The search runs in
     the LLL-reduced basis Gred = U^T G U of (Gred, U, gso) =
-    gram_lll(L.gram_rows), where the best coordinate sublattice gives a
-    realized and therefore certified enumeration radius that is also tight
-    enough to keep the pass small.  For rank one that pass is ``shortest``
-    = _shortest_reduced(Gred, U, gso).  The norm of w is det(B^T Gred B)
+    gram_lll(L.gram_rows).  For rank one that pass is ``shortest`` =
+    _shortest_reduced(Gred, U, gso).  The norm of w is det(B^T Gred B)
     for any B whose k x k minors are w (Cauchy-Binet), and a saturated S
     has a primitive Plucker vector: so a primitive decomposable w has norm
     det S, and a non-primitive w = g u is skipped, as u lies within the
@@ -381,25 +417,31 @@ def _rank_candidates(
     vector.
 
     The exterior power of rank k is T_k = den^k Lambda^k(Gred) on integers,
-    with den = gso.den.  Its LLL sweep starts from the GSO that
-    la._compound_gso reads off gso, with no elimination, and it is
-    enumerated within min diag T_k, the least k x k principal minor of
-    den Gred: a positive scaling changes neither the LLL decisions nor the
-    enumerated set, so each norm is divided by den^k once.  The determinant
-    at rank r is det Gred = D[r] / den^r.
+    with den = gso.den, and it is enumerated straight from the GSO that
+    la._compound_gso reads off gso, with no reduction of its own: the
+    basis changes the size of the tree, never the set of vectors found.
+    The radius is also at most min diag T_k, the least k x k principal
+    minor of den Gred, so it never exceeds a realized norm.  All norms are
+    integers and the rules are inclusive, so each norm is divided by den^k
+    once and ties are kept.  The determinant at rank r is
+    det Gred = D[r] / den^r.
     """
     r = L.rank
     den = gso.den
     found = [(1, norm, [list(v)]) for v, norm in shortest if r > 1 and gcd(*v) == 1]
+    least = {r: gso.D[r]}
+    if found:
+        least[1] = int(found[0][1] * den)
     if r > 2:
-        radii = la._least_principal_minors(
+        diag = la._least_principal_minors(
             [[x.numerator * (den // x.denominator) for x in row] for row in Gred], r - 1
         )
         for k, level in la._compound_gso(gso, r - 1):
             scale = den**k
-            for w, norm in la.short_vectors_reduced(*la._lll_sweep_from(level), radii[k]):
+            for w, norm in la._fincke_pohst(None, level, min(diag[k], radius(k, least))):
                 ker = _decomposable_kernel(w, r, k) if gcd(*w) == 1 else None
                 if ker is not None:  # kernel rows mapped back under U: integer columns of S
+                    least.setdefault(k, int(norm))  # the first is the least: sorted by norm
                     found.append((k, norm / scale, la.mat_mul(ker, la.transpose(U))))
     found.append((r, Fraction(gso.D[r], den**r), [[int(i == j) for j in range(r)] for i in range(r)]))
     return found
@@ -479,7 +521,7 @@ def _mu_max_udeg(L: Lattice, rank_limit: int) -> Tuple[LogValue, SubLattice, Log
         raise ExactSearchUnavailable(
             f"exact search unavailable beyond rank {rank_limit}", lower, upper
         )
-    candidates = _rank_candidates(L, Gred, U, gso, shortest)
+    candidates = _rank_candidates(L, Gred, U, gso, shortest, _steepest_radius)
     k, d, _cols = candidates[0]
     for j, e, _cols in candidates:
         if _steeper(j, e, k, d):
@@ -506,7 +548,9 @@ def hn_filtration(L: Lattice, rank_limit: int = EXACT_RANK_LIMIT) -> HNResult:
     least determinant at rank k and d_0 = 1.  At each vertex exactly one
     sublattice attains d_k, and those sublattices form the chain (U.
     Stuhler, Arch. Math. 27, 1976; D. Grayson, Comment. Math. Helv. 59,
-    1984).
+    1984).  The pass enumerates rank k only within the upper hull of the
+    points found before it (_hull_radius), so a rank with no candidate
+    lies strictly below that hull: it is no vertex and is left out.
     """
     if L.rank == 0:
         raise ValueError("hn filtration needs positive rank")
@@ -517,14 +561,15 @@ def hn_filtration(L: Lattice, rank_limit: int = EXACT_RANK_LIMIT) -> HNResult:
             None,
         )
     Gred, U, gso = la.gram_lll(L.gram_rows)
-    candidates = _rank_candidates(L, Gred, U, gso, _shortest_reduced(Gred, U, gso))
-    d = [Fraction(1)] + [
-        min(e for j, e, _cols in candidates if j == k) for k in range(1, L.rank + 1)
-    ]
-    # upper hull: j stays a vertex only if it lies strictly above the
-    # segment from i to l, i.e. (d_j/d_i)^(l-i) < (d_l/d_i)^(j-i)
+    candidates = _rank_candidates(L, Gred, U, gso, _shortest_reduced(Gred, U, gso), _hull_radius)
+    d = {0: Fraction(1)}
+    for k, e, _cols in candidates:
+        d[k] = min(d.get(k, e), e)
+    # upper hull over the ranks found: j stays a vertex only if it lies
+    # strictly above the segment from i to l, i.e.
+    # (d_j/d_i)^(l-i) < (d_l/d_i)^(j-i)
     hull = [0]
-    for l in range(1, L.rank + 1):
+    for l in list(d)[1:]:
         while len(hull) > 1:
             i, j = hull[-2], hull[-1]
             if _steeper(j - i, d[j] / d[i], l - i, d[l] / d[i]):

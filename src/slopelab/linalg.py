@@ -10,21 +10,23 @@ at (r, c) sets every other row to (p * row - row[c] * W[r]) // p_prev, exact
 since each entry is then a minor of the input.  Only final entries are
 Fractions.
 
-Lattice reduction stays on the integers as well: _lll_sweep_from is the
-integral LLL on the Gram-Schmidt data (lam, D, den) of a basis, and
-_lll_sweep seeds it from _ldl_scaled of den * G.  It hands its final GSO to
-short_vectors_reduced, whose Fincke-Pohst enumeration uses integer centers
-and isqrt ranges and builds one Fraction per node.  gram_lll adds the
-reduced Gram matrix, which only callers that read it pay for.
+Lattice reduction stays on the integers as well: _lll_sweep is the
+integral LLL on the Gram-Schmidt data (lam, D, den) that _ldl_scaled gives
+for den * G.  It hands its final GSO to short_vectors_reduced, whose
+Fincke-Pohst enumeration (_fincke_pohst) uses integer centers and isqrt
+ranges and builds one Fraction per node.  gram_lll adds the reduced Gram
+matrix, which only callers that read it pay for.
 
-No exterior power is eliminated: _compound_gso reads the GSO of each
-den^k Lambda^k(G) off the GSO of G, through the Laplace minors of its
-integer LDL factor, and the sweep starts from it; a positive scaling
-changes neither the LLL decisions nor the enumerated set.  The index
-tables of those minors and of the wedge rows depend only on (n, k) and
-are built once per process on first use (_subset_table).  compound_matrix
-is the last level of one integer Laplace tower, _compound_tower.
-Positive definiteness is Sylvester's criterion on _ldl_scaled.
+No exterior power is eliminated or reduced: _compound_gso reads the
+Gram-Schmidt profile of each den^k Lambda^k(G) off the GSO of G, through
+the Laplace minors of its integer LDL factor, and _fincke_pohst enumerates
+it as it stands; a basis changes the size of the tree, never the set of
+vectors found.  The index tables of those minors and of the wedge rows
+depend only on (n, k) and are built once per process on first use
+(_subset_table), each from the table of (n, k - 1) by generating the
+dominated index sets.  compound_matrix is the last level of one integer
+Laplace tower, _compound_tower.  Positive definiteness is Sylvester's
+criterion on _ldl_scaled.
 """
 
 from __future__ import annotations
@@ -203,27 +205,35 @@ class _SubsetTable(NamedTuple):
     wedge[b] lists (J[t], index of J without J[t] among the (k-1)-subsets)
     for the subset J at index b, split into even and odd t: the Laplace
     terms of a minor on the column set J along one row, and the nonzero
-    entries of the wedge row of J.  laplace[a] = (I[0], index of I[1:],
-    entries) for the subset I at index a, with one entry (b, even, odd) per
-    J at index b <= a that I dominates (J[t] <= I[t] for every t): exactly
-    the minors on rows I and columns J that a lower-triangular matrix can
-    have nonzero.  even and odd are the terms of wedge[b] whose row entry
-    F[I[0]][J[t]] and cofactor, on rows I[1:], lie in that pattern."""
+    entries of the wedge row of J.  heads[m - 1][b] is the same split of
+    the first m terms alone, so heads[k - 1] is wedge.  laplace[a] =
+    (I[0], index of I[1:], groups) for the subset I at index a, where
+    groups[m - 1] holds the index of every J that I dominates (J[t] <= I[t]
+    for every t) and that has exactly m entries J[t] <= I[0]: the minors on
+    rows I and columns J that a lower-triangular F can have nonzero.  Such
+    a minor is the sum of the heads[m - 1] terms of J along the row
+    F[I[0]], as a later term has F[I[0]][J[t]] = 0 and I[1:] dominates
+    J without J[t] for every t."""
 
     wedge: List[Tuple[List[Tuple[int, int]], List[Tuple[int, int]]]]
-    laplace: List[Tuple[int, int, List[Tuple[int, List[Tuple[int, int]], List[Tuple[int, int]]]]]]
+    heads: List[List[Tuple[List[Tuple[int, int]], List[Tuple[int, int]]]]]
+    laplace: List[Tuple[int, int, List[List[int]]]]
 
 
 # (n, k) -> _SubsetTable, each built on first use and kept for the process
 _SUBSET_TABLES: Dict[Tuple[int, int], _SubsetTable] = {}
 
 
-def _dominates(I: Sequence[int], J: Sequence[int]) -> bool:
-    return all(j <= i for i, j in zip(I, J))
-
-
 def _subset_table(n: int, k: int) -> _SubsetTable:
-    """The tables of (n, k), built on first use and then looked up."""
+    """The tables of (n, k), built on first use and then looked up.
+
+    The dominated sets are generated, not filtered, by a recursion on the
+    last index, from the table of (n, k - 1): J < I with I = P + (i,)
+    exactly when J = Q + (j,) for some Q dominated by P and Q[-1] < j <= i,
+    and j <= I[0] adds one to the count m of Q.  The k-subsets that extend
+    one Q are consecutive in lex order, so each Q contributes two slices
+    of them.  Every index is taken from one list, so the tables share
+    their int objects."""
     hit = _SUBSET_TABLES.get((n, k))
     if hit is not None:
         return hit
@@ -231,19 +241,30 @@ def _subset_table(n: int, k: int) -> _SubsetTable:
     below = k_subsets(n, k - 1)
     prev = {S: t for t, S in enumerate(below)}
     drops = [[(J[t], prev[J[:t] + J[t + 1 :]]) for t in range(k)] for J in subsets]
-    wedge = [(d[0::2], d[1::2]) for d in drops]
-
-    def kept(I, terms):  # the terms on rows I in the pattern; wedge's own list when all are
-        out = [term for term in terms if term[0] <= I[0] and _dominates(I[1:], below[term[1]])]
-        return terms if len(out) == len(terms) else out
-
-    laplace = []
-    for a, I in enumerate(subsets):
-        entries = [
-            (b, kept(I, wedge[b][0]), kept(I, wedge[b][1])) for b in range(a + 1) if _dominates(I, subsets[b])
-        ]
-        laplace.append((I[0], prev[I[1:]], entries))
-    hit = _SUBSET_TABLES[(n, k)] = _SubsetTable(wedge, laplace)
+    heads = [[(d[0:m:2], d[1:m:2]) for d in drops] for m in range(1, k + 1)]
+    index = list(range(len(subsets)))
+    if k == 1:
+        laplace = [(i, 0, [index[: i + 1]]) for i in range(n)]
+    else:
+        # the k-subsets that extend the (k-1)-subset at index q, by index
+        ext: List[List[int]] = [[] for _ in below]
+        for b, J in enumerate(subsets):
+            ext[prev[J[:-1]]].append(index[b])
+        last = [Q[-1] for Q in below]
+        parent = _subset_table(n, k - 1).laplace
+        laplace = []
+        for I in subsets:
+            i0, i = I[0], I[-1]
+            groups: List[List[int]] = [[] for _ in range(k)]
+            for m, qs in enumerate(parent[prev[I[:-1]]][2]):
+                for q in qs:
+                    top = i - last[q]  # the extensions Q + (j,) with j <= i
+                    if top > 0:
+                        cut = i0 - last[q] if last[q] < i0 else 0  # and with j <= I[0] < i
+                        groups[m + 1] += ext[q][:cut]
+                        groups[m] += ext[q][cut:top]
+            laplace.append((i0, prev[I[1:]], groups))
+    hit = _SUBSET_TABLES[(n, k)] = _SubsetTable(heads[-1], heads, laplace)
     return hit
 
 
@@ -286,53 +307,54 @@ def _compound_tower(M: Sequence[Sequence], top: int) -> Iterator[Tuple[int, List
         yield m, T, den**m
 
 
-def _compound_gso(gso: GSO, top: int) -> Iterator[Tuple[int, GSO]]:
-    """(k, GSO of T_k) for k = 2, ..., min(top, n), read off the GSO of a
-    Gram matrix G, with T_k = den^k Lambda^k(G) as in _compound_tower: the
-    (lam, D) that _ldl_scaled(T_k) returns, with den 1.
+def _compound_gso(gso: GSO, top: int) -> Iterator[Tuple[int, Profile]]:
+    """(k, Gram-Schmidt profile of T_k) for k = 2, ..., min(top, n), read
+    off the GSO of a Gram matrix G, with T_k = den^k Lambda^k(G) as in
+    _compound_tower.
 
     Write den G = mu diag(d) mu^T, mu unit lower-triangular.  By
     Cauchy-Binet Lambda^k(den G) = Lambda^k(mu) Lambda^k(d) Lambda^k(mu)^T,
     and Lambda^k(mu) is unit lower-triangular on lex-ordered k-subsets
     (Horn and Johnson, Matrix Analysis, 0.8.1), so by the uniqueness of LDL
     this is the LDL of T_k.  In integers, with F the lower-triangular
-    matrix that has lam below the diagonal and D[i+1] on it, so that
-    mu = F diag(1 / D[j+1]):
+    matrix that has lam below the diagonal and D[i+1] on it, mu =
+    F diag(1 / D[j+1]), so for the k-subsets I_a, I_b
 
-        D_k[t+1] = D_k[t] prod_{i in I_t} D[i+1] / prod_{i in I_t} D[i],
-        lam_k[a][b] = D_k[b+1] Lambda^k(F)[a][b] / prod_{j in I_b} D[j+1],
+        Lambda^k(mu)[a][b] = Lambda^k(F)[a][b] / P[b],
+        |b*_a|^2 = P[a] / Q[a],
 
-    both divisions exact, as D_k and lam_k are minors of T_k.  The minors
-    of F are taken level by level by Laplace expansion along the first row
-    of each row set, on the lower pattern of _subset_table alone.  Each
-    level's lists are new, so a sweep may reduce them in place."""
+    with P[a] and Q[a] the products of D[i+1] and of D[i] over i in I_a:
+    the Profile (Lambda^k(F), P, P Q).  Its entries are products of k
+    entries of the lattice's own GSO, where the lam and D of T_k itself
+    would grow with the index.  The minors of F are taken level by level
+    by Laplace expansion along the first row of each row set, on the
+    lower pattern of _subset_table alone; each row a of a level ends at
+    its diagonal entry P[a]."""
     lam, D, _den = gso
     n = len(lam)
     M = [row + [D[i + 1]] for i, row in enumerate(lam)]  # level 1 is F itself
     F = M
     P, Q = D[1:], D[:-1]  # prod over I of D[i+1] and of D[i], at level 1
     for k in range(2, min(top, n) + 1):
-        laplace = _subset_table(n, k).laplace
+        table = _subset_table(n, k)
         level = []
-        for i0, below, entries in laplace:
+        for i0, below, groups in table.laplace:
             row, cof = F[i0], M[below]
             out = [0] * (len(level) + 1)
-            for b, even, odd in entries:
-                x = 0
-                for j, c in even:
-                    x += row[j] * cof[c]
-                for j, c in odd:
-                    x -= row[j] * cof[c]
-                out[b] = x
+            for terms, bs in zip(table.heads, groups):
+                for b in bs:
+                    even, odd = terms[b]
+                    x = 0
+                    for j, c in even:
+                        x += row[j] * cof[c]
+                    for j, c in odd:
+                        x -= row[j] * cof[c]
+                    out[b] = x
             level.append(out)
         M = level
-        P = [D[i0 + 1] * P[below] for i0, below, _e in laplace]
-        Q = [D[i0] * Q[below] for i0, below, _e in laplace]
-        Dk = [1]
-        for p, q in zip(P, Q):
-            Dk.append(Dk[-1] * p // q)
-        lam_k = [[Dk[b + 1] * x // P[b] for b, x in enumerate(out[:a])] for a, out in enumerate(M)]
-        yield k, GSO(lam_k, Dk, 1)
+        P = [D[i0 + 1] * P[below] for i0, below, _g in table.laplace]
+        Q = [D[i0] * Q[below] for i0, below, _g in table.laplace]
+        yield k, Profile(M, P, [p * q for p, q in zip(P, Q)])
 
 
 def _least_principal_minors(A: Sequence[Sequence[int]], top: int) -> List[Optional[int]]:
@@ -525,6 +547,18 @@ class GSO(NamedTuple):
     den: int
 
 
+class Profile(NamedTuple):
+    """A basis as the Fincke-Pohst enumeration reads it, over the integers:
+    lam[i][j] = d[j] mu_ij for j < i (entries at j >= i are not read) and
+    |b*_i|^2 = d[i]^2 / m[i].  The GSO of gram_lll is the Profile
+    (lam, D[1:], D[i] D[i+1] den); _compound_gso gives those of the
+    exterior powers."""
+
+    lam: List[List[int]]
+    d: List[int]
+    m: List[int]
+
+
 def gram_lll(G: Sequence[Sequence]) -> Tuple[Matrix, List[List[int]], GSO]:
     """Exact integral LLL working purely on the Gram matrix.
 
@@ -550,27 +584,17 @@ def gram_lll(G: Sequence[Sequence]) -> Tuple[Matrix, List[List[int]], GSO]:
     return Gred, U, gso
 
 
-def _gso(G: Sequence[Sequence]) -> GSO:
-    """The Gram-Schmidt data of G itself, from _ldl_scaled."""
-    A, D, den = _ldl_scaled(G)
-    return GSO([row[:i] for i, row in enumerate(A)], D, den)
-
-
 def _lll_sweep(G: Sequence[Sequence]) -> Tuple[List[List[int]], GSO]:
-    """The reduction of gram_lll without the reduced Gram matrix: (U, gso),
-    the sweep of _lll_sweep_from seeded with the GSO of G."""
-    return _lll_sweep_from(_gso(G))
+    """The reduction of gram_lll without the reduced Gram matrix: (U, the
+    GSO of the reduced basis), U starting as the identity.
 
-
-def _lll_sweep_from(gso: GSO) -> Tuple[List[List[int]], GSO]:
-    """Cohen's integral LLL (A Course in Computational Algebraic Number
-    Theory, Alg. 2.6.7) from the Gram-Schmidt data gso of a basis: (U, the
-    GSO of the reduced basis), U starting as the identity.  It size-reduces
-    when 2 |lam_kl| > D_{l+1} and swaps when
+    Cohen's integral LLL (A Course in Computational Algebraic Number
+    Theory, Alg. 2.6.7) from the Gram-Schmidt data of G that _ldl_scaled
+    gives.  It size-reduces when 2 |lam_kl| > D_{l+1} and swaps when
     4 (D_{k+1} D_{k-1} + lam^2) < 3 D_k^2, the decisions of the rational
-    sweep with mu = lam / D.  The lists of gso are reduced in place.
-    """
-    lam, D, den = gso
+    sweep with mu = lam / D."""
+    A, D, den = _ldl_scaled(G)
+    lam = [row[:i] for i, row in enumerate(A)]
     n = len(lam)
     U = [[int(i == j) for j in range(n)] for i in range(n)]
 
@@ -624,49 +648,58 @@ def short_vectors_reduced(
 ) -> List[Tuple[Tuple[int, ...], Fraction]]:
     """All nonzero v in Z^n with v^T G v <= bound, up to sign, given the
     reduction (U, gso) = _lll_sweep(G) of G, so that Gred = U^T G U is the
-    reduced Gram matrix that gram_lll(G) returns with them.
+    reduced Gram matrix that gram_lll(G) returns with them: _fincke_pohst
+    on the Profile of gso."""
+    lam, D, den = gso
+    return _fincke_pohst(U, Profile(lam, D[1:], [D[i] * D[i + 1] * den for i in range(len(lam))]), bound)
 
-    Fincke-Pohst enumeration (Math. Comp. 44, 1985) of x with
-    x^T Gred x <= bound on the integer GSO alone: with the integer center
-    c_i = sum_{j>i} lam_ji x_j and y_i = D_{i+1} x_i + c_i,
-    x^T Gred x = sum_i y_i^2 / m_i for m_i = D_i D_{i+1} den.  So the range
-    of x_i under a remaining radius R is |y_i| <= isqrt(floor(R m_i)), and
-    each node builds one Fraction, its new remaining radius.  Of x and -x
-    only the one whose last nonzero coordinate is positive is visited.
-    Each x is mapped back to v = U x; the reduction only keeps the tree
-    small.  Each returned vector has its first nonzero coordinate positive.
-    Results sorted by (norm, vector) for determinism.
+
+def _fincke_pohst(
+    U: Optional[Sequence[Sequence[int]]], basis: Profile, bound: Fraction
+) -> List[Tuple[Tuple[int, ...], Fraction]]:
+    """All nonzero v = U x with x^T Gred x <= bound, up to sign, for Gred
+    the Gram matrix of the basis whose Profile is given; U = None stands
+    for the identity, and nothing is mapped.
+
+    Fincke-Pohst enumeration (Math. Comp. 44, 1985) on integers: with the
+    integer center c_i = sum_{j>i} lam_ji x_j and y_i = d_i x_i + c_i,
+    x^T Gred x = sum_i y_i^2 / m_i.  So the range of x_i under a remaining
+    radius R is |y_i| <= isqrt(floor(R m_i)), and each node builds one
+    Fraction, its new remaining radius.  The center sums over the nonzero
+    coordinates above i alone.  Of x and -x only the one whose last
+    nonzero coordinate is positive is visited.  The basis changes only the
+    size of the tree, never the set of vectors found.  Each returned
+    vector has its first nonzero coordinate positive.  Results sorted by
+    (norm, vector) for determinism.
     """
-    n = len(U)
+    lam, dd, mm = basis
+    n = len(lam)
     bound = Fraction(bound)
     if n == 0 or bound < 0:
         return []
-    lam, D, den = gso
-    lam_cols = [[lam[j][i] for j in range(i + 1, n)] for i in range(n)]
-    scales = [D[i] * D[i + 1] * den for i in range(n)]
     out = []
     v = [0] * n
 
-    def rec(i, remaining, zero_above):
+    def rec(i, remaining, nonzero):
         if i < 0:
-            if not zero_above:
-                w = tuple([sum(u * x for u, x in zip(row, v)) for row in U])
+            if nonzero:
+                w = tuple(v) if U is None else tuple([sum(u * x for u, x in zip(row, v)) for row in U])
                 if next(x for x in w if x) < 0:
                     w = tuple([-x for x in w])
                 out.append((w, bound - remaining))
             return
-        c = sum(a * x for a, x in zip(lam_cols[i], v[i + 1 :]))
-        m, d = scales[i], D[i + 1]
+        c = sum(lam[j][i] * x for j, x in nonzero)
+        m, d = mm[i], dd[i]
         p, q = remaining.numerator, remaining.denominator
         s = isqrt(p * m // q)
         # with every coordinate above zero, c = 0 and the range is symmetric
-        for z in range(0 if zero_above else -((s + c) // d), (s - c) // d + 1):
+        for z in range(-((s + c) // d) if nonzero else 0, (s - c) // d + 1):
             v[i] = z
             y = d * z + c
-            rec(i - 1, Fraction(p * m - y * y * q, q * m), zero_above and z == 0)
+            rec(i - 1, Fraction(p * m - y * y * q, q * m), nonzero + [(i, z)] if z else nonzero)
         v[i] = 0
 
-    rec(n - 1, bound, True)
+    rec(n - 1, bound, [])
     # rec refers to itself through its closure cell; emptying the cell frees
     # the enumeration state now instead of at the next full gc collection
     rec = None

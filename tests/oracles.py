@@ -7,7 +7,10 @@ Fincke-Pohst enumeration over Fraction Gram-Schmidt data (the library runs
 both on an integer GSO), the Fraction LDL factors of a Gram matrix (the
 library keeps only the integer loop), the candidate pass of mu_max over
 Fraction compounds built one exterior power at a time (the library walks
-one integer compound tower per lattice), short vectors by certified box
+one integer compound tower per lattice) and without pruning (the library
+bounds each rank by the best slope or the HN hull found so far), the
+Laplace pattern of the subset tables by filtering all pairs (the library
+generates it), short vectors by certified box
 enumeration, and Hilbert-Mumford values by direct evaluation over a jump
 grid, the scalar product of filtrations as a sum over a common compatible basis
 (the library computes it from ranks alone), and the minimum-norm point of
@@ -418,7 +421,7 @@ def random_spd_matrix(rng, n, bound=5):
     """Random positive definite Gram matrix B^T B with invertible B."""
     while True:
         B = [[rng.randrange(-bound, bound + 1) for _ in range(n)] for _ in range(n)]
-        if cofactor_det(B) != 0:
+        if fraction_det(B) != 0:
             break
     return [
         [Fraction(sum(B[k][i] * B[k][j] for k in range(n))) for j in range(n)]
@@ -599,6 +602,60 @@ def fraction_rank_candidates(L, Gred, U, shortest):
     return found
 
 
+def gso_of(G):
+    """The library's integer Gram-Schmidt data of G itself, unreduced,
+    from its symmetric Bareiss loop."""
+    A, D, den = la._ldl_scaled(G)
+    return la.GSO([row[:i] for i, row in enumerate(A)], D, den)
+
+
+def unpruned_rank_candidates(L, Gred, U, gso, shortest, radius=None):
+    """lat._rank_candidates with every rank strictly between 1 and r
+    enumerated within its realized radius min diag T_k alone, and no rule
+    (radius is ignored, so this can stand in for the library's pass): the
+    pass before each rank was pruned by the best slope or the HN hull,
+    without its compound LLL sweeps.  Every least determinant and every
+    tie is listed at every rank."""
+    r = L.rank
+    den = gso.den
+    found = [(1, norm, [list(v)]) for v, norm in shortest if r > 1 and math.gcd(*v) == 1]
+    if r > 2:
+        diag = la._least_principal_minors(la._common_scaled(Gred)[0], r - 1)
+        for k, level in la._compound_gso(gso, r - 1):
+            for w, norm in la._fincke_pohst(None, level, diag[k]):
+                ker = lat._decomposable_kernel(w, r, k) if math.gcd(*w) == 1 else None
+                if ker is not None:
+                    found.append((k, norm / den**k, la.mat_mul(ker, la.transpose(U))))
+    found.append((r, la.det(Gred), [[int(i == j) for j in range(r)] for i in range(r)]))
+    return found
+
+
+def filtered_laplace(n, k):
+    """The Laplace pattern of the k-subsets of range(n) by filtering: for
+    each I in lex order, one (b, even, odd) per k-subset J at index b that
+    I dominates (J[t] <= I[t] for all t), with the even and odd terms
+    (J[t], index of J without J[t]) whose row entry F[I[0]][J[t]] and
+    cofactor on rows I[1:] lie in the lower-triangular pattern.  All pairs
+    and all terms are tested; the library generates the pattern instead."""
+    subsets = la.k_subsets(n, k)
+    below = la.k_subsets(n, k - 1)
+    prev = {S: t for t, S in enumerate(below)}
+
+    def dominates(I, J):
+        return all(j <= i for i, j in zip(I, J))
+
+    out = []
+    for I in subsets:
+        entries = []
+        for b, J in enumerate(subsets):
+            if dominates(I, J):
+                terms = [(t, (J[t], prev[J[:t] + J[t + 1 :]])) for t in range(k)]
+                kept = [(t, term) for t, term in terms if term[0] <= I[0] and dominates(I[1:], below[term[1]])]
+                entries.append((b, [term for t, term in kept if t % 2 == 0], [term for t, term in kept if t % 2]))
+        out.append(entries)
+    return out
+
+
 def recursive_hn_filtration(L):
     """HN filtration by recursion on quotients: the first step saturates the
     sum of all sublattices of maximal slope (compared as LogValues), the
@@ -607,7 +664,7 @@ def recursive_hn_filtration(L):
 
     def build(Q):
         Gred, U, gso = la.gram_lll(Q.gram_rows)
-        candidates = lat._rank_candidates(Q, Gred, U, gso, lat._shortest_reduced(Gred, U, gso))
+        candidates = unpruned_rank_candidates(Q, Gred, U, gso, lat._shortest_reduced(Gred, U, gso))
         slopes = [lat._slope_of_det(d, k) for k, d, _cols in candidates]
         best = slopes[0]
         for val in slopes:

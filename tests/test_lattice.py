@@ -4,7 +4,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, gcd, inf
 from pathlib import Path
 
 import pytest
@@ -23,12 +23,14 @@ from oracles import (
     diagonal_saturate,
     fraction_rank_candidates,
     fraction_morphism_height,
+    gso_of,
     quotient_bundle,
     random_spd_matrix,
     random_unimodular,
     recursive_hn_filtration,
     sub_bundle,
     unit_lattice,
+    unpruned_rank_candidates,
 )
 
 
@@ -362,17 +364,80 @@ def test_mu_max_rank_frontier_frozen(monkeypatch):
         assert val == _log_value(mu) and S.basis == basis
 
 
+# Seeded rank-12 tensors, as in RANK_FRONTIER_FROZEN, recorded with the
+# unpruned candidate pass of the oracles (every compound enumerated within
+# min diag T_k, with no LLL sweep and no pruning by the best slope).
+RANK_TWELVE_FROZEN = [
+    (1, (3, 4), {3: "-1"}, ((3,), (0,), (0,), (0,), (-1,), (0,), (0,), (0,), (2,), (0,), (0,), (0,))),
+    (1, (2, 6), {3: "-3/2"}, ((2,), (1,), (-2,), (0,), (0,), (-2,), (-2,), (-1,), (2,), (0,), (0,), (2,))),
+    (1, (2, 2, 3), {2: "-1/2", 3: "-1", 5: "-1/2"}, ((0,), (1,), (1,), (0,), (0,), (0,), (0,), (-1,), (-1,), (0,), (0,), (0,))),
+]
+
+
+def test_mu_max_rank_twelve_frozen(monkeypatch):
+    _empty_tables(monkeypatch)
+    for seed, ranks, mu, basis in RANK_TWELVE_FROZEN:
+        rng = random.Random(seed)
+        T = random_lattice(ranks[0], 3, rng)
+        for r in ranks[1:]:
+            T = lat.tensor(T, random_lattice(r, 3, rng))
+        val, S = lat.mu_max(T, rank_limit=T.rank)
+        assert val == _log_value(mu) and S.basis == basis
+
+
+def _root_lattice(kind, n):
+    """The root lattice A_n or D_4 on its simple roots (Cartan matrix)."""
+    if kind == "A":
+        return lat.Lattice.from_rows([[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(n)] for i in range(n)])
+    return lat.Lattice.from_rows([[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]])
+
+
+def test_semistable_root_products_frozen(monkeypatch):
+    """A3 (x) A3 and A2 (x) D4 are semistable: mu_max is the slope, with the
+    full lattice as witness (recorded with the unpruned oracle), and the HN
+    filtration is the one step of the full lattice."""
+    _empty_tables(monkeypatch)
+    for a, b in ((("A", 3), ("A", 3)), (("A", 2), ("D", 4))):
+        T = lat.tensor(_root_lattice(*a), _root_lattice(*b))
+        val, S = lat.mu_max(T, rank_limit=T.rank)
+        assert val == lat.slope(T)
+        assert S.basis == tuple(tuple(int(i == j) for j in range(T.rank)) for i in range(T.rank))
+        hn = lat.hn_filtration(T, rank_limit=T.rank)
+        assert hn.is_semistable and hn.slopes == (val,)
+
+
+def _counting_nodes(monkeypatch, run):
+    """(run(), the nodes of the one enumeration that run makes): each node
+    below the root builds one Fraction, its remaining radius, so the nodes
+    are the Fractions that linalg builds, less the one that is the bound."""
+    built = [0]
+
+    class Counted(Fraction):
+        __slots__ = ()
+
+        def __new__(cls, *args, **kwargs):
+            built[0] += 1
+            return super().__new__(cls, *args, **kwargs)
+
+    monkeypatch.setattr(la, "Fraction", Counted)
+    try:
+        return run(), built[0] - 1
+    finally:
+        monkeypatch.setattr(la, "Fraction", Fraction)
+
+
 def _structure_watch(monkeypatch):
     """Patch the reduction, compound and enumeration steps of the candidate
-    pass with recorders: the size of each gram_lll, sweep, enumeration and
-    _ldl_scaled, the levels of each _compound_gso walk, the top of each
+    pass with recorders: the size of each gram_lll, LLL sweep, enumeration
+    and _ldl_scaled, the levels of each _compound_gso walk, the top of each
     principal-minor walk, the name of every elimination run inside a
-    compound GSO level, a sweep, an enumeration or a principal-minor walk,
-    and every call of the Laplace tower or compound_matrix."""
-    log = {name: [] for name in ("lll", "sweep", "short", "ldl", "gso", "minors", "eliminated_inside", "tower")}
+    compound GSO level, an enumeration or a principal-minor walk,
+    every call of the Laplace tower or compound_matrix, and the (level
+    dimension, node count) of each enumeration of an exterior power."""
+    log = {name: [] for name in ("lll", "sweep", "short", "ldl", "gso", "minors", "eliminated_inside", "tower", "nodes")}
     depth = [0]
     real = {name: getattr(la, name) for name in (
-        "gram_lll", "_lll_sweep_from", "short_vectors_reduced", "_ldl_scaled", "_eliminate",
+        "gram_lll", "_lll_sweep", "_fincke_pohst", "_ldl_scaled", "_eliminate",
         "_compound_gso", "_least_principal_minors", "_compound_tower", "compound_matrix",
     )}
 
@@ -423,9 +488,18 @@ def _structure_watch(monkeypatch):
 
         return called
 
+    enumerate_ = recording("_fincke_pohst", "short", lambda U, basis, bound: len(basis.lam), True)
+
+    def counting(U, basis, bound):
+        if U is not None:  # the lattice's own enumeration
+            return enumerate_(U, basis, bound)
+        found, nodes = _counting_nodes(monkeypatch, lambda: enumerate_(U, basis, bound))
+        log["nodes"].append((len(basis.lam), nodes))
+        return found
+
     monkeypatch.setattr(la, "gram_lll", recording("gram_lll", "lll", len))
-    monkeypatch.setattr(la, "_lll_sweep_from", recording("_lll_sweep_from", "sweep", lambda g: len(g.lam), True))
-    monkeypatch.setattr(la, "short_vectors_reduced", recording("short_vectors_reduced", "short", lambda U, g, b: len(U), True))
+    monkeypatch.setattr(la, "_lll_sweep", recording("_lll_sweep", "sweep", len))
+    monkeypatch.setattr(la, "_fincke_pohst", counting)
     monkeypatch.setattr(la, "_least_principal_minors", recording("_least_principal_minors", "minors", lambda A, top: top, True))
     monkeypatch.setattr(la, "_ldl_scaled", eliminating("_ldl_scaled", "ldl"))
     monkeypatch.setattr(la, "_eliminate", eliminating("_eliminate"))
@@ -439,13 +513,14 @@ def test_one_reduction_per_lattice(monkeypatch):
     # mu_max reduces and enumerates the lattice once (udeg and the rank-one
     # candidates share one radius) and each compound of rank 2..r-1 once;
     # udeg_max reduces the lattice once.  Only the lattice's reduction
-    # forms a reduced Gram matrix (gram_lll) and eliminates (_ldl_scaled,
-    # the seed of its sweep).  One _compound_gso per lattice reads the GSO
-    # of every compound off the lattice's, each level once, and each
-    # compound is swept from it and enumerated once; no elimination runs
-    # on a compound, and neither the Laplace tower nor compound_matrix runs
-    # at all.  The radii are one walk over principal minors, and the
-    # determinant at rank r is read off the lattice's GSO.
+    # forms a reduced Gram matrix (gram_lll), sweeps (_lll_sweep) and
+    # eliminates (_ldl_scaled, the seed of its sweep).  One _compound_gso
+    # per lattice reads the GSO of every compound off the lattice's, each
+    # level once, and each compound is enumerated from it once, with no
+    # sweep of its own; no elimination runs on a compound, and neither the
+    # Laplace tower nor compound_matrix runs at all.  The radii are one
+    # walk over principal minors, and the determinant at rank r is read
+    # off the lattice's GSO.
     _empty_tables(monkeypatch)
     log = _structure_watch(monkeypatch)
     rng = random.Random(431)
@@ -459,8 +534,8 @@ def test_one_reduction_per_lattice(monkeypatch):
         assert log["ldl"] == [r]  # and one elimination, its GSO seed
         assert log["gso"] == ([middle] if middle else [])
         assert log["minors"] == ([r - 1] if middle else [])
-        assert log["sweep"] == [r] + [comb(r, k) for k in middle]
-        assert log["short"] == log["sweep"]  # the lattice, then each compound, once
+        assert log["sweep"] == [r]  # the lattice's own sweep only
+        assert log["short"] == [r] + [comb(r, k) for k in middle]  # the lattice, then each compound, once
         assert log["eliminated_inside"] == []
         assert log["tower"] == []
         log["lll"].clear()
@@ -567,15 +642,80 @@ def test_hn_is_one_candidate_pass(monkeypatch):
         hn = lat.hn_filtration(L)
         middle = list(range(2, r))
         assert len(hn.chain) == min(r, 3)
-        assert log["lll"] == log["ldl"] == [r]
+        assert log["lll"] == log["ldl"] == log["sweep"] == [r]
         assert log["gso"] == ([middle] if middle else [])
-        assert log["sweep"] == log["short"] == [r] + [comb(r, k) for k in middle]
+        assert log["short"] == [r] + [comb(r, k) for k in middle]
         assert log["eliminated_inside"] == log["tower"] == inverses == []
 
 
-def _candidates(L):
+# An enumeration of an exterior power, straight from the compound GSO and
+# within its pruned radius, may visit at most this many times the nodes
+# that the LLL-reduced exterior power visits within min diag T_k.  Measured
+# on the inputs below: at most 1.17.
+TREE_GROWTH_BOUND = 2
+
+
+def _swept_nodes(monkeypatch, L):
+    """Per compound level k = 2..r-1 of L, the nodes of the enumeration of
+    the LLL-reduced T_k within min diag T_k, as the pass ran before each
+    exterior power went unreduced."""
+    Gred = la.gram_lll(L.gram_rows)[0]
+    counts = []
+    for k, T, _scale in la._compound_tower(Gred, L.rank - 1):
+        if k > 1:
+            U, gso = la._lll_sweep(T)
+            radius = min(T[t][t] for t in range(len(T)))
+            counts.append(_counting_nodes(monkeypatch, lambda: la.short_vectors_reduced(U, gso, radius))[1])
+    return counts
+
+
+def test_integer_root_is_the_floor_of_the_root():
+    rng = random.Random(444)
+    cases = [(x, j) for x in range(40) for j in range(1, 5)]
+    cases += [(rng.randrange(10 ** rng.randrange(1, 80)), rng.randrange(1, 12)) for _ in range(400)]
+    cases += [(y**j + e, j) for y in (2, 3, 10**9 + 7) for j in (2, 5, 11) for e in (-1, 0, 1)]
+    for x, j in cases:
+        y = lat._iroot(x, j)
+        assert y**j <= x < (y + 1) ** j
+
+
+def test_compound_tree_size_guard(monkeypatch):
+    """On adversarial inputs (entry bound 12, duals, and lattices given in
+    skewed bases like SKEWED_Z3), no compound level of mu_max or
+    hn_filtration visits more than TREE_GROWTH_BOUND times the nodes of
+    the swept enumeration of that level."""
+    _empty_tables(monkeypatch)
+    rng = random.Random(443)
+    lattices = [lat.Lattice.from_rows(SKEWED_Z3)]
+    for i in range(10):
+        L = random_lattice(4 + i % 4, 12, rng)
+        lattices.append(lat.dual(L) if i % 2 else L)
+    for i in range(6):
+        r = 4 + i % 3
+        skew = random_unimodular(rng, r, steps=6)
+        lattices.append(lat.Lattice.from_rows(_conjugate(random_lattice(r, 2, rng).gram_rows, skew)))
+    swept = [_swept_nodes(monkeypatch, L) for L in lattices]
+    log = _structure_watch(monkeypatch)
+    levels = 0
+    for L, before in zip(lattices, swept):
+        for run in (lat.mu_max, lat.hn_filtration):
+            log["nodes"].clear()
+            run(L, rank_limit=L.rank)
+            assert [n for n, _nodes in log["nodes"]] == [comb(L.rank, k) for k in range(2, L.rank)]
+            for (_n, nodes), parent in zip(log["nodes"], before):
+                assert nodes <= TREE_GROWTH_BOUND * parent
+                levels += 1
+    assert levels >= 100
+
+
+def _unpruned(k, least):
+    """A radius rule that prunes nothing: each rank keeps min diag T_k."""
+    return inf
+
+
+def _candidates(L, radius):
     Gred, U, gso = la.gram_lll(L.gram_rows)
-    return lat._rank_candidates(L, Gred, U, gso, lat._shortest_reduced(Gred, U, gso))
+    return lat._rank_candidates(L, Gred, U, gso, lat._shortest_reduced(Gred, U, gso), radius)
 
 
 def test_candidate_pass_builds_only_winners(monkeypatch):
@@ -589,9 +729,9 @@ def test_candidate_pass_builds_only_winners(monkeypatch):
     for rb in (2, 2, 3, 2, 3, 2, 3, 3):
         T = lat.tensor(random_lattice(2, 3, rng), random_lattice(rb, 3, rng))
         _val, W = lat.mu_max(T)
-        cands = _candidates(T)
+        cands = _candidates(T, lat._steepest_radius)
         tied = sum(1 for k, d, _cols in cands if k == W.rank and d == lat.sub_det(W))
-        cases.append((T, tied, len(lat.hn_filtration(T).chain), len(cands)))
+        cases.append((T, tied, len(lat.hn_filtration(T).chain), len(cands), len(_candidates(T, lat._hull_radius))))
     real_saturated, real_saturate = lat._saturated, lat.saturate
     real_post_init = lat.SubLattice.__post_init__
     built, counts = [], {"saturate": 0, "sublattice": 0}
@@ -612,7 +752,7 @@ def test_candidate_pass_builds_only_winners(monkeypatch):
     monkeypatch.setattr(lat, "saturate", counting_saturate)
     monkeypatch.setattr(lat.SubLattice, "__post_init__", counting_post_init)
     middle_ranks = 0
-    for T, tied, vertices, _n in cases:
+    for T, tied, vertices, _n, _m in cases:
         for run, expect in ((lat.mu_max, tied), (lat.hn_filtration, vertices)):
             built.clear()
             counts.update(saturate=0, sublattice=0)
@@ -626,20 +766,25 @@ def test_candidate_pass_builds_only_winners(monkeypatch):
             middle_ranks += middle
     # the saturate branch is reached, and each pass leaves candidates unbuilt
     assert middle_ranks >= 1
-    assert all(n > tied for _T, tied, _v, n in cases)
-    assert sum(v for *_rest, v, _n in cases) < sum(n for *_rest, n in cases)
+    assert all(n > tied for _T, tied, _v, n, _m in cases)
+    assert sum(v for *_rest, v, _n, _m in cases) < sum(m for *_rest, m in cases)
 
 
 def _check_candidate_determinants(L):
     """Each candidate's determinant is sub_det of the saturation of its
-    columns, at its rank, and no saturation is listed twice."""
-    cands = _candidates(L)
-    built = [lat.saturate(lat.SubLattice.from_columns(L, cols)) for _k, _d, cols in cands]
-    for (k, d, _cols), S in zip(cands, built):
-        assert S.rank == k and lat.sub_det(S) == d
-    assert len({S.basis for S in built}) == len(built)
-    ranks = [k for k, _d, _cols in cands]
-    assert ranks == sorted(ranks) and set(ranks) == set(range(1, L.rank + 1))
+    columns, at its rank, and no saturation is listed twice, under either
+    radius rule and none.  Ranks come in order; ranks one and r are always
+    there, and with no pruning every rank is."""
+    for radius in (lat._steepest_radius, lat._hull_radius, _unpruned):
+        cands = _candidates(L, radius)
+        built = [lat.saturate(lat.SubLattice.from_columns(L, cols)) for _k, _d, cols in cands]
+        for (k, d, _cols), S in zip(cands, built):
+            assert S.rank == k and lat.sub_det(S) == d
+        assert len({S.basis for S in built}) == len(built)
+        ranks = [k for k, _d, _cols in cands]
+        assert ranks == sorted(ranks) and {1, L.rank} <= set(ranks) <= set(range(1, L.rank + 1))
+        if radius is _unpruned:
+            assert set(ranks) == set(range(1, L.rank + 1))
 
 
 def test_candidate_determinants_are_sub_dets():
@@ -673,7 +818,7 @@ def test_non_primitive_enumerated_vectors_are_skipped():
     # every vector of rank one, and every 2-vector in dimension 3, is decomposable
     enumerated = {1: la.short_vectors_gram(G, 5), 2: la.short_vectors_gram(C, min(C[t][t] for t in range(3)))}
     eye = [[int(i == j) for j in range(3)] for i in range(3)]
-    cands = lat._rank_candidates(L, G, eye, la._gso(G), enumerated[1])
+    cands = lat._rank_candidates(L, G, eye, gso_of(G), enumerated[1], _unpruned)
     assert cands[-1][0] == 3
     dets = {(c[0], _plucker(lat._saturated(L, c))): c[1] for c in cands[:-1]}
     assert len(dets) == len(cands) - 1
@@ -701,28 +846,69 @@ def _seeded_candidate_lattices():
 
 
 def test_candidate_pass_matches_fraction_compound_oracle(monkeypatch):
-    """The candidates from compounds swept from the lattice's own GSO and
-    enumerated as integers equal those from Fraction compounds built one at
-    a time: the same (k, det, columns) in the same order."""
+    """The candidates from compounds enumerated as integers straight from
+    the lattice's own GSO, with no sweep and no pruning, equal those from
+    Fraction compounds built and reduced one at a time: the same (k, det,
+    columns) in the same order, from the library's pass under a rule that
+    never prunes and from the unpruned oracle."""
     _empty_tables(monkeypatch)
     for L in _seeded_candidate_lattices():
         Gred, U, gso = la.gram_lll(L.gram_rows)
         shortest = lat._shortest_reduced(Gred, U, gso)
-        assert lat._rank_candidates(L, Gred, U, gso, shortest) == fraction_rank_candidates(L, Gred, U, shortest)
+        want = fraction_rank_candidates(L, Gred, U, shortest)
+        assert lat._rank_candidates(L, Gred, U, gso, shortest, _unpruned) == want
+        assert unpruned_rank_candidates(L, Gred, U, gso, shortest) == want
     # unreduced, where non-primitive vectors are enumerated and skipped
     L = lat.Lattice.from_rows(SKEWED_Z3)
     G = L.gram_rows
     eye = [[int(i == j) for j in range(3)] for i in range(3)]
     shortest = la.short_vectors_gram(G, 5)
-    assert lat._rank_candidates(L, G, eye, la._gso(G), shortest) == fraction_rank_candidates(L, G, eye, shortest)
+    want = fraction_rank_candidates(L, G, eye, shortest)
+    assert lat._rank_candidates(L, G, eye, gso_of(G), shortest, _unpruned) == want
+    assert unpruned_rank_candidates(L, G, eye, gso_of(G), shortest) == want
+
+
+def _pruning_lattices():
+    """The 42-lattice set above and 60 seeded lattices of rank 5-8, with
+    entry bounds 2-12 and a third of them duals."""
+    rng = random.Random(442)
+    out = _seeded_candidate_lattices()
+    for i in range(60):
+        L = random_lattice(5 + i % 4, 2 + i % 11, rng)
+        out.append(lat.dual(L) if i % 3 == 0 else L)
+    return out
+
+
+def test_pruned_pass_matches_unpruned_oracle(monkeypatch):
+    """mu_max (value and witness) and the HN filtration (chain and slopes)
+    equal those read off the unpruned oracle, and each pruned pass lists a
+    part of the unpruned candidates, in their order."""
+    _empty_tables(monkeypatch)
+    lattices = _pruning_lattices()
+    pruned = []
+    for L in lattices:
+        Gred, U, gso = la.gram_lll(L.gram_rows)
+        shortest = lat._shortest_reduced(Gred, U, gso)
+        every = unpruned_rank_candidates(L, Gred, U, gso, shortest)
+        for radius in (lat._steepest_radius, lat._hull_radius):
+            cands = lat._rank_candidates(L, Gred, U, gso, shortest, radius)
+            kept = iter(every)
+            assert all(c in kept for c in cands)  # a subsequence of the unpruned list
+            pruned.append(len(every) - len(cands))
+    got = [(lat.mu_max(L, rank_limit=8), lat.hn_filtration(L, rank_limit=8)) for L in lattices]
+    monkeypatch.setattr(lat, "_rank_candidates", unpruned_rank_candidates)
+    want = [(lat.mu_max(L, rank_limit=8), lat.hn_filtration(L, rank_limit=8)) for L in lattices]
+    assert got == want
+    assert sum(1 for n in pruned if n) >= len(pruned) // 2  # the rules do prune
 
 
 def test_compound_gso_matches_ldl_of_compound(monkeypatch):
-    """Each level of _compound_gso is the (lam, D) that _ldl_scaled returns
-    for the level T_k = den^k Lambda^k(Gred) of the Laplace tower, and the
-    sweep from it returns the U and GSO of _lll_sweep(T_k); on reduced Gram
-    matrices of rank 1-9 (integer, rational, duals and tensors) and on the
-    unreduced SKEWED_Z3.  The GSO handed in is left as it was."""
+    """Each level of _compound_gso has the mu and the Gram-Schmidt norms of
+    the LDL that _ldl_scaled gives the level T_k = den^k Lambda^k(Gred) of
+    the Laplace tower, and enumerated with no sweep it gives the vectors
+    of T_k within min diag T_k that the LLL-reduced T_k gives; on reduced
+    Gram matrices of rank 1-9 (integer, rational, duals and tensors) and
+    on the unreduced SKEWED_Z3.  The GSO handed in is left as it was."""
     _empty_tables(monkeypatch)
     rng = random.Random(439)
     grams = [SKEWED_Z3]
@@ -742,7 +928,7 @@ def test_compound_gso_matches_ldl_of_compound(monkeypatch):
     levels = 0
     for G in grams:
         n = len(G)
-        gso = la._gso(G)
+        gso = gso_of(G)
         before = (list(map(list, gso.lam)), list(gso.D), gso.den)
         tower = {k: T for k, T, _scale in la._compound_tower(G, n)}
         got = list(la._compound_gso(gso, n + 1))
@@ -750,12 +936,16 @@ def test_compound_gso_matches_ldl_of_compound(monkeypatch):
         assert (gso.lam, gso.D, gso.den) == before
         for k, level in got:
             A, D, den = la._ldl_scaled(tower[k])
-            assert den == level.den == 1
-            assert level.D == D
-            assert level.lam == [row[:i] for i, row in enumerate(A)]
-            assert la._lll_sweep_from(level) == la._lll_sweep(tower[k])
+            N = len(D) - 1
+            assert den == 1 and len(level.lam) == len(level.d) == len(level.m) == N
+            assert all(
+                Fraction(level.lam[a][b], level.d[b]) == Fraction(A[a][b], D[b + 1]) for a in range(N) for b in range(a)
+            )
+            assert [Fraction(d * d, m) for d, m in zip(level.d, level.m)] == [Fraction(D[a + 1], D[a]) for a in range(N)]
+            radius = min(tower[k][t][t] for t in range(N))
+            assert la._fincke_pohst(None, level, radius) == la.short_vectors_gram(tower[k], radius)
             levels += 1
-        assert [k for k, _g in la._compound_gso(la._gso(G), n - 1)] == list(range(2, n))
+        assert [k for k, _g in la._compound_gso(gso_of(G), n - 1)] == list(range(2, n))
     assert levels >= 125
 
 
@@ -780,7 +970,7 @@ def test_closed_form_witnesses_equal_saturations():
     sub_det is the candidate's determinant."""
     extremes = 0
     for L in _seeded_candidate_lattices() + [lat.Lattice.from_rows(SKEWED_Z3)]:
-        for c in _candidates(L):
+        for c in _candidates(L, _unpruned):
             if c[0] in (1, L.rank):
                 S = lat._saturated(L, c)
                 assert S == lat.saturate(lat.SubLattice.from_columns(L, c[2]))
@@ -797,7 +987,7 @@ def test_closed_form_witness_faults_raise():
         lat._saturated(L, (1, Fraction(4), [[2, 0]]))  # the saturation (1, 0) has norm 1
     assert lat._saturated(L, (1, Fraction(1), [[-1, 0]])).basis == ((1,), (0,))
     for M in (L, lat.Lattice.from_rows(SKEWED_Z3)):
-        for k, d, cols in _candidates(M):
+        for k, d, cols in _candidates(M, _unpruned):
             lat._saturated(M, (k, d, cols))
             with pytest.raises(lat.CertificateError):
                 lat._saturated(M, (k, d + 1, cols))

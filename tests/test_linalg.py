@@ -16,6 +16,7 @@ from oracles import (
     bareiss_compound_matrix,
     box_short_vectors,
     cofactor_det,
+    filtered_laplace,
     fraction_det,
     fraction_gram_lll,
     fraction_inverse,
@@ -322,30 +323,40 @@ def test_subset_tables_built_once_on_first_use(monkeypatch):
     assert done.stdout.strip() == "0"
     _empty_tables(monkeypatch)
     rng = random.Random(441)
-    for n in range(1, 7):
+    for n in range(1, 10):
         for k in range(1, n + 1):
             table = la._subset_table(n, k)
             assert la._subset_table(n, k) is table  # built once, then looked up
             subsets = la.k_subsets(n, k)
             below = la.k_subsets(n, k - 1)
-            for J, (even, odd) in zip(subsets, table.wedge):
+            for b, J in enumerate(subsets):
                 drops = [(J[t], below.index(J[:t] + J[t + 1 :])) for t in range(k)]
-                assert even == drops[0::2] and odd == drops[1::2]
+                assert table.wedge[b] == (drops[0::2], drops[1::2])
+                assert [heads[b] for heads in table.heads] == [(drops[0:m:2], drops[1:m:2]) for m in range(1, k + 1)]
+            # the generated pattern is the one that filtering all pairs
+            # gives, and its head terms are the filtered terms
+            want = filtered_laplace(n, k)
+            for a, (i0, at, groups) in enumerate(table.laplace):
+                I = subsets[a]
+                assert (i0, at) == (I[0], below.index(I[1:]))
+                got = sorted((b, *table.heads[m][b]) for m, bs in enumerate(groups) for b in bs)
+                assert got == want[a]
+            if n > 6:
+                continue
             # the Laplace pattern holds every nonzero minor of a
             # lower-triangular F, and its terms give those minors
             F = [[rng.choice((-3, -2, -1, 1, 2, 3)) if j <= i else 0 for j in range(n)] for i in range(n)]
             C = bareiss_compound_matrix(F, k)
             prev = bareiss_compound_matrix(F, k - 1)
-            for a, (i0, at, entries) in enumerate(table.laplace):
-                I = subsets[a]
-                assert (i0, at) == (I[0], below.index(I[1:]))
-                pattern = [b for b, _even, _odd in entries]
-                assert pattern == [b for b, J in enumerate(subsets) if all(j <= i for i, j in zip(I, J))]
-                assert set(pattern) >= {b for b in range(len(subsets)) if C[a][b]}
-                for b, even, odd in entries:
-                    x = sum(F[i0][j] * prev[at][c] for j, c in even) - sum(F[i0][j] * prev[at][c] for j, c in odd)
-                    assert x == C[a][b]
-    assert sorted(la._SUBSET_TABLES) == [(n, k) for n in range(1, 7) for k in range(1, n + 1)]
+            for a, (i0, at, groups) in enumerate(table.laplace):
+                pattern = {b for bs in groups for b in bs}
+                assert pattern >= {b for b in range(len(subsets)) if C[a][b]}
+                for m, bs in enumerate(groups):
+                    for b in bs:
+                        even, odd = table.heads[m][b]
+                        x = sum(F[i0][j] * prev[at][c] for j, c in even) - sum(F[i0][j] * prev[at][c] for j, c in odd)
+                        assert x == C[a][b]
+    assert sorted(la._SUBSET_TABLES) == [(n, k) for n in range(1, 10) for k in range(1, n + 1)]
 
 
 def test_compound_multiplicative():
