@@ -10,13 +10,15 @@ rows, and a vector lies in a member iff reducing it by those rows
 leaves zero.  The scalar product needs only the ranks of the pairs of
 members, not a common compatible basis.  Adapted bases extend a span
 greedily on one integer echelon, reduced fraction-free, with no rref per
-candidate.
+candidate.  A compatible basis is validated by the one elimination that
+also yields its integer coordinate change, and a filtration built on a
+validated basis skips the second check.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
@@ -150,14 +152,35 @@ class FiltrationTuple:
 
 @dataclass(frozen=True)
 class CompatibleBasis:
+    """A basis of the space, validated by its coordinate change: one
+    integer elimination of [B^T | I] yields change = (d, d (B^T)^-1) with d
+    a nonzero integer, so change[1] v is d times the coordinates of v, and
+    fails exactly when the rows are dependent (ValueError).  The change is
+    not a field of equality, hashing or repr."""
+
     vectors: Tuple[Tuple[Fraction, ...], ...]
+    change: Tuple[int, List[List[int]]] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         n = len(self.vectors)
         if n == 0 or any(len(v) != n for v in self.vectors):
             raise ValueError("basis must be square")
-        if la.rank([list(v) for v in self.vectors]) != n:
+        change = la.solve_scaled(
+            la.transpose(self.vectors), [[int(i == k) for k in range(n)] for i in range(n)]
+        )
+        if change is None:
             raise ValueError("basis vectors must be independent")
+        object.__setattr__(self, "change", change)
+
+    def reversal(self) -> "CompatibleBasis":
+        """The vectors in reverse order, with no elimination: a row
+        permutation P of a basis is a basis, and ((P B)^T)^-1 = P (B^T)^-1,
+        so its change is this change with the rows reversed."""
+        out = object.__new__(CompatibleBasis)
+        object.__setattr__(out, "vectors", self.vectors[::-1])
+        d, inv = self.change
+        object.__setattr__(out, "change", (d, inv[::-1]))
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -184,19 +207,19 @@ def trivial(dim: int) -> Filtration:
 
 def from_weighted_basis(vectors, weights) -> Filtration:
     """Filtration whose value at each basis vector is the given weight."""
-    vecs = la.frac_rows([list(v) for v in vectors])
+    return _from_basis(CompatibleBasis(_freeze(vectors)), weights)
+
+
+def _from_basis(basis: CompatibleBasis, weights) -> Filtration:
+    """from_weighted_basis on a basis that is already validated: its
+    members are spans of basis vectors, so only make's echelon forms are
+    computed."""
     ws = [Fraction(w) for w in weights]
-    n = len(vecs)
-    if len(ws) != n or (n and len(vecs[0]) != n):
+    if len(ws) != len(basis.vectors):
         raise ValueError("need a square basis with one weight per vector")
-    if la.rank(vecs) != n:
-        raise ValueError("vectors must form a basis")
     jumps = sorted(set(ws))
-    flag = []
-    for lam in jumps[1:]:
-        rows = [vecs[t] for t in range(n) if ws[t] >= lam]
-        flag.append([list(r) for r in rows])
-    return make(n, flag, jumps)
+    flag = [[v for v, w in zip(basis.vectors, ws) if w >= lam] for lam in jumps[1:]]
+    return make(len(basis.vectors), flag, jumps)
 
 
 # ---------------------------------------------------------------------------

@@ -25,11 +25,18 @@ filtration tuple of the winning seed alone.  The values are the exact
 ones a fresh solve would give, because a fresh solve has no other input.
 
 A filtration given by a basis of its factor and one weight per vector
-(a weighted basis) is evaluated in that basis.  The coordinate change to
-it is one integer elimination of [B^T | I], which yields d (B^T)^-1 with
-d a nonzero integer; v_x, scaled to integers, is changed axis by axis
-over the integers.  lambda of a tensor filtration needs only the support
-of those coordinates, so it is never divided; the reduction divides once.
+(a weighted basis) is evaluated in that basis.  Every basis pays for one
+elimination: a CompatibleBasis is validated by the integer elimination
+of [B^T | I] that yields its coordinate change d (B^T)^-1, d a nonzero
+integer, and carries that change; a reversed seed basis takes the change
+with its rows reversed and no elimination.  v_x is scaled to integers
+once per point and changed axis by axis over the integers, and the seeds
+are walked as a tree (_seed_supports), so that each axis change is
+applied once per prefix of the seed product.  lambda of a tensor
+filtration needs only the support of those coordinates, so it is never
+divided; the reduction divides once.  The coordinate test of
+reduced_is_semistable depends on its set of gradients alone and runs
+once per set in a process.
 
 That the minimizer found is the global (Kempf) one is certified by the
 Kirwan-Ness criterion (F. Kirwan, Cohomology of Quotients in Symplectic
@@ -210,31 +217,25 @@ class ReducedInstance:
 # evaluation of the functional
 
 
-class _WeightedBasis(NamedTuple):
-    """A basis of one factor, the filtration value of each of its vectors,
-    and the coordinate change to it scaled to integers:
-    inv = d (rows^T)^-1, so inv v is d times the coordinates of v."""
-
-    rows: Sequence[Sequence]
-    weights: Sequence
-    d: int
-    inv: List[List[int]]
-
-
 _Change = Tuple[int, List[List[int]]]  # (d, d (rows^T)^-1) of a basis
 
 
-def _inverse_transpose(rows: Sequence[Sequence]) -> Optional[_Change]:
-    """(d, d (rows^T)^-1) over the integers, or None when the rows are
-    dependent: one elimination of [rows^T | I]."""
-    n = len(rows)
-    return la.solve_scaled(la.transpose(rows), [[int(i == k) for k in range(n)] for i in range(n)])
+class _WeightedBasis(NamedTuple):
+    """A validated basis of one factor and the filtration value of each of
+    its vectors; the basis carries its coordinate change (d, d (rows^T)^-1),
+    so change[1] v is d times the coordinates of v."""
+
+    basis: CompatibleBasis
+    weights: Sequence
+
+    @property
+    def change(self) -> _Change:
+        return self.basis.change
 
 
 def _adapted(F: Filtration) -> _WeightedBasis:
     ad = fil.adapted_basis(F)
-    rows = [v for v, _ in ad]  # a basis, so the inverse exists
-    return _WeightedBasis(rows, [w for _, w in ad], *_inverse_transpose(rows))
+    return _WeightedBasis(CompatibleBasis(tuple(v for v, _ in ad)), [w for _, w in ad])
 
 
 def _apply_axis(vec: List[int], shape: Sequence[int], axis: int, M: List[List[int]]) -> List[int]:
@@ -252,12 +253,9 @@ def _apply_axis(vec: List[int], shape: Sequence[int], axis: int, M: List[List[in
     return out
 
 
-def _scaled_coordinates(x: TensorPoint, changes: Sequence[_Change]) -> Tuple[List[int], int]:
-    """(s c, s) with c the coordinates of v_x in the product of the bases
-    whose integer inverses (d, d (rows^T)^-1) are given, flat in row-major
-    order, and s a nonzero integer: v_x is scaled to integers and
-    each axis changed by its integer inverse.  A caller that needs only
-    the support of c never divides."""
+def _integer_point(x: TensorPoint) -> Tuple[List[int], int]:
+    """(s v_x, s): v_x flat in row-major order, scaled to integers by the
+    least common denominator s of its coordinates."""
     den = math.lcm(*(v.denominator for _, v in x.coords))
     vec = [0] * math.prod(x.shape)
     for idx, val in x.coords:
@@ -265,6 +263,16 @@ def _scaled_coordinates(x: TensorPoint, changes: Sequence[_Change]) -> Tuple[Lis
         for j, r in zip(idx, x.shape):
             flat = flat * r + j
         vec[flat] = val.numerator * (den // val.denominator)
+    return vec, den
+
+
+def _scaled_coordinates(x: TensorPoint, changes: Sequence[_Change]) -> Tuple[List[int], int]:
+    """(s c, s) with c the coordinates of v_x in the product of the bases
+    whose integer inverses (d, d (rows^T)^-1) are given, flat in row-major
+    order, and s a nonzero integer: v_x is scaled to integers and
+    each axis changed by its integer inverse.  A caller that needs only
+    the support of c never divides."""
+    vec, den = _integer_point(x)
     for axis, (d, inv) in enumerate(changes):
         vec = _apply_axis(vec, x.shape, axis, inv)
         den *= d
@@ -290,7 +298,7 @@ def _lambda_weighted(x: TensorPoint, bases: Sequence[_WeightedBasis]):
     """Value at v_x of the tensor product of the filtrations the weighted
     bases define.  It depends only on which coordinates are nonzero, so the
     integer coordinate change is never divided."""
-    coords, _ = _scaled_coordinates(x, [(B.d, B.inv) for B in bases])
+    coords, _ = _scaled_coordinates(x, [B.change for B in bases])
     return _min_weight(x.shape, coords, [B.weights for B in bases])
 
 
@@ -442,6 +450,9 @@ _Support = Tuple[Tuple[int, ...], ...]
 # one checked minimum per (shape, support), capped like exactnum._LOG_CACHE
 _SUPPORT_CACHE: Dict[Tuple[Tuple[int, ...], _Support], _SupportMinimum] = {}
 _SUPPORT_CACHE_CAP = 4096
+# the outcome of the coordinate test of reduced_is_semistable per sorted
+# gradient set, its whole input; it shares the cap of _SUPPORT_CACHE
+_REDUCED_CACHE: Dict[Tuple[Tuple[int, ...], ...], bool] = {}
 
 
 def _weighted_basis_values(
@@ -501,14 +512,18 @@ def _support_minimum(shape: Tuple[int, ...], support: _Support) -> _SupportMinim
     return out
 
 
-def _support(x: TensorPoint, changes: Sequence[_Change]) -> _Support:
-    """Cells, in flat order, where the coordinates of v_x in the product of
-    the bases whose integer inverses are given are nonzero."""
-    coords, _ = _scaled_coordinates(x, changes)
-    support = tuple(idx for c, idx in zip(coords, _cells(x.shape)) if c)
+def _nonzero_cells(coords: Sequence[int], cells) -> _Support:
+    """The cells, listed in flat order, where coords is nonzero."""
+    support = tuple(idx for c, idx in zip(coords, cells) if c)
     if not support:
         raise ValueError("a nonzero point has a nonzero coordinate in every basis")
     return support
+
+
+def _support(x: TensorPoint, changes: Sequence[_Change]) -> _Support:
+    """Cells, in flat order, where the coordinates of v_x in the product of
+    the bases whose integer inverses are given are nonzero."""
+    return _nonzero_cells(_scaled_coordinates(x, changes)[0], _cells(x.shape))
 
 
 def _build(
@@ -518,10 +533,7 @@ def _build(
     if m.parts is None:
         trivial = FiltrationTuple(tuple(fil.trivial(r) for r in shape))
         return MinimizationResult(trivial, AlgValue.zero(), Fraction(0), tuple(bases), support)
-    comps = tuple(
-        fil.from_weighted_basis([list(v) for v in basis.vectors], ws)
-        for basis, ws in zip(bases, m.parts)
-    )
+    comps = tuple(fil._from_basis(basis, ws) for basis, ws in zip(bases, m.parts))
     return MinimizationResult(
         FiltrationTuple(comps), AlgValue(-1, m.pnorm_sq), m.c_tilde, tuple(bases), support
     )
@@ -545,8 +557,7 @@ def minimize_fixed_basis(
     for basis, r in zip(bases, x.shape):
         if len(basis.vectors) != r:
             raise ValueError("basis size does not match shape")
-    # CompatibleBasis rows are independent, so every inverse exists
-    support = _support(x, [_inverse_transpose(b.vectors) for b in bases])
+    support = _support(x, [b.change for b in bases])
     return _build(x.shape, bases, support, _support_minimum(x.shape, support))
 
 
@@ -554,13 +565,13 @@ def minimize_fixed_basis(
 # global minimization over basis families
 
 
-_Seed = Tuple[Tuple[CompatibleBasis, _Change], ...]
-# the random seed bases with their inverses, per (shape, rng_seed); a run
-# uses few seeds, and an entry holds 3 n bases, so the cap is small
+_Seed = Tuple[CompatibleBasis, ...]
+# the random seed bases per (shape, rng_seed); a run uses few seeds, and an
+# entry holds 3 n bases, so the cap is small
 _RANDOM_SEEDS: Dict[Tuple[Tuple[int, ...], int], List[_Seed]] = {}
 _RANDOM_SEEDS_CAP = 64
-# the identity seed basis of each rank with its inverse; ranks are few
-_IDENTITY_SEEDS: Dict[int, Tuple[CompatibleBasis, _Change]] = {}
+# the identity seed basis of each rank; ranks are few
+_IDENTITY_SEEDS: Dict[int, CompatibleBasis] = {}
 
 
 def _identity_basis(r: int) -> CompatibleBasis:
@@ -569,12 +580,11 @@ def _identity_basis(r: int) -> CompatibleBasis:
     )
 
 
-def _identity_seed(r: int) -> Tuple[CompatibleBasis, _Change]:
-    """The identity basis of rank r with its inverse, built once per rank
-    in a process."""
+def _identity_seed(r: int) -> CompatibleBasis:
+    """The identity basis of rank r, built once per rank in a process."""
     hit = _IDENTITY_SEEDS.get(r)
     if hit is None:
-        hit = _IDENTITY_SEEDS[r] = _with_inverse(_identity_basis(r))
+        hit = _IDENTITY_SEEDS[r] = _identity_basis(r)
     return hit
 
 
@@ -596,57 +606,73 @@ def _matricization(x: TensorPoint, axis: int) -> la.Matrix:
 
 def _random_basis(rng: random.Random, r: int) -> CompatibleBasis:
     """Rows of a random invertible r x r matrix with entries in -2..2,
-    redrawn while they are dependent."""
+    redrawn while CompatibleBasis finds them dependent."""
     while True:
-        rows = [[rng.randrange(-2, 3) for _ in range(r)] for _ in range(r)]
-        if la.rank(rows) == r:
-            return CompatibleBasis(tuple(tuple(Fraction(a) for a in row) for row in rows))
-
-
-def _with_inverse(basis: CompatibleBasis) -> Tuple[CompatibleBasis, _Change]:
-    # CompatibleBasis rows are independent, so the inverse exists
-    return basis, _inverse_transpose(basis.vectors)
+        rows = tuple(tuple(Fraction(rng.randrange(-2, 3)) for _ in range(r)) for _ in range(r))
+        try:
+            return CompatibleBasis(rows)
+        except ValueError:
+            pass
 
 
 def _random_seeds(shape: Tuple[int, ...], rng_seed: int) -> List[_Seed]:
     """Three random seed tuples from random.Random(rng_seed).  They depend
-    on the shape and the seed alone, so they are drawn and inverted once
+    on the shape and the seed alone, so they are drawn and validated once
     per (shape, rng_seed) in a process."""
     key = (shape, rng_seed)
     hit = _RANDOM_SEEDS.get(key)
     if hit is None:
         rng = random.Random(rng_seed)
-        hit = [tuple(_with_inverse(_random_basis(rng, r)) for r in shape) for _ in range(3)]
+        hit = [tuple(_random_basis(rng, r) for r in shape) for _ in range(3)]
         if len(_RANDOM_SEEDS) < _RANDOM_SEEDS_CAP:
             _RANDOM_SEEDS[key] = hit
     return hit
 
 
-def _seed_bases(x: TensorPoint, rng_seed: int) -> List[_Seed]:
-    """Seed tuples of bases, each basis paired with its integer inverse,
-    so a basis shared by several product seeds is inverted once.
+def _axis_options(x: TensorPoint, axis: int) -> List[CompatibleBasis]:
+    """The seed bases of one axis: the identity, built once per rank
+    (_identity_seed); the echelon basis of the slices of v_x, completed by
+    the greedy extension; and its reversal, whose change needs no
+    elimination (CompatibleBasis.reversal).  A basis equal to an earlier
+    option is left out."""
+    ident = _identity_seed(x.shape[axis])
+    # slices of v_x along this axis span the column space of the
+    # matricization; echelonize that as the leading flag directions
+    rows = la.rref(la.transpose(_matricization(x, axis)))[0]
+    ech = CompatibleBasis(tuple(map(tuple, rows + fil._extend(rows, ident.vectors))))
+    options = [ident]
+    for basis in (ech, ech.reversal()):
+        if basis not in options:
+            options.append(basis)
+    return options
 
-    Per axis: the identity, built once per rank (_identity_seed); the
-    echelon basis of the slices, completed by the greedy extension; and
-    its reversal P B, whose inverse needs no elimination:
-    ((P B)^T)^-1 = P (B^T)^-1 for the reversal permutation P, so it is the
-    echelon inverse with its rows reversed."""
-    per_axis = []
-    for axis, r in enumerate(x.shape):
-        ident = _identity_seed(r)
-        options = [ident]
-        # slices of v_x along this axis span the column space of the
-        # matricization; echelonize that as the leading flag directions
-        rows = la.rref(la.transpose(_matricization(x, axis)))[0]
-        ech, (d, inv) = _with_inverse(
-            CompatibleBasis(tuple(map(tuple, rows + fil._extend(rows, ident[0].vectors))))
-        )
-        rev = CompatibleBasis(tuple(reversed(ech.vectors)))
-        for basis, change in ((ech, (d, inv)), (rev, (d, inv[::-1]))):
-            if basis not in [b for b, _ in options]:
-                options.append((basis, change))
-        per_axis.append(options)
-    return list(itertools.product(*per_axis)) + _random_seeds(x.shape, rng_seed)
+
+def _seed_supports(x: TensorPoint, rng_seed: int) -> List[Tuple[_Seed, _Support]]:
+    """Every seed tuple of bases with the support of v_x in it, in search
+    order: the product of the axis options (_axis_options) in
+    itertools.product order, then the random seeds (_random_seeds).
+
+    v_x is scaled to integers once.  The product is walked as a tree, one
+    axis per level, so that each axis change is applied once per prefix:
+    3 + 9 + 27 axis products for (2,2,2), where changing every seed afresh
+    takes 27 x 3.  Expanding each level prefix by prefix, option by
+    option, keeps the product order."""
+    vec, _ = _integer_point(x)
+    level: List[Tuple[_Seed, List[int]]] = [((), vec)]
+    for axis in range(len(x.shape)):
+        options = _axis_options(x, axis)
+        level = [
+            (prefix + (basis,), _apply_axis(v, x.shape, axis, basis.change[1]))
+            for prefix, v in level
+            for basis in options
+        ]
+    for seed in _random_seeds(x.shape, rng_seed):
+        v = vec
+        for axis, basis in enumerate(seed):
+            v = _apply_axis(v, x.shape, axis, basis.change[1])
+        level.append((seed, v))
+    cells = list(_cells(x.shape))
+    return [(seed, _nonzero_cells(v, cells)) for seed, v in level]
 
 
 def kempf_minimize(x: TensorPoint, rng_seed: int = 0) -> Optional[MinimizationResult]:
@@ -657,12 +683,14 @@ def kempf_minimize(x: TensorPoint, rng_seed: int = 0) -> Optional[MinimizationRe
     bases.  From any negative result the search re-adapts the bases to
     the current minimizing flags until the value stops decreasing.
 
-    A seed costs one coordinate change to read off the support of v_x;
-    its minimum comes from _support_minimum, solved and checked once per
+    The seeds and the support of v_x in each come from one tree walk
+    (_seed_supports) that applies each axis change once per prefix; each
+    minimum comes from _support_minimum, solved and checked once per
     (shape, support), and only the winning seed's filtration tuple is
-    built.  Each adaptation round reads the adapted bases of the current
-    result (MinimizationResult.adapted), so those of the returned
-    minimizer are built once and rr_reduce reads them again.  The seeds,
+    built, on bases that are not validated again.  Each adaptation round
+    reads the adapted bases of the current result
+    (MinimizationResult.adapted), so those of the returned minimizer are
+    built once and rr_reduce reads them again.  The seeds,
     their order and the tie rule (a later seed must be strictly lower) are
     those of a search that builds every seed, so the same seed wins with
     the same exact value.
@@ -677,26 +705,25 @@ def kempf_minimize(x: TensorPoint, rng_seed: int = 0) -> Optional[MinimizationRe
     """
     winner = None
     best_sq = Fraction(0)  # the value is -sqrt(pnorm_sq): larger is lower
-    for seed in _seed_bases(x, rng_seed):
-        support = _support(x, [change for _, change in seed])
+    for seed, support in _seed_supports(x, rng_seed):
         m = _support_minimum(x.shape, support)
         if m.pnorm_sq > best_sq:
             winner, best_sq = (seed, support, m), m.pnorm_sq
     if winner is None:
         return None
     seed, support, m = winner
-    best = _build(x.shape, [basis for basis, _ in seed], support, m)
+    best = _build(x.shape, seed, support, m)
     rounds = 0
     while True:
         rounds += 1
         if rounds > ADAPT_ROUNDS:
             raise SearchNotConverged("basis adaptation failed to stabilize")
         adapted = best.adapted
-        support = _support(x, [(B.d, B.inv) for B in adapted])
+        support = _support(x, [B.change for B in adapted])
         m = _support_minimum(x.shape, support)
         if m.pnorm_sq <= best.c.square:
             break
-        best = _build(x.shape, [CompatibleBasis(tuple(B.rows)) for B in adapted], support, m)
+        best = _build(x.shape, [B.basis for B in adapted], support, m)
 
     for F in best.minimizer.components:
         if fil.expectation(F) != 0:
@@ -754,7 +781,7 @@ def rr_reduce(x: TensorPoint, M: MinimizationResult) -> ReducedInstance:
     n = len(comps)
     # coordinates of v_x in the product of adapted bases, tagged by level
     adapted = M.adapted
-    coords, scale = _scaled_coordinates(x, [(B.d, B.inv) for B in adapted])
+    coords, scale = _scaled_coordinates(x, [B.change for B in adapted])
     beta_q = _min_weight(x.shape, coords, [B.weights for B in adapted])
     if beta_q.denominator != 1:
         raise SearchNotConverged("the minimizer value at v_x is not an integer")
@@ -853,19 +880,27 @@ def reduced_is_semistable(R: ReducedInstance) -> Verdict:
     one-parameter subgroup is a maximum of linear forms with gradients
     b_j - N [block coordinate hit by the support element], so a nonzero
     minimum-norm point of those gradients, in the standard inner product,
-    is a destabilizer.
+    is a destabilizer.  The gradients are the test's whole input, so its
+    outcome is kept per sorted gradient set (_REDUCED_CACHE, under the cap
+    of _SUPPORT_CACHE): the seeded instances repeat few sets.
     """
     flat = [(i, j, rk) for i, per in enumerate(R.block_ranks) for j, rk in enumerate(per)]
     offsets = {(i, j): sum(rk for _, _, rk in flat[:k]) for k, (i, j, _) in enumerate(flat)}
-    twist = [Fraction(R.b[i][j]) for i, j, rk in flat for _ in range(rk)]
-    grads = []
+    twist = [R.b[i][j] for i, j, rk in flat for _ in range(rk)]
+    grads = set()
     for g, point in zip(R.groups, R.reduced):
         for idx, _val in point.coords:
             vec = list(twist)
             for i, gi in enumerate(g):
                 vec[offsets[(i, gi)] + idx[i]] -= R.N
-            grads.append(tuple(vec))
-    if any(q != 0 for q in _min_norm_point(grads, [Fraction(1)] * len(twist))):
+            grads.add(tuple(vec))
+    key = tuple(sorted(grads))
+    unstable = _REDUCED_CACHE.get(key)
+    if unstable is None:
+        unstable = any(q != 0 for q in _min_norm_point(list(key), [Fraction(1)] * len(twist)))
+        if len(_REDUCED_CACHE) < _SUPPORT_CACHE_CAP:
+            _REDUCED_CACHE[key] = unstable
+    if unstable:
         return Verdict(False, None, "negative weight in block coordinates")
     # the witness is a product of len(alphas) copies of the reduced point
     return Verdict(True, None, "Levi witness of degree %d" % len(R.witness.alphas))

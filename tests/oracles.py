@@ -18,8 +18,10 @@ a convex hull by scanning subsets (the library runs Wolfe's algorithm),
 and the value of a tensor filtration at a point by a Fraction change of
 coordinates (the library changes coordinates over the integers).  Greedy
 extension of a span takes one Fraction rref per pick, and the Kempf seed
-bases are built and inverted afresh for every point (the library reduces
-on one integer echelon and builds point-independent seeds once).  They are
+bases are built and inverted afresh for every point, each seed changing
+the coordinates of the point afresh (the library reduces on one integer
+echelon, builds point-independent seeds once and walks the seeds as a
+tree that shares axis changes).  They are
 slow and simple on purpose.
 
 The compatible-basis calculus of filtrations (row-space sums and
@@ -61,6 +63,7 @@ from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, product
 from math import isqrt
+from typing import NamedTuple, Sequence
 
 from slopelab import filtration as fil
 from slopelab import gitstab as gs
@@ -1170,21 +1173,27 @@ def fraction_lambda_in_bases(shape, coords, bases, weights):
     filtrations given by a basis and one weight per vector of each factor:
     coordinates by a Fraction inverse of each basis, applied axis by axis to
     the dense point, then the least weight sum over the nonzero ones."""
+    vec = _change_axes(shape, coords, [fraction_inverse([list(col) for col in zip(*basis)]) for basis in bases])
+    return min(
+        sum((Fraction(w[j]) for w, j in zip(weights, idx)), Fraction(0))
+        for idx, v in vec.items() if v
+    )
+
+
+def _change_axes(shape, coords, matrices):
+    """The dense point {index: value} with matrices[i] applied to axis i,
+    one axis after the other, as a dict over every cell in flat order."""
     cells = list(product(*(range(r) for r in shape)))
     vec = {idx: Fraction(coords.get(idx, 0)) for idx in cells}
-    for axis, basis in enumerate(bases):
-        inv = fraction_inverse([list(col) for col in zip(*basis)])
+    for axis, M in enumerate(matrices):
         out = {idx: Fraction(0) for idx in cells}
         for idx, v in vec.items():
             if v:
                 for jp in range(shape[axis]):
                     target = idx[:axis] + (jp,) + idx[axis + 1:]
-                    out[target] += inv[jp][idx[axis]] * v
+                    out[target] += M[jp][idx[axis]] * v
         vec = out
-    return min(
-        sum((Fraction(w[j]) for w, j in zip(weights, idx)), Fraction(0))
-        for idx, v in vec.items() if v
-    )
+    return vec
 
 
 def fraction_extend(base, candidates):
@@ -1213,12 +1222,22 @@ def fraction_adapted_basis(F):
     return out
 
 
+def integer_inverse_transpose(rows):
+    """(d, d (rows^T)^-1) by one la.solve_scaled of [rows^T | I], or None
+    when the rows are dependent."""
+    n = len(rows)
+    return la.solve_scaled(la.transpose(rows), [[int(i == k) for k in range(n)] for i in range(n)])
+
+
 def fresh_seed_bases(x, rng_seed):
     """The seed tuples of gitstab.kempf_minimize with every basis built and
-    inverted afresh: the identity of each axis, the echelon basis of the
-    slices completed by fraction_extend, and its reversal, each inverted by
-    its own elimination (the library builds the identity once per rank and
-    reverses the rows of the echelon inverse)."""
+    inverted afresh, each basis paired with its own integer inverse from
+    integer_inverse_transpose: the identity of each axis, the echelon basis
+    of the slices completed by fraction_extend, and its reversal, in
+    product order, then three random tuples drawn by fraction_random_rows
+    from random.Random(rng_seed).  (The library builds the identity once
+    per rank, reverses the rows of the echelon inverse and draws the random
+    tuples once per shape and seed.)"""
     per_axis = []
     for axis, r in enumerate(x.shape):
         options = [gs._identity_basis(r)]
@@ -1227,8 +1246,23 @@ def fresh_seed_bases(x, rng_seed):
         for basis in (ech, fil.CompatibleBasis(tuple(reversed(ech.vectors)))):
             if basis not in options:
                 options.append(basis)
-        per_axis.append([(b, gs._inverse_transpose(b.vectors)) for b in options])
-    return list(product(*per_axis)) + gs._random_seeds(x.shape, rng_seed)
+        per_axis.append([(b, integer_inverse_transpose(b.vectors)) for b in options])
+    rng = random.Random(rng_seed)
+    randoms = []
+    for _ in range(3):
+        bases = [fil.CompatibleBasis(fil._freeze(fraction_random_rows(rng, r)[0])) for r in x.shape]
+        randoms.append(tuple((b, integer_inverse_transpose(b.vectors)) for b in bases))
+    return list(product(*per_axis)) + randoms
+
+
+def support_in_changes(x, changes):
+    """Cells, in flat order, where the coordinates of v_x are nonzero after
+    the integer inverses (d, W) of a seed are applied axis by axis to the
+    dense Fraction point: one fresh coordinate change per seed (the library
+    scales v_x to integers once and shares each axis change among the seeds
+    with the same prefix)."""
+    vec = _change_axes(x.shape, coord_map(x), [W for _, W in changes])
+    return tuple(idx for idx, v in vec.items() if v)
 
 
 # ---------------------------------------------------------------------------
@@ -1237,19 +1271,28 @@ def fresh_seed_bases(x, rng_seed):
 
 def draw(rng, r):
     """Rows of a random invertible r x r matrix with entries in -2..2 and
-    their integer inverse (d, d (rows^T)^-1): one elimination per attempt,
-    which is also the invertibility test."""
+    their integer inverse (d, d (rows^T)^-1): one elimination per attempt
+    (integer_inverse_transpose), which is also the invertibility test."""
     while True:
         rows = [[rng.randrange(-2, 3) for _ in range(r)] for _ in range(r)]
-        inv = gs._inverse_transpose(rows)
+        inv = integer_inverse_transpose(rows)
         if inv is not None:
             return (rows, *inv)
+
+
+class Drawn(NamedTuple):
+    """A drawn weighted basis: what gitstab._lambda_weighted reads of a
+    weighted basis (the weights and the change), and the rows."""
+
+    rows: Sequence[Sequence[int]]
+    weights: Sequence[int]
+    change: tuple
 
 
 def draw_weighted(rng, r, w):
     """A random invertible basis, then one weight in -w..w per vector."""
     rows, d, inv = draw(rng, r)
-    return gs._WeightedBasis(rows, [rng.randrange(-w, w + 1) for _ in range(r)], d, inv)
+    return Drawn(rows, [rng.randrange(-w, w + 1) for _ in range(r)], (d, inv))
 
 
 def scalar_product_with_basis(F, vectors, weights):

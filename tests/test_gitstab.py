@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import itertools
 import json
 import os
@@ -37,6 +38,7 @@ from oracles import (
     scalar_product_by_basis,
     scalar_product_with_basis,
     subset_scan_min_norm_point,
+    support_in_changes,
 )
 from slopelab import invariants as inv
 
@@ -387,6 +389,7 @@ KEMPF_KINDS = (
 
 def _empty_caches(patch):
     patch.setattr(gs, "_SUPPORT_CACHE", {})
+    patch.setattr(gs, "_REDUCED_CACHE", {})
     patch.setattr(gs, "_RANDOM_SEEDS", {})
     patch.setattr(gs, "_IDENTITY_SEEDS", {})
 
@@ -471,7 +474,7 @@ def test_support_values_equal_the_built_filtrations():
     for shape, sizes in CACHE_SHAPES:
         for x in _seeded_points(rng, shape, sizes, 3):
             bases = [gs._random_basis(rng, r) for r in shape]
-            support = gs._support(x, [gs._inverse_transpose(b.vectors) for b in bases])
+            support = gs._support(x, [b.change for b in bases])
             m = gs._support_minimum(shape, support)
             weights = [[rng.randrange(-4, 5) for _ in range(r)] for r in shape]
             for parts in ([m.parts] if m.parts else []) + [weights]:
@@ -510,16 +513,15 @@ def test_caches_stop_at_their_cap(monkeypatch):
             assert len(gs._SUPPORT_CACHE) <= 5 and len(gs._RANDOM_SEEDS) <= 5
             again = gs.kempf_minimize(x, rng_seed=rng_seed)
             assert (fresh and fresh.to_json()) == (again and again.to_json())
-    assert len(gs._SUPPORT_CACHE) == len(gs._RANDOM_SEEDS) == 5
+            if fresh is not None:
+                R = gs.rr_reduce(x, fresh)
+                verdict = gs.reduced_is_semistable(R)
+                assert len(gs._REDUCED_CACHE) <= 5
+                assert gs.reduced_is_semistable(R) == verdict
+    assert len(gs._SUPPORT_CACHE) == len(gs._RANDOM_SEEDS) == len(gs._REDUCED_CACHE) == 5
 
 
-def test_seed_bases_match_parent_oracle(monkeypatch):
-    """The seed tuples, basis for basis and in order, equal those built and
-    inverted afresh for every point, and every (d, W) paired with a basis
-    B is an integer inverse: W B^T = d I exactly.  That is checked by
-    multiplication, since the inverse of a reversal is the reversed
-    echelon inverse, whose d may differ in sign from a fresh elimination."""
-    _empty_caches(monkeypatch)
+def _seed_walk_points():
     rng = random.Random(18001)
     points = [x for shape, size in KEMPF_KINDS for x in _seeded_points(rng, shape, [size], 3)]
     for shape in ((2, 2, 2, 2), (4, 4), (3, 3, 2)):
@@ -527,20 +529,133 @@ def test_seed_bases_match_parent_oracle(monkeypatch):
         for r in shape:
             total *= r
         points += _seeded_points(rng, shape, (1, 3, total // 2, total), 2)
-    checked = 0
+    return points
+
+
+def _seed_walk_mismatches(points):
+    """(points whose seed walk differs from the fresh seeds, bases checked).
+    The walk must list the same seed tuples, basis for basis and in order,
+    each with the support that one fresh coordinate change gives; and every
+    basis change (d, W) of the walk must be an integer inverse: W B^T = d I
+    exactly.  That is checked by multiplication, since the change of a
+    reversal is the echelon change with its rows reversed, whose d may
+    differ in sign from a fresh elimination."""
+    mismatches = checked = 0
     for k, x in enumerate(points):
-        got = gs._seed_bases(x, k % 3)
-        want = fresh_seed_bases(x, k % 3)
-        assert [[b for b, _ in seed] for seed in got] == [[b for b, _ in seed] for seed in want]
-        for seed in got:
-            for basis, (d, W) in seed:
+        got = gs._seed_supports(x, k % 3)
+        want = [
+            (tuple(b for b, _ in seed), support_in_changes(x, [c for _, c in seed]))
+            for seed in fresh_seed_bases(x, k % 3)
+        ]
+        mismatches += [(tuple(seed), support) for seed, support in got] != want
+        for seed, _ in got:
+            for basis in seed:
+                d, W = basis.change
                 r = len(basis.vectors)
                 assert d != 0
                 assert [
                     [sum(w * b for w, b in zip(row, vec)) for vec in basis.vectors] for row in W
                 ] == [[d * (i == j) for j in range(r)] for i in range(r)]
                 checked += 1
-    assert len(points) == 60 and checked > 1000
+    return mismatches, checked
+
+
+def test_seed_bases_match_parent_oracle(monkeypatch):
+    """The seed tree walks the seeds of a search that builds, inverts and
+    changes coordinates afresh for every seed, with the same supports, and
+    every change it applies is exact, the row-reversed change of each
+    reversal seed included."""
+    _empty_caches(monkeypatch)
+    points = _seed_walk_points()
+    reversals = 0
+    for x in points:
+        for axis in range(len(x.shape)):
+            options = gs._axis_options(x, axis)
+            if len(options) == 3:
+                assert options[2].vectors == options[1].vectors[::-1]
+                reversals += 1
+    mismatches, checked = _seed_walk_mismatches(points)
+    assert mismatches == 0
+    assert len(points) == 60 and checked > 1000 and reversals >= 30
+
+
+def test_seed_walk_that_reorders_or_drops_an_option_is_caught(monkeypatch):
+    points = _seed_walk_points()
+    options = gs._axis_options
+
+    def swapped(x, axis):
+        first, second, *rest = options(x, axis)
+        return [second, first, *rest]
+
+    # every axis of these points has at least two options, so each fault
+    # changes the walk of every point
+    for fault in (swapped, lambda x, axis: options(x, axis)[:-1]):
+        monkeypatch.setattr(gs, "_axis_options", fault)
+        assert _seed_walk_mismatches(points)[0] == len(points)
+
+
+def test_reduced_test_solves_each_gradient_set_once(monkeypatch):
+    """The coordinate test of reduced_is_semistable runs one Wolfe solve
+    per distinct gradient set, its whole input; the verdicts of a warm
+    memo equal those of a cold one.  A reduced instance of a Kempf
+    minimizer is semistable; the same instance with N raised by one is
+    not, so both verdicts go through the memo."""
+    monkeypatch.setattr(gs, "LEVI_BUDGET", 20_000)
+    _empty_caches(monkeypatch)
+    rng = random.Random(22001)
+    instances = []
+    for _ in range(4):
+        for shape, size in KEMPF_KINDS:
+            for x in _seeded_points(rng, shape, [size], 1):
+                M = gs.kempf_minimize(x)
+                if M is not None:
+                    R = gs.rr_reduce(x, M)
+                    instances += [R, dataclasses.replace(R, N=R.N + 1)]
+    exact = gs._min_norm_point
+    solved = Counter()
+
+    def counting_solve(points, weights):
+        if sys._getframe(1).f_code.co_name == "reduced_is_semistable":
+            solved[tuple(sorted(set(points)))] += 1
+        return exact(points, weights)
+
+    monkeypatch.setattr(gs, "_min_norm_point", counting_solve)
+    warm = [gs.reduced_is_semistable(R) for R in instances]
+    assert set(solved.values()) == {1}
+    assert len(solved) == len(gs._REDUCED_CACHE) < len(instances) // 2
+    cold = []
+    for R in instances:
+        monkeypatch.setattr(gs, "_REDUCED_CACHE", {})
+        cold.append(gs.reduced_is_semistable(R))
+    assert cold == warm
+    assert sum(solved.values()) == len(solved) + len(instances)
+    assert [v.semistable for v in warm] == [True, False] * (len(instances) // 2)
+
+
+INDEPENDENT_UNDER_O = """
+import sys
+from fractions import Fraction
+from slopelab.filtration import CompatibleBasis
+assert sys.flags.optimize  # run under python -O: library asserts are stripped
+try:
+    CompatibleBasis(((Fraction(1), Fraction(2)), (Fraction(2), Fraction(4))))
+except ValueError as exc:
+    print("ValueError:", exc)
+"""
+
+
+def test_dependent_basis_raises_also_under_python_O():
+    with pytest.raises(ValueError, match="independent"):
+        CompatibleBasis(((F(1), F(2), F(0)), (F(0), F(1), F(1)), (F(1), F(3), F(1))))
+    with pytest.raises(ValueError, match="square"):
+        CompatibleBasis(((F(1), F(0)),))
+    src = str(Path(gs.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", INDEPENDENT_UNDER_O], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("ValueError:")
 
 
 def test_rr_reduce_reuses_the_minimizer_adapted_bases(monkeypatch):
