@@ -106,9 +106,7 @@ class Filtration:
         return len(self.flag[i - 1])
 
     def multiplicities(self) -> Tuple[int, ...]:
-        return tuple(
-            self.member_dim(i) - self.member_dim(i + 1) for i in range(self.depth)
-        )
+        return tuple([self.member_dim(i) - self.member_dim(i + 1) for i in range(self.depth)])
 
     def to_json(self) -> dict:
         return {
@@ -140,7 +138,7 @@ class FiltrationTuple:
 
     @property
     def dims(self) -> Tuple[int, ...]:
-        return tuple(F.dim for F in self.components)
+        return tuple([F.dim for F in self.components])
 
     def to_json(self) -> list:
         return [F.to_json() for F in self.components]

@@ -34,9 +34,17 @@ once per point and changed axis by axis over the integers, and the seeds
 are walked as a tree (_seed_supports), so that each axis change is
 applied once per prefix of the seed product.  lambda of a tensor
 filtration needs only the support of those coordinates, so it is never
-divided; the reduction divides once.  The coordinate test of
-reduced_is_semistable depends on its set of gradients alone and runs
-once per set in a process.
+divided; the reduction divides once.
+
+Points share small canonical data, and what depends on such a datum alone
+is built once per datum in a process, by one helper (_memo) under one cap
+(_SUPPORT_CACHE_CAP); nothing is keyed on a point.  Besides the support
+minimum: the seed options of an axis per span of the slices of v_x, read
+off the integer point by one elimination (_axis_options); the filtration
+of a weighted basis per (basis, weights) (_build); the adapted basis per
+filtration (_adapted); and the outcome of the coordinate test of
+reduced_is_semistable per set of gradients.  A memo hands the same object
+to every caller, so no caller mutates what it gets.
 
 That the minimizer found is the global (Kempf) one is certified by the
 Kirwan-Ness criterion (F. Kirwan, Cohomology of Quotients in Symplectic
@@ -112,9 +120,9 @@ class TensorPoint:
     @staticmethod
     def from_map(shape: Sequence[int], coords: Dict[Tuple[int, ...], Fraction]) -> "TensorPoint":
         items = tuple(
-            (tuple(idx), Fraction(v)) for idx, v in sorted(coords.items()) if v != 0
+            [(tuple(idx), Fraction(v)) for idx, v in sorted(coords.items()) if v != 0]
         )
-        return TensorPoint(tuple(int(r) for r in shape), items)
+        return TensorPoint(tuple([int(r) for r in shape]), items)
 
     def to_json(self) -> dict:
         return {
@@ -131,6 +139,9 @@ class TensorPoint:
         coords = {}
         for key, val in payload["coords"].items():
             idx = tuple(int(part) - 1 for part in str(key).split(","))
+            # "1,1", "01,1" and " 1,1" name one cell
+            if idx in coords:
+                raise ValueError("duplicate index")
             coords[idx] = rat_from_str(str(val))
         return TensorPoint.from_map(shape, coords)
 
@@ -149,11 +160,12 @@ class MinimizationResult:
 
     @functools.cached_property
     def adapted(self) -> Tuple[_WeightedBasis, ...]:
-        """The adapted weighted basis of each minimizer component, built
-        once per result: the last adaptation round of kempf_minimize and
+        """The adapted weighted basis of each minimizer component
+        (_adapted, built once per filtration in a process), looked up once
+        per result: the last adaptation round of kempf_minimize and
         rr_reduce read the same bases.  Not a field, so equality, hashing
         and to_json do not see it."""
-        return tuple(_adapted(F) for F in self.minimizer.components)
+        return tuple([_adapted(F) for F in self.minimizer.components])
 
     def to_json(self) -> dict:
         return {
@@ -234,8 +246,14 @@ class _WeightedBasis(NamedTuple):
 
 
 def _adapted(F: Filtration) -> _WeightedBasis:
+    """The adapted weighted basis of F, built once per filtration in a
+    process (_ADAPTED)."""
+    return _memo(_ADAPTED, F, lambda: _weighted_adapted_basis(F))
+
+
+def _weighted_adapted_basis(F: Filtration) -> _WeightedBasis:
     ad = fil.adapted_basis(F)
-    return _WeightedBasis(CompatibleBasis(tuple(v for v, _ in ad)), [w for _, w in ad])
+    return _WeightedBasis(CompatibleBasis(tuple(v for v, _ in ad)), tuple(w for _, w in ad))
 
 
 def _apply_axis(vec: List[int], shape: Sequence[int], axis: int, M: List[List[int]]) -> List[int]:
@@ -256,7 +274,7 @@ def _apply_axis(vec: List[int], shape: Sequence[int], axis: int, M: List[List[in
 def _integer_point(x: TensorPoint) -> Tuple[List[int], int]:
     """(s v_x, s): v_x flat in row-major order, scaled to integers by the
     least common denominator s of its coordinates."""
-    den = math.lcm(*(v.denominator for _, v in x.coords))
+    den = math.lcm(*[v.denominator for _, v in x.coords])
     vec = [0] * math.prod(x.shape)
     for idx, val in x.coords:
         flat = 0
@@ -279,9 +297,10 @@ def _scaled_coordinates(x: TensorPoint, changes: Sequence[_Change]) -> Tuple[Lis
     return vec, den
 
 
-def _cells(shape: Sequence[int]):
-    """Multi-indices in flat order."""
-    return itertools.product(*(range(r) for r in shape))
+def _cells(shape: Tuple[int, ...]) -> Tuple[Tuple[int, ...], ...]:
+    """Multi-indices in flat order, listed once per shape in a process
+    (_CELLS), so that the supports of one shape share their cells."""
+    return _memo(_CELLS, shape, lambda: tuple(itertools.product(*(range(r) for r in shape))))
 
 
 def _min_weight(shape: Sequence[int], coords: Sequence[int], weights: Sequence[Sequence]):
@@ -447,12 +466,38 @@ class _SupportMinimum(NamedTuple):
 
 
 _Support = Tuple[Tuple[int, ...], ...]
-# one checked minimum per (shape, support), capped like exactnum._LOG_CACHE
-_SUPPORT_CACHE: Dict[Tuple[Tuple[int, ...], _Support], _SupportMinimum] = {}
+_Span = Tuple[Tuple[int, ...], ...]  # canonical rows of a span (_slice_span)
+# Process memos, each keyed on the whole canonical input of its value and
+# filled by _memo, which stops storing at _SUPPORT_CACHE_CAP entries like
+# exactnum._LOG_CACHE.  None is keyed on a TensorPoint.
 _SUPPORT_CACHE_CAP = 4096
+# one checked minimum per (shape, support)
+_SUPPORT_CACHE: Dict[Tuple[Tuple[int, ...], _Support], _SupportMinimum] = {}
 # the outcome of the coordinate test of reduced_is_semistable per sorted
-# gradient set, its whole input; it shares the cap of _SUPPORT_CACHE
+# gradient set
 _REDUCED_CACHE: Dict[Tuple[Tuple[int, ...], ...], bool] = {}
+# the multi-indices of each shape in flat order
+_CELLS: Dict[Tuple[int, ...], Tuple[Tuple[int, ...], ...]] = {}
+# the seed bases of one axis per span of the slices of v_x; the rank is
+# the length of the rows
+_AXIS_OPTIONS: Dict[_Span, Tuple[CompatibleBasis, ...]] = {}
+# the filtration of a weighted basis per (basis, integer weights)
+_FILTRATIONS: Dict[Tuple[CompatibleBasis, Tuple[int, ...]], Filtration] = {}
+# the adapted weighted basis per filtration
+_ADAPTED: Dict[Filtration, _WeightedBasis] = {}
+
+
+def _memo(cache: dict, key, build):
+    """cache[key], computed by build() on a miss and stored while the cache
+    holds fewer than _SUPPORT_CACHE_CAP entries; a full cache still
+    answers, by building afresh.  build() that raises stores nothing.
+    Memo values are shared, so no caller mutates one."""
+    hit = cache.get(key)
+    if hit is None:
+        hit = build()
+        if len(cache) < _SUPPORT_CACHE_CAP:
+            cache[key] = hit
+    return hit
 
 
 def _weighted_basis_values(
@@ -485,10 +530,10 @@ def _support_minimum(shape: Tuple[int, ...], support: _Support) -> _SupportMinim
     runs here, before the entry is stored, and a failed check stores
     nothing.
     """
-    key = (shape, support)
-    hit = _SUPPORT_CACHE.get(key)
-    if hit is not None:
-        return hit
+    return _memo(_SUPPORT_CACHE, (shape, support), lambda: _solve_support(shape, support))
+
+
+def _solve_support(shape: Tuple[int, ...], support: _Support) -> _SupportMinimum:
     grads = [
         tuple(Fraction(1 - r * (j == s[i])) for i, r in enumerate(shape) for j in range(r))
         for s in support
@@ -497,24 +542,26 @@ def _support_minimum(shape: Tuple[int, ...], support: _Support) -> _SupportMinim
     p = _min_norm_point(grads, weights)
     pnorm_sq = sum(w * a * a for w, a in zip(weights, p))
     if pnorm_sq == 0:
-        out = _SupportMinimum(pnorm_sq, None, Fraction(0))
-    else:
-        direction = _coprime_integer_direction([-q for q in p])
-        parts = _split_by_shape(direction, shape)
-        norm_sq, expect, least = _weighted_basis_values(shape, support, parts)
-        c_tilde = (expect - least) / norm_sq
-        # consistency: c = c_tilde * sqrt(norm_sq)
-        if not (c_tilde < 0 and c_tilde * c_tilde * norm_sq == pnorm_sq):
-            raise SearchNotConverged("minimizer value disagrees with the min-norm point")
-        out = _SupportMinimum(pnorm_sq, parts, c_tilde)
-    if len(_SUPPORT_CACHE) < _SUPPORT_CACHE_CAP:
-        _SUPPORT_CACHE[key] = out
-    return out
+        return _SupportMinimum(pnorm_sq, None, Fraction(0))
+    direction = _coprime_integer_direction([-q for q in p])
+    parts = _split_by_shape(direction, shape)
+    norm_sq, expect, least = _weighted_basis_values(shape, support, parts)
+    c_tilde = (expect - least) / norm_sq
+    # consistency: c = c_tilde * sqrt(norm_sq)
+    if not (c_tilde < 0 and c_tilde * c_tilde * norm_sq == pnorm_sq):
+        raise SearchNotConverged("minimizer value disagrees with the min-norm point")
+    return _SupportMinimum(pnorm_sq, parts, c_tilde)
 
 
 def _nonzero_cells(coords: Sequence[int], cells) -> _Support:
-    """The cells, listed in flat order, where coords is nonzero."""
-    support = tuple(idx for c, idx in zip(coords, cells) if c)
+    """The cells, listed in flat order, where coords is nonzero.
+
+    Tuples on the per-point path are built from lists, as are the argument
+    tuples of math.lcm: a tuple built from a generator is allocated at a
+    guessed size and shrunk, and on release it joins the interpreter's
+    free list of its final size, which keeps up to 2000 tuples of each
+    size for the life of the process (as in linalg._common_scaled)."""
+    support = tuple([idx for c, idx in zip(coords, cells) if c])
     if not support:
         raise ValueError("a nonzero point has a nonzero coordinate in every basis")
     return support
@@ -529,11 +576,17 @@ def _support(x: TensorPoint, changes: Sequence[_Change]) -> _Support:
 def _build(
     shape: Sequence[int], bases: Sequence[CompatibleBasis], support: _Support, m: _SupportMinimum
 ) -> MinimizationResult:
-    """The minimizing tuple of a checked support minimum, in the given bases."""
+    """The minimizing tuple of a checked support minimum, in the given bases.
+    Each component is the filtration of one basis and its integer weights,
+    built once per (basis, weights) in a process (_FILTRATIONS) on the
+    validated basis (filtration._from_basis)."""
     if m.parts is None:
         trivial = FiltrationTuple(tuple(fil.trivial(r) for r in shape))
         return MinimizationResult(trivial, AlgValue.zero(), Fraction(0), tuple(bases), support)
-    comps = tuple(fil._from_basis(basis, ws) for basis, ws in zip(bases, m.parts))
+    comps = tuple([
+        _memo(_FILTRATIONS, (basis, ws), lambda: fil._from_basis(basis, ws))
+        for basis, ws in zip(bases, m.parts)
+    ])
     return MinimizationResult(
         FiltrationTuple(comps), AlgValue(-1, m.pnorm_sq), m.c_tilde, tuple(bases), support
     )
@@ -570,7 +623,8 @@ _Seed = Tuple[CompatibleBasis, ...]
 # entry holds 3 n bases, so the cap is small
 _RANDOM_SEEDS: Dict[Tuple[Tuple[int, ...], int], List[_Seed]] = {}
 _RANDOM_SEEDS_CAP = 64
-# the identity seed basis of each rank; ranks are few
+# the identity seed basis of each rank, which every axis option set of
+# that rank shares; ranks are few
 _IDENTITY_SEEDS: Dict[int, CompatibleBasis] = {}
 
 
@@ -582,26 +636,7 @@ def _identity_basis(r: int) -> CompatibleBasis:
 
 def _identity_seed(r: int) -> CompatibleBasis:
     """The identity basis of rank r, built once per rank in a process."""
-    hit = _IDENTITY_SEEDS.get(r)
-    if hit is None:
-        hit = _IDENTITY_SEEDS[r] = _identity_basis(r)
-    return hit
-
-
-def _matricization(x: TensorPoint, axis: int) -> la.Matrix:
-    rows = x.shape[axis]
-    cols = 1
-    for i, r in enumerate(x.shape):
-        if i != axis:
-            cols *= r
-    M = [[Fraction(0)] * cols for _ in range(rows)]
-    for idx, val in x.coords:
-        col = 0
-        for i, r in enumerate(x.shape):
-            if i != axis:
-                col = col * r + idx[i]
-        M[idx[axis]][col] = val
-    return M
+    return _memo(_IDENTITY_SEEDS, r, lambda: _identity_basis(r))
 
 
 def _random_basis(rng: random.Random, r: int) -> CompatibleBasis:
@@ -629,22 +664,54 @@ def _random_seeds(shape: Tuple[int, ...], rng_seed: int) -> List[_Seed]:
     return hit
 
 
-def _axis_options(x: TensorPoint, axis: int) -> List[CompatibleBasis]:
-    """The seed bases of one axis: the identity, built once per rank
-    (_identity_seed); the echelon basis of the slices of v_x, completed by
-    the greedy extension; and its reversal, whose change needs no
-    elimination (CompatibleBasis.reversal).  A basis equal to an earlier
-    option is left out."""
-    ident = _identity_seed(x.shape[axis])
-    # slices of v_x along this axis span the column space of the
-    # matricization; echelonize that as the leading flag directions
-    rows = la.rref(la.transpose(_matricization(x, axis)))[0]
-    ech = CompatibleBasis(tuple(map(tuple, rows + fil._extend(rows, ident.vectors))))
+def _slice_span(vec: Sequence[int], shape: Sequence[int], axis: int) -> _Span:
+    """The span of the slices of the integer point vec (flat, row-major)
+    along axis, the column space of its matricization, as canonical rows:
+    the rows of its reduced echelon form, each scaled to a primitive
+    integer row with a positive pivot.  One integer elimination of the
+    nonzero slices; every spanning set of one space gives the same rows."""
+    r = shape[axis]
+    stride = math.prod(shape[axis + 1 :])
+    block = r * stride
+    W = [
+        row
+        for start in range(0, len(vec), block)
+        for first in range(start, start + stride)
+        if any(row := vec[first : first + block : stride])
+    ]
+    rank, _, d, _ = la._eliminate(W, r)
+    sign = 1 if d > 0 else -1
+    rows = []
+    for row in W[:rank]:
+        g = sign * math.gcd(*row)
+        rows.append(tuple([a // g for a in row]))
+    return tuple(rows)
+
+
+def _axis_options(vec: Sequence[int], shape: Sequence[int], axis: int) -> Tuple[CompatibleBasis, ...]:
+    """The seed bases of one axis: the identity; the echelon basis of the
+    slices of v_x, completed by the greedy extension; and its reversal,
+    whose change needs no elimination (CompatibleBasis.reversal).  A basis
+    equal to an earlier option is left out.
+
+    They depend on the rank and the span of the slices alone, so they are
+    built once per span (_slice_span, whose rows have length r) in a
+    process (_AXIS_OPTIONS); a point whose spans are all new pays one
+    elimination and one dict lookup per axis on top of building them."""
+    span = _slice_span(vec, shape, axis)
+    return _memo(_AXIS_OPTIONS, span, lambda: _span_options(span))
+
+
+def _span_options(span: _Span) -> Tuple[CompatibleBasis, ...]:
+    ident = _identity_seed(len(span[0]))
+    # the rref rows of the span lead, as the leading flag directions
+    rows = [tuple(Fraction(a, next(filter(None, row))) for a in row) for row in span]
+    ech = CompatibleBasis(tuple(rows) + tuple(map(tuple, fil._extend(rows, ident.vectors))))
     options = [ident]
     for basis in (ech, ech.reversal()):
         if basis not in options:
             options.append(basis)
-    return options
+    return tuple(options)
 
 
 def _seed_supports(x: TensorPoint, rng_seed: int) -> List[Tuple[_Seed, _Support]]:
@@ -652,15 +719,16 @@ def _seed_supports(x: TensorPoint, rng_seed: int) -> List[Tuple[_Seed, _Support]
     order: the product of the axis options (_axis_options) in
     itertools.product order, then the random seeds (_random_seeds).
 
-    v_x is scaled to integers once.  The product is walked as a tree, one
-    axis per level, so that each axis change is applied once per prefix:
-    3 + 9 + 27 axis products for (2,2,2), where changing every seed afresh
-    takes 27 x 3.  Expanding each level prefix by prefix, option by
-    option, keeps the product order."""
+    v_x is scaled to integers once, and the axis options are read off that
+    integer point.  The product is walked as a tree, one axis per level,
+    so that each axis change is applied once per prefix: 3 + 9 + 27 axis
+    products for (2,2,2), where changing every seed afresh takes 27 x 3.
+    Expanding each level prefix by prefix, option by option, keeps the
+    product order."""
     vec, _ = _integer_point(x)
     level: List[Tuple[_Seed, List[int]]] = [((), vec)]
     for axis in range(len(x.shape)):
-        options = _axis_options(x, axis)
+        options = _axis_options(vec, x.shape, axis)
         level = [
             (prefix + (basis,), _apply_axis(v, x.shape, axis, basis.change[1]))
             for prefix, v in level
@@ -671,7 +739,7 @@ def _seed_supports(x: TensorPoint, rng_seed: int) -> List[Tuple[_Seed, _Support]
         for axis, basis in enumerate(seed):
             v = _apply_axis(v, x.shape, axis, basis.change[1])
         level.append((seed, v))
-    cells = list(_cells(x.shape))
+    cells = _cells(x.shape)
     return [(seed, _nonzero_cells(v, cells)) for seed, v in level]
 
 
@@ -684,13 +752,15 @@ def kempf_minimize(x: TensorPoint, rng_seed: int = 0) -> Optional[MinimizationRe
     the current minimizing flags until the value stops decreasing.
 
     The seeds and the support of v_x in each come from one tree walk
-    (_seed_supports) that applies each axis change once per prefix; each
-    minimum comes from _support_minimum, solved and checked once per
-    (shape, support), and only the winning seed's filtration tuple is
-    built, on bases that are not validated again.  Each adaptation round
-    reads the adapted bases of the current result
-    (MinimizationResult.adapted), so those of the returned minimizer are
-    built once and rr_reduce reads them again.  The seeds,
+    (_seed_supports) that applies each axis change once per prefix, with
+    the options of each axis built once per span of the slices of v_x
+    (_axis_options); each minimum comes from _support_minimum, solved and
+    checked once per (shape, support), and only the winning seed's
+    filtration tuple is built, each component once per (basis, weights)
+    and on bases that are not validated again (_build).  Each adaptation
+    round reads the adapted bases of the current result
+    (MinimizationResult.adapted), built once per filtration, and
+    rr_reduce reads those of the returned minimizer again.  The seeds,
     their order and the tie rule (a later seed must be strictly lower) are
     those of a search that builds every seed, so the same seed wins with
     the same exact value.
@@ -757,8 +827,8 @@ def rr_reduce(x: TensorPoint, M: MinimizationResult) -> ReducedInstance:
     Builds the level-beta layer of the tensor filtration, the minimal
     integer N making all a = -N c l / r integral, and b = N/r + a.  The
     coordinates of v_x in the adapted bases of the minimizer (M.adapted,
-    built once per result) come from one integer coordinate change and are
-    divided once, for the projection.
+    built once per filtration in a process) come from one integer
+    coordinate change and are divided once, for the projection.
     The projection is the limit point of the Kirwan-Ness criterion (see
     the module docstring), so M is the Kempf minimizer exactly when it is
     semistable for the Levi subgroup, the product of the GL of the blocks,
@@ -788,19 +858,14 @@ def rr_reduce(x: TensorPoint, M: MinimizationResult) -> ReducedInstance:
     beta = int(beta_q)
     c_tilde = M.c_tilde
 
-    block_jumps = tuple(F.jumps for F in comps)
-    block_ranks = tuple(F.multiplicities() for F in comps)
+    block_jumps = tuple([F.jumps for F in comps])
+    block_ranks = tuple([F.multiplicities() for F in comps])
 
     N = math.lcm(
-        *(F.dim for F in comps), *((c_tilde * lam / F.dim).denominator for F in comps for lam in F.jumps)
+        *[F.dim for F in comps], *[(c_tilde * lam / F.dim).denominator for F in comps for lam in F.jumps]
     )
-    a = tuple(
-        tuple(int(-N * c_tilde * lam / F.dim) for lam in F.jumps)
-        for F in comps
-    )
-    b = tuple(
-        tuple(N // F.dim + aj for aj in arow) for F, arow in zip(comps, a)
-    )
+    a = tuple([tuple([int(-N * c_tilde * lam / F.dim) for lam in F.jumps]) for F in comps])
+    b = tuple([tuple([N // F.dim + aj for aj in arow]) for F, arow in zip(comps, a)])
     for i in range(n):
         if sum(aj * rj for aj, rj in zip(a[i], block_ranks[i])) != 0:
             raise SearchNotConverged("sum of a_j r_j is not zero")
@@ -821,10 +886,10 @@ def rr_reduce(x: TensorPoint, M: MinimizationResult) -> ReducedInstance:
     for cval, idx in zip(coords, _cells(x.shape)):
         if not cval:
             continue
-        g = tuple(levels[i][idx[i]] for i in range(n))
+        g = tuple([levels[i][idx[i]] for i in range(n)])
         if sum(comps[i].jumps[g[i]] for i in range(n)) != beta:
             continue
-        t = tuple(positions[i][idx[i]] for i in range(n))
+        t = tuple([positions[i][idx[i]] for i in range(n)])
         cell = grouped.setdefault(g, {})
         cell[t] = cell.get(t, 0) + cval
     grouped = {
@@ -834,10 +899,10 @@ def rr_reduce(x: TensorPoint, M: MinimizationResult) -> ReducedInstance:
     if not grouped:
         raise SearchNotConverged("the level-beta projection of the minimal layer is zero")
     groups = tuple(sorted(grouped))
-    reduced = tuple(
+    reduced = tuple([
         TensorPoint.from_map([block_ranks[i][g[i]] for i in range(n)], grouped[g])
         for g in groups
-    )
+    ])
 
     # blocks flattened in factor order are the letters; the point of group
     # g feeds one slot to each block (i, g_i)
@@ -871,6 +936,12 @@ def rr_reduce(x: TensorPoint, M: MinimizationResult) -> ReducedInstance:
     )
 
 
+def _coordinate_test(grads: Sequence[Tuple[int, ...]]) -> bool:
+    """Whether the minimum-norm point of the gradients, in the standard
+    inner product, is nonzero: a destabilizer of the reduced point."""
+    return any(q != 0 for q in _min_norm_point(list(grads), [Fraction(1)] * len(grads[0])))
+
+
 def reduced_is_semistable(R: ReducedInstance) -> Verdict:
     """Decision for the reduced point under the graded group.
 
@@ -881,8 +952,8 @@ def reduced_is_semistable(R: ReducedInstance) -> Verdict:
     b_j - N [block coordinate hit by the support element], so a nonzero
     minimum-norm point of those gradients, in the standard inner product,
     is a destabilizer.  The gradients are the test's whole input, so its
-    outcome is kept per sorted gradient set (_REDUCED_CACHE, under the cap
-    of _SUPPORT_CACHE): the seeded instances repeat few sets.
+    outcome is kept per sorted gradient set (_REDUCED_CACHE, filled by
+    _memo): the seeded instances repeat few sets.
     """
     flat = [(i, j, rk) for i, per in enumerate(R.block_ranks) for j, rk in enumerate(per)]
     offsets = {(i, j): sum(rk for _, _, rk in flat[:k]) for k, (i, j, _) in enumerate(flat)}
@@ -895,12 +966,7 @@ def reduced_is_semistable(R: ReducedInstance) -> Verdict:
                 vec[offsets[(i, gi)] + idx[i]] -= R.N
             grads.add(tuple(vec))
     key = tuple(sorted(grads))
-    unstable = _REDUCED_CACHE.get(key)
-    if unstable is None:
-        unstable = any(q != 0 for q in _min_norm_point(list(key), [Fraction(1)] * len(twist)))
-        if len(_REDUCED_CACHE) < _SUPPORT_CACHE_CAP:
-            _REDUCED_CACHE[key] = unstable
-    if unstable:
+    if _memo(_REDUCED_CACHE, key, lambda: _coordinate_test(key)):
         return Verdict(False, None, "negative weight in block coordinates")
     # the witness is a product of len(alphas) copies of the reduced point
     return Verdict(True, None, "Levi witness of degree %d" % len(R.witness.alphas))

@@ -147,7 +147,9 @@ def _nonzero_partition(
     moves = []
     den = 1
     for support in supports:
-        scale = math.lcm(*(v.denominator for _, v in support))
+        # lists, not generators, build the tuples of this search: see
+        # gitstab._nonzero_cells
+        scale = math.lcm(*[v.denominator for _, v in support])
         den *= scale
         moves.append([(v.numerator * (scale // v.denominator), idx) for idx, v in support])
     nblocks = sum(t // r for t, r in zip(targets, ranks))
@@ -216,19 +218,19 @@ def _nonzero_partition(
         if not nxt:
             continue
         if j + 1 == len(moves):
-            sigma = tuple(
-                tuple(slot for blk, slots in enumerate(members) if block_factor[blk] == i for slot in slots)
+            sigma = tuple([
+                tuple([slot for blk, slots in enumerate(members) if block_factor[blk] == i for slot in slots])
                 for i in range(n)
-            )
+            ])
             return (sigma, Fraction(sum(nxt.values()), den)), spent
         # the future depends only on the open blocks, up to relabeling
         # those of one factor, and on the partial sums up to a factor
         opens = sorted((block_factor[blk], sorted(m[blk] for m in nxt), blk) for blk in open_blocks())
         g = math.gcd(*nxt.values())
-        sums = sorted((tuple(m[blk] for _, _, blk in opens), w // g) for m, w in nxt.items())
+        sums = sorted((tuple([m[blk] for _, _, blk in opens]), w // g) for m, w in nxt.items())
         if sums[0][1] < 0:
             sums = [(m, -w) for m, w in sums]
-        state = (j, tuple(f for f, _, _ in opens), tuple(sums))
+        state = (j, tuple([f for f, _, _ in opens]), tuple(sums))
         if state not in dead:
             stack.append((place(factors[j + 1], 0, []), nxt, state))
     return None, spent
@@ -283,9 +285,7 @@ def invariant_witness_search(
         ranks = [r if r is not None else 1 for r in found]
     ranks = list(ranks)
     for alpha, comp in components.items():
-        want = tuple(
-            r for i, r in enumerate(ranks) for _ in range(alpha[i])
-        )
+        want = tuple([r for i, r in enumerate(ranks) for _ in range(alpha[i])])
         if comp.shape != want:
             raise ValueError("component shape does not match its exponent")
     alphabet = sorted(components)

@@ -1229,19 +1229,40 @@ def integer_inverse_transpose(rows):
     return la.solve_scaled(la.transpose(rows), [[int(i == k) for k in range(n)] for i in range(n)])
 
 
+def matricization(x, axis):
+    """The Fraction matrix of x with the indices of this axis as rows and
+    the other indices, in row-major order, as columns: its columns are the
+    slices of v_x along the axis."""
+    rows = x.shape[axis]
+    cols = 1
+    for i, r in enumerate(x.shape):
+        if i != axis:
+            cols *= r
+    M = [[Fraction(0)] * cols for _ in range(rows)]
+    for idx, val in x.coords:
+        col = 0
+        for i, r in enumerate(x.shape):
+            if i != axis:
+                col = col * r + idx[i]
+        M[idx[axis]][col] = val
+    return M
+
+
 def fresh_seed_bases(x, rng_seed):
     """The seed tuples of gitstab.kempf_minimize with every basis built and
     inverted afresh, each basis paired with its own integer inverse from
     integer_inverse_transpose: the identity of each axis, the echelon basis
-    of the slices completed by fraction_extend, and its reversal, in
-    product order, then three random tuples drawn by fraction_random_rows
-    from random.Random(rng_seed).  (The library builds the identity once
-    per rank, reverses the rows of the echelon inverse and draws the random
-    tuples once per shape and seed.)"""
+    of the slices (the Fraction rref of the transposed matricization)
+    completed by fraction_extend, and its reversal, in product order, then
+    three random tuples drawn by fraction_random_rows from
+    random.Random(rng_seed).  (The library reads the span of the slices
+    off the integer point, builds the options once per rank and span,
+    reverses the rows of the echelon inverse and draws the random tuples
+    once per shape and seed.)"""
     per_axis = []
     for axis, r in enumerate(x.shape):
         options = [gs._identity_basis(r)]
-        rows = la.rref(la.transpose(gs._matricization(x, axis)))[0]
+        rows = la.rref(la.transpose(matricization(x, axis)))[0]
         ech = fil.CompatibleBasis(tuple(map(tuple, rows + fraction_extend(rows, la.identity(r)))))
         for basis in (ech, fil.CompatibleBasis(tuple(reversed(ech.vectors)))):
             if basis not in options:

@@ -254,6 +254,17 @@ class TestGitVerbs:
         assert cli.run(["git", "reduce", "--in", path]) == 2
         assert "semistable" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("twin", ["01,1", " 1,1", "1,01"])
+    def test_two_keys_for_one_cell_are_usage_error(self, tmp_path, capsys, twin):
+        # merged, the later value would win, and the point decided would not
+        # be the file's
+        coords = {"1,1": "1", twin: "2", "2,2": "1"}
+        path = write(tmp_path / "twice.json", {"shape": [2, 2], "coords": coords})
+        assert cli.run(["git", "check", "--in", path]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "duplicate index" in err
+
     def test_minimize(self, tmp_path, capsys):
         path = point_file(tmp_path, "pure.json", (2, 2), {(0, 0): 1})
         code, doc = run_json(capsys, ["git", "minimize", "--in", path])

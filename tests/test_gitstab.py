@@ -98,6 +98,10 @@ def test_tensor_point_json_roundtrip():
     payload = x.to_json()
     assert payload["coords"] == {"1,3": "3/2", "2,1": "-2"}
     assert gs.TensorPoint.from_json(payload) == x
+    # two keys that name one cell are refused, not merged
+    for twin in ("01,3", " 1,3", "1,03"):
+        with pytest.raises(ValueError, match="duplicate index"):
+            gs.TensorPoint.from_json({"shape": [2, 3], "coords": {"1,3": "1", twin: "2"}})
 
 
 # ---------------------------------------------------------------------------
@@ -387,11 +391,16 @@ KEMPF_KINDS = (
 )
 
 
+# every process memo of gitstab
+MEMOS = (
+    "_SUPPORT_CACHE", "_REDUCED_CACHE", "_CELLS", "_AXIS_OPTIONS", "_FILTRATIONS", "_ADAPTED",
+    "_RANDOM_SEEDS", "_IDENTITY_SEEDS",
+)
+
+
 def _empty_caches(patch):
-    patch.setattr(gs, "_SUPPORT_CACHE", {})
-    patch.setattr(gs, "_REDUCED_CACHE", {})
-    patch.setattr(gs, "_RANDOM_SEEDS", {})
-    patch.setattr(gs, "_IDENTITY_SEEDS", {})
+    for name in MEMOS:
+        patch.setattr(gs, name, {})
 
 
 def test_kempf_search_solves_each_support_once(monkeypatch):
@@ -434,14 +443,17 @@ CACHE_SHAPES = (
 
 
 def _reports(x):
-    """is_semistable(x) and, for an unstable point, rr_reduce, as JSON (or
-    the message of the check that stopped them)."""
+    """is_semistable(x) and, for an unstable point, rr_reduce and
+    reduced_is_semistable, as JSON (or the message of the check that
+    stopped them)."""
     out = []
     try:
         verdict = gs.is_semistable(x)
         out.append(json.dumps(verdict.to_json(), sort_keys=True))
         if not verdict.semistable:
-            out.append(json.dumps(gs.rr_reduce(x, verdict.witness).to_json(), sort_keys=True))
+            R = gs.rr_reduce(x, verdict.witness)
+            out.append(json.dumps(R.to_json(), sort_keys=True))
+            out.append(json.dumps(gs.reduced_is_semistable(R).to_json(), sort_keys=True))
     except gs.SearchNotConverged as exc:
         out.append("SearchNotConverged: %s" % exc)
     return out
@@ -465,7 +477,41 @@ def test_reports_equal_with_cold_and_warm_cache(monkeypatch):
         _empty_caches(monkeypatch)
         cold.append(_reports(x))
     assert cold == warm
-    assert sum(len(r) == 2 for r in warm) >= 60  # unstable points, reduced
+    assert sum(len(r) == 3 for r in warm) >= 60  # unstable points, reduced
+
+
+def _plain(obj):
+    """A fresh copy of a memo value as plain tuples and lists, the
+    coordinate change of each basis included (it is no field of equality)."""
+    if isinstance(obj, CompatibleBasis):
+        d, W = obj.change
+        return ("basis", obj.vectors, d, [list(row) for row in W])
+    if isinstance(obj, tuple):
+        return tuple(_plain(a) for a in obj)
+    if isinstance(obj, list):
+        return [_plain(a) for a in obj]
+    return obj
+
+
+def _memo_snapshot():
+    return {name: [(_plain(k), _plain(v)) for k, v in getattr(gs, name).items()] for name in MEMOS}
+
+
+def test_no_memo_entry_changes_over_a_pass(monkeypatch):
+    """Memo values are shared by every point that meets their key: the
+    change of a reversal shares its rows with the echelon change, and a
+    seed, a built filtration and an adapted basis go into many results.
+    A second pass over the same points, reductions included, leaves every
+    entry as the first pass stored it."""
+    monkeypatch.setattr(gs, "LEVI_BUDGET", 20_000)
+    _empty_caches(monkeypatch)
+    rng = random.Random(23001)
+    points = [x for shape, size in KEMPF_KINDS for x in _seeded_points(rng, shape, [size], 4)]
+    first = [_reports(x) for x in points]
+    before = _memo_snapshot()
+    assert all(before[name] for name in MEMOS)
+    assert [_reports(x) for x in points] == first
+    assert _memo_snapshot() == before
 
 
 def test_support_values_equal_the_built_filtrations():
@@ -510,15 +556,23 @@ def test_caches_stop_at_their_cap(monkeypatch):
         for rng_seed in range(8):
             fresh = gs.kempf_minimize(x, rng_seed=rng_seed)
             # a full cache still answers, with the same result
-            assert len(gs._SUPPORT_CACHE) <= 5 and len(gs._RANDOM_SEEDS) <= 5
+            assert all(len(getattr(gs, name)) <= 5 for name in MEMOS)
             again = gs.kempf_minimize(x, rng_seed=rng_seed)
             assert (fresh and fresh.to_json()) == (again and again.to_json())
             if fresh is not None:
                 R = gs.rr_reduce(x, fresh)
                 verdict = gs.reduced_is_semistable(R)
-                assert len(gs._REDUCED_CACHE) <= 5
+                assert all(len(getattr(gs, name)) <= 5 for name in MEMOS)
                 assert gs.reduced_is_semistable(R) == verdict
-    assert len(gs._SUPPORT_CACHE) == len(gs._RANDOM_SEEDS) == len(gs._REDUCED_CACHE) == 5
+                assert gs.rr_reduce(x, again) == R
+    # one shape of two ranks: one list of cells, two identities
+    per_point = [name for name in MEMOS if name not in ("_CELLS", "_IDENTITY_SEEDS")]
+    assert [len(getattr(gs, name)) for name in per_point] == [5] * len(per_point)
+    assert (len(gs._CELLS), len(gs._IDENTITY_SEEDS)) == (1, 2)
+    for r in range(1, 9):
+        assert gs._cells((r, 2)) == tuple(itertools.product(range(r), range(2)))
+        assert gs._identity_seed(r) == gs._identity_basis(r)
+    assert len(gs._CELLS) == len(gs._IDENTITY_SEEDS) == 5
 
 
 def _seed_walk_points():
@@ -569,8 +623,9 @@ def test_seed_bases_match_parent_oracle(monkeypatch):
     points = _seed_walk_points()
     reversals = 0
     for x in points:
+        vec, _ = gs._integer_point(x)
         for axis in range(len(x.shape)):
-            options = gs._axis_options(x, axis)
+            options = gs._axis_options(vec, x.shape, axis)
             if len(options) == 3:
                 assert options[2].vectors == options[1].vectors[::-1]
                 reversals += 1
@@ -583,15 +638,44 @@ def test_seed_walk_that_reorders_or_drops_an_option_is_caught(monkeypatch):
     points = _seed_walk_points()
     options = gs._axis_options
 
-    def swapped(x, axis):
-        first, second, *rest = options(x, axis)
+    def swapped(vec, shape, axis):
+        first, second, *rest = options(vec, shape, axis)
         return [second, first, *rest]
 
     # every axis of these points has at least two options, so each fault
     # changes the walk of every point
-    for fault in (swapped, lambda x, axis: options(x, axis)[:-1]):
+    for fault in (swapped, lambda vec, shape, axis: options(vec, shape, axis)[:-1]):
         monkeypatch.setattr(gs, "_axis_options", fault)
         assert _seed_walk_mismatches(points)[0] == len(points)
+
+
+class _PivotKeyed(dict):
+    """An axis memo that keys a span on its rank and its pivots alone, so
+    that two spans with the same pivots share their options."""
+
+    @staticmethod
+    def _key(span):
+        return len(span[0]), tuple(next(c for c, a in enumerate(row) if a) for row in span)
+
+    def get(self, key, default=None):
+        return super().get(self._key(key), default)
+
+    def __setitem__(self, key, value):
+        super().__setitem__(self._key(key), value)
+
+
+def test_axis_memo_keyed_on_pivots_alone_is_caught(monkeypatch):
+    # the options are keyed on the whole canonical span: spans with the same
+    # pivots, such as those of (1, 0) and (1, 1) slices, have different
+    # echelon bases
+    _empty_caches(monkeypatch)
+    points = _seed_walk_points()
+    assert _seed_walk_mismatches(points)[0] == 0
+    spans = {key for key in gs._AXIS_OPTIONS}
+    assert len(spans) > len({_PivotKeyed._key(key) for key in spans})
+    _empty_caches(monkeypatch)
+    monkeypatch.setattr(gs, "_AXIS_OPTIONS", _PivotKeyed())
+    assert _seed_walk_mismatches(points)[0] > 0
 
 
 def test_reduced_test_solves_each_gradient_set_once(monkeypatch):
@@ -615,7 +699,7 @@ def test_reduced_test_solves_each_gradient_set_once(monkeypatch):
     solved = Counter()
 
     def counting_solve(points, weights):
-        if sys._getframe(1).f_code.co_name == "reduced_is_semistable":
+        if sys._getframe(1).f_code.co_name == "_coordinate_test":
             solved[tuple(sorted(set(points)))] += 1
         return exact(points, weights)
 
@@ -659,37 +743,36 @@ def test_dependent_basis_raises_also_under_python_O():
 
 
 def test_rr_reduce_reuses_the_minimizer_adapted_bases(monkeypatch):
-    """kempf_minimize builds one adapted basis per component in each
-    adaptation round, and rr_reduce reads the bases of its result instead
-    of building them again.  A round ends in a build (of the winning seed,
-    then of each improvement), so the builds count the rounds."""
-    calls = Counter()
-    adapted_basis, build = fil.adapted_basis, gs._build
+    """On emptied memos, each distinct filtration that the Kempf search
+    adapts gets one adapted basis for the whole run (_ADAPTED), every
+    component of every minimizer among them, and rr_reduce builds none:
+    it reads the adapted bases of its minimizer."""
+    _empty_caches(monkeypatch)
+    adapted = Counter()
+    in_reduce = 0
+    adapted_basis = fil.adapted_basis
 
     def counting_adapted_basis(F):
-        calls["adapted_basis"] += 1
+        adapted[F] += 1
         return adapted_basis(F)
 
-    def counting_build(*args):
-        calls["build"] += 1
-        return build(*args)
-
     monkeypatch.setattr(fil, "adapted_basis", counting_adapted_basis)
-    monkeypatch.setattr(gs, "_build", counting_build)
     rng = random.Random(18002)
-    reduced = 0
-    for shape, size in KEMPF_KINDS:
-        for x in _seeded_points(rng, shape, [size], 3):
-            calls.clear()
-            res = gs.kempf_minimize(x)
-            if res is None:
-                continue
-            assert calls["adapted_basis"] == len(shape) * calls["build"] >= len(shape)
-            calls.clear()
-            gs.rr_reduce(x, res)
-            assert calls["adapted_basis"] == 0
-            reduced += 1
-    assert reduced >= 20
+    components = set()
+    for _ in range(2):
+        for shape, size in KEMPF_KINDS:
+            for x in _seeded_points(rng, shape, [size], 3):
+                res = gs.kempf_minimize(x)
+                if res is None:
+                    continue
+                components.update(res.minimizer.components)
+                before = sum(adapted.values())
+                gs.rr_reduce(x, res)
+                in_reduce += sum(adapted.values()) - before
+    assert set(adapted.values()) == {1}
+    assert components <= set(adapted)
+    assert in_reduce == 0
+    assert len(components) >= 20
 
 
 def test_dense_campaign_has_no_inconclusive_point():
