@@ -10,6 +10,7 @@ dyadic enclosures of the real value until zero is excluded.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -61,19 +62,14 @@ def factorize(n: int) -> list[tuple[int, int]]:
     return out
 
 
-# numbers is_prime has factored and found prime, capped like _LOG_CACHE:
-# LogValue validation asks about the same few primes over and over
-_PRIMES: set = set()
-
-
 def is_prime(n: int) -> bool:
-    if n in _PRIMES:
-        return True
-    if n < 2 or factorize(n) != [(n, 1)]:
-        return False
-    if len(_PRIMES) < 4096:
-        _PRIMES.add(n)
-    return True
+    return _is_prime(n)
+
+
+# LogValue validation asks about the same few primes over and over
+@functools.lru_cache(maxsize=4096)
+def _is_prime(n: int) -> bool:
+    return n >= 2 and factorize(n) == [(n, 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -155,12 +151,6 @@ def _atanh_interval(z: Fraction, bits: int) -> Interval:
     )
 
 
-# Logs of integers only: prime logs recur across comparisons and
-# renderings, while the rational arguments of height brackets never do.
-# (n, bits) -> the endpoint numerators of log n over 2**(bits+1).
-_LOG_CACHE: Dict[Tuple[int, int], Tuple[int, int]] = {}
-
-
 def _on_grid(iv: Interval, bits: int) -> Tuple[int, int]:
     """The endpoints of iv as integer numerators over 2**bits."""
     lo, hi = iv.lo * (1 << bits), iv.hi * (1 << bits)
@@ -170,19 +160,32 @@ def _on_grid(iv: Interval, bits: int) -> Tuple[int, int]:
 
 
 def log_interval(q: Fraction, bits: int) -> Interval:
-    """Certified enclosure of log(q) for rational q > 0, width <= 2**-bits.
+    """Certified enclosure of log(q) for rational q > 0, width <= 2**-bits;
+    that of an integer is read from _log_grid."""
+    q = Fraction(q)
+    if q <= 0:
+        raise ValueError("log_interval needs a positive argument")
+    if q.denominator == 1:
+        return _dyadic(_log_grid(q.numerator, bits), bits + 1)
+    return _log_enclosure(q, bits)
+
+
+# Logs of integers only: prime logs recur across comparisons and
+# renderings, while the rational arguments of height brackets never do.
+@functools.lru_cache(maxsize=4096)
+def _log_grid(n: int, bits: int) -> Tuple[int, int]:
+    """The endpoint numerators of the enclosure of log n, n >= 1 an
+    integer, over 2**(bits+1)."""
+    return _on_grid(_log_enclosure(Fraction(n), bits), bits + 1)
+
+
+def _log_enclosure(q: Fraction, bits: int) -> Interval:
+    """log_interval of a rational q > 0, computed afresh.
 
     Argument reduction q = 2**e * m with m in [1, 2), then
     log q = e*log 2 + 2*atanh((m-1)/(m+1)).  Needs only big-integer
     arithmetic; q does not have to be factored or even reduced.
     """
-    q = Fraction(q)
-    if q <= 0:
-        raise ValueError("log_interval needs a positive argument")
-    whole = q.denominator == 1
-    hit = _LOG_CACHE.get((q.numerator, bits)) if whole else None
-    if hit is not None:
-        return _dyadic(hit, bits + 1)
     if q == 1:
         return Interval(Fraction(0), Fraction(0))
     if q < 1:
@@ -203,10 +206,7 @@ def log_interval(q: Fraction, bits: int) -> Interval:
     if e:
         log2 = _atanh_interval(Fraction(1, 3), sub + 1).scaled(Fraction(2))
         body = body + log2.scaled(Fraction(e))
-    ends = _outward(body, bits + 1)
-    if whole and len(_LOG_CACHE) < 4096:
-        _LOG_CACHE[q.numerator, bits] = ends
-    return _dyadic(ends, bits + 1)
+    return _dyadic(_outward(body, bits + 1), bits + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +366,7 @@ def approximate(a: LogValue, bits: int) -> Interval:
     lo = hi = 0
     for p, c in a.terms:
         sub = slack + max(0, _ceil_log2_abs(c))
-        grid = _LOG_CACHE.get((p, sub)) or _on_grid(log_interval(p, sub), sub + 1)
+        grid = _log_grid(p, sub)
         w = c.numerator * (den // c.denominator) << (top - sub - 1)
         l, h = grid if w > 0 else grid[::-1]
         lo, hi = lo + w * l, hi + w * h

@@ -37,14 +37,15 @@ filtration needs only the support of those coordinates, so it is never
 divided; the reduction divides once.
 
 Points share small canonical data, and what depends on such a datum alone
-is built once per datum in a process, by one helper (_memo) under one cap
-(_SUPPORT_CACHE_CAP); nothing is keyed on a point.  Besides the support
-minimum: the seed options of an axis per span of the slices of v_x, read
-off the integer point by one elimination (_axis_options); the filtration
-of a weighted basis per (basis, weights) (_build); the adapted basis per
-filtration (_adapted); and the outcome of the coordinate test of
-reduced_is_semistable per set of gradients.  A memo hands the same object
-to every caller, so no caller mutates what it gets.
+is built once per datum in a process: each such builder is a private
+function under functools.lru_cache, keyed on its whole canonical input and
+never on a point, and its cache_info() counts hits and misses.  Besides
+the support minimum: the seed options of an axis per span of the slices
+of v_x, read off the integer point by one elimination (_span_options); the
+checked filtration of a weighted basis per (basis, weights) (_component);
+the adapted basis per filtration (_adapted); and the outcome of the
+coordinate test of reduced_is_semistable per set of gradients.  A memo
+hands the same object to every caller, so no caller mutates what it gets.
 
 That the minimizer found is the global (Kempf) one is certified by the
 Kirwan-Ness criterion (F. Kirwan, Cohomology of Quotients in Symplectic
@@ -245,13 +246,10 @@ class _WeightedBasis(NamedTuple):
         return self.basis.change
 
 
+@functools.lru_cache(maxsize=4096)
 def _adapted(F: Filtration) -> _WeightedBasis:
     """The adapted weighted basis of F, built once per filtration in a
-    process (_ADAPTED)."""
-    return _memo(_ADAPTED, F, lambda: _weighted_adapted_basis(F))
-
-
-def _weighted_adapted_basis(F: Filtration) -> _WeightedBasis:
+    process."""
     ad = fil.adapted_basis(F)
     return _WeightedBasis(CompatibleBasis(tuple(v for v, _ in ad)), tuple(w for _, w in ad))
 
@@ -297,10 +295,11 @@ def _scaled_coordinates(x: TensorPoint, changes: Sequence[_Change]) -> Tuple[Lis
     return vec, den
 
 
+@functools.lru_cache(maxsize=4096)
 def _cells(shape: Tuple[int, ...]) -> Tuple[Tuple[int, ...], ...]:
-    """Multi-indices in flat order, listed once per shape in a process
-    (_CELLS), so that the supports of one shape share their cells."""
-    return _memo(_CELLS, shape, lambda: tuple(itertools.product(*(range(r) for r in shape))))
+    """Multi-indices in flat order, listed once per shape in a process, so
+    that the supports of one shape share their cells."""
+    return tuple(itertools.product(*(range(r) for r in shape)))
 
 
 def _min_weight(shape: Sequence[int], coords: Sequence[int], weights: Sequence[Sequence]):
@@ -467,37 +466,6 @@ class _SupportMinimum(NamedTuple):
 
 _Support = Tuple[Tuple[int, ...], ...]
 _Span = Tuple[Tuple[int, ...], ...]  # canonical rows of a span (_slice_span)
-# Process memos, each keyed on the whole canonical input of its value and
-# filled by _memo, which stops storing at _SUPPORT_CACHE_CAP entries like
-# exactnum._LOG_CACHE.  None is keyed on a TensorPoint.
-_SUPPORT_CACHE_CAP = 4096
-# one checked minimum per (shape, support)
-_SUPPORT_CACHE: Dict[Tuple[Tuple[int, ...], _Support], _SupportMinimum] = {}
-# the outcome of the coordinate test of reduced_is_semistable per sorted
-# gradient set
-_REDUCED_CACHE: Dict[Tuple[Tuple[int, ...], ...], bool] = {}
-# the multi-indices of each shape in flat order
-_CELLS: Dict[Tuple[int, ...], Tuple[Tuple[int, ...], ...]] = {}
-# the seed bases of one axis per span of the slices of v_x; the rank is
-# the length of the rows
-_AXIS_OPTIONS: Dict[_Span, Tuple[CompatibleBasis, ...]] = {}
-# the filtration of a weighted basis per (basis, integer weights)
-_FILTRATIONS: Dict[Tuple[CompatibleBasis, Tuple[int, ...]], Filtration] = {}
-# the adapted weighted basis per filtration
-_ADAPTED: Dict[Filtration, _WeightedBasis] = {}
-
-
-def _memo(cache: dict, key, build):
-    """cache[key], computed by build() on a miss and stored while the cache
-    holds fewer than _SUPPORT_CACHE_CAP entries; a full cache still
-    answers, by building afresh.  build() that raises stores nothing.
-    Memo values are shared, so no caller mutates one."""
-    hit = cache.get(key)
-    if hit is None:
-        hit = build()
-        if len(cache) < _SUPPORT_CACHE_CAP:
-            cache[key] = hit
-    return hit
 
 
 def _weighted_basis_values(
@@ -515,6 +483,7 @@ def _weighted_basis_values(
     return norm_sq, expect, Fraction(least)
 
 
+@functools.lru_cache(maxsize=4096)
 def _support_minimum(shape: Tuple[int, ...], support: _Support) -> _SupportMinimum:
     """The minimum over tuples compatible with bases in which v_x has this
     support, computed once per (shape, support) in a process.
@@ -530,10 +499,6 @@ def _support_minimum(shape: Tuple[int, ...], support: _Support) -> _SupportMinim
     runs here, before the entry is stored, and a failed check stores
     nothing.
     """
-    return _memo(_SUPPORT_CACHE, (shape, support), lambda: _solve_support(shape, support))
-
-
-def _solve_support(shape: Tuple[int, ...], support: _Support) -> _SupportMinimum:
     grads = [
         tuple(Fraction(1 - r * (j == s[i])) for i, r in enumerate(shape) for j in range(r))
         for s in support
@@ -573,20 +538,27 @@ def _support(x: TensorPoint, changes: Sequence[_Change]) -> _Support:
     return _nonzero_cells(_scaled_coordinates(x, changes)[0], _cells(x.shape))
 
 
+@functools.lru_cache(maxsize=4096)
+def _component(basis: CompatibleBasis, weights: Tuple[int, ...]) -> Filtration:
+    """The minimizer component that gives each vector of a validated basis
+    its integer weight (filtration._from_basis), built once per (basis,
+    weights) in a process.  A minimizer has expectation zero in every
+    component, so that is checked here, once per distinct component."""
+    F = fil._from_basis(basis, weights)
+    if fil.expectation(F) != 0:
+        raise SearchNotConverged("minimizer expectation is not zero")
+    return F
+
+
 def _build(
     shape: Sequence[int], bases: Sequence[CompatibleBasis], support: _Support, m: _SupportMinimum
 ) -> MinimizationResult:
-    """The minimizing tuple of a checked support minimum, in the given bases.
-    Each component is the filtration of one basis and its integer weights,
-    built once per (basis, weights) in a process (_FILTRATIONS) on the
-    validated basis (filtration._from_basis)."""
+    """The minimizing tuple of a checked support minimum, in the given bases,
+    one checked component per basis (_component)."""
     if m.parts is None:
         trivial = FiltrationTuple(tuple(fil.trivial(r) for r in shape))
         return MinimizationResult(trivial, AlgValue.zero(), Fraction(0), tuple(bases), support)
-    comps = tuple([
-        _memo(_FILTRATIONS, (basis, ws), lambda: fil._from_basis(basis, ws))
-        for basis, ws in zip(bases, m.parts)
-    ])
+    comps = tuple([_component(basis, ws) for basis, ws in zip(bases, m.parts)])
     return MinimizationResult(
         FiltrationTuple(comps), AlgValue(-1, m.pnorm_sq), m.c_tilde, tuple(bases), support
     )
@@ -619,24 +591,15 @@ def minimize_fixed_basis(
 
 
 _Seed = Tuple[CompatibleBasis, ...]
-# the random seed bases per (shape, rng_seed); a run uses few seeds, and an
-# entry holds 3 n bases, so the cap is small
-_RANDOM_SEEDS: Dict[Tuple[Tuple[int, ...], int], List[_Seed]] = {}
-_RANDOM_SEEDS_CAP = 64
-# the identity seed basis of each rank, which every axis option set of
-# that rank shares; ranks are few
-_IDENTITY_SEEDS: Dict[int, CompatibleBasis] = {}
 
 
+@functools.lru_cache(maxsize=4096)
 def _identity_basis(r: int) -> CompatibleBasis:
+    """The identity basis of rank r, which every axis option set of that
+    rank shares, built once per rank in a process."""
     return CompatibleBasis(
         tuple(tuple(Fraction(int(a == b)) for b in range(r)) for a in range(r))
     )
-
-
-def _identity_seed(r: int) -> CompatibleBasis:
-    """The identity basis of rank r, built once per rank in a process."""
-    return _memo(_IDENTITY_SEEDS, r, lambda: _identity_basis(r))
 
 
 def _random_basis(rng: random.Random, r: int) -> CompatibleBasis:
@@ -650,18 +613,14 @@ def _random_basis(rng: random.Random, r: int) -> CompatibleBasis:
             pass
 
 
-def _random_seeds(shape: Tuple[int, ...], rng_seed: int) -> List[_Seed]:
+@functools.lru_cache(maxsize=64)
+def _random_seeds(shape: Tuple[int, ...], rng_seed: int) -> Tuple[_Seed, ...]:
     """Three random seed tuples from random.Random(rng_seed).  They depend
     on the shape and the seed alone, so they are drawn and validated once
-    per (shape, rng_seed) in a process."""
-    key = (shape, rng_seed)
-    hit = _RANDOM_SEEDS.get(key)
-    if hit is None:
-        rng = random.Random(rng_seed)
-        hit = [tuple(_random_basis(rng, r) for r in shape) for _ in range(3)]
-        if len(_RANDOM_SEEDS) < _RANDOM_SEEDS_CAP:
-            _RANDOM_SEEDS[key] = hit
-    return hit
+    per (shape, rng_seed) in a process; a run uses few seeds, and an entry
+    holds 3 n bases, so the bound is small."""
+    rng = random.Random(rng_seed)
+    return tuple([tuple(_random_basis(rng, r) for r in shape) for _ in range(3)])
 
 
 def _slice_span(vec: Sequence[int], shape: Sequence[int], axis: int) -> _Span:
@@ -695,15 +654,14 @@ def _axis_options(vec: Sequence[int], shape: Sequence[int], axis: int) -> Tuple[
     equal to an earlier option is left out.
 
     They depend on the rank and the span of the slices alone, so they are
-    built once per span (_slice_span, whose rows have length r) in a
-    process (_AXIS_OPTIONS); a point whose spans are all new pays one
-    elimination and one dict lookup per axis on top of building them."""
-    span = _slice_span(vec, shape, axis)
-    return _memo(_AXIS_OPTIONS, span, lambda: _span_options(span))
+    built once per span (_span_options; the rows of _slice_span have length
+    r) in a process: a point pays one elimination per axis and a lookup."""
+    return _span_options(_slice_span(vec, shape, axis))
 
 
+@functools.lru_cache(maxsize=4096)
 def _span_options(span: _Span) -> Tuple[CompatibleBasis, ...]:
-    ident = _identity_seed(len(span[0]))
+    ident = _identity_basis(len(span[0]))
     # the rref rows of the span lead, as the leading flag directions
     rows = [tuple(Fraction(a, next(filter(None, row))) for a in row) for row in span]
     ech = CompatibleBasis(tuple(rows) + tuple(map(tuple, fil._extend(rows, ident.vectors))))
@@ -756,9 +714,9 @@ def kempf_minimize(x: TensorPoint, rng_seed: int = 0) -> Optional[MinimizationRe
     the options of each axis built once per span of the slices of v_x
     (_axis_options); each minimum comes from _support_minimum, solved and
     checked once per (shape, support), and only the winning seed's
-    filtration tuple is built, each component once per (basis, weights)
-    and on bases that are not validated again (_build).  Each adaptation
-    round reads the adapted bases of the current result
+    filtration tuple is built, each component built and checked once per
+    (basis, weights) on bases that are not validated again (_component).
+    Each adaptation round reads the adapted bases of the current result
     (MinimizationResult.adapted), built once per filtration, and
     rr_reduce reads those of the returned minimizer again.  The seeds,
     their order and the tie rule (a later seed must be strictly lower) are
@@ -766,12 +724,12 @@ def kempf_minimize(x: TensorPoint, rng_seed: int = 0) -> Optional[MinimizationRe
     the same exact value.
 
     Returns None when no destabilizer is found by the basis family.  A
-    negative result is an exact destabilizing tuple whose minimizer must
-    have expectation zero in every component (SearchNotConverged
-    otherwise).  That it is the global minimizer is not decided here: by
-    the Kirwan-Ness criterion in the module docstring it is exactly the
-    semistability of the limit point for the Levi subgroup, which
-    rr_reduce certifies with a Levi witness.
+    negative result is an exact destabilizing tuple whose minimizer has
+    expectation zero in every component (_component raises
+    SearchNotConverged otherwise).  That it is the global minimizer is not
+    decided here: by the Kirwan-Ness criterion in the module docstring it
+    is exactly the semistability of the limit point for the Levi
+    subgroup, which rr_reduce certifies with a Levi witness.
     """
     winner = None
     best_sq = Fraction(0)  # the value is -sqrt(pnorm_sq): larger is lower
@@ -794,10 +752,6 @@ def kempf_minimize(x: TensorPoint, rng_seed: int = 0) -> Optional[MinimizationRe
         if m.pnorm_sq <= best.c.square:
             break
         best = _build(x.shape, [B.basis for B in adapted], support, m)
-
-    for F in best.minimizer.components:
-        if fil.expectation(F) != 0:
-            raise SearchNotConverged("minimizer expectation is not zero")
     return best
 
 
@@ -936,7 +890,8 @@ def rr_reduce(x: TensorPoint, M: MinimizationResult) -> ReducedInstance:
     )
 
 
-def _coordinate_test(grads: Sequence[Tuple[int, ...]]) -> bool:
+@functools.lru_cache(maxsize=4096)
+def _coordinate_test(grads: Tuple[Tuple[int, ...], ...]) -> bool:
     """Whether the minimum-norm point of the gradients, in the standard
     inner product, is nonzero: a destabilizer of the reduced point."""
     return any(q != 0 for q in _min_norm_point(list(grads), [Fraction(1)] * len(grads[0])))
@@ -952,8 +907,8 @@ def reduced_is_semistable(R: ReducedInstance) -> Verdict:
     b_j - N [block coordinate hit by the support element], so a nonzero
     minimum-norm point of those gradients, in the standard inner product,
     is a destabilizer.  The gradients are the test's whole input, so its
-    outcome is kept per sorted gradient set (_REDUCED_CACHE, filled by
-    _memo): the seeded instances repeat few sets.
+    outcome is kept per sorted gradient set (_coordinate_test): the seeded
+    instances repeat few sets.
     """
     flat = [(i, j, rk) for i, per in enumerate(R.block_ranks) for j, rk in enumerate(per)]
     offsets = {(i, j): sum(rk for _, _, rk in flat[:k]) for k, (i, j, _) in enumerate(flat)}
@@ -965,8 +920,7 @@ def reduced_is_semistable(R: ReducedInstance) -> Verdict:
             for i, gi in enumerate(g):
                 vec[offsets[(i, gi)] + idx[i]] -= R.N
             grads.add(tuple(vec))
-    key = tuple(sorted(grads))
-    if _memo(_REDUCED_CACHE, key, lambda: _coordinate_test(key)):
+    if _coordinate_test(tuple(sorted(grads))):
         return Verdict(False, None, "negative weight in block coordinates")
     # the witness is a product of len(alphas) copies of the reduced point
     return Verdict(True, None, "Levi witness of degree %d" % len(R.witness.alphas))

@@ -258,6 +258,8 @@ def invariant_witness_search(
     """
     if m < 1 or D_max < 1:
         raise ValueError("m and D_max must be positive")
+    if budget < 1:
+        raise ValueError("budget must be positive")
     if isinstance(x, gitstab.TensorPoint):
         components = {(1,) * len(x.shape): x}
     else:

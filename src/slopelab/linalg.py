@@ -31,10 +31,11 @@ criterion on _ldl_scaled.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, isqrt, lcm, prod
-from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 Matrix = List[List[Fraction]]
 Vector = List[Fraction]
@@ -220,12 +221,9 @@ class _SubsetTable(NamedTuple):
     laplace: List[Tuple[int, int, List[List[int]]]]
 
 
-# (n, k) -> _SubsetTable, each built on first use and kept for the process
-_SUBSET_TABLES: Dict[Tuple[int, int], _SubsetTable] = {}
-
-
+@functools.lru_cache(maxsize=None)
 def _subset_table(n: int, k: int) -> _SubsetTable:
-    """The tables of (n, k), built on first use and then looked up.
+    """The tables of (n, k), built on first use and kept for the process.
 
     The dominated sets are generated, not filtered, by a recursion on the
     last index, from the table of (n, k - 1): J < I with I = P + (i,)
@@ -234,9 +232,6 @@ def _subset_table(n: int, k: int) -> _SubsetTable:
     one Q are consecutive in lex order, so each Q contributes two slices
     of them.  Every index is taken from one list, so the tables share
     their int objects."""
-    hit = _SUBSET_TABLES.get((n, k))
-    if hit is not None:
-        return hit
     subsets = k_subsets(n, k)
     below = k_subsets(n, k - 1)
     prev = {S: t for t, S in enumerate(below)}
@@ -264,8 +259,7 @@ def _subset_table(n: int, k: int) -> _SubsetTable:
                         groups[m + 1] += ext[q][:cut]
                         groups[m] += ext[q][cut:top]
             laplace.append((i0, prev[I[1:]], groups))
-    hit = _SUBSET_TABLES[(n, k)] = _SubsetTable(heads[-1], heads, laplace)
-    return hit
+    return _SubsetTable(heads[-1], heads, laplace)
 
 
 def _compound_tower(M: Sequence[Sequence], top: int) -> Iterator[Tuple[int, List[List[int]], int]]:

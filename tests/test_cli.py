@@ -308,6 +308,15 @@ class TestInvVerbs:
         assert code == 0
         assert doc == {"witness": "budget"}
 
+    def test_witness_rejects_a_budget_below_one(self, tmp_path, capsys):
+        path = point_file(tmp_path, "pure.json", (2, 2), {(0, 0): 1})
+        for budget in ("0", "-5"):
+            argv = ["inv", "witness", "--in", path, "--b", "1,1", "--m", "2", "--dmax", "2", "--budget", budget]
+            assert cli.run(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "budget must be positive" in captured.err
+
     def test_bound(self, tmp_path, capsys):
         path = write(
             tmp_path / "mus.json",

@@ -7,6 +7,7 @@ from its classical decimal expansion.
 """
 
 from fractions import Fraction
+import functools
 import os
 from pathlib import Path
 import random
@@ -242,10 +243,25 @@ def test_atanh_matches_fraction_oracle():
             assert exactnum._atanh_interval(z, bits) == fraction_atanh_interval(z, bits), (z, bits)
 
 
+def _record_log_grid(patch):
+    """exactnum._log_grid wrapped anew at its bound around a builder that
+    records each enclosure it builds: {(n, bits): (lo, hi)}."""
+    built = {}
+    build = exactnum._log_grid.__wrapped__
+
+    def recording(n, bits):
+        built[n, bits] = build(n, bits)
+        return built[n, bits]
+
+    maxsize = exactnum._log_grid.cache_info().maxsize
+    patch.setattr(exactnum, "_log_grid", functools.lru_cache(maxsize=maxsize)(recording))
+    return built
+
+
 def test_log_cache_keeps_only_integer_arguments(monkeypatch):
     # heights take logs of one-shot rationals; caching them would crowd
     # out the prime logs that comparisons and renderings ask for again
-    monkeypatch.setattr(exactnum, "_LOG_CACHE", {})
+    built = _record_log_grid(monkeypatch)
     rng = random.Random(50)
     done = 0
     while done < 50:
@@ -255,8 +271,11 @@ def test_log_cache_keeps_only_integer_arguments(monkeypatch):
         if any(x for row in rows for x in row):
             morphism_height(Morphism.from_rows(E, E, rows))
             done += 1
-    assert exactnum._LOG_CACHE
-    assert all(q.denominator == 1 for q, _bits in exactnum._LOG_CACHE)
+    assert built
+    assert all(type(n) is int for n, _bits in built)
+    # a rational that is no integer, and its inverse, are not stored
+    log_interval(Fraction(2, 3), 40)
+    assert exactnum._log_grid.cache_info().currsize == len(built)
 
 
 log_values = st.builds(
@@ -320,13 +339,14 @@ def test_approximate_matches_fraction_oracle_on_campaign_values(monkeypatch):
         assert approximate(a, bits) == fraction_approximate(a, bits), (str(a), bits)
 
 
-def test_log_cache_holds_the_oracle_enclosures():
+def test_log_cache_holds_the_oracle_enclosures(monkeypatch):
+    built = _record_log_grid(monkeypatch)
     rng = random.Random(97)
     for _ in range(200):
         v = log_of(Fraction(rng.randrange(1, 10**4), rng.randrange(1, 10**4)), Fraction(rng.randrange(1, 99), 7))
         approximate(v, rng.randrange(1, 120))
-    assert exactnum._LOG_CACHE
-    for (n, bits), (lo, hi) in exactnum._LOG_CACHE.items():
+    assert built
+    for (n, bits), (lo, hi) in built.items():
         cached = Interval(Fraction(lo, 2 << bits), Fraction(hi, 2 << bits))
         assert cached == fraction_log_interval(n, bits), (n, bits)
         assert log_interval(n, bits) == cached
@@ -355,25 +375,38 @@ def test_log_of_matches_dict_oracle(q, scale):
 
 
 def test_prime_memo_keeps_validation():
+    memo = exactnum._is_prime
+    memo.cache_clear()
     for n in range(2, 200):
         log_of(Fraction(n))
-    assert {2, 3, 7, 13} <= exactnum._PRIMES
+    # the 46 primes below 200, each factored once and then looked up
+    info = memo.cache_info()
+    assert info.currsize == info.misses == 46 and info.hits > 0
     with pytest.raises(ValueError):
         LogValue(((4, Fraction(1)),))
     with pytest.raises(ValueError):
         LogValue(((91, Fraction(1)),))  # 7 * 13, both memoized
-    assert 4 not in exactnum._PRIMES and 91 not in exactnum._PRIMES
+    # the memo holds both refusals, and answers them again
+    hits = memo.cache_info().hits
+    assert not is_prime(4) and not is_prime(91)
+    assert memo.cache_info().hits == hits + 2
 
 
-def test_prime_memo_holds_no_composite_and_stops_at_its_cap(monkeypatch):
-    monkeypatch.setattr(exactnum, "_PRIMES", set())
+def test_prime_memo_holds_no_composite_and_stops_at_its_cap():
+    memo = exactnum._is_prime
+    memo.cache_clear()
     found = [n for n in range(-3, 40_000) if is_prime(n)]
     assert len(found) == 4203  # pi(40000)
-    assert len(exactnum._PRIMES) == 4096
-    assert all(factorize(p) == [(p, 1)] for p in exactnum._PRIMES)
+    assert memo.cache_info().currsize == 4096
+    # the memo holds the last 4096 numbers asked, and no composite among
+    # them answers prime
+    held = range(40_000 - 4096, 40_000)
+    hits = memo.cache_info().hits
+    assert [n for n in held if is_prime(n)] == [n for n in held if factorize(n) == [(n, 1)]]
+    assert memo.cache_info().hits == hits + 4096
     # a full memo still answers
     assert is_prime(found[-1]) and not is_prime(3 * found[-1])
-    assert len(exactnum._PRIMES) == 4096
+    assert memo.cache_info().currsize == 4096
 
 
 OFF_GRID_UNDER_O = """
@@ -381,13 +414,13 @@ import sys
 from fractions import Fraction
 from slopelab import exactnum
 assert sys.flags.optimize  # run under python -O: library asserts are stripped
-exact = exactnum.log_interval
+exact = exactnum._log_enclosure
 
 def off_grid(q, bits):
     iv = exact(q, bits)
     return exactnum.Interval(iv.lo - Fraction(1, 4 << bits), iv.hi)
 
-exactnum.log_interval = off_grid
+exactnum._log_enclosure = off_grid
 try:
     exactnum.approximate(exactnum.log_of(3), 30)
 except ArithmeticError as exc:

@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import functools
 import itertools
 import json
 import os
@@ -12,8 +13,10 @@ from pathlib import Path
 
 import pytest
 
+from slopelab import exactnum
 from slopelab import filtration as fil
 from slopelab import gitstab as gs
+from slopelab import linalg as la
 from slopelab.exactnum import AlgValue
 from slopelab.filtration import CompatibleBasis, FiltrationTuple
 from oracles import (
@@ -348,7 +351,7 @@ def test_min_norm_corral_failure_is_search_not_converged(monkeypatch):
         raise gs.la.SingularMatrixError("system is singular")
 
     # an empty support cache, so that Wolfe runs and meets the fault
-    monkeypatch.setattr(gs, "_SUPPORT_CACHE", {})
+    gs._support_minimum.cache_clear()
     monkeypatch.setattr(gs.la, "solve_square", singular)
     with pytest.raises(gs.SearchNotConverged):
         gs.minimize_fixed_basis(point((2, 2), {(0, 0): 1, (1, 0): 1}), [gs._identity_basis(2)] * 2)
@@ -391,20 +394,19 @@ KEMPF_KINDS = (
 )
 
 
-# every process memo of gitstab
-MEMOS = (
-    "_SUPPORT_CACHE", "_REDUCED_CACHE", "_CELLS", "_AXIS_OPTIONS", "_FILTRATIONS", "_ADAPTED",
-    "_RANDOM_SEEDS", "_IDENTITY_SEEDS",
-)
+def _memos(module):
+    """The process memos of a module: every global with a cache_info."""
+    return {name: obj for name, obj in vars(module).items() if hasattr(obj, "cache_info")}
 
 
-def _empty_caches(patch):
-    for name in MEMOS:
-        patch.setattr(gs, name, {})
+def _empty_caches():
+    for module in (gs, exactnum, la):
+        for memo in _memos(module).values():
+            memo.cache_clear()
 
 
 def test_kempf_search_solves_each_support_once(monkeypatch):
-    _empty_caches(monkeypatch)
+    _empty_caches()
     exact, lookup = gs._min_norm_point, gs._support_minimum
     solved, looked_up = Counter(), Counter()
 
@@ -426,7 +428,7 @@ def test_kempf_search_solves_each_support_once(monkeypatch):
     # one Wolfe solve per distinct (shape, support), though most are met
     # again by other seeds and other points
     assert set(solved.values()) == {1}
-    assert len(solved) == len(looked_up) == len(gs._SUPPORT_CACHE)
+    assert len(solved) == len(looked_up) == lookup.cache_info().currsize
     assert sum(looked_up.values()) > 3 * len(looked_up)
 
 
@@ -468,13 +470,13 @@ def test_reports_equal_with_cold_and_warm_cache(monkeypatch):
         x for shape, sizes in CACHE_SHAPES for x in _seeded_points(rng, shape, sizes, 8 if len(sizes) == 5 else 10)
     ]
     assert len(points) >= 200
-    _empty_caches(monkeypatch)
+    _empty_caches()
     for x in points:
         gs.kempf_minimize(x)
     warm = [_reports(x) for x in points]
     cold = []
     for x in points:
-        _empty_caches(monkeypatch)
+        _empty_caches()
         cold.append(_reports(x))
     assert cold == warm
     assert sum(len(r) == 3 for r in warm) >= 60  # unstable points, reduced
@@ -493,8 +495,25 @@ def _plain(obj):
     return obj
 
 
-def _memo_snapshot():
-    return {name: [(_plain(k), _plain(v)) for k, v in getattr(gs, name).items()] for name in MEMOS}
+def _record_memos(patch):
+    """Every gitstab memo, wrapped anew at its bound around a builder that
+    records each key it builds with the value, the object the memo then
+    shares: {name: [(key, value), ...]}."""
+    built = {}
+    for name, memo in _memos(gs).items():
+        log = built[name] = []
+
+        def build(*key, _build=memo.__wrapped__, _log=log):
+            value = _build(*key)
+            _log.append((key, value))
+            return value
+
+        patch.setattr(gs, name, functools.lru_cache(maxsize=memo.cache_info().maxsize)(build))
+    return built
+
+
+def _memo_snapshot(built):
+    return {name: [(_plain(k), _plain(v)) for k, v in log] for name, log in built.items()}
 
 
 def test_no_memo_entry_changes_over_a_pass(monkeypatch):
@@ -504,14 +523,14 @@ def test_no_memo_entry_changes_over_a_pass(monkeypatch):
     A second pass over the same points, reductions included, leaves every
     entry as the first pass stored it."""
     monkeypatch.setattr(gs, "LEVI_BUDGET", 20_000)
-    _empty_caches(monkeypatch)
+    built = _record_memos(monkeypatch)
     rng = random.Random(23001)
     points = [x for shape, size in KEMPF_KINDS for x in _seeded_points(rng, shape, [size], 4)]
     first = [_reports(x) for x in points]
-    before = _memo_snapshot()
-    assert all(before[name] for name in MEMOS)
+    before = _memo_snapshot(built)
+    assert len(before) == 8 and all(before.values())
     assert [_reports(x) for x in points] == first
-    assert _memo_snapshot() == before
+    assert _memo_snapshot(built) == before
 
 
 def test_support_values_equal_the_built_filtrations():
@@ -522,6 +541,8 @@ def test_support_values_equal_the_built_filtrations():
             bases = [gs._random_basis(rng, r) for r in shape]
             support = gs._support(x, [b.change for b in bases])
             m = gs._support_minimum(shape, support)
+            # each gradient block sums to zero, so every factor's weights do
+            assert all(sum(ws) == 0 for ws in m.parts or ())
             weights = [[rng.randrange(-4, 5) for _ in range(r)] for r in shape]
             for parts in ([m.parts] if m.parts else []) + [weights]:
                 tup = FiltrationTuple(
@@ -536,7 +557,7 @@ def test_support_values_equal_the_built_filtrations():
 
 
 def test_faulted_min_norm_point_stores_nothing(monkeypatch):
-    _empty_caches(monkeypatch)
+    _empty_caches()
     exact = gs._min_norm_point
     monkeypatch.setattr(gs, "_min_norm_point", lambda points, weights: [2 * q for q in exact(points, weights)])
     x = point((2, 2), {(0, 0): 1})
@@ -544,35 +565,66 @@ def test_faulted_min_norm_point_stores_nothing(monkeypatch):
         gs.minimize_fixed_basis(x, [gs._identity_basis(2)] * 2)
     with pytest.raises(gs.SearchNotConverged, match="disagrees with the min-norm point"):
         gs.kempf_minimize(x)
-    assert gs._SUPPORT_CACHE == {}
+    assert gs._support_minimum.cache_info().currsize == 0
+
+
+def test_minimizer_component_with_nonzero_expectation_is_caught(monkeypatch):
+    """A support minimum whose first factor's weights are shifted by one
+    builds a component of nonzero expectation, which the component builder
+    refuses and does not store, for the Kempf search and for a fixed basis
+    alike."""
+    _empty_caches()
+    exact = gs._support_minimum
+
+    def shifted(shape, support):
+        m = exact(shape, support)
+        if m.parts is None:
+            return m
+        return m._replace(parts=(tuple(w + 1 for w in m.parts[0]),) + m.parts[1:])
+
+    monkeypatch.setattr(gs, "_support_minimum", shifted)
+    with pytest.raises(gs.SearchNotConverged, match="minimizer expectation is not zero"):
+        gs.kempf_minimize(E11_POINT)
+    with pytest.raises(gs.SearchNotConverged, match="minimizer expectation is not zero"):
+        gs.minimize_fixed_basis(E11_POINT, [gs._identity_basis(2)] * 2)
+    assert gs._component.cache_info().currsize == 0
 
 
 def test_caches_stop_at_their_cap(monkeypatch):
-    _empty_caches(monkeypatch)
-    monkeypatch.setattr(gs, "_SUPPORT_CACHE_CAP", 5)
-    monkeypatch.setattr(gs, "_RANDOM_SEEDS_CAP", 5)
+    memos = _memos(gs)
+    assert {name: memo.cache_info().maxsize for name, memo in memos.items()} == {
+        "_adapted": 4096, "_cells": 4096, "_component": 4096, "_coordinate_test": 4096,
+        "_identity_basis": 4096, "_random_seeds": 64, "_span_options": 4096, "_support_minimum": 4096,
+    }
+    for name, memo in memos.items():
+        monkeypatch.setattr(gs, name, functools.lru_cache(maxsize=5)(memo.__wrapped__))
+
+    def sizes():
+        return {name: getattr(gs, name).cache_info().currsize for name in memos}
+
     rng = random.Random(15004)
     for x in _seeded_points(rng, (2, 3), (2, 3, 4), 4):
         for rng_seed in range(8):
             fresh = gs.kempf_minimize(x, rng_seed=rng_seed)
             # a full cache still answers, with the same result
-            assert all(len(getattr(gs, name)) <= 5 for name in MEMOS)
+            assert max(sizes().values()) <= 5
             again = gs.kempf_minimize(x, rng_seed=rng_seed)
             assert (fresh and fresh.to_json()) == (again and again.to_json())
             if fresh is not None:
                 R = gs.rr_reduce(x, fresh)
                 verdict = gs.reduced_is_semistable(R)
-                assert all(len(getattr(gs, name)) <= 5 for name in MEMOS)
+                assert max(sizes().values()) <= 5
                 assert gs.reduced_is_semistable(R) == verdict
                 assert gs.rr_reduce(x, again) == R
     # one shape of two ranks: one list of cells, two identities
-    per_point = [name for name in MEMOS if name not in ("_CELLS", "_IDENTITY_SEEDS")]
-    assert [len(getattr(gs, name)) for name in per_point] == [5] * len(per_point)
-    assert (len(gs._CELLS), len(gs._IDENTITY_SEEDS)) == (1, 2)
+    per_point = [n for name, n in sizes().items() if name not in ("_cells", "_identity_basis")]
+    assert per_point == [5] * 6
+    assert (sizes()["_cells"], sizes()["_identity_basis"]) == (1, 2)
     for r in range(1, 9):
         assert gs._cells((r, 2)) == tuple(itertools.product(range(r), range(2)))
-        assert gs._identity_seed(r) == gs._identity_basis(r)
-    assert len(gs._CELLS) == len(gs._IDENTITY_SEEDS) == 5
+        identity = tuple(tuple(F(int(a == b)) for b in range(r)) for a in range(r))
+        assert gs._identity_basis(r) == CompatibleBasis(identity)
+    assert sizes()["_cells"] == sizes()["_identity_basis"] == 5
 
 
 def _seed_walk_points():
@@ -614,12 +666,12 @@ def _seed_walk_mismatches(points):
     return mismatches, checked
 
 
-def test_seed_bases_match_parent_oracle(monkeypatch):
+def test_seed_bases_match_parent_oracle():
     """The seed tree walks the seeds of a search that builds, inverts and
     changes coordinates afresh for every seed, with the same supports, and
     every change it applies is exact, the row-reversed change of each
     reversal seed included."""
-    _empty_caches(monkeypatch)
+    _empty_caches()
     points = _seed_walk_points()
     reversals = 0
     for x in points:
@@ -649,32 +701,36 @@ def test_seed_walk_that_reorders_or_drops_an_option_is_caught(monkeypatch):
         assert _seed_walk_mismatches(points)[0] == len(points)
 
 
-class _PivotKeyed(dict):
-    """An axis memo that keys a span on its rank and its pivots alone, so
-    that two spans with the same pivots share their options."""
-
-    @staticmethod
-    def _key(span):
-        return len(span[0]), tuple(next(c for c, a in enumerate(row) if a) for row in span)
-
-    def get(self, key, default=None):
-        return super().get(self._key(key), default)
-
-    def __setitem__(self, key, value):
-        super().__setitem__(self._key(key), value)
+def _pivot_key(span):
+    """The rank and the pivots of a span, without its other entries."""
+    return len(span[0]), tuple(next(c for c, a in enumerate(row) if a) for row in span)
 
 
 def test_axis_memo_keyed_on_pivots_alone_is_caught(monkeypatch):
     # the options are keyed on the whole canonical span: spans with the same
     # pivots, such as those of (1, 0) and (1, 1) slices, have different
     # echelon bases
-    _empty_caches(monkeypatch)
+    _empty_caches()
+    build = gs._span_options.__wrapped__
+    spans = []
+
+    def recording(span):
+        spans.append(span)
+        return build(span)
+
+    monkeypatch.setattr(gs, "_span_options", functools.lru_cache(maxsize=4096)(recording))
     points = _seed_walk_points()
     assert _seed_walk_mismatches(points)[0] == 0
-    spans = {key for key in gs._AXIS_OPTIONS}
-    assert len(spans) > len({_PivotKeyed._key(key) for key in spans})
-    _empty_caches(monkeypatch)
-    monkeypatch.setattr(gs, "_AXIS_OPTIONS", _PivotKeyed())
+    assert len(spans) == len(set(spans)) > len({_pivot_key(span) for span in spans})
+    by_pivots = {}
+
+    def pivot_keyed(span):
+        key = _pivot_key(span)
+        if key not in by_pivots:
+            by_pivots[key] = build(span)
+        return by_pivots[key]
+
+    monkeypatch.setattr(gs, "_span_options", pivot_keyed)
     assert _seed_walk_mismatches(points)[0] > 0
 
 
@@ -685,7 +741,7 @@ def test_reduced_test_solves_each_gradient_set_once(monkeypatch):
     minimizer is semistable; the same instance with N raised by one is
     not, so both verdicts go through the memo."""
     monkeypatch.setattr(gs, "LEVI_BUDGET", 20_000)
-    _empty_caches(monkeypatch)
+    _empty_caches()
     rng = random.Random(22001)
     instances = []
     for _ in range(4):
@@ -706,10 +762,10 @@ def test_reduced_test_solves_each_gradient_set_once(monkeypatch):
     monkeypatch.setattr(gs, "_min_norm_point", counting_solve)
     warm = [gs.reduced_is_semistable(R) for R in instances]
     assert set(solved.values()) == {1}
-    assert len(solved) == len(gs._REDUCED_CACHE) < len(instances) // 2
+    assert len(solved) == gs._coordinate_test.cache_info().currsize < len(instances) // 2
     cold = []
     for R in instances:
-        monkeypatch.setattr(gs, "_REDUCED_CACHE", {})
+        gs._coordinate_test.cache_clear()
         cold.append(gs.reduced_is_semistable(R))
     assert cold == warm
     assert sum(solved.values()) == len(solved) + len(instances)
@@ -744,10 +800,10 @@ def test_dependent_basis_raises_also_under_python_O():
 
 def test_rr_reduce_reuses_the_minimizer_adapted_bases(monkeypatch):
     """On emptied memos, each distinct filtration that the Kempf search
-    adapts gets one adapted basis for the whole run (_ADAPTED), every
+    adapts gets one adapted basis for the whole run (_adapted), every
     component of every minimizer among them, and rr_reduce builds none:
     it reads the adapted bases of its minimizer."""
-    _empty_caches(monkeypatch)
+    _empty_caches()
     adapted = Counter()
     in_reduce = 0
     adapted_basis = fil.adapted_basis

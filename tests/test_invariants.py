@@ -113,6 +113,9 @@ class TestWitnessSearch:
             invariant_witness_search(IDENT, (1, 1), 0, 1)
         with pytest.raises(ValueError):
             invariant_witness_search(IDENT, (1, 1), 2, 0)
+        for budget in (0, -5):
+            with pytest.raises(ValueError, match="budget must be positive"):
+                invariant_witness_search(IDENT, (1, 1), 2, 1, budget=budget)
         with pytest.raises(ValueError):
             invariant_witness_search(IDENT, (1,), 2, 1)
         with pytest.raises(ValueError):

@@ -38,10 +38,10 @@ def frozen(rows):
     return lat.Lattice.from_rows(rows)
 
 
-def _empty_tables(patch):
+def _empty_tables():
     # the (n, k) subset tables live for the whole process; a test that
     # empties them first cannot pass only on tables another test built
-    patch.setattr(la, "_SUBSET_TABLES", {})
+    la._subset_table.cache_clear()
 
 
 # ---------------------------------------------------------------------------
@@ -268,8 +268,8 @@ def test_mu_max_frozen():
     assert val == log_of(2, Fraction(-1)) and S.basis == ((1,), (0,))
 
 
-def test_mu_max_matches_exhaustive_oracle(monkeypatch):
-    _empty_tables(monkeypatch)
+def test_mu_max_matches_exhaustive_oracle():
+    _empty_tables()
     rng = random.Random(418)
     for _ in range(30):
         n = rng.randrange(1, 4)
@@ -322,8 +322,8 @@ def _log_value(terms):
     return LogValue.from_map({p: Fraction(c) for p, c in terms.items()})
 
 
-def test_mu_max_tensor_frozen(monkeypatch):
-    _empty_tables(monkeypatch)
+def test_mu_max_tensor_frozen():
+    _empty_tables()
     for seed, ranks, mu, basis, udeg, vec in TENSOR_FROZEN:
         rng = random.Random(seed)
         A = random_lattice(ranks[0], 3, rng)
@@ -353,8 +353,8 @@ RANK_FRONTIER_FROZEN = [
 ]
 
 
-def test_mu_max_rank_frontier_frozen(monkeypatch):
-    _empty_tables(monkeypatch)
+def test_mu_max_rank_frontier_frozen():
+    _empty_tables()
     for seed, ranks, mu, basis in RANK_FRONTIER_FROZEN:
         rng = random.Random(seed)
         T = random_lattice(ranks[0], 3, rng)
@@ -374,8 +374,8 @@ RANK_TWELVE_FROZEN = [
 ]
 
 
-def test_mu_max_rank_twelve_frozen(monkeypatch):
-    _empty_tables(monkeypatch)
+def test_mu_max_rank_twelve_frozen():
+    _empty_tables()
     for seed, ranks, mu, basis in RANK_TWELVE_FROZEN:
         rng = random.Random(seed)
         T = random_lattice(ranks[0], 3, rng)
@@ -392,11 +392,11 @@ def _root_lattice(kind, n):
     return lat.Lattice.from_rows([[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]])
 
 
-def test_semistable_root_products_frozen(monkeypatch):
+def test_semistable_root_products_frozen():
     """A3 (x) A3 and A2 (x) D4 are semistable: mu_max is the slope, with the
     full lattice as witness (recorded with the unpruned oracle), and the HN
     filtration is the one step of the full lattice."""
-    _empty_tables(monkeypatch)
+    _empty_tables()
     for a, b in ((("A", 3), ("A", 3)), (("A", 2), ("D", 4))):
         T = lat.tensor(_root_lattice(*a), _root_lattice(*b))
         val, S = lat.mu_max(T, rank_limit=T.rank)
@@ -521,7 +521,7 @@ def test_one_reduction_per_lattice(monkeypatch):
     # Laplace tower nor compound_matrix runs at all.  The radii are one
     # walk over principal minors, and the determinant at rank r is read
     # off the lattice's GSO.
-    _empty_tables(monkeypatch)
+    _empty_tables()
     log = _structure_watch(monkeypatch)
     rng = random.Random(431)
     for r in range(1, 7):
@@ -628,7 +628,7 @@ def test_hn_matches_recursive_oracle():
 def test_hn_is_one_candidate_pass(monkeypatch):
     # the one reduction, compound walk and candidate pass of mu_max, and no
     # quotient metric (no inverse) at all
-    _empty_tables(monkeypatch)
+    _empty_tables()
     log = _structure_watch(monkeypatch)
     real_inverse = la.inverse
     inverses = []
@@ -684,7 +684,7 @@ def test_compound_tree_size_guard(monkeypatch):
     skewed bases like SKEWED_Z3), no compound level of mu_max or
     hn_filtration visits more than TREE_GROWTH_BOUND times the nodes of
     the swept enumeration of that level."""
-    _empty_tables(monkeypatch)
+    _empty_tables()
     rng = random.Random(443)
     lattices = [lat.Lattice.from_rows(SKEWED_Z3)]
     for i in range(10):
@@ -845,13 +845,13 @@ def _seeded_candidate_lattices():
     return out
 
 
-def test_candidate_pass_matches_fraction_compound_oracle(monkeypatch):
+def test_candidate_pass_matches_fraction_compound_oracle():
     """The candidates from compounds enumerated as integers straight from
     the lattice's own GSO, with no sweep and no pruning, equal those from
     Fraction compounds built and reduced one at a time: the same (k, det,
     columns) in the same order, from the library's pass under a rule that
     never prunes and from the unpruned oracle."""
-    _empty_tables(monkeypatch)
+    _empty_tables()
     for L in _seeded_candidate_lattices():
         Gred, U, gso = la.gram_lll(L.gram_rows)
         shortest = lat._shortest_reduced(Gred, U, gso)
@@ -883,7 +883,7 @@ def test_pruned_pass_matches_unpruned_oracle(monkeypatch):
     """mu_max (value and witness) and the HN filtration (chain and slopes)
     equal those read off the unpruned oracle, and each pruned pass lists a
     part of the unpruned candidates, in their order."""
-    _empty_tables(monkeypatch)
+    _empty_tables()
     lattices = _pruning_lattices()
     pruned = []
     for L in lattices:
@@ -902,14 +902,14 @@ def test_pruned_pass_matches_unpruned_oracle(monkeypatch):
     assert sum(1 for n in pruned if n) >= len(pruned) // 2  # the rules do prune
 
 
-def test_compound_gso_matches_ldl_of_compound(monkeypatch):
+def test_compound_gso_matches_ldl_of_compound():
     """Each level of _compound_gso has the mu and the Gram-Schmidt norms of
     the LDL that _ldl_scaled gives the level T_k = den^k Lambda^k(Gred) of
     the Laplace tower, and enumerated with no sweep it gives the vectors
     of T_k within min diag T_k that the LLL-reduced T_k gives; on reduced
     Gram matrices of rank 1-9 (integer, rational, duals and tensors) and
     on the unreduced SKEWED_Z3.  The GSO handed in is left as it was."""
-    _empty_tables(monkeypatch)
+    _empty_tables()
     rng = random.Random(439)
     grams = [SKEWED_Z3]
     for r in [*range(1, 7), *range(1, 10)]:
@@ -949,10 +949,10 @@ def test_compound_gso_matches_ldl_of_compound(monkeypatch):
     assert levels >= 125
 
 
-def test_least_principal_minors_are_compound_diagonals(monkeypatch):
+def test_least_principal_minors_are_compound_diagonals():
     """The radii of the candidate pass: the least k x k principal minor of
     den Gred is the least diagonal entry of T_k, at every k."""
-    _empty_tables(monkeypatch)
+    _empty_tables()
     rng = random.Random(440)
     for t in range(40):
         n = 1 + t % 8

@@ -35,10 +35,10 @@ from oracles import (
 )
 
 
-def _empty_tables(patch):
+def _empty_tables():
     # the (n, k) subset tables live for the whole process; a test that
     # empties them first cannot pass only on tables another test built
-    patch.setattr(la, "_SUBSET_TABLES", {})
+    la._subset_table.cache_clear()
 
 
 def rand_matrix(rng, m, n, bound=6):
@@ -146,11 +146,11 @@ def test_ldl_matches_fraction_oracle():
             assert not la.is_positive_definite(G)
 
 
-def test_compound_matrix_against_cofactor_minors(monkeypatch):
+def test_compound_matrix_against_cofactor_minors():
     # every k from 0 to n + 1, on non-symmetric and symmetric input with
     # int and Fraction entries: cofactor expansion up to n = 5, the
     # per-minor Bareiss reference up to n = 8
-    _empty_tables(monkeypatch)
+    _empty_tables()
     rng = random.Random(419)
     for t in range(24):
         n = 1 + t % 8
@@ -168,10 +168,10 @@ def test_compound_matrix_against_cofactor_minors(monkeypatch):
     assert la.compound_matrix([], 0) == [[Fraction(1)]]
 
 
-def test_compound_of_reduced_gram_matrices(monkeypatch):
+def test_compound_of_reduced_gram_matrices():
     # the compounds mu_max enumerates: reduced Gram matrices of rank 2..8,
     # integer and rational, every k
-    _empty_tables(monkeypatch)
+    _empty_tables()
     rng = random.Random(421)
     for n in range(2, 9):
         for scale in (1, 6):
@@ -184,11 +184,11 @@ def test_compound_of_reduced_gram_matrices(monkeypatch):
                 assert all(type(x) is Fraction for row in got for x in row)
 
 
-def test_compound_tower_levels_against_bareiss(monkeypatch):
+def test_compound_tower_levels_against_bareiss():
     # every level k = 1..n of one tower is den^k times the per-minor
     # Bareiss compound, as integers, with den the lcm of the denominators;
     # on non-symmetric and symmetric input with int and Fraction entries
-    _empty_tables(monkeypatch)
+    _empty_tables()
     rng = random.Random(433)
     for t in range(24):
         n = 1 + t % 8
@@ -207,12 +207,12 @@ def test_compound_tower_levels_against_bareiss(monkeypatch):
     assert list(la._compound_tower([[Fraction(1, 2)]], 0)) == []
 
 
-def test_integer_compound_enumeration_matches_fraction_compound(monkeypatch):
+def test_integer_compound_enumeration_matches_fraction_compound():
     # the hand-off of mu_max: level k of the tower of a reduced Gram matrix,
     # enumerated within min diag T_k, gives the vectors of the Fraction
     # compound within its own least diagonal entry, with each norm den^k
     # times as large
-    _empty_tables(monkeypatch)
+    _empty_tables()
     rng = random.Random(437)
     for n in range(2, 7):
         for scale in (1, 6):
@@ -312,16 +312,16 @@ def test_kron_action():
         assert lhs == rhs
 
 
-def test_subset_tables_built_once_on_first_use(monkeypatch):
+def test_subset_tables_built_once_on_first_use():
     # importing the package builds no table
     src = str(Path(la.__file__).resolve().parents[1])
-    probe = "import slopelab.cli, slopelab.harness; from slopelab import linalg; print(len(linalg._SUBSET_TABLES))"
+    probe = "import slopelab.cli, slopelab.harness; from slopelab import linalg; print(linalg._subset_table.cache_info().currsize)"
     done = subprocess.run(
         [sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "0"
-    _empty_tables(monkeypatch)
+    _empty_tables()
     rng = random.Random(441)
     for n in range(1, 10):
         for k in range(1, n + 1):
@@ -356,7 +356,9 @@ def test_subset_tables_built_once_on_first_use(monkeypatch):
                         even, odd = table.heads[m][b]
                         x = sum(F[i0][j] * prev[at][c] for j, c in even) - sum(F[i0][j] * prev[at][c] for j, c in odd)
                         assert x == C[a][b]
-    assert sorted(la._SUBSET_TABLES) == [(n, k) for n in range(1, 10) for k in range(1, n + 1)]
+    # one build for each (n, k) with 1 <= k <= n <= 9, and no other
+    info = la._subset_table.cache_info()
+    assert info.currsize == info.misses == len([(n, k) for n in range(1, 10) for k in range(1, n + 1)])
 
 
 def test_compound_multiplicative():
