@@ -241,7 +241,8 @@ class LogValue:
                 raise ValueError("primes must be strictly increasing")
             if not is_prime(p):
                 raise ValueError(f"{p} is not prime")
-            if not isinstance(c, Fraction) or c == 0:
+            # the exact type first: isinstance goes through the ABC machinery
+            if not (type(c) is Fraction or isinstance(c, Fraction)) or c == 0:
                 raise ValueError("coefficients must be nonzero Fractions")
             last = p
 
@@ -336,15 +337,18 @@ class LogValue:
 
 def log_of(q: Fraction, scale=Fraction(1)) -> LogValue:
     """scale * log(q) for rational q > 0, as an exact LogValue."""
-    q = Fraction(q)
-    scale = Fraction(scale)
-    if q <= 0:
+    if type(q) is not Fraction:
+        q = Fraction(q)
+    if type(scale) is not Fraction:
+        scale = Fraction(scale)
+    if q.numerator <= 0:
         raise ValueError("log_of needs a positive rational")
-    if not scale:
+    a, b = scale.numerator, scale.denominator
+    if not a:
         return LogValue.zero()
     # numerator and denominator are coprime: no prime occurs in both
-    terms = [(p, e * scale) for p, e in factorize(q.numerator)]
-    terms += [(p, -e * scale) for p, e in factorize(q.denominator)]
+    terms = [(p, Fraction(e * a, b)) for p, e in factorize(q.numerator)]
+    terms += [(p, Fraction(-e * a, b)) for p, e in factorize(q.denominator)]
     return LogValue(tuple(sorted(terms)))
 
 

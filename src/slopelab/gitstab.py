@@ -681,14 +681,17 @@ def _seed_supports(x: TensorPoint, rng_seed: int) -> List[Tuple[_Seed, _Support]
     integer point.  The product is walked as a tree, one axis per level,
     so that each axis change is applied once per prefix: 3 + 9 + 27 axis
     products for (2,2,2), where changing every seed afresh takes 27 x 3.
+    The identity option's change is (1, I), so under it the prefix's
+    vector is reused, not copied; no vector of the walk is mutated.
     Expanding each level prefix by prefix, option by option, keeps the
     product order."""
     vec, _ = _integer_point(x)
     level: List[Tuple[_Seed, List[int]]] = [((), vec)]
     for axis in range(len(x.shape)):
         options = _axis_options(vec, x.shape, axis)
+        ident = _identity_basis(x.shape[axis])
         level = [
-            (prefix + (basis,), _apply_axis(v, x.shape, axis, basis.change[1]))
+            (prefix + (basis,), v if basis is ident else _apply_axis(v, x.shape, axis, basis.change[1]))
             for prefix, v in level
             for basis in options
         ]

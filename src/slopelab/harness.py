@@ -35,6 +35,7 @@ from .lattice import (
     Morphism,
     SubLattice,
     _mu_max_udeg,
+    _udeg_of_shortest,
     degree,
     hn_filtration,
     is_saturated,
@@ -205,10 +206,11 @@ def tensor_slope_data(factors: Sequence[Lattice]) -> Dict[str, object]:
     lhs, _ = mu_max(T)
     per = [mu_max(L)[0] for L in factors]
     lower = LogValue.zero()
-    rhs = LogValue.zero()
-    for L, m in zip(factors, per):
+    for m in per:
         lower = lower + m
-        rhs = rhs + m + log_of(Fraction(L.rank))
+    # sum_i (mu_max(L_i) + log rk L_i), with the logs of the ranks summed
+    # as the log of their product: LogValues are exact, so the terms agree
+    rhs = lower + log_of(math.prod(L.rank for L in factors))
     return {"lhs": lhs, "rhs": rhs, "lower": lower, "factors": per}
 
 
@@ -248,7 +250,8 @@ def check_main_theorem(config: TrialConfig) -> TrialReport:
 
 def bk_bracket(L: Lattice) -> Dict[str, LogValue]:
     """Minkowski-type bracket: udeg <= mu_max <= udeg + half log rank."""
-    m, _, u = _mu_max_udeg(L, EXACT_RANK_LIMIT)
+    m, _, shortest = _mu_max_udeg(L, EXACT_RANK_LIMIT)
+    u = _udeg_of_shortest(shortest)[0]
     return {"udeg": u, "mu_max": m, "upper": u + log_of(Fraction(L.rank), Fraction(1, 2))}
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import mul
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import linalg as la
@@ -63,8 +64,8 @@ class Lattice:
     def __post_init__(self) -> None:
         if self.rank < 0 or len(self.gram) != self.rank:
             raise ValueError("gram size does not match rank")
-        rows = [list(row) for row in self.gram]
-        if self.rank and not la.is_positive_definite(rows):
+        # Sylvester's criterion on den * G, the integer rows of the Gram
+        if self.rank and not la.is_positive_definite(la._common_scaled(self.gram)[0]):
             raise ValueError("gram matrix must be symmetric positive definite")
 
     @staticmethod
@@ -110,7 +111,9 @@ class SubLattice:
             raise ValueError("ragged basis matrix")
         if k == 0 or k > r:
             raise ValueError("basis must have between 1 and rank columns")
-        if la.rank([list(row) for row in self.basis]) != k:
+        # one column is independent iff it is nonzero
+        independent = any(row[0] for row in self.basis) if k == 1 else la.rank([list(row) for row in self.basis]) == k
+        if not independent:
             raise ValueError("basis columns must be linearly independent")
 
     @property
@@ -244,7 +247,19 @@ def direct_sum(L1: Lattice, L2: Lattice) -> Lattice:
 
 
 def tensor(L1: Lattice, L2: Lattice) -> Lattice:
-    return Lattice.from_rows(la.kron(L1.gram_rows, L2.gram_rows))
+    """The Kronecker product of the Gram matrices, taken on the integer
+    rows of den1 * G1 and den2 * G2 and divided by den1 * den2; the
+    product is symmetric, so each entry below the diagonal shares the
+    Fraction above it."""
+    A, a = la._common_scaled(L1.gram)
+    B, b = la._common_scaled(L2.gram)
+    K = la.kron(A, B)
+    den = a * b
+    gram: List[List[Fraction]] = []
+    for i, row in enumerate(K):
+        head = [gram[j][i] for j in range(i)]
+        gram.append(head + [Fraction(x, den) if den > 1 else Fraction(x) for x in row[i:]])
+    return Lattice(len(K), tuple(map(tuple, gram)))
 
 
 def exterior_power(L: Lattice, k: int) -> Lattice:
@@ -293,17 +308,22 @@ def udeg_max(L: Lattice) -> Tuple[LogValue, Tuple[int, ...]]:
     """
     if L.rank == 0:
         raise ValueError("udeg_max needs positive rank")
-    return _udeg_of_shortest(_shortest_reduced(*la.gram_lll(L.gram_rows)))
+    return _udeg_of_shortest(_shortest_reduced(*la.gram_lll(L.gram)))
 
 
 def _shortest_reduced(
-    Gred: la.Matrix, U: List[List[int]], gso: la.GSO
+    Gred: List[List[int]], U: List[List[int]], gso: la.GSO
 ) -> List[Tuple[Tuple[int, ...], Fraction]]:
     """Every lattice vector within the least diagonal entry of the reduced
-    Gram matrix Gred = U^T G U of (Gred, U, gso) = gram_lll(G): a
-    realized, tight radius that both udeg and the rank-one candidates
-    enumerate."""
-    return la.short_vectors_reduced(U, gso, min(Gred[i][i] for i in range(len(Gred))))
+    Gram matrix, for (Gred, U, gso) = gram_lll(G) with Gred = den U^T G U
+    on integers: a realized, tight radius that both udeg and the rank-one
+    candidates enumerate.  The norms are those of G."""
+    return la.short_vectors_reduced(U, gso, Fraction(min(Gred[i][i] for i in range(len(Gred))), gso.den))
+
+
+def _scaled_norm(norm: Fraction, den: int) -> int:
+    """den * norm for a norm of G, an integer as den * G is."""
+    return norm.numerator * den // norm.denominator
 
 
 def _udeg_of_shortest(
@@ -319,41 +339,45 @@ def _decomposable_kernel(w: Sequence[int], r: int, k: int) -> Optional[List[List
     """Support of a decomposable integer k-vector w, or None.
 
     w is decomposable iff the kernel of x -> x /\\ w has dimension k; the
-    kernel is then exactly the k-plane whose wedge is w.  The wedge rows
-    are integers, one per (k+1)-subset, with their index pattern read from
-    the (r, k+1) subset table; one elimination gives d * rref, and the
-    kernel vector of free column f is read off it: d at f and -W[i][f] at
-    pivot i.  Returned as primitive integer rows.
+    kernel is then exactly the k-plane whose wedge is w.  For I the first
+    k-subset with w_I != 0, the contraction of w by I without I[t],
+    m_t[j] = +-w_(I - I[t] + j), lies in that plane when w is decomposable,
+    and m_t is w_I at I[t] and 0 at the rest of I, so the k vectors m_t are
+    independent.  Since the kernel of a nonzero w has dimension at most k,
+    w is decomposable iff each m_t /\\ w = 0, and the m_t then span the
+    plane.  The contractions read the (r, k) subset table and the wedge
+    products the (r, k + 1) one, all on integers.  Returned as primitive
+    integer rows.
     """
-    W = []
+    table = la._subset_table(r, k)
+    even, odd = table.wedge[next(b for b, x in enumerate(w) if x)]
+    rows = []
+    for _i, p in sorted(even + odd):  # I[t] and the index of I without it
+        m = [0] * r
+        for j, b, sign in table.contract[p]:
+            m[j] = sign * w[b]
+        rows.append(m)
     for even, odd in la._subset_table(r, k + 1).wedge:
-        row = [0] * r
-        for j, t in even:
-            row[j] = w[t]
-        for j, t in odd:
-            row[j] = -w[t]
-        W.append(row)
-    rank, pivots, d, _sign = la._eliminate(W, r)
-    if r - rank != k:
-        return None
-    ker = []
-    for f in [c for c in range(r) if c not in pivots]:
-        v = [0] * r
-        v[f] = d
-        for i, p in enumerate(pivots):
-            v[p] = -W[i][f]
-        ker.append(la.primitive_vector(v))
-    return ker
+        for m in rows:
+            x = 0
+            for j, c in even:
+                x += m[j] * w[c]
+            for j, c in odd:
+                x -= m[j] * w[c]
+            if x:
+                return None
+    return [la.primitive_vector(m) for m in rows]
 
 
 def _slope_of_det(detval: Fraction, k: int) -> LogValue:
     return log_of(detval, Fraction(-1, 2 * k))
 
 
-def _steeper(k: int, d: Fraction, j: int, e: Fraction) -> bool:
+def _steeper(k: int, d, j: int, e) -> bool:
     """True when a rank-k determinant d gives a larger slope than a rank-j
-    determinant e: -log(d)/2k > -log(e)/2j iff d^j < e^k."""
-    return d**j < e**k
+    determinant e: -log(d)/2k > -log(e)/2j iff d^j < e^k, compared on the
+    numerators and denominators of d and e, integers or Fractions."""
+    return d.numerator**j * e.denominator**k < e.numerator**k * d.denominator**j
 
 
 def _iroot(x: int, j: int) -> int:
@@ -390,93 +414,100 @@ def _hull_radius(k: int, least: Dict[int, int]) -> int:
 
 def _rank_candidates(
     L: Lattice,
-    Gred: la.Matrix,
+    Gred: List[List[int]],
     U: List[List[int]],
     gso: la.GSO,
     shortest: List[Tuple[Tuple[int, ...], Fraction]],
     radius: Callable[[int, Dict[int, int]], int],
-) -> List[Tuple[int, Fraction, List[List[int]]]]:
-    """(k, det S, columns) for saturated sublattices S of rank k, in order
-    of rank; _saturated builds S from the k integer columns that span it.
+) -> List[Tuple[int, int, List[List[int]]]]:
+    """(k, den^k det S, columns) for saturated sublattices S of rank k, in
+    order of rank, with den = gso.den; _saturated builds S from the k
+    integer columns that span it.  Every determinant is an integer,
+    scaled by den^k: a rank-k determinant d and a rank-j determinant e
+    compare in slope as d^j against e^k whatever den is (_steeper).
     Rank one lists the primitive vectors of ``shortest`` and rank r the
     lattice itself; a rank k strictly between lists every S within the
-    radius of the rule radius(k, least), where
-    least maps each rank found so far to its least scaled norm
-    den^j det S: with _steepest_radius every S that can win or tie mu_max,
-    with _hull_radius every S that can be an HN vertex.
+    radius of the rule radius(k, least), where least maps each rank found
+    so far to its least scaled determinant: with _steepest_radius every S
+    that can win or tie mu_max, with _hull_radius every S that can be an
+    HN vertex.
 
     The least determinant at rank k is the squared norm of the shortest
     decomposable vector of the k-th exterior power.  The search runs in
-    the LLL-reduced basis Gred = U^T G U of (Gred, U, gso) =
-    gram_lll(L.gram_rows).  For rank one that pass is ``shortest`` =
-    _shortest_reduced(Gred, U, gso).  The norm of w is det(B^T Gred B)
-    for any B whose k x k minors are w (Cauchy-Binet), and a saturated S
-    has a primitive Plucker vector: so a primitive decomposable w has norm
-    det S, and a non-primitive w = g u is skipped, as u lies within the
-    radius too.  Each S is listed once, as its sign-normalised Plucker
-    vector.
+    the LLL-reduced basis of (Gred, U, gso) = gram_lll(L.gram), with
+    Gred = den U^T G U on integers.  For rank one that pass is
+    ``shortest`` = _shortest_reduced(Gred, U, gso).  The norm of w is
+    det(B^T Gred B) for any B whose k x k minors are w (Cauchy-Binet), and
+    a saturated S has a primitive Plucker vector: so a primitive
+    decomposable w has norm det S, and a non-primitive w = g u is skipped,
+    as u lies within the radius too.  Each S is listed once, as its
+    sign-normalised Plucker vector.
 
-    The exterior power of rank k is T_k = den^k Lambda^k(Gred) on integers,
-    with den = gso.den, and it is enumerated straight from the GSO that
-    la._compound_gso reads off gso, with no reduction of its own: the
-    basis changes the size of the tree, never the set of vectors found.
-    The radius is also at most min diag T_k, the least k x k principal
-    minor of den Gred, so it never exceeds a realized norm.  All norms are
-    integers and the rules are inclusive, so each norm is divided by den^k
-    once and ties are kept.  The determinant at rank r is
-    det Gred = D[r] / den^r.
+    The exterior power of rank k is T_k = Lambda^k(Gred) = den^k
+    Lambda^k(U^T G U) on integers, and it is enumerated straight from the
+    GSO that la._compound_gso reads off gso, with no reduction of its own:
+    the basis changes the size of the tree, never the set of vectors
+    found.  The radius is also at most min diag T_k, the least k x k
+    principal minor of Gred, so it never exceeds a realized norm.  All
+    norms are integers and the rules are inclusive, so ties are kept.
+    The determinant at rank r is D[r] = den^r det G.
     """
     r = L.rank
     den = gso.den
-    found = [(1, norm, [list(v)]) for v, norm in shortest if r > 1 and gcd(*v) == 1]
+    found = [(1, _scaled_norm(norm, den), [list(v)]) for v, norm in shortest if r > 1 and gcd(*v) == 1]
     least = {r: gso.D[r]}
     if found:
-        least[1] = int(found[0][1] * den)
+        least[1] = found[0][1]
     if r > 2:
-        diag = la._least_principal_minors(
-            [[x.numerator * (den // x.denominator) for x in row] for row in Gred], r - 1
-        )
+        diag = la._least_principal_minors(Gred, r - 1)
         for k, level in la._compound_gso(gso, r - 1):
-            scale = den**k
             for w, norm in la._fincke_pohst(None, level, min(diag[k], radius(k, least))):
                 ker = _decomposable_kernel(w, r, k) if gcd(*w) == 1 else None
                 if ker is not None:  # kernel rows mapped back under U: integer columns of S
-                    least.setdefault(k, int(norm))  # the first is the least: sorted by norm
-                    found.append((k, norm / scale, la.mat_mul(ker, la.transpose(U))))
-    found.append((r, Fraction(gso.D[r], den**r), [[int(i == j) for j in range(r)] for i in range(r)]))
+                    norm = norm.numerator  # an integer: T_k is
+                    least.setdefault(k, norm)  # the first is the least: sorted by norm
+                    found.append((k, norm, la.mat_mul(ker, la.transpose(U))))
+    found.append((r, gso.D[r], [[int(i == j) for j in range(r)] for i in range(r)]))
     return found
 
 
-def _saturated(L: Lattice, candidate: Tuple[int, Fraction, List[List[int]]]) -> SubLattice:
-    """The saturated sublattice of a _rank_candidates entry, checked against its determinant.
+def _saturated(L: Lattice, candidate: Tuple[int, int, List[List[int]]]) -> SubLattice:
+    """The saturated sublattice of a _rank_candidates entry, checked against
+    its determinant, den^k det S on integers.
 
     Ranks one and r need no Hermite form: the saturation of a line is its
     primitive vector, whose norm is taken on the integers of den * G, and
-    that of a full-rank sublattice is Z^r, of determinant det G."""
+    that of a full-rank sublattice is Z^r, of determinant det(den * G),
+    by integer Bareiss."""
     k, d, columns = candidate
     r = L.rank
+    G = la._common_scaled(L.gram)[0]
     if k == r:
         S = SubLattice(L, tuple(tuple(int(i == j) for j in range(r)) for i in range(r)))
-        exact = la.det(L.gram_rows)
+        exact = la._int_det(G)
     elif k == 1:
         v = la.primitive_vector(columns[0])
         S = SubLattice(L, tuple((x,) for x in v))
-        Gint, den = la._common_scaled(L.gram)
-        exact = Fraction(la.vec_dot(v, la.mat_vec(Gint, v)), den)
+        exact = sum(map(mul, v, la.mat_vec(G, v)))
     else:
         S = saturate(SubLattice.from_columns(L, columns))
-        exact = sub_det(S)
+        exact = _scaled_sub_det(G, S.basis_rows)
     if exact != d:
         raise CertificateError("a candidate's determinant must equal sub_det of its saturation")
     return S
 
 
+def _scaled_sub_det(G: List[List[int]], B: List[List[int]]) -> int:
+    """det(B^T G B) for integer rows G and an integer basis B, by integer
+    Bareiss: den^k sub_det when G = den * Gram."""
+    return la._int_det(la.mat_mul(la.transpose(B), la.mat_mul(G, B)))
+
+
 def sub_det(S: SubLattice) -> Fraction:
     """det(B^T G B) for the basis B of S, multiplied out on the integer
     rows of den * G and divided by den^rank once."""
-    B = S.basis_rows
-    Gint, den = la._common_scaled(S.ambient.gram)
-    return la.det(la.mat_mul(la.transpose(B), la.mat_mul(Gint, B))) / den**S.rank
+    G, den = la._common_scaled(S.ambient.gram)
+    return Fraction(_scaled_sub_det(G, S.basis_rows), den**S.rank)
 
 
 def sub_degree(S: SubLattice) -> LogValue:
@@ -490,34 +521,59 @@ def mu_max(L: Lattice, rank_limit: int = EXACT_RANK_LIMIT) -> Tuple[LogValue, Su
     Ties are broken toward the smallest rank, then the lexicographically
     smallest canonical basis.  Ranks above ``rank_limit`` raise
     ExactSearchUnavailable carrying a certified bracket instead.
+
+    The whole pass runs on integers: the reduction, the enumerations, the
+    choice of the steepest candidate and the Minkowski check
+    (_in_minkowski_bracket).  Its only LogValue is the value returned.
     """
-    val, witness, _udeg = _mu_max_udeg(L, rank_limit)
+    val, witness, _shortest = _mu_max_udeg(L, rank_limit)
     return val, witness
 
 
-def _mu_max_udeg(L: Lattice, rank_limit: int) -> Tuple[LogValue, SubLattice, LogValue]:
-    """(mu_max, witness, udeg_max) of L from the one reduction and
-    enumeration that mu_max runs."""
+def _in_minkowski_bracket(val: LogValue, k: int, d: int, b: int, r: int, den: int) -> bool:
+    """Whether val, the mu_max of a rank-r lattice with a rank-k winner of
+    determinant d / den^k, lies in udeg_max <= val <= udeg_max + log(r)/2,
+    with b / den the least norm of a nonzero vector, decided on integers.
+
+    With udeg_max = -log(b / den)/2 and val = -log(d / den^k)/2k the
+    bracket is d <= b^k <= r^k d.  That val is this value is checked
+    exactly too: its terms c log p multiply back to the determinant,
+    prod p^(-2k c) = d / den^k."""
+    num = dnm = 1
+    for p, c in val.terms:
+        e, rem = divmod(-2 * k * c.numerator, c.denominator)
+        if rem:
+            return False
+        if e > 0:
+            num *= p**e
+        else:
+            dnm *= p**-e
+    return num * den**k == d * dnm and d <= b**k <= r**k * d
+
+
+def _mu_max_udeg(
+    L: Lattice, rank_limit: int
+) -> Tuple[LogValue, SubLattice, List[Tuple[Tuple[int, ...], Fraction]]]:
+    """(mu_max, witness, shortest) of L from the one reduction and
+    enumeration that mu_max runs, with shortest = _shortest_reduced of
+    that reduction, from which _udeg_of_shortest reads udeg_max."""
     if L.rank == 0:
         raise ValueError("mu_max needs positive rank")
     # one reduction serves the candidate search and the Minkowski bracket
-    Gred, U, gso = la.gram_lll(L.gram_rows)
+    Gred, U, gso = la.gram_lll(L.gram)
     shortest = _shortest_reduced(Gred, U, gso)
-    udeg, _ = _udeg_of_shortest(shortest)
-    if L.rank > rank_limit:
+    r, den = L.rank, gso.den
+    if r > rank_limit:
         best = None
-        for k in range(1, L.rank + 1):
-            # contiguous windows of the reduced basis: realized sublattices
-            dmin = min(
-                la.det(la.submatrix(Gred, w, w))
-                for w in (
-                    tuple(range(s, s + k)) for s in range(L.rank - k + 1)
-                )
-            )
+        for k in range(1, r + 1):
+            # contiguous windows of the reduced basis: realized sublattices,
+            # each determinant den^k times that of G
+            dmin = min(la._int_det([row[s : s + k] for row in Gred[s : s + k]]) for s in range(r - k + 1))
             if best is None or _steeper(k, dmin, *best):
                 best = (k, dmin)
-        lower = max(udeg, _slope_of_det(best[1], best[0]))
-        upper = udeg + log_of(L.rank, Fraction(1, 2))
+        udeg = _udeg_of_shortest(shortest)[0]
+        lower = max(udeg, _slope_of_det(Fraction(best[1], den ** best[0]), best[0]))
+        upper = udeg + log_of(r, Fraction(1, 2))
         raise ExactSearchUnavailable(
             f"exact search unavailable beyond rank {rank_limit}", lower, upper
         )
@@ -528,11 +584,10 @@ def _mu_max_udeg(L: Lattice, rank_limit: int) -> Tuple[LogValue, SubLattice, Log
             k, d = j, e
     tied = (_saturated(L, c) for c in candidates if c[:2] == (k, d))
     witness = min(tied, key=lambda S: S.basis)
-    val = _slope_of_det(d, k)
-    half_log_rank = log_of(L.rank, Fraction(1, 2))
-    if compare(udeg, val) is Order.GT or compare(val, udeg + half_log_rank) is Order.GT:
+    val = _slope_of_det(Fraction(d, den**k), k)
+    if not _in_minkowski_bracket(val, k, d, _scaled_norm(shortest[0][1], den), r, den):
         raise CertificateError("mu_max outside its Minkowski bracket [udeg_max, udeg_max + log(rank)/2]")
-    return val, witness, udeg
+    return val, witness, shortest
 
 
 def mu_min(L: Lattice, rank_limit: int = EXACT_RANK_LIMIT) -> LogValue:
@@ -560,9 +615,10 @@ def hn_filtration(L: Lattice, rank_limit: int = EXACT_RANK_LIMIT) -> HNResult:
             None,
             None,
         )
-    Gred, U, gso = la.gram_lll(L.gram_rows)
+    Gred, U, gso = la.gram_lll(L.gram)
     candidates = _rank_candidates(L, Gred, U, gso, _shortest_reduced(Gred, U, gso), _hull_radius)
-    d = {0: Fraction(1)}
+    # least determinants at each rank, each den^k times that of G
+    d = {0: 1}
     for k, e, _cols in candidates:
         d[k] = min(d.get(k, e), e)
     # upper hull over the ranks found: j stays a vertex only if it lies
@@ -572,18 +628,19 @@ def hn_filtration(L: Lattice, rank_limit: int = EXACT_RANK_LIMIT) -> HNResult:
     for l in list(d)[1:]:
         while len(hull) > 1:
             i, j = hull[-2], hull[-1]
-            if _steeper(j - i, d[j] / d[i], l - i, d[l] / d[i]):
+            if _steeper(j - i, Fraction(d[j], d[i]), l - i, Fraction(d[l], d[i])):
                 break
             hull.pop()
         hull.append(l)
     chain = []
     slopes = []
+    den = gso.den
     for i, l in zip(hull, hull[1:]):
         attained = [c for c in candidates if c[:2] == (l, d[l])]
         if len(attained) != 1:
             raise CertificateError("an HN vertex must be attained by exactly one sublattice")
         chain.append(_saturated(L, attained[0]))
-        slopes.append(_slope_of_det(d[l] / d[i], l - i))
+        slopes.append(_slope_of_det(Fraction(d[l], d[i] * den ** (l - i)), l - i))
     for a, b in zip(slopes, slopes[1:]):
         if compare(a, b) is not Order.GT:
             raise CertificateError("HN slopes must strictly decrease")

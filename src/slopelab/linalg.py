@@ -13,9 +13,11 @@ Fractions.
 Lattice reduction stays on the integers as well: _lll_sweep is the
 integral LLL on the Gram-Schmidt data (lam, D, den) that _ldl_scaled gives
 for den * G.  It hands its final GSO to short_vectors_reduced, whose
-Fincke-Pohst enumeration (_fincke_pohst) uses integer centers and isqrt
-ranges and builds one Fraction per node.  gram_lll adds the reduced Gram
-matrix, which only callers that read it pay for.
+Fincke-Pohst enumeration (_fincke_pohst) walks an explicit stack with
+integer centers, isqrt ranges and a remaining radius kept as a reduced
+integer pair, and builds one Fraction per returned vector, its norm.
+gram_lll adds den times the reduced Gram matrix, as integer rows, which
+only callers that read it pay for.
 
 No exterior power is eliminated or reduced: _compound_gso reads the
 Gram-Schmidt profile of each den^k Lambda^k(G) off the GSO of G, through
@@ -35,6 +37,7 @@ import functools
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, isqrt, lcm, prod
+from operator import mul
 from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 Matrix = List[List[Fraction]]
@@ -63,15 +66,15 @@ def transpose(M: Sequence[Sequence]) -> list:
 
 def mat_mul(A: Sequence[Sequence], B: Sequence[Sequence]) -> Matrix:
     Bt = transpose(B)
-    return [[sum(a * b for a, b in zip(row, col)) for col in Bt] for row in A]
+    return [[sum(map(mul, row, col)) for col in Bt] for row in A]
 
 
 def mat_vec(A: Sequence[Sequence], v: Sequence) -> Vector:
-    return [sum(a * x for a, x in zip(row, v)) for row in A]
+    return [sum(map(mul, row, v)) for row in A]
 
 
 def vec_dot(u: Sequence, v: Sequence) -> Fraction:
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def _common_scaled(M: Sequence[Sequence]) -> Tuple[List[List[int]], int]:
@@ -79,8 +82,11 @@ def _common_scaled(M: Sequence[Sequence]) -> Tuple[List[List[int]], int]:
 
     The lcm arguments go in as a list: a generator would build its argument
     tuple by resizing, and each resized tuple then joins the interpreter's
-    free list of its final size, which keeps up to 2000 of them."""
+    free list of its final size, which keeps up to 2000 of them.  An
+    integer M, the common case, is read off the numerators alone."""
     den = lcm(*[x.denominator for row in M for x in row])
+    if den == 1:
+        return [[x.numerator for x in row] for row in M], 1
     return [[x.numerator * (den // x.denominator) for x in row] for row in M], den
 
 
@@ -196,10 +202,6 @@ def k_subsets(n: int, k: int) -> List[Tuple[int, ...]]:
     return list(combinations(range(n), k))
 
 
-def submatrix(M: Sequence[Sequence], rows: Sequence[int], cols: Sequence[int]) -> Matrix:
-    return [[Fraction(M[i][j]) for j in cols] for i in rows]
-
-
 class _SubsetTable(NamedTuple):
     """Index tables of the k-subsets of range(n) in lex order (k >= 1).
 
@@ -214,11 +216,15 @@ class _SubsetTable(NamedTuple):
     rows I and columns J that a lower-triangular F can have nonzero.  Such
     a minor is the sum of the heads[m - 1] terms of J along the row
     F[I[0]], as a later term has F[I[0]][J[t]] = 0 and I[1:] dominates
-    J without J[t] for every t."""
+    J without J[t] for every t.  contract[p] lists (j, b, (-1)^t) for
+    every k-subset J at index b that is the (k-1)-subset at index p with
+    j = J[t] put in: the terms of the contraction of a k-vector by that
+    (k-1)-subset."""
 
     wedge: List[Tuple[List[Tuple[int, int]], List[Tuple[int, int]]]]
     heads: List[List[Tuple[List[Tuple[int, int]], List[Tuple[int, int]]]]]
     laplace: List[Tuple[int, int, List[List[int]]]]
+    contract: List[List[Tuple[int, int, int]]]
 
 
 @functools.lru_cache(maxsize=None)
@@ -238,6 +244,10 @@ def _subset_table(n: int, k: int) -> _SubsetTable:
     drops = [[(J[t], prev[J[:t] + J[t + 1 :]]) for t in range(k)] for J in subsets]
     heads = [[(d[0:m:2], d[1:m:2]) for d in drops] for m in range(1, k + 1)]
     index = list(range(len(subsets)))
+    contract: List[List[Tuple[int, int, int]]] = [[] for _ in below]
+    for b, d in enumerate(drops):
+        for t, (j, q) in enumerate(d):
+            contract[q].append((j, index[b], -1 if t % 2 else 1))
     if k == 1:
         laplace = [(i, 0, [index[: i + 1]]) for i in range(n)]
     else:
@@ -259,7 +269,7 @@ def _subset_table(n: int, k: int) -> _SubsetTable:
                         groups[m + 1] += ext[q][:cut]
                         groups[m] += ext[q][cut:top]
             laplace.append((i0, prev[I[1:]], groups))
-    return _SubsetTable(heads[-1], heads, laplace)
+    return _SubsetTable(heads[-1], heads, laplace, contract)
 
 
 def _compound_tower(M: Sequence[Sequence], top: int) -> Iterator[Tuple[int, List[List[int]], int]]:
@@ -553,29 +563,31 @@ class Profile(NamedTuple):
     m: List[int]
 
 
-def gram_lll(G: Sequence[Sequence]) -> Tuple[Matrix, List[List[int]], GSO]:
+def gram_lll(G: Sequence[Sequence]) -> Tuple[List[List[int]], List[List[int]], GSO]:
     """Exact integral LLL working purely on the Gram matrix.
 
-    Returns (Gred, U, gso) with Gred = U^T G U, U unimodular, Gred
-    LLL-reduced (size-reduced and satisfying the Lovasz condition with
-    parameter 3/4), and gso the Gram-Schmidt data of Gred, which
-    short_vectors_reduced enumerates on.  Raises SingularMatrixError unless
-    G is positive definite.  (U, gso) come from _lll_sweep; the reduced Gram
-    matrix is formed once at the end, in integer arithmetic.
+    Returns (Gred, U, gso): U is unimodular and U^T G U is LLL-reduced
+    (size-reduced and satisfying the Lovasz condition with parameter 3/4),
+    gso is its Gram-Schmidt data, which short_vectors_reduced enumerates
+    on, and Gred = den U^T G U as integer rows, den = gso.den the lcm of
+    the denominators of G: an integer G gives Gred = U^T G U.  Raises
+    SingularMatrixError unless G is positive definite.  G is scaled to
+    den G once; (U, gso) come from _lll_sweep of den G, and the reduced
+    Gram matrix is formed once at the end, on the same integers.
     """
-    U, gso = _lll_sweep(G)
+    A, den = _common_scaled(G)
+    U, (lam, D, _den) = _lll_sweep(A)
     n = len(U)
-    # U^T G U in integers: scale G to its common denominator, multiply
-    # exactly, and build one Fraction per entry of the upper triangle
-    # (G is symmetric, so U^T G U is too).
-    Gint, gden = _common_scaled(G)
+    # den U^T G U = U^T A U, one entry of the upper triangle at a time
+    # (A is symmetric, so U^T A U is too)
     cols = transpose(U)
-    Gcols = [[sum(g * u for g, u in zip(grow, col)) for grow in Gint] for col in cols]
-    Gred: Matrix = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
+    Acols = [[sum(map(mul, arow, col)) for arow in A] for col in cols]
+    Gred = [[0] * n for _ in range(n)]
+    for i, col in enumerate(cols):
+        row = Gred[i]
         for j in range(i, n):
-            Gred[i][j] = Gred[j][i] = Fraction(sum(a * b for a, b in zip(cols[i], Gcols[j])), gden)
-    return Gred, U, gso
+            row[j] = Gred[j][i] = sum(map(mul, col, Acols[j]))
+    return Gred, U, GSO(lam, D, den)
 
 
 def _lll_sweep(G: Sequence[Sequence]) -> Tuple[List[List[int]], GSO]:
@@ -590,28 +602,28 @@ def _lll_sweep(G: Sequence[Sequence]) -> Tuple[List[List[int]], GSO]:
     A, D, den = _ldl_scaled(G)
     lam = [row[:i] for i, row in enumerate(A)]
     n = len(lam)
-    U = [[int(i == j) for j in range(n)] for i in range(n)]
+    # U is kept as its columns, so that a column operation is one list
+    cols = [[int(i == j) for i in range(n)] for j in range(n)]
 
-    def size_reduce(k, l):  # b_k -= q b_l for q = floor(mu_kl + 1/2)
+    # b_k -= q b_l for q = floor(mu_kl + 1/2); run when 2 |lam_kl| > D_{l+1}
+    def size_reduce(k, l):
         d = D[l + 1]
         lk = lam[k]
-        if 2 * abs(lk[l]) > d:
-            q = (2 * lk[l] + d) // (2 * d)
-            for row in U:
-                row[k] -= q * row[l]
-            for t, x in enumerate(lam[l]):
-                lk[t] -= q * x
-            lk[l] -= q * d
+        x = lk[l]
+        q = (2 * x + d) // (2 * d)
+        cols[k] = [a - q * b for a, b in zip(cols[k], cols[l])]
+        lk[:l] = [a - q * b for a, b in zip(lk, lam[l])]
+        lk[l] = x - q * d
 
     k = 1
     while k < n:
-        size_reduce(k, k - 1)
+        if 2 * abs(lam[k][k - 1]) > D[k]:
+            size_reduce(k, k - 1)
         lk = lam[k][k - 1]
         if 4 * (D[k + 1] * D[k - 1] + lk * lk) < 3 * D[k] * D[k]:
             # swap b_k and b_{k-1}: of the GSO only D_k and the entries of
             # lam in rows and columns k-1, k change
-            for row in U:
-                row[k], row[k - 1] = row[k - 1], row[k]
+            cols[k], cols[k - 1] = cols[k - 1], cols[k]
             lam[k - 1], lam[k] = lam[k][: k - 1], lam[k - 1] + [lk]
             B = (D[k - 1] * D[k + 1] + lk * lk) // D[k]
             for row in lam[k + 1 :]:
@@ -621,10 +633,12 @@ def _lll_sweep(G: Sequence[Sequence]) -> Tuple[List[List[int]], GSO]:
             D[k] = B
             k = max(k - 1, 1)
         else:
+            row = lam[k]
             for l in range(k - 2, -1, -1):
-                size_reduce(k, l)
+                if 2 * abs(row[l]) > D[l + 1]:
+                    size_reduce(k, l)
             k += 1
-    return U, GSO(lam, D, den)
+    return transpose(cols), GSO(lam, D, den)
 
 
 def short_vectors_gram(G: Sequence[Sequence], bound: Fraction) -> List[Tuple[Tuple[int, ...], Fraction]]:
@@ -641,9 +655,9 @@ def short_vectors_reduced(
     U: Sequence[Sequence[int]], gso: GSO, bound: Fraction
 ) -> List[Tuple[Tuple[int, ...], Fraction]]:
     """All nonzero v in Z^n with v^T G v <= bound, up to sign, given the
-    reduction (U, gso) = _lll_sweep(G) of G, so that Gred = U^T G U is the
-    reduced Gram matrix that gram_lll(G) returns with them: _fincke_pohst
-    on the Profile of gso."""
+    reduction (U, gso) of G that _lll_sweep(G) or gram_lll(G) returns, so
+    that U^T G U is the reduced Gram matrix: _fincke_pohst on the Profile
+    of gso."""
     lam, D, den = gso
     return _fincke_pohst(U, Profile(lam, D[1:], [D[i] * D[i + 1] * den for i in range(len(lam))]), bound)
 
@@ -657,44 +671,89 @@ def _fincke_pohst(
 
     Fincke-Pohst enumeration (Math. Comp. 44, 1985) on integers: with the
     integer center c_i = sum_{j>i} lam_ji x_j and y_i = d_i x_i + c_i,
-    x^T Gred x = sum_i y_i^2 / m_i.  So the range of x_i under a remaining
-    radius R is |y_i| <= isqrt(floor(R m_i)), and each node builds one
-    Fraction, its new remaining radius.  The center sums over the nonzero
-    coordinates above i alone.  Of x and -x only the one whose last
-    nonzero coordinate is positive is visited.  The basis changes only the
-    size of the tree, never the set of vectors found.  Each returned
-    vector has its first nonzero coordinate positive.  Results sorted by
-    (norm, vector) for determinism.
+    x^T Gred x = sum_i y_i^2 / m_i.  So under a remaining radius p / q the
+    range of x_i is |y_i| <= isqrt(floor(p m_i / q)), and the radius left
+    below it is (p m_i - y_i^2 q) / (q m_i), kept as an integer pair in
+    lowest terms.  The center sums over the nonzero coordinates above i
+    alone.  Of x and -x only the one whose last nonzero coordinate is
+    positive is visited.
+
+    The tree is walked depth first, i = n - 1 down to 0 and each x_i
+    upward, over per-level state instead of recursion, so its depth is not
+    bounded by the interpreter's recursion limit; the leaves, level 0, run
+    in one loop.  Only a returned vector builds a Fraction: its norm,
+    bound less the radius left.  The basis changes only the size of the
+    tree, never the set of vectors found.  Each returned vector has its
+    first nonzero coordinate positive.  Results sorted by (norm, vector)
+    for determinism.
     """
     lam, dd, mm = basis
     n = len(lam)
-    bound = Fraction(bound)
-    if n == 0 or bound < 0:
+    if type(bound) is not Fraction:
+        bound = Fraction(bound)
+    P, Q = bound.numerator, bound.denominator
+    if n == 0 or P < 0:
         return []
     out = []
     v = [0] * n
-
-    def rec(i, remaining, nonzero):
-        if i < 0:
-            if nonzero:
-                w = tuple(v) if U is None else tuple([sum(u * x for u, x in zip(row, v)) for row in U])
-                if next(x for x in w if x) < 0:
-                    w = tuple([-x for x in w])
-                out.append((w, bound - remaining))
-            return
-        c = sum(lam[j][i] * x for j, x in nonzero)
-        m, d = mm[i], dd[i]
-        p, q = remaining.numerator, remaining.denominator
+    # per level: the next x_i and the last of its range, its center, the
+    # radius num / dnm left at it, and the nonzero (j, x_j) above it
+    nxt = [0] * n
+    last = [0] * n
+    cen = [0] * n
+    num = [0] * n
+    dnm = [0] * n
+    above: List[Tuple[Tuple[int, int], ...]] = [()] * n
+    i = n - 1
+    num[i] = P
+    dnm[i] = Q
+    while True:
+        nz = above[i]
+        c = 0
+        for j, x in nz:
+            c += lam[j][i] * x
+        p, q, m, d = num[i], dnm[i], mm[i], dd[i]
         s = isqrt(p * m // q)
         # with every coordinate above zero, c = 0 and the range is symmetric
-        for z in range(-((s + c) // d) if nonzero else 0, (s - c) // d + 1):
-            v[i] = z
-            y = d * z + c
-            rec(i - 1, Fraction(p * m - y * y * q, q * m), nonzero + [(i, z)] if z else nonzero)
-        v[i] = 0
-
-    rec(n - 1, bound, [])
-    # rec refers to itself through its closure cell; emptying the cell frees
-    # the enumeration state now instead of at the next full gc collection
-    rec = None
-    return sorted(out, key=lambda kv: (kv[1], kv[0]))
+        lo, hi = -((s + c) // d) if nz else 0, (s - c) // d
+        if i and lo <= hi:
+            nxt[i] = lo + 1
+            last[i] = hi
+            cen[i] = c
+            z = lo
+        else:
+            if not i and lo <= hi:
+                b, pm = q * m, p * m
+                for z in range(lo, hi + 1):
+                    if z or nz:
+                        v[0] = z
+                        y = d * z + c
+                        w = tuple(v) if U is None else tuple([sum(map(mul, row, v)) for row in U])
+                        for x in w:
+                            if x:
+                                break
+                        if x < 0:
+                            w = tuple([-x for x in w])
+                        out.append((w, Fraction(P * b - (pm - y * y * q) * Q, Q * b)))
+                v[0] = 0
+            # climb to the nearest level above with a value left in its range
+            while True:
+                i += 1
+                if i == n:
+                    out.sort(key=lambda kv: (kv[1], kv[0]))
+                    return out
+                z = nxt[i]
+                if z <= last[i]:
+                    nxt[i] = z + 1
+                    break
+                v[i] = 0
+        # descend from level i with x_i = z
+        v[i] = z
+        y = dd[i] * z + cen[i]
+        m, q = mm[i], dnm[i]
+        a, b = num[i] * m - y * y * q, q * m
+        g = gcd(a, b)
+        i -= 1
+        num[i] = a // g
+        dnm[i] = b // g
+        above[i] = above[i + 1] + ((i + 1, z),) if z else above[i + 1]

@@ -4,13 +4,16 @@ These deliberately avoid the library's own algorithms: determinants by
 cofactor expansion, Gauss-Jordan elimination over Fraction entries (the
 library eliminates fraction-free on integers), LLL reduction and
 Fincke-Pohst enumeration over Fraction Gram-Schmidt data (the library runs
-both on an integer GSO), the Fraction LDL factors of a Gram matrix (the
+both on an integer GSO), the recursive integer Fincke-Pohst with one
+Fraction radius per node (the library walks an explicit stack and builds
+Fractions only for the vectors it returns), the Fraction LDL factors of a Gram matrix (the
 library keeps only the integer loop), the candidate pass of mu_max over
 Fraction compounds built one exterior power at a time (the library walks
 one integer compound tower per lattice) and without pruning (the library
 bounds each rank by the best slope or the HN hull found so far), the
 Laplace pattern of the subset tables by filtering all pairs (the library
-generates it), short vectors by certified box
+generates it), decomposability of a k-vector by eliminating its wedge rows
+(the library tests k contractions), short vectors by certified box
 enumeration, and Hilbert-Mumford values by direct evaluation over a jump
 grid, the scalar product of filtrations as a sum over a common compatible basis
 (the library computes it from ranks alone), and the minimum-norm point of
@@ -354,6 +357,45 @@ def fraction_short_vectors_reduced(Gred, U, bound):
     return sorted(out.items(), key=lambda kv: (kv[1], kv[0]))
 
 
+def recursive_fincke_pohst(U, basis, bound):
+    """(la._fincke_pohst(U, basis, bound), its node count), from the
+    enumeration as the library ran it before it walked an explicit stack:
+    one recursive call per node, with the remaining radius of each node
+    below the root built as a Fraction.  The nodes are the calls below the
+    root, each interior level entered and each leaf; the recursion depth
+    is the dimension, so it stops at the interpreter's recursion limit."""
+    lam, dd, mm = basis
+    n = len(lam)
+    bound = Fraction(bound)
+    if n == 0 or bound < 0:
+        return [], 0
+    out = []
+    v = [0] * n
+    nodes = [0]
+
+    def rec(i, remaining, nonzero):
+        if i < 0:
+            if nonzero:
+                w = tuple(v) if U is None else tuple([sum(u * x for u, x in zip(row, v)) for row in U])
+                if next(x for x in w if x) < 0:
+                    w = tuple([-x for x in w])
+                out.append((w, bound - remaining))
+            return
+        c = sum(lam[j][i] * x for j, x in nonzero)
+        m, d = mm[i], dd[i]
+        p, q = remaining.numerator, remaining.denominator
+        s = isqrt(p * m // q)
+        for z in range(-((s + c) // d) if nonzero else 0, (s - c) // d + 1):
+            v[i] = z
+            y = d * z + c
+            nodes[0] += 1
+            rec(i - 1, Fraction(p * m - y * y * q, q * m), nonzero + [(i, z)] if z else nonzero)
+        v[i] = 0
+
+    rec(n - 1, bound, [])
+    return sorted(out, key=lambda kv: (kv[1], kv[0])), nodes[0]
+
+
 def isqrt_fraction_floor(q):
     """The largest integer n with n*n <= q, for a rational q >= 0."""
     if q < 0:
@@ -590,10 +632,12 @@ def saturated_from_rational_rows(L, rows):
 def fraction_rank_candidates(L, Gred, U, shortest):
     """lat._rank_candidates with each exterior power built on its own by
     la.compound_matrix, as Fractions, and enumerated with its norms as they
-    come (the library enumerates one integer compound tower of Gred and
-    divides each norm by den^k)."""
+    come.  Gred is den U^T G U, as gram_lll returns it, so the norm of a
+    rank-k vector is den^k det S, the determinant the library lists; the
+    rank-one norms of ``shortest``, norms of G, are multiplied by den."""
     r = L.rank
-    found = [(1, norm, [list(v)]) for v, norm in shortest if r > 1 and math.gcd(*v) == 1]
+    den = la._common_scaled(L.gram_rows)[1]
+    found = [(1, norm * den, [list(v)]) for v, norm in shortest if r > 1 and math.gcd(*v) == 1]
     for k in range(2, r):
         C = la.compound_matrix(Gred, k)
         radius = min(C[t][t] for t in range(len(C)))
@@ -603,6 +647,32 @@ def fraction_rank_candidates(L, Gred, U, shortest):
                 found.append((k, norm, la.mat_mul(ker, la.transpose(U))))
     found.append((r, la.det(Gred), [[int(i == j) for j in range(r)] for i in range(r)]))
     return found
+
+
+def elimination_decomposable_kernel(w, r, k):
+    """lat._decomposable_kernel by eliminating the wedge rows, as the
+    library did before it tested contractions: the kernel of x -> x /\\ w,
+    one row per (k+1)-subset, has dimension k iff w is decomposable, and
+    is read off d * rref.  Returned as primitive integer rows, or None."""
+    W = []
+    for even, odd in la._subset_table(r, k + 1).wedge:
+        row = [0] * r
+        for j, t in even:
+            row[j] = w[t]
+        for j, t in odd:
+            row[j] = -w[t]
+        W.append(row)
+    rank, pivots, d, _sign = la._eliminate(W, r)
+    if r - rank != k:
+        return None
+    ker = []
+    for f in [c for c in range(r) if c not in pivots]:
+        v = [0] * r
+        v[f] = d
+        for i, p in enumerate(pivots):
+            v[p] = -W[i][f]
+        ker.append(la.primitive_vector(v))
+    return ker
 
 
 def gso_of(G):
@@ -618,17 +688,18 @@ def unpruned_rank_candidates(L, Gred, U, gso, shortest, radius=None):
     (radius is ignored, so this can stand in for the library's pass): the
     pass before each rank was pruned by the best slope or the HN hull,
     without its compound LLL sweeps.  Every least determinant and every
-    tie is listed at every rank."""
+    tie is listed at every rank.  Determinants are den^k det S, as the
+    library lists them."""
     r = L.rank
     den = gso.den
-    found = [(1, norm, [list(v)]) for v, norm in shortest if r > 1 and math.gcd(*v) == 1]
+    found = [(1, norm * den, [list(v)]) for v, norm in shortest if r > 1 and math.gcd(*v) == 1]
     if r > 2:
         diag = la._least_principal_minors(la._common_scaled(Gred)[0], r - 1)
         for k, level in la._compound_gso(gso, r - 1):
             for w, norm in la._fincke_pohst(None, level, diag[k]):
                 ker = lat._decomposable_kernel(w, r, k) if math.gcd(*w) == 1 else None
                 if ker is not None:
-                    found.append((k, norm / den**k, la.mat_mul(ker, la.transpose(U))))
+                    found.append((k, norm, la.mat_mul(ker, la.transpose(U))))
     found.append((r, la.det(Gred), [[int(i == j) for j in range(r)] for i in range(r)]))
     return found
 
@@ -668,7 +739,7 @@ def recursive_hn_filtration(L):
     def build(Q):
         Gred, U, gso = la.gram_lll(Q.gram_rows)
         candidates = unpruned_rank_candidates(Q, Gred, U, gso, lat._shortest_reduced(Gred, U, gso))
-        slopes = [lat._slope_of_det(d, k) for k, d, _cols in candidates]
+        slopes = [lat._slope_of_det(Fraction(d, gso.den**k), k) for k, d, _cols in candidates]
         best = slopes[0]
         for val in slopes:
             if compare(val, best) is Order.GT:

@@ -4,7 +4,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from math import comb, gcd, inf
+from math import comb, gcd, inf, isqrt
 from pathlib import Path
 
 import pytest
@@ -21,12 +21,14 @@ from oracles import (
     box_short_vectors,
     diagonal_is_saturated,
     diagonal_saturate,
+    elimination_decomposable_kernel,
     fraction_rank_candidates,
     fraction_morphism_height,
     gso_of,
     quotient_bundle,
     random_spd_matrix,
     random_unimodular,
+    recursive_fincke_pohst,
     recursive_hn_filtration,
     sub_bundle,
     unit_lattice,
@@ -406,24 +408,30 @@ def test_semistable_root_products_frozen():
         assert hn.is_semistable and hn.slopes == (val,)
 
 
-def _counting_nodes(monkeypatch, run):
-    """(run(), the nodes of the one enumeration that run makes): each node
-    below the root builds one Fraction, its remaining radius, so the nodes
-    are the Fractions that linalg builds, less the one that is the bound."""
-    built = [0]
+def _counting_nodes(monkeypatch, run, U, basis, bound):
+    """(run(), its nodes) for a run that makes the one enumeration
+    la._fincke_pohst(U, basis, bound), checked against the recursive
+    enumeration of the oracle: the same vectors, and as many nodes.  The
+    nodes are those below the root, interior levels and leaves.  The
+    library builds no Fraction per node: it calls isqrt once per interior
+    level entered, the root included, and its leaves are the vectors it
+    returns and the zero vector, so its nodes are its isqrt calls plus
+    the vectors it returns."""
+    calls = [0]
 
-    class Counted(Fraction):
-        __slots__ = ()
+    def counted(x):
+        calls[0] += 1
+        return isqrt(x)
 
-        def __new__(cls, *args, **kwargs):
-            built[0] += 1
-            return super().__new__(cls, *args, **kwargs)
-
-    monkeypatch.setattr(la, "Fraction", Counted)
+    monkeypatch.setattr(la, "isqrt", counted)
     try:
-        return run(), built[0] - 1
+        found = run()
     finally:
-        monkeypatch.setattr(la, "Fraction", Fraction)
+        monkeypatch.setattr(la, "isqrt", isqrt)
+    want, nodes = recursive_fincke_pohst(U, basis, bound)
+    assert found == want
+    assert calls[0] + len(found) == nodes
+    return found, nodes
 
 
 def _structure_watch(monkeypatch):
@@ -493,7 +501,7 @@ def _structure_watch(monkeypatch):
     def counting(U, basis, bound):
         if U is not None:  # the lattice's own enumeration
             return enumerate_(U, basis, bound)
-        found, nodes = _counting_nodes(monkeypatch, lambda: enumerate_(U, basis, bound))
+        found, nodes = _counting_nodes(monkeypatch, lambda: enumerate_(U, basis, bound), U, basis, bound)
         log["nodes"].append((len(basis.lam), nodes))
         return found
 
@@ -665,7 +673,9 @@ def _swept_nodes(monkeypatch, L):
         if k > 1:
             U, gso = la._lll_sweep(T)
             radius = min(T[t][t] for t in range(len(T)))
-            counts.append(_counting_nodes(monkeypatch, lambda: la.short_vectors_reduced(U, gso, radius))[1])
+            lam, D, den = gso
+            basis = la.Profile(lam, D[1:], [D[i] * D[i + 1] * den for i in range(len(lam))])
+            counts.append(_counting_nodes(monkeypatch, lambda: la.short_vectors_reduced(U, gso, radius), U, basis, radius)[1])
     return counts
 
 
@@ -803,7 +813,7 @@ SKEWED_Z3 = [[6, 5, 4], [5, 5, 2], [4, 2, 5]]
 def _plucker(S):
     """Sign-normalised k x k minors of the basis of S, in k_subsets order."""
     B = S.basis_rows
-    minors = [la.det(la.submatrix(B, I, range(S.rank))) for I in la.k_subsets(len(B), S.rank)]
+    minors = [la.det([B[i] for i in I]) for I in la.k_subsets(len(B), S.rank)]
     sign = 1 if next(x for x in minors if x) > 0 else -1
     return tuple(int(sign * x) for x in minors)
 
@@ -902,6 +912,58 @@ def test_pruned_pass_matches_unpruned_oracle(monkeypatch):
     assert sum(1 for n in pruned if n) >= len(pruned) // 2  # the rules do prune
 
 
+def test_enumerations_match_recursive_oracle(monkeypatch):
+    """Every enumeration that mu_max and hn_filtration run, the lattice's
+    own and each compound level's, returns the vectors of the recursive
+    enumeration with one Fraction per node, and visits as many nodes, on
+    the 42-lattice set and 60 seeded lattices of rank 5-8."""
+    _empty_tables()
+    real = la._fincke_pohst
+    nodes = []
+
+    def checked(U, basis, bound):
+        found, count = _counting_nodes(monkeypatch, lambda: real(U, basis, bound), U, basis, bound)
+        nodes.append((U is None, count))
+        return found
+
+    monkeypatch.setattr(la, "_fincke_pohst", checked)
+    lattices = _pruning_lattices()
+    for L in lattices:
+        lat.mu_max(L, rank_limit=8)
+        lat.hn_filtration(L, rank_limit=8)
+    assert sum(1 for compound, _n in nodes if not compound) == 2 * len(lattices)
+    assert sum(1 for compound, _n in nodes if compound) >= 500
+    assert sum(n for _c, n in nodes) >= 20000
+
+
+def test_decomposable_kernel_matches_wedge_elimination():
+    """The contraction test decides decomposability as the elimination of
+    the wedge rows does, and its rows span the same plane, on wedges of
+    random integer k-frames (decomposable) and on random k-vectors (most
+    of them not), for 2 <= k < r <= 7."""
+    _empty_tables()
+    rng = random.Random(445)
+    seen = {True: 0, False: 0}
+    for t in range(600):
+        r = 3 + t % 5
+        k = 2 + rng.randrange(r - 2)
+        if t % 2:
+            B = [[rng.randint(-2, 2) for _ in range(k)] for _ in range(r)]
+            w = [int(la.det([B[i] for i in I])) for I in la.k_subsets(r, k)]
+        else:
+            w = [rng.choice((0, 0, 1, -1, 2)) for _ in range(comb(r, k))]
+        if not any(w):
+            continue
+        got = lat._decomposable_kernel(w, r, k)
+        want = elimination_decomposable_kernel(w, r, k)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert len(got) == k and all(gcd(*row) == 1 for row in got)
+            assert la.rref(la.frac_rows(got))[0] == la.rref(la.frac_rows(want))[0]
+        seen[got is not None] += 1
+    assert min(seen.values()) >= 100
+
+
 def test_compound_gso_matches_ldl_of_compound():
     """Each level of _compound_gso has the mu and the Gram-Schmidt norms of
     the LDL that _ldl_scaled gives the level T_k = den^k Lambda^k(Gred) of
@@ -967,14 +1029,16 @@ def test_least_principal_minors_are_compound_diagonals():
 def test_closed_form_witnesses_equal_saturations():
     """At ranks one and r, _saturated builds the saturation without a
     Hermite form; it equals saturate of the candidate's columns, and its
-    sub_det is the candidate's determinant."""
+    sub_det is the candidate's determinant, which is listed as den^k
+    sub_det."""
     extremes = 0
     for L in _seeded_candidate_lattices() + [lat.Lattice.from_rows(SKEWED_Z3)]:
+        den = la._common_scaled(L.gram)[1]
         for c in _candidates(L, _unpruned):
             if c[0] in (1, L.rank):
                 S = lat._saturated(L, c)
                 assert S == lat.saturate(lat.SubLattice.from_columns(L, c[2]))
-                assert lat.sub_det(S) == c[1]
+                assert type(c[1]) is int and lat.sub_det(S) * den ** c[0] == c[1]
                 extremes += 1
     assert extremes >= 100
 
@@ -1256,6 +1320,70 @@ def test_minkowski_bracket_check_survives_python_O():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("CertificateError: mu_max outside its Minkowski bracket")
+
+
+WINNER_FAULT_UNDER_O = """
+import sys
+from slopelab import lattice as lat
+assert sys.flags.optimize  # run under python -O: library asserts are stripped
+exact = lat._rank_candidates
+
+def whole_only(*args):
+    return exact(*args)[-1:]  # the line (1, 0) of determinant 1 is lost
+
+lat._rank_candidates = whole_only
+try:
+    lat.mu_max(lat.Lattice.from_rows([[1, 0], [0, 4]]))
+except lat.CertificateError as exc:
+    print("CertificateError:", exc)
+"""
+
+
+def test_minkowski_bracket_catches_a_wrong_determinant_under_python_O():
+    # the winner's determinant is wrong, not the value: with the rank-one
+    # candidates gone, the whole lattice wins with d = 4 and its own
+    # saturation agrees, but d <= b^k fails for the least norm b = 1
+    src = str(Path(lat.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", WINNER_FAULT_UNDER_O], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("CertificateError: mu_max outside its Minkowski bracket")
+
+
+@st.composite
+def minkowski_cases(draw):
+    """(k, r, den, d, b): a rank-k determinant d / den^k of a rank-r
+    lattice and a least norm b / den, with the equality cases b^k = d and
+    b^k = r^k d drawn on purpose."""
+    r = draw(st.integers(1, 6))
+    k = draw(st.integers(1, r))
+    den = draw(st.sampled_from((1, 2, 3, 6)))
+    case = draw(st.sampled_from(("free", "low", "high")))
+    if case == "free":
+        return k, r, den, draw(st.integers(1, 10**4)), draw(st.integers(1, 60))
+    c = draw(st.integers(1, 40))
+    if case == "low":  # b^k = d
+        return k, r, den, c**k, c
+    return k, r, den, c**k, r * c  # b^k = r^k d
+
+
+@given(minkowski_cases(), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_integer_minkowski_bracket_agrees_with_logvalue_compare(case, shifted):
+    """The integer bracket d <= b^k <= r^k d, with the value checked to
+    multiply back to d, decides udeg <= val <= udeg + log(r)/2 as compare
+    does on LogValues, and refuses a value that is not the slope of d."""
+    k, r, den, d, b = case
+    val = lat._slope_of_det(Fraction(d, den**k), k)
+    if shifted:
+        val = val + log_of(2)
+    udeg = log_of(Fraction(b, den), Fraction(-1, 2))
+    upper = udeg + log_of(r, Fraction(1, 2))
+    want = compare(udeg, val) is not Order.GT and compare(val, upper) is not Order.GT
+    got = lat._in_minkowski_bracket(val, k, d, b, r, den)
+    assert got == (want and not shifted)
 
 
 DUPLICATE_VERTEX_UNDER_O = """

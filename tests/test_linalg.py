@@ -333,6 +333,9 @@ def test_subset_tables_built_once_on_first_use():
                 drops = [(J[t], below.index(J[:t] + J[t + 1 :])) for t in range(k)]
                 assert table.wedge[b] == (drops[0::2], drops[1::2])
                 assert [heads[b] for heads in table.heads] == [(drops[0:m:2], drops[1:m:2]) for m in range(1, k + 1)]
+                for t, (j, q) in enumerate(drops):
+                    assert (j, b, (-1) ** t) in table.contract[q]
+            assert sum(map(len, table.contract)) == k * len(subsets)
             # the generated pattern is the one that filtering all pairs
             # gives, and its head terms are the filtered terms
             want = filtered_laplace(n, k)
@@ -467,8 +470,12 @@ def test_positive_definite_check():
     assert verdicts == {True, False}
 
 
-def _assert_lll_reduced(G, Gred, U, _gso):
+def _assert_lll_reduced(G, scaled, U, gso):
+    # gram_lll returns den U^T G U as integer rows, den = gso.den
     n = len(G)
+    assert gso.den == lcm(*[Fraction(x).denominator for row in G for x in row])
+    assert all(type(x) is int for row in scaled for x in row)
+    Gred = [[Fraction(x, gso.den) for x in row] for row in scaled]
     assert abs(la.det([[Fraction(x) for x in row] for row in U])) == 1
     assert mat_eq(Gred, la.mat_mul(la.transpose(U), la.mat_mul(G, U)))
     assert la.det(Gred) == la.det(G)
@@ -524,6 +531,18 @@ def test_short_vectors_against_box_oracle():
         assert got == want
 
 
+def test_enumeration_deeper_than_the_recursion_limit():
+    # the walk keeps per-level state instead of recursing, so a profile
+    # deeper than the interpreter's recursion limit is enumerated: the
+    # identity Gram matrix of dimension 1500 within radius 1 has the 1500
+    # unit vectors, sorted by (norm, vector)
+    n = 1500
+    assert n > sys.getrecursionlimit()
+    zero = [0] * n  # lam is read below the diagonal only, and is zero there
+    out = la._fincke_pohst(None, la.Profile([zero] * n, [1] * n, [1] * n), 1)
+    assert out == [(tuple(int(i == j) for j in range(n)), Fraction(1)) for i in reversed(range(n))]
+
+
 def test_short_vectors_diag_frozen():
     G = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(4)]]
     out = la.short_vectors_gram(G, Fraction(4))
@@ -566,9 +585,11 @@ def test_integral_lll_matches_fraction_oracle():
     sizes, swapped, found = set(), 0, 0
     for G in _lll_cases(rng):
         n = len(G)
-        Gred, U, gso = la.gram_lll(G)
+        scaled, U, gso = la.gram_lll(G)
         want_Gred, want_U = fraction_gram_lll(G)
-        assert U == want_U and Gred == want_Gred
+        assert all(type(x) is int for row in scaled for x in row)
+        assert U == want_U and scaled == [[x * gso.den for x in row] for row in want_Gred]
+        Gred = [[Fraction(x, gso.den) for x in row] for row in scaled]
         L, d = fraction_ldl(Gred)
         assert [[Fraction(gso.lam[i][j], gso.D[j + 1]) for j in range(i)] for i in range(n)] == [
             L[i][:i] for i in range(n)
