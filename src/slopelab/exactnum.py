@@ -107,30 +107,22 @@ class Interval:
         return Interval(-self.hi, -self.lo)
 
 
-def _outward(iv: Interval, bits: int) -> Tuple[int, int]:
-    """floor(iv.lo * 2**bits) and ceil(iv.hi * 2**bits)."""
-    lo, hi = iv.lo, iv.hi
-    return (lo.numerator << bits) // lo.denominator, -((-hi.numerator << bits) // hi.denominator)
-
-
 def _dyadic(ends: Tuple[int, int], bits: int) -> Interval:
     """The interval whose endpoints are ends over 2**bits."""
     return Interval(Fraction(ends[0], 1 << bits), Fraction(ends[1], 1 << bits))
 
 
-def _atanh_interval(z: Fraction, bits: int) -> Interval:
-    """Enclosure of atanh(z) for 0 <= z <= 1/2, width <= 2**-bits.
+def _atanh_ends(a: int, b: int, bits: int) -> Tuple[int, int, int]:
+    """(lo, hi, den) with atanh(a/b) in [lo/den, hi/den], for integers
+    0 <= a <= b/2, b > 0, a width <= 2**-bits; a/b need not be reduced.
 
     Positive series sum z^(2k+1)/(2k+1); the tail after K terms is
     bounded by z^(2K+1) / ((2K+1)(1-z^2)).  With z = a/b that bound is
     <= 2**-bits iff a^(2K+1) b^2 2^bits <= (2K+1)(b^2-a^2) b^(2K+1), an
-    integer test, and the K terms are summed as one integer over the
-    common denominator lcm(1, 3, ..., 2K-1) * b^(2K-1), so each endpoint
-    is reduced once.
+    integer test that is the same for a/b and ta/tb, and the K terms are
+    summed as one integer over the common denominator
+    lcm(1, 3, ..., 2K-1) * b^(2K-1).
     """
-    if not (0 <= z <= Fraction(1, 2)):
-        raise ValueError("atanh series restricted to [0, 1/2]")
-    a, b = z.numerator, z.denominator
     a2, b2 = a * a, b * b
     gap = b2 - a2
     pa, pb = a, b  # a^(2K+1), b^(2K+1)
@@ -145,10 +137,24 @@ def _atanh_interval(z: Fraction, bits: int) -> Interval:
     for k, p in enumerate(powers):
         num = num * b2 + den // (2 * k + 1) * p
     odd = 2 * K + 1
-    return Interval(
-        Fraction(num * b2, den * pb),
-        Fraction(b2 * (num * odd * gap + den * pa), den * odd * gap * pb),
-    )
+    lo = num * odd * gap
+    return lo * b2, b2 * (lo + den * pa), den * odd * gap * pb
+
+
+def _atanh_interval(z: Fraction, bits: int) -> Interval:
+    """Enclosure of atanh(z) for 0 <= z <= 1/2, width <= 2**-bits: the
+    series of _atanh_ends as two rationals."""
+    if not (0 <= z <= Fraction(1, 2)):
+        raise ValueError("atanh series restricted to [0, 1/2]")
+    lo, hi, den = _atanh_ends(z.numerator, z.denominator, bits)
+    return Interval(Fraction(lo, den), Fraction(hi, den))
+
+
+# log 2 = 2 atanh(1/3) enters every enclosure of a q outside [1, 2), at
+# the few precisions that heights and comparisons ask for
+@functools.lru_cache(maxsize=256)
+def _atanh_third(bits: int) -> Tuple[int, int, int]:
+    return _atanh_ends(1, 3, bits)
 
 
 def _on_grid(iv: Interval, bits: int) -> Tuple[int, int]:
@@ -172,6 +178,8 @@ def log_interval(q: Fraction, bits: int) -> Interval:
 
 # Logs of integers only: prime logs recur across comparisons and
 # renderings, while the rational arguments of height brackets never do.
+# Each enclosure is a pair of integer numerators over 2**(bits+1), which
+# approximate and morphism_height divide against without a Fraction.
 @functools.lru_cache(maxsize=4096)
 def _log_grid(n: int, bits: int) -> Tuple[int, int]:
     """The endpoint numerators of the enclosure of log n, n >= 1 an
@@ -180,33 +188,39 @@ def _log_grid(n: int, bits: int) -> Tuple[int, int]:
 
 
 def _log_enclosure(q: Fraction, bits: int) -> Interval:
-    """log_interval of a rational q > 0, computed afresh.
+    """log_interval of a rational q > 0, computed afresh by _log_ends."""
+    return _dyadic(_log_ends(q.numerator, q.denominator, bits), bits + 1)
 
-    Argument reduction q = 2**e * m with m in [1, 2), then
-    log q = e*log 2 + 2*atanh((m-1)/(m+1)).  Needs only big-integer
-    arithmetic; q does not have to be factored or even reduced.
+
+def _log_ends(n: int, d: int, bits: int) -> Tuple[int, int]:
+    """The endpoint numerators over 2**(bits+1) of the enclosure of
+    log(n/d), n and d positive integers, not necessarily coprime.
+
+    Argument reduction n/d = 2**e * a/b with a/b in [1, 2), then
+    log(n/d) = e*log 2 + 2*atanh((a-b)/(a+b)), and log(d/n) = -log(n/d).
+    The two atanh enclosures (_atanh_ends; that of 1/3 from _atanh_third)
+    are summed over one common denominator and rounded outward by integer
+    floor division, so no rational is ever reduced.
     """
-    if q == 1:
-        return Interval(Fraction(0), Fraction(0))
-    if q < 1:
-        return -log_interval(1 / q, bits)
-    e = q.numerator.bit_length() - q.denominator.bit_length()
-    m = q / (1 << e) if e >= 0 else q * (1 << (-e))
-    if m < 1:
+    if n < d:
+        lo, hi = _log_ends(d, n, bits)
+        return -hi, -lo
+    if n == d:
+        return 0, 0
+    e = n.bit_length() - d.bit_length()
+    a, b = n, d << e
+    if a < b:
         e -= 1
-        m *= 2
-    elif m >= 2:
-        e += 1
-        m /= 2
-    if not 1 <= m < 2:
-        raise ArithmeticError(f"argument reduction left {m} outside [1, 2)")
-    sub = bits + 2 + max(1, abs(e)).bit_length()
-    z = (m - 1) / (m + 1)  # in [0, 1/3]
-    body = _atanh_interval(z, sub + 1).scaled(Fraction(2))
+        a <<= 1
+    if not b <= a < 2 * b:
+        raise ArithmeticError(f"argument reduction left {a}/{b} outside [1, 2)")
+    sub = bits + 2 + max(1, e).bit_length()
+    lo, hi, den = _atanh_ends(a - b, a + b, sub + 1)  # (a-b)/(a+b) in [0, 1/3)
     if e:
-        log2 = _atanh_interval(Fraction(1, 3), sub + 1).scaled(Fraction(2))
-        body = body + log2.scaled(Fraction(e))
-    return _dyadic(_outward(body, bits + 1), bits + 1)
+        tlo, thi, tden = _atanh_third(sub + 1)
+        lo, hi, den = lo * tden + e * tlo * den, hi * tden + e * thi * den, den * tden
+    one = bits + 2  # 2 * atanh, over 2**(bits+1)
+    return (lo << one) // den, -((-hi << one) // den)
 
 
 # ---------------------------------------------------------------------------

@@ -478,9 +478,9 @@ def check_bogomolov_campaign(config: TrialConfig) -> TrialReport:
 def check_slope_inequalities(config: TrialConfig) -> TrialReport:
     """Slope bounds through a nonzero morphism phi: E -> F.
 
-    Uses the certified upper end of the height bracket, so a violation
-    with a narrow bracket is a genuine failure; with a bracket wider
-    than the tolerance the trial is inconclusive instead.
+    Uses the certified upper end of the height bracket, so a violation is
+    a genuine failure: morphism_height raises CertificateError, a reported
+    fail, rather than return a bracket wider than the tolerance.
     """
     if max(config.ranks) > EXACT_RANK_LIMIT:
         raise ValueError("rank exceeds the exact search limit")
@@ -513,11 +513,6 @@ def check_slope_inequalities(config: TrialConfig) -> TrialReport:
             mu_e = slope(E)
             detail["slope"] = str(mu_e)
             ok = ok and mu_e <= rhs
-        if not ok:
-            box = approximate(h.width, 16)
-            if box.hi > Fraction(1, 1 << config.tolerance_bits):
-                detail["reason"] = "height bracket wider than tolerance"
-                return _outcome(i, "inconclusive", lhs, rhs, {"phi": phi.to_json()}, detail)
         return _outcome(i, "pass" if ok else "fail", lhs, rhs, {"phi": phi.to_json()}, detail)
 
     outcomes = _run_trials(config.trials, trial)

@@ -18,13 +18,12 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import linalg as la
 from .exactnum import (
-    Interval,
     LogValue,
     Order,
+    _log_ends,
+    _log_grid,
     approximate,
     compare,
-    factorize,
-    log_interval,
     log_of,
     rat_from_str,
     rat_to_str,
@@ -311,6 +310,16 @@ def udeg_max(L: Lattice) -> Tuple[LogValue, Tuple[int, ...]]:
     return _udeg_of_shortest(_shortest_reduced(*la.gram_lll(L.gram)))
 
 
+def _reduced(L: Lattice) -> Tuple[List[List[int]], List[List[int]], List[List[int]], la.GSO]:
+    """(G, Gred, U, gso) for G = den * L.gram on integers and (Gred, U, gso)
+    = gram_lll(L.gram).  The reduction runs on G itself: gram_lll scales
+    L.gram to the same G, and the GSO of G is that of L.gram with den 1,
+    so the den of L.gram is put back."""
+    G, den = la._common_scaled(L.gram)
+    Gred, U, gso = la.gram_lll(G)
+    return G, Gred, U, gso._replace(den=den)
+
+
 def _shortest_reduced(
     Gred: List[List[int]], U: List[List[int]], gso: la.GSO
 ) -> List[Tuple[Tuple[int, ...], Fraction]]:
@@ -471,17 +480,17 @@ def _rank_candidates(
     return found
 
 
-def _saturated(L: Lattice, candidate: Tuple[int, int, List[List[int]]]) -> SubLattice:
+def _saturated(L: Lattice, G: List[List[int]], candidate: Tuple[int, int, List[List[int]]]) -> SubLattice:
     """The saturated sublattice of a _rank_candidates entry, checked against
-    its determinant, den^k det S on integers.
+    its determinant, den^k det S on integers, with G = den * L.gram as
+    integer rows (_reduced gives it).
 
     Ranks one and r need no Hermite form: the saturation of a line is its
-    primitive vector, whose norm is taken on the integers of den * G, and
-    that of a full-rank sublattice is Z^r, of determinant det(den * G),
-    by integer Bareiss."""
+    primitive vector, whose norm is taken on the integers of G, and that
+    of a full-rank sublattice is Z^r, of determinant det G, by integer
+    Bareiss."""
     k, d, columns = candidate
     r = L.rank
-    G = la._common_scaled(L.gram)[0]
     if k == r:
         S = SubLattice(L, tuple(tuple(int(i == j) for j in range(r)) for i in range(r)))
         exact = la._int_det(G)
@@ -560,7 +569,7 @@ def _mu_max_udeg(
     if L.rank == 0:
         raise ValueError("mu_max needs positive rank")
     # one reduction serves the candidate search and the Minkowski bracket
-    Gred, U, gso = la.gram_lll(L.gram)
+    G, Gred, U, gso = _reduced(L)
     shortest = _shortest_reduced(Gred, U, gso)
     r, den = L.rank, gso.den
     if r > rank_limit:
@@ -582,7 +591,7 @@ def _mu_max_udeg(
     for j, e, _cols in candidates:
         if _steeper(j, e, k, d):
             k, d = j, e
-    tied = (_saturated(L, c) for c in candidates if c[:2] == (k, d))
+    tied = (_saturated(L, G, c) for c in candidates if c[:2] == (k, d))
     witness = min(tied, key=lambda S: S.basis)
     val = _slope_of_det(Fraction(d, den**k), k)
     if not _in_minkowski_bracket(val, k, d, _scaled_norm(shortest[0][1], den), r, den):
@@ -615,7 +624,7 @@ def hn_filtration(L: Lattice, rank_limit: int = EXACT_RANK_LIMIT) -> HNResult:
             None,
             None,
         )
-    Gred, U, gso = la.gram_lll(L.gram)
+    G, Gred, U, gso = _reduced(L)
     candidates = _rank_candidates(L, Gred, U, gso, _shortest_reduced(Gred, U, gso), _hull_radius)
     # least determinants at each rank, each den^k times that of G
     d = {0: 1}
@@ -639,7 +648,7 @@ def hn_filtration(L: Lattice, rank_limit: int = EXACT_RANK_LIMIT) -> HNResult:
         attained = [c for c in candidates if c[:2] == (l, d[l])]
         if len(attained) != 1:
             raise CertificateError("an HN vertex must be attained by exactly one sublattice")
-        chain.append(_saturated(L, attained[0]))
+        chain.append(_saturated(L, G, attained[0]))
         slopes.append(_slope_of_det(Fraction(d[l], d[i] * den ** (l - i)), l - i))
     for a, b in zip(slopes, slopes[1:]):
         if compare(a, b) is not Order.GT:
@@ -651,49 +660,106 @@ def hn_filtration(L: Lattice, rank_limit: int = EXACT_RANK_LIMIT) -> HNResult:
 # morphism heights
 
 
-def _interval_div(I: Interval, J: Interval) -> Interval:
-    if J.lo <= 0:
-        raise ValueError("division by an interval containing nonpositive values")
-    quots = [I.lo / J.lo, I.lo / J.hi, I.hi / J.lo, I.hi / J.hi]
-    return Interval(min(quots), max(quots))
+def _char_poly(GEi: List[List[int]], Mi: List[List[int]]) -> List[int]:
+    """Coefficients c_0, ..., c_k of p(x) = det(x GEi - Mi) for k x k
+    integer rows.
+
+    p is read off its values at x = 0, ..., k by divided differences.  p
+    has integer coefficients, so each divided difference over consecutive
+    integer nodes is an integer (Delta^j p / j!), every division is exact,
+    and the Newton form turns into the monomial one on integers."""
+    k = len(GEi)
+    c = [la._int_det([[x * g - m for g, m in zip(grow, mrow)] for grow, mrow in zip(GEi, Mi)]) for x in range(k + 1)]
+    for j in range(1, k + 1):
+        for i in range(k, j - 1, -1):
+            c[i] = (c[i] - c[i - 1]) // j
+    # sum_j c[j] x (x - 1) ... (x - j + 1), by Horner: poly * (x - j) + c[j]
+    poly = [c[k]]
+    for j in range(k - 1, -1, -1):
+        poly = [c[j] - j * poly[0], *[a - j * b for a, b in zip(poly, poly[1:])], poly[-1]]
+    return poly
+
+
+def _top_root_enclosure(c: List[int], lo: int, hi: int, D: int) -> Tuple[int, int]:
+    """(A, B) with A <= lambda D <= B, for lambda > 0 the largest root of a
+    real-rooted p = sum c_i x^i with c_k > 0, given lo <= lambda D <= hi.
+
+    Newton's method from above on the grid 1/D.  At any x > lambda, p and
+    p' are positive, and with d_i = x - lambda_i >= d = x - lambda the
+    sums S1 = sum 1/d_i = p'/p and S2 = sum 1/d_i^2 = (p'^2 - p p'')/p^2
+    satisfy S1 >= 1/d and S2 <= S1/d.  So Newton's step x - 1/S1 = x - p/p'
+    stays >= lambda, and x - S1/S2 (Schroeder's step) is <= lambda; the
+    latter is exact at a root of multiplicity k and tends to lambda
+    quadratically at any multiplicity.  The upper end is rounded up and
+    the lower end down; an upper end x with p(x) = 0 is lambda itself.
+    Roots at zero, the kernel of the map, are divided out first.  The
+    steps stop at width one, or once a step no longer halves the width:
+    far above the roots, or at a multiple root, Newton's step shrinks
+    the distance only linearly, and the caller's definiteness tests take
+    over."""
+    while not c[0]:
+        c = c[1:]
+    k = len(c) - 1
+    scaled = [x * D ** (k - i) for i, x in enumerate(c)]  # P(X) = D^k p(X / D)
+    A, B = lo, hi
+    while B - A > 1:
+        P = dP = ddP = 0  # P(B), P'(B) and P''(B) / 2
+        for x in reversed(scaled):
+            ddP = ddP * B + dP
+            dP = dP * B + P
+            P = P * B + x
+        if not P:
+            return B, B
+        S2 = dP * dP - 2 * P * ddP
+        if P < 0 or dP <= 0 or S2 <= 0:
+            raise CertificateError("a real-rooted polynomial must increase above its largest root")
+        width = B - A
+        A = max(A, B + (-P * dP) // S2)
+        B -= P // dP
+        if 2 * (B - A) > width:
+            break
+    return A, B
 
 
 def morphism_height(phi: Morphism, tolerance_bits: int = 40) -> HeightBracket:
     """Height of a nonzero morphism: exact finite part plus archimedean
     operator norm bracketed on a dyadic multiple-of-log-2 grid.
 
-    The finite part is sum_p log max_ij |a_ij|_p, computed from entry
-    valuations.  The archimedean part is half the log of the largest
+    The finite part is sum_p log max_ij |a_ij|_p = log(a / g), for a the
+    lcm of the denominators of the entries and g the gcd of their
+    numerators.  The archimedean part is half the log of the largest
     generalized eigenvalue lambda of (M, G_E), M = A^T G_F A, bracketed
-    by bisection from [tr(G_E^-1 M) / k, tr(G_E^-1 M)] until hi - lo <=
+    from [tr(G_E^-1 M) / k, tr(G_E^-1 M)] by halving until hi - lo <=
     lo * 2^-(tolerance_bits + 2); the final bracket width is below
-    2^-tolerance_bits.  The bisection runs on integers: G_E = GEi / den
-    and M = Mi / den over one common denominator, lo = L / q and hi = H / q
+    2^-tolerance_bits.  Everything runs on integers: G_E = GEi / den and
+    M = Mi / den over one common denominator, lo = L / q and hi = H / q
     over one q that doubles at each step, and lambda < n / q iff the
     integer matrix n * GEi - q * Mi is positive definite: by Sylvester's
     criterion, iff la._ldl_scaled finds all its leading minors positive.
+
+    Each halving is decided from an enclosure of lambda instead of a
+    definiteness test.  p(x) = det(x GEi - Mi) has integer coefficients
+    (_char_poly), and since G_E is positive definite and M symmetric, all
+    its roots are real: they are the eigenvalues of the symmetric matrix
+    G_E^-1/2 M G_E^-1/2.  They are also >= 0, as M is positive
+    semidefinite, so lambda <= tr = -c_(k-1) / c_k.  Newton's method from
+    tr encloses lambda (_top_root_enclosure), and a midpoint the
+    enclosure does not decide is tested for definiteness as above.  Two
+    Sylvester tests then certify the ends: L GEi - q Mi is not positive
+    definite (lambda >= lo) and H GEi - q Mi is (lambda < hi), unless hi
+    is still tr, which lambda reaches when M has rank one.  With lambda in
+    [lo, hi] every midpoint of the walk was <= lo or >= hi, so each
+    decision was the one the definiteness test gives: a wrong enclosure
+    ends in CertificateError, never in another bracket.
     """
     if phi.is_zero:
         raise ValueError("the zero morphism has no finite height")
-    entries = [x for row in phi.matrix for x in row if x != 0]
-    valuations: List[Dict[int, int]] = []
-    for x in entries:
-        vp: Dict[int, int] = {}
-        for p, e in factorize(abs(x.numerator)):
-            vp[p] = e
-        for p, e in factorize(x.denominator):
-            vp[p] = vp.get(p, 0) - e
-        valuations.append(vp)
-    finite_map: Dict[int, Fraction] = {}
-    for p in sorted({p for vp in valuations for p in vp}):
-        low = min(vp.get(p, 0) for vp in valuations)
-        if low:
-            finite_map[p] = Fraction(-low)
-    finite = LogValue.from_map(finite_map)
-
     # A = Ai / a, G_F = GFi / f and G_E = GEi / e, so M = Ai^T GFi Ai / n
     # with n = a^2 f; GEi and Mi are G_E and M times den = lcm(e, n)
     Ai, a = la._common_scaled(phi.matrix_rows)
+    # -min_ij v_p(a_ij) = v_p(a) - v_p(g) for g the gcd of the numerators:
+    # an entry whose denominator p divides has a numerator p does not
+    finite = log_of(Fraction(a, gcd(*[x.numerator for row in phi.matrix for x in row])))
     GFi, f = la._common_scaled(phi.target.gram_rows)
     GEi, e = la._common_scaled(phi.source.gram_rows)
     Mi = la.mat_mul(la.transpose(Ai), la.mat_mul(GFi, Ai))
@@ -702,35 +768,61 @@ def morphism_height(phi: Morphism, tolerance_bits: int = 40) -> HeightBracket:
     GEi = [[x * (n // c) for x in row] for row in GEi]
     Mi = [[x * (e // c) for x in row] for row in Mi]
     k = phi.source.rank
-    d, W = la.solve_scaled(GEi, Mi)  # W = d * G_E^-1 M
-    tr = Fraction(sum(W[i][i] for i in range(k)), d)
-    lower = [(g[: i + 1], m[: i + 1]) for i, (g, m) in enumerate(zip(GEi, Mi))]
+    poly = _char_poly(GEi, Mi)
+    tr = Fraction(-poly[k - 1], poly[k])
     # lo = tr / k and hi = tr over q = k * den(tr)
     L, q = tr.numerator, k * tr.denominator
-    H = k * L
+    H = top = k * L
     shift = tolerance_bits + 2
-    while (H - L) << shift > L:
-        L, H, q = 2 * L, 2 * H, 2 * q
-        mid = (L + H) // 2
-        try:  # lambda < mid / q iff mid * GEi - q * Mi is positive definite
-            la._ldl_scaled([[mid * x - q * y for x, y in zip(g, m)] for g, m in lower])
+    # lambda * D in [A, B] for D = q * 2^fine, on a grid finer than the walk's
+    fine = shift + 8
+    D = q << fine
+    A, B = _top_root_enclosure(poly, L << fine, H << fine, D)
+    lower = [(g[: i + 1], m[: i + 1]) for i, (g, m) in enumerate(zip(GEi, Mi))]
+
+    def definite(n: int, q: int) -> bool:
+        """lambda < n / q: n * GEi - q * Mi is positive definite."""
+        try:
+            la._ldl_scaled([[n * x - q * y for x, y in zip(g, m)] for g, m in lower])
         except la.SingularMatrixError:
+            return False
+        return True
+
+    j = 0  # halvings so far: mid / q against [A, B] / D is mid * 2^fine against [A, B] * 2^j
+    while (H - L) << shift > L:
+        L, H, q, j = 2 * L, 2 * H, 2 * q, j + 1
+        mid = (L + H) // 2
+        x = mid << fine
+        if x <= A << j:
             L = mid
-        else:
+        elif x > B << j:
             H = mid
+        elif definite(mid, q):  # a new upper end for Newton's method to go on from
+            H = mid
+            A, B = _top_root_enclosure(poly, A, -(-x >> j), D)
+        else:
+            L = mid
+            A = x >> j
+    if definite(L, q):
+        raise CertificateError("the operator norm lies below its height bracket")
+    if H != top << j and not definite(H, q):
+        raise CertificateError("the operator norm lies above its height bracket")
     lo, hi = Fraction(L, q), Fraction(H, q)
 
-    # place 1/2*log(lo..hi) between grid points (j / 2^m) * log 2
+    # place 1/2*log(lo..hi) between grid points (j / 2^m) * log 2: the
+    # enclosures are numerators over 2^(prec+1), so the floor and ceiling
+    # of 2^(m-1) log(lo..hi) / log 2 are integer divisions by the end of
+    # the log 2 enclosure that makes them widest
     m = tolerance_bits + 3
     mag = sum(
         q.numerator.bit_length() + q.denominator.bit_length() for q in (lo, hi)
     )
     prec = m + 8 + mag.bit_length()
-    log2 = log_interval(Fraction(2), prec)
-    ylo = _interval_div(log_interval(lo, prec).scaled(Fraction(1 << (m - 1))), log2)
-    yhi = _interval_div(log_interval(hi, prec).scaled(Fraction(1 << (m - 1))), log2)
-    j_lo = ylo.lo.numerator // ylo.lo.denominator
-    j_hi = -((-yhi.hi.numerator) // yhi.hi.denominator)
+    two_lo, two_hi = _log_grid(2, prec)
+    ylo = _log_ends(lo.numerator, lo.denominator, prec)[0] << (m - 1)
+    yhi = _log_ends(hi.numerator, hi.denominator, prec)[1] << (m - 1)
+    j_lo = ylo // (two_hi if ylo >= 0 else two_lo)
+    j_hi = -(-yhi // (two_lo if yhi >= 0 else two_hi))
     grid = log_of(2, Fraction(1, 1 << m))
     out = HeightBracket(
         finite + grid.scaled(j_lo), finite + grid.scaled(j_hi), finite

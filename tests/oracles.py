@@ -72,7 +72,7 @@ from slopelab import filtration as fil
 from slopelab import gitstab as gs
 from slopelab import lattice as lat
 from slopelab import linalg as la
-from slopelab.exactnum import AlgValue, Interval, LogValue, Order, compare, factorize, log_interval, log_of
+from slopelab.exactnum import AlgValue, Interval, LogValue, Order, compare, factorize, log_of
 from slopelab.lattice import Lattice, SubLattice
 from slopelab.linalg import SingularMatrixError, solve_square
 
@@ -745,9 +745,10 @@ def recursive_hn_filtration(L):
             if compare(val, best) is Order.GT:
                 best = val
         stacked = []
+        G = la._common_scaled(Q.gram)[0]
         for c, val in zip(candidates, slopes):
             if val == best:
-                stacked.extend(la.transpose(lat._saturated(Q, c).basis_rows))
+                stacked.extend(la.transpose(lat._saturated(Q, G, c).basis_rows))
         des = saturated_from_rational_rows(
             Q, la.rref([[Fraction(x) for x in row] for row in stacked])[0]
         )
@@ -1596,10 +1597,19 @@ def fraction_atanh_interval(z, bits):
         k += 1
 
 
+def _interval_div(I, J):
+    """I / J as an interval, for J of positive endpoints."""
+    if J.lo <= 0:
+        raise ValueError("division by an interval containing nonpositive values")
+    quots = [I.lo / J.lo, I.lo / J.hi, I.hi / J.lo, I.hi / J.hi]
+    return Interval(min(quots), max(quots))
+
+
 def fraction_morphism_height(phi, tolerance_bits=40):
     """morphism_height with the operator norm bisected over Fractions: lo
-    and hi are Fractions, and each midpoint t is tested by a Fraction LDL
-    of t * G_E - A^T G_F A."""
+    and hi are Fractions, each midpoint t is tested by a Fraction LDL of
+    t * G_E - A^T G_F A, and the logs are the Fraction series of
+    fraction_log_interval, divided as intervals."""
     if phi.is_zero:
         raise ValueError("the zero morphism has no finite height")
     finite_map = {}
@@ -1645,9 +1655,9 @@ def fraction_morphism_height(phi, tolerance_bits=40):
     m = tolerance_bits + 3
     mag = sum(q.numerator.bit_length() + q.denominator.bit_length() for q in (lo, hi))
     prec = m + 8 + mag.bit_length()
-    log2 = log_interval(Fraction(2), prec)
-    ylo = lat._interval_div(log_interval(lo, prec).scaled(Fraction(1 << (m - 1))), log2)
-    yhi = lat._interval_div(log_interval(hi, prec).scaled(Fraction(1 << (m - 1))), log2)
+    log2 = fraction_log_interval(Fraction(2), prec)
+    ylo = _interval_div(fraction_log_interval(lo, prec).scaled(Fraction(1 << (m - 1))), log2)
+    yhi = _interval_div(fraction_log_interval(hi, prec).scaled(Fraction(1 << (m - 1))), log2)
     j_lo = ylo.lo.numerator // ylo.lo.denominator
     j_hi = -((-yhi.hi.numerator) // yhi.hi.denominator)
     grid = log_of(2, Fraction(1, 1 << m))

@@ -10,6 +10,7 @@ from slopelab import cli
 from slopelab import filtration as fil
 from slopelab import harness
 from slopelab import invariants as inv
+from slopelab.exactnum import log_of
 from slopelab.gitstab import TensorPoint
 from slopelab.harness import TrialOutcome, TrialReport
 from slopelab.lattice import (
@@ -405,6 +406,22 @@ class TestVerifyVerbs:
         saved = json.loads((tmp_path / "counterexample-main.json").read_text())
         assert [o["index"] for o in saved["failures"]] == [0, 1]
         assert saved["failures"][0]["detail"]["reason"].startswith("injected")
+
+    def test_violated_slope_inequality_exits_one_with_counterexample(self, tmp_path, capsys, monkeypatch):
+        real = harness.mu_max
+
+        def lowered(L, *args):
+            val, witness = real(L, *args)
+            return val - log_of(1000), witness
+
+        monkeypatch.setattr(harness, "mu_max", lowered)
+        monkeypatch.chdir(tmp_path)
+        code = cli.run(["verify", "slopes", "--ranks", "2,3", "--trials", "6", "--seed", "7"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "counterexample written to counterexample-slopes.json" in captured.err
+        saved = json.loads((tmp_path / "counterexample-slopes.json").read_text())
+        assert [o["verdict"] for o in saved["failures"]] == ["fail"] * 6
 
     def test_unsampled_factor_is_inconclusive(self, capsys, monkeypatch):
         # no draw is semistable: each trial stops at the draw limit, a

@@ -243,6 +243,47 @@ def test_atanh_matches_fraction_oracle():
             assert exactnum._atanh_interval(z, bits) == fraction_atanh_interval(z, bits), (z, bits)
 
 
+def _seeded_rationals(count, seed):
+    """Positive rationals of 1 to 90 bits on either side: q < 1, q = 1,
+    integers and their inverses, q in [1, 2) (e = 0) and q in [1/2, 1)."""
+    rng = random.Random(seed)
+    qs = [Fraction(1), Fraction(2), Fraction(1, 2), Fraction(3, 2), Fraction(2, 3), Fraction(1, 7), Fraction(7)]
+    while len(qs) < count:
+        kind = len(qs) % 5
+        n = rng.randrange(1, 1 << rng.choice((2, 10, 30, 60, 90)))
+        d = 1 if kind == 0 else rng.randrange(1, 1 << rng.choice((2, 10, 30, 60, 90)))
+        if kind == 1:
+            n, d = 1, n  # 1/q an integer
+        elif kind == 2:
+            n = d + rng.randrange(0, d)  # [1, 2): no power of two split off
+        elif kind == 3:
+            n, d = d, d + rng.randrange(1, d + 1)  # [1/2, 1)
+        qs.append(Fraction(n, d))
+    return qs
+
+
+def test_log_enclosure_matches_fraction_oracle():
+    # the enclosure summed over one integer denominator ends on the same
+    # dyadic endpoints as the Fraction series rounded outward
+    for t, q in enumerate(_seeded_rationals(3000, 3001)):
+        bits = (3, 40, 77)[t % 3]
+        assert exactnum._log_enclosure(q, bits) == fraction_log_interval(q, bits), (q, bits)
+
+
+def test_log_two_series_is_built_once_per_precision():
+    memo = exactnum._atanh_third
+    memo.cache_clear()
+    qs = _seeded_rationals(200, 3002)
+    for q in qs:
+        exactnum._log_enclosure(q, 50)
+    # one precision per bit length of e, and |e| < 2^7 here
+    info = memo.cache_info()
+    assert info.currsize == info.misses <= 7 and info.hits > 100
+    for q in qs:
+        exactnum._log_enclosure(q, 50)
+    assert memo.cache_info().misses == info.misses
+
+
 def _record_log_grid(patch):
     """exactnum._log_grid wrapped anew at its bound around a builder that
     records each enclosure it builds: {(n, bits): (lo, hi)}."""

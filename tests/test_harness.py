@@ -316,6 +316,21 @@ class TestSlopeInequalities:
         assert any(not o.detail["injective"] for o in rep.outcomes)
 
 
+    def test_violation_is_a_reported_fail(self, monkeypatch):
+        # mu_max(F) lowered by log 1000 breaks the inequality on every trial;
+        # the bracket's upper end is certified, so each break is a fail
+        real = harness.mu_max
+
+        def lowered(L, *args):
+            val, witness = real(L, *args)
+            return val - log_of(1000), witness
+
+        monkeypatch.setattr(harness, "mu_max", lowered)
+        rep = check_slope_inequalities(TrialConfig(seed=7, ranks=(2, 3), trials=6))
+        assert rep.counts == {"pass": 0, "fail": 6, "inconclusive": 0}
+        assert all("reason" not in o.detail for o in rep.outcomes)
+
+
 class TestReductionChain:
     def test_pure_tensor_instance(self):
         rec = reduction_chain_instance([ID2, ID2], (1, 0, 0, 0))

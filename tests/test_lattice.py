@@ -746,9 +746,9 @@ def test_candidate_pass_builds_only_winners(monkeypatch):
     real_post_init = lat.SubLattice.__post_init__
     built, counts = [], {"saturate": 0, "sublattice": 0}
 
-    def counting_saturated(L, candidate):
+    def counting_saturated(L, G, candidate):
         built.append(candidate[0])
-        return real_saturated(L, candidate)
+        return real_saturated(L, G, candidate)
 
     def counting_saturate(S):
         counts["saturate"] += 1
@@ -830,7 +830,8 @@ def test_non_primitive_enumerated_vectors_are_skipped():
     eye = [[int(i == j) for j in range(3)] for i in range(3)]
     cands = lat._rank_candidates(L, G, eye, gso_of(G), enumerated[1], _unpruned)
     assert cands[-1][0] == 3
-    dets = {(c[0], _plucker(lat._saturated(L, c))): c[1] for c in cands[:-1]}
+    scaled = la._common_scaled(L.gram)[0]
+    dets = {(c[0], _plucker(lat._saturated(L, scaled, c))): c[1] for c in cands[:-1]}
     assert len(dets) == len(cands) - 1
     for k, vecs in enumerated.items():
         assert sum(1 for c in cands if c[0] == k) == sum(1 for w, _n in vecs if gcd(*w) == 1)
@@ -1033,10 +1034,10 @@ def test_closed_form_witnesses_equal_saturations():
     sub_det."""
     extremes = 0
     for L in _seeded_candidate_lattices() + [lat.Lattice.from_rows(SKEWED_Z3)]:
-        den = la._common_scaled(L.gram)[1]
+        G, den = la._common_scaled(L.gram)
         for c in _candidates(L, _unpruned):
             if c[0] in (1, L.rank):
-                S = lat._saturated(L, c)
+                S = lat._saturated(L, G, c)
                 assert S == lat.saturate(lat.SubLattice.from_columns(L, c[2]))
                 assert type(c[1]) is int and lat.sub_det(S) * den ** c[0] == c[1]
                 extremes += 1
@@ -1047,14 +1048,16 @@ def test_closed_form_witness_faults_raise():
     """A non-primitive rank-one column and a determinant off by one each
     fail the certificate of their closed form."""
     L = lat.Lattice.from_rows([[1, 0], [0, 4]])
+    G = la._common_scaled(L.gram)[0]
     with pytest.raises(lat.CertificateError):
-        lat._saturated(L, (1, Fraction(4), [[2, 0]]))  # the saturation (1, 0) has norm 1
-    assert lat._saturated(L, (1, Fraction(1), [[-1, 0]])).basis == ((1,), (0,))
+        lat._saturated(L, G, (1, Fraction(4), [[2, 0]]))  # the saturation (1, 0) has norm 1
+    assert lat._saturated(L, G, (1, Fraction(1), [[-1, 0]])).basis == ((1,), (0,))
     for M in (L, lat.Lattice.from_rows(SKEWED_Z3)):
+        G = la._common_scaled(M.gram)[0]
         for k, d, cols in _candidates(M, _unpruned):
-            lat._saturated(M, (k, d, cols))
+            lat._saturated(M, G, (k, d, cols))
             with pytest.raises(lat.CertificateError):
-                lat._saturated(M, (k, d + 1, cols))
+                lat._saturated(M, G, (k, d + 1, cols))
 
 
 @st.composite
@@ -1231,6 +1234,67 @@ def test_morphism_height_matches_fraction_oracle():
         assert lat.morphism_height(phi, bits) == fraction_morphism_height(phi, bits), (t, bits)
 
 
+def _count_ldl(monkeypatch):
+    """A list that la._ldl_scaled appends to on each call."""
+    calls = []
+    real = la._ldl_scaled
+
+    def counting(G):
+        calls.append(len(G))
+        return real(G)
+
+    monkeypatch.setattr(la, "_ldl_scaled", counting)
+    return calls
+
+
+def test_morphism_height_runs_few_definiteness_tests(monkeypatch):
+    # the enclosure decides almost every midpoint; the two end tests and
+    # at most two undecided midpoints remain
+    morphisms = _seeded_morphisms(402, 4242)  # Lattice validation runs _ldl_scaled
+    calls = _count_ldl(monkeypatch)
+    counts = []
+    for t, phi in enumerate(morphisms):
+        calls.clear()
+        lat.morphism_height(phi, (10, 40, 64)[t % 3])
+        counts.append(len(calls))
+    assert max(counts) <= 4
+    assert sum(counts) < 2 * len(counts)
+
+
+def _edge_morphisms(count, seed):
+    """(phi, family) for source ranks 1-6: rank-one maps, whose lambda is
+    the trace bound itself, and c * identity on E, whose M = c^2 G_E has
+    lambda as a root of multiplicity k."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        E = _rational_lattice(rng, 1 + len(out) // 2 % 6)
+        F = _rational_lattice(rng, rng.randint(1, 4))
+        u = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(F.rank)]
+        v = [rng.randint(-4, 4) for _ in range(E.rank)]
+        if any(u) and any(v):
+            out.append((lat.Morphism.from_rows(E, F, [[a * b for b in v] for a in u]), "rank one"))
+        c = Fraction(rng.randint(1, 6), rng.randint(1, 4))
+        out.append((lat.Morphism.from_rows(E, E, [[c * (i == j) for j in range(E.rank)] for i in range(E.rank)]), "scalar"))
+    return out
+
+
+def test_morphism_height_edge_families_match_fraction_oracle(monkeypatch):
+    calls = _count_ldl(monkeypatch)
+    fallbacks = []
+    for t, (phi, family) in enumerate(_edge_morphisms(72, 4244)):
+        bits = (10, 40, 64)[t // 12 % 3]  # each rank and family at each tolerance
+        calls.clear()
+        assert lat.morphism_height(phi, bits) == fraction_morphism_height(phi, bits), (t, family, bits)
+        if family == "rank one":
+            # the upper end stays the trace and is not tested: lambda reaches it
+            assert len(calls) == 1, (t, bits)
+        elif phi.source.rank > 1:
+            fallbacks.append(len(calls) > 2)
+    # a multiple root leaves midpoints that only a definiteness test decides
+    assert sum(fallbacks) > len(fallbacks) // 2
+
+
 def test_morphism_height_runs_no_positive_definite_test(monkeypatch):
     morphisms = _seeded_morphisms(20, 4243)  # Lattice validation tests definiteness
     calls = []
@@ -1350,6 +1414,38 @@ def test_minkowski_bracket_catches_a_wrong_determinant_under_python_O():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("CertificateError: mu_max outside its Minkowski bracket")
+
+
+ENCLOSURE_FAULT_UNDER_O = """
+import sys
+from slopelab import lattice as lat
+assert sys.flags.optimize  # run under python -O: library asserts are stripped
+exact = lat._top_root_enclosure
+
+def below(*args):
+    A, B = exact(*args)
+    return A - 1, A - 1  # one grid step below the true lower end
+
+lat._top_root_enclosure = below
+U = lat.Lattice.from_rows([[1, 0], [0, 1]])
+F = lat.Lattice.from_rows([[3, 0], [0, 1]])
+try:
+    lat.morphism_height(lat.Morphism.from_rows(U, F, [[1, 0], [0, 1]]))
+except lat.CertificateError as exc:
+    print("CertificateError:", exc)
+"""
+
+
+def test_height_end_tests_catch_a_wrong_enclosure_under_python_O():
+    # lambda = 3 is the walk's first midpoint: an enclosure just below it
+    # sends that midpoint to hi, and the end test at hi = 3 fails
+    src = str(Path(lat.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", ENCLOSURE_FAULT_UNDER_O], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("CertificateError: the operator norm lies above its height bracket")
 
 
 @st.composite
