@@ -15,16 +15,18 @@ renderings of the exact values.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import itertools
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import linalg as la
-from .exactnum import LogValue, approximate, decimal_str, log_of
+from .exactnum import LogValue, approximate, decimal_str, factorize, log_of
 from .filtration import Filtration
 from .gitstab import SearchNotConverged, TensorPoint, is_semistable, reduced_is_semistable, rr_reduce
 from .lattice import (
@@ -35,6 +37,9 @@ from .lattice import (
     Morphism,
     SubLattice,
     _mu_max_udeg,
+    _reduced,
+    _scaled_sub_det,
+    _tensor_reduced,
     _udeg_of_shortest,
     degree,
     hn_filtration,
@@ -45,7 +50,6 @@ from .lattice import (
     saturate,
     short_vectors,
     slope,
-    sub_degree,
     tensor,
 )
 
@@ -203,8 +207,11 @@ def tensor_slope_data(factors: Sequence[Lattice]) -> Dict[str, object]:
         T = tensor(T, L)
     if T.rank > EXACT_RANK_LIMIT:
         raise ValueError("tensor rank exceeds the exact search limit")
-    lhs, _ = mu_max(T)
-    per = [mu_max(L)[0] for L in factors]
+    # each factor is reduced once, for its own mu_max and for the tensor's
+    # start basis, the Kronecker product of the factors' reduced bases
+    reductions = [_reduced(L) for L in factors]
+    per = [_mu_max_udeg(L, EXACT_RANK_LIMIT, red)[0] for L, red in zip(factors, reductions)]
+    lhs = _mu_max_udeg(T, EXACT_RANK_LIMIT, _tensor_reduced(reductions))[0]
     lower = LogValue.zero()
     for m in per:
         lower = lower + m
@@ -287,13 +294,19 @@ def flag_line_degree(L: Lattice, members: Sequence[SubLattice], a: Sequence[int]
     either with every entry divisible by rank(E) or with zero
     rank-weighted sum over the flag quotients.
     """
-    return _flag_degree(L, members, _flag_gaps(L, members), a)
+    return _flag_degree(L, members, _flag_dets(L, members), a)[0]
 
 
-def _flag_gaps(L: Lattice, members: Sequence[SubLattice]) -> List[LogValue]:
-    """slope(E_j) - slope(E) for each member of a checked flag: strictly
-    decreasing ranks, saturated members of L, each inside the one
-    before."""
+# the factored determinants of a flag: det(den G), then det(B_j^T den G B_j)
+# for each member
+_FlagDets = Tuple[List[Tuple[int, int]], List[List[Tuple[int, int]]]]
+
+
+def _flag_dets(L: Lattice, members: Sequence[SubLattice]) -> _FlagDets:
+    """The factored determinants of a checked flag: strictly decreasing
+    ranks, saturated members of L, each inside the one before.  The Gram
+    matrix is scaled to den G on integers once, and each determinant is
+    taken on it by integer Bareiss and factored once."""
     dims = [L.rank] + [S.rank for S in members] + [0]
     if any(t >= s for s, t in zip(dims, dims[1:])):
         raise ValueError("flag members must strictly decrease in rank")
@@ -306,42 +319,70 @@ def _flag_gaps(L: Lattice, members: Sequence[SubLattice]) -> List[LogValue]:
         stacked = la.transpose(big.basis_rows) + la.transpose(small.basis_rows)
         if la.rank(stacked) != big.rank:
             raise ValueError("flag members must be nested")
-    mu = slope(L)
-    return [sub_degree(S) / S.rank - mu for S in members]
+    G = la._common_scaled(L.gram)[0]
+    return factorize(la._int_det(G)), [factorize(_scaled_sub_det(G, S.basis_rows)) for S in members]
 
 
 def _flag_degree(
-    L: Lattice, members: Sequence[SubLattice], gaps: Sequence[LogValue], a: Sequence[int]
-) -> LogValue:
-    """flag_line_degree of a flag with gaps = _flag_gaps(L, members),
-    after checking the weights a."""
+    L: Lattice, members: Sequence[SubLattice], dets: _FlagDets, a: Sequence[int]
+) -> Tuple[LogValue, int]:
+    """(flag_line_degree, its sign) of a flag with dets = _flag_dets(L,
+    members), after checking the weights a.
+
+    With dL = det(den G), d_j = det(B_j^T den G B_j), r_j = rank E_j and
+    r = rank E, slope(E_j) - slope(E) = log(dL) / 2r - log(d_j) / 2r_j, as
+    den cancels.  So with t_j = a_j - a_{j-1} and E = sum_j t_j r_j,
+
+        2r * value = log(dL^E / prod_j d_j^(r t_j)),
+
+    whose exponent of each prime is summed on integers.  The sign is that
+    of num - dnm, for num and dnm the products of the prime powers with
+    positive and with negative exponents."""
     d = len(members) + 1
     a = [int(x) for x in a]
     if len(a) != d:
         raise ValueError("need one weight per flag quotient")
     if any(y <= x for x, y in zip(a, a[1:])):
         raise ValueError("weights must be strictly increasing")
-    dims = [L.rank] + [S.rank for S in members] + [0]
+    r = L.rank
+    dims = [r] + [S.rank for S in members] + [0]
     quot = [dims[j] - dims[j + 1] for j in range(d)]
-    if any(x % L.rank for x in a) and sum(r * x for r, x in zip(quot, a)) != 0:
+    if any(x % r for x in a) and sum(q * x for q, x in zip(quot, a)) != 0:
         raise ValueError("weights must be rank multiples or have zero weighted sum")
-    total = LogValue.zero()
+    whole, parts = dets
+    exps: Dict[int, int] = {}
+    E = 0
     for j in range(1, d):
-        S = members[j - 1]
-        total = total + gaps[j - 1].scaled(Fraction((a[j] - a[j - 1]) * S.rank))
-    return total
+        t = a[j] - a[j - 1]
+        E += t * dims[j]
+        for p, e in parts[j - 1]:
+            exps[p] = exps.get(p, 0) - r * t * e
+    for p, e in whole:
+        exps[p] = exps.get(p, 0) + E * e
+    num = dnm = 1
+    terms = []
+    for p in sorted(exps):
+        e = exps[p]
+        if e > 0:
+            num *= p**e
+        elif e < 0:
+            dnm *= p**-e
+        if e:
+            terms.append((p, Fraction(e, 2 * r)))
+    return LogValue(tuple(terms)), (num > dnm) - (num < dnm)
 
 
-def _weight_vectors(quot: Sequence[int], total_rank: int, cap: int) -> List[Tuple[int, ...]]:
-    d = len(quot)
-    seen = []
-    for combo in itertools.combinations(range(-4, 5), d):
-        if sum(r * x for r, x in zip(quot, combo)) == 0:
-            seen.append(combo)
-    for combo in itertools.combinations([total_rank * t for t in range(-2, 3)], d):
-        if combo not in seen:
-            seen.append(combo)
-    return seen[:cap]
+@functools.lru_cache(maxsize=None)
+def _weight_vectors(quot: Tuple[int, ...]) -> Tuple[Tuple[int, ...], ...]:
+    """The weight vectors check_bogomolov tries on a flag with quotient
+    ranks quot, in order, built once per quot: the increasing vectors over
+    -4..4 with zero rank-weighted sum, then the increasing rank multiples
+    -2r..2r not already listed."""
+    r = sum(quot)
+    seen = {a: None for a in itertools.combinations(range(-4, 5), len(quot)) if sum(map(mul, quot, a)) == 0}
+    for a in itertools.combinations([r * t for t in range(-2, 3)], len(quot)):
+        seen.setdefault(a)
+    return tuple(seen)
 
 
 def _random_flag(L: Lattice, rng: random.Random) -> Optional[List[SubLattice]]:
@@ -402,13 +443,12 @@ def _bogomolov(L: Lattice, hn: HNResult, flag_budget: int, seed: int) -> List[_E
     unrendered."""
     rng = random.Random("bogomolov:%d" % seed)
     evaluations: List[_Evaluation] = []
-    zero = LogValue.zero()
 
     if not hn.is_semistable:
         members = [hn.chain[0]]
         a = (0, L.rank)
-        value = flag_line_degree(L, members, a)
-        evaluations.append(("pass" if value > zero else "fail", value, members, a, "lhs > rhs"))
+        value, sign = _flag_degree(L, members, _flag_dets(L, members), a)
+        evaluations.append(("pass" if sign > 0 else "fail", value, members, a, "lhs > rhs"))
 
     flags: List[List[SubLattice]] = []
     if len(hn.chain) > 1:
@@ -425,15 +465,15 @@ def _bogomolov(L: Lattice, hn: HNResult, flag_budget: int, seed: int) -> List[_E
     for flag in flags:
         if len(evaluations) >= 3 * flag_budget:
             break
-        gaps = _flag_gaps(L, flag)
+        dets = _flag_dets(L, flag)
         quot_dims = [L.rank] + [S.rank for S in flag] + [0]
-        quot = [quot_dims[j] - quot_dims[j + 1] for j in range(len(flag) + 1)]
-        for a in _weight_vectors(quot, L.rank, flag_budget):
+        quot = tuple(quot_dims[j] - quot_dims[j + 1] for j in range(len(flag) + 1))
+        for a in _weight_vectors(quot)[:flag_budget]:
             if len(evaluations) >= 3 * flag_budget:
                 break
-            value = _flag_degree(L, flag, gaps, a)
+            value, sign = _flag_degree(L, flag, dets, a)
             if hn.is_semistable:
-                evaluations.append(("pass" if value <= zero else "fail", value, flag, a, "lhs <= rhs"))
+                evaluations.append(("pass" if sign <= 0 else "fail", value, flag, a, "lhs <= rhs"))
             else:
                 evaluations.append(("pass", value, flag, a, "none"))
     return evaluations

@@ -310,7 +310,11 @@ def udeg_max(L: Lattice) -> Tuple[LogValue, Tuple[int, ...]]:
     return _udeg_of_shortest(_shortest_reduced(*la.gram_lll(L.gram)))
 
 
-def _reduced(L: Lattice) -> Tuple[List[List[int]], List[List[int]], List[List[int]], la.GSO]:
+# (G, Gred, U, gso) of a lattice, as _reduced gives it
+_Reduction = Tuple[List[List[int]], List[List[int]], List[List[int]], la.GSO]
+
+
+def _reduced(L: Lattice) -> _Reduction:
     """(G, Gred, U, gso) for G = den * L.gram on integers and (Gred, U, gso)
     = gram_lll(L.gram).  The reduction runs on G itself: gram_lll scales
     L.gram to the same G, and the GSO of G is that of L.gram with den 1,
@@ -318,6 +322,29 @@ def _reduced(L: Lattice) -> Tuple[List[List[int]], List[List[int]], List[List[in
     G, den = la._common_scaled(L.gram)
     Gred, U, gso = la.gram_lll(G)
     return G, Gred, U, gso._replace(den=den)
+
+
+def _tensor_reduced(reductions: Sequence[_Reduction]) -> _Reduction:
+    """_reduced of the tensor product of the factors, in the order that
+    tensor folds them, from the factors' own _reduced.
+
+    The tensor starts from the basis kron(U_1, U_2, ...), whose scaled
+    Gram matrix is kron(Gred_1, Gred_2, ...) and whose GSO is folded
+    pairwise by la._kron_gso, with no elimination; one la._lll_from sweep
+    finishes the reduction.  G = kron(G_1, G_2, ...) is den * T.gram with
+    den the product of the factors' den, which the GSO carries: the
+    determinants of the candidate pass scale by den^k whatever den is.
+    The transform V of the sweep is applied to U and to the Gram matrix
+    only when it is not the identity.  One factor is its own reduction."""
+    if len(reductions) == 1:
+        return reductions[0]
+    G, Gred, U, gso = reductions[0]
+    for G2, Gred2, U2, gso2 in reductions[1:]:
+        G, Gred, U, gso = la.kron(G, G2), la.kron(Gred, Gred2), la.kron(U, U2), la._kron_gso(gso, gso2)
+    V, gso = la._lll_from(gso)
+    if V != [[int(i == j) for j in range(len(V))] for i in range(len(V))]:
+        U, Gred = la.mat_mul(U, V), la._congruent(Gred, V)
+    return G, Gred, U, gso
 
 
 def _shortest_reduced(
@@ -423,7 +450,6 @@ def _hull_radius(k: int, least: Dict[int, int]) -> int:
 
 def _rank_candidates(
     L: Lattice,
-    Gred: List[List[int]],
     U: List[List[int]],
     gso: la.GSO,
     shortest: List[Tuple[Tuple[int, ...], Fraction]],
@@ -443,40 +469,47 @@ def _rank_candidates(
 
     The least determinant at rank k is the squared norm of the shortest
     decomposable vector of the k-th exterior power.  The search runs in
-    the LLL-reduced basis of (Gred, U, gso) = gram_lll(L.gram), with
-    Gred = den U^T G U on integers.  For rank one that pass is
-    ``shortest`` = _shortest_reduced(Gred, U, gso).  The norm of w is
-    det(B^T Gred B) for any B whose k x k minors are w (Cauchy-Binet), and
-    a saturated S has a primitive Plucker vector: so a primitive
-    decomposable w has norm det S, and a non-primitive w = g u is skipped,
-    as u lies within the radius too.  Each S is listed once, as its
-    sign-normalised Plucker vector.
+    the LLL-reduced basis U with GSO gso, as _reduced or _tensor_reduced
+    give them with Gred = den U^T G U on integers.  For rank one that pass
+    is ``shortest`` = _shortest_reduced(Gred, U, gso).  The norm of w is det(B^T Gred B) for
+    any B whose k x k minors are w (Cauchy-Binet), and a saturated S has a
+    primitive Plucker vector: so a primitive decomposable w has norm
+    det S, and a non-primitive w = g u is skipped, as u lies within the
+    radius too.  Each S is listed once, as its sign-normalised Plucker
+    vector.
 
     The exterior power of rank k is T_k = Lambda^k(Gred) = den^k
     Lambda^k(U^T G U) on integers, and it is enumerated straight from the
     GSO that la._compound_gso reads off gso, with no reduction of its own:
     the basis changes the size of the tree, never the set of vectors
-    found.  The radius is also at most min diag T_k, the least k x k
-    principal minor of Gred, so it never exceeds a realized norm.  All
-    norms are integers and the rules are inclusive, so ties are kept.
+    found.  The radius is also at most gso.D[k], the leading k x k minor
+    of Gred, the norm of the first k reduced basis vectors: a realized
+    norm, so the least determinant at rank k always lies within it.  A
+    level whose radius lies below the least Gram-Schmidt norm of its basis
+    (la._compound_floors) holds no vector within it and is not walked.
+    All norms are integers and the rules are inclusive, so ties are kept.
     The determinant at rank r is D[r] = den^r det G.
     """
     r = L.rank
-    den = gso.den
-    found = [(1, _scaled_norm(norm, den), [list(v)]) for v, norm in shortest if r > 1 and gcd(*v) == 1]
-    least = {r: gso.D[r]}
+    D = gso.D
+    found = [(1, _scaled_norm(norm, gso.den), [list(v)]) for v, norm in shortest if r > 1 and gcd(*v) == 1]
+    least = {r: D[r]}
     if found:
         least[1] = found[0][1]
     if r > 2:
-        diag = la._least_principal_minors(Gred, r - 1)
+        floors = la._compound_floors(D, r - 1)
         for k, level in la._compound_gso(gso, r - 1):
-            for w, norm in la._fincke_pohst(None, level, min(diag[k], radius(k, least))):
+            bound = min(D[k], radius(k, least))
+            num, dnm = floors[k]
+            if bound * dnm < num:  # below the floor: T_k holds no vector within it
+                continue
+            for w, norm in la._fincke_pohst(None, level, bound):
                 ker = _decomposable_kernel(w, r, k) if gcd(*w) == 1 else None
                 if ker is not None:  # kernel rows mapped back under U: integer columns of S
                     norm = norm.numerator  # an integer: T_k is
                     least.setdefault(k, norm)  # the first is the least: sorted by norm
                     found.append((k, norm, la.mat_mul(ker, la.transpose(U))))
-    found.append((r, gso.D[r], [[int(i == j) for j in range(r)] for i in range(r)]))
+    found.append((r, D[r], [[int(i == j) for j in range(r)] for i in range(r)]))
     return found
 
 
@@ -561,15 +594,21 @@ def _in_minkowski_bracket(val: LogValue, k: int, d: int, b: int, r: int, den: in
 
 
 def _mu_max_udeg(
-    L: Lattice, rank_limit: int
+    L: Lattice,
+    rank_limit: int,
+    reduction: Optional[_Reduction] = None,
 ) -> Tuple[LogValue, SubLattice, List[Tuple[Tuple[int, ...], Fraction]]]:
     """(mu_max, witness, shortest) of L from the one reduction and
     enumeration that mu_max runs, with shortest = _shortest_reduced of
-    that reduction, from which _udeg_of_shortest reads udeg_max."""
+    that reduction, from which _udeg_of_shortest reads udeg_max.  The
+    reduction is _reduced(L) unless the caller hands in one it holds, as
+    (G, Gred, U, gso) with G = gso.den * L.gram: _reduced(L) itself, or
+    _tensor_reduced of L's factors.  Any LLL-reduced basis gives the same
+    value and witness."""
     if L.rank == 0:
         raise ValueError("mu_max needs positive rank")
     # one reduction serves the candidate search and the Minkowski bracket
-    G, Gred, U, gso = _reduced(L)
+    G, Gred, U, gso = reduction or _reduced(L)
     shortest = _shortest_reduced(Gred, U, gso)
     r, den = L.rank, gso.den
     if r > rank_limit:
@@ -586,7 +625,7 @@ def _mu_max_udeg(
         raise ExactSearchUnavailable(
             f"exact search unavailable beyond rank {rank_limit}", lower, upper
         )
-    candidates = _rank_candidates(L, Gred, U, gso, shortest, _steepest_radius)
+    candidates = _rank_candidates(L, U, gso, shortest, _steepest_radius)
     k, d, _cols = candidates[0]
     for j, e, _cols in candidates:
         if _steeper(j, e, k, d):
@@ -625,7 +664,7 @@ def hn_filtration(L: Lattice, rank_limit: int = EXACT_RANK_LIMIT) -> HNResult:
             None,
         )
     G, Gred, U, gso = _reduced(L)
-    candidates = _rank_candidates(L, Gred, U, gso, _shortest_reduced(Gred, U, gso), _hull_radius)
+    candidates = _rank_candidates(L, U, gso, _shortest_reduced(Gred, U, gso), _hull_radius)
     # least determinants at each rank, each den^k times that of G
     d = {0: 1}
     for k, e, _cols in candidates:

@@ -7,28 +7,35 @@ certified comparisons on top of the results.
 Elimination runs on integer rows in one fraction-free Gauss-Jordan kernel
 (Bareiss 1968), _eliminate, whose symmetric form is _ldl_scaled: a pivot p
 at (r, c) sets every other row to (p * row - row[c] * W[r]) // p_prev, exact
-since each entry is then a minor of the input.  Only final entries are
-Fractions.
+since each entry is then a minor of the input.  A determinant needs the
+same step below each pivot alone: _int_det is that forward pass, on a
+copy of its rows.  Only final entries are Fractions.
 
-Lattice reduction stays on the integers as well: _lll_sweep is the
-integral LLL on the Gram-Schmidt data (lam, D, den) that _ldl_scaled gives
-for den * G.  It hands its final GSO to short_vectors_reduced, whose
-Fincke-Pohst enumeration (_fincke_pohst) walks an explicit stack with
-integer centers, isqrt ranges and a remaining radius kept as a reduced
-integer pair, and builds one Fraction per returned vector, its norm.
-gram_lll adds den times the reduced Gram matrix, as integer rows, which
-only callers that read it pay for.
+Lattice reduction stays on the integers as well: _lll_from is the
+integral LLL on the Gram-Schmidt data (lam, D, den) of a basis, and
+_lll_sweep runs it from the data that _ldl_scaled gives for den * G.  The
+GSO of a Kronecker product is read off its factors' GSOs (_kron_gso), so
+that a tensor product can start its sweep from its factors' reduced bases.
+The final GSO goes to short_vectors_reduced, whose Fincke-Pohst
+enumeration (_fincke_pohst) walks an explicit stack with integer centers,
+isqrt ranges and a remaining radius kept as a reduced integer pair, and
+builds one Fraction per returned vector, its norm.  gram_lll adds den
+times the reduced Gram matrix, as integer rows, which only callers that
+read it pay for.
 
 No exterior power is eliminated or reduced: _compound_gso reads the
 Gram-Schmidt profile of each den^k Lambda^k(G) off the GSO of G, through
 the Laplace minors of its integer LDL factor, and _fincke_pohst enumerates
 it as it stands; a basis changes the size of the tree, never the set of
-vectors found.  The index tables of those minors and of the wedge rows
-depend only on (n, k) and are built once per process on first use
-(_subset_table), each from the table of (n, k - 1) by generating the
-dominated index sets.  compound_matrix is the last level of one integer
-Laplace tower, _compound_tower.  Positive definiteness is Sylvester's
-criterion on _ldl_scaled.
+vectors found.  Each minor is computed the first time the enumeration
+reads it (_Minors), so a pruned enumeration computes only the entries on
+its paths and their cofactors, and _compound_floors gives the least
+Gram-Schmidt norm of each level, below which a level holds no vector.
+The index tables of those minors and of the wedge rows depend only on
+(n, k) and are built once per process on first use (_subset_table).
+compound_matrix is the last level of one integer Laplace tower,
+_compound_tower.  Positive definiteness is Sylvester's criterion on
+_ldl_scaled.
 """
 
 from __future__ import annotations
@@ -123,9 +130,26 @@ def _eliminate(W: List[List[int]], ncols: int) -> Tuple[int, List[int], int, int
     return r, pivots, d, sign
 
 
-def _int_det(W: List[List[int]]) -> int:
-    r, _, d, sign = _eliminate(W, len(W))
-    return sign * d if r == len(W) else 0
+def _int_det(W: Sequence[Sequence[int]]) -> int:
+    """The determinant of the square integer rows W, which are left as they
+    are, by a forward fraction-free Bareiss pass: each pivot p clears the
+    entries below it alone, the rest of the matrix shrinking to the rows
+    and columns after the pivot's, whose entries (p * x - a * y) // d are
+    then minors of W (up to the order of its rows).  A zero pivot takes
+    the first row below with a nonzero entry, and the sign of the exchange;
+    a column with none gives 0."""
+    A, d, sign = list(W), 1, 1
+    while A:
+        piv = next((i for i, row in enumerate(A) if row[0]), None)
+        if piv is None:
+            return 0
+        if piv:
+            A[0], A[piv] = A[piv], A[0]
+            sign = -sign
+        p, *head = A[0]
+        A = [[(p * x - row[0] * y) // d for x, y in zip(row[1:], head)] for row in A[1:]]
+        d = p
+    return sign * d
 
 
 def det(M: Sequence[Sequence]) -> Fraction:
@@ -205,71 +229,42 @@ def k_subsets(n: int, k: int) -> List[Tuple[int, ...]]:
 class _SubsetTable(NamedTuple):
     """Index tables of the k-subsets of range(n) in lex order (k >= 1).
 
-    wedge[b] lists (J[t], index of J without J[t] among the (k-1)-subsets)
-    for the subset J at index b, split into even and odd t: the Laplace
-    terms of a minor on the column set J along one row, and the nonzero
-    entries of the wedge row of J.  heads[m - 1][b] is the same split of
-    the first m terms alone, so heads[k - 1] is wedge.  laplace[a] =
-    (I[0], index of I[1:], groups) for the subset I at index a, where
-    groups[m - 1] holds the index of every J that I dominates (J[t] <= I[t]
-    for every t) and that has exactly m entries J[t] <= I[0]: the minors on
-    rows I and columns J that a lower-triangular F can have nonzero.  Such
-    a minor is the sum of the heads[m - 1] terms of J along the row
-    F[I[0]], as a later term has F[I[0]][J[t]] = 0 and I[1:] dominates
-    J without J[t] for every t.  contract[p] lists (j, b, (-1)^t) for
-    every k-subset J at index b that is the (k-1)-subset at index p with
-    j = J[t] put in: the terms of the contraction of a k-vector by that
-    (k-1)-subset."""
+    subsets lists the k-subsets, and rows[a] = (I[0], index of I[1:] among
+    the (k-1)-subsets) for the subset I at index a.  wedge[b] lists (J[t],
+    index of J without J[t] among the (k-1)-subsets) for the subset J at
+    index b, split into even and odd t: the Laplace terms of a minor on the
+    column set J along one row, and the nonzero entries of the wedge row of
+    J.  heads[m - 1][b] is the same split of the first m terms alone, so
+    heads[k - 1] is wedge: the terms of a minor on rows I and columns J of
+    a lower-triangular F along the row F[I[0]] when J has exactly m
+    entries J[t] <= I[0], as a later term has F[I[0]][J[t]] = 0.
+    contract[p] lists (j, b, (-1)^t) for every k-subset J at index b that
+    is the (k-1)-subset at index p with j = J[t] put in: the terms of the
+    contraction of a k-vector by that (k-1)-subset."""
 
+    subsets: List[Tuple[int, ...]]
+    rows: List[Tuple[int, int]]
     wedge: List[Tuple[List[Tuple[int, int]], List[Tuple[int, int]]]]
     heads: List[List[Tuple[List[Tuple[int, int]], List[Tuple[int, int]]]]]
-    laplace: List[Tuple[int, int, List[List[int]]]]
     contract: List[List[Tuple[int, int, int]]]
 
 
 @functools.lru_cache(maxsize=None)
 def _subset_table(n: int, k: int) -> _SubsetTable:
     """The tables of (n, k), built on first use and kept for the process.
-
-    The dominated sets are generated, not filtered, by a recursion on the
-    last index, from the table of (n, k - 1): J < I with I = P + (i,)
-    exactly when J = Q + (j,) for some Q dominated by P and Q[-1] < j <= i,
-    and j <= I[0] adds one to the count m of Q.  The k-subsets that extend
-    one Q are consecutive in lex order, so each Q contributes two slices
-    of them.  Every index is taken from one list, so the tables share
-    their int objects."""
+    Every index is taken from one list, so the tables share their int
+    objects."""
     subsets = k_subsets(n, k)
-    below = k_subsets(n, k - 1)
-    prev = {S: t for t, S in enumerate(below)}
-    drops = [[(J[t], prev[J[:t] + J[t + 1 :]]) for t in range(k)] for J in subsets]
+    prev = {S: t for t, S in enumerate(k_subsets(n, k - 1))}
+    index = list(range(max(len(subsets), len(prev))))
+    drops = [[(J[t], index[prev[J[:t] + J[t + 1 :]]]) for t in range(k)] for J in subsets]
     heads = [[(d[0:m:2], d[1:m:2]) for d in drops] for m in range(1, k + 1)]
-    index = list(range(len(subsets)))
-    contract: List[List[Tuple[int, int, int]]] = [[] for _ in below]
+    rows = [(I[0], index[prev[I[1:]]]) for I in subsets]
+    contract: List[List[Tuple[int, int, int]]] = [[] for _ in prev]
     for b, d in enumerate(drops):
         for t, (j, q) in enumerate(d):
             contract[q].append((j, index[b], -1 if t % 2 else 1))
-    if k == 1:
-        laplace = [(i, 0, [index[: i + 1]]) for i in range(n)]
-    else:
-        # the k-subsets that extend the (k-1)-subset at index q, by index
-        ext: List[List[int]] = [[] for _ in below]
-        for b, J in enumerate(subsets):
-            ext[prev[J[:-1]]].append(index[b])
-        last = [Q[-1] for Q in below]
-        parent = _subset_table(n, k - 1).laplace
-        laplace = []
-        for I in subsets:
-            i0, i = I[0], I[-1]
-            groups: List[List[int]] = [[] for _ in range(k)]
-            for m, qs in enumerate(parent[prev[I[:-1]]][2]):
-                for q in qs:
-                    top = i - last[q]  # the extensions Q + (j,) with j <= i
-                    if top > 0:
-                        cut = i0 - last[q] if last[q] < i0 else 0  # and with j <= I[0] < i
-                        groups[m + 1] += ext[q][:cut]
-                        groups[m] += ext[q][cut:top]
-            laplace.append((i0, prev[I[1:]], groups))
-    return _SubsetTable(heads[-1], heads, laplace, contract)
+    return _SubsetTable(subsets, rows, heads[-1], heads, contract)
 
 
 def _compound_tower(M: Sequence[Sequence], top: int) -> Iterator[Tuple[int, List[List[int]], int]]:
@@ -294,7 +289,7 @@ def _compound_tower(M: Sequence[Sequence], top: int) -> Iterator[Tuple[int, List
         wedge = table.wedge
         N = len(wedge)
         level = [[0] * N for _ in range(N)]
-        for a, (i0, below, _entries) in enumerate(table.laplace):
+        for a, (i0, below) in enumerate(table.rows):
             row, cof = A[i0], T[below]
             out = level[a]
             for b in range(a if sym else 0, N):
@@ -309,6 +304,63 @@ def _compound_tower(M: Sequence[Sequence], top: int) -> Iterator[Tuple[int, List
                     level[b][a] = x
         T = level
         yield m, T, den**m
+
+
+class _MinorRow(dict):
+    """Row a of a level of _compound_gso: entry b, the minor of F on the
+    rows I = I_a and the columns J = I_b, is computed the first time it is
+    read and then kept.  A minor of the lower-triangular F is zero unless
+    I dominates J (J[t] <= I[t] for every t).  Otherwise it is the Laplace
+    expansion along the row F[I[0]], whose terms past the m entries J[t]
+    <= I[0] vanish: heads[m - 1][b] of _subset_table, with the cofactors
+    on the rows I[1:] read from the level below (F itself at level 1).
+    Each cofactor's columns J without J[t], t < m, are dominated by I[1:],
+    so the expansion reads no entry above the diagonal of F."""
+
+    __slots__ = ("I", "row", "cof", "table")
+
+    def __init__(self, I: Tuple[int, ...], row: List[int], cof, table: _SubsetTable):
+        self.I, self.row, self.cof, self.table = I, row, cof, table
+
+    def __missing__(self, b: int) -> int:
+        I, J = self.I, self.table.subsets[b]
+        i0 = I[0]
+        m = 0
+        for i, j in zip(I, J):
+            if j > i:
+                self[b] = 0
+                return 0
+            if j <= i0:
+                m += 1
+        even, odd = self.table.heads[m - 1][b]
+        row, cof = self.row, self.cof
+        x = 0
+        for j, c in even:
+            x += row[j] * cof[c]
+        for j, c in odd:
+            x -= row[j] * cof[c]
+        self[b] = x
+        return x
+
+
+class _Minors(dict):
+    """The minors Lambda^k(F) of one level of _compound_gso as rows by
+    index, each row a _MinorRow made the first time it is read.  The
+    length is the level's dimension, and the rows made so far are the
+    keys."""
+
+    __slots__ = ("F", "below", "table")
+
+    def __init__(self, F: List[List[int]], below, table: _SubsetTable):
+        self.F, self.below, self.table = F, below, table
+
+    def __len__(self) -> int:
+        return len(self.table.subsets)
+
+    def __missing__(self, a: int) -> _MinorRow:
+        i0, at = self.table.rows[a]
+        row = self[a] = _MinorRow(self.table.subsets[a], self.F[i0], self.below[at], self.table)
+        return row
 
 
 def _compound_gso(gso: GSO, top: int) -> Iterator[Tuple[int, Profile]]:
@@ -330,60 +382,41 @@ def _compound_gso(gso: GSO, top: int) -> Iterator[Tuple[int, Profile]]:
     with P[a] and Q[a] the products of D[i+1] and of D[i] over i in I_a:
     the Profile (Lambda^k(F), P, P Q).  Its entries are products of k
     entries of the lattice's own GSO, where the lam and D of T_k itself
-    would grow with the index.  The minors of F are taken level by level
-    by Laplace expansion along the first row of each row set, on the
-    lower pattern of _subset_table alone; each row a of a level ends at
-    its diagonal entry P[a]."""
+    would grow with the index.  P and Q are built level by level; the
+    minors of F are a _Minors per level, whose entries are computed when
+    the enumeration, or an entry of the level above, first reads them.
+    So a level that is never enumerated costs its P and Q alone, and a
+    pruned enumeration computes the entries on its paths and their
+    cofactors."""
     lam, D, _den = gso
     n = len(lam)
-    M = [row + [D[i + 1]] for i, row in enumerate(lam)]  # level 1 is F itself
-    F = M
+    F = [row + [D[i + 1]] for i, row in enumerate(lam)]  # level 1 is F itself
+    minors = F
     P, Q = D[1:], D[:-1]  # prod over I of D[i+1] and of D[i], at level 1
     for k in range(2, min(top, n) + 1):
         table = _subset_table(n, k)
-        level = []
-        for i0, below, groups in table.laplace:
-            row, cof = F[i0], M[below]
-            out = [0] * (len(level) + 1)
-            for terms, bs in zip(table.heads, groups):
-                for b in bs:
-                    even, odd = terms[b]
-                    x = 0
-                    for j, c in even:
-                        x += row[j] * cof[c]
-                    for j, c in odd:
-                        x -= row[j] * cof[c]
-                    out[b] = x
-            level.append(out)
-        M = level
-        P = [D[i0 + 1] * P[below] for i0, below, _g in table.laplace]
-        Q = [D[i0] * Q[below] for i0, below, _g in table.laplace]
-        yield k, Profile(M, P, [p * q for p, q in zip(P, Q)])
+        minors = _Minors(F, minors, table)
+        P = [D[i0 + 1] * P[at] for i0, at in table.rows]
+        Q = [D[i0] * Q[at] for i0, at in table.rows]
+        yield k, Profile(minors, P, [p * q for p, q in zip(P, Q)])
 
 
-def _least_principal_minors(A: Sequence[Sequence[int]], top: int) -> List[Optional[int]]:
-    """least[k] = the least k x k principal minor of the integer symmetric
-    positive definite A, for k = 1, ..., min(top, n); least[0] is None.
+def _compound_floors(D: Sequence[int], top: int) -> List[Tuple[int, int]]:
+    """floors[k] = (num, dnm) for k = 0, ..., min(top, n), with num / dnm
+    the least Gram-Schmidt norm of the basis of T_k that _compound_gso
+    gives, for D the leading minors of den G (D[0] = 1).
 
-    The minors come from one walk over index sets in lex order.  At a node
-    P, S[a][b] = det A[P + a, P + b] over the indices a, b after P, and
-    Sylvester's identity S'[a][b] det A[P] = S[j][j] S[a][b] - S[a][j] S[j][b]
-    gives S' at the child P + j, an exact division; det A[P + j] = S[j][j]."""
-    least: List[Optional[int]] = [None] * (min(top, len(A)) + 1)
-
-    def walk(S, d, size):
-        for t, row in enumerate(S):
-            p = row[t]
-            if least[size] is None or p < least[size]:
-                least[size] = p
-            if size < len(least) - 1 and t + 1 < len(S):
-                child = [[(p * x - s[t] * y) // d for x, y in zip(s[t + 1 :], row[t + 1 :])] for s in S[t + 1 :]]
-                walk(child, p, size + 1)
-
-    if len(least) > 1:
-        walk([list(row) for row in A], 1, 1)
-    walk = None  # free the closure cell now, as in short_vectors_reduced
-    return least
+    Those norms are the products P[a] / Q[a] of k distinct pivots
+    D[i+1] / D[i], so the least is the product of the k least pivots.
+    Every nonzero vector of a basis is at least as long as its shortest
+    Gram-Schmidt vector, so T_k holds no nonzero vector of norm below the
+    floor.  The pivots are ordered by cross-multiplying, on integers."""
+    order = sorted(range(len(D) - 1), key=functools.cmp_to_key(lambda i, j: D[i + 1] * D[j] - D[j + 1] * D[i]))
+    floors = [(1, 1)]
+    for i in order[:top]:
+        num, dnm = floors[-1]
+        floors.append((num * D[i + 1], dnm * D[i]))
+    return floors
 
 
 def compound_matrix(M: Sequence[Sequence], k: int) -> Matrix:
@@ -556,7 +589,8 @@ class Profile(NamedTuple):
     lam[i][j] = d[j] mu_ij for j < i (entries at j >= i are not read) and
     |b*_i|^2 = d[i]^2 / m[i].  The GSO of gram_lll is the Profile
     (lam, D[1:], D[i] D[i+1] den); _compound_gso gives those of the
-    exterior powers."""
+    exterior powers, whose lam is a _Minors that computes an entry when
+    it is first read.  The dimension is len(d)."""
 
     lam: List[List[int]]
     d: List[int]
@@ -577,32 +611,44 @@ def gram_lll(G: Sequence[Sequence]) -> Tuple[List[List[int]], List[List[int]], G
     """
     A, den = _common_scaled(G)
     U, (lam, D, _den) = _lll_sweep(A)
+    return _congruent(A, U), U, GSO(lam, D, den)
+
+
+def _congruent(A: Sequence[Sequence[int]], U: Sequence[Sequence[int]]) -> List[List[int]]:
+    """U^T A U for integer rows, A symmetric: one entry of the upper
+    triangle at a time, each mirrored below."""
     n = len(U)
-    # den U^T G U = U^T A U, one entry of the upper triangle at a time
-    # (A is symmetric, so U^T A U is too)
     cols = transpose(U)
     Acols = [[sum(map(mul, arow, col)) for arow in A] for col in cols]
-    Gred = [[0] * n for _ in range(n)]
+    out = [[0] * n for _ in range(n)]
     for i, col in enumerate(cols):
-        row = Gred[i]
+        row = out[i]
         for j in range(i, n):
-            row[j] = Gred[j][i] = sum(map(mul, col, Acols[j]))
-    return Gred, U, GSO(lam, D, den)
+            row[j] = out[j][i] = sum(map(mul, col, Acols[j]))
+    return out
 
 
 def _lll_sweep(G: Sequence[Sequence]) -> Tuple[List[List[int]], GSO]:
     """The reduction of gram_lll without the reduced Gram matrix: (U, the
-    GSO of the reduced basis), U starting as the identity.
+    GSO of the reduced basis), U starting as the identity: _lll_from on
+    the Gram-Schmidt data of G that _ldl_scaled gives."""
+    A, D, den = _ldl_scaled(G)
+    return _lll_from(GSO([row[:i] for i, row in enumerate(A)], D, den))
+
+
+def _lll_from(gso: GSO) -> Tuple[List[List[int]], GSO]:
+    """(V, the GSO of the reduced basis) for the LLL reduction of the basis
+    whose Gram-Schmidt data gso is, which is updated in place: V is the
+    unimodular transform from that basis to the reduced one, as rows.
 
     Cohen's integral LLL (A Course in Computational Algebraic Number
-    Theory, Alg. 2.6.7) from the Gram-Schmidt data of G that _ldl_scaled
-    gives.  It size-reduces when 2 |lam_kl| > D_{l+1} and swaps when
-    4 (D_{k+1} D_{k-1} + lam^2) < 3 D_k^2, the decisions of the rational
-    sweep with mu = lam / D."""
-    A, D, den = _ldl_scaled(G)
-    lam = [row[:i] for i, row in enumerate(A)]
+    Theory, Alg. 2.6.7).  It size-reduces when 2 |lam_kl| > D_{l+1} and
+    swaps when 4 (D_{k+1} D_{k-1} + lam^2) < 3 D_k^2, the decisions of the
+    rational sweep with mu = lam / D.  A basis that is already reduced
+    gives V = 1 and its own GSO."""
+    lam, D, den = gso
     n = len(lam)
-    # U is kept as its columns, so that a column operation is one list
+    # V is kept as its columns, so that a column operation is one list
     cols = [[int(i == j) for i in range(n)] for j in range(n)]
 
     # b_k -= q b_l for q = floor(mu_kl + 1/2); run when 2 |lam_kl| > D_{l+1}
@@ -641,6 +687,45 @@ def _lll_sweep(G: Sequence[Sequence]) -> Tuple[List[List[int]], GSO]:
     return transpose(cols), GSO(lam, D, den)
 
 
+def _kron_gso(g1: GSO, g2: GSO) -> GSO:
+    """The GSO of the basis b_i (x) c_j, at index i n2 + j, whose scaled
+    Gram matrix is kron(A1, A2), from the GSOs of A1 and A2 (den1 A1 and
+    den2 A2 scaled; den = den1 den2), with no elimination.
+
+    The LDL factor of a Kronecker product is the Kronecker product of the
+    factors' LDL factors (Horn and Johnson, Topics in Matrix Analysis,
+    4.2): mu[(i,j)][(k,l)] = mu1[i][k] mu2[j][l] and the pivots multiply.
+    So, with Lf[i][k] = lam[i][k] below the diagonal and D[i+1] on it,
+
+        D[t+1] = D[t] D1[i+1] D2[j+1] / (D1[i] D2[j])           (t = i n2 + j),
+        lam[u][v] = D[v+1] L1[i][k] L2[j][l] / (D1[k+1] D2[l+1])  (v = k n2 + l),
+
+    both exact divisions, as every entry of an integer GSO is an integer.
+    lam[u][v] is zero unless k <= i and l <= j."""
+    lam1, D1, den1 = g1
+    lam2, D2, den2 = g2
+    n2 = len(lam2)
+    L1 = [row + [D1[i + 1]] for i, row in enumerate(lam1)]
+    L2 = [row + [D2[j + 1]] for j, row in enumerate(lam2)]
+    D = [1]
+    for i in range(len(lam1)):
+        for j in range(n2):
+            D.append(D[-1] * D1[i + 1] * D2[j + 1] // (D1[i] * D2[j]))
+    lam = []
+    for i, row1 in enumerate(L1):
+        for j, row2 in enumerate(L2):
+            u = i * n2 + j
+            row = [0] * u
+            for k, a in enumerate(row1):
+                if a:
+                    v = k * n2
+                    for l in range(j + 1 if k < i else j):
+                        if row2[l]:
+                            row[v + l] = D[v + l + 1] * a * row2[l] // (D1[k + 1] * D2[l + 1])
+            lam.append(row)
+    return GSO(lam, D, den1 * den2)
+
+
 def short_vectors_gram(G: Sequence[Sequence], bound: Fraction) -> List[Tuple[Tuple[int, ...], Fraction]]:
     """All nonzero v in Z^n with v^T G v <= bound, up to sign.
 
@@ -675,8 +760,9 @@ def _fincke_pohst(
     range of x_i is |y_i| <= isqrt(floor(p m_i / q)), and the radius left
     below it is (p m_i - y_i^2 q) / (q m_i), kept as an integer pair in
     lowest terms.  The center sums over the nonzero coordinates above i
-    alone.  Of x and -x only the one whose last nonzero coordinate is
-    positive is visited.
+    alone, so lam[j][i] is read only for an x_j != 0 on the current path:
+    a store such as _Minors computes no other entry.  Of x and -x only the
+    one whose last nonzero coordinate is positive is visited.
 
     The tree is walked depth first, i = n - 1 down to 0 and each x_i
     upward, over per-level state instead of recursion, so its depth is not
@@ -688,7 +774,7 @@ def _fincke_pohst(
     for determinism.
     """
     lam, dd, mm = basis
-    n = len(lam)
+    n = len(dd)
     if type(bound) is not Fraction:
         bound = Fraction(bound)
     P, Q = bound.numerator, bound.denominator

@@ -634,14 +634,15 @@ def fraction_rank_candidates(L, Gred, U, shortest):
     la.compound_matrix, as Fractions, and enumerated with its norms as they
     come.  Gred is den U^T G U, as gram_lll returns it, so the norm of a
     rank-k vector is den^k det S, the determinant the library lists; the
-    rank-one norms of ``shortest``, norms of G, are multiplied by den."""
+    rank-one norms of ``shortest``, norms of G, are multiplied by den.
+    Each rank k is enumerated within C[0][0], the leading k x k minor of
+    Gred, the realized cap of the library's pass."""
     r = L.rank
     den = la._common_scaled(L.gram_rows)[1]
     found = [(1, norm * den, [list(v)]) for v, norm in shortest if r > 1 and math.gcd(*v) == 1]
     for k in range(2, r):
         C = la.compound_matrix(Gred, k)
-        radius = min(C[t][t] for t in range(len(C)))
-        for w, norm in la.short_vectors_gram(C, radius):
+        for w, norm in la.short_vectors_gram(C, C[0][0]):
             ker = lat._decomposable_kernel(w, r, k) if math.gcd(*w) == 1 else None
             if ker is not None:
                 found.append((k, norm, la.mat_mul(ker, la.transpose(U))))
@@ -682,25 +683,25 @@ def gso_of(G):
     return la.GSO([row[:i] for i, row in enumerate(A)], D, den)
 
 
-def unpruned_rank_candidates(L, Gred, U, gso, shortest, radius=None):
+def unpruned_rank_candidates(L, U, gso, shortest, radius=None):
     """lat._rank_candidates with every rank strictly between 1 and r
-    enumerated within its realized radius min diag T_k alone, and no rule
-    (radius is ignored, so this can stand in for the library's pass): the
-    pass before each rank was pruned by the best slope or the HN hull,
-    without its compound LLL sweeps.  Every least determinant and every
-    tie is listed at every rank.  Determinants are den^k det S, as the
-    library lists them."""
+    enumerated within its realized radius gso.D[k] alone, and no rule
+    (radius is ignored, so this can stand in for the library's pass) and
+    no floor: the pass before each rank was pruned by the best slope or
+    the HN hull, without its compound LLL sweeps, and before a level
+    could be skipped.  Every least determinant and every tie is listed at
+    every rank.  Determinants are den^k det S, as the library lists them;
+    that of rank r is den^r det G, by elimination."""
     r = L.rank
     den = gso.den
     found = [(1, norm * den, [list(v)]) for v, norm in shortest if r > 1 and math.gcd(*v) == 1]
     if r > 2:
-        diag = la._least_principal_minors(la._common_scaled(Gred)[0], r - 1)
         for k, level in la._compound_gso(gso, r - 1):
-            for w, norm in la._fincke_pohst(None, level, diag[k]):
+            for w, norm in la._fincke_pohst(None, level, gso.D[k]):
                 ker = lat._decomposable_kernel(w, r, k) if math.gcd(*w) == 1 else None
                 if ker is not None:
                     found.append((k, norm, la.mat_mul(ker, la.transpose(U))))
-    found.append((r, la.det(Gred), [[int(i == j) for j in range(r)] for i in range(r)]))
+    found.append((r, la.det(L.gram) * den**r, [[int(i == j) for j in range(r)] for i in range(r)]))
     return found
 
 
@@ -738,7 +739,7 @@ def recursive_hn_filtration(L):
 
     def build(Q):
         Gred, U, gso = la.gram_lll(Q.gram_rows)
-        candidates = unpruned_rank_candidates(Q, Gred, U, gso, lat._shortest_reduced(Gred, U, gso))
+        candidates = unpruned_rank_candidates(Q, U, gso, lat._shortest_reduced(Gred, U, gso))
         slopes = [lat._slope_of_det(Fraction(d, gso.den**k), k) for k, d, _cols in candidates]
         best = slopes[0]
         for val in slopes:

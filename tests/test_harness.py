@@ -7,6 +7,7 @@ import pytest
 
 from slopelab import harness
 from slopelab import invariants as inv
+from slopelab import lattice as lat
 from slopelab import linalg as la
 from slopelab.exactnum import LogValue, decimal_str, log_of
 from slopelab.harness import (
@@ -124,6 +125,29 @@ class TestMainTheorem:
     def test_rank_limit(self):
         with pytest.raises(ValueError):
             check_main_theorem(TrialConfig(seed=0, ranks=(3, 3), trials=1))
+
+    def test_tensor_data_equals_mu_max_of_each_lattice(self):
+        """tensor_slope_data, which reduces each factor once and starts the
+        tensor's reduction from the factors', gives mu_max of the tensor
+        product and of each factor as mu_max computes them on their own:
+        1,000 seeded tuples of two and three factors, a third of them
+        duals (rational Gram matrices), with rank-one factors and the
+        shape (2, 1, 2)."""
+        rng = random.Random(447)
+        shapes = [(2, 2), (2, 3), (3, 2), (1, 2), (2, 1), (1, 1), (1, 6), (3, 1), (2, 1, 2), (1, 2, 3), (1, 1, 1)]
+        duals = 0
+        for t in range(1000):
+            ranks = shapes[t % len(shapes)]
+            factors = [random_lattice(r, 3, rng) for r in ranks]
+            factors = [lat.dual(L) if rng.randrange(3) == 0 else L for L in factors]
+            duals += any(x.denominator > 1 for L in factors for row in L.gram for x in row)
+            T = factors[0]
+            for L in factors[1:]:
+                T = lat.tensor(T, L)
+            data = tensor_slope_data(factors)
+            assert data["lhs"] == mu_max(T)[0]
+            assert data["factors"] == [mu_max(L)[0] for L in factors]
+        assert duals >= 300
 
 
 class TestBostKunnemann:
@@ -243,11 +267,20 @@ class TestOneComputationPerTrial:
 
     def test_main_theorem_takes_each_factor_mu_max_once(self, monkeypatch):
         cfg = TrialConfig(seed=7, ranks=(2, 3), trials=3)
-        calls = self.counting(monkeypatch, "mu_max")
+        passes = self.counting(monkeypatch, "_mu_max_udeg")
+        public = self.counting(monkeypatch, "mu_max")
+        sweeps, scratch = [], []
+        real_sweep, real_lll = la._lll_from, la.gram_lll
+        monkeypatch.setattr(la, "_lll_from", lambda gso: (sweeps.append(len(gso.D) - 1), real_sweep(gso))[1])
+        monkeypatch.setattr(la, "gram_lll", lambda G: (scratch.append(len(G)), real_lll(G))[1])
         rep = check_main_theorem(cfg)
         assert rep.ok
-        # the tensor product, the two factors and the line twist
-        assert len(calls) == 4 * cfg.trials
+        # one pass and one reduction per lattice: the tensor product and the
+        # two factors in tensor_slope_data, and the line twist
+        assert len(passes) == 3 * cfg.trials and len(public) == cfg.trials
+        assert sorted(sweeps) == sorted([6, 2, 3, 2] * cfg.trials)
+        # the tensor's reduction starts from its factors', not from scratch
+        assert sorted(scratch) == sorted([2, 3, 2] * cfg.trials)
 
 
     def test_bk_bracket_reduces_each_lattice_once(self, monkeypatch):

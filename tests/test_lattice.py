@@ -1,10 +1,11 @@
 import ast
+import math
 import os
 import random
 import subprocess
 import sys
 from fractions import Fraction
-from math import comb, gcd, inf, isqrt
+from math import comb, gcd, inf, isqrt, prod
 from pathlib import Path
 
 import pytest
@@ -387,6 +388,77 @@ def test_mu_max_rank_twelve_frozen():
         assert val == _log_value(mu) and S.basis == basis
 
 
+# Seeded tensors of rank 14 and 16, built as in RANK_FRONTIER_FROZEN at
+# seed 1: (factor ranks, mu_max(T, rank_limit=T.rank)), the values first
+# measured with the recursive enumeration under a raised recursion limit.
+RANK_SIXTEEN = [
+    ((2, 7), {2: "-1/2", 3: "-3/2"}),
+    ((4, 4), {3: "-1"}),
+    ((2, 2, 4), {2: "-1", 3: "-1", 5: "-1/2"}),
+    ((2, 2, 2, 2), {2: "-3/2", 3: "-2", 5: "-1/2"}),
+]
+
+
+def test_mu_max_rank_frontier_past_twelve():
+    """The seeded rank-14 and rank-16 tensors have the recorded mu_max, and
+    each witness has that slope."""
+    _empty_tables()
+    for ranks, mu in RANK_SIXTEEN:
+        rng = random.Random(1)
+        T = random_lattice(ranks[0], 3, rng)
+        for r in ranks[1:]:
+            T = lat.tensor(T, random_lattice(r, 3, rng))
+        val, S = lat.mu_max(T, rank_limit=T.rank)
+        assert val == _log_value(mu)
+        assert lat.sub_degree(S) / S.rank == val
+    _empty_tables()  # the rank-16 tables are large; later tests build their own
+
+
+def _is_lll_reduced(gso):
+    """Size-reduced (2 |lam_kl| <= D_{l+1}) and Lovasz with 3/4, on the
+    integer GSO."""
+    lam, D, _den = gso
+    size = all(2 * abs(x) <= D[l + 1] for row in lam for l, x in enumerate(row))
+    return size and all(4 * (D[k + 1] * D[k - 1] + lam[k][k - 1] ** 2) >= 3 * D[k] ** 2 for k in range(1, len(lam)))
+
+
+def test_tensor_reduction_starts_from_the_factors():
+    """_tensor_reduced of the factors' _reduced is an LLL reduction of the
+    tensor: G is den T.gram on integers, U is unimodular, Gred = U^T G U,
+    and gso is the GSO of Gred with den the product of the factors'.  The
+    pass of mu_max on it gives mu_max(T), value and witness, and the
+    factors' reductions are left as they were.  Two and three factors,
+    duals (rational Gram matrices) and rank one; a part of the starts are
+    reduced already and a part are not."""
+    rng = random.Random(446)
+    started_reduced = swept = 0
+    for t in range(120):
+        ranks = [(2, 2), (2, 3), (1, 3), (3, 1), (2, 1, 2), (1, 1, 1)][t % 6]
+        factors = [random_lattice(r, 3, rng) for r in ranks]
+        factors = [lat.dual(L) if (t + i) % 3 == 0 else L for i, L in enumerate(factors)]
+        T = factors[0]
+        for L in factors[1:]:
+            T = lat.tensor(T, L)
+        reductions = [lat._reduced(L) for L in factors]
+        before = repr(reductions)
+        G, Gred, U, gso = lat._tensor_reduced(reductions)
+        assert repr(reductions) == before
+        den = math.prod(g.den for _G, _R, _U, g in reductions)
+        assert gso.den == den
+        assert G == [[x * den for x in row] for row in T.gram_rows]
+        assert abs(la.det(U)) == 1
+        assert Gred == la.mat_mul(la.transpose(U), la.mat_mul(G, U))
+        assert (gso.lam, gso.D) == tuple(gso_of(Gred)[:2])
+        assert _is_lll_reduced(gso)
+        start = la._kron_gso(*[g for _G, _R, _U, g in reductions[:2]])
+        started_reduced += len(ranks) == 2 and _is_lll_reduced(start)
+        swept += len(ranks) == 2 and not _is_lll_reduced(start)
+        val, S, _shortest = lat._mu_max_udeg(T, lat.EXACT_RANK_LIMIT, (G, Gred, U, gso))
+        assert (val, S) == lat.mu_max(T)
+        assert repr(reductions) == before
+    assert started_reduced >= 10 and swept >= 10
+
+
 def _root_lattice(kind, n):
     """The root lattice A_n or D_4 on its simple roots (Cartan matrix)."""
     if kind == "A":
@@ -437,16 +509,16 @@ def _counting_nodes(monkeypatch, run, U, basis, bound):
 def _structure_watch(monkeypatch):
     """Patch the reduction, compound and enumeration steps of the candidate
     pass with recorders: the size of each gram_lll, LLL sweep, enumeration
-    and _ldl_scaled, the levels of each _compound_gso walk, the top of each
-    principal-minor walk, the name of every elimination run inside a
-    compound GSO level, an enumeration or a principal-minor walk,
-    every call of the Laplace tower or compound_matrix, and the (level
-    dimension, node count) of each enumeration of an exterior power."""
-    log = {name: [] for name in ("lll", "sweep", "short", "ldl", "gso", "minors", "eliminated_inside", "tower", "nodes")}
+    and _ldl_scaled, the levels of each _compound_gso walk, the name of
+    every elimination run inside a compound GSO level or an enumeration,
+    every call of the Laplace tower or compound_matrix, the (level
+    dimension, node count) of each enumeration of an exterior power, and
+    the minors store of each."""
+    log = {name: [] for name in ("lll", "sweep", "short", "ldl", "gso", "eliminated_inside", "tower", "nodes", "minors")}
     depth = [0]
     real = {name: getattr(la, name) for name in (
         "gram_lll", "_lll_sweep", "_fincke_pohst", "_ldl_scaled", "_eliminate",
-        "_compound_gso", "_least_principal_minors", "_compound_tower", "compound_matrix",
+        "_compound_gso", "_compound_tower", "compound_matrix",
     )}
 
     def recording(name, key, size, watched=False):
@@ -503,12 +575,12 @@ def _structure_watch(monkeypatch):
             return enumerate_(U, basis, bound)
         found, nodes = _counting_nodes(monkeypatch, lambda: enumerate_(U, basis, bound), U, basis, bound)
         log["nodes"].append((len(basis.lam), nodes))
+        log["minors"].append(basis.lam)
         return found
 
     monkeypatch.setattr(la, "gram_lll", recording("gram_lll", "lll", len))
     monkeypatch.setattr(la, "_lll_sweep", recording("_lll_sweep", "sweep", len))
     monkeypatch.setattr(la, "_fincke_pohst", counting)
-    monkeypatch.setattr(la, "_least_principal_minors", recording("_least_principal_minors", "minors", lambda A, top: top, True))
     monkeypatch.setattr(la, "_ldl_scaled", eliminating("_ldl_scaled", "ldl"))
     monkeypatch.setattr(la, "_eliminate", eliminating("_eliminate"))
     monkeypatch.setattr(la, "_compound_gso", compound_gso)
@@ -525,15 +597,19 @@ def test_one_reduction_per_lattice(monkeypatch):
     # eliminates (_ldl_scaled, the seed of its sweep).  One _compound_gso
     # per lattice reads the GSO of every compound off the lattice's, each
     # level once, and each compound is enumerated from it once, with no
-    # sweep of its own; no elimination runs on a compound, and neither the
-    # Laplace tower nor compound_matrix runs at all.  The radii are one
-    # walk over principal minors, and the determinant at rank r is read
-    # off the lattice's GSO.
+    # sweep of its own, unless its floor, which _walked_levels recomputes,
+    # shows that it holds no vector within its radius; no elimination runs
+    # on a compound, and neither the Laplace tower nor compound_matrix runs
+    # at all.  The radii and the determinant at rank r are read off the
+    # lattice's GSO.  A level computes only the minors its enumeration
+    # reads and their cofactors.
     _empty_tables()
     log = _structure_watch(monkeypatch)
     rng = random.Random(431)
+    computed = lower = 0
     for r in range(1, 7):
         L = lat.Lattice.from_rows(random_spd_matrix(rng, r, 2))
+        walked = _walked_levels(L, lat._steepest_radius)
         for entries in log.values():
             entries.clear()
         lat.mu_max(L)
@@ -541,14 +617,58 @@ def test_one_reduction_per_lattice(monkeypatch):
         assert log["lll"] == [r]  # one reduced Gram matrix, the lattice's
         assert log["ldl"] == [r]  # and one elimination, its GSO seed
         assert log["gso"] == ([middle] if middle else [])
-        assert log["minors"] == ([r - 1] if middle else [])
         assert log["sweep"] == [r]  # the lattice's own sweep only
-        assert log["short"] == [r] + [comb(r, k) for k in middle]  # the lattice, then each compound, once
+        # the lattice, then each compound its floor does not rule out, once
+        assert log["short"] == [r] + [comb(r, k) for k in walked]
         assert log["eliminated_inside"] == []
         assert log["tower"] == []
+        computed += sum(len(row) for minors in log["minors"] for row in minors.values())
+        lower += sum(comb(len(minors), 2) for minors in log["minors"])
         log["lll"].clear()
         lat.udeg_max(L)
         assert log["lll"] == [r]
+    assert 0 < computed < lower
+    # a lattice whose middle levels hold no vector within the radius 1 of
+    # its unit line: the floor skips every one of them, which builds no
+    # minor and no enumeration
+    L = lat.Lattice.from_rows([[int(i == j) * (1 if i == 0 else 96 + i) for j in range(5)] for i in range(5)])
+    log["short"].clear()
+    val, S = lat.mu_max(L)
+    assert val == LogValue.zero() and S.basis == ((1,), (0,), (0,), (0,), (0,))
+    assert log["short"] == [5] and _walked_levels(L, lat._steepest_radius) == []
+
+
+def _replayed_pass(L, gso, every, radius):
+    """(the middle ranks walked, the candidates) of the candidate pass of L
+    under a radius rule, replayed on the candidates ``every`` that the
+    unpruned oracle lists from the reduction with GSO gso.  Rank k keeps
+    the oracle's candidates within R_k = min(D[k], radius(k, least)), with
+    least replayed from the candidates kept, and is walked when R_k
+    reaches the least Gram-Schmidt norm of its level, the product of the
+    k least pivots D[i+1] / D[i], taken as Fractions."""
+    r, D = L.rank, gso.D
+    pivots = sorted(Fraction(D[i + 1], D[i]) for i in range(r))
+    least = {r: D[r]}
+    kept = [c for c in every if c[0] == 1]
+    if kept:
+        least[1] = int(kept[0][1])  # a Fraction of denominator 1: den times a norm of G
+    walked = []
+    for k in range(2, r):
+        R = min(D[k], radius(k, least))
+        if R >= prod(pivots[:k]):
+            walked.append(k)
+        within = [c for c in every if c[0] == k and c[1] <= R]
+        if within:
+            least[k] = int(min(d for _k, d, _cols in within))
+        kept += within
+    return walked, kept + [c for c in every if c[0] == r > 1]
+
+
+def _walked_levels(L, radius):
+    """The middle ranks whose level the pass of L under the radius rule
+    enumerates, replayed on the unpruned oracle."""
+    Gred, U, gso = la.gram_lll(L.gram_rows)
+    return _replayed_pass(L, gso, unpruned_rank_candidates(L, U, gso, lat._shortest_reduced(Gred, U, gso)), radius)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -659,7 +779,8 @@ def test_hn_is_one_candidate_pass(monkeypatch):
 # An enumeration of an exterior power, straight from the compound GSO and
 # within its pruned radius, may visit at most this many times the nodes
 # that the LLL-reduced exterior power visits within min diag T_k.  Measured
-# on the inputs below: at most 1.17.
+# on the inputs below: at most 1.32 with the cap D[k] (1.17 with the cap
+# min diag T_k).
 TREE_GROWTH_BOUND = 2
 
 
@@ -693,7 +814,9 @@ def test_compound_tree_size_guard(monkeypatch):
     """On adversarial inputs (entry bound 12, duals, and lattices given in
     skewed bases like SKEWED_Z3), no compound level of mu_max or
     hn_filtration visits more than TREE_GROWTH_BOUND times the nodes of
-    the swept enumeration of that level."""
+    the swept enumeration of that level: each level is walked once unless
+    its floor, recomputed by _walked_levels, rules it out, and then it
+    visits no node."""
     _empty_tables()
     rng = random.Random(443)
     lattices = [lat.Lattice.from_rows(SKEWED_Z3)]
@@ -708,24 +831,29 @@ def test_compound_tree_size_guard(monkeypatch):
     log = _structure_watch(monkeypatch)
     levels = 0
     for L, before in zip(lattices, swept):
-        for run in (lat.mu_max, lat.hn_filtration):
+        for run, rule in ((lat.mu_max, lat._steepest_radius), (lat.hn_filtration, lat._hull_radius)):
+            # each level is walked once, unless its floor rules it out
+            walked = _walked_levels(L, rule)
             log["nodes"].clear()
             run(L, rank_limit=L.rank)
-            assert [n for n, _nodes in log["nodes"]] == [comb(L.rank, k) for k in range(2, L.rank)]
-            for (_n, nodes), parent in zip(log["nodes"], before):
-                assert nodes <= TREE_GROWTH_BOUND * parent
+            assert [n for n, _nodes in log["nodes"]] == [comb(L.rank, k) for k in walked]
+            # a level below its floor visits no node
+            visited = dict(zip(walked, (nodes for _n, nodes in log["nodes"])))
+            for k in range(2, L.rank):
+                assert visited.get(k, 0) <= TREE_GROWTH_BOUND * before[k - 2]
                 levels += 1
     assert levels >= 100
 
 
 def _unpruned(k, least):
-    """A radius rule that prunes nothing: each rank keeps min diag T_k."""
+    """A radius rule that prunes nothing: each rank keeps its realized
+    cap D[k], the leading k x k minor of den Gred."""
     return inf
 
 
 def _candidates(L, radius):
     Gred, U, gso = la.gram_lll(L.gram_rows)
-    return lat._rank_candidates(L, Gred, U, gso, lat._shortest_reduced(Gred, U, gso), radius)
+    return lat._rank_candidates(L, U, gso, lat._shortest_reduced(Gred, U, gso), radius)
 
 
 def test_candidate_pass_builds_only_winners(monkeypatch):
@@ -828,7 +956,7 @@ def test_non_primitive_enumerated_vectors_are_skipped():
     # every vector of rank one, and every 2-vector in dimension 3, is decomposable
     enumerated = {1: la.short_vectors_gram(G, 5), 2: la.short_vectors_gram(C, min(C[t][t] for t in range(3)))}
     eye = [[int(i == j) for j in range(3)] for i in range(3)]
-    cands = lat._rank_candidates(L, G, eye, gso_of(G), enumerated[1], _unpruned)
+    cands = lat._rank_candidates(L, eye, gso_of(G), enumerated[1], _unpruned)
     assert cands[-1][0] == 3
     scaled = la._common_scaled(L.gram)[0]
     dets = {(c[0], _plucker(lat._saturated(L, scaled, c))): c[1] for c in cands[:-1]}
@@ -867,16 +995,16 @@ def test_candidate_pass_matches_fraction_compound_oracle():
         Gred, U, gso = la.gram_lll(L.gram_rows)
         shortest = lat._shortest_reduced(Gred, U, gso)
         want = fraction_rank_candidates(L, Gred, U, shortest)
-        assert lat._rank_candidates(L, Gred, U, gso, shortest, _unpruned) == want
-        assert unpruned_rank_candidates(L, Gred, U, gso, shortest) == want
+        assert lat._rank_candidates(L, U, gso, shortest, _unpruned) == want
+        assert unpruned_rank_candidates(L, U, gso, shortest) == want
     # unreduced, where non-primitive vectors are enumerated and skipped
     L = lat.Lattice.from_rows(SKEWED_Z3)
     G = L.gram_rows
     eye = [[int(i == j) for j in range(3)] for i in range(3)]
     shortest = la.short_vectors_gram(G, 5)
     want = fraction_rank_candidates(L, G, eye, shortest)
-    assert lat._rank_candidates(L, G, eye, gso_of(G), shortest, _unpruned) == want
-    assert unpruned_rank_candidates(L, G, eye, gso_of(G), shortest) == want
+    assert lat._rank_candidates(L, eye, gso_of(G), shortest, _unpruned) == want
+    assert unpruned_rank_candidates(L, eye, gso_of(G), shortest) == want
 
 
 def _pruning_lattices():
@@ -890,27 +1018,50 @@ def _pruning_lattices():
     return out
 
 
-def test_pruned_pass_matches_unpruned_oracle(monkeypatch):
-    """mu_max (value and witness) and the HN filtration (chain and slopes)
-    equal those read off the unpruned oracle, and each pruned pass lists a
-    part of the unpruned candidates, in their order."""
-    _empty_tables()
-    lattices = _pruning_lattices()
-    pruned = []
+def _pruned_against_replay(lattices):
+    """(pruned, mismatched) over the lattices and both radius rules: how
+    many unpruned candidates each pruned pass leaves out, and how many
+    passes do not list exactly the candidates _replayed_pass keeps.  Each
+    pruned pass lists a part of the unpruned candidates, in their order."""
+    pruned, mismatched = [], 0
     for L in lattices:
         Gred, U, gso = la.gram_lll(L.gram_rows)
         shortest = lat._shortest_reduced(Gred, U, gso)
-        every = unpruned_rank_candidates(L, Gred, U, gso, shortest)
+        every = unpruned_rank_candidates(L, U, gso, shortest)
         for radius in (lat._steepest_radius, lat._hull_radius):
-            cands = lat._rank_candidates(L, Gred, U, gso, shortest, radius)
+            cands = lat._rank_candidates(L, U, gso, shortest, radius)
             kept = iter(every)
             assert all(c in kept for c in cands)  # a subsequence of the unpruned list
             pruned.append(len(every) - len(cands))
+            mismatched += cands != _replayed_pass(L, gso, every, radius)[1]
+    return pruned, mismatched
+
+
+def test_pruned_pass_matches_unpruned_oracle(monkeypatch):
+    """mu_max (value and witness) and the HN filtration (chain and slopes)
+    equal those read off the unpruned oracle, and each pruned pass lists a
+    part of the unpruned candidates, in their order: exactly those within
+    the radii replayed on the oracle, the levels below their floor
+    included."""
+    _empty_tables()
+    lattices = _pruning_lattices()
+    pruned, mismatched = _pruned_against_replay(lattices)
+    assert mismatched == 0
     got = [(lat.mu_max(L, rank_limit=8), lat.hn_filtration(L, rank_limit=8)) for L in lattices]
     monkeypatch.setattr(lat, "_rank_candidates", unpruned_rank_candidates)
     want = [(lat.mu_max(L, rank_limit=8), lat.hn_filtration(L, rank_limit=8)) for L in lattices]
     assert got == want
     assert sum(1 for n in pruned if n) >= len(pruned) // 2  # the rules do prune
+
+
+def test_a_doubled_floor_fails_the_oracle(monkeypatch):
+    """With the floor of every level doubled, the pass skips levels that
+    hold candidates within their radius, and the comparison of
+    test_pruned_pass_matches_unpruned_oracle fails."""
+    _empty_tables()
+    real = la._compound_floors
+    monkeypatch.setattr(la, "_compound_floors", lambda D, top: [(2 * num, dnm) for num, dnm in real(D, top)])
+    assert _pruned_against_replay(_pruning_lattices())[1] >= 10
 
 
 def test_enumerations_match_recursive_oracle(monkeypatch):
@@ -1010,21 +1161,6 @@ def test_compound_gso_matches_ldl_of_compound():
             levels += 1
         assert [k for k, _g in la._compound_gso(gso_of(G), n - 1)] == list(range(2, n))
     assert levels >= 125
-
-
-def test_least_principal_minors_are_compound_diagonals():
-    """The radii of the candidate pass: the least k x k principal minor of
-    den Gred is the least diagonal entry of T_k, at every k."""
-    _empty_tables()
-    rng = random.Random(440)
-    for t in range(40):
-        n = 1 + t % 8
-        G = la.gram_lll([[x / (1 + t % 3) for x in row] for row in random_lattice(n, 3, rng).gram_rows])[0]
-        A, den = la._common_scaled(G)
-        least = la._least_principal_minors(A, n)
-        assert least == [None] + [min(T[i][i] for i in range(len(T))) for _k, T, _s in la._compound_tower(G, n)]
-        assert la._least_principal_minors(A, n - 1) == least[:n]
-    assert la._least_principal_minors([], 3) == [None]
 
 
 def test_closed_form_witnesses_equal_saturations():

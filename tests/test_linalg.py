@@ -1,6 +1,7 @@
 """Exact linear algebra helpers against independent oracles."""
 
 from fractions import Fraction
+import math
 from math import comb, lcm
 import os
 from pathlib import Path
@@ -9,6 +10,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from slopelab import linalg as la
 
@@ -24,6 +26,7 @@ from oracles import (
     fraction_rref,
     fraction_short_vectors_reduced,
     fraction_solve_square,
+    gso_of,
     intersect_row_spaces,
     kernel,
     ldl,
@@ -237,6 +240,66 @@ def test_det_against_cofactor_oracle():
     assert la.det([]) == 1
 
 
+def test_int_det_matches_elimination_and_leaves_its_argument():
+    """The forward Bareiss pass of _int_det gives the determinant of the
+    Gauss-Jordan kernel _eliminate and of the cofactor oracle, on seeded
+    square integer matrices: singular ones (a repeated row, a zero column,
+    a rank drop), ones whose leading minors vanish so that rows must be
+    exchanged, and full ones.  The rows handed in are left as they were."""
+    rng = random.Random(46)
+    cases = [[], [[0]], [[2, 1, 0], [1, 3, 1], [0, 1, 4]], [[0, 1], [1, 0]], [[0, 0, 1], [0, 1, 0], [1, 0, 0]]]
+    for t in range(300):
+        n = 1 + t % 6
+        W = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+        kind = t % 5
+        if kind == 0 and n > 1:  # a repeated row
+            W[rng.randrange(1, n)] = list(W[0])
+        elif kind == 1:  # a zero column
+            c = rng.randrange(n)
+            for row in W:
+                row[c] = 0
+        elif kind == 2 and n > 1:  # a zero leading entry: a row exchange
+            W[0][0] = 0
+        elif kind == 3 and n > 2:  # a rank drop in the middle: the sum of two rows
+            W[2] = [a + b for a, b in zip(W[0], W[1])]
+        cases.append(W)
+    swaps = singular = 0
+    for W in cases:
+        before = [list(row) for row in W]
+        n = len(W)
+        r, _, d, sign = la._eliminate([list(row) for row in W], n)
+        want = sign * d if r == n else 0
+        assert la._int_det(W) == want == cofactor_det(W)
+        assert W == before
+        singular += want == 0
+        swaps += bool(W) and W[0][0] == 0 and want != 0
+    assert singular >= 100 and swaps >= 20
+    # the matrix of a full-rank saturation keeps its entries
+    G = [[2, 1, 0], [1, 3, 1], [0, 1, 4]]
+    assert la._int_det(G) == 18 and G == [[2, 1, 0], [1, 3, 1], [0, 1, 4]]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.integers(1, 4), min_size=2, max_size=3), st.integers(0, 2**32 - 1))
+def test_kron_gso_matches_ldl_of_kron(ranks, seed):
+    """The GSO of a Kronecker product folded pairwise from its factors'
+    GSOs, with no elimination, is the one _ldl_scaled gives the integer
+    Kronecker product, for two and three factors of ranks 1-4; den
+    multiplies, and the factors' GSOs are left as they were."""
+    rng = random.Random(seed)
+    grams = [la._common_scaled(random_spd_matrix(rng, r, 3))[0] for r in ranks]
+    dens = [rng.choice((1, 2, 6)) for _ in ranks]
+    gsos = [gso_of(A)._replace(den=den) for A, den in zip(grams, dens)]
+    before = [(list(map(list, g.lam)), list(g.D)) for g in gsos]
+    K, gso = grams[0], gsos[0]
+    for A, g in zip(grams[1:], gsos[1:]):
+        K, gso = la.kron(K, A), la._kron_gso(gso, g)
+    want = gso_of(K)
+    assert (gso.lam, gso.D) == (want.lam, want.D)
+    assert gso.den == math.prod(dens)
+    assert [(g.lam, g.D) for g in gsos] == before
+
+
 def test_inverse_and_solve():
     rng = random.Random(43)
     for _ in range(40):
@@ -336,29 +399,28 @@ def test_subset_tables_built_once_on_first_use():
                 for t, (j, q) in enumerate(drops):
                     assert (j, b, (-1) ** t) in table.contract[q]
             assert sum(map(len, table.contract)) == k * len(subsets)
-            # the generated pattern is the one that filtering all pairs
-            # gives, and its head terms are the filtered terms
+            # the index sets alone give each minor of a lower-triangular F:
+            # rows holds I[0] and the cofactor row I[1:], and for a pair
+            # that I dominates, the head of J up to the m entries J[t] <=
+            # I[0] holds the terms that filtering all pairs keeps
             want = filtered_laplace(n, k)
-            for a, (i0, at, groups) in enumerate(table.laplace):
+            for a, (i0, at) in enumerate(table.rows):
                 I = subsets[a]
                 assert (i0, at) == (I[0], below.index(I[1:]))
-                got = sorted((b, *table.heads[m][b]) for m, bs in enumerate(groups) for b in bs)
-                assert got == want[a]
+                dominated = [b for b, J in enumerate(subsets) if all(j <= i for i, j in zip(I, J))]
+                heads = [table.heads[sum(1 for j in subsets[b] if j <= i0) - 1][b] for b in dominated]
+                assert sorted((b, *terms) for b, terms in zip(dominated, heads)) == want[a]
             if n > 6:
                 continue
-            # the Laplace pattern holds every nonzero minor of a
-            # lower-triangular F, and its terms give those minors
+            # and the minors store of each level, entry by entry, on F and
+            # the levels below it, gives those minors and zero elsewhere
             F = [[rng.choice((-3, -2, -1, 1, 2, 3)) if j <= i else 0 for j in range(n)] for i in range(n)]
+            minors = F
+            for j in range(2, k + 1):
+                minors = la._Minors(F, minors, la._subset_table(n, j))
             C = bareiss_compound_matrix(F, k)
-            prev = bareiss_compound_matrix(F, k - 1)
-            for a, (i0, at, groups) in enumerate(table.laplace):
-                pattern = {b for bs in groups for b in bs}
-                assert pattern >= {b for b in range(len(subsets)) if C[a][b]}
-                for m, bs in enumerate(groups):
-                    for b in bs:
-                        even, odd = table.heads[m][b]
-                        x = sum(F[i0][j] * prev[at][c] for j, c in even) - sum(F[i0][j] * prev[at][c] for j, c in odd)
-                        assert x == C[a][b]
+            assert k == 1 or len(minors) == len(subsets)
+            assert [[minors[a][b] for b in range(len(subsets))] for a in range(len(subsets))] == C
     # one build for each (n, k) with 1 <= k <= n <= 9, and no other
     info = la._subset_table.cache_info()
     assert info.currsize == info.misses == len([(n, k) for n in range(1, 10) for k in range(1, n + 1)])
