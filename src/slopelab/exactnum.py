@@ -141,15 +141,6 @@ def _atanh_ends(a: int, b: int, bits: int) -> Tuple[int, int, int]:
     return lo * b2, b2 * (lo + den * pa), den * odd * gap * pb
 
 
-def _atanh_interval(z: Fraction, bits: int) -> Interval:
-    """Enclosure of atanh(z) for 0 <= z <= 1/2, width <= 2**-bits: the
-    series of _atanh_ends as two rationals."""
-    if not (0 <= z <= Fraction(1, 2)):
-        raise ValueError("atanh series restricted to [0, 1/2]")
-    lo, hi, den = _atanh_ends(z.numerator, z.denominator, bits)
-    return Interval(Fraction(lo, den), Fraction(hi, den))
-
-
 # log 2 = 2 atanh(1/3) enters every enclosure of a q outside [1, 2), at
 # the few precisions that heights and comparisons ask for
 @functools.lru_cache(maxsize=256)

@@ -170,16 +170,6 @@ class CompatibleBasis:
             raise ValueError("basis vectors must be independent")
         object.__setattr__(self, "change", change)
 
-    def reversal(self) -> "CompatibleBasis":
-        """The vectors in reverse order, with no elimination: a row
-        permutation P of a basis is a basis, and ((P B)^T)^-1 = P (B^T)^-1,
-        so its change is this change with the rows reversed."""
-        out = object.__new__(CompatibleBasis)
-        object.__setattr__(out, "vectors", self.vectors[::-1])
-        d, inv = self.change
-        object.__setattr__(out, "change", (d, inv[::-1]))
-        return out
-
 
 # ---------------------------------------------------------------------------
 # construction

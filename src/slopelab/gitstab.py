@@ -28,11 +28,10 @@ A filtration given by a basis of its factor and one weight per vector
 (a weighted basis) is evaluated in that basis.  Every basis pays for one
 elimination: a CompatibleBasis is validated by the integer elimination
 of [B^T | I] that yields its coordinate change d (B^T)^-1, d a nonzero
-integer, and carries that change; a reversed seed basis takes the change
-with its rows reversed and no elimination.  v_x is scaled to integers
-once per point and changed axis by axis over the integers, and the seeds
-are walked as a tree (_seed_supports), so that each axis change is
-applied once per prefix of the seed product.  lambda of a tensor
+integer, and carries that change.  v_x is scaled to integers once per
+point and changed axis by axis over the integers, and the seeds are
+walked as a tree (_seed_supports), so that each axis change is applied
+once per prefix of the seed product.  lambda of a tensor
 filtration needs only the support of those coordinates, so it is never
 divided; the reduction divides once.
 
@@ -647,40 +646,42 @@ def _slice_span(vec: Sequence[int], shape: Sequence[int], axis: int) -> _Span:
     return tuple(rows)
 
 
-def _axis_options(vec: Sequence[int], shape: Sequence[int], axis: int) -> Tuple[CompatibleBasis, ...]:
-    """The seed bases of one axis: the identity; the echelon basis of the
-    slices of v_x, completed by the greedy extension; and its reversal,
-    whose change needs no elimination (CompatibleBasis.reversal).  A basis
-    equal to an earlier option is left out.
-
-    They depend on the rank and the span of the slices alone, so they are
-    built once per span (_span_options; the rows of _slice_span have length
-    r) in a process: a point pays one elimination per axis and a lookup."""
-    return _span_options(_slice_span(vec, shape, axis))
-
-
 @functools.lru_cache(maxsize=4096)
 def _span_options(span: _Span) -> Tuple[CompatibleBasis, ...]:
+    """The seed bases of one axis with this span of slices of v_x: the
+    identity, and the echelon basis of the span completed by the greedy
+    extension, left out when it is the identity.  They depend on the rank
+    and the span alone (the rows of _slice_span have length r), so they
+    are built once per span in a process: a point pays one elimination per
+    axis and a lookup.
+
+    The echelon basis reversed is no option, because it could never win.
+    _support_minimum depends on the support of v_x alone, and its inner
+    product gives every coordinate of one axis the same weight 1/r_i.
+    Reversing a basis permutes the support along its axis, and the
+    min-norm point with it, so pnorm_sq is unchanged.  The tuple with the
+    echelon basis (the identity, when that is the echelon basis) in place
+    of each reversal comes earlier in product order, and kempf_minimize
+    takes a later seed only when it is strictly lower.  So the winning
+    seed, and every adaptation round after it, are those of a search that
+    also walks the reversals."""
     ident = _identity_basis(len(span[0]))
     # the rref rows of the span lead, as the leading flag directions
     rows = [tuple(Fraction(a, next(filter(None, row))) for a in row) for row in span]
     ech = CompatibleBasis(tuple(rows) + tuple(map(tuple, fil._extend(rows, ident.vectors))))
-    options = [ident]
-    for basis in (ech, ech.reversal()):
-        if basis not in options:
-            options.append(basis)
-    return tuple(options)
+    return (ident,) if ech == ident else (ident, ech)
 
 
 def _seed_supports(x: TensorPoint, rng_seed: int) -> List[Tuple[_Seed, _Support]]:
     """Every seed tuple of bases with the support of v_x in it, in search
-    order: the product of the axis options (_axis_options) in
+    order: the product of the axis options (_span_options) in
     itertools.product order, then the random seeds (_random_seeds).
 
     v_x is scaled to integers once, and the axis options are read off that
     integer point.  The product is walked as a tree, one axis per level,
-    so that each axis change is applied once per prefix: 3 + 9 + 27 axis
-    products for (2,2,2), where changing every seed afresh takes 27 x 3.
+    so that each axis change is applied once per prefix: at most
+    2 + 4 + 8 axis products for (2,2,2), where changing every seed afresh
+    takes 8 x 3.
     The identity option's change is (1, I), so under it the prefix's
     vector is reused, not copied; no vector of the walk is mutated.
     Expanding each level prefix by prefix, option by option, keeps the
@@ -688,7 +689,7 @@ def _seed_supports(x: TensorPoint, rng_seed: int) -> List[Tuple[_Seed, _Support]
     vec, _ = _integer_point(x)
     level: List[Tuple[_Seed, List[int]]] = [((), vec)]
     for axis in range(len(x.shape)):
-        options = _axis_options(vec, x.shape, axis)
+        options = _span_options(_slice_span(vec, x.shape, axis))
         ident = _identity_basis(x.shape[axis])
         level = [
             (prefix + (basis,), v if basis is ident else _apply_axis(v, x.shape, axis, basis.change[1]))
@@ -708,14 +709,14 @@ def kempf_minimize(x: TensorPoint, rng_seed: int = 0) -> Optional[MinimizationRe
     """Search for the global minimizer of the functional.
 
     Seeds: coordinate bases, bases extending echelon forms of each
-    matricization of v_x (and their reversals), and a few seeded random
-    bases.  From any negative result the search re-adapts the bases to
-    the current minimizing flags until the value stops decreasing.
+    matricization of v_x, and a few seeded random bases.  From any
+    negative result the search re-adapts the bases to the current
+    minimizing flags until the value stops decreasing.
 
     The seeds and the support of v_x in each come from one tree walk
     (_seed_supports) that applies each axis change once per prefix, with
     the options of each axis built once per span of the slices of v_x
-    (_axis_options); each minimum comes from _support_minimum, solved and
+    (_span_options); each minimum comes from _support_minimum, solved and
     checked once per (shape, support), and only the winning seed's
     filtration tuple is built, each component built and checked once per
     (basis, weights) on bases that are not validated again (_component).

@@ -1321,25 +1321,29 @@ def matricization(x, axis):
     return M
 
 
+def _echelon_options(rows, r):
+    """The identity of rank r, then the echelon basis of the rref rows
+    completed by fraction_extend unless it is the identity."""
+    options = [gs._identity_basis(r)]
+    ech = fil.CompatibleBasis(tuple(map(tuple, rows + fraction_extend(rows, la.identity(r)))))
+    if ech not in options:
+        options.append(ech)
+    return options
+
+
 def fresh_seed_bases(x, rng_seed):
     """The seed tuples of gitstab.kempf_minimize with every basis built and
     inverted afresh, each basis paired with its own integer inverse from
     integer_inverse_transpose: the identity of each axis, the echelon basis
     of the slices (the Fraction rref of the transposed matricization)
-    completed by fraction_extend, and its reversal, in product order, then
-    three random tuples drawn by fraction_random_rows from
+    completed by fraction_extend when it is not the identity, in product
+    order, then three random tuples drawn by fraction_random_rows from
     random.Random(rng_seed).  (The library reads the span of the slices
-    off the integer point, builds the options once per rank and span,
-    reverses the rows of the echelon inverse and draws the random tuples
-    once per shape and seed.)"""
+    off the integer point, builds the options once per rank and span and
+    draws the random tuples once per shape and seed.)"""
     per_axis = []
     for axis, r in enumerate(x.shape):
-        options = [gs._identity_basis(r)]
-        rows = la.rref(la.transpose(matricization(x, axis)))[0]
-        ech = fil.CompatibleBasis(tuple(map(tuple, rows + fraction_extend(rows, la.identity(r)))))
-        for basis in (ech, fil.CompatibleBasis(tuple(reversed(ech.vectors)))):
-            if basis not in options:
-                options.append(basis)
+        options = _echelon_options(la.rref(la.transpose(matricization(x, axis)))[0], r)
         per_axis.append([(b, integer_inverse_transpose(b.vectors)) for b in options])
     rng = random.Random(rng_seed)
     randoms = []
@@ -1347,6 +1351,21 @@ def fresh_seed_bases(x, rng_seed):
         bases = [fil.CompatibleBasis(fil._freeze(fraction_random_rows(rng, r)[0])) for r in x.shape]
         randoms.append(tuple((b, integer_inverse_transpose(b.vectors)) for b in bases))
     return list(product(*per_axis)) + randoms
+
+
+def span_options_with_reversal(span):
+    """The axis options of gitstab._span_options for a canonical span, built
+    afresh from its Fraction rref, with the echelon basis reversed after
+    the echelon option: the seed family of a search that also walks the
+    reversals.  The reversal is validated by its own CompatibleBasis and
+    left out when it equals an earlier option."""
+    rows = la.rref(la.frac_rows([list(row) for row in span]))[0]
+    options = _echelon_options(rows, len(span[0]))
+    # ech is the identity when options has one entry, as in the library
+    reversal = fil.CompatibleBasis(options[-1].vectors[::-1])
+    if reversal not in options:
+        options.append(reversal)
+    return tuple(options)
 
 
 def support_in_changes(x, changes):

@@ -232,15 +232,18 @@ def test_log_interval_any_rational():
 
 def test_atanh_matches_fraction_oracle():
     # the one-denominator series gives the same two rationals as the
-    # Fraction series summed term by term
+    # Fraction series summed term by term, for a/b reduced or not
     rng = random.Random(3000)
     zs = [Fraction(0), Fraction(1, 3), Fraction(1, 2)]
     while len(zs) < 3000:
         b = rng.randrange(1, 1 << rng.choice((4, 12, 40, 70)))
         zs.append(Fraction(rng.randrange(0, b // 2 + 1), b))
     for z in zs:
+        a, b = z.numerator, z.denominator
         for bits in (8, 33, 67, 140):
-            assert exactnum._atanh_interval(z, bits) == fraction_atanh_interval(z, bits), (z, bits)
+            want = fraction_atanh_interval(z, bits)
+            for lo, hi, den in (exactnum._atanh_ends(a, b, bits), exactnum._atanh_ends(3 * a, 3 * b, bits)):
+                assert (Fraction(lo, den), Fraction(hi, den)) == (want.lo, want.hi), (z, bits)
 
 
 def _seeded_rationals(count, seed):

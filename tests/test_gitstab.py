@@ -40,6 +40,7 @@ from oracles import (
     sampled_reduced_mu,
     scalar_product_by_basis,
     scalar_product_with_basis,
+    span_options_with_reversal,
     subset_scan_min_norm_point,
     support_in_changes,
 )
@@ -517,9 +518,8 @@ def _memo_snapshot(built):
 
 
 def test_no_memo_entry_changes_over_a_pass(monkeypatch):
-    """Memo values are shared by every point that meets their key: the
-    change of a reversal shares its rows with the echelon change, and a
-    seed, a built filtration and an adapted basis go into many results.
+    """Memo values are shared by every point that meets their key: a seed
+    option, a built filtration and an adapted basis go into many results.
     A second pass over the same points, reductions included, leaves every
     entry as the first pass stored it."""
     monkeypatch.setattr(gs, "LEVI_BUDGET", 20_000)
@@ -643,9 +643,8 @@ def _seed_walk_mismatches(points):
     The walk must list the same seed tuples, basis for basis and in order,
     each with the support that one fresh coordinate change gives; and every
     basis change (d, W) of the walk must be an integer inverse: W B^T = d I
-    exactly.  That is checked by multiplication, since the change of a
-    reversal is the echelon change with its rows reversed, whose d may
-    differ in sign from a fresh elimination."""
+    exactly.  That is checked by multiplication, independently of the
+    elimination that built the change."""
     mismatches = checked = 0
     for k, x in enumerate(points):
         got = gs._seed_supports(x, k % 3)
@@ -666,39 +665,35 @@ def _seed_walk_mismatches(points):
     return mismatches, checked
 
 
+def _option_counts(x):
+    """The number of seed options of each axis of x."""
+    vec, _ = gs._integer_point(x)
+    return [len(gs._span_options(gs._slice_span(vec, x.shape, axis))) for axis in range(len(x.shape))]
+
+
 def test_seed_bases_match_parent_oracle():
     """The seed tree walks the seeds of a search that builds, inverts and
     changes coordinates afresh for every seed, with the same supports, and
-    every change it applies is exact, the row-reversed change of each
-    reversal seed included."""
+    every change it applies is exact."""
     _empty_caches()
     points = _seed_walk_points()
-    reversals = 0
-    for x in points:
-        vec, _ = gs._integer_point(x)
-        for axis in range(len(x.shape)):
-            options = gs._axis_options(vec, x.shape, axis)
-            if len(options) == 3:
-                assert options[2].vectors == options[1].vectors[::-1]
-                reversals += 1
+    echelons = sum(n == 2 for x in points for n in _option_counts(x))
     mismatches, checked = _seed_walk_mismatches(points)
     assert mismatches == 0
-    assert len(points) == 60 and checked > 1000 and reversals >= 30
+    assert len(points) == 60 and checked > 700 and echelons >= 30
 
 
 def test_seed_walk_that_reorders_or_drops_an_option_is_caught(monkeypatch):
     points = _seed_walk_points()
-    options = gs._axis_options
-
-    def swapped(vec, shape, axis):
-        first, second, *rest = options(vec, shape, axis)
-        return [second, first, *rest]
-
-    # every axis of these points has at least two options, so each fault
-    # changes the walk of every point
-    for fault in (swapped, lambda vec, shape, axis: options(vec, shape, axis)[:-1]):
-        monkeypatch.setattr(gs, "_axis_options", fault)
-        assert _seed_walk_mismatches(points)[0] == len(points)
+    options = gs._span_options
+    # an axis whose echelon basis is the identity has one option, which
+    # neither fault changes; every point with a second option on some axis
+    # must see its walk change
+    with_echelon = [x for x in points if 2 in _option_counts(x)]
+    assert len(with_echelon) == 32
+    for fault in (lambda span: options(span)[::-1], lambda span: options(span)[:1]):
+        monkeypatch.setattr(gs, "_span_options", fault)
+        assert _seed_walk_mismatches(points)[0] == len(with_echelon)
 
 
 def _pivot_key(span):
@@ -732,6 +727,51 @@ def test_axis_memo_keyed_on_pivots_alone_is_caught(monkeypatch):
 
     monkeypatch.setattr(gs, "_span_options", pivot_keyed)
     assert _seed_walk_mismatches(points)[0] > 0
+
+
+REVERSAL_SHAPES = ((2, 2), (2, 3), (3, 3), (2, 2, 2), (3, 3, 2), (2, 3, 3), (2, 2, 2, 2), (4, 4))
+
+
+def _reversal_before_echelon(span):
+    options = span_options_with_reversal(span)
+    return options if len(options) < 3 else (options[0], options[2], options[1])
+
+
+def _minimizers(points):
+    """kempf_minimize(x, k % 3) of the k-th point, from empty memos."""
+    _empty_caches()
+    return [gs.kempf_minimize(x, k % 3) for k, x in enumerate(points)]
+
+
+def _json(result):
+    return result and json.dumps(result.to_json(), sort_keys=True)
+
+
+def test_reversal_seeds_never_win(monkeypatch):
+    """The echelon basis reversed is no seed option, because it could not
+    win (gitstab._span_options): a search that also walks each reversal,
+    after its echelon option, finds the same minimizer, bases and support
+    included.  The points exercise the tie: many winners have a
+    non-identity basis, whose reversal has the same value.  With each
+    reversal before its echelon option, the reversal wins those ties, and
+    the comparison must see it."""
+    rng = random.Random(30001)
+    points = []
+    for shape in REVERSAL_SHAPES:
+        cells = len(list(itertools.product(*[range(r) for r in shape])))
+        for _ in range(50):
+            points += _seeded_points(rng, shape, [rng.randint(1, cells)], 1)
+    got = _minimizers(points)
+    non_identity = sum(
+        m is not None and any(basis != gs._identity_basis(len(basis.vectors)) for basis in m.bases)
+        for m in got
+    )
+    assert len(points) == 400 and non_identity >= 70
+    want = [_json(m) for m in got]
+    monkeypatch.setattr(gs, "_span_options", span_options_with_reversal)
+    assert [_json(m) for m in _minimizers(points)] == want
+    monkeypatch.setattr(gs, "_span_options", _reversal_before_echelon)
+    assert sum(_json(m) != w for m, w in zip(_minimizers(points), want)) == non_identity
 
 
 def test_reduced_test_solves_each_gradient_set_once(monkeypatch):
