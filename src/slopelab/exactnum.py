@@ -4,7 +4,10 @@ Rationals are plain ``fractions.Fraction``.  Degrees, slopes and heights
 live in the Q-vector space of finite sums ``sum_p c_p * log p`` over
 primes.  Unique factorization makes the representation unique, so
 equality is structural; strict order is decided by refining certified
-dyadic enclosures of the real value until zero is excluded.
+dyadic enclosures of the real value until zero is excluded.  The largest
+root of a real-rooted integer polynomial, the operator norm behind a
+morphism height, is enclosed on a dyadic grid by integer Newton steps,
+and a failed certificate raises CertificateError.
 """
 
 from __future__ import annotations
@@ -13,8 +16,8 @@ import enum
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from typing import Dict, Mapping, Sequence, Tuple
+from math import gcd, lcm
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 
 def rat_from_str(text: str) -> Fraction:
@@ -247,7 +250,7 @@ class LogValue:
             if not is_prime(p):
                 raise ValueError(f"{p} is not prime")
             # the exact type first: isinstance goes through the ABC machinery
-            if not (type(c) is Fraction or isinstance(c, Fraction)) or c == 0:
+            if not (type(c) is Fraction or isinstance(c, Fraction)) or not c:
                 raise ValueError("coefficients must be nonzero Fractions")
             last = p
 
@@ -342,7 +345,7 @@ class LogValue:
 
 def log_of(q: Fraction, scale=Fraction(1)) -> LogValue:
     """scale * log(q) for rational q > 0, as an exact LogValue."""
-    if type(q) is not Fraction:
+    if type(q) is not int and type(q) is not Fraction:
         q = Fraction(q)
     if type(scale) is not Fraction:
         scale = Fraction(scale)
@@ -353,6 +356,8 @@ def log_of(q: Fraction, scale=Fraction(1)) -> LogValue:
         return LogValue.zero()
     # numerator and denominator are coprime: no prime occurs in both
     terms = [(p, Fraction(e * a, b)) for p, e in factorize(q.numerator)]
+    if q.denominator == 1:  # factorize lists the primes in order
+        return LogValue(tuple(terms))
     terms += [(p, Fraction(-e * a, b)) for p, e in factorize(q.denominator)]
     return LogValue(tuple(sorted(terms)))
 
@@ -411,11 +416,114 @@ def decimal_str(a: LogValue, bits: int = 30, digits: int = 9) -> str:
     negative midpoint keeps its minus sign even when it rounds to zero.
     These are the rules of fixed-point float formatting, so whenever the
     midpoint is exactly a float the text is the same, without the float.
-    """
-    mid = approximate(a, bits).midpoint
-    whole, frac = divmod(round(abs(mid) * 10**digits), 10**digits)
-    sign_str = "-" if mid < 0 else ""
+    The midpoint is rounded on integers: with the endpoints a / b and
+    c / d it is (a d + c b) / 2 b d, and b = d = 2**(bits+1) for an
+    enclosure from approximate."""
+    iv = approximate(a, bits)
+    lo, hi = iv.lo, iv.hi
+    num = lo.numerator * hi.denominator + hi.numerator * lo.denominator
+    den = 2 * lo.denominator * hi.denominator
+    q, rem = divmod(abs(num) * 10**digits, den)
+    if 2 * rem > den or (2 * rem == den and q & 1):
+        q += 1
+    whole, frac = divmod(q, 10**digits)
+    sign_str = "-" if num < 0 else ""
     return f"{sign_str}{whole}.{str(frac).zfill(digits)}"
+
+
+# ---------------------------------------------------------------------------
+# the largest root of a real-rooted integer polynomial
+
+
+class CertificateError(RuntimeError):
+    """Raised when an exact certificate fails its own check: a result that
+    the mathematics rules out, so a bug or a corrupted input, never a
+    search limit."""
+
+
+def _primitive_poly(c: List[int]) -> List[int]:
+    """c without trailing zero coefficients, divided by the gcd of its
+    coefficients, with its leading coefficient positive."""
+    while c and not c[-1]:
+        c = c[:-1]
+    g = gcd(*c)
+    if c and c[-1] < 0:
+        g = -g
+    return [x // g for x in c] if g not in (0, 1) else c
+
+
+def _squarefree(c: List[int]) -> List[int]:
+    """The squarefree part p / gcd(p, p') of p = sum c_i x^i on integers,
+    primitive with its leading coefficient positive: the same roots as p,
+    each simple.  The gcd is the last nonzero remainder of the primitive
+    pseudo-remainder sequence of p and p', and the quotient is exact by
+    Gauss's lemma."""
+    a, b = _primitive_poly(c), _primitive_poly([i * x for i, x in enumerate(c)][1:])
+    while len(b) > 1:
+        r = a
+        while len(r) >= len(b):  # r <- b[-1] r - r[-1] x^s b, which drops r's top
+            s, top = len(r) - len(b), r[-1]
+            r = [b[-1] * x - (top * b[i - s] if i >= s else 0) for i, x in enumerate(r)][:-1]
+        a, b = b, _primitive_poly(r)
+    if b:  # p and p' are coprime
+        return c
+    q, r = [], list(c)
+    while len(r) >= len(a):
+        s = len(r) - len(a)
+        t = r[-1] // a[-1]
+        q.append(t)
+        r = [x - t * a[i - s] if i >= s else x for i, x in enumerate(r)][:-1]
+    return _primitive_poly(q[::-1])
+
+
+def _top_root_enclosure(c: List[int], lo: int, hi: int, D: int) -> Tuple[int, int]:
+    """(A, B) with A <= lambda D <= B, for lambda > 0 the largest root of a
+    real-rooted p = sum c_i x^i with c_k > 0, given lo <= lambda D <= hi.
+
+    Newton's method from above on the grid 1/D.  At any x > lambda, p and
+    p' are positive, and with d_i = x - lambda_i >= d = x - lambda the
+    sums S1 = sum 1/d_i = p'/p and S2 = sum 1/d_i^2 = (p'^2 - p p'')/p^2
+    satisfy S1 >= 1/d and S2 <= S1/d.  So Newton's step x - 1/S1 = x - p/p'
+    stays >= lambda, and x - S1/S2 (Schroeder's step) is <= lambda; the
+    latter is exact at a root of multiplicity k and tends to lambda
+    quadratically at any multiplicity.  The upper end is rounded up and
+    the lower end down; an upper end x with p(x) = 0 is lambda itself.
+    Roots at zero, the kernel of the map, are divided out first.  The
+    steps stop at width one, or once a step no longer halves the width.
+    Newton's step shrinks the distance only linearly at a multiple root,
+    so at the first such stall p is replaced by its squarefree part
+    (_squarefree), whose roots are p's, each simple, and the steps go on.
+    Far above the roots a step can stall too, and the caller's
+    definiteness tests take over."""
+    while not c[0]:
+        c = c[1:]
+    reduced = False
+    while True:
+        k = len(c) - 1
+        scaled = [x * D ** (k - i) for i, x in enumerate(c)]  # P(X) = D^k p(X / D)
+        A, B = lo, hi
+        while B - A > 1:
+            P = dP = ddP = 0  # P(B), P'(B) and P''(B) / 2
+            for x in reversed(scaled):
+                ddP = ddP * B + dP
+                dP = dP * B + P
+                P = P * B + x
+            if not P:
+                return B, B
+            S2 = dP * dP - 2 * P * ddP
+            if P < 0 or dP <= 0 or S2 <= 0:
+                raise CertificateError("a real-rooted polynomial must increase above its largest root")
+            width = B - A
+            A = max(A, B + (-P * dP) // S2)
+            B -= P // dP
+            if 2 * (B - A) > width:
+                break
+        if B - A <= 1 or reduced:
+            return A, B
+        reduced, simple = True, _squarefree(c)
+        if len(simple) == len(c):
+            return A, B
+        c, lo, hi = simple, A, B
 
 
 # ---------------------------------------------------------------------------

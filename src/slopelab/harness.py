@@ -190,9 +190,9 @@ def random_lattice(rank: int, entry_bound: int, rng: random.Random) -> Lattice:
         raise ValueError("entry bound must be positive")
     while True:
         B = [[rng.randint(-entry_bound, entry_bound) for _ in range(rank)] for _ in range(rank)]
-        if la.det(B) != 0:
+        if la._int_det(B):
             break
-    return Lattice.from_rows(la.mat_mul(la.transpose(B), B))
+    return Lattice.from_scaled(la.mat_mul(la.transpose(B), B))
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +211,7 @@ def tensor_slope_data(factors: Sequence[Lattice]) -> Dict[str, object]:
     # start basis, the Kronecker product of the factors' reduced bases
     reductions = [_reduced(L) for L in factors]
     per = [_mu_max_udeg(L, EXACT_RANK_LIMIT, red)[0] for L, red in zip(factors, reductions)]
-    lhs = _mu_max_udeg(T, EXACT_RANK_LIMIT, _tensor_reduced(reductions))[0]
+    lhs = _mu_max_udeg(T, EXACT_RANK_LIMIT, _tensor_reduced(T, reductions))[0]
     lower = LogValue.zero()
     for m in per:
         lower = lower + m
@@ -319,7 +319,7 @@ def _flag_dets(L: Lattice, members: Sequence[SubLattice]) -> _FlagDets:
         stacked = la.transpose(big.basis_rows) + la.transpose(small.basis_rows)
         if la.rank(stacked) != big.rank:
             raise ValueError("flag members must be nested")
-    G = la._common_scaled(L.gram)[0]
+    G = L.rows
     return factorize(la._int_det(G)), [factorize(_scaled_sub_det(G, S.basis_rows)) for S in members]
 
 

@@ -2,9 +2,10 @@
 
 A lattice here is a hermitian vector bundle over Spec Z presented in a
 fixed basis: the free module Z^r together with a positive definite
-symmetric rational Gram matrix.  Degrees are -1/2 * log det(Gram) as
-exact LogValues, so all the classical identities (duality, direct sums,
-tensor products, exterior powers, short exact sequences) can be checked
+symmetric rational Gram matrix, stored as integers with its Sylvester
+certificate (Lattice).  Degrees are -1/2 * log det(Gram) as exact
+LogValues, so all the classical identities (duality, direct sums, tensor
+products, exterior powers, short exact sequences) can be checked
 structurally instead of numerically.
 """
 
@@ -12,16 +13,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import linalg as la
 from .exactnum import (
+    CertificateError,
     LogValue,
     Order,
     _log_ends,
     _log_grid,
+    _top_root_enclosure,
     approximate,
     compare,
     log_of,
@@ -33,12 +36,6 @@ from .exactnum import (
 # Largest rank for which mu_max and hn_filtration search exactly; the
 # campaigns in harness read their limits from here.
 EXACT_RANK_LIMIT = 6
-
-
-class CertificateError(RuntimeError):
-    """Raised when an exact certificate fails its own check: a result that
-    the mathematics rules out, so a bug or a corrupted input, never a
-    search limit."""
 
 
 class ExactSearchUnavailable(RuntimeError):
@@ -55,34 +52,99 @@ class ExactSearchUnavailable(RuntimeError):
         self.upper_bound = upper_bound
 
 
-@dataclass(frozen=True)
 class Lattice:
-    rank: int
-    gram: Tuple[Tuple[Fraction, ...], ...]
+    """Z^r with a positive definite symmetric rational Gram matrix G.
 
-    def __post_init__(self) -> None:
-        if self.rank < 0 or len(self.gram) != self.rank:
+    Stored as integers: den, the lcm of the denominators of G, the rows
+    of den * G, and the Sylvester certificate of den * G, its Gram-Schmidt
+    data (lam, D) as la._ldl_scaled gives it: D[k] is the k-th leading
+    principal minor of den * G, every one positive, and lam[i][j] = D[j+1]
+    mu_ij for j < i.  That data is kept as one flat tuple, ldl, of the
+    rows lam[i] + [D[i+1]] of the integer LDL factor, its lower triangle
+    (_gso unpacks it).  A tensor product takes (lam, D) from its factors'
+    (la._kron_gso) instead of eliminating.  The Fraction Gram matrix,
+    equality, hashing and JSON are derived from (den, rows), and equal
+    those of the Gram matrix itself: den is canonical, so two lattices
+    are equal iff their Gram matrices are.  Immutable."""
+
+    __slots__ = ("rank", "den", "rows", "ldl")
+
+    def __init__(self, rank: int, gram: Sequence[Sequence]) -> None:
+        if rank < 0 or len(gram) != rank:
             raise ValueError("gram size does not match rank")
-        # Sylvester's criterion on den * G, the integer rows of the Gram
-        if self.rank and not la.is_positive_definite(la._common_scaled(self.gram)[0]):
-            raise ValueError("gram matrix must be symmetric positive definite")
+        rows, den = la._common_scaled(gram)
+        self._certify(rows, den)
+
+    def _certify(self, rows: Sequence[Sequence[int]], den: int, ldl: Optional[Tuple[int, ...]] = None) -> None:
+        """Store den * G = rows with its certificate ldl, which a tensor
+        product reads off its factors'; otherwise after Sylvester's
+        criterion: symmetric, and every pivot of la._ldl_scaled positive."""
+        if ldl is None:
+            try:
+                if not la.is_symmetric(rows):
+                    raise la.SingularMatrixError("not symmetric")
+                A, D, _one = la._ldl_scaled(rows)
+            except la.SingularMatrixError:
+                raise ValueError("gram matrix must be symmetric positive definite") from None
+            ldl = tuple(x for i, row in enumerate(A) for x in row[: i + 1])
+        put = object.__setattr__
+        put(self, "rank", len(rows))
+        put(self, "den", den)
+        put(self, "rows", tuple(map(tuple, rows)))
+        put(self, "ldl", ldl)
+
+    def __setattr__(self, *args):
+        raise AttributeError("Lattice is immutable")
+
+    __delattr__ = __setattr__
+
+    @staticmethod
+    def from_scaled(rows: Sequence[Sequence[int]], den: int = 1) -> "Lattice":
+        """The lattice of Gram matrix rows / den, for integer rows and an
+        integer den > 0, validated as Lattice(rank, gram) is; a common
+        factor of den and every entry is divided out first."""
+        if den < 1:
+            raise ValueError("den must be a positive integer")
+        g = gcd(den, *[x for row in rows for x in row])
+        if g > 1:
+            rows, den = [[x // g for x in row] for row in rows], den // g
+        L = object.__new__(Lattice)
+        L._certify(rows, den)
+        return L
 
     @staticmethod
     def from_rows(rows) -> "Lattice":
         rows = la.frac_rows(rows)
-        return Lattice(len(rows), tuple(tuple(r) for r in rows))
+        return Lattice(len(rows), rows)
+
+    @property
+    def gram(self) -> Tuple[Tuple[Fraction, ...], ...]:
+        den = self.den
+        return tuple(tuple(Fraction(x, den) for x in row) for row in self.rows)
 
     @property
     def gram_rows(self) -> la.Matrix:
         return [list(row) for row in self.gram]
 
     def norm_of(self, v: Sequence[int]) -> Fraction:
-        return la.vec_dot(v, la.mat_vec(self.gram_rows, v))
+        return Fraction(sum(map(mul, v, la.mat_vec(self.rows, v))), self.den)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Lattice):
+            return NotImplemented
+        return self.den == other.den and self.rows == other.rows
+
+    def __hash__(self) -> int:
+        return hash((self.rank, self.gram))
+
+    def __repr__(self) -> str:
+        return "Lattice(rank=%r, gram=%r)" % (self.rank, self.gram)
 
     def to_json(self) -> dict:
+        den = self.den
         return {
             "rank": self.rank,
-            "gram": [[rat_to_str(x) for x in row] for row in self.gram],
+            "gram": [[_over(x, den) for x in row] for row in self.rows],
         }
 
     @staticmethod
@@ -92,6 +154,12 @@ class Lattice:
         if lat.rank != int(payload["rank"]):
             raise ValueError("rank field disagrees with gram size")
         return lat
+
+
+def _over(x: int, den: int) -> str:
+    """rat_to_str(Fraction(x, den)) for den > 0, without the Fraction."""
+    g = gcd(x, den)
+    return str(x // g) if g == den else "%d/%d" % (x // g, den // g)
 
 
 @dataclass(frozen=True)
@@ -217,10 +285,11 @@ class HeightBracket:
 
 
 def degree(L: Lattice) -> LogValue:
-    """Arakelov degree -1/2 log det(Gram); the zero bundle has degree 0."""
+    """Arakelov degree -1/2 log det(Gram), with det(Gram) = D[r] / den^r
+    read off the stored certificate; the zero bundle has degree 0."""
     if L.rank == 0:
         return LogValue.zero()
-    return log_of(la.det(L.gram_rows), Fraction(-1, 2))
+    return log_of(Fraction(L.ldl[-1], L.den**L.rank), Fraction(-1, 2))
 
 
 def slope(L: Lattice) -> LogValue:
@@ -230,41 +299,53 @@ def slope(L: Lattice) -> LogValue:
 
 
 def dual(L: Lattice) -> Lattice:
-    return Lattice.from_rows(la.inverse(L.gram_rows))
+    """The inverse Gram matrix, den A^-1 for A = den * G: one elimination
+    of [A | 1] on integers ends in [d 1 | d A^-1]."""
+    r = L.rank
+    W = [[*row, *(int(i == j) for j in range(r))] for i, row in enumerate(L.rows)]
+    d = la._eliminate(W, r)[2]
+    if d < 0:
+        W, d = [[-x for x in row] for row in W], -d
+    return Lattice.from_scaled([[L.den * x for x in row[r:]] for row in W], d)
 
 
 def direct_sum(L1: Lattice, L2: Lattice) -> Lattice:
     r1, r2 = L1.rank, L2.rank
-    out = la.zeros(r1 + r2, r1 + r2)
-    for i in range(r1):
-        for j in range(r1):
-            out[i][j] = L1.gram[i][j]
-    for i in range(r2):
-        for j in range(r2):
-            out[r1 + i][r1 + j] = L2.gram[i][j]
-    return Lattice.from_rows(out)
+    den = lcm(L1.den, L2.den)
+    a, b = den // L1.den, den // L2.den
+    rows = [[a * x for x in row] + [0] * r2 for row in L1.rows]
+    rows += [[0] * r1 + [b * x for x in row] for row in L2.rows]
+    return Lattice.from_scaled(rows, den)
 
 
 def tensor(L1: Lattice, L2: Lattice) -> Lattice:
-    """The Kronecker product of the Gram matrices, taken on the integer
-    rows of den1 * G1 and den2 * G2 and divided by den1 * den2; the
-    product is symmetric, so each entry below the diagonal shares the
-    Fraction above it."""
-    A, a = la._common_scaled(L1.gram)
-    B, b = la._common_scaled(L2.gram)
-    K = la.kron(A, B)
-    den = a * b
-    gram: List[List[Fraction]] = []
-    for i, row in enumerate(K):
-        head = [gram[j][i] for j in range(i)]
-        gram.append(head + [Fraction(x, den) if den > 1 else Fraction(x) for x in row[i:]])
-    return Lattice(len(K), tuple(map(tuple, gram)))
+    """The Kronecker product of the Gram matrices, on the integer rows of
+    den1 * G1 and den2 * G2 over den1 * den2.  Its Sylvester certificate
+    is read off the factors' (la._kron_gso): the LDL factor of a Kronecker
+    product is the product of the factors' LDL factors, and each pivot a
+    product of a pivot of each factor (Horn and Johnson, Topics in Matrix
+    Analysis, 4.2), so every pivot is positive and nothing is eliminated.
+    A common factor g of den1 * den2 and every entry is divided out, which
+    divides D[k] by g^k and lam[i][j] by g^(j+1)."""
+    rows = la.kron(L1.rows, L2.rows)
+    lam, D, den = la._kron_gso(_gso(L1), _gso(L2))
+    g = gcd(den, *[x for row in rows for x in row])
+    if g > 1:
+        rows = [[x // g for x in row] for row in rows]
+        lam, D, den = la._gso_divided(la.GSO(lam, D, den), g)
+    if any(d <= 0 for d in D):
+        raise CertificateError("a tensor product of positive definite Gram matrices must be positive definite")
+    T = object.__new__(Lattice)
+    T._certify(rows, den, tuple(x for i, row in enumerate(lam) for x in (*row, D[i + 1])))
+    return T
 
 
 def exterior_power(L: Lattice, k: int) -> Lattice:
     if not 0 < k <= L.rank:
         raise ValueError("exterior power degree out of range")
-    return Lattice.from_rows(la.compound_matrix(L.gram_rows, k))
+    for _k, T, _one in la._compound_tower(L.rows, k):
+        pass
+    return Lattice.from_scaled(T, L.den**k)
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +377,7 @@ def is_saturated(S: SubLattice) -> bool:
 
 def short_vectors(L: Lattice, bound) -> List[Tuple[Tuple[int, ...], Fraction]]:
     """All nonzero vectors with norm^2 <= bound, up to sign, sorted."""
-    return la.short_vectors_gram(L.gram_rows, Fraction(bound))
+    return la.short_vectors_reduced(*la._lll_from(_gso(L)), Fraction(bound))
 
 
 def udeg_max(L: Lattice) -> Tuple[LogValue, Tuple[int, ...]]:
@@ -307,44 +388,62 @@ def udeg_max(L: Lattice) -> Tuple[LogValue, Tuple[int, ...]]:
     """
     if L.rank == 0:
         raise ValueError("udeg_max needs positive rank")
-    return _udeg_of_shortest(_shortest_reduced(*la.gram_lll(L.gram)))
+    return _udeg_of_shortest(_shortest_reduced(*_reduced(L)[1:]))
 
 
 # (G, Gred, U, gso) of a lattice, as _reduced gives it
-_Reduction = Tuple[List[List[int]], List[List[int]], List[List[int]], la.GSO]
+_Reduction = Tuple[Sequence[Sequence[int]], List[List[int]], List[List[int]], la.GSO]
+
+
+def _gso(L: Lattice) -> la.GSO:
+    """The stored Gram-Schmidt data of L as a GSO of its own lists, which
+    la._lll_from may update in place: row i of the flat L.ldl is lam[i]
+    followed by D[i+1]."""
+    ldl, lam, D, t = L.ldl, [], [1], 0
+    for i in range(L.rank):
+        lam.append(list(ldl[t : t + i]))
+        D.append(ldl[t + i])
+        t += i + 1
+    return la.GSO(lam, D, L.den)
 
 
 def _reduced(L: Lattice) -> _Reduction:
-    """(G, Gred, U, gso) for G = den * L.gram on integers and (Gred, U, gso)
-    = gram_lll(L.gram).  The reduction runs on G itself: gram_lll scales
-    L.gram to the same G, and the GSO of G is that of L.gram with den 1,
-    so the den of L.gram is put back."""
-    G, den = la._common_scaled(L.gram)
-    Gred, U, gso = la.gram_lll(G)
-    return G, Gred, U, gso._replace(den=den)
+    """(G, Gred, U, gso) for G = L.rows = den * L.gram on integers and
+    (Gred, U, gso) = gram_lll(L.gram), with gso over den = L.den: the
+    sweep starts from a copy of the stored Sylvester data, so nothing is
+    eliminated."""
+    return (L.rows, *la.gram_lll(L.rows, _gso(L)))
 
 
-def _tensor_reduced(reductions: Sequence[_Reduction]) -> _Reduction:
-    """_reduced of the tensor product of the factors, in the order that
+def _tensor_reduced(T: Lattice, reductions: Sequence[_Reduction]) -> _Reduction:
+    """_reduced of T, the tensor product of the factors in the order that
     tensor folds them, from the factors' own _reduced.
 
-    The tensor starts from the basis kron(U_1, U_2, ...), whose scaled
-    Gram matrix is kron(Gred_1, Gred_2, ...) and whose GSO is folded
-    pairwise by la._kron_gso, with no elimination; one la._lll_from sweep
-    finishes the reduction.  G = kron(G_1, G_2, ...) is den * T.gram with
-    den the product of the factors' den, which the GSO carries: the
-    determinants of the candidate pass scale by den^k whatever den is.
-    The transform V of the sweep is applied to U and to the Gram matrix
-    only when it is not the identity.  One factor is its own reduction."""
+    The tensor starts from the basis kron(U_1, U_2, ...), whose GSO is
+    folded pairwise by la._kron_gso, with no elimination, over the product
+    of the factors' den; that is T.den times the factor g that tensor
+    divided out, and the GSO is divided by g too.  One la._lll_from sweep
+    on the columns of kron(U_1, U_2, ...) finishes the reduction.  The
+    reduced Gram matrix is kron(Gred_1, Gred_2, ...) / g when the sweep
+    leaves the basis as it is, and is formed on T.rows otherwise.  One
+    factor is its own reduction."""
     if len(reductions) == 1:
         return reductions[0]
-    G, Gred, U, gso = reductions[0]
-    for G2, Gred2, U2, gso2 in reductions[1:]:
-        G, Gred, U, gso = la.kron(G, G2), la.kron(Gred, Gred2), la.kron(U, U2), la._kron_gso(gso, gso2)
-    V, gso = la._lll_from(gso)
-    if V != [[int(i == j) for j in range(len(V))] for i in range(len(V))]:
-        U, Gred = la.mat_mul(U, V), la._congruent(Gred, V)
-    return G, Gred, U, gso
+    _G, Gred, U, gso = reductions[0]
+    for _G2, _Gred2, U2, gso2 in reductions[1:]:
+        U, gso = la.kron(U, U2), la._kron_gso(gso, gso2)
+    g = gso.den // T.den
+    if g > 1:
+        gso = la._gso_divided(gso, g)
+    start = U
+    U, gso = la._lll_from(gso, U)
+    if U != start:
+        return T.rows, la._congruent(T.rows, U), U, gso
+    for _G2, Gred2, _U2, _gso2 in reductions[1:]:
+        Gred = la.kron(Gred, Gred2)
+    if g > 1:
+        Gred = [[x // g for x in row] for row in Gred]
+    return T.rows, Gred, U, gso
 
 
 def _shortest_reduced(
@@ -354,7 +453,8 @@ def _shortest_reduced(
     Gram matrix, for (Gred, U, gso) = gram_lll(G) with Gred = den U^T G U
     on integers: a realized, tight radius that both udeg and the rank-one
     candidates enumerate.  The norms are those of G."""
-    return la.short_vectors_reduced(U, gso, Fraction(min(Gred[i][i] for i in range(len(Gred))), gso.den))
+    least = min(Gred[i][i] for i in range(len(Gred)))
+    return la.short_vectors_reduced(U, gso, least if gso.den == 1 else Fraction(least, gso.den))
 
 
 def _scaled_norm(norm: Fraction, den: int) -> int:
@@ -405,7 +505,9 @@ def _decomposable_kernel(w: Sequence[int], r: int, k: int) -> Optional[List[List
     return [la.primitive_vector(m) for m in rows]
 
 
-def _slope_of_det(detval: Fraction, k: int) -> LogValue:
+def _slope_of_det(detval, k: int) -> LogValue:
+    """-log(detval) / 2k, the slope of a rank-k sublattice of determinant
+    detval, an int or a Fraction."""
     return log_of(detval, Fraction(-1, 2 * k))
 
 
@@ -508,15 +610,15 @@ def _rank_candidates(
                 if ker is not None:  # kernel rows mapped back under U: integer columns of S
                     norm = norm.numerator  # an integer: T_k is
                     least.setdefault(k, norm)  # the first is the least: sorted by norm
-                    found.append((k, norm, la.mat_mul(ker, la.transpose(U))))
+                    found.append((k, norm, [[sum(map(mul, m, row)) for row in U] for m in ker]))
     found.append((r, D[r], [[int(i == j) for j in range(r)] for i in range(r)]))
     return found
 
 
-def _saturated(L: Lattice, G: List[List[int]], candidate: Tuple[int, int, List[List[int]]]) -> SubLattice:
+def _saturated(L: Lattice, G: Sequence[Sequence[int]], candidate: Tuple[int, int, List[List[int]]]) -> SubLattice:
     """The saturated sublattice of a _rank_candidates entry, checked against
     its determinant, den^k det S on integers, with G = den * L.gram as
-    integer rows (_reduced gives it).
+    integer rows (L.rows, as _reduced gives it).
 
     Ranks one and r need no Hermite form: the saturation of a line is its
     primitive vector, whose norm is taken on the integers of G, and that
@@ -539,7 +641,7 @@ def _saturated(L: Lattice, G: List[List[int]], candidate: Tuple[int, int, List[L
     return S
 
 
-def _scaled_sub_det(G: List[List[int]], B: List[List[int]]) -> int:
+def _scaled_sub_det(G: Sequence[Sequence[int]], B: List[List[int]]) -> int:
     """det(B^T G B) for integer rows G and an integer basis B, by integer
     Bareiss: den^k sub_det when G = den * Gram."""
     return la._int_det(la.mat_mul(la.transpose(B), la.mat_mul(G, B)))
@@ -548,8 +650,7 @@ def _scaled_sub_det(G: List[List[int]], B: List[List[int]]) -> int:
 def sub_det(S: SubLattice) -> Fraction:
     """det(B^T G B) for the basis B of S, multiplied out on the integer
     rows of den * G and divided by den^rank once."""
-    G, den = la._common_scaled(S.ambient.gram)
-    return Fraction(_scaled_sub_det(G, S.basis_rows), den**S.rank)
+    return Fraction(_scaled_sub_det(S.ambient.rows, S.basis_rows), S.ambient.den**S.rank)
 
 
 def sub_degree(S: SubLattice) -> LogValue:
@@ -630,17 +731,32 @@ def _mu_max_udeg(
     for j, e, _cols in candidates:
         if _steeper(j, e, k, d):
             k, d = j, e
-    tied = (_saturated(L, G, c) for c in candidates if c[:2] == (k, d))
-    witness = min(tied, key=lambda S: S.basis)
-    val = _slope_of_det(Fraction(d, den**k), k)
+    tied = [c for c in candidates if c[:2] == (k, d)]
+    if k == 1:
+        # the basis of a line is its vector, and a rank-one candidate is
+        # already primitive with its first nonzero entry positive: the
+        # least vector is the least basis, built alone
+        tied = [min(tied, key=lambda c: c[2][0])]
+    witness = min((_saturated(L, G, c) for c in tied), key=lambda S: S.basis)
+    val = _slope_of_det(d if den == 1 else Fraction(d, den**k), k)
     if not _in_minkowski_bracket(val, k, d, _scaled_norm(shortest[0][1], den), r, den):
         raise CertificateError("mu_max outside its Minkowski bracket [udeg_max, udeg_max + log(rank)/2]")
     return val, witness, shortest
 
 
 def mu_min(L: Lattice, rank_limit: int = EXACT_RANK_LIMIT) -> LogValue:
-    """Minimal successive quotient slope (the last HN slope)."""
-    return hn_filtration(L, rank_limit).slopes[-1]
+    """Minimal successive quotient slope, the last HN slope, as
+    -mu_max(L^v): the HN filtration of the dual is the annihilators of the
+    steps of L's, with the slopes negated and in reverse order."""
+    if L.rank == 0:
+        raise ValueError("hn filtration needs positive rank")
+    if L.rank > rank_limit:
+        raise ExactSearchUnavailable(
+            f"exact search unavailable beyond rank {rank_limit}",
+            None,
+            None,
+        )
+    return -_mu_max_udeg(dual(L), rank_limit)[0]
 
 
 def hn_filtration(L: Lattice, rank_limit: int = EXACT_RANK_LIMIT) -> HNResult:
@@ -719,47 +835,6 @@ def _char_poly(GEi: List[List[int]], Mi: List[List[int]]) -> List[int]:
     return poly
 
 
-def _top_root_enclosure(c: List[int], lo: int, hi: int, D: int) -> Tuple[int, int]:
-    """(A, B) with A <= lambda D <= B, for lambda > 0 the largest root of a
-    real-rooted p = sum c_i x^i with c_k > 0, given lo <= lambda D <= hi.
-
-    Newton's method from above on the grid 1/D.  At any x > lambda, p and
-    p' are positive, and with d_i = x - lambda_i >= d = x - lambda the
-    sums S1 = sum 1/d_i = p'/p and S2 = sum 1/d_i^2 = (p'^2 - p p'')/p^2
-    satisfy S1 >= 1/d and S2 <= S1/d.  So Newton's step x - 1/S1 = x - p/p'
-    stays >= lambda, and x - S1/S2 (Schroeder's step) is <= lambda; the
-    latter is exact at a root of multiplicity k and tends to lambda
-    quadratically at any multiplicity.  The upper end is rounded up and
-    the lower end down; an upper end x with p(x) = 0 is lambda itself.
-    Roots at zero, the kernel of the map, are divided out first.  The
-    steps stop at width one, or once a step no longer halves the width:
-    far above the roots, or at a multiple root, Newton's step shrinks
-    the distance only linearly, and the caller's definiteness tests take
-    over."""
-    while not c[0]:
-        c = c[1:]
-    k = len(c) - 1
-    scaled = [x * D ** (k - i) for i, x in enumerate(c)]  # P(X) = D^k p(X / D)
-    A, B = lo, hi
-    while B - A > 1:
-        P = dP = ddP = 0  # P(B), P'(B) and P''(B) / 2
-        for x in reversed(scaled):
-            ddP = ddP * B + dP
-            dP = dP * B + P
-            P = P * B + x
-        if not P:
-            return B, B
-        S2 = dP * dP - 2 * P * ddP
-        if P < 0 or dP <= 0 or S2 <= 0:
-            raise CertificateError("a real-rooted polynomial must increase above its largest root")
-        width = B - A
-        A = max(A, B + (-P * dP) // S2)
-        B -= P // dP
-        if 2 * (B - A) > width:
-            break
-    return A, B
-
-
 def morphism_height(phi: Morphism, tolerance_bits: int = 40) -> HeightBracket:
     """Height of a nonzero morphism: exact finite part plus archimedean
     operator norm bracketed on a dyadic multiple-of-log-2 grid.
@@ -799,8 +874,8 @@ def morphism_height(phi: Morphism, tolerance_bits: int = 40) -> HeightBracket:
     # -min_ij v_p(a_ij) = v_p(a) - v_p(g) for g the gcd of the numerators:
     # an entry whose denominator p divides has a numerator p does not
     finite = log_of(Fraction(a, gcd(*[x.numerator for row in phi.matrix for x in row])))
-    GFi, f = la._common_scaled(phi.target.gram_rows)
-    GEi, e = la._common_scaled(phi.source.gram_rows)
+    GFi, f = phi.target.rows, phi.target.den
+    GEi, e = phi.source.rows, phi.source.den
     Mi = la.mat_mul(la.transpose(Ai), la.mat_mul(GFi, Ai))
     n = a * a * f
     c = gcd(e, n)

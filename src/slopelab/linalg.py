@@ -13,9 +13,12 @@ copy of its rows.  Only final entries are Fractions.
 
 Lattice reduction stays on the integers as well: _lll_from is the
 integral LLL on the Gram-Schmidt data (lam, D, den) of a basis, and
-_lll_sweep runs it from the data that _ldl_scaled gives for den * G.  The
-GSO of a Kronecker product is read off its factors' GSOs (_kron_gso), so
-that a tensor product can start its sweep from its factors' reduced bases.
+_lll_sweep runs it from the data that _ldl_scaled gives for den * G; a
+caller that keeps that data, as a Lattice does, hands it to gram_lll and
+nothing is eliminated.  The GSO of a Kronecker product is read off its
+factors' GSOs (_kron_gso): it certifies a tensor product of positive
+definite Gram matrices, and a tensor product starts its sweep from its
+factors' reduced bases.
 The final GSO goes to short_vectors_reduced, whose Fincke-Pohst
 enumeration (_fincke_pohst) walks an explicit stack with integer centers,
 isqrt ranges and a remaining radius kept as a reduced integer pair, and
@@ -382,23 +385,24 @@ def _compound_gso(gso: GSO, top: int) -> Iterator[Tuple[int, Profile]]:
     with P[a] and Q[a] the products of D[i+1] and of D[i] over i in I_a:
     the Profile (Lambda^k(F), P, P Q).  Its entries are products of k
     entries of the lattice's own GSO, where the lam and D of T_k itself
-    would grow with the index.  P and Q are built level by level; the
-    minors of F are a _Minors per level, whose entries are computed when
-    the enumeration, or an entry of the level above, first reads them.
-    So a level that is never enumerated costs its P and Q alone, and a
-    pruned enumeration computes the entries on its paths and their
-    cofactors."""
+    would grow with the index.  P and P Q, the product of D[i] D[i+1] over
+    I_a, are built level by level; the minors of F are a _Minors per
+    level, whose entries are computed when the enumeration, or an entry of
+    the level above, first reads them.  So a level that is never
+    enumerated costs its P and P Q alone, and a pruned enumeration
+    computes the entries on its paths and their cofactors."""
     lam, D, _den = gso
     n = len(lam)
     F = [row + [D[i + 1]] for i, row in enumerate(lam)]  # level 1 is F itself
     minors = F
-    P, Q = D[1:], D[:-1]  # prod over I of D[i+1] and of D[i], at level 1
+    pivots = [D[i] * D[i + 1] for i in range(n)]
+    P, PQ = D[1:], pivots  # at level 1
     for k in range(2, min(top, n) + 1):
         table = _subset_table(n, k)
         minors = _Minors(F, minors, table)
         P = [D[i0 + 1] * P[at] for i0, at in table.rows]
-        Q = [D[i0] * Q[at] for i0, at in table.rows]
-        yield k, Profile(minors, P, [p * q for p, q in zip(P, Q)])
+        PQ = [pivots[i0] * PQ[at] for i0, at in table.rows]
+        yield k, Profile(minors, P, PQ)
 
 
 def _compound_floors(D: Sequence[int], top: int) -> List[Tuple[int, int]]:
@@ -410,8 +414,10 @@ def _compound_floors(D: Sequence[int], top: int) -> List[Tuple[int, int]]:
     D[i+1] / D[i], so the least is the product of the k least pivots.
     Every nonzero vector of a basis is at least as long as its shortest
     Gram-Schmidt vector, so T_k holds no nonzero vector of norm below the
-    floor.  The pivots are ordered by cross-multiplying, on integers."""
-    order = sorted(range(len(D) - 1), key=functools.cmp_to_key(lambda i, j: D[i + 1] * D[j] - D[j + 1] * D[i]))
+    floor.  The pivots are ordered on integers, by D[i+1] / D[i] times
+    the product of D[0], ..., D[n-1]."""
+    every = prod(D[:-1])
+    order = sorted(range(len(D) - 1), key=lambda i: D[i + 1] * (every // D[i]))
     floors = [(1, 1)]
     for i in order[:top]:
         num, dnm = floors[-1]
@@ -499,18 +505,16 @@ def int_rows(rows) -> List[List[int]]:
 
 def primitive_vector(v: Sequence[int]) -> List[int]:
     """Divide by the gcd and make the first nonzero entry positive."""
-    g = 0
-    for x in v:
-        g = gcd(g, int(x))
+    w = [int(x) for x in v]
+    g = gcd(*w)
     if g == 0:
-        return [0] * len(v)
-    w = [int(x) // g for x in v]
+        return w
     for x in w:
-        if x != 0:
+        if x:
             if x < 0:
-                w = [-y for y in w]
+                g = -g
             break
-    return w
+    return w if g == 1 else [x // g for x in w]
 
 
 def hnf_rows(A: Sequence[Sequence[int]]) -> Tuple[List[List[int]], List[List[int]]]:
@@ -597,7 +601,9 @@ class Profile(NamedTuple):
     m: List[int]
 
 
-def gram_lll(G: Sequence[Sequence]) -> Tuple[List[List[int]], List[List[int]], GSO]:
+def gram_lll(
+    G: Sequence[Sequence], gso: Optional[GSO] = None
+) -> Tuple[List[List[int]], List[List[int]], GSO]:
     """Exact integral LLL working purely on the Gram matrix.
 
     Returns (Gred, U, gso): U is unimodular and U^T G U is LLL-reduced
@@ -608,7 +614,15 @@ def gram_lll(G: Sequence[Sequence]) -> Tuple[List[List[int]], List[List[int]], G
     SingularMatrixError unless G is positive definite.  G is scaled to
     den G once; (U, gso) come from _lll_sweep of den G, and the reduced
     Gram matrix is formed once at the end, on the same integers.
+
+    A caller that holds the Gram-Schmidt data of G, as a Lattice does,
+    passes G as the integer rows den * Gram and gso as that data, over
+    the same den: the sweep starts from gso, which it updates in place,
+    and nothing is eliminated.
     """
+    if gso is not None:
+        U, gso = _lll_from(gso)
+        return _congruent(G, U), U, gso
     A, den = _common_scaled(G)
     U, (lam, D, _den) = _lll_sweep(A)
     return _congruent(A, U), U, GSO(lam, D, den)
@@ -636,20 +650,22 @@ def _lll_sweep(G: Sequence[Sequence]) -> Tuple[List[List[int]], GSO]:
     return _lll_from(GSO([row[:i] for i, row in enumerate(A)], D, den))
 
 
-def _lll_from(gso: GSO) -> Tuple[List[List[int]], GSO]:
-    """(V, the GSO of the reduced basis) for the LLL reduction of the basis
-    whose Gram-Schmidt data gso is, which is updated in place: V is the
-    unimodular transform from that basis to the reduced one, as rows.
+def _lll_from(gso: GSO, U: Optional[Sequence[Sequence[int]]] = None) -> Tuple[List[List[int]], GSO]:
+    """(U V, the GSO of the reduced basis) for the LLL reduction of the
+    basis whose Gram-Schmidt data gso is, which is updated in place: V is
+    the unimodular transform from that basis to the reduced one, and U,
+    the identity unless given, the integer rows whose columns are the
+    basis in other coordinates; V acts on U's columns as they go.
 
     Cohen's integral LLL (A Course in Computational Algebraic Number
     Theory, Alg. 2.6.7).  It size-reduces when 2 |lam_kl| > D_{l+1} and
     swaps when 4 (D_{k+1} D_{k-1} + lam^2) < 3 D_k^2, the decisions of the
     rational sweep with mu = lam / D.  A basis that is already reduced
-    gives V = 1 and its own GSO."""
+    gives U itself and its own GSO."""
     lam, D, den = gso
     n = len(lam)
-    # V is kept as its columns, so that a column operation is one list
-    cols = [[int(i == j) for i in range(n)] for j in range(n)]
+    # U V is kept as its columns, so that a column operation is one list
+    cols = [[int(i == j) for i in range(n)] for j in range(n)] if U is None else transpose(U)
 
     # b_k -= q b_l for q = floor(mu_kl + 1/2); run when 2 |lam_kl| > D_{l+1}
     def size_reduce(k, l):
@@ -705,8 +721,8 @@ def _kron_gso(g1: GSO, g2: GSO) -> GSO:
     lam1, D1, den1 = g1
     lam2, D2, den2 = g2
     n2 = len(lam2)
-    L1 = [row + [D1[i + 1]] for i, row in enumerate(lam1)]
-    L2 = [row + [D2[j + 1]] for j, row in enumerate(lam2)]
+    L1 = [[*row, D1[i + 1]] for i, row in enumerate(lam1)]
+    L2 = [[*row, D2[j + 1]] for j, row in enumerate(lam2)]
     D = [1]
     for i in range(len(lam1)):
         for j in range(n2):
@@ -724,6 +740,19 @@ def _kron_gso(g1: GSO, g2: GSO) -> GSO:
                             row[v + l] = D[v + l + 1] * a * row2[l] // (D1[k + 1] * D2[l + 1])
             lam.append(row)
     return GSO(lam, D, den1 * den2)
+
+
+def _gso_divided(gso: GSO, g: int) -> GSO:
+    """The GSO of the same basis for the scaled Gram matrix divided by g,
+    g a divisor of den and of every entry: each leading minor D[k] is
+    divided by g^k and lam[i][j] = D[j+1] mu_ij by g^(j+1), exactly, as
+    the result is again the integer GSO of an integer matrix."""
+    lam, D, den = gso
+    return GSO(
+        [[x // g ** (j + 1) for j, x in enumerate(row)] for row in lam],
+        [x // g**k for k, x in enumerate(D)],
+        den // g,
+    )
 
 
 def short_vectors_gram(G: Sequence[Sequence], bound: Fraction) -> List[Tuple[Tuple[int, ...], Fraction]]:
@@ -775,7 +804,7 @@ def _fincke_pohst(
     """
     lam, dd, mm = basis
     n = len(dd)
-    if type(bound) is not Fraction:
+    if type(bound) is not int and type(bound) is not Fraction:
         bound = Fraction(bound)
     P, Q = bound.numerator, bound.denominator
     if n == 0 or P < 0:
@@ -820,7 +849,9 @@ def _fincke_pohst(
                                 break
                         if x < 0:
                             w = tuple([-x for x in w])
-                        out.append((w, Fraction(P * b - (pm - y * y * q) * Q, Q * b)))
+                        a, e = P * b - (pm - y * y * q) * Q, Q * b
+                        whole, rem = divmod(a, e)  # an integral norm needs no gcd
+                        out.append((w, Fraction(a, e) if rem else Fraction(whole)))
                 v[0] = 0
             # climb to the nearest level above with a value left in its range
             while True:

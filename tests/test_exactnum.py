@@ -374,7 +374,7 @@ def test_approximate_matches_fraction_oracle_on_campaign_values(monkeypatch):
     monkeypatch.setattr(exactnum, "approximate", recording)
     monkeypatch.setattr(harness, "approximate", recording)
     for check in (check_main_theorem, check_slope_inequalities, check_bogomolov_campaign):
-        check(TrialConfig(seed=41, ranks=(2, 3), entry_bound=3, trials=5))
+        check(TrialConfig(seed=41, ranks=(2, 3), entry_bound=3, trials=7))
     check_reduction_chain(TrialConfig(seed=41, ranks=(2, 2), entry_bound=2, trials=1))
     monkeypatch.undo()
     assert len(asked) > 100

@@ -124,7 +124,7 @@ class TestMainTheorem:
 
     def test_rank_limit(self):
         with pytest.raises(ValueError):
-            check_main_theorem(TrialConfig(seed=0, ranks=(3, 3), trials=1))
+            check_main_theorem(TrialConfig(seed=0, ranks=(EXACT_RANK_LIMIT + 1,), trials=1))
 
     def test_tensor_data_equals_mu_max_of_each_lattice(self):
         """tensor_slope_data, which reduces each factor once and starts the
@@ -269,10 +269,11 @@ class TestOneComputationPerTrial:
         cfg = TrialConfig(seed=7, ranks=(2, 3), trials=3)
         passes = self.counting(monkeypatch, "_mu_max_udeg")
         public = self.counting(monkeypatch, "mu_max")
-        sweeps, scratch = [], []
-        real_sweep, real_lll = la._lll_from, la.gram_lll
-        monkeypatch.setattr(la, "_lll_from", lambda gso: (sweeps.append(len(gso.D) - 1), real_sweep(gso))[1])
-        monkeypatch.setattr(la, "gram_lll", lambda G: (scratch.append(len(G)), real_lll(G))[1])
+        sweeps, scratch, eliminations = [], [], []
+        real_sweep, real_lll, real_ldl = la._lll_from, la.gram_lll, la._ldl_scaled
+        monkeypatch.setattr(la, "_lll_from", lambda gso, U=None: (sweeps.append(len(gso.D) - 1), real_sweep(gso, U))[1])
+        monkeypatch.setattr(la, "gram_lll", lambda G, gso=None: (scratch.append(len(G)), real_lll(G, gso))[1])
+        monkeypatch.setattr(la, "_ldl_scaled", lambda G: (eliminations.append(len(G)), real_ldl(G))[1])
         rep = check_main_theorem(cfg)
         assert rep.ok
         # one pass and one reduction per lattice: the tensor product and the
@@ -281,6 +282,9 @@ class TestOneComputationPerTrial:
         assert sorted(sweeps) == sorted([6, 2, 3, 2] * cfg.trials)
         # the tensor's reduction starts from its factors', not from scratch
         assert sorted(scratch) == sorted([2, 3, 2] * cfg.trials)
+        # one elimination per drawn lattice, when it is built (the factors
+        # and the line); the tensors take their pivots from their factors'
+        assert sorted(eliminations) == sorted([2, 3, 1] * cfg.trials)
 
 
     def test_bk_bracket_reduces_each_lattice_once(self, monkeypatch):
@@ -421,7 +425,7 @@ class TestReductionChain:
 
     def test_rank_limit(self):
         with pytest.raises(ValueError):
-            check_reduction_chain(TrialConfig(seed=0, ranks=(3, 3), trials=1))
+            check_reduction_chain(TrialConfig(seed=0, ranks=(EXACT_RANK_LIMIT + 1,), trials=1))
 
 
 class TestReports:

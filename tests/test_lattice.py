@@ -1,9 +1,12 @@
 import ast
+import gc
+import json
 import math
 import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from math import comb, gcd, inf, isqrt, prod
 from pathlib import Path
@@ -13,7 +16,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from slopelab import lattice as lat
 from slopelab import linalg as la
-from slopelab.exactnum import Interval, LogValue, Order, approximate, compare, log_of
+from slopelab.exactnum import Interval, LogValue, Order, approximate, compare, log_of, rat_to_str
 from slopelab.harness import random_lattice
 from oracles import (
     NotSaturatedError,
@@ -422,30 +425,42 @@ def _is_lll_reduced(gso):
     return size and all(4 * (D[k + 1] * D[k - 1] + lam[k][k - 1] ** 2) >= 3 * D[k] ** 2 for k in range(1, len(lam)))
 
 
-def test_tensor_reduction_starts_from_the_factors():
+def test_tensor_reduction_starts_from_the_factors(monkeypatch):
     """_tensor_reduced of the factors' _reduced is an LLL reduction of the
-    tensor: G is den T.gram on integers, U is unimodular, Gred = U^T G U,
-    and gso is the GSO of Gred with den the product of the factors'.  The
-    pass of mu_max on it gives mu_max(T), value and witness, and the
-    factors' reductions are left as they were.  Two and three factors,
+    tensor: G is T's stored den T.gram on integers, U is unimodular, Gred
+    = U^T G U, and gso is the GSO of Gred with den T.den, the product of
+    the factors' den less the common factor tensor divides out.  The pass
+    of mu_max on it gives mu_max(T), value and witness, and the factors'
+    reductions are left as they were.  Neither tensor nor _tensor_reduced
+    eliminates, and _tensor_reduced sweeps once.  Two and three factors,
     duals (rational Gram matrices) and rank one; a part of the starts are
-    reduced already and a part are not."""
+    reduced already and a part are not, and a part of the tensors divide
+    a common factor out."""
     rng = random.Random(446)
-    started_reduced = swept = 0
+    started_reduced = swept = divided = 0
+    ldl, sweeps = [], []
+    real_ldl, real_sweep = la._ldl_scaled, la._lll_from
+    monkeypatch.setattr(la, "_ldl_scaled", lambda G: (ldl.append(len(G)), real_ldl(G))[1])
+    monkeypatch.setattr(la, "_lll_from", lambda gso, U=None: (sweeps.append(len(gso.D) - 1), real_sweep(gso, U))[1])
     for t in range(120):
         ranks = [(2, 2), (2, 3), (1, 3), (3, 1), (2, 1, 2), (1, 1, 1)][t % 6]
         factors = [random_lattice(r, 3, rng) for r in ranks]
         factors = [lat.dual(L) if (t + i) % 3 == 0 else L for i, L in enumerate(factors)]
+        ldl.clear()
         T = factors[0]
         for L in factors[1:]:
             T = lat.tensor(T, L)
         reductions = [lat._reduced(L) for L in factors]
         before = repr(reductions)
-        G, Gred, U, gso = lat._tensor_reduced(reductions)
+        sweeps.clear()
+        G, Gred, U, gso = lat._tensor_reduced(T, reductions)
+        assert ldl == [] and sweeps == [T.rank]
         assert repr(reductions) == before
         den = math.prod(g.den for _G, _R, _U, g in reductions)
-        assert gso.den == den
-        assert G == [[x * den for x in row] for row in T.gram_rows]
+        divided += den > T.den
+        assert gso.den == T.den and den % T.den == 0
+        assert G == T.rows
+        assert [list(row) for row in G] == [[x * T.den for x in row] for row in T.gram_rows]
         assert abs(la.det(U)) == 1
         assert Gred == la.mat_mul(la.transpose(U), la.mat_mul(G, U))
         assert (gso.lam, gso.D) == tuple(gso_of(Gred)[:2])
@@ -456,7 +471,7 @@ def test_tensor_reduction_starts_from_the_factors():
         val, S, _shortest = lat._mu_max_udeg(T, lat.EXACT_RANK_LIMIT, (G, Gred, U, gso))
         assert (val, S) == lat.mu_max(T)
         assert repr(reductions) == before
-    assert started_reduced >= 10 and swept >= 10
+    assert started_reduced >= 10 and swept >= 10 and divided >= 10
 
 
 def _root_lattice(kind, n):
@@ -508,8 +523,8 @@ def _counting_nodes(monkeypatch, run, U, basis, bound):
 
 def _structure_watch(monkeypatch):
     """Patch the reduction, compound and enumeration steps of the candidate
-    pass with recorders: the size of each gram_lll, LLL sweep, enumeration
-    and _ldl_scaled, the levels of each _compound_gso walk, the name of
+    pass with recorders: the size of each gram_lll, LLL sweep (_lll_from),
+    enumeration and _ldl_scaled, the levels of each _compound_gso walk, the name of
     every elimination run inside a compound GSO level or an enumeration,
     every call of the Laplace tower or compound_matrix, the (level
     dimension, node count) of each enumeration of an exterior power, and
@@ -517,7 +532,7 @@ def _structure_watch(monkeypatch):
     log = {name: [] for name in ("lll", "sweep", "short", "ldl", "gso", "eliminated_inside", "tower", "nodes", "minors")}
     depth = [0]
     real = {name: getattr(la, name) for name in (
-        "gram_lll", "_lll_sweep", "_fincke_pohst", "_ldl_scaled", "_eliminate",
+        "gram_lll", "_lll_from", "_fincke_pohst", "_ldl_scaled", "_eliminate",
         "_compound_gso", "_compound_tower", "compound_matrix",
     )}
 
@@ -578,8 +593,8 @@ def _structure_watch(monkeypatch):
         log["minors"].append(basis.lam)
         return found
 
-    monkeypatch.setattr(la, "gram_lll", recording("gram_lll", "lll", len))
-    monkeypatch.setattr(la, "_lll_sweep", recording("_lll_sweep", "sweep", len))
+    monkeypatch.setattr(la, "gram_lll", recording("gram_lll", "lll", lambda G, gso=None: len(G)))
+    monkeypatch.setattr(la, "_lll_from", recording("_lll_from", "sweep", lambda gso, U=None: len(gso.D) - 1))
     monkeypatch.setattr(la, "_fincke_pohst", counting)
     monkeypatch.setattr(la, "_ldl_scaled", eliminating("_ldl_scaled", "ldl"))
     monkeypatch.setattr(la, "_eliminate", eliminating("_eliminate"))
@@ -590,11 +605,13 @@ def _structure_watch(monkeypatch):
 
 
 def test_one_reduction_per_lattice(monkeypatch):
-    # mu_max reduces and enumerates the lattice once (udeg and the rank-one
-    # candidates share one radius) and each compound of rank 2..r-1 once;
-    # udeg_max reduces the lattice once.  Only the lattice's reduction
-    # forms a reduced Gram matrix (gram_lll), sweeps (_lll_sweep) and
-    # eliminates (_ldl_scaled, the seed of its sweep).  One _compound_gso
+    # The lattice eliminates once, when it is built (_ldl_scaled, its
+    # Sylvester certificate and the seed of every sweep).  mu_max reduces
+    # and enumerates the lattice once (udeg and the rank-one candidates
+    # share one radius) and each compound of rank 2..r-1 once; udeg_max
+    # reduces the lattice once.  Only the lattice's reduction forms a
+    # reduced Gram matrix (gram_lll) and sweeps (_lll_from), starting from
+    # the stored data, and nothing in mu_max eliminates.  One _compound_gso
     # per lattice reads the GSO of every compound off the lattice's, each
     # level once, and each compound is enumerated from it once, with no
     # sweep of its own, unless its floor, which _walked_levels recomputes,
@@ -608,14 +625,16 @@ def test_one_reduction_per_lattice(monkeypatch):
     rng = random.Random(431)
     computed = lower = 0
     for r in range(1, 7):
-        L = lat.Lattice.from_rows(random_spd_matrix(rng, r, 2))
-        walked = _walked_levels(L, lat._steepest_radius)
+        rows = random_spd_matrix(rng, r, 2)
+        walked = _walked_levels(lat.Lattice.from_rows(rows), lat._steepest_radius)
         for entries in log.values():
             entries.clear()
+        L = lat.Lattice.from_rows(rows)
+        assert log["ldl"] == [r] and log["sweep"] == []  # one elimination, at construction
         lat.mu_max(L)
         middle = list(range(2, r))
         assert log["lll"] == [r]  # one reduced Gram matrix, the lattice's
-        assert log["ldl"] == [r]  # and one elimination, its GSO seed
+        assert log["ldl"] == [r]  # and no elimination after the construction's
         assert log["gso"] == ([middle] if middle else [])
         assert log["sweep"] == [r]  # the lattice's own sweep only
         # the lattice, then each compound its floor does not rule out, once
@@ -626,7 +645,7 @@ def test_one_reduction_per_lattice(monkeypatch):
         lower += sum(comb(len(minors), 2) for minors in log["minors"])
         log["lll"].clear()
         lat.udeg_max(L)
-        assert log["lll"] == [r]
+        assert log["lll"] == [r] and log["ldl"] == [r]
     assert 0 < computed < lower
     # a lattice whose middle levels hold no vector within the radius 1 of
     # its unit line: the floor skips every one of them, which builds no
@@ -764,9 +783,10 @@ def test_hn_is_one_candidate_pass(monkeypatch):
     rng = random.Random(432)
     for r in range(1, 7):
         diag = [[(1, 4, 16)[a % 3] if a == b else 0 for b in range(r)] for a in range(r)]
-        L = lat.Lattice.from_rows(_conjugate(diag, random_unimodular(rng, r, steps=6)))
+        rows = _conjugate(diag, random_unimodular(rng, r, steps=6))
         for entries in log.values():
             entries.clear()
+        L = lat.Lattice.from_rows(rows)  # its one elimination
         hn = lat.hn_filtration(L)
         middle = list(range(2, r))
         assert len(hn.chain) == min(r, 3)
@@ -858,18 +878,25 @@ def _candidates(L, radius):
 
 def test_candidate_pass_builds_only_winners(monkeypatch):
     """mu_max builds only the tied candidates of its witness's rank and
-    determinant, and hn_filtration one candidate per vertex; every other
-    candidate is kept as the determinant its enumeration norm gave it.  A
-    build of rank one or full rank is closed-form; only ranks strictly
-    between run saturate."""
+    determinant, and of tied lines only the least vector, and
+    hn_filtration one candidate per vertex; every other candidate is kept
+    as the determinant its enumeration norm gave it.  A build of rank one
+    or full rank is closed-form; only ranks strictly between run
+    saturate."""
     rng = random.Random(434)
     cases = []
+    tied_lines = 0
     for rb in (2, 2, 3, 2, 3, 2, 3, 3):
         T = lat.tensor(random_lattice(2, 3, rng), random_lattice(rb, 3, rng))
         _val, W = lat.mu_max(T)
         cands = _candidates(T, lat._steepest_radius)
-        tied = sum(1 for k, d, _cols in cands if k == W.rank and d == lat.sub_det(W))
-        cases.append((T, tied, len(lat.hn_filtration(T).chain), len(cands), len(_candidates(T, lat._hull_radius))))
+        tied = [cols for k, d, cols in cands if k == W.rank and d == lat.sub_det(W) * T.den**k]
+        if W.rank == 1:
+            tied_lines += len(tied) > 1
+            assert [list(row) for row in W.basis] == la.transpose(min(tied))
+            tied = tied[:1]
+        cases.append((T, len(tied), len(lat.hn_filtration(T).chain), len(cands), len(_candidates(T, lat._hull_radius))))
+    assert tied_lines >= 1
     real_saturated, real_saturate = lat._saturated, lat.saturate
     real_post_init = lat.SubLattice.__post_init__
     built, counts = [], {"saturate": 0, "sublattice": 0}
@@ -1417,7 +1444,7 @@ def _edge_morphisms(count, seed):
 
 def test_morphism_height_edge_families_match_fraction_oracle(monkeypatch):
     calls = _count_ldl(monkeypatch)
-    fallbacks = []
+    scalars = 0
     for t, (phi, family) in enumerate(_edge_morphisms(72, 4244)):
         bits = (10, 40, 64)[t // 12 % 3]  # each rank and family at each tolerance
         calls.clear()
@@ -1426,9 +1453,46 @@ def test_morphism_height_edge_families_match_fraction_oracle(monkeypatch):
             # the upper end stays the trace and is not tested: lambda reaches it
             assert len(calls) == 1, (t, bits)
         elif phi.source.rank > 1:
-            fallbacks.append(len(calls) > 2)
-    # a multiple root leaves midpoints that only a definiteness test decides
-    assert sum(fallbacks) > len(fallbacks) // 2
+            # lambda is a root of multiplicity k: the squarefree part
+            # encloses it exactly, and only the two end tests run
+            assert len(calls) == 2, (t, bits)
+            scalars += 1
+    assert scalars >= 20
+
+
+def _repeated_top_morphisms(seed):
+    """(phi, family) for source ranks 2-6: c * identity on a seeded lattice
+    E, whose lambda = c^2 is a root of multiplicity k, and a diagonal map
+    on a diagonal lattice whose two largest entries are equal, so lambda
+    is a double root with the other roots distinct or not."""
+    rng = random.Random(seed)
+    out = []
+    for rank in range(2, 7):
+        for _ in range(3):
+            E = _rational_lattice(rng, rank)
+            c = Fraction(rng.randint(1, 6), rng.randint(1, 4))
+            out.append((lat.Morphism.from_rows(E, E, [[c * (i == j) for j in range(rank)] for i in range(rank)]), "scalar"))
+            diag = [Fraction(rng.randint(1, 9), rng.randint(1, 3)) for _ in range(rank)]
+            D = lat.Lattice.from_rows([[diag[i] * (i == j) for j in range(rank)] for i in range(rank)])
+            top = Fraction(rng.randint(3, 7), rng.randint(1, 2))
+            entries = [top, -top] + [Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(rank - 2)]
+            out.append((lat.Morphism.from_rows(D, D, [[entries[i] * (i == j) for j in range(rank)] for i in range(rank)]), "diagonal"))
+    return out
+
+
+def test_morphism_height_at_a_multiple_root_runs_few_definiteness_tests(monkeypatch):
+    """Scalar maps and diagonal maps with a repeated top entry, ranks 2-6,
+    at 10, 40 and 64 bits: at most five Sylvester tests each, and the
+    brackets of the Fraction bisection.  A scalar map leaves Newton's upper
+    end stalled at a multiple root, where only definiteness tests would
+    decide the midpoints, some 70 of them at rank 6 and 64 bits."""
+    morphisms = _repeated_top_morphisms(4245)
+    calls = _count_ldl(monkeypatch)
+    for t, (phi, family) in enumerate(morphisms):
+        for bits in (10, 40, 64):
+            calls.clear()
+            assert lat.morphism_height(phi, bits) == fraction_morphism_height(phi, bits), (t, family, bits)
+            assert len(calls) <= 5, (t, family, bits, len(calls))
 
 
 def test_morphism_height_runs_no_positive_definite_test(monkeypatch):
@@ -1481,6 +1545,170 @@ def test_sublattice_and_morphism_json_roundtrip():
     assert lat.SubLattice.from_json(S.to_json()) == S
     phi = lat.Morphism.from_rows(L, unit_lattice(2), [[1, 0], [Fraction(1, 2), 1]])
     assert lat.Morphism.from_json(phi.to_json()) == phi
+
+
+# ---------------------------------------------------------------------------
+# the stored integer form
+
+
+@st.composite
+def rational_grams(draw):
+    """B^T B for a nonsingular B with entries p/q, with at least one
+    denominator left over: a rational Gram matrix with den > 1."""
+    r = draw(st.integers(1, 4))
+    entries = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 6))
+    B = draw(st.lists(st.lists(entries, min_size=r, max_size=r), min_size=r, max_size=r))
+    assume(la.det(B) != 0)
+    G = la.mat_mul(la.transpose(B), B)
+    assume(any(x.denominator > 1 for row in G for x in row))
+    return G
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(rational_grams())
+def test_stored_form_matches_the_fraction_gram(G):
+    """den, the integer rows of den * G and the LDL data of den * G stand in
+    for the Fraction Gram matrix G: gram, to_json (byte for byte), ==,
+    hash (that of (rank, gram), as for a dataclass of the two), the degree
+    and the JSON round trip all agree with G itself, whichever way the
+    lattice is built."""
+    r = len(G)
+    gram = tuple(map(tuple, G))
+    den = math.lcm(*[x.denominator for row in G for x in row])
+    L = lat.Lattice(r, gram)
+    assert L.den == den > 1 and L.rows == tuple(tuple(int(x * den) for x in row) for row in G)
+    A, D, _one = la._ldl_scaled(L.rows)
+    assert L.ldl == tuple(x for i, row in enumerate(A) for x in row[: i + 1])
+    assert lat._gso(L) == la.GSO([row[:i] for i, row in enumerate(A)], D, den)
+    assert L.gram == gram and L.gram_rows == [list(row) for row in G]
+    text = json.dumps({"rank": r, "gram": [[rat_to_str(x) for x in row] for row in G]}, sort_keys=True)
+    assert json.dumps(L.to_json(), sort_keys=True) == text
+    assert hash(L) == hash((r, gram))
+    assert lat.degree(L) == log_of(la.det(G), Fraction(-1, 2))
+    for M in (
+        lat.Lattice.from_rows(G),
+        lat.Lattice.from_json(json.loads(text)),
+        lat.Lattice.from_scaled([[3 * x for x in row] for row in L.rows], 3 * den),
+    ):
+        assert M == L and hash(M) == hash(L) and repr(M) == repr(L)
+        assert (M.den, M.rows, M.ldl) == (L.den, L.rows, L.ldl)
+    other = [list(row) for row in G]
+    other[0][0] += Fraction(1, den)
+    assert lat.Lattice.from_rows(other) != L
+    with pytest.raises(AttributeError):
+        L.den = 1
+
+
+def test_tensor_pivots_equal_the_ldl_of_the_kronecker_product():
+    """A tensor product eliminates nothing: its rows are the Kronecker
+    product of its factors', over the product of their den with any common
+    factor divided out, and its (lam, D) are those _ldl_scaled gives that
+    product.  It equals the lattice of the Fraction Kronecker product of
+    the Gram matrices.  Two and three factors, duals, rank one."""
+    rng = random.Random(449)
+    divided = 0
+    for t in range(200):
+        ranks = [(2, 2), (2, 3), (1, 3), (3, 2), (2, 1, 2), (1, 1)][t % 6]
+        factors = [random_lattice(r, 3, rng) for r in ranks]
+        factors = [lat.dual(L) if (t + i) % 3 == 0 else L for i, L in enumerate(factors)]
+        T = factors[0]
+        fraction_gram = factors[0].gram_rows
+        for L in factors[1:]:
+            T = lat.tensor(T, L)
+            fraction_gram = la.kron(fraction_gram, L.gram_rows)
+        A, D, _one = la._ldl_scaled(T.rows)
+        assert lat._gso(T) == la.GSO([row[:i] for i, row in enumerate(A)], D, T.den)
+        assert T == lat.Lattice.from_rows(fraction_gram)
+        divided += T.den < math.prod(L.den for L in factors)
+    assert divided >= 10
+
+
+def test_asymmetric_and_indefinite_grams_raise():
+    """Every way of building a lattice runs Sylvester's criterion: an
+    asymmetric, indefinite, semidefinite or ragged Gram matrix raises
+    ValueError, with integer and with rational entries."""
+    bad = [
+        [[1, 1], [0, 1]],
+        [[1, 2], [2, 1]],
+        [[0, 0], [0, 1]],
+        [[1, 1], [1, 1]],
+        [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 4), 1]],
+        [[Fraction(1, 2), 1], [1, Fraction(1, 2)]],
+        [[-1]],
+        [[1, 0], [0]],
+    ]
+    for rows in bad:
+        with pytest.raises(ValueError):
+            lat.Lattice.from_rows(rows)
+        with pytest.raises(ValueError):
+            lat.Lattice(len(rows), tuple(tuple(Fraction(x) for x in row) for row in rows))
+        with pytest.raises(ValueError):
+            lat.Lattice.from_json({"rank": len(rows), "gram": [[str(x) for x in row] for row in rows]})
+        den = math.lcm(*[Fraction(x).denominator for row in rows for x in row])
+        with pytest.raises(ValueError):
+            lat.Lattice.from_scaled([[int(Fraction(x) * den) for x in row] for row in rows], den)
+    with pytest.raises(ValueError):
+        lat.Lattice(3, ((Fraction(1),),))
+
+
+# the size of the 1,200 lattices of the tensor_mu_max benchmark inputs at
+# seed 10003, with the list of 600 pairs, when a lattice stored its Gram
+# matrix as Fractions
+FRACTION_INPUT_KIB = 589
+
+
+def test_benchmark_inputs_take_less_memory_than_fraction_grams():
+    """The 600 input pairs of the tensor_mu_max benchmark at seed 10003 (two
+    random_lattice draws per pair, of ranks (2, 2), or (2, 3) once in five)
+    hold less memory, with the stored integer form and its certificate,
+    than the Fraction Gram matrices alone did."""
+
+    def inputs(seed):
+        rng = random.Random("tensor_mu_max:%d" % seed)
+        out = []
+        for _ in range(120):
+            big = rng.randrange(5)
+            for k in range(5):
+                out.append((random_lattice(2, 3, rng), random_lattice(3 if k == big else 2, 3, rng)))
+        return out
+
+    inputs(1)  # a first draw fills whatever the process caches
+    gc.collect()
+    tracemalloc.start()
+    try:
+        pairs = inputs(10003)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(pairs) == 600
+    assert held < FRACTION_INPUT_KIB * 1024, held / 1024
+
+
+def test_mu_min_equals_the_last_hn_slope():
+    """mu_min, taken as -mu_max of the integer dual, is the last slope of
+    the HN filtration on 1,050 seeded lattices of ranks 1-6: a third
+    duals, and tensor products of ranks 4 and 6.  Above the rank limit it
+    raises as hn_filtration does."""
+    rng = random.Random(450)
+    count = 0
+    for t in range(1050):
+        kind = t % 3
+        if kind == 2:
+            rb = (2, 3)[t // 3 % 2]
+            L = lat.tensor(random_lattice(2, 2 + t % 2, rng), random_lattice(rb, 2, rng))
+        else:
+            L = random_lattice(1 + t % 6, 3, rng)
+            if kind == 1:
+                L = lat.dual(L)
+        assert lat.mu_min(L) == lat.hn_filtration(L).slopes[-1], t
+        count += 1
+    assert count >= 1000
+    big = random_lattice(lat.EXACT_RANK_LIMIT + 1, 2, random.Random(1))
+    with pytest.raises(lat.ExactSearchUnavailable):
+        lat.mu_min(big)
+    with pytest.raises(lat.ExactSearchUnavailable):
+        lat.mu_min(random_lattice(3, 2, rng), rank_limit=2)
 
 
 # ---------------------------------------------------------------------------
