@@ -42,7 +42,9 @@ never on a point, and its cache_info() counts hits and misses.  Besides
 the support minimum: the seed options of an axis per span of the slices
 of v_x, read off the integer point by one elimination (_span_options); the
 checked filtration of a weighted basis per (basis, weights) (_component);
-the adapted basis per filtration (_adapted); and the outcome of the
+the adapted basis per filtration (_adapted); the reduction data of
+rr_reduce, checks included, per (shape, integer adapted weights, c_tilde,
+support in the adapted bases) (_reduction_plan); and the outcome of the
 coordinate test of reduced_is_semistable per set of gradients.  A memo
 hands the same object to every caller, so no caller mutates what it gets.
 
@@ -201,7 +203,7 @@ class ReducedInstance:
 
     beta: int
     minimizer: FiltrationTuple
-    block_jumps: Tuple[Tuple[Fraction, ...], ...]
+    block_jumps: Tuple[Tuple[int, ...], ...]
     block_ranks: Tuple[Tuple[int, ...], ...]
     N: int
     a: Tuple[Tuple[int, ...], ...]
@@ -301,22 +303,14 @@ def _cells(shape: Tuple[int, ...]) -> Tuple[Tuple[int, ...], ...]:
     return tuple(itertools.product(*(range(r) for r in shape)))
 
 
-def _min_weight(shape: Sequence[int], coords: Sequence[int], weights: Sequence[Sequence]):
-    """Least weight sum over the support of coords."""
-    sums = [
-        sum(w[j] for w, j in zip(weights, idx)) for c, idx in zip(coords, _cells(shape)) if c
-    ]
-    if not sums:
-        raise ValueError("a nonzero point has a nonzero coordinate in every basis")
-    return min(sums)
-
-
 def _lambda_weighted(x: TensorPoint, bases: Sequence[_WeightedBasis]):
     """Value at v_x of the tensor product of the filtrations the weighted
-    bases define.  It depends only on which coordinates are nonzero, so the
+    bases define, the least weight sum over the support of v_x in the
+    bases.  It depends only on which coordinates are nonzero, so the
     integer coordinate change is never divided."""
     coords, _ = _scaled_coordinates(x, [B.change for B in bases])
-    return _min_weight(x.shape, coords, [B.weights for B in bases])
+    support = _nonzero_cells(coords, _cells(x.shape))
+    return min(sum(B.weights[j] for B, j in zip(bases, idx)) for idx in support)
 
 
 def _check_shapes(x: TensorPoint, T: FiltrationTuple) -> None:
@@ -778,15 +772,82 @@ def is_semistable(x: TensorPoint, rng_seed: int = 0) -> Verdict:
 # reduction to the graded subquotient instance
 
 
+class _ReductionPlan(NamedTuple):
+    """What rr_reduce reads off the canonical data of a minimizer: the
+    level beta, the blocks, N, a, b and the groups with their shapes, and
+    for each group the (flat index, position) of its level-beta support
+    cells in position order.  Only ints and tuples of ints."""
+
+    beta: int
+    block_jumps: Tuple[Tuple[int, ...], ...]
+    block_ranks: Tuple[Tuple[int, ...], ...]
+    N: int
+    a: Tuple[Tuple[int, ...], ...]
+    b: Tuple[Tuple[int, ...], ...]
+    groups: Tuple[Tuple[int, ...], ...]
+    shapes: Tuple[Tuple[int, ...], ...]
+    cells: Tuple[Tuple[Tuple[int, Tuple[int, ...]], ...], ...]
+
+
+@functools.lru_cache(maxsize=4096)
+def _reduction_plan(
+    shape: Tuple[int, ...], weights: Tuple[Tuple[int, ...], ...], c_tilde: Fraction, support: _Support
+) -> _ReductionPlan:
+    """The reduction data of a minimizer with these integer adapted weights
+    and this c_tilde, at a point with this support in the adapted bases,
+    built once per such datum in a process.
+
+    The jumps of factor i are its distinct weights and their ranks the
+    counts.  With c_tilde = p/q, N is the least common multiple of the r_i
+    and of the denominators of p lam / (q r_i), a_j = -N p lam_j / (q r_i)
+    and b_j = N / r_i + a_j, all on integers.  The checks sum a_j r_j = 0
+    and b_j >= 0 run before the plan is stored, so a failed check stores
+    nothing.  A support cell lies in the group of its weight levels, at the
+    position of each basis vector within its level; a (level, position)
+    pair names one adapted basis vector, so distinct cells never meet."""
+    jumps = [sorted(set(ws)) for ws in weights]
+    ranks = tuple([tuple([ws.count(lam) for lam in js]) for ws, js in zip(weights, jumps)])
+    p, q = c_tilde.numerator, c_tilde.denominator
+    N = math.lcm(*shape, *[q * r // math.gcd(p * lam, q * r) for js, r in zip(jumps, shape) for lam in js])
+    a = tuple([tuple([-N * p * lam // (q * r) for lam in js]) for js, r in zip(jumps, shape)])
+    b = tuple([tuple([N // r + aj for aj in row]) for row, r in zip(a, shape)])
+    for arow, brow, rks in zip(a, b, ranks):
+        if sum(aj * rj for aj, rj in zip(arow, rks)) != 0:
+            raise SearchNotConverged("sum of a_j r_j is not zero")
+        if any(bj < 0 for bj in brow):
+            raise SearchNotConverged("negative b_j")
+    levels = [[js.index(w) for w in ws] for ws, js in zip(weights, jumps)]
+    positions = [[ws[:j].count(w) for j, w in enumerate(ws)] for ws in weights]
+    sums = {idx: sum(ws[j] for ws, j in zip(weights, idx)) for idx in support}
+    beta = min(sums.values())
+    grouped: Dict[Tuple[int, ...], List[Tuple[int, Tuple[int, ...]]]] = {}
+    for flat, idx in enumerate(_cells(shape)):
+        if sums.get(idx) == beta:
+            g = tuple([lv[j] for lv, j in zip(levels, idx)])
+            grouped.setdefault(g, []).append((flat, tuple([pos[j] for pos, j in zip(positions, idx)])))
+    if not grouped:
+        raise SearchNotConverged("the level-beta projection of the minimal layer is zero")
+    groups = tuple(sorted(grouped))
+    return _ReductionPlan(
+        beta, tuple(map(tuple, jumps)), ranks, N, a, b, groups,
+        tuple([tuple([rks[gi] for rks, gi in zip(ranks, g)]) for g in groups]),
+        tuple([tuple(sorted(grouped[g], key=lambda cell: cell[1])) for g in groups]),
+    )
+
+
 def rr_reduce(x: TensorPoint, M: MinimizationResult) -> ReducedInstance:
     """Project an unstable point onto the graded pieces of its minimizer
     and certify the minimizer optimal.
 
     Builds the level-beta layer of the tensor filtration, the minimal
-    integer N making all a = -N c l / r integral, and b = N/r + a.  The
-    coordinates of v_x in the adapted bases of the minimizer (M.adapted,
-    built once per filtration in a process) come from one integer
-    coordinate change and are divided once, for the projection.
+    integer N making all a = -N c l / r integral, and b = N/r + a.  All of
+    that depends on the minimizer's integer weights in its adapted bases
+    (M.adapted, built once per filtration in a process), on c_tilde and on
+    the support of v_x in those bases alone, so it is planned once per such
+    datum (_reduction_plan), checks included.  Per point there remain one
+    integer coordinate change, its support and a plan lookup, one division
+    per level-beta cell for the projection, the letters and the witness
+    search.
     The projection is the limit point of the Kirwan-Ness criterion (see
     the module docstring), so M is the Kempf minimizer exactly when it is
     semistable for the Levi subgroup, the product of the GL of the blocks,
@@ -801,72 +862,29 @@ def rr_reduce(x: TensorPoint, M: MinimizationResult) -> ReducedInstance:
     """
     if not M.is_destabilizing:
         raise ValueError("reduction needs a destabilizing result (c < 0)")
-    comps = M.minimizer.components
-    for F in comps:
+    for F in M.minimizer.components:
         if any(l.denominator != 1 for l in F.jumps):
             raise ValueError("reduction needs integer jumps")
     _check_shapes(x, M.minimizer)
-    n = len(comps)
-    # coordinates of v_x in the product of adapted bases, tagged by level
     adapted = M.adapted
     coords, scale = _scaled_coordinates(x, [B.change for B in adapted])
-    beta_q = _min_weight(x.shape, coords, [B.weights for B in adapted])
-    if beta_q.denominator != 1:
-        raise SearchNotConverged("the minimizer value at v_x is not an integer")
-    beta = int(beta_q)
-    c_tilde = M.c_tilde
-
-    block_jumps = tuple([F.jumps for F in comps])
-    block_ranks = tuple([F.multiplicities() for F in comps])
-
-    N = math.lcm(
-        *[F.dim for F in comps], *[(c_tilde * lam / F.dim).denominator for F in comps for lam in F.jumps]
+    plan = _reduction_plan(
+        x.shape,
+        tuple([tuple([w.numerator for w in B.weights]) for B in adapted]),
+        M.c_tilde,
+        _nonzero_cells(coords, _cells(x.shape)),
     )
-    a = tuple([tuple([int(-N * c_tilde * lam / F.dim) for lam in F.jumps]) for F in comps])
-    b = tuple([tuple([N // F.dim + aj for aj in arow]) for F, arow in zip(comps, a)])
-    for i in range(n):
-        if sum(aj * rj for aj, rj in zip(a[i], block_ranks[i])) != 0:
-            raise SearchNotConverged("sum of a_j r_j is not zero")
-        if any(bj < 0 for bj in b[i]):
-            raise SearchNotConverged("negative b_j")
-
-    levels = [[F.jumps.index(w) for w in B.weights] for F, B in zip(comps, adapted)]
-    positions: List[List[int]] = []
-    for lv in levels:
-        seen: Dict[int, int] = {}
-        pos = []
-        for j in lv:
-            pos.append(seen.get(j, 0))
-            seen[j] = seen.get(j, 0) + 1
-        positions.append(pos)
-
-    grouped: Dict[Tuple[int, ...], Dict[Tuple[int, ...], int]] = {}
-    for cval, idx in zip(coords, _cells(x.shape)):
-        if not cval:
-            continue
-        g = tuple([levels[i][idx[i]] for i in range(n)])
-        if sum(comps[i].jumps[g[i]] for i in range(n)) != beta:
-            continue
-        t = tuple([positions[i][idx[i]] for i in range(n)])
-        cell = grouped.setdefault(g, {})
-        cell[t] = cell.get(t, 0) + cval
-    grouped = {
-        g: {t: Fraction(v, scale) for t, v in m.items() if v} for g, m in grouped.items()
-    }
-    grouped = {g: m for g, m in grouped.items() if m}
-    if not grouped:
-        raise SearchNotConverged("the level-beta projection of the minimal layer is zero")
-    groups = tuple(sorted(grouped))
     reduced = tuple([
-        TensorPoint.from_map([block_ranks[i][g[i]] for i in range(n)], grouped[g])
-        for g in groups
+        TensorPoint(shape, tuple([(t, Fraction(coords[flat], scale)) for flat, t in cells]))
+        for shape, cells in zip(plan.shapes, plan.cells)
     ])
+    N, b, block_ranks = plan.N, plan.b, plan.block_ranks
 
     # blocks flattened in factor order are the letters; the point of group
     # g feeds one slot to each block (i, g_i)
     offsets = list(itertools.accumulate((len(row) for row in block_ranks), initial=0))
     letters = {}
-    for g, point in zip(groups, reduced):
+    for g, point in zip(plan.groups, reduced):
         alpha = [0] * offsets[-1]
         for i, gi in enumerate(g):
             alpha[offsets[i] + gi] = 1
@@ -890,7 +908,7 @@ def rr_reduce(x: TensorPoint, M: MinimizationResult) -> ReducedInstance:
             "the Levi witness search exceeded its budget of %d steps" % LEVI_BUDGET
         )
     return ReducedInstance(
-        beta, M.minimizer, block_jumps, block_ranks, N, a, b, groups, reduced, witness
+        plan.beta, M.minimizer, plan.block_jumps, block_ranks, N, plan.a, b, plan.groups, reduced, witness
     )
 
 

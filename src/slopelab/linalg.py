@@ -36,9 +36,9 @@ its paths and their cofactors, and _compound_floors gives the least
 Gram-Schmidt norm of each level, below which a level holds no vector.
 The index tables of those minors and of the wedge rows depend only on
 (n, k) and are built once per process on first use (_subset_table).
-compound_matrix is the last level of one integer Laplace tower,
-_compound_tower.  Positive definiteness is Sylvester's criterion on
-_ldl_scaled.
+An exterior power as a lattice is the last level of one integer Laplace
+tower, _compound_tower.  Positive definiteness is Sylvester's criterion
+on _ldl_scaled.
 """
 
 from __future__ import annotations
@@ -62,14 +62,6 @@ def frac_rows(rows) -> Matrix:
     return [[Fraction(x) for x in row] for row in rows]
 
 
-def identity(n: int) -> Matrix:
-    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-
-
-def zeros(m: int, n: int) -> Matrix:
-    return [[Fraction(0)] * n for _ in range(m)]
-
-
 def transpose(M: Sequence[Sequence]) -> list:
     return [list(col) for col in zip(*M)] if M else []
 
@@ -81,10 +73,6 @@ def mat_mul(A: Sequence[Sequence], B: Sequence[Sequence]) -> Matrix:
 
 def mat_vec(A: Sequence[Sequence], v: Sequence) -> Vector:
     return [sum(map(mul, row, v)) for row in A]
-
-
-def vec_dot(u: Sequence, v: Sequence) -> Fraction:
-    return sum(map(mul, u, v))
 
 
 def _common_scaled(M: Sequence[Sequence]) -> Tuple[List[List[int]], int]:
@@ -155,11 +143,6 @@ def _int_det(W: Sequence[Sequence[int]]) -> int:
     return sign * d
 
 
-def det(M: Sequence[Sequence]) -> Fraction:
-    W, scales = _scaled_rows(M)
-    return Fraction(_int_det(W), prod(scales))
-
-
 def solve_scaled(A: Sequence[Sequence], B: Sequence[Sequence]) -> Optional[Tuple[int, List[List[int]]]]:
     """(d, d A^-1 B) over the integers, d a nonzero integer, from one
     elimination of [A | B] in A's columns; None when A is singular.
@@ -179,10 +162,6 @@ def _solve(A: Sequence[Sequence], B: Sequence[Sequence], message: str) -> Matrix
         raise SingularMatrixError(message)
     d, W = scaled
     return [[Fraction(x, d) for x in row] for row in W]
-
-
-def inverse(M: Sequence[Sequence]) -> Matrix:
-    return _solve(M, identity(len(M)), "matrix is singular")
 
 
 def solve_square(A: Sequence[Sequence], b: Sequence) -> Vector:
@@ -425,40 +404,11 @@ def _compound_floors(D: Sequence[int], top: int) -> List[Tuple[int, int]]:
     return floors
 
 
-def compound_matrix(M: Sequence[Sequence], k: int) -> Matrix:
-    """k-th compound: entries are the k x k minors on sorted index sets,
-    the last level of _compound_tower(M, k) divided by den^k."""
-    if k > len(M):
-        return []
-    T, scale = [[1]], 1  # level 0 is the empty minor, 1
-    for _k, T, scale in _compound_tower(M, k):
-        pass
-    sym = is_symmetric(M)
-    C: Matrix = []
-    for a, row in enumerate(T):
-        # on symmetric input the lower triangle shares the upper's Fractions
-        head = [C[b][a] for b in range(a)] if sym else [Fraction(x, scale) for x in row[:a]]
-        C.append(head + [Fraction(x, scale) for x in row[a:]])
-    return C
-
-
 def is_symmetric(M: Sequence[Sequence]) -> bool:
     n = len(M)
     return all(len(row) == n for row in M) and all(
         M[i][j] == M[j][i] for i in range(n) for j in range(i)
     )
-
-
-def is_positive_definite(M: Sequence[Sequence]) -> bool:
-    """Sylvester's criterion: M is symmetric and _ldl_scaled finds every
-    leading minor positive."""
-    if not is_symmetric(M):
-        return False
-    try:
-        _ldl_scaled(M)
-    except SingularMatrixError:
-        return False
-    return True
 
 
 def _ldl_scaled(G: Sequence[Sequence]) -> Tuple[List[List[int]], List[int], int]:
@@ -753,16 +703,6 @@ def _gso_divided(gso: GSO, g: int) -> GSO:
         [x // g**k for k, x in enumerate(D)],
         den // g,
     )
-
-
-def short_vectors_gram(G: Sequence[Sequence], bound: Fraction) -> List[Tuple[Tuple[int, ...], Fraction]]:
-    """All nonzero v in Z^n with v^T G v <= bound, up to sign.
-
-    Reduces G with _lll_sweep, which forms no reduced Gram matrix, then
-    enumerates with short_vectors_reduced.  A caller that already holds
-    the reduction of G should call short_vectors_reduced directly.
-    """
-    return short_vectors_reduced(*_lll_sweep(G), bound)
 
 
 def short_vectors_reduced(

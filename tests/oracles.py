@@ -52,6 +52,11 @@ sums integer endpoints over one common denominator), and LogValues are
 added and built through a dict of coefficients (the library merges sorted
 terms).
 
+Small matrix helpers that only the tests call sit here as well, as thin
+wrappers over the library's integer kernels: identity, vec_dot, det,
+inverse, the compound matrix, Sylvester's criterion and short vectors of
+a Gram matrix.
+
 The sampled optimality checks of the Kempf minimizer run here as oracles:
 the estimation inequality at random challenge tuples, the subquotient
 inequality reduced_mu >= 0 at random block filtrations, and the
@@ -64,12 +69,13 @@ import math
 import random
 from dataclasses import replace
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
 from math import isqrt
 from typing import NamedTuple, Sequence
 
 from slopelab import filtration as fil
 from slopelab import gitstab as gs
+from slopelab import invariants
 from slopelab import lattice as lat
 from slopelab import linalg as la
 from slopelab.exactnum import AlgValue, Interval, LogValue, Order, compare, factorize, log_of
@@ -93,8 +99,64 @@ def kernel(M, ncols=None):
     return la.rref(basis)[0] if basis else []
 
 
+def identity(n):
+    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+
+
+def vec_dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
+def det(M):
+    """Determinant of a rational matrix: each row scaled to integers and
+    the library's Bareiss forward pass (_int_det)."""
+    W, scales = la._scaled_rows(M)
+    return Fraction(la._int_det(W), math.prod(scales))
+
+
+def inverse(M):
+    """The inverse of a rational matrix by the library's elimination of
+    [M | I]; SingularMatrixError when M is singular."""
+    return la._solve(M, identity(len(M)), "matrix is singular")
+
+
+def compound_matrix(M, k):
+    """k-th compound: entries are the k x k minors on sorted index sets,
+    the last level of the library's _compound_tower(M, k) divided by den^k."""
+    if k > len(M):
+        return []
+    T, scale = [[1]], 1  # level 0 is the empty minor, 1
+    for _k, T, scale in la._compound_tower(M, k):
+        pass
+    sym = la.is_symmetric(M)
+    C = []
+    for a, row in enumerate(T):
+        # on symmetric input the lower triangle shares the upper's Fractions
+        head = [C[b][a] for b in range(a)] if sym else [Fraction(x, scale) for x in row[:a]]
+        C.append(head + [Fraction(x, scale) for x in row[a:]])
+    return C
+
+
+def is_positive_definite(M):
+    """Sylvester's criterion: M is symmetric and the library's _ldl_scaled
+    finds every leading minor positive."""
+    if not la.is_symmetric(M):
+        return False
+    try:
+        la._ldl_scaled(M)
+    except SingularMatrixError:
+        return False
+    return True
+
+
+def short_vectors_gram(G, bound):
+    """All nonzero v in Z^n with v^T G v <= bound, up to sign: G reduced
+    by the library's _lll_sweep and enumerated by short_vectors_reduced."""
+    return la.short_vectors_reduced(*la._lll_sweep(G), bound)
+
+
 def unit_lattice(rank):
-    return Lattice.from_rows(la.identity(rank))
+    return Lattice.from_rows(identity(rank))
 
 
 def coord_map(x):
@@ -618,8 +680,8 @@ def quotient_bundle(S):
     k = S.rank
     if k == S.ambient.rank:
         return Lattice(0, ())
-    inv = la.inverse(la.mat_mul(la.transpose(Uinv), la.mat_mul(S.ambient.gram_rows, Uinv)))
-    return Lattice.from_rows(la.inverse([row[k:] for row in inv[k:]]))
+    inv = inverse(la.mat_mul(la.transpose(Uinv), la.mat_mul(S.ambient.gram_rows, Uinv)))
+    return Lattice.from_rows(inverse([row[k:] for row in inv[k:]]))
 
 
 def saturated_from_rational_rows(L, rows):
@@ -631,7 +693,7 @@ def saturated_from_rational_rows(L, rows):
 
 def fraction_rank_candidates(L, Gred, U, shortest):
     """lat._rank_candidates with each exterior power built on its own by
-    la.compound_matrix, as Fractions, and enumerated with its norms as they
+    compound_matrix, as Fractions, and enumerated with its norms as they
     come.  Gred is den U^T G U, as gram_lll returns it, so the norm of a
     rank-k vector is den^k det S, the determinant the library lists; the
     rank-one norms of ``shortest``, norms of G, are multiplied by den.
@@ -641,12 +703,12 @@ def fraction_rank_candidates(L, Gred, U, shortest):
     den = la._common_scaled(L.gram_rows)[1]
     found = [(1, norm * den, [list(v)]) for v, norm in shortest if r > 1 and math.gcd(*v) == 1]
     for k in range(2, r):
-        C = la.compound_matrix(Gred, k)
-        for w, norm in la.short_vectors_gram(C, C[0][0]):
+        C = compound_matrix(Gred, k)
+        for w, norm in short_vectors_gram(C, C[0][0]):
             ker = lat._decomposable_kernel(w, r, k) if math.gcd(*w) == 1 else None
             if ker is not None:
                 found.append((k, norm, la.mat_mul(ker, la.transpose(U))))
-    found.append((r, la.det(Gred), [[int(i == j) for j in range(r)] for i in range(r)]))
+    found.append((r, det(Gred), [[int(i == j) for j in range(r)] for i in range(r)]))
     return found
 
 
@@ -701,7 +763,7 @@ def unpruned_rank_candidates(L, U, gso, shortest, radius=None):
                 ker = lat._decomposable_kernel(w, r, k) if math.gcd(*w) == 1 else None
                 if ker is not None:
                     found.append((k, norm, la.mat_mul(ker, la.transpose(U))))
-    found.append((r, la.det(L.gram) * den**r, [[int(i == j) for j in range(r)] for i in range(r)]))
+    found.append((r, det(L.gram) * den**r, [[int(i == j) for j in range(r)] for i in range(r)]))
     return found
 
 
@@ -1045,7 +1107,7 @@ def intersect_row_spaces(A, B):
     vecs = []
     for combo in combos:
         y = combo[: len(A)]
-        vecs.append([la.vec_dot(y, [A[i][c] for i in range(len(A))]) for c in range(ncols)])
+        vecs.append([vec_dot(y, [A[i][c] for i in range(len(A))]) for c in range(ncols)])
     return la.rref(vecs)[0] if vecs else []
 
 
@@ -1083,7 +1145,7 @@ def common_compatible_basis(F, G, rng=None):
                     [Fraction(rng.randrange(-2, 3)) for _ in range(len(cands))]
                     for _ in range(len(cands))
                 ]
-                if la.det(M) != 0:
+                if det(M) != 0:
                     mixed = la.mat_mul(M, cands)
             cands = mixed
         picked = fil._extend(below, cands)
@@ -1325,7 +1387,7 @@ def _echelon_options(rows, r):
     """The identity of rank r, then the echelon basis of the rref rows
     completed by fraction_extend unless it is the identity."""
     options = [gs._identity_basis(r)]
-    ech = fil.CompatibleBasis(tuple(map(tuple, rows + fraction_extend(rows, la.identity(r)))))
+    ech = fil.CompatibleBasis(tuple(map(tuple, rows + fraction_extend(rows, identity(r)))))
     if ech not in options:
         options.append(ech)
     return options
@@ -1563,6 +1625,102 @@ def levi_witness_value(R):
         alphas = [W.alphas[j] for j in copies]
         value *= composed_det_value([letters[a] for a in alphas], alphas, sigma, ranks)
     return value
+
+
+def fraction_rr_reduce(x, M):
+    """rr_reduce computed afresh for every point, in Fractions throughout:
+    the level beta as the least weight sum over the adapted support, N, a
+    and b from c_tilde and the jumps as Fractions, and the level-beta cells
+    summed per (group, position) (the library plans all of that once per
+    canonical datum, on integers).  The letters and the Levi witness search
+    are the library's, with the same budget, so the result and every
+    refusal message must match rr_reduce exactly."""
+    if not M.is_destabilizing:
+        raise ValueError("reduction needs a destabilizing result (c < 0)")
+    comps = M.minimizer.components
+    for F in comps:
+        if any(l.denominator != 1 for l in F.jumps):
+            raise ValueError("reduction needs integer jumps")
+    gs._check_shapes(x, M.minimizer)
+    n = len(comps)
+    adapted = M.adapted
+    coords, scale = gs._scaled_coordinates(x, [B.change for B in adapted])
+    cells = list(product(*(range(r) for r in x.shape)))
+    beta_q = min(
+        sum(B.weights[j] for B, j in zip(adapted, idx)) for c, idx in zip(coords, cells) if c
+    )
+    if beta_q.denominator != 1:
+        raise gs.SearchNotConverged("the minimizer value at v_x is not an integer")
+    beta = int(beta_q)
+    c_tilde = M.c_tilde
+
+    block_jumps = tuple([F.jumps for F in comps])
+    block_ranks = tuple([F.multiplicities() for F in comps])
+
+    N = math.lcm(
+        *[F.dim for F in comps], *[(c_tilde * lam / F.dim).denominator for F in comps for lam in F.jumps]
+    )
+    a = tuple([tuple([int(-N * c_tilde * lam / F.dim) for lam in F.jumps]) for F in comps])
+    b = tuple([tuple([N // F.dim + aj for aj in arow]) for F, arow in zip(comps, a)])
+    for i in range(n):
+        if sum(aj * rj for aj, rj in zip(a[i], block_ranks[i])) != 0:
+            raise gs.SearchNotConverged("sum of a_j r_j is not zero")
+        if any(bj < 0 for bj in b[i]):
+            raise gs.SearchNotConverged("negative b_j")
+
+    levels = [[F.jumps.index(w) for w in B.weights] for F, B in zip(comps, adapted)]
+    positions = []
+    for lv in levels:
+        seen = {}
+        pos = []
+        for j in lv:
+            pos.append(seen.get(j, 0))
+            seen[j] = seen.get(j, 0) + 1
+        positions.append(pos)
+
+    grouped = {}
+    for cval, idx in zip(coords, cells):
+        if not cval:
+            continue
+        g = tuple([levels[i][idx[i]] for i in range(n)])
+        if sum(comps[i].jumps[g[i]] for i in range(n)) != beta:
+            continue
+        t = tuple([positions[i][idx[i]] for i in range(n)])
+        cell = grouped.setdefault(g, {})
+        cell[t] = cell.get(t, Fraction(0)) + Fraction(cval, scale)
+    grouped = {g: {t: v for t, v in m.items() if v} for g, m in grouped.items()}
+    grouped = {g: m for g, m in grouped.items() if m}
+    if not grouped:
+        raise gs.SearchNotConverged("the level-beta projection of the minimal layer is zero")
+    groups = tuple(sorted(grouped))
+    reduced = tuple([
+        gs.TensorPoint.from_map([block_ranks[i][g[i]] for i in range(n)], grouped[g]) for g in groups
+    ])
+
+    offsets = list(accumulate((len(row) for row in block_ranks), initial=0))
+    letters = {}
+    for g, point in zip(groups, reduced):
+        alpha = [0] * offsets[-1]
+        for i, gi in enumerate(g):
+            alpha[offsets[i] + gi] = 1
+        letters[tuple(alpha)] = point
+    twists = [bj for row in b for bj in row]
+    g = math.gcd(N, *twists)
+    witness = invariants.invariant_witness_search(
+        letters,
+        [t // g for t in twists],
+        N // g,
+        2 * g,
+        budget=gs.LEVI_BUDGET,
+        ranks=[rk for row in block_ranks for rk in row],
+    )
+    if witness is None:
+        raise gs.SearchNotConverged("no Levi witness up to degree %d" % (2 * N))
+    if witness == invariants.BUDGET_EXCEEDED:
+        raise gs.SearchNotConverged(
+            "the Levi witness search exceeded its budget of %d steps" % gs.LEVI_BUDGET
+        )
+    return gs.ReducedInstance(beta, M.minimizer, block_jumps, block_ranks, N, a, b, groups, reduced, witness)
 
 
 # ---------------------------------------------------------------------------

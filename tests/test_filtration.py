@@ -11,6 +11,7 @@ from oracles import (
     assemble_from_subquotients,
     common_compatible_basis,
     coordinates,
+    det,
     direct_sum,
     fraction_adapted_basis,
     fraction_extend,
@@ -25,7 +26,7 @@ from oracles import (
 def rand_filtration(rng, dim, pool=(-2, -1, 0, 1, 2)):
     while True:
         M = [[Fraction(rng.randrange(-3, 4)) for _ in range(dim)] for _ in range(dim)]
-        if la.det(M) != 0:
+        if det(M) != 0:
             break
     ws = [Fraction(rng.choice(pool)) for _ in range(dim)]
     if rng.random() < 0.3:

@@ -19,6 +19,7 @@ from slopelab import gitstab as gs
 from slopelab import linalg as la
 from slopelab.exactnum import AlgValue
 from slopelab.filtration import CompatibleBasis, FiltrationTuple
+import oracles
 from oracles import (
     big_lambda,
     block_rounds_semistable,
@@ -30,6 +31,7 @@ from oracles import (
     fraction_inverse,
     fraction_lambda_in_bases,
     fraction_random_rows,
+    fraction_rr_reduce,
     fresh_seed_bases,
     grid_min_lambda,
     is_trivial,
@@ -528,7 +530,7 @@ def test_no_memo_entry_changes_over_a_pass(monkeypatch):
     points = [x for shape, size in KEMPF_KINDS for x in _seeded_points(rng, shape, [size], 4)]
     first = [_reports(x) for x in points]
     before = _memo_snapshot(built)
-    assert len(before) == 8 and all(before.values())
+    assert len(before) == 9 and all(before.values())
     assert [_reports(x) for x in points] == first
     assert _memo_snapshot(built) == before
 
@@ -594,7 +596,8 @@ def test_caches_stop_at_their_cap(monkeypatch):
     memos = _memos(gs)
     assert {name: memo.cache_info().maxsize for name, memo in memos.items()} == {
         "_adapted": 4096, "_cells": 4096, "_component": 4096, "_coordinate_test": 4096,
-        "_identity_basis": 4096, "_random_seeds": 64, "_span_options": 4096, "_support_minimum": 4096,
+        "_identity_basis": 4096, "_random_seeds": 64, "_reduction_plan": 4096, "_span_options": 4096,
+        "_support_minimum": 4096,
     }
     for name, memo in memos.items():
         monkeypatch.setattr(gs, name, functools.lru_cache(maxsize=5)(memo.__wrapped__))
@@ -618,7 +621,7 @@ def test_caches_stop_at_their_cap(monkeypatch):
                 assert gs.rr_reduce(x, again) == R
     # one shape of two ranks: one list of cells, two identities
     per_point = [n for name, n in sizes().items() if name not in ("_cells", "_identity_basis")]
-    assert per_point == [5] * 6
+    assert per_point == [5] * 7
     assert (sizes()["_cells"], sizes()["_identity_basis"]) == (1, 2)
     for r in range(1, 9):
         assert gs._cells((r, 2)) == tuple(itertools.product(range(r), range(2)))
@@ -1109,7 +1112,7 @@ def test_challenge_loop_eliminates_once_per_draw(monkeypatch):
 
     monkeypatch.setattr(gs.la, "_eliminate", counting_elim)
     monkeypatch.setattr(gs.la, "rank", counting_rank)
-    for module, name in ((gs.la, "inverse"), (gs.la, "rref"), (gs.la, "det"), (fil, "make")):
+    for module, name in ((oracles, "inverse"), (gs.la, "rref"), (oracles, "det"), (fil, "make")):
         counting(module, name)
 
     challenges, seed = 40, 3
@@ -1202,6 +1205,117 @@ def test_rr_invariants_on_random_unstable_points():
         assert levi_witness_value(R) == R.witness.value != 0
         assert gs.reduced_is_semistable(R).semistable
         found += 1
+
+
+# the eight shapes of the ROADMAP's 2,400-point set
+PLAN_SHAPES = ((2, 2), (2, 3), (3, 3), (2, 2, 2), (3, 3, 2), (2, 3, 3), (2, 2, 2, 2), (4, 4))
+
+
+def _drawn_points(rng, shape, count):
+    """Points of the shape with a support of randint(1, cells) cells and
+    entries in +-{1, 2, 3}, drawn in the order of the ROADMAP's point set."""
+    cells = list(itertools.product(*[range(r) for r in shape]))
+    for _ in range(count):
+        size = rng.randint(1, len(cells))
+        coords = {c: F(rng.choice((-3, -2, -1, 1, 2, 3))) for c in rng.sample(cells, size)}
+        yield gs.TensorPoint.from_map(shape, coords)
+
+
+def _reduction_or_refusal(reduce, x, M):
+    try:
+        return json.dumps(reduce(x, M).to_json(), sort_keys=True)
+    except gs.SearchNotConverged as exc:
+        return str(exc)
+
+
+def test_reduction_plan_matches_fraction_oracle(monkeypatch):
+    """rr_reduce read off its plan gives the JSON of the Fraction reduction
+    computed afresh (oracles.fraction_rr_reduce) byte for byte, refusal
+    messages included, on every unstable point of the 2,400-point set: 150
+    points per shape from random.Random(g), g = 1, 2."""
+    monkeypatch.setattr(gs, "LEVI_BUDGET", 2_000)
+    unstable = refused = 0
+    for g in (1, 2):
+        rng = random.Random(g)
+        for shape in PLAN_SHAPES:
+            for x in _drawn_points(rng, shape, 150):
+                M = gs.kempf_minimize(x)
+                if M is None:
+                    continue
+                got = _reduction_or_refusal(gs.rr_reduce, x, M)
+                assert got == _reduction_or_refusal(fraction_rr_reduce, x, M), x.to_json()
+                unstable += 1
+                refused += not got.startswith("{")
+    assert unstable == 1097
+    assert 55 <= refused < unstable // 10
+
+
+def _plan_key(x, M):
+    """The canonical datum rr_reduce looks its plan up by: the shape, the
+    integer adapted weights, c_tilde and the support of v_x in the adapted
+    bases."""
+    weights = tuple([tuple([int(w) for w in B.weights]) for B in M.adapted])
+    return x.shape, weights, M.c_tilde, gs._support(x, [B.change for B in M.adapted])
+
+
+def test_reduction_plan_blocks_are_the_minimizer_filtrations():
+    rng = random.Random(32001)
+    checked = 0
+    for shape, sizes in CACHE_SHAPES:
+        for x in _seeded_points(rng, shape, sizes, 3):
+            M = gs.kempf_minimize(x)
+            if M is None:
+                continue
+            plan = gs._reduction_plan(*_plan_key(x, M))
+            comps = M.minimizer.components
+            assert plan.block_jumps == tuple(F.jumps for F in comps)
+            assert plan.block_ranks == tuple(F.multiplicities() for F in comps)
+            assert all(type(v) is int for row in plan.block_jumps + plan.a + plan.b for v in row)
+            checked += 1
+    assert checked >= 40
+
+
+def test_points_with_one_adapted_support_share_a_plan(monkeypatch):
+    """The plan is keyed on canonical data, never on a point: a multiple of
+    a point meets its plan, and on seeded points the plan is built once per
+    distinct key, while points with other coordinates hit it."""
+    monkeypatch.setattr(gs, "LEVI_BUDGET", 20_000)
+    _empty_caches()
+    for x in (E11_POINT, point((2, 2), {(0, 0): 3})):
+        gs.rr_reduce(x, gs.kempf_minimize(x))
+    info = gs._reduction_plan.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+
+    _empty_caches()
+    points = {}
+    rng = random.Random(32002)
+    for shape, size in KEMPF_KINDS:
+        for x in _seeded_points(rng, shape, [size], 10):
+            M = gs.kempf_minimize(x)
+            if M is None:
+                continue
+            _reduction_or_refusal(gs.rr_reduce, x, M)
+            points.setdefault(_plan_key(x, M), []).append(x)
+    info = gs._reduction_plan.cache_info()
+    assert info.misses == info.currsize == len(points)
+    assert info.hits == sum(len(xs) for xs in points.values()) - len(points)
+    assert sum(len(set(xs)) > 1 for xs in points.values()) >= 10
+
+
+# (adapted weights of a (2,) minimizer, c_tilde = -1): the first gives
+# a = (-5, 5), b = (-4, 6); the second a = (-1, 2), whose sum is not zero
+PLAN_FAULTS = (
+    (((-5, 5),), "negative b_j"),
+    (((-1, 2),), "sum of a_j r_j is not zero"),
+)
+
+
+@pytest.mark.parametrize("weights, message", PLAN_FAULTS, ids=["b", "a"])
+def test_failed_plan_check_stores_nothing(weights, message):
+    _empty_caches()
+    with pytest.raises(gs.SearchNotConverged, match=message):
+        gs._reduction_plan((2,), weights, F(-1), ((0,), (1,)))
+    assert gs._reduction_plan.cache_info().currsize == 0
 
 
 def test_reduced_mu_rejects_bad_blocks():
