@@ -557,28 +557,6 @@ def _build(
     )
 
 
-def minimize_fixed_basis(
-    x: TensorPoint, bases: Sequence[CompatibleBasis]
-) -> MinimizationResult:
-    """Exact minimum of the functional over tuples compatible with the
-    given bases.
-
-    The support of v_x in the bases is the only thing the minimum depends
-    on: its value, its weights and its consistency check come from
-    _support_minimum, once per (shape, support), and only the filtration
-    tuple is built here, from those weights on these bases.  That is the
-    same tuple and the same numbers as solving afresh, since the
-    min-norm problem has no other input.
-    """
-    if len(bases) != len(x.shape):
-        raise ValueError("one basis per tensor factor required")
-    for basis, r in zip(bases, x.shape):
-        if len(basis.vectors) != r:
-            raise ValueError("basis size does not match shape")
-    support = _support(x, [b.change for b in bases])
-    return _build(x.shape, bases, support, _support_minimum(x.shape, support))
-
-
 # ---------------------------------------------------------------------------
 # global minimization over basis families
 

@@ -37,9 +37,7 @@ from .lattice import (
     Morphism,
     SubLattice,
     _mu_max_udeg,
-    _reduced,
     _scaled_sub_det,
-    _tensor_reduced,
     _udeg_of_shortest,
     degree,
     hn_filtration,
@@ -199,19 +197,28 @@ def random_lattice(rank: int, entry_bound: int, rng: random.Random) -> Lattice:
 # tensor slope bounds
 
 
+def _tensor_product(factors: Sequence[Lattice]) -> Lattice:
+    """The tensor product of the factors, folded pairwise in order."""
+    return functools.reduce(tensor, factors)
+
+
+def _slope_bound(factors: Sequence[Lattice]) -> LogValue:
+    """sum_i (slope(L_i) + 1/2 log rk L_i), the bound of the reduction
+    chain on the degree of a line in the tensor product."""
+    bound = LogValue.zero()
+    for L in factors:
+        bound = bound + slope(L) + log_of(Fraction(L.rank), Fraction(1, 2))
+    return bound
+
+
 def tensor_slope_data(factors: Sequence[Lattice]) -> Dict[str, object]:
     """Maximal slope of the tensor product with its two-sided bounds, and
     under "factors" the maximal slope of each factor."""
-    T = factors[0]
-    for L in factors[1:]:
-        T = tensor(T, L)
+    T = _tensor_product(factors)
     if T.rank > EXACT_RANK_LIMIT:
         raise ValueError("tensor rank exceeds the exact search limit")
-    # each factor is reduced once, for its own mu_max and for the tensor's
-    # start basis, the Kronecker product of the factors' reduced bases
-    reductions = [_reduced(L) for L in factors]
-    per = [_mu_max_udeg(L, EXACT_RANK_LIMIT, red)[0] for L, red in zip(factors, reductions)]
-    lhs = _mu_max_udeg(T, EXACT_RANK_LIMIT, _tensor_reduced(T, reductions))[0]
+    per = [mu_max(L)[0] for L in factors]
+    lhs = mu_max(T)[0]
     lower = LogValue.zero()
     for m in per:
         lower = lower + m
@@ -594,14 +601,9 @@ def reduction_chain_instance(
     telescoping, middle, and final inequalities of the chain.
     """
     ranks = [L.rank for L in factors]
-    T = factors[0]
-    for L in factors[1:]:
-        T = tensor(T, L)
-    norm_sq = T.norm_of(list(vector))
+    norm_sq = _tensor_product(factors).norm_of(list(vector))
     deg = log_of(norm_sq, Fraction(-1, 2))
-    rhs = LogValue.zero()
-    for L in factors:
-        rhs = rhs + slope(L) + log_of(Fraction(L.rank), Fraction(1, 2))
+    rhs = _slope_bound(factors)
     coords = {
         _unflatten_index(t, ranks): Fraction(c) for t, c in enumerate(vector) if c
     }
@@ -670,12 +672,8 @@ def check_reduction_chain(config: TrialConfig) -> TrialReport:
                     break
             else:
                 raise SearchNotConverged(f"no semistable rank-{r} factor in 400 draws")
-        T = factors[0]
-        for L in factors[1:]:
-            T = tensor(T, L)
-        rhs = LogValue.zero()
-        for L in factors:
-            rhs = rhs + slope(L) + log_of(Fraction(L.rank), Fraction(1, 2))
+        T = _tensor_product(factors)
+        rhs = _slope_bound(factors)
         margin = log_of(Fraction(2))
         box = approximate((rhs - margin).scaled(Fraction(-2)), 20)
         radius = Fraction(max(1, math.ceil(math.exp(float(box.hi)) * 2)))

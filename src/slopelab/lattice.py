@@ -2,8 +2,10 @@
 
 A lattice here is a hermitian vector bundle over Spec Z presented in a
 fixed basis: the free module Z^r together with a positive definite
-symmetric rational Gram matrix, stored as integers with its Sylvester
-certificate (Lattice).  Degrees are -1/2 * log det(Gram) as exact
+symmetric rational Gram matrix, stored as integers with one basis of Z^r
+and the Sylvester certificate of the Gram matrix in that basis (Lattice):
+the standard basis, or for a tensor product the LLL-reduced basis it is
+found in.  Degrees are -1/2 * log det(Gram) as exact
 LogValues, so all the classical identities (duality, direct sums, tensor
 products, exterior powers, short exact sequences) can be checked
 structurally instead of numerically.
@@ -11,6 +13,7 @@ structurally instead of numerically.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -56,18 +59,24 @@ class Lattice:
     """Z^r with a positive definite symmetric rational Gram matrix G.
 
     Stored as integers: den, the lcm of the denominators of G, the rows
-    of den * G, and the Sylvester certificate of den * G, its Gram-Schmidt
-    data (lam, D) as la._ldl_scaled gives it: D[k] is the k-th leading
-    principal minor of den * G, every one positive, and lam[i][j] = D[j+1]
-    mu_ij for j < i.  That data is kept as one flat tuple, ldl, of the
-    rows lam[i] + [D[i+1]] of the integer LDL factor, its lower triangle
-    (_gso unpacks it).  A tensor product takes (lam, D) from its factors'
-    (la._kron_gso) instead of eliminating.  The Fraction Gram matrix,
-    equality, hashing and JSON are derived from (den, rows), and equal
-    those of the Gram matrix itself: den is canonical, so two lattices
-    are equal iff their Gram matrices are.  Immutable."""
+    of den * G, one basis of Z^r, and the Sylvester certificate of den * G
+    in that basis.  basis holds the integer rows U whose columns are the
+    basis vectors, and ldl the Gram-Schmidt data (lam, D) of U^T (den G) U
+    as la._ldl_scaled gives it: D[k] is the k-th leading principal minor,
+    every one positive, and lam[i][j] = D[j+1] mu_ij for j < i.  U is
+    unimodular, and a unimodular change of basis keeps positive
+    definiteness, so that data certifies G.  It is kept as one flat tuple,
+    ldl, of the rows lam[i] + [D[i+1]] of the integer LDL factor, its
+    lower triangle (_gso unpacks it).  A lattice built from a Gram matrix
+    stores the standard basis, one identity per rank (_identity), and the
+    LDL data of den * G itself; a tensor product stores the LLL-reduced
+    basis that tensor finds from its factors'.  Every reduction (_reduced)
+    sweeps from the stored pair.  The Fraction Gram matrix, equality,
+    hashing and JSON are derived from (den, rows) alone, and equal those
+    of the Gram matrix itself: den is canonical, so two lattices are equal
+    iff their Gram matrices are, whatever basis they store.  Immutable."""
 
-    __slots__ = ("rank", "den", "rows", "ldl")
+    __slots__ = ("rank", "den", "rows", "basis", "ldl")
 
     def __init__(self, rank: int, gram: Sequence[Sequence]) -> None:
         if rank < 0 or len(gram) != rank:
@@ -75,22 +84,31 @@ class Lattice:
         rows, den = la._common_scaled(gram)
         self._certify(rows, den)
 
-    def _certify(self, rows: Sequence[Sequence[int]], den: int, ldl: Optional[Tuple[int, ...]] = None) -> None:
-        """Store den * G = rows with its certificate ldl, which a tensor
-        product reads off its factors'; otherwise after Sylvester's
-        criterion: symmetric, and every pivot of la._ldl_scaled positive."""
-        if ldl is None:
+    def _certify(
+        self, rows: Sequence[Sequence[int]], den: int, reduction: Optional[Tuple[List[List[int]], la.GSO]] = None
+    ) -> None:
+        """Store den * G = rows with a basis and its certificate: the
+        reduction (U, gso) that tensor finds, or else the standard basis
+        with the data of la._ldl_scaled, after Sylvester's criterion:
+        symmetric, and every pivot positive."""
+        if reduction is None:
             try:
                 if not la.is_symmetric(rows):
                     raise la.SingularMatrixError("not symmetric")
                 A, D, _one = la._ldl_scaled(rows)
             except la.SingularMatrixError:
                 raise ValueError("gram matrix must be symmetric positive definite") from None
-            ldl = tuple(x for i, row in enumerate(A) for x in row[: i + 1])
+            basis = _identity(len(rows))
+            ldl = tuple([x for i, row in enumerate(A) for x in row[: i + 1]])
+        else:
+            U, (lam, D, _den) = reduction
+            basis = tuple([tuple(row) for row in U])
+            ldl = tuple([x for i, row in enumerate(lam) for x in (*row, D[i + 1])])
         put = object.__setattr__
         put(self, "rank", len(rows))
         put(self, "den", den)
-        put(self, "rows", tuple(map(tuple, rows)))
+        put(self, "rows", tuple([tuple(row) for row in rows]))
+        put(self, "basis", basis)
         put(self, "ldl", ldl)
 
     def __setattr__(self, *args):
@@ -320,23 +338,34 @@ def direct_sum(L1: Lattice, L2: Lattice) -> Lattice:
 
 def tensor(L1: Lattice, L2: Lattice) -> Lattice:
     """The Kronecker product of the Gram matrices, on the integer rows of
-    den1 * G1 and den2 * G2 over den1 * den2.  Its Sylvester certificate
-    is read off the factors' (la._kron_gso): the LDL factor of a Kronecker
-    product is the product of the factors' LDL factors, and each pivot a
-    product of a pivot of each factor (Horn and Johnson, Topics in Matrix
-    Analysis, 4.2), so every pivot is positive and nothing is eliminated.
-    A common factor g of den1 * den2 and every entry is divided out, which
-    divides D[k] by g^k and lam[i][j] by g^(j+1)."""
+    den1 * G1 and den2 * G2 over den1 * den2, stored with an LLL-reduced
+    basis.
+
+    Each factor is reduced (_reduced), and the tensor starts from the
+    product U1 (x) U2 of the factors' reduced bases.  Its Gram-Schmidt
+    data is read off the factors' (la._kron_gso): the LDL factor of a
+    Kronecker product is the product of the factors' LDL factors, and
+    each pivot a product of a pivot of each factor (Horn and Johnson,
+    Topics in Matrix Analysis, 4.2), so every pivot is positive and
+    nothing is eliminated; that is the Sylvester certificate.  A common
+    factor g of den1 * den2 and every entry is divided out, which divides
+    D[k] by g^k and lam[i][j] by g^(j+1).  One la._lll_from sweep on the
+    columns of U1 (x) U2 finishes the reduction, a unimodular change that
+    keeps every pivot positive, and the tensor stores its result, so
+    _reduced of the tensor makes no swap.  A product of three or more
+    factors is folded pairwise, each fold from the reduction of the one
+    before."""
     rows = la.kron(L1.rows, L2.rows)
-    lam, D, den = la._kron_gso(_gso(L1), _gso(L2))
-    g = gcd(den, *[x for row in rows for x in row])
+    (U1, gso1), (U2, gso2) = _reduced(L1), _reduced(L2)
+    gso = la._kron_gso(gso1, gso2)
+    g = gcd(gso.den, *[x for row in rows for x in row])
     if g > 1:
         rows = [[x // g for x in row] for row in rows]
-        lam, D, den = la._gso_divided(la.GSO(lam, D, den), g)
-    if any(d <= 0 for d in D):
+        gso = la._gso_divided(gso, g)
+    if any(d <= 0 for d in gso.D):
         raise CertificateError("a tensor product of positive definite Gram matrices must be positive definite")
     T = object.__new__(Lattice)
-    T._certify(rows, den, tuple(x for i, row in enumerate(lam) for x in (*row, D[i + 1])))
+    T._certify(rows, gso.den, la._lll_from(gso, la.kron(U1, U2)))
     return T
 
 
@@ -356,12 +385,16 @@ def saturate(S: SubLattice) -> SubLattice:
     """Saturation: ambient intersect the Q-span, with canonical HNF basis.
 
     With B = Uinv [H; 0] from la.hnf_rows, the first k columns of Uinv
-    span it."""
+    span it, and the Hermite form of those columns is its canonical
+    basis (SubLattice.canonical), built once."""
     H, Uinv = la.hnf_rows(S.basis_rows)
     k = S.rank
     if len(H) != k:
         raise CertificateError("sublattice basis columns are not independent")
-    return SubLattice(S.ambient, tuple(tuple(row[:k]) for row in Uinv)).canonical()
+    H = la.hnf_rows(la.transpose(Uinv)[:k])[0]
+    if len(H) != k:
+        raise CertificateError("a saturation basis must have the rank of its sublattice")
+    return SubLattice(S.ambient, tuple(zip(*H)))
 
 
 def is_saturated(S: SubLattice) -> bool:
@@ -377,7 +410,7 @@ def is_saturated(S: SubLattice) -> bool:
 
 def short_vectors(L: Lattice, bound) -> List[Tuple[Tuple[int, ...], Fraction]]:
     """All nonzero vectors with norm^2 <= bound, up to sign, sorted."""
-    return la.short_vectors_reduced(*la._lll_from(_gso(L)), Fraction(bound))
+    return la.short_vectors_reduced(*_reduced(L), Fraction(bound))
 
 
 def udeg_max(L: Lattice) -> Tuple[LogValue, Tuple[int, ...]]:
@@ -388,11 +421,14 @@ def udeg_max(L: Lattice) -> Tuple[LogValue, Tuple[int, ...]]:
     """
     if L.rank == 0:
         raise ValueError("udeg_max needs positive rank")
-    return _udeg_of_shortest(_shortest_reduced(*_reduced(L)[1:]))
+    return _udeg_of_shortest(_shortest_reduced(*_reduced(L)))
 
 
-# (G, Gred, U, gso) of a lattice, as _reduced gives it
-_Reduction = Tuple[Sequence[Sequence[int]], List[List[int]], List[List[int]], la.GSO]
+@functools.lru_cache(maxsize=None)
+def _identity(r: int) -> Tuple[Tuple[int, ...], ...]:
+    """The standard basis of Z^r as integer rows, built once per rank in
+    a process and shared by every lattice of that rank that stores it."""
+    return tuple([tuple([int(i == j) for j in range(r)]) for i in range(r)])
 
 
 def _gso(L: Lattice) -> la.GSO:
@@ -407,53 +443,22 @@ def _gso(L: Lattice) -> la.GSO:
     return la.GSO(lam, D, L.den)
 
 
-def _reduced(L: Lattice) -> _Reduction:
-    """(G, Gred, U, gso) for G = L.rows = den * L.gram on integers and
-    (Gred, U, gso) = gram_lll(L.gram), with gso over den = L.den: the
-    sweep starts from a copy of the stored Sylvester data, so nothing is
-    eliminated."""
-    return (L.rows, *la.gram_lll(L.rows, _gso(L)))
+def _reduced(L: Lattice) -> Tuple[List[List[int]], la.GSO]:
+    """(U, gso): the LLL reduction of L, U the integer rows whose columns
+    are the reduced basis and gso its Gram-Schmidt data over den = L.den.
+    The sweep (la._lll_from) starts from a copy of the stored basis and
+    data, so nothing is eliminated, and the basis a tensor stores is
+    reduced already: its sweep makes no swap."""
+    return la._lll_from(_gso(L), L.basis)
 
 
-def _tensor_reduced(T: Lattice, reductions: Sequence[_Reduction]) -> _Reduction:
-    """_reduced of T, the tensor product of the factors in the order that
-    tensor folds them, from the factors' own _reduced.
-
-    The tensor starts from the basis kron(U_1, U_2, ...), whose GSO is
-    folded pairwise by la._kron_gso, with no elimination, over the product
-    of the factors' den; that is T.den times the factor g that tensor
-    divided out, and the GSO is divided by g too.  One la._lll_from sweep
-    on the columns of kron(U_1, U_2, ...) finishes the reduction.  The
-    reduced Gram matrix is kron(Gred_1, Gred_2, ...) / g when the sweep
-    leaves the basis as it is, and is formed on T.rows otherwise.  One
-    factor is its own reduction."""
-    if len(reductions) == 1:
-        return reductions[0]
-    _G, Gred, U, gso = reductions[0]
-    for _G2, _Gred2, U2, gso2 in reductions[1:]:
-        U, gso = la.kron(U, U2), la._kron_gso(gso, gso2)
-    g = gso.den // T.den
-    if g > 1:
-        gso = la._gso_divided(gso, g)
-    start = U
-    U, gso = la._lll_from(gso, U)
-    if U != start:
-        return T.rows, la._congruent(T.rows, U), U, gso
-    for _G2, Gred2, _U2, _gso2 in reductions[1:]:
-        Gred = la.kron(Gred, Gred2)
-    if g > 1:
-        Gred = [[x // g for x in row] for row in Gred]
-    return T.rows, Gred, U, gso
-
-
-def _shortest_reduced(
-    Gred: List[List[int]], U: List[List[int]], gso: la.GSO
-) -> List[Tuple[Tuple[int, ...], Fraction]]:
-    """Every lattice vector within the least diagonal entry of the reduced
-    Gram matrix, for (Gred, U, gso) = gram_lll(G) with Gred = den U^T G U
-    on integers: a realized, tight radius that both udeg and the rank-one
-    candidates enumerate.  The norms are those of G."""
-    least = min(Gred[i][i] for i in range(len(Gred)))
+def _shortest_reduced(U: List[List[int]], gso: la.GSO) -> List[Tuple[Tuple[int, ...], Fraction]]:
+    """Every lattice vector within D[1] / den, the norm of the first
+    vector of the reduced basis (U, gso) that _reduced gives: a realized
+    radius, as D[k] is at every level k >= 2 of _rank_candidates, so every
+    shortest vector lies within it.  udeg and the rank-one candidates both
+    read this one enumeration.  The norms are those of G."""
+    least = gso.D[1]
     return la.short_vectors_reduced(U, gso, least if gso.den == 1 else Fraction(least, gso.den))
 
 
@@ -571,9 +576,10 @@ def _rank_candidates(
 
     The least determinant at rank k is the squared norm of the shortest
     decomposable vector of the k-th exterior power.  The search runs in
-    the LLL-reduced basis U with GSO gso, as _reduced or _tensor_reduced
-    give them with Gred = den U^T G U on integers.  For rank one that pass
-    is ``shortest`` = _shortest_reduced(Gred, U, gso).  The norm of w is det(B^T Gred B) for
+    the LLL-reduced basis U with GSO gso that _reduced gives, whose Gram
+    matrix is Gred = den U^T G U on integers; Gred itself is never formed.
+    For rank one that pass is ``shortest`` = _shortest_reduced(U, gso),
+    within D[1].  The norm of w is det(B^T Gred B) for
     any B whose k x k minors are w (Cauchy-Binet), and a saturated S has a
     primitive Plucker vector: so a primitive decomposable w has norm
     det S, and a non-primitive w = g u is skipped, as u lies within the
@@ -586,7 +592,8 @@ def _rank_candidates(
     the basis changes the size of the tree, never the set of vectors
     found.  The radius is also at most gso.D[k], the leading k x k minor
     of Gred, the norm of the first k reduced basis vectors: a realized
-    norm, so the least determinant at rank k always lies within it.  A
+    norm, so the least determinant at rank k always lies within it, as
+    the least norm lies within D[1] at rank one.  A
     level whose radius lies below the least Gram-Schmidt norm of its basis
     (la._compound_floors) holds no vector within it and is not walked.
     All norms are integers and the rules are inclusive, so ties are kept.
@@ -615,19 +622,19 @@ def _rank_candidates(
     return found
 
 
-def _saturated(L: Lattice, G: Sequence[Sequence[int]], candidate: Tuple[int, int, List[List[int]]]) -> SubLattice:
+def _saturated(L: Lattice, candidate: Tuple[int, int, List[List[int]]]) -> SubLattice:
     """The saturated sublattice of a _rank_candidates entry, checked against
-    its determinant, den^k det S on integers, with G = den * L.gram as
-    integer rows (L.rows, as _reduced gives it).
+    its determinant, den^k det S on integers, on the integer rows G =
+    L.rows of den * L.gram.
 
     Ranks one and r need no Hermite form: the saturation of a line is its
     primitive vector, whose norm is taken on the integers of G, and that
     of a full-rank sublattice is Z^r, of determinant det G, by integer
     Bareiss."""
     k, d, columns = candidate
-    r = L.rank
+    r, G = L.rank, L.rows
     if k == r:
-        S = SubLattice(L, tuple(tuple(int(i == j) for j in range(r)) for i in range(r)))
+        S = SubLattice(L, _identity(r))
         exact = la._int_det(G)
     elif k == 1:
         v = la.primitive_vector(columns[0])
@@ -645,17 +652,6 @@ def _scaled_sub_det(G: Sequence[Sequence[int]], B: List[List[int]]) -> int:
     """det(B^T G B) for integer rows G and an integer basis B, by integer
     Bareiss: den^k sub_det when G = den * Gram."""
     return la._int_det(la.mat_mul(la.transpose(B), la.mat_mul(G, B)))
-
-
-def sub_det(S: SubLattice) -> Fraction:
-    """det(B^T G B) for the basis B of S, multiplied out on the integer
-    rows of den * G and divided by den^rank once."""
-    return Fraction(_scaled_sub_det(S.ambient.rows, S.basis_rows), S.ambient.den**S.rank)
-
-
-def sub_degree(S: SubLattice) -> LogValue:
-    """Degree of S with the metric induced from its ambient lattice."""
-    return log_of(sub_det(S), Fraction(-1, 2))
 
 
 def mu_max(L: Lattice, rank_limit: int = EXACT_RANK_LIMIT) -> Tuple[LogValue, SubLattice]:
@@ -694,29 +690,24 @@ def _in_minkowski_bracket(val: LogValue, k: int, d: int, b: int, r: int, den: in
     return num * den**k == d * dnm and d <= b**k <= r**k * d
 
 
-def _mu_max_udeg(
-    L: Lattice,
-    rank_limit: int,
-    reduction: Optional[_Reduction] = None,
-) -> Tuple[LogValue, SubLattice, List[Tuple[Tuple[int, ...], Fraction]]]:
+def _mu_max_udeg(L: Lattice, rank_limit: int) -> Tuple[LogValue, SubLattice, List[Tuple[Tuple[int, ...], Fraction]]]:
     """(mu_max, witness, shortest) of L from the one reduction and
     enumeration that mu_max runs, with shortest = _shortest_reduced of
-    that reduction, from which _udeg_of_shortest reads udeg_max.  The
-    reduction is _reduced(L) unless the caller hands in one it holds, as
-    (G, Gred, U, gso) with G = gso.den * L.gram: _reduced(L) itself, or
-    _tensor_reduced of L's factors.  Any LLL-reduced basis gives the same
-    value and witness."""
+    _reduced(L), from which _udeg_of_shortest reads udeg_max.  Any
+    LLL-reduced basis gives the same value and witness, so the basis L
+    stores does not change them."""
     if L.rank == 0:
         raise ValueError("mu_max needs positive rank")
     # one reduction serves the candidate search and the Minkowski bracket
-    G, Gred, U, gso = reduction or _reduced(L)
-    shortest = _shortest_reduced(Gred, U, gso)
+    U, gso = _reduced(L)
+    shortest = _shortest_reduced(U, gso)
     r, den = L.rank, gso.den
     if r > rank_limit:
+        # contiguous windows of the reduced basis: realized sublattices,
+        # each determinant den^k times that of G
+        Gred = la._congruent(L.rows, U)
         best = None
         for k in range(1, r + 1):
-            # contiguous windows of the reduced basis: realized sublattices,
-            # each determinant den^k times that of G
             dmin = min(la._int_det([row[s : s + k] for row in Gred[s : s + k]]) for s in range(r - k + 1))
             if best is None or _steeper(k, dmin, *best):
                 best = (k, dmin)
@@ -737,7 +728,7 @@ def _mu_max_udeg(
         # already primitive with its first nonzero entry positive: the
         # least vector is the least basis, built alone
         tied = [min(tied, key=lambda c: c[2][0])]
-    witness = min((_saturated(L, G, c) for c in tied), key=lambda S: S.basis)
+    witness = min((_saturated(L, c) for c in tied), key=lambda S: S.basis)
     val = _slope_of_det(d if den == 1 else Fraction(d, den**k), k)
     if not _in_minkowski_bracket(val, k, d, _scaled_norm(shortest[0][1], den), r, den):
         raise CertificateError("mu_max outside its Minkowski bracket [udeg_max, udeg_max + log(rank)/2]")
@@ -779,8 +770,8 @@ def hn_filtration(L: Lattice, rank_limit: int = EXACT_RANK_LIMIT) -> HNResult:
             None,
             None,
         )
-    G, Gred, U, gso = _reduced(L)
-    candidates = _rank_candidates(L, U, gso, _shortest_reduced(Gred, U, gso), _hull_radius)
+    U, gso = _reduced(L)
+    candidates = _rank_candidates(L, U, gso, _shortest_reduced(U, gso), _hull_radius)
     # least determinants at each rank, each den^k times that of G
     d = {0: 1}
     for k, e, _cols in candidates:
@@ -803,7 +794,7 @@ def hn_filtration(L: Lattice, rank_limit: int = EXACT_RANK_LIMIT) -> HNResult:
         attained = [c for c in candidates if c[:2] == (l, d[l])]
         if len(attained) != 1:
             raise CertificateError("an HN vertex must be attained by exactly one sublattice")
-        chain.append(_saturated(L, G, attained[0]))
+        chain.append(_saturated(L, attained[0]))
         slopes.append(_slope_of_det(Fraction(d[l], d[i] * den ** (l - i)), l - i))
     for a, b in zip(slopes, slopes[1:]):
         if compare(a, b) is not Order.GT:

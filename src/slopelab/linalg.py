@@ -12,19 +12,19 @@ same step below each pivot alone: _int_det is that forward pass, on a
 copy of its rows.  Only final entries are Fractions.
 
 Lattice reduction stays on the integers as well: _lll_from is the
-integral LLL on the Gram-Schmidt data (lam, D, den) of a basis, and
-_lll_sweep runs it from the data that _ldl_scaled gives for den * G; a
-caller that keeps that data, as a Lattice does, hands it to gram_lll and
-nothing is eliminated.  The GSO of a Kronecker product is read off its
-factors' GSOs (_kron_gso): it certifies a tensor product of positive
-definite Gram matrices, and a tensor product starts its sweep from its
-factors' reduced bases.
+integral LLL on the Gram-Schmidt data (lam, D, den) of a basis, given by
+the integer rows whose columns are that basis.  A Lattice stores a basis
+with its data, the _ldl_scaled data of den * G in the standard basis, and
+every sweep starts from that pair, so nothing is eliminated.  The GSO of a
+Kronecker product is read off its factors' GSOs (_kron_gso): a tensor
+product starts its sweep from the product of its factors' reduced bases,
+and stores the basis it ends with.
 The final GSO goes to short_vectors_reduced, whose Fincke-Pohst
 enumeration (_fincke_pohst) walks an explicit stack with integer centers,
 isqrt ranges and a remaining radius kept as a reduced integer pair, and
-builds one Fraction per returned vector, its norm.  gram_lll adds den
-times the reduced Gram matrix, as integer rows, which only callers that
-read it pay for.
+builds one Fraction per returned vector, its norm.  The reduced Gram
+matrix, den U^T G U on integers, is formed (_congruent) only where a
+caller reads its entries.
 
 No exterior power is eliminated or reduced: _compound_gso reads the
 Gram-Schmidt profile of each den^k Lambda^k(G) off the GSO of G, through
@@ -412,8 +412,8 @@ def is_symmetric(M: Sequence[Sequence]) -> bool:
 
 
 def _ldl_scaled(G: Sequence[Sequence]) -> Tuple[List[List[int]], List[int], int]:
-    """The symmetric Bareiss loop of the positive definiteness test and of
-    gram_lll, over the integers.
+    """The symmetric Bareiss loop of the positive definiteness test, over
+    the integers.
 
     The lower triangle A of den * G, den the lcm of its denominators, is
     eliminated without row exchange: pivot k is the leading minor D[k+1] of
@@ -541,7 +541,7 @@ class GSO(NamedTuple):
 class Profile(NamedTuple):
     """A basis as the Fincke-Pohst enumeration reads it, over the integers:
     lam[i][j] = d[j] mu_ij for j < i (entries at j >= i are not read) and
-    |b*_i|^2 = d[i]^2 / m[i].  The GSO of gram_lll is the Profile
+    |b*_i|^2 = d[i]^2 / m[i].  The GSO of a basis is the Profile
     (lam, D[1:], D[i] D[i+1] den); _compound_gso gives those of the
     exterior powers, whose lam is a _Minors that computes an entry when
     it is first read.  The dimension is len(d)."""
@@ -549,33 +549,6 @@ class Profile(NamedTuple):
     lam: List[List[int]]
     d: List[int]
     m: List[int]
-
-
-def gram_lll(
-    G: Sequence[Sequence], gso: Optional[GSO] = None
-) -> Tuple[List[List[int]], List[List[int]], GSO]:
-    """Exact integral LLL working purely on the Gram matrix.
-
-    Returns (Gred, U, gso): U is unimodular and U^T G U is LLL-reduced
-    (size-reduced and satisfying the Lovasz condition with parameter 3/4),
-    gso is its Gram-Schmidt data, which short_vectors_reduced enumerates
-    on, and Gred = den U^T G U as integer rows, den = gso.den the lcm of
-    the denominators of G: an integer G gives Gred = U^T G U.  Raises
-    SingularMatrixError unless G is positive definite.  G is scaled to
-    den G once; (U, gso) come from _lll_sweep of den G, and the reduced
-    Gram matrix is formed once at the end, on the same integers.
-
-    A caller that holds the Gram-Schmidt data of G, as a Lattice does,
-    passes G as the integer rows den * Gram and gso as that data, over
-    the same den: the sweep starts from gso, which it updates in place,
-    and nothing is eliminated.
-    """
-    if gso is not None:
-        U, gso = _lll_from(gso)
-        return _congruent(G, U), U, gso
-    A, den = _common_scaled(G)
-    U, (lam, D, _den) = _lll_sweep(A)
-    return _congruent(A, U), U, GSO(lam, D, den)
 
 
 def _congruent(A: Sequence[Sequence[int]], U: Sequence[Sequence[int]]) -> List[List[int]]:
@@ -592,20 +565,12 @@ def _congruent(A: Sequence[Sequence[int]], U: Sequence[Sequence[int]]) -> List[L
     return out
 
 
-def _lll_sweep(G: Sequence[Sequence]) -> Tuple[List[List[int]], GSO]:
-    """The reduction of gram_lll without the reduced Gram matrix: (U, the
-    GSO of the reduced basis), U starting as the identity: _lll_from on
-    the Gram-Schmidt data of G that _ldl_scaled gives."""
-    A, D, den = _ldl_scaled(G)
-    return _lll_from(GSO([row[:i] for i, row in enumerate(A)], D, den))
-
-
-def _lll_from(gso: GSO, U: Optional[Sequence[Sequence[int]]] = None) -> Tuple[List[List[int]], GSO]:
+def _lll_from(gso: GSO, U: Sequence[Sequence[int]]) -> Tuple[List[List[int]], GSO]:
     """(U V, the GSO of the reduced basis) for the LLL reduction of the
-    basis whose Gram-Schmidt data gso is, which is updated in place: V is
-    the unimodular transform from that basis to the reduced one, and U,
-    the identity unless given, the integer rows whose columns are the
-    basis in other coordinates; V acts on U's columns as they go.
+    basis whose Gram-Schmidt data gso is, which is updated in place: U
+    holds the integer rows whose columns are that basis, V is the
+    unimodular transform from it to the reduced one, and V acts on U's
+    columns as they go.
 
     Cohen's integral LLL (A Course in Computational Algebraic Number
     Theory, Alg. 2.6.7).  It size-reduces when 2 |lam_kl| > D_{l+1} and
@@ -615,7 +580,7 @@ def _lll_from(gso: GSO, U: Optional[Sequence[Sequence[int]]] = None) -> Tuple[Li
     lam, D, den = gso
     n = len(lam)
     # U V is kept as its columns, so that a column operation is one list
-    cols = [[int(i == j) for i in range(n)] for j in range(n)] if U is None else transpose(U)
+    cols = transpose(U)
 
     # b_k -= q b_l for q = floor(mu_kl + 1/2); run when 2 |lam_kl| > D_{l+1}
     def size_reduce(k, l):
@@ -708,10 +673,9 @@ def _gso_divided(gso: GSO, g: int) -> GSO:
 def short_vectors_reduced(
     U: Sequence[Sequence[int]], gso: GSO, bound: Fraction
 ) -> List[Tuple[Tuple[int, ...], Fraction]]:
-    """All nonzero v in Z^n with v^T G v <= bound, up to sign, given the
-    reduction (U, gso) of G that _lll_sweep(G) or gram_lll(G) returns, so
-    that U^T G U is the reduced Gram matrix: _fincke_pohst on the Profile
-    of gso."""
+    """All nonzero v in Z^n with v^T G v <= bound, up to sign, given a
+    reduction (U, gso) of G as _lll_from returns it, so that U^T G U is
+    the reduced Gram matrix: _fincke_pohst on the Profile of gso."""
     lam, D, den = gso
     return _fincke_pohst(U, Profile(lam, D[1:], [D[i] * D[i + 1] * den for i in range(len(lam))]), bound)
 

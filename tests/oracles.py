@@ -54,8 +54,12 @@ terms).
 
 Small matrix helpers that only the tests call sit here as well, as thin
 wrappers over the library's integer kernels: identity, vec_dot, det,
-inverse, the compound matrix, Sylvester's criterion and short vectors of
-a Gram matrix.
+inverse, the compound matrix, Sylvester's criterion, short vectors of a
+Gram matrix, the LLL reduction of a Gram matrix from the standard basis
+with its reduced Gram matrix (gram_lll), and the determinant and degree
+of a sublattice.  So is the minimum of the Kempf functional over tuples
+compatible with fixed bases (minimize_fixed_basis), which the library's
+search builds from the same per-support minimum.
 
 The sampled optimality checks of the Kempf minimizer run here as oracles:
 the estimation inequality at random challenge tuples, the subquotient
@@ -151,8 +155,48 @@ def is_positive_definite(M):
 
 def short_vectors_gram(G, bound):
     """All nonzero v in Z^n with v^T G v <= bound, up to sign: G reduced
-    by the library's _lll_sweep and enumerated by short_vectors_reduced."""
-    return la.short_vectors_reduced(*la._lll_sweep(G), bound)
+    by lll_sweep and enumerated by the library's short_vectors_reduced."""
+    return la.short_vectors_reduced(*lll_sweep(G), bound)
+
+
+def lll_sweep(G):
+    """(U, gso) for the LLL reduction of G: the library's _lll_from on the
+    unreduced data gso_of(G), from the standard basis."""
+    return la._lll_from(gso_of(G), lat._identity(len(G)))
+
+
+def gram_lll(G):
+    """(Gred, U, gso): U is unimodular and U^T G U LLL-reduced, gso its
+    Gram-Schmidt data over den, the lcm of the denominators of G, and Gred
+    = den U^T G U as integer rows, formed by the library's _congruent.  An
+    integer G gives Gred = U^T G U."""
+    A, den = la._common_scaled(G)
+    U, (lam, D, _one) = lll_sweep(A)
+    return la._congruent(A, U), U, la.GSO(lam, D, den)
+
+
+def sub_det(S):
+    """det(B^T G B) for the basis B of S, multiplied out on the integer
+    rows of den * G and divided by den^rank once."""
+    return Fraction(lat._scaled_sub_det(S.ambient.rows, S.basis_rows), S.ambient.den**S.rank)
+
+
+def sub_degree(S):
+    """Degree of S with the metric induced from its ambient lattice."""
+    return log_of(sub_det(S), Fraction(-1, 2))
+
+
+def minimize_fixed_basis(x, bases):
+    """Exact minimum of the functional over tuples compatible with the
+    given bases: the library's per-support minimum (gs._support_minimum)
+    of the support of v_x in those bases, built on them (gs._build)."""
+    if len(bases) != len(x.shape):
+        raise ValueError("one basis per tensor factor required")
+    for basis, r in zip(bases, x.shape):
+        if len(basis.vectors) != r:
+            raise ValueError("basis size does not match shape")
+    support = gs._support(x, [b.change for b in bases])
+    return gs._build(x.shape, bases, support, gs._support_minimum(x.shape, support))
 
 
 def unit_lattice(rank):
@@ -800,8 +844,8 @@ def recursive_hn_filtration(L):
     completion of the step's basis."""
 
     def build(Q):
-        Gred, U, gso = la.gram_lll(Q.gram_rows)
-        candidates = unpruned_rank_candidates(Q, U, gso, lat._shortest_reduced(Gred, U, gso))
+        Gred, U, gso = gram_lll(Q.gram_rows)
+        candidates = unpruned_rank_candidates(Q, U, gso, lat._shortest_reduced(U, gso))
         slopes = [lat._slope_of_det(Fraction(d, gso.den**k), k) for k, d, _cols in candidates]
         best = slopes[0]
         for val in slopes:
@@ -811,7 +855,7 @@ def recursive_hn_filtration(L):
         G = la._common_scaled(Q.gram)[0]
         for c, val in zip(candidates, slopes):
             if val == best:
-                stacked.extend(la.transpose(lat._saturated(Q, G, c).basis_rows))
+                stacked.extend(la.transpose(lat._saturated(Q, c).basis_rows))
         des = saturated_from_rational_rows(
             Q, la.rref([[Fraction(x) for x in row] for row in stacked])[0]
         )
@@ -833,7 +877,7 @@ def recursive_hn_filtration(L):
     slopes = []
     prev_deg, prev_rank = LogValue.zero(), 0
     for S in chain:
-        deg = lat.sub_degree(S)
+        deg = sub_degree(S)
         slopes.append((deg - prev_deg) / (S.rank - prev_rank))
         prev_deg, prev_rank = deg, S.rank
     return lat.HNResult(chain, tuple(slopes))

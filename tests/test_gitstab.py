@@ -37,6 +37,7 @@ from oracles import (
     is_trivial,
     kempf_challenges,
     levi_witness_value,
+    minimize_fixed_basis,
     minimizers_proportional,
     reduced_mu,
     sampled_reduced_mu,
@@ -233,7 +234,7 @@ def test_mu_matches_functional_sign():
 
 
 def test_minimize_fixed_basis_destabilized_line():
-    res = gs.minimize_fixed_basis(E1_POINT, [gs._identity_basis(2)])
+    res = minimize_fixed_basis(E1_POINT, [gs._identity_basis(2)])
     assert res.c == AlgValue(-1, F(1))
     assert res.c_tilde == -1
     Fl = res.minimizer.components[0]
@@ -244,11 +245,11 @@ def test_minimize_fixed_basis_destabilized_line():
 
 def test_minimize_fixed_basis_semistable_cases():
     ident_bases = [gs._identity_basis(2), gs._identity_basis(2)]
-    res = gs.minimize_fixed_basis(IDENT_POINT, ident_bases)
+    res = minimize_fixed_basis(IDENT_POINT, ident_bases)
     assert res.c == AlgValue.zero() and not res.is_destabilizing
     assert all(is_trivial(c) for c in res.minimizer.components)
     x = point((2,), {(0,): 1, (1,): 1})
-    res2 = gs.minimize_fixed_basis(x, [gs._identity_basis(2)])
+    res2 = minimize_fixed_basis(x, [gs._identity_basis(2)])
     assert res2.c == AlgValue.zero()
     assert set(res2.support) == {(0,), (1,)}
 
@@ -258,7 +259,7 @@ def test_minimize_fixed_basis_is_minimal():
     for _ in range(12):
         x = rand_point(rng)
         bases = [gs._identity_basis(r) for r in x.shape]
-        res = gs.minimize_fixed_basis(x, bases)
+        res = minimize_fixed_basis(x, bases)
         # every grid tuple in the same bases is at least the reported c
         for _ in range(40):
             ws = [[rng.randrange(-3, 4) for _ in range(r)] for r in x.shape]
@@ -274,7 +275,7 @@ def test_min_norm_fifteen_gradients_is_minimal():
     # fifteen cells of a (4,4) point: fifteen distinct gradients, one more
     # than a subset scan can afford
     x = point((4, 4), {(i, j): 1 for i in range(4) for j in range(4) if (i, j) != (3, 3)})
-    res = gs.minimize_fixed_basis(x, [gs._identity_basis(4), gs._identity_basis(4)])
+    res = minimize_fixed_basis(x, [gs._identity_basis(4), gs._identity_basis(4)])
     assert len(res.support) == 15
     rng = random.Random(43)
     for _ in range(40):
@@ -357,7 +358,7 @@ def test_min_norm_corral_failure_is_search_not_converged(monkeypatch):
     gs._support_minimum.cache_clear()
     monkeypatch.setattr(gs.la, "solve_square", singular)
     with pytest.raises(gs.SearchNotConverged):
-        gs.minimize_fixed_basis(point((2, 2), {(0, 0): 1, (1, 0): 1}), [gs._identity_basis(2)] * 2)
+        minimize_fixed_basis(point((2, 2), {(0, 0): 1, (1, 0): 1}), [gs._identity_basis(2)] * 2)
 
 
 FAULT_UNDER_O = """
@@ -369,7 +370,7 @@ exact = gs._min_norm_point
 gs._min_norm_point = lambda points, weights: [2 * q for q in exact(points, weights)]
 x = gs.TensorPoint.from_map((2,), {(0,): Fraction(1)})
 try:
-    gs.minimize_fixed_basis(x, [gs._identity_basis(2)])
+    gs.kempf_minimize(x)
 except gs.SearchNotConverged as exc:
     print("SearchNotConverged:", exc)
 """
@@ -564,7 +565,7 @@ def test_faulted_min_norm_point_stores_nothing(monkeypatch):
     monkeypatch.setattr(gs, "_min_norm_point", lambda points, weights: [2 * q for q in exact(points, weights)])
     x = point((2, 2), {(0, 0): 1})
     with pytest.raises(gs.SearchNotConverged, match="disagrees with the min-norm point"):
-        gs.minimize_fixed_basis(x, [gs._identity_basis(2)] * 2)
+        minimize_fixed_basis(x, [gs._identity_basis(2)] * 2)
     with pytest.raises(gs.SearchNotConverged, match="disagrees with the min-norm point"):
         gs.kempf_minimize(x)
     assert gs._support_minimum.cache_info().currsize == 0
@@ -588,7 +589,7 @@ def test_minimizer_component_with_nonzero_expectation_is_caught(monkeypatch):
     with pytest.raises(gs.SearchNotConverged, match="minimizer expectation is not zero"):
         gs.kempf_minimize(E11_POINT)
     with pytest.raises(gs.SearchNotConverged, match="minimizer expectation is not zero"):
-        gs.minimize_fixed_basis(E11_POINT, [gs._identity_basis(2)] * 2)
+        minimize_fixed_basis(E11_POINT, [gs._identity_basis(2)] * 2)
     assert gs._component.cache_info().currsize == 0
 
 
@@ -1181,7 +1182,7 @@ def test_rr_frozen_single_factor():
 
 
 def test_rr_rejects_semistable_input():
-    res = gs.minimize_fixed_basis(IDENT_POINT, [gs._identity_basis(2)] * 2)
+    res = minimize_fixed_basis(IDENT_POINT, [gs._identity_basis(2)] * 2)
     with pytest.raises(ValueError):
         gs.rr_reduce(IDENT_POINT, res)
 

@@ -127,9 +127,10 @@ class TestMainTheorem:
             check_main_theorem(TrialConfig(seed=0, ranks=(EXACT_RANK_LIMIT + 1,), trials=1))
 
     def test_tensor_data_equals_mu_max_of_each_lattice(self):
-        """tensor_slope_data, which reduces each factor once and starts the
-        tensor's reduction from the factors', gives mu_max of the tensor
-        product and of each factor as mu_max computes them on their own:
+        """tensor_slope_data, whose tensor product starts its reduction from
+        the factors' reduced bases, gives mu_max of the tensor product and
+        of each factor as mu_max computes them on lattices read back from
+        their JSON, which store the standard basis:
         1,000 seeded tuples of two and three factors, a third of them
         duals (rational Gram matrices), with rank-one factors and the
         shape (2, 1, 2)."""
@@ -145,7 +146,7 @@ class TestMainTheorem:
             for L in factors[1:]:
                 T = lat.tensor(T, L)
             data = tensor_slope_data(factors)
-            assert data["lhs"] == mu_max(T)[0]
+            assert data["lhs"] == mu_max(Lattice.from_json(T.to_json()))[0]
             assert data["factors"] == [mu_max(L)[0] for L in factors]
         assert duals >= 300
 
@@ -267,42 +268,49 @@ class TestOneComputationPerTrial:
 
     def test_main_theorem_takes_each_factor_mu_max_once(self, monkeypatch):
         cfg = TrialConfig(seed=7, ranks=(2, 3), trials=3)
-        passes = self.counting(monkeypatch, "_mu_max_udeg")
+        passes = []
+        real_pass = lat._mu_max_udeg
+        monkeypatch.setattr(lat, "_mu_max_udeg", lambda L, limit: (passes.append(L.rank), real_pass(L, limit))[1])
         public = self.counting(monkeypatch, "mu_max")
-        sweeps, scratch, eliminations = [], [], []
-        real_sweep, real_lll, real_ldl = la._lll_from, la.gram_lll, la._ldl_scaled
-        monkeypatch.setattr(la, "_lll_from", lambda gso, U=None: (sweeps.append(len(gso.D) - 1), real_sweep(gso, U))[1])
-        monkeypatch.setattr(la, "gram_lll", lambda G, gso=None: (scratch.append(len(G)), real_lll(G, gso))[1])
+        sweeps, formed, eliminations, kron = [], [], [], []
+        real_sweep, real_congruent, real_ldl, real_kron = la._lll_from, la._congruent, la._ldl_scaled, la._kron_gso
+        monkeypatch.setattr(la, "_lll_from", lambda gso, U: (sweeps.append(len(gso.D) - 1), real_sweep(gso, U))[1])
+        monkeypatch.setattr(la, "_congruent", lambda A, U: (formed.append(len(A)), real_congruent(A, U))[1])
         monkeypatch.setattr(la, "_ldl_scaled", lambda G: (eliminations.append(len(G)), real_ldl(G))[1])
+        monkeypatch.setattr(la, "_kron_gso", lambda g1, g2: (kron.append(len(g1.lam) * len(g2.lam)), real_kron(g1, g2))[1])
         rep = check_main_theorem(cfg)
         assert rep.ok
-        # one pass and one reduction per lattice: the tensor product and the
-        # two factors in tensor_slope_data, and the line twist
-        assert len(passes) == 3 * cfg.trials and len(public) == cfg.trials
-        assert sorted(sweeps) == sorted([6, 2, 3, 2] * cfg.trials)
-        # the tensor's reduction starts from its factors', not from scratch
-        assert sorted(scratch) == sorted([2, 3, 2] * cfg.trials)
+        # one public mu_max, and one pass, per lattice: the tensor product
+        # and the two factors in tensor_slope_data, and the line twist
+        assert len(public) == 4 * cfg.trials
+        assert sorted(passes) == sorted([6, 2, 3, 2] * cfg.trials)
+        # each tensor reduces its factors and sweeps once from the product
+        # of their reduced bases, one _kron_gso per tensor; each mu_max
+        # then sweeps from the stored basis
+        assert sorted(kron) == sorted([6, 2] * cfg.trials)
+        assert sorted(sweeps) == sorted([2, 3, 6] * 2 * cfg.trials + [2, 1, 2, 2] * cfg.trials)
+        # no reduced Gram matrix is formed below the rank limit
+        assert formed == []
         # one elimination per drawn lattice, when it is built (the factors
         # and the line); the tensors take their pivots from their factors'
         assert sorted(eliminations) == sorted([2, 3, 1] * cfg.trials)
-
 
     def test_bk_bracket_reduces_each_lattice_once(self, monkeypatch):
         rng = random.Random(10009)
         lattices = [random_lattice(rng.choice([2, 3]), 3, rng) for _ in range(20)]
         calls = []
-        real = la.gram_lll
+        real = la._lll_from
 
-        def counting(*args):
-            calls.append(len(args[0]))
-            return real(*args)
+        def counting(gso, U):
+            calls.append(len(U))
+            return real(gso, U)
 
-        monkeypatch.setattr(la, "gram_lll", counting)
+        monkeypatch.setattr(la, "_lll_from", counting)
         brackets = [bk_bracket(L) for L in lattices]
-        with_bracket = len(calls)
+        assert calls == [L.rank for L in lattices]
         del calls[:]
         assert [b["mu_max"] for b in brackets] == [mu_max(L)[0] for L in lattices]
-        assert with_bracket == len(calls)
+        assert calls == [L.rank for L in lattices]
 
     def test_bogomolov_checks_each_flag_once(self, monkeypatch):
         checks = self.counting(monkeypatch, "is_saturated")

