@@ -601,7 +601,9 @@ def reduction_chain_instance(
     telescoping, middle, and final inequalities of the chain.
     """
     ranks = [L.rank for L in factors]
-    norm_sq = _tensor_product(factors).norm_of(list(vector))
+    # the norm in the tensor product: v^T kron(rows_i) v / prod den_i
+    rows = functools.reduce(la.kron, [L.rows for L in factors])
+    norm_sq = Fraction(sum(map(mul, vector, la.mat_vec(rows, vector))), math.prod(L.den for L in factors))
     deg = log_of(norm_sq, Fraction(-1, 2))
     rhs = _slope_bound(factors)
     coords = {

@@ -214,10 +214,6 @@ class SubLattice:
         rows = la.transpose([list(c) for c in columns])
         return SubLattice(ambient, tuple(tuple(int(x) for x in row) for row in rows))
 
-    def canonical(self) -> "SubLattice":
-        H = la.hnf_rows(la.transpose(self.basis_rows))[0]
-        return SubLattice(self.ambient, tuple(zip(*H)))
-
     def to_json(self) -> dict:
         payload = self.ambient.to_json()
         payload["basis"] = [list(row) for row in self.basis]
@@ -385,8 +381,8 @@ def saturate(S: SubLattice) -> SubLattice:
     """Saturation: ambient intersect the Q-span, with canonical HNF basis.
 
     With B = Uinv [H; 0] from la.hnf_rows, the first k columns of Uinv
-    span it, and the Hermite form of those columns is its canonical
-    basis (SubLattice.canonical), built once."""
+    span it, and the Hermite form of those columns, read as columns, is
+    its canonical basis, built once."""
     H, Uinv = la.hnf_rows(S.basis_rows)
     k = S.rank
     if len(H) != k:
@@ -537,21 +533,25 @@ def _iroot(x: int, j: int) -> int:
 
 
 def _steepest_radius(k: int, least: Dict[int, int]) -> int:
-    """The radius of mu_max at rank k: a rank-k norm N is at least as
-    steep as the rank-j norm X iff N^j <= X^k, so every sublattice that can
-    still win or tie lies within the integer j-th root of X^k, for the
-    steepest realized (j, X) so far."""
-    return min(_iroot(X**k, j) for j, X in least.items())
+    """The radius of mu_max at rank k: a rank-k norm N is steeper than
+    the rank-j norm X iff N^j < X^k, so for the steepest realized (j, X) so
+    far every sublattice that can still win lies within the largest N with
+    N^j < X^k when j < k, as ties go to the smaller rank and the maximum is
+    at least that slope, and within the integer j-th root of X^k when j > k
+    (the whole lattice), where a rank-k tie wins."""
+    return min(_iroot(X**k - (j < k), j) for j, X in least.items())
 
 
 def _hull_radius(k: int, least: Dict[int, int]) -> int:
     """The radius of hn_filtration at rank k: the HN polygon is concave and
-    lies above every realized point (Stuhler; Grayson), so a rank-k vertex
-    lies on or above each chord from (i, X) to (l, Y), i < k < l, of the
-    points found so far and the origin: N^(l-i) <= X^(l-k) Y^(k-i)."""
+    lies above every realized point (Stuhler; Grayson), and a vertex is an
+    extreme point of it, so a rank-k vertex lies strictly above each chord
+    from (i, X) to (l, Y), i < k < l, of the points found so far and the
+    origin: N^(l-i) < X^(l-k) Y^(k-i).  A point on a chord is never a
+    vertex."""
     points = [(0, 1), *least.items()]
     return min(
-        _iroot(X ** (l - k) * Y ** (k - i), l - i) for i, X in points if i < k for l, Y in points if l > k
+        _iroot(X ** (l - k) * Y ** (k - i) - 1, l - i) for i, X in points if i < k for l, Y in points if l > k
     )
 
 
@@ -571,8 +571,8 @@ def _rank_candidates(
     lattice itself; a rank k strictly between lists every S within the
     radius of the rule radius(k, least), where least maps each rank found
     so far to its least scaled determinant: with _steepest_radius every S
-    that can win or tie mu_max, with _hull_radius every S that can be an
-    HN vertex.
+    that can win mu_max or tie its winner at the same rank, with
+    _hull_radius every S that can be an HN vertex.
 
     The least determinant at rank k is the squared norm of the shortest
     decomposable vector of the k-th exterior power.  The search runs in
@@ -596,7 +596,10 @@ def _rank_candidates(
     the least norm lies within D[1] at rank one.  A
     level whose radius lies below the least Gram-Schmidt norm of its basis
     (la._compound_floors) holds no vector within it and is not walked.
-    All norms are integers and the rules are inclusive, so ties are kept.
+    All norms are integers.  The cap D[k] is inclusive, so every tie at
+    rank k is kept, and so is the rank-one radius D[1]; the rules leave
+    out only ties that cannot change the result: a tie with a smaller
+    rank in mu_max, a point on a chord of the hull in hn_filtration.
     The determinant at rank r is D[r] = den^r det G.
     """
     r = L.rank
@@ -758,9 +761,9 @@ def hn_filtration(L: Lattice, rank_limit: int = EXACT_RANK_LIMIT) -> HNResult:
     least determinant at rank k and d_0 = 1.  At each vertex exactly one
     sublattice attains d_k, and those sublattices form the chain (U.
     Stuhler, Arch. Math. 27, 1976; D. Grayson, Comment. Math. Helv. 59,
-    1984).  The pass enumerates rank k only within the upper hull of the
-    points found before it (_hull_radius), so a rank with no candidate
-    lies strictly below that hull: it is no vertex and is left out.
+    1984).  The pass enumerates rank k only strictly above the upper hull
+    of the points found before it (_hull_radius), so a rank with no
+    candidate lies on or below that hull: it is no vertex and is left out.
     """
     if L.rank == 0:
         raise ValueError("hn filtration needs positive rank")

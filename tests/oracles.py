@@ -42,7 +42,12 @@ Fractions (the library takes its determinant on integers).  The quotient
 metric by a saturated sublattice, the basis completion it is taken along,
 and the Harder-Narasimhan filtration by recursion on such quotients live
 here as well: the library reads the filtration off the upper hull of the
-least determinant at each rank, so it never forms a quotient.
+least determinant at each rank, so it never forms a quotient.  The
+canonical basis of a sublattice, the Hermite form of its columns, is here
+too (the library builds it inside saturate), and so is the candidate
+pass under radius rules that keep every tie, with no level skipped (the
+library leaves out ties with a smaller rank and points on a chord of the
+hull, and skips a level below its Gram-Schmidt floor).
 
 Morphism heights are bisected over Fractions with a Fraction LDL at each
 midpoint, and atanh is summed term by term in Fractions; the library runs
@@ -670,12 +675,20 @@ def int_diagonalize(B):
     return Uinv, [x for x in d if x != 0]
 
 
+def canonical(S):
+    """S with the canonical basis of its column span: the columns of the
+    Hermite form of its basis columns, as lat.saturate gives a
+    saturation."""
+    H = la.hnf_rows(la.transpose(S.basis_rows))[0]
+    return SubLattice(S.ambient, tuple(zip(*H)))
+
+
 def diagonal_saturate(S):
     """Saturation of S from the first columns of int_diagonalize's Uinv,
     with canonical HNF basis."""
     Uinv, d = int_diagonalize(S.basis_rows)
     cols = [[Uinv[i][j] for i in range(S.ambient.rank)] for j in range(len(d))]
-    return SubLattice.from_columns(S.ambient, cols).canonical()
+    return canonical(SubLattice.from_columns(S.ambient, cols))
 
 
 def diagonal_is_saturated(S):
@@ -789,6 +802,54 @@ def gso_of(G):
     return la.GSO([row[:i] for i, row in enumerate(A)], D, den)
 
 
+def _root_floor(x, j):
+    """The largest y >= 0 with y^j <= x, by bisection between 0 and
+    2^(bits(x) / j + 1)."""
+    lo, hi = 0, 2 ** (x.bit_length() // j + 1)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if mid**j <= x else (lo, mid)
+    return lo
+
+
+def inclusive_steepest_radius(k, least):
+    """lat._steepest_radius with every tie kept: every rank-k norm N at
+    least as steep as a realized rank-j norm X, N^j <= X^k, whether j is
+    below k or above it."""
+    return min(_root_floor(X**k, j) for j, X in least.items())
+
+
+def inclusive_hull_radius(k, least):
+    """lat._hull_radius with every point on a chord kept: every rank-k
+    norm N on or above each chord from (i, X) to (l, Y), i < k < l, of the
+    realized points and the origin, N^(l-i) <= X^(l-k) Y^(k-i)."""
+    points = [(0, 1), *least.items()]
+    return min(
+        _root_floor(X ** (l - k) * Y ** (k - i), l - i) for i, X in points if i < k for l, Y in points if l > k
+    )
+
+
+def inclusive_rank_candidates(L, U, gso, shortest, radius):
+    """lat._rank_candidates as it ran before ties were left out: under the
+    inclusive rules above, each rank k strictly between 1 and r is
+    enumerated within min(gso.D[k], radius(k, least)), the cap inclusive
+    too, with least the least determinant found at each rank so far, and
+    no level is skipped by a floor.  Determinants are the integers den^k
+    det S; that of rank r is den^r det G, by elimination."""
+    r, D, den = L.rank, gso.D, gso.den
+    found = [(1, int(norm * den), [list(v)]) for v, norm in shortest if r > 1 and math.gcd(*v) == 1]
+    least = {r: D[r], **({1: found[0][1]} if found else {})}
+    if r > 2:
+        for k, level in la._compound_gso(gso, r - 1):
+            for w, norm in la._fincke_pohst(None, level, min(D[k], radius(k, least))):
+                ker = lat._decomposable_kernel(w, r, k) if math.gcd(*w) == 1 else None
+                if ker is not None:
+                    least.setdefault(k, int(norm))
+                    found.append((k, int(norm), la.mat_mul(ker, la.transpose(U))))
+    found.append((r, int(det(L.gram) * den**r), [[int(i == j) for j in range(r)] for i in range(r)]))
+    return found
+
+
 def unpruned_rank_candidates(L, U, gso, shortest, radius=None):
     """lat._rank_candidates with every rank strictly between 1 and r
     enumerated within its realized radius gso.D[k] alone, and no rule
@@ -798,17 +859,7 @@ def unpruned_rank_candidates(L, U, gso, shortest, radius=None):
     could be skipped.  Every least determinant and every tie is listed at
     every rank.  Determinants are den^k det S, as the library lists them;
     that of rank r is den^r det G, by elimination."""
-    r = L.rank
-    den = gso.den
-    found = [(1, norm * den, [list(v)]) for v, norm in shortest if r > 1 and math.gcd(*v) == 1]
-    if r > 2:
-        for k, level in la._compound_gso(gso, r - 1):
-            for w, norm in la._fincke_pohst(None, level, gso.D[k]):
-                ker = lat._decomposable_kernel(w, r, k) if math.gcd(*w) == 1 else None
-                if ker is not None:
-                    found.append((k, norm, la.mat_mul(ker, la.transpose(U))))
-    found.append((r, det(L.gram) * den**r, [[int(i == j) for j in range(r)] for i in range(r)]))
-    return found
+    return inclusive_rank_candidates(L, U, gso, shortest, lambda k, least: math.inf)
 
 
 def filtered_laplace(n, k):
@@ -871,7 +922,7 @@ def recursive_hn_filtration(L):
         return chain
 
     chain = tuple(
-        SubLattice(L, tuple(tuple(int(x) for x in row) for row in B)).canonical()
+        canonical(SubLattice(L, tuple(tuple(int(x) for x in row) for row in B)))
         for B in build(L)
     )
     slopes = []

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import re
@@ -377,6 +378,27 @@ class TestSlopeInequalities:
 
 
 class TestReductionChain:
+    def test_campaign_folds_one_tensor_per_trial(self, monkeypatch):
+        # a trial folds its factors once, for the enumeration; a candidate's
+        # norm is read off the Kronecker product of the factors' rows, with
+        # no tensor (reduction and sweep) of its own.  The report's
+        # sorted-key JSON hashes as it did when each candidate built one
+        calls = TestOneComputationPerTrial.counting(monkeypatch, "tensor")
+        rep = check_reduction_chain(TrialConfig(seed=7, ranks=(2, 2), entry_bound=2, trials=2))
+        assert len(calls) == 2
+        assert sum(len(o.detail["subbundles"]) for o in rep.outcomes) == 24
+        digest = hashlib.sha256(json.dumps(rep.to_json(), sort_keys=True).encode()).hexdigest()
+        assert digest == "6f9c30d65ebe2b579d65e50f2514a44925710b7278767ea0939379c451426556"
+
+    def test_instance_norm_is_the_tensor_norm(self):
+        # rational factors too: the norm is over the product of the dens
+        rng = random.Random(29)
+        A, B = lat.dual(random_lattice(2, 3, rng)), random_lattice(2, 3, rng)
+        assert A.den > 1
+        T = lat.tensor(A, B)
+        for v in ((1, 0, 0, 0), (1, -1, 2, 1), (0, 3, 1, -2)):
+            assert reduction_chain_instance([A, B], v)["norm_sq"] == T.norm_of(v)
+
     def test_pure_tensor_instance(self):
         rec = reduction_chain_instance([ID2, ID2], (1, 0, 0, 0))
         assert rec["branch"] == "reduced"

@@ -23,6 +23,7 @@ from oracles import (
     basis_completion,
     best_slope_witness_det,
     box_short_vectors,
+    canonical,
     compound_matrix,
     det,
     diagonal_is_saturated,
@@ -32,6 +33,9 @@ from oracles import (
     fraction_morphism_height,
     gram_lll,
     gso_of,
+    inclusive_hull_radius,
+    inclusive_rank_candidates,
+    inclusive_steepest_radius,
     inverse,
     lll_sweep,
     quotient_bundle,
@@ -799,7 +803,13 @@ def test_hn_is_one_candidate_pass(monkeypatch):
         assert len(hn.chain) == min(r, 3)
         assert log["ldl"] == log["sweep"] == [r] and log["gram"] == []
         assert log["gso"] == ([middle] if middle else [])
-        assert log["short"] == [r] + [comb(r, k) for k in middle]
+        # every middle level is enumerated but rank 5 of rank 6, whose least
+        # determinant 1*1*4*4*16 = 256 lies on the chord from (4, 16) to
+        # (6, 4096) of the hull (256^2 = 16 * 4096), so it is no vertex: the
+        # strict hull radius there is 255, below 256, the product of the five
+        # least Gram-Schmidt norms 1, 1, 4, 4, 16, and the floor skips it
+        walked = [k for k in middle if (r, k) != (6, 5)]
+        assert log["short"] == [r] + [comb(r, k) for k in walked]
         assert log["eliminated_inside"] == log["tower"] == []
 
 
@@ -1101,7 +1111,9 @@ def test_enumerations_match_recursive_oracle(monkeypatch):
     """Every enumeration that mu_max and hn_filtration run, the lattice's
     own and each compound level's, returns the vectors of the recursive
     enumeration with one Fraction per node, and visits as many nodes, on
-    the 42-lattice set and 60 seeded lattices of rank 5-8."""
+    the 42-lattice set and 64 seeded lattices of rank 5-8.  The four drawn
+    here keep the compound enumerations above 500: the strict radii leave
+    out levels that hold only ties, 487 on the other lattices."""
     _empty_tables()
     real = la._fincke_pohst
     nodes = []
@@ -1112,13 +1124,126 @@ def test_enumerations_match_recursive_oracle(monkeypatch):
         return found
 
     monkeypatch.setattr(la, "_fincke_pohst", checked)
+    rng = random.Random(446)
     lattices = _pruning_lattices()
+    for i in range(4):
+        L = random_lattice(5 + i, 2 + i, rng)
+        lattices.append(lat.dual(L) if i % 3 == 0 else L)
     for L in lattices:
         lat.mu_max(L, rank_limit=8)
         lat.hn_filtration(L, rank_limit=8)
     assert sum(1 for compound, _n in nodes if not compound) == 2 * len(lattices)
     assert sum(1 for compound, _n in nodes if compound) >= 500
     assert sum(n for _c, n in nodes) >= 20000
+
+
+def _tensor_mu_max_lattices():
+    """The 600 lattice pairs of the tensor_mu_max benchmark at seed 10003,
+    drawn as perfbench/workloads.py draws them, each with its tensor."""
+    rng = random.Random("tensor_mu_max:10003")
+    out = []
+    for _ in range(120):
+        big = rng.randrange(5)
+        for k in range(5):
+            A = random_lattice(2, 3, rng)
+            B = random_lattice(3 if k == big else 2, 3, rng)
+            out += [A, B, lat.tensor(A, B)]
+    return out
+
+
+def _doubled_lattices():
+    """M + M for 48 seeded M of rank 2-4 whose mu_max witness is M itself,
+    so that a proper sublattice, M + 0 or 0 + M, ties the whole lattice
+    and wins mu_max on the tie."""
+    rng = random.Random(447)
+    out = []
+    while len(out) < 48:
+        M = random_lattice(2 + len(out) % 3, 3, rng)
+        if lat.mu_max(M)[1].rank == M.rank:
+            out.append(lat.direct_sum(M, M))
+    return out
+
+
+def _slope_results(L):
+    """mu_max, the HN filtration and udeg_max of L, or the message of the
+    CertificateError the pass raises."""
+    try:
+        return lat.mu_max(L, rank_limit=L.rank), lat.hn_filtration(L, rank_limit=L.rank), lat.udeg_max(L)
+    except lat.CertificateError as e:
+        return str(e)
+
+
+def _against_inclusive(monkeypatch, lattices, fault=None):
+    """(changed, listed, inclusive): how many lattices have a mu_max (value
+    and witness), HN filtration (chain and slopes) or udeg_max other than
+    under the oracle's inclusive pass and rules, with fault(m) applied to
+    the library's pass first, and how many candidates the two passes
+    list."""
+    counts = []
+
+    def counting(m):
+        real = lat._rank_candidates
+        counts.append(0)
+
+        def counted(*args):
+            found = real(*args)
+            counts[-1] += len(found)
+            return found
+
+        m.setattr(lat, "_rank_candidates", counted)
+
+    with monkeypatch.context() as m:
+        m.setattr(lat, "_steepest_radius", inclusive_steepest_radius)
+        m.setattr(lat, "_hull_radius", inclusive_hull_radius)
+        m.setattr(lat, "_rank_candidates", inclusive_rank_candidates)
+        counting(m)
+        want = [_slope_results(L) for L in lattices]
+    with monkeypatch.context() as m:
+        if fault:
+            fault(m)
+        counting(m)
+        got = [_slope_results(L) for L in lattices]
+    return sum(a != b for a, b in zip(got, want)), counts[1], counts[0]
+
+
+def test_strict_radii_match_inclusive_oracle(monkeypatch):
+    """The strict radius rules leave out only ties that cannot change the
+    result: mu_max, the HN filtration and udeg_max equal those under the
+    inclusive rules on the tensor_mu_max inputs at seed 10003 and their
+    tensors, on the pruning set and its duals, and on M + M, where a
+    proper sublattice ties the whole lattice; and on each set the strict
+    rules list fewer candidates."""
+    _empty_tables()
+    pruning = _pruning_lattices()
+    for lattices in (_tensor_mu_max_lattices(), pruning + [lat.dual(L) for L in pruning], _doubled_lattices()):
+        changed, listed, inclusive = _against_inclusive(monkeypatch, lattices)
+        assert changed == 0 and listed < inclusive
+
+
+def test_a_strict_radius_above_the_rank_fails_the_oracle(monkeypatch):
+    """A rank-k tie with the whole lattice wins mu_max, so a rule that is
+    strict against the whole lattice too changes the witness of M + M."""
+    _empty_tables()
+
+    def strict_everywhere(k, least):
+        return min(lat._iroot(X**k - 1, j) for j, X in least.items())
+
+    fault = lambda m: m.setattr(lat, "_steepest_radius", strict_everywhere)
+    assert _against_inclusive(monkeypatch, _doubled_lattices(), fault)[0] >= 3
+
+
+def test_a_strict_cap_fails_the_oracle(monkeypatch):
+    """Ties at one rank choose the mu_max witness and an HN vertex must be
+    attained once, so a cap D[k] - 1 in place of D[k] changes results on
+    the tensor_mu_max inputs."""
+    _empty_tables()
+    real = lat._rank_candidates
+
+    def strict_cap(L, U, gso, shortest, radius):
+        return real(L, U, gso, shortest, lambda k, least: min(gso.D[k] - 1, radius(k, least)))
+
+    fault = lambda m: m.setattr(lat, "_rank_candidates", strict_cap)
+    assert _against_inclusive(monkeypatch, _tensor_mu_max_lattices(), fault)[0] >= 500
 
 
 def test_decomposable_kernel_matches_wedge_elimination():
@@ -1247,7 +1372,7 @@ def test_hn_is_unique_under_change_of_basis(case):
     moved = lat.Lattice.from_rows(_conjugate(G, U))
     Uinv = [[int(x) for x in row] for row in inverse(la.frac_rows(U))]
     expect = tuple(
-        lat.SubLattice(moved, tuple(map(tuple, la.mat_mul(Uinv, S.basis_rows)))).canonical()
+        canonical(lat.SubLattice(moved, tuple(map(tuple, la.mat_mul(Uinv, S.basis_rows)))))
         for S in hn.chain
     )
     hn_moved = lat.hn_filtration(moved)
