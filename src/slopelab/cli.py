@@ -108,7 +108,7 @@ def _ints(raw: str, what: str) -> List[int]:
 def _fractions(raw: str, what: str) -> List[Fraction]:
     try:
         return [rat_from_str(x) for x in raw.split(",") if x != ""]
-    except (ValueError, ZeroDivisionError):
+    except ValueError:
         raise CliError(2, "%s must be a comma-separated rational list" % what)
 
 
@@ -219,7 +219,7 @@ def _fil(args) -> int:
             raise CliError(2, "dilate needs --factor")
         try:
             eps = rat_from_str(args.factor)
-        except (ValueError, ZeroDivisionError):
+        except ValueError:
             raise CliError(2, "--factor must be a rational number")
         _emit(fil.dilate(F, eps).to_json(), args.out)
     return 0

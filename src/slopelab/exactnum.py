@@ -21,8 +21,12 @@ from typing import Dict, List, Mapping, Sequence, Tuple
 
 
 def rat_from_str(text: str) -> Fraction:
-    """Parse "p/q" or "p" into a Fraction (raises ValueError on junk)."""
-    return Fraction(text.strip())
+    """Parse "p/q" or "p" into a Fraction; raises ValueError on junk and on
+    a zero denominator."""
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError:
+        raise ValueError("zero denominator in %r" % text) from None
 
 
 def rat_to_str(q: Fraction) -> str:
@@ -94,10 +98,6 @@ class Interval:
     def width(self) -> Fraction:
         return self.hi - self.lo
 
-    @property
-    def midpoint(self) -> Fraction:
-        return (self.lo + self.hi) / 2
-
     def __add__(self, other: "Interval") -> "Interval":
         return Interval(self.lo + other.lo, self.hi + other.hi)
 
@@ -159,17 +159,6 @@ def _on_grid(iv: Interval, bits: int) -> Tuple[int, int]:
     return lo.numerator, hi.numerator
 
 
-def log_interval(q: Fraction, bits: int) -> Interval:
-    """Certified enclosure of log(q) for rational q > 0, width <= 2**-bits;
-    that of an integer is read from _log_grid."""
-    q = Fraction(q)
-    if q <= 0:
-        raise ValueError("log_interval needs a positive argument")
-    if q.denominator == 1:
-        return _dyadic(_log_grid(q.numerator, bits), bits + 1)
-    return _log_enclosure(q, bits)
-
-
 # Logs of integers only: prime logs recur across comparisons and
 # renderings, while the rational arguments of height brackets never do.
 # Each enclosure is a pair of integer numerators over 2**(bits+1), which
@@ -182,7 +171,8 @@ def _log_grid(n: int, bits: int) -> Tuple[int, int]:
 
 
 def _log_enclosure(q: Fraction, bits: int) -> Interval:
-    """log_interval of a rational q > 0, computed afresh by _log_ends."""
+    """Certified enclosure of log(q) for rational q > 0, width <= 2**-bits,
+    computed afresh by _log_ends."""
     return _dyadic(_log_ends(q.numerator, q.denominator, bits), bits + 1)
 
 
@@ -560,15 +550,6 @@ class AlgValue:
         if q == 0:
             return AlgValue.zero()
         return AlgValue(1 if q > 0 else -1, q * q)
-
-    @staticmethod
-    def sqrt_of(q) -> "AlgValue":
-        q = Fraction(q)
-        if q < 0:
-            raise ValueError("sqrt_of needs a nonnegative rational")
-        if q == 0:
-            return AlgValue.zero()
-        return AlgValue(1, q)
 
     def __neg__(self) -> "AlgValue":
         if self.sign == 0:

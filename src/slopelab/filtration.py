@@ -189,10 +189,6 @@ def make(dim: int, flag, jumps) -> Filtration:
     return Filtration(dim, jumps, tuple(canon))
 
 
-def trivial(dim: int) -> Filtration:
-    return Filtration(dim, (Fraction(0),), ())
-
-
 def from_weighted_basis(vectors, weights) -> Filtration:
     """Filtration whose value at each basis vector is the given weight."""
     return _from_basis(CompatibleBasis(_freeze(vectors)), weights)

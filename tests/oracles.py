@@ -64,7 +64,14 @@ Gram matrix, the LLL reduction of a Gram matrix from the standard basis
 with its reduced Gram matrix (gram_lll), and the determinant and degree
 of a sublattice.  So is the minimum of the Kempf functional over tuples
 compatible with fixed bases (minimize_fixed_basis), which the library's
-search builds from the same per-support minimum.
+search builds from the same per-support minimum, and one round of
+re-adapting the bases to a minimizer's flags (adaptation_round), which the
+library's one-pass search no longer runs.  Other names only the tests
+call sit here too: the Gram rows and the norm of a vector of a lattice,
+the midpoint of an interval, the log enclosure of a rational (log_interval)
+and the AlgValue square root of one, the trivial filtration, and the
+Bogomolov sign test of one lattice rendered as a report (check_bogomolov;
+the library runs the same evaluations in its campaign).
 
 The sampled optimality checks of the Kempf minimizer run here as oracles:
 the estimation inequality at random challenge tuples, the subquotient
@@ -80,10 +87,13 @@ from dataclasses import replace
 from fractions import Fraction
 from itertools import accumulate, combinations, product
 from math import isqrt
+from operator import mul
 from typing import NamedTuple, Sequence
 
+from slopelab import exactnum
 from slopelab import filtration as fil
 from slopelab import gitstab as gs
+from slopelab import harness
 from slopelab import invariants
 from slopelab import lattice as lat
 from slopelab import linalg as la
@@ -191,17 +201,104 @@ def sub_degree(S):
     return log_of(sub_det(S), Fraction(-1, 2))
 
 
+def gram_rows(L):
+    """The Gram matrix of L as Fraction rows (lists)."""
+    return [list(row) for row in L.gram]
+
+
+def norm_of(L, v):
+    """v^T G v for the Gram matrix G of L, on its integer rows."""
+    return Fraction(sum(map(mul, v, la.mat_vec(L.rows, v))), L.den)
+
+
+def midpoint(iv):
+    """The midpoint of an Interval."""
+    return (iv.lo + iv.hi) / 2
+
+
+def log_interval(q, bits):
+    """Certified enclosure of log(q) for rational q > 0, width <= 2**-bits;
+    that of an integer is read from the library's cache (_log_grid)."""
+    q = Fraction(q)
+    if q <= 0:
+        raise ValueError("log_interval needs a positive argument")
+    if q.denominator == 1:
+        return exactnum._dyadic(exactnum._log_grid(q.numerator, bits), bits + 1)
+    return exactnum._log_enclosure(q, bits)
+
+
+def sqrt_of(q):
+    """The AlgValue sqrt(q) of a rational q >= 0."""
+    q = Fraction(q)
+    if q < 0:
+        raise ValueError("sqrt_of needs a nonnegative rational")
+    if q == 0:
+        return AlgValue.zero()
+    return AlgValue(1, q)
+
+
+def check_bogomolov(L, flag_budget=10, seed=0):
+    """Sign test for flag line bundle degrees on one lattice: the report of
+    the library's evaluations (harness._bogomolov), one outcome each.
+
+    Semistable lattices must give a nonpositive degree for every
+    enumerated flag and weight vector; unstable ones must expose a
+    strictly positive value on the two-step witness flag built from the
+    maximal destabilizing subbundle.
+    """
+    if L.rank > lat.EXACT_RANK_LIMIT:
+        raise ValueError("rank exceeds the exact search limit")
+    params = {"seed": seed, "flag_budget": flag_budget, "rank": L.rank}
+    zero = LogValue.zero()
+    inputs = L.to_json()
+    outcomes = tuple(
+        harness._outcome(
+            i,
+            verdict,
+            value,
+            zero,
+            inputs,
+            {"flag": [S.basis_rows for S in flag], "a": list(a), "expect": expect},
+        )
+        for i, (verdict, value, flag, a, expect) in enumerate(
+            harness._bogomolov(L, lat.hn_filtration(L), flag_budget, seed)
+        )
+    )
+    return harness.TrialReport("bogomolov", params, outcomes)
+
+
 def minimize_fixed_basis(x, bases):
     """Exact minimum of the functional over tuples compatible with the
     given bases: the library's per-support minimum (gs._support_minimum)
-    of the support of v_x in those bases, built on them (gs._build)."""
+    of the support of v_x in those bases, built on them (gs._build) when
+    it destabilizes, and the all-trivial tuple with c = 0 otherwise."""
     if len(bases) != len(x.shape):
         raise ValueError("one basis per tensor factor required")
     for basis, r in zip(bases, x.shape):
         if len(basis.vectors) != r:
             raise ValueError("basis size does not match shape")
     support = gs._support(x, [b.change for b in bases])
-    return gs._build(x.shape, bases, support, gs._support_minimum(x.shape, support))
+    m = gs._support_minimum(x.shape, support)
+    if m.parts is None:
+        triv = fil.FiltrationTuple(tuple(trivial(r) for r in x.shape))
+        return gs.MinimizationResult(triv, AlgValue.zero(), Fraction(0), tuple(bases), support)
+    return gs._build(x.shape, bases, support, m)
+
+
+def adaptation_round(x, M):
+    """Whether one round of re-adapting the bases to the flags of the
+    minimizer M lowers it: the support of v_x in M's adapted bases, its
+    minimum (gs._support_minimum), and whether that minimum is strictly
+    lower than M's value.  kempf_minimize once repeated this until it
+    returned False."""
+    support = gs._support(x, [B.change for B in M.adapted])
+    return gs._support_minimum(x.shape, support).pnorm_sq > M.c.square
+
+
+def trivial(dim):
+    """The filtration of a space of dimension dim with one member, of
+    weight zero."""
+    return fil.Filtration(dim, (Fraction(0),), ())
 
 
 def unit_lattice(rank):
@@ -699,7 +796,7 @@ def sub_bundle(S):
     """S with the metric induced from its ambient lattice: the Gram matrix
     B^T G B of its basis B, multiplied out in Fractions."""
     B = S.basis_rows
-    G = S.ambient.gram_rows
+    G = gram_rows(S.ambient)
     return Lattice.from_rows(la.mat_mul(la.transpose(B), la.mat_mul(G, B)))
 
 
@@ -737,7 +834,7 @@ def quotient_bundle(S):
     k = S.rank
     if k == S.ambient.rank:
         return Lattice(0, ())
-    inv = inverse(la.mat_mul(la.transpose(Uinv), la.mat_mul(S.ambient.gram_rows, Uinv)))
+    inv = inverse(la.mat_mul(la.transpose(Uinv), la.mat_mul(gram_rows(S.ambient), Uinv)))
     return Lattice.from_rows(inverse([row[k:] for row in inv[k:]]))
 
 
@@ -757,7 +854,7 @@ def fraction_rank_candidates(L, Gred, U, shortest):
     Each rank k is enumerated within C[0][0], the leading k x k minor of
     Gred, the realized cap of the library's pass."""
     r = L.rank
-    den = la._common_scaled(L.gram_rows)[1]
+    den = la._common_scaled(gram_rows(L))[1]
     found = [(1, norm * den, [list(v)]) for v, norm in shortest if r > 1 and math.gcd(*v) == 1]
     for k in range(2, r):
         C = compound_matrix(Gred, k)
@@ -895,7 +992,7 @@ def recursive_hn_filtration(L):
     completion of the step's basis."""
 
     def build(Q):
-        Gred, U, gso = gram_lll(Q.gram_rows)
+        Gred, U, gso = gram_lll(gram_rows(Q))
         candidates = unpruned_rank_candidates(Q, U, gso, lat._shortest_reduced(U, gso))
         slopes = [lat._slope_of_det(Fraction(d, gso.den**k), k) for k, d, _cols in candidates]
         best = slopes[0]
@@ -1839,7 +1936,7 @@ def direct_sum(parts):
 
 
 def norm(F):
-    return AlgValue.sqrt_of(fil.norm_squared(F))
+    return sqrt_of(fil.norm_squared(F))
 
 
 def float_decimal(box):
@@ -1902,8 +1999,8 @@ def fraction_morphism_height(phi, tolerance_bits=40):
     finite = LogValue.from_map(finite_map)
 
     A = phi.matrix_rows
-    GE = phi.source.gram_rows
-    GF = phi.target.gram_rows
+    GE = gram_rows(phi.source)
+    GF = gram_rows(phi.target)
     M = la.mat_mul(la.transpose(A), la.mat_mul(GF, A))
     k = phi.source.rank
     inv = fraction_inverse(GE)

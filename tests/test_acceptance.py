@@ -13,12 +13,15 @@ import time
 from fractions import Fraction as F
 
 from oracles import (
+    check_bogomolov,
     coord_map,
+    gram_rows,
     grid_min_lambda,
     levi_witness_value,
     minimizers_proportional,
     quotient_bundle,
     random_unimodular,
+    sqrt_of,
     sub_bundle,
 )
 
@@ -27,7 +30,7 @@ from slopelab import gitstab as gs
 from slopelab import linalg as la
 from slopelab.exactnum import AlgValue, log_of
 from slopelab.harness import bk_bracket, random_lattice, tensor_slope_data
-from slopelab.harness import TrialConfig, check_bogomolov, check_reduction_chain
+from slopelab.harness import TrialConfig, check_reduction_chain
 from slopelab.invariants import det_tensor
 from slopelab.lattice import (
     Lattice,
@@ -59,7 +62,7 @@ def test_criterion_1_exact_identity_suite():
         assert degree(dual(L)) == degree(L).scaled(-1)
         assert degree(exterior_power(L, L.rank)) == degree(L)
         U = random_unimodular(rng, L.rank)
-        G = la.mat_mul(la.frac_rows(U), la.mat_mul(list(map(list, L.gram_rows)), la.transpose(la.frac_rows(U))))
+        G = la.mat_mul(la.frac_rows(U), la.mat_mul(list(map(list, gram_rows(L))), la.transpose(la.frac_rows(U))))
         assert degree(Lattice.from_rows(G)) == degree(L)
         if L.rank >= 2:
             S = random_saturated_sub(L, 1 + rng.randrange(L.rank - 1), rng)
@@ -236,7 +239,7 @@ def test_criterion_5_kempf_minimizer():
                 (fil.scalar_product(a, b) for a, b in zip(res.minimizer.components, comps)),
                 F(0),
             )
-            assert AlgValue.from_rational(lhs) * AlgValue.sqrt_of(norm_sq) >= res.c.scaled(pairing)
+            assert AlgValue.from_rational(lhs) * sqrt_of(norm_sq) >= res.c.scaled(pairing)
     assert unstable >= 10
     elapsed = time.monotonic() - start
     assert elapsed < 600.0

